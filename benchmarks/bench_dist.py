@@ -44,6 +44,7 @@ from repro.dist import (
     AdaCompCodec,
     ChaosTransport,
     Fault,
+    ReliableTransport,
     ddp_engine,
     dp_strategy,
     shutdown,
@@ -217,9 +218,9 @@ def test_bench_recovery_overhead_gate(benchmark):
     def run(transport):
         engine = ddp_engine(
             model(), CrossEntropyLoss(), workers=WORKERS,
-            transport=transport, lr=0.05, metric_fn=accuracy,
+            transport=ReliableTransport(transport, retry_backoff=0.0),
+            lr=0.05, metric_fn=accuracy,
             schedule=HeuristicSchedule(warmup_epochs=1, ladder=((2, (1, 1)),)),
-            retry_backoff=0.0,
         )
         start = time.perf_counter()
         history = engine.fit(

@@ -12,6 +12,8 @@ This package layers that story over the existing engine seams:
 * :mod:`repro.dist.codec` — gradient wire formats
   (:class:`IdentityCodec`, :class:`AdaCompCodec`) with measured
   ``wire_bytes``/``dense_bytes`` accounting;
+* :mod:`repro.dist.reliable` — :class:`ReliableTransport`, the recovery
+  wrapper (dedup, retry, rebuild + replay) every strategy talks through;
 * :mod:`repro.dist.strategy` — :class:`DataParallelStrategy`, wrapping
   any serial :class:`~repro.core.engine.strategies.PhaseStrategy`;
 * :mod:`repro.dist.engine` — the :func:`ddp_engine` factory.
@@ -38,6 +40,7 @@ from .codec import (
 )
 from .engine import ddp_engine, dp_strategy, invalidate_replicas, shutdown
 from .faults import ChaosTransport, Fault, FaultEvent, chaos, corrupt_frame
+from .reliable import DeterministicFault, RankLost, ReliableTransport
 from .strategy import CommStats, DataParallelStrategy, shard_sizes
 from .transport import (
     LocalTransport,
@@ -45,6 +48,7 @@ from .transport import (
     ProcessTransport,
     Transport,
     TransportError,
+    TransportWrapper,
     WorkerDied,
     WorkerError,
     WorkerTimeout,
@@ -62,6 +66,7 @@ __all__ = [
     "Codec",
     "CommStats",
     "DataParallelStrategy",
+    "DeterministicFault",
     "DistWorker",
     "EncodedGrad",
     "Fault",
@@ -70,8 +75,11 @@ __all__ = [
     "LocalTransport",
     "PayloadCorrupt",
     "ProcessTransport",
+    "RankLost",
+    "ReliableTransport",
     "Transport",
     "TransportError",
+    "TransportWrapper",
     "WorkerDied",
     "WorkerError",
     "WorkerTimeout",

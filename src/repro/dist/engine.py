@@ -85,11 +85,7 @@ def ddp_engine(
     resync: str = "phase",
     metric_fn: Optional[MetricFn] = None,
     callbacks: Iterable[Callback] = (),
-    timeout: Optional[float] = None,
     min_workers: int = 2,
-    max_retries: int = 2,
-    retry_backoff: float = 0.05,
-    max_rebuilds: int = 3,
     **inner_kwargs,
 ) -> TrainingEngine:
     """Data-parallel training engine over ``workers`` ranks.
@@ -107,14 +103,12 @@ def ddp_engine(
     the inner strategies — bitwise identical to the serial factory's
     engine, the cheap end of the parity ladder.
 
-    Fault tolerance: ``timeout=`` bounds every ``collect`` (``None`` =
-    the transport's own finite default), ``max_retries=`` /
-    ``retry_backoff=`` govern transient-timeout retries,
-    ``max_rebuilds=`` bounds deterministic rank rebuilds per fault, and
-    ``min_workers=`` is the active-world floor below which training
-    degrades to serial with a warning instead of aborting — see
-    :class:`~repro.dist.strategy.DataParallelStrategy` for the full
-    recovery ladder.
+    Fault tolerance: whatever ``transport`` resolves to is wrapped in a
+    :class:`~repro.dist.reliable.ReliableTransport` (dedup, retry,
+    rebuild + replay — exactly-once collects); to tune it pass one, e.g.
+    ``transport=ReliableTransport("process", max_rebuilds=1)``.
+    ``min_workers=`` is the active-world floor below which the strategy
+    degrades to serial with a warning instead of aborting.
     """
     if inner not in _INNER_FACTORIES:
         raise ValueError(
@@ -164,11 +158,7 @@ def ddp_engine(
         transport=transport,
         resync=resync,
         worker_factory=worker_factory,
-        timeout=timeout,
         min_workers=min_workers,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        max_rebuilds=max_rebuilds,
     )
     engine.strategies = {phase: parallel for phase in engine.strategies}
     parallel.bind(engine)

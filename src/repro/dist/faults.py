@@ -46,7 +46,9 @@ tests assert *bitwise* equality between faulted and unfaulted runs.
     engine = ddp_engine(model, loss_fn, workers=2, transport=chaos)
 
 The wrapper is built world-size-late (``resolve_transport`` binds it),
-so the same chaos spec drops into any ``workers=`` count.
+so the same chaos spec drops into any ``workers=`` count.  The recovery
+layer (:class:`~repro.dist.reliable.ReliableTransport`) always sits
+*above* the chaos: ``strategy → reliable → chaos → local/process``.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .transport import (
     PayloadCorrupt,
     Transport,
     TransportError,
+    TransportWrapper,
     WorkerDied,
     WorkerTimeout,
     frame_payload,
@@ -117,7 +120,7 @@ class FaultEvent:
     collect_index: int
 
 
-class ChaosTransport(Transport):
+class ChaosTransport(TransportWrapper):
     """Fault-injecting wrapper over any registered transport.
 
     Parameters
@@ -145,9 +148,6 @@ class ChaosTransport(Transport):
         seed: int = 0,
         world_size: Optional[int] = None,
     ) -> None:
-        # No super().__init__: the world size may be bound later.
-        self._inner_spec = inner
-        self.inner: Optional[Transport] = None
         # Own copies: matching consumes ``nth``, and the same rule list
         # must be reusable across runs (the determinism tests build two
         # identical chaos schedules from one spec).
@@ -171,76 +171,30 @@ class ChaosTransport(Transport):
         # Per-rank: a reply was dropped and nothing new submitted yet —
         # retry collects must time out instantly, not re-burn deadlines.
         self._lost: dict[int, bool] = {}
-        self.started = False
-        if world_size is not None:
-            self.bind_world(world_size)
-        elif isinstance(inner, Transport):
-            self.bind_world(inner.world_size)
+        super().__init__(inner, world_size)
 
     # ------------------------------------------------------------------
-    # World binding + plain delegation.
+    # Lifecycle: delegate, keeping the per-rank injection state in step.
     # ------------------------------------------------------------------
-    @property
-    def world_size(self) -> Optional[int]:  # type: ignore[override]
-        return None if self.inner is None else self.inner.world_size
-
-    @world_size.setter
-    def world_size(self, value) -> None:
-        # Base-class attribute assignment is absorbed; the inner
-        # transport owns the real value.
-        pass
-
-    def bind_world(self, world_size: int) -> None:
-        if self.inner is not None:
-            if self.inner.world_size != world_size:
-                raise ValueError(
-                    f"chaos transport already bound to world_size "
-                    f"{self.inner.world_size}, cannot rebind to {world_size}"
-                )
-            return
-        self.inner = resolve_transport(self._inner_spec, world_size)
-
-    def _require_inner(self) -> Transport:
-        if self.inner is None:
-            raise TransportError(
-                "ChaosTransport is not bound to a world size yet; resolve it "
-                "through resolve_transport or pass world_size="
-            )
-        return self.inner
-
     def start(self, factory) -> None:
-        inner = self._require_inner()
-        inner.start(factory)
+        super().start(factory)
         for rank in self.worker_ranks:
             self._outstanding.setdefault(rank, deque())
             self._parked.setdefault(rank, deque())
             self._lost.setdefault(rank, False)
-        self.started = True
-
-    @property
-    def worker_ranks(self) -> range:
-        return self._require_inner().worker_ranks
-
-    def alive(self, rank: int) -> bool:
-        return self._require_inner().alive(rank)
-
-    def kill_rank(self, rank: int) -> None:
-        self._require_inner().kill_rank(rank)
 
     def respawn_rank(self, rank: int) -> None:
-        self._require_inner().respawn_rank(rank)
+        super().respawn_rank(rank)
         # The rank's in-flight traffic died with it.
         self._outstanding[rank] = deque()
         self._parked[rank] = deque()
         self._lost[rank] = False
 
     def close(self) -> None:
-        if self.inner is not None:
-            self.inner.close()
+        super().close()
         self._outstanding.clear()
         self._parked.clear()
         self._lost.clear()
-        self.started = False
 
     # ------------------------------------------------------------------
     # Injection decision.

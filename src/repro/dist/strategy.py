@@ -37,58 +37,30 @@ full-batch ones bitwise; ``W>=2`` vs serial is an allclose property,
 ``LocalTransport`` vs ``ProcessTransport`` at any ``W`` is the bitwise
 one).
 
-Fault tolerance — the recovery ladder
--------------------------------------
-Every submitted command carries a per-rank sequence number that the
-replica echoes, and every collect runs through a policy that classifies
-transport faults (see :mod:`repro.dist.transport`) and climbs:
-
-1. **Dedup** — a reply whose sequence number does not match the
-   outstanding command is a stale duplicate (at-least-once delivery)
-   and is silently discarded.
-2. **Retry** — :class:`~repro.dist.transport.WorkerTimeout` is retried
-   up to ``max_retries`` times with linear backoff (a delayed reply is
-   simply collected late).
-3. **Rebuild** — a dead rank (:class:`~repro.dist.transport.WorkerDied`),
-   a corrupt payload (:class:`~repro.dist.transport.PayloadCorrupt`) or
-   a timeout past the retry budget triggers a deterministic rank
-   rebuild: respawn from the pickled factory if dead, re-sync from the
-   retained *phase-boundary* state with a codec-residual reset, replay
-   the rank's accepted command log since that boundary (reproducing its
-   exact pre-fault replica state — replicas drift *by design* inside a
-   run: predictors train on local shards during BP, models take local
-   predicted updates during GP), then resubmit the faulted command.
-   Under the identity codec the rebuilt rank's replies are bitwise
-   identical to the unfaulted run's — the "faulted ≡ unfaulted" rung of
-   the parity ladder.
-4. **Forfeit** — a rank that exhausts ``max_rebuilds`` inside one
-   collect is permanently lost: batches re-shard over the survivors
-   after a world re-sync with codec resets (rank 0's included).  A
-   forfeit during BP gradient gather re-runs the batch on the new
-   shard layout; a forfeit during the apply fan-out or a GP run keeps
-   the completed work (survivors already applied / GP drift is
-   overwritten at the next boundary anyway).  Forfeited runs stay
-   deterministic across identical fault schedules, but are not
-   unfaulted-bitwise (the shard layout changed) — documented trade.
-5. **Degrade** — when the active world drops below ``min_workers``
-   (or below 2), the strategy warns and falls back to serial
-   single-process training rather than aborting the fit.
-
-:class:`~repro.dist.transport.WorkerError` (the replica *application*
-raised) is never retried — it is a bug, not a fabric fault, and
-propagates.
+Lost ranks — the re-shard / degrade policy
+------------------------------------------
+The strategy never sees a fabric fault: it talks to its ranks through a
+:class:`~repro.dist.reliable.ReliableTransport` (dedup, retry, rebuild,
+replay — see that module), whose collects are exactly-once or raise a
+typed :class:`~repro.dist.reliable.RankLost`.  What a lost rank *means*
+is policy, and lives here: batches re-shard over the survivors after a
+world re-sync with codec resets (rank 0's included).  A rank lost in a
+sync or the BP gradient gather re-runs the batch on the new layout
+(nothing was applied yet); one lost in the apply fan-out or a GP run
+keeps the completed work (survivors already applied / GP drift is
+overwritten at the next boundary).  Such runs stay deterministic across
+identical fault schedules but are not unfaulted-bitwise (the layout
+changed).  Below ``min_workers`` (or 2) active ranks the strategy warns
+and degrades to serial training rather than aborting the fit.
 
 All communication volume and fault accounting lands in
-:class:`CommStats` (per-epoch wire bytes, dense-equivalent bytes, sync
-broadcast bytes, measured compression ratio, plus faults / retries /
-rebuilds / recovery wall-time / recovery bytes).  The stats live on the
-strategy, not the engine — strategies are not checkpointed, so a ddp
-engine's checkpoint stays byte-identical to the serial engine's.
+:class:`CommStats`.  The stats live on the strategy, not the engine —
+strategies are not checkpointed, so a ddp engine's checkpoint stays
+byte-identical to the serial engine's.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from contextlib import nullcontext
 from typing import Mapping, Optional, Union
@@ -96,17 +68,10 @@ from typing import Mapping, Optional, Union
 from ..core.engine.strategies import BatchResult, PhaseStrategy
 from ..core.schedule import Phase
 from ..nn.backend import backend_scope
-from ..obs.trace import COMM, RECOVERY, tracer as _obs_tracer
+from ..obs.trace import COMM, tracer as _obs_tracer
 from .codec import Codec, decode_sum, resolve_codec
-from .transport import (
-    PayloadCorrupt,
-    Transport,
-    TransportError,
-    WorkerDied,
-    WorkerError,
-    WorkerTimeout,
-    resolve_transport,
-)
+from .reliable import RankLost, ReliableTransport
+from .transport import resolve_transport
 from .worker import state_nbytes, sync_state
 
 
@@ -119,20 +84,6 @@ def shard_sizes(n: int, world_size: int) -> list[int]:
     """
     base, rem = divmod(n, world_size)
     return [base + (1 if rank < rem else 0) for rank in range(world_size)]
-
-
-class _RanksLost(Exception):
-    """Internal: rank(s) exhausted their rebuild budget mid-batch.
-
-    Carries whatever replies *were* collected so the caller can keep
-    completed work (GP partial merge, apply fan-out) instead of
-    discarding it.
-    """
-
-    def __init__(self, ranks: list[int], replies: dict) -> None:
-        super().__init__(f"ranks {ranks} permanently lost")
-        self.ranks = ranks
-        self.replies = replies
 
 
 class CommStats:
@@ -154,51 +105,18 @@ class CommStats:
     """
 
     _KEYS = (
-        "grad_wire_bytes",
-        "grad_dense_bytes",
-        "sync_bytes",
-        "bp_batches",
-        "gp_batches",
-        "faults",
-        "retries",
-        "rebuilds",
-        "recovery_s",
-        "recovery_bytes",
+        "grad_wire_bytes", "grad_dense_bytes", "sync_bytes", "bp_batches", "gp_batches",
+        "faults", "retries", "rebuilds", "recovery_s", "recovery_bytes",
     )
 
     def __init__(self) -> None:
         self.epochs: dict[int, dict[str, float]] = {}
 
-    def _row(self, epoch: int) -> dict[str, float]:
-        return self.epochs.setdefault(epoch, self._empty())
-
-    def record_grads(self, epoch: int, wire_bytes: int, dense_bytes: int) -> None:
-        row = self._row(epoch)
-        row["grad_wire_bytes"] += wire_bytes
-        row["grad_dense_bytes"] += dense_bytes
-        row["bp_batches"] += 1
-
-    def record_gp(self, epoch: int) -> None:
-        self._row(epoch)["gp_batches"] += 1
-
-    def record_sync(self, epoch: int, nbytes: int) -> None:
-        self._row(epoch)["sync_bytes"] += nbytes
-
-    def record_recovery(
-        self,
-        epoch: int,
-        faults: int = 0,
-        retries: int = 0,
-        rebuilds: int = 0,
-        seconds: float = 0.0,
-        nbytes: int = 0,
-    ) -> None:
-        row = self._row(epoch)
-        row["faults"] += faults
-        row["retries"] += retries
-        row["rebuilds"] += rebuilds
-        row["recovery_s"] += seconds
-        row["recovery_bytes"] += nbytes
+    def add(self, epoch: int, **counts: float) -> None:
+        """Add ``counts`` (any of the ten keys) to ``epoch``'s row."""
+        row = self.epochs.setdefault(epoch, self._empty())
+        for key, value in counts.items():
+            row[key] += value
 
     def totals(self) -> dict[str, float]:
         """Sum of every epoch row (same keys)."""
@@ -228,8 +146,7 @@ class DataParallelStrategy(PhaseStrategy):
     ----------
     inner:
         The serial per-phase strategies to distribute — one strategy or
-        a ``{Phase: strategy}`` mapping (typically the engine's original
-        ``strategies`` dict, taken over by :func:`repro.dist.ddp_engine`).
+        a ``{Phase: strategy}`` mapping (the engine's original dict).
     workers:
         World size including the driver (rank 0).  ``1`` runs no
         transport at all and delegates every batch bitwise.
@@ -238,36 +155,22 @@ class DataParallelStrategy(PhaseStrategy):
         replicas spawn their own so residual state stays rank-local.
     transport:
         ``"local"`` / ``"process"`` / ``"chaos"`` / a started-or-not
-        :class:`~repro.dist.transport.Transport`.
+        :class:`~repro.dist.transport.Transport`; :meth:`bind` wraps it
+        in a default :class:`~repro.dist.reliable.ReliableTransport`
+        unless it already is one (pass a configured one to tune recovery).
     resync:
         ``"phase"`` (default): broadcast rank-0 sync state at phase
-        boundaries (BP→GP: replica predictors went stale training on
-        local shards; GP→BP: replica models drifted under local
-        predicted updates).  ``"never"``: replicas keep their drifted
-        predictors/weights until the next explicit
-        :meth:`invalidate_replicas` — documented-unsafe, for drift
-        experiments (note: the recovery replay log then grows for the
-        whole run, since the retained boundary never advances).
+        boundaries.  ``"never"``: replicas keep their drifted
+        predictors/weights until the next :meth:`invalidate_replicas` —
+        documented-unsafe, for drift experiments (the recovery replay
+        log then grows for the whole run: the boundary never advances).
     worker_factory:
         Picklable ``factory(rank) -> DistWorker`` (required when
         ``workers > 1``); built by :func:`repro.dist.ddp_engine`.
-    timeout:
-        Per-collect deadline in seconds forwarded to
-        ``transport.collect`` (``None`` = the transport's own default;
-        every transport default is finite, so no collect blocks
-        forever).
     min_workers:
         Floor on the active world size (rank 0 included).  Below it —
         or below 2, where "parallel" stops meaning anything — the
         strategy degrades to serial with a warning instead of aborting.
-    max_retries:
-        Timeout re-collect budget per faulted collect before the
-        timeout escalates to a rank rebuild.
-    retry_backoff:
-        Linear backoff unit between timeout retries, seconds.
-    max_rebuilds:
-        Rank rebuild budget per faulted collect; past it the rank is
-        permanently forfeited and batches re-shard over survivors.
     """
 
     def __init__(
@@ -279,11 +182,7 @@ class DataParallelStrategy(PhaseStrategy):
         resync: str = "phase",
         worker_factory=None,
         backend=None,
-        timeout: Optional[float] = None,
         min_workers: int = 2,
-        max_retries: int = 2,
-        retry_backoff: float = 0.05,
-        max_rebuilds: int = 3,
     ) -> None:
         super().__init__(backend=backend)
         if isinstance(inner, PhaseStrategy):
@@ -295,49 +194,30 @@ class DataParallelStrategy(PhaseStrategy):
             raise ValueError(f"resync must be 'phase' or 'never', got {resync!r}")
         if min_workers < 1:
             raise ValueError(f"min_workers must be >= 1, got {min_workers}")
-        if max_retries < 0 or max_rebuilds < 0:
-            raise ValueError("max_retries and max_rebuilds must be >= 0")
         self.workers = int(workers)
         self.codec = resolve_codec(codec)
         self.resync = resync
         self.worker_factory = worker_factory
         self._transport_spec = transport
-        self.transport: Optional[Transport] = None
+        self.transport: Optional[ReliableTransport] = None
         self.comm = CommStats()
-        self.timeout = timeout
         self.min_workers = int(min_workers)
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.max_rebuilds = int(max_rebuilds)
         self._need_sync = True
         # Replica models drifted under local GP updates (GP→BP resync).
         self._drifted = False
         # Replica predictors trained on local shards during a BP run
         # (BP→GP resync); never set when the engine has no predictor.
         self._predictor_stale = False
-        # --- fault-tolerance state -----------------------------------
         #: World ranks still in service, ascending; rank 0 always first.
         self._active: list[int] = list(range(self.workers))
-        #: Per-rank next command sequence number.
-        self._seq: dict[int, int] = {}
-        #: Per-rank accepted-command log since the retained boundary —
-        #: the rebuild replay source.
-        self._log: dict[int, list[dict]] = {
-            rank: [] for rank in range(1, self.workers)
-        }
-        #: (sync state, lrs) broadcast at the last boundary.
-        self._boundary: Optional[tuple] = None
-        #: Next sync must reset every rank's codec (post-forfeit world
-        #: reset — rank 0's residual accounting included).
+        # Next sync resets every rank's codec (world reset after a loss).
         self._pending_codec_reset = False
-        #: Degraded to serial (active world under the floor).
+        # Degraded to serial (active world under the floor).
         self._serial = False
         #: Human-readable fault ledger: one dict per observed fault.
         self.fault_log: list[dict] = []
 
-    # ------------------------------------------------------------------
-    # Lifecycle.
-    # ------------------------------------------------------------------
+    # -- lifecycle ---------------------------------------------------------
     def bind(self, engine) -> None:
         super().bind(engine)
         for strategy in {id(s): s for s in self.inner.values()}.values():
@@ -348,7 +228,11 @@ class DataParallelStrategy(PhaseStrategy):
                     "DataParallelStrategy(workers > 1) needs a worker_factory "
                     "(use repro.dist.ddp_engine to build one)"
                 )
-            self.transport = resolve_transport(self._transport_spec, self.workers)
+            spec = self._transport_spec
+            if not isinstance(spec, ReliableTransport):
+                spec = ReliableTransport(spec)
+            self.transport = resolve_transport(spec, self.workers)
+            self.transport.sink = self._book_recovery
             self.transport.start(self.worker_factory)
 
     def invalidate_replicas(self) -> None:
@@ -363,302 +247,146 @@ class DataParallelStrategy(PhaseStrategy):
             self.transport.close()
             self.transport = None
         self._need_sync = True
-        self._boundary = None
 
-    # ------------------------------------------------------------------
-    # Batch dispatch.
-    # ------------------------------------------------------------------
-    def _inner_for(self, phase: Phase) -> PhaseStrategy:
-        try:
-            return self.inner[phase]
-        except KeyError:
-            raise KeyError(
-                f"no inner strategy for phase {phase!r}; "
-                f"have {sorted(p.value for p in self.inner)}"
-            ) from None
-
+    # -- batch dispatch ----------------------------------------------------
     def _scope(self, inner: PhaseStrategy):
         """The inner strategy's backend scope (the engine only sees this
         wrapper's ``backend``, so per-phase overrides are re-applied
         here — serial-equivalent resolution order)."""
-        if inner.backend is not None:
-            return backend_scope(inner.backend)
-        return nullcontext()
+        return nullcontext() if inner.backend is None else backend_scope(inner.backend)
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
-        inner = self._inner_for(phase)
+        inner = self.inner[phase]
         while True:
             if self.workers == 1 or self._serial:
                 with self._scope(inner):
                     return inner.train_batch(inputs, targets, phase)
-            try:
-                if phase is Phase.GP:
-                    return self._train_gp(inner, inputs, targets)
-                return self._train_bp(inner, inputs, targets, phase)
-            except _RanksLost as lost:
-                # Sync or BP gradient-gather forfeit: nothing applied
-                # anywhere yet — forfeit the ranks and re-run the batch
-                # on the surviving shard layout (serial if degraded).
-                self._forfeit(lost.ranks)
-
-    # ------------------------------------------------------------------
-    # Fault-aware submit/collect plumbing.
-    # ------------------------------------------------------------------
-    def _submit(self, rank: int, cmd: dict) -> dict:
-        """Stamp a fresh per-rank sequence number and submit; returns the
-        stamped command (the log/replay unit)."""
-        cmd = dict(cmd)
-        cmd["seq"] = self._seq[rank] = self._seq.get(rank, -1) + 1
-        self.transport.submit(rank, cmd)
-        return cmd
-
-    def _collect_seq(self, rank: int, seq: int) -> dict:
-        """One protocol-correct collect: drop stale duplicates, surface
-        replica-side faults as typed exceptions."""
-        while True:
-            reply = self.transport.collect(rank, timeout=self.timeout)
-            fault = reply.get("fault")
-            if fault == "worker_error":
-                raise WorkerError(
-                    f"rank {rank}: replica raised: {reply.get('error')}", rank=rank
-                )
-            if fault == "payload_corrupt":
-                raise PayloadCorrupt(
-                    f"rank {rank}: replica received a corrupt command", rank=rank
-                )
-            if reply.get("seq") != seq:
-                continue  # stale duplicate (at-least-once delivery)
-            return reply
-
-    def _note_fault(self, epoch: int, rank: int, err: TransportError) -> None:
-        kind = {
-            WorkerTimeout: "timeout",
-            WorkerDied: "died",
-            PayloadCorrupt: "corrupt",
-        }.get(type(err), "transport")
-        self.fault_log.append(
-            {"epoch": epoch, "rank": rank, "kind": kind, "error": str(err)}
-        )
-        self.comm.record_recovery(epoch, faults=1)
-
-    def _collect_checked(self, rank: int, sent: dict, epoch: int) -> dict:
-        """Collect ``sent``'s reply from ``rank``, climbing the recovery
-        ladder: retry timeouts, rebuild fatal faults, forfeit past the
-        rebuild budget (raises :class:`_RanksLost` via the caller)."""
-        retries = rebuilds = 0
-        rebuild_next = False
-        while True:
-            if rebuild_next:
-                rebuild_next = False
-                if rebuilds >= self.max_rebuilds:
-                    raise _RanksLost([rank], {})
-                rebuilds += 1
-                started = time.perf_counter()
-                try:
-                    with _obs_tracer().span("dist.rebuild", phase=RECOVERY, rank=rank):
-                        sent = self._rebuild(rank, sent, epoch)
-                except WorkerError:
-                    raise
-                except TransportError as err:
-                    # The rebuild itself faulted (chaos does not pause
-                    # for repairs); count it and rebuild again from
-                    # scratch — the boundary re-sync makes it idempotent.
-                    self._note_fault(epoch, rank, err)
-                    rebuild_next = True
+            # Boundary sync (BP→GP: stale replica predictors; GP→BP:
+            # drifted replica models) — never inside a run, so
+            # consecutive GP batches stay strictly comm-free.
+            stale = self._predictor_stale if phase is Phase.GP else self._drifted
+            lrs = self._lrs()
+            if self._need_sync or (stale and self.resync == "phase"):
+                if not self._sync_replicas(lrs):
                     continue
-                finally:
-                    self.comm.record_recovery(
-                        epoch, rebuilds=1, seconds=time.perf_counter() - started
-                    )
-                retries = 0
-            try:
-                return self._collect_seq(rank, sent["seq"])
-            except WorkerError:
-                raise  # replica application bug, not a fabric fault
-            except TransportError as err:
-                self._note_fault(epoch, rank, err)
-                if isinstance(err, WorkerTimeout) and retries < self.max_retries:
-                    retries += 1
-                    self.comm.record_recovery(epoch, retries=1)
-                    if self.retry_backoff > 0:
-                        time.sleep(self.retry_backoff * retries)
-                    continue
-                if isinstance(err, WorkerTimeout):
-                    # Out of retries: the rank is wedged — kill it so
-                    # the rebuild starts from a clean respawn.
-                    try:
-                        self.transport.kill_rank(rank)
-                    except TransportError:
-                        pass
-                rebuild_next = True
+            train = self._train_gp if phase is Phase.GP else self._train_bp
+            result = train(inner, inputs, targets, phase, lrs)
+            # None (like a failed sync): a rank was lost before anything
+            # was applied and has been forfeited — re-run the batch on
+            # the surviving shard layout (serial if degraded).
+            if result is not None:
+                return result
 
-    def _rebuild(self, rank: int, sent: dict, epoch: int) -> dict:
-        """Deterministically rebuild one rank and resubmit ``sent``.
+    # -- transport plumbing + the lost-rank policy -------------------------
+    def _book_recovery(self, entry: Optional[dict], **counts) -> None:
+        """The reliable transport's ledger sink: book its faults and
+        recovery counters under the epoch they happened in."""
+        epoch = self.engine.current_epoch
+        if entry is not None:
+            self.fault_log.append({"epoch": epoch, **entry})
+        self.comm.add(epoch, **counts)
 
-        Respawn if dead, re-sync from the retained boundary state with a
-        codec reset, replay the rank's accepted-command log (reproducing
-        its exact pre-fault replica state), then resubmit the faulted
-        command.  Returns the resubmitted (re-stamped) command."""
-        transport = self.transport
-        if not transport.alive(rank):
-            transport.respawn_rank(rank)
-        if self._boundary is None:
-            raise TransportError(
-                f"rank {rank}: no boundary state retained to rebuild from",
-                rank=rank,
-            )
-        state, lrs = self._boundary
-        sync = self._submit(
-            rank, {"op": "sync", "state": state, "lrs": lrs, "reset_codec": True}
-        )
-        self._collect_seq(rank, sync["seq"])
-        self.comm.record_recovery(epoch, nbytes=state_nbytes(state))
-        for logged in self._log[rank]:
-            replayed = self._submit(rank, logged)
-            self._collect_seq(rank, replayed["seq"])  # replies already consumed
-        return self._submit(rank, sent)
+    def _scatter(self, inputs, targets, cmd: dict) -> tuple[list, list, list]:
+        """Cut the batch into contiguous rank-ordered shards and submit
+        ``cmd`` + shard to every worker rank that got one (rank 0's shard
+        is the head, run in-process by the caller).  Returns the active
+        ranks, their shard sizes and the ranks that owe a reply."""
+        ranks = list(self._active)
+        n = len(inputs)
+        sizes = shard_sizes(n, len(ranks))
+        pending = []
+        offset = sizes[0]
+        for rank, size in zip(ranks[1:], sizes[1:]):
+            if size == 0:
+                continue
+            cut = slice(offset, offset + size)
+            shard = {**cmd, "inputs": inputs[cut], "targets": targets[cut]}
+            if cmd["op"] == "compute":
+                shard["scale"] = size / n
+            self.transport.submit(rank, shard)
+            pending.append(rank)
+            offset += size
+        return ranks, sizes, pending
 
-    def _collect_all(self, pending: list, epoch: int) -> dict:
-        """Collect every (rank, sent) pair's reply in rank order.
-
-        A rank that forfeits does not abort the sweep: the others are
-        still collected with full recovery (the strict one-reply-per-
-        submit protocol holds), and their replies ride on the raised
-        :class:`_RanksLost` so completed work is not discarded."""
+    def _collect(self, ranks: list[int]) -> tuple[dict, list[int]]:
+        """Collect every rank's reply in rank order.  A lost rank does
+        not abort the sweep: the others are still collected (the strict
+        one-reply-per-submit protocol holds) and returned alongside the
+        lost ranks, so completed work is not discarded."""
         replies: dict[int, dict] = {}
         lost: list[int] = []
-        for rank, sent in pending:
+        for rank in ranks:
             try:
-                replies[rank] = self._collect_checked(rank, sent, epoch)
-            except _RanksLost as err:
-                lost.extend(err.ranks)
-        if lost:
-            raise _RanksLost(lost, replies)
-        return replies
+                replies[rank] = self.transport.collect(rank)
+            except RankLost:
+                lost.append(rank)
+        return replies, lost
 
     def _forfeit(self, ranks: list[int]) -> None:
-        """Permanently drop ranks from the world: re-shard over the
-        survivors after a full re-sync with codec resets; degrade to
-        serial below the floor."""
+        """Drop lost ranks from the world: re-shard over the survivors
+        after a full re-sync with codec resets; degrade to serial below
+        the floor."""
+        def warn(message: str) -> None:
+            warnings.warn(f"repro.dist: {message}", RuntimeWarning, stacklevel=4)
+
         for rank in ranks:
-            if rank not in self._active:
-                continue
             self._active.remove(rank)
-            self._log.pop(rank, None)
-            try:
-                if self.transport.alive(rank):
-                    self.transport.kill_rank(rank)
-            except TransportError:
-                pass
             self.fault_log.append(
-                {
-                    "epoch": getattr(self.engine, "current_epoch", -1),
-                    "rank": rank,
-                    "kind": "forfeit",
-                    "error": "rebuild budget exhausted; rank permanently lost",
-                }
+                {"epoch": self.engine.current_epoch, "rank": rank, "kind": "forfeit",
+                 "error": "rebuild budget exhausted; rank permanently lost"}
             )
-            warnings.warn(
-                f"repro.dist: rank {rank} permanently lost after exhausting "
-                f"its rebuild budget; re-sharding over "
-                f"{len(self._active)} surviving rank(s)",
-                RuntimeWarning,
-                stacklevel=3,
+            warn(
+                f"rank {rank} permanently lost after exhausting its rebuild budget; "
+                f"re-sharding over {len(self._active)} surviving rank(s)"
             )
-        self._need_sync = True
-        self._pending_codec_reset = True
+        self._need_sync = self._pending_codec_reset = True
         if len(self._active) < max(self.min_workers, 2):
             self._serial = True
-            warnings.warn(
-                f"repro.dist: active world size {len(self._active)} fell "
-                f"below min_workers={self.min_workers}; degrading to serial "
-                "single-process training",
-                RuntimeWarning,
-                stacklevel=3,
+            warn(
+                f"active world size {len(self._active)} fell below min_workers="
+                f"{self.min_workers}; degrading to serial single-process training"
             )
 
-    # ------------------------------------------------------------------
-    # Sync + helpers.
-    # ------------------------------------------------------------------
     def _lrs(self) -> dict:
         engine = self.engine
-        gp_separate = (
-            engine.gp_optimizer is not None
-            and engine.gp_optimizer is not engine.optimizer
-        )
+        gp, predictor = engine.gp_optimizer, engine.predictor
         return {
             "lr": engine.optimizer.lr,
-            "gp_lr": engine.gp_optimizer.lr if gp_separate else None,
-            "predictor_lr": (
-                engine.predictor.optimizer.lr if engine.predictor is not None else None
-            ),
+            "gp_lr": gp.lr if gp is not None and gp is not engine.optimizer else None,
+            "predictor_lr": predictor.optimizer.lr if predictor is not None else None,
         }
 
-    def _sync_replicas(self, epoch: int, lrs: dict) -> None:
+    def _sync_replicas(self, lrs: dict) -> bool:
+        """Broadcast rank 0's sync state to every active rank — the
+        boundary a rebuilt rank is re-synced from.  ``False`` when a
+        rank was lost mid-sync (forfeited; the caller re-runs)."""
         state = sync_state(self.engine)
         reset = self._pending_codec_reset
         if reset:
             self.codec.reset()  # rank 0's residual accounting too
-        # The boundary is retained *before* the broadcast and the logs
-        # cleared with it, so a fault during the sync itself rebuilds
-        # from exactly this state with an empty replay log.
-        self._boundary = (state, lrs)
-        pending = []
-        for rank in self._active[1:]:
-            self._log[rank] = []
-            pending.append(
-                (
-                    rank,
-                    self._submit(
-                        rank,
-                        {"op": "sync", "state": state, "lrs": lrs, "reset_codec": reset},
-                    ),
-                )
+        ranks = self._active[1:]
+        for rank in ranks:
+            self.transport.submit(
+                rank, {"op": "sync", "state": state, "lrs": lrs, "reset_codec": reset}
             )
-        with _obs_tracer().span(
-            "dist.sync", phase=COMM, nbytes=state_nbytes(state) * len(pending)
-        ):
-            self._collect_all(pending, epoch)
-        self.comm.record_sync(epoch, state_nbytes(state) * len(pending))
-        self._need_sync = False
-        self._drifted = False
-        self._predictor_stale = False
+        nbytes = state_nbytes(state) * len(ranks)
+        with _obs_tracer().span("dist.sync", phase=COMM, nbytes=nbytes):
+            _, lost = self._collect(ranks)
+        if lost:
+            self._forfeit(lost)
+            return False
+        self.comm.add(self.engine.current_epoch, sync_bytes=nbytes)
+        self._need_sync = self._drifted = self._predictor_stale = False
         self._pending_codec_reset = False
+        return True
 
-    # ------------------------------------------------------------------
-    # BP/WARMUP: shard → forward_backward → all-reduce → step everywhere.
-    # ------------------------------------------------------------------
-    def _train_bp(self, inner, inputs, targets, phase: Phase) -> BatchResult:
+    # -- BP/WARMUP: shard → forward_backward → all-reduce → step everywhere --
+    def _train_bp(self, inner, inputs, targets, phase, lrs) -> Optional[BatchResult]:
         engine = self.engine
-        epoch = engine.current_epoch
-        lrs = self._lrs()
-        if self._need_sync or (self._drifted and self.resync == "phase"):
-            self._sync_replicas(epoch, lrs)
-        ranks = list(self._active)
+        ranks, sizes, pending = self._scatter(
+            inputs, targets, {"op": "compute", "phase": phase, "lrs": lrs}
+        )
         n = len(inputs)
-        sizes = shard_sizes(n, len(ranks))
-        offsets = [sum(sizes[:i]) for i in range(len(ranks))]
-        pending = []
-        for i in range(1, len(ranks)):
-            if sizes[i] == 0:
-                continue
-            cut = slice(offsets[i], offsets[i] + sizes[i])
-            pending.append(
-                (
-                    ranks[i],
-                    self._submit(
-                        ranks[i],
-                        {
-                            "op": "compute",
-                            "inputs": inputs[cut],
-                            "targets": targets[cut],
-                            "phase": phase,
-                            "scale": sizes[i] / n,
-                            "lrs": lrs,
-                        },
-                    ),
-                )
-            )
         # Rank 0's shard runs in-process while worker ranks compute.
         with self._scope(inner):
             local = inner.forward_backward(
@@ -671,171 +399,99 @@ class DataParallelStrategy(PhaseStrategy):
                 "loss": local.loss,
                 "n": sizes[0],
                 "enc": [
-                    self.codec.encode(index, param.grad)
-                    if param.grad is not None
-                    else None
+                    None if param.grad is None else self.codec.encode(index, param.grad)
                     for index, param in enumerate(params)
                 ],
                 "mse": local.predictor_mse,
                 "mape": local.predictor_mape,
             }
         }
-        # A forfeit here aborts the batch (gradient must cover the whole
-        # batch): _RanksLost propagates and train_batch re-runs it.
         with _obs_tracer().span("dist.gather", phase=COMM, ranks=len(pending)):
-            replies.update(self._collect_all(pending, epoch))
-        for rank, sent in pending:
-            self._log[rank].append(sent)
+            gathered, lost = self._collect(pending)
+        if lost:
+            # The gradient must cover the whole batch: abort, re-run.
+            self._forfeit(lost)
+            return None
+        replies.update(gathered)
         # Rank-ordered decode+sum — the same kernel every worker runs in
         # its apply step, so all ranks install bitwise-equal gradients.
-        encs_by_rank = [
-            replies[rank]["enc"] if rank in replies else None for rank in ranks
-        ]
+        encs_by_rank = [replies[rank]["enc"] if rank in replies else None for rank in ranks]
         for index, param in enumerate(params):
             param.grad = decode_sum(
                 [encs[index] if encs is not None else None for encs in encs_by_rank]
             )
         engine.optimizer.step()
-        apply_pending = [
-            (
-                rank,
-                self._submit(rank, {"op": "apply", "encs": encs_by_rank, "lrs": lrs}),
-            )
-            for rank in ranks[1:]
-        ]
-        try:
-            with _obs_tracer().span(
-                "dist.apply", phase=COMM, ranks=len(apply_pending)
-            ):
-                self._collect_all(apply_pending, epoch)
-            for rank, sent in apply_pending:
-                self._log[rank].append(sent)
-        except _RanksLost as err:
-            # Every survivor already applied (its ack was collected or
-            # drained) and rank 0 stepped: the batch is complete.
-            # Forfeit the dead without re-running.
-            self._forfeit(err.ranks)
-            for rank, sent in apply_pending:
-                if rank in self._active:
-                    self._log[rank].append(sent)
-        self._account_grads(epoch, encs_by_rank)
+        for rank in ranks[1:]:
+            self.transport.submit(rank, {"op": "apply", "encs": encs_by_rank, "lrs": lrs})
+        with _obs_tracer().span("dist.apply", phase=COMM, ranks=len(ranks) - 1):
+            _, lost = self._collect(ranks[1:])
+        if lost:
+            # Every survivor already applied and rank 0 stepped: the
+            # batch is complete.  Forfeit the dead without re-running.
+            self._forfeit(lost)
+        # Wire accounting: worker uplinks (rank 0 has none) + the apply
+        # fan-out carrying every rank's payload to every surviving worker.
+        sent = [[e for e in encs or () if e is not None] for encs in encs_by_rank]
+        wire = [sum(e.wire_bytes for e in encs) for encs in sent]
+        dense = [sum(e.dense_bytes for e in encs) for encs in sent]
+        fan_out = len(self._active) - 1
+        self.comm.add(
+            engine.current_epoch,
+            grad_wire_bytes=sum(wire[1:]) + fan_out * sum(wire),
+            grad_dense_bytes=sum(dense[1:]) + fan_out * sum(dense),
+            bp_batches=1,
+        )
         if engine.predictor is not None:
             self._predictor_stale = True
         return self._merge_results(replies, phase, n)
 
-    def _account_grads(self, epoch: int, encs_by_rank: list) -> None:
-        """Wire accounting: worker uplinks + the apply fan-out carrying
-        every rank's payload to every worker."""
-        wire_up = dense_up = wire_all = dense_all = 0
-        for position, encs in enumerate(encs_by_rank):
-            if encs is None:
-                continue
-            wire = sum(enc.wire_bytes for enc in encs if enc is not None)
-            dense = sum(enc.dense_bytes for enc in encs if enc is not None)
-            wire_all += wire
-            dense_all += dense
-            if position > 0:
-                wire_up += wire
-                dense_up += dense
-        fan_out = len(self._active) - 1
-        self.comm.record_grads(
-            epoch,
-            wire_up + fan_out * wire_all,
-            dense_up + fan_out * dense_all,
-        )
-
     def _merge_results(self, replies: dict, phase: Phase, n: int) -> BatchResult:
         """Shard-weighted merge of per-rank losses and predictor metrics
         (rank order throughout, so the merge is deterministic)."""
-        engine = self.engine
-        ranks = sorted(replies)
-        weights = {rank: replies[rank]["n"] / n for rank in ranks}
-        loss = sum(weights[rank] * replies[rank]["loss"] for rank in ranks)
+        schedule = self.engine.schedule
+        loss = 0.0
         mse_acc: dict[int, float] = {}
         mape_acc: dict[int, float] = {}
         weight_acc: dict[int, float] = {}
-        for rank in ranks:
-            mse = replies[rank].get("mse") or {}
-            mape = replies[rank].get("mape") or {}
+        for rank in sorted(replies):
+            reply = replies[rank]
+            weight = reply["n"] / n
+            loss += weight * reply["loss"]
+            mse = reply.get("mse") or {}
+            mape = reply.get("mape") or {}
             for index in mse:
-                mse_acc[index] = mse_acc.get(index, 0.0) + weights[rank] * mse[index]
-                mape_acc[index] = (
-                    mape_acc.get(index, 0.0) + weights[rank] * mape.get(index, 0.0)
-                )
-                weight_acc[index] = weight_acc.get(index, 0.0) + weights[rank]
+                mse_acc[index] = mse_acc.get(index, 0.0) + weight * mse[index]
+                mape_acc[index] = mape_acc.get(index, 0.0) + weight * mape.get(index, 0.0)
+                weight_acc[index] = weight_acc.get(index, 0.0) + weight
             # Rank 0's MAPEs were observed inside its own
             # forward_backward; feed worker MAPEs to the driver's
             # adaptive schedule in rank order.
-            if rank > 0 and hasattr(engine.schedule, "observe_mape"):
+            if rank > 0 and hasattr(schedule, "observe_mape"):
                 for index in sorted(mape):
-                    engine.schedule.observe_mape(mape[index])
-        mse_merged = {
-            index: value / weight_acc[index] for index, value in mse_acc.items()
-        }
-        mape_merged = {
-            index: value / weight_acc[index] for index, value in mape_acc.items()
-        }
+                    schedule.observe_mape(mape[index])
         return BatchResult(
             loss=float(loss),
             phase=phase,
-            predictor_mse=mse_merged or None,
-            predictor_mape=mape_merged or None,
-            shard_batches=len(ranks),
+            predictor_mse={i: v / weight_acc[i] for i, v in mse_acc.items()} or None,
+            predictor_mape={i: v / weight_acc[i] for i, v in mape_acc.items()} or None,
+            shard_batches=len(replies),
         )
 
-    # ------------------------------------------------------------------
-    # GP: every rank predicts locally; zero gradient bytes on the wire.
-    # ------------------------------------------------------------------
-    def _train_gp(self, inner, inputs, targets) -> BatchResult:
-        engine = self.engine
-        epoch = engine.current_epoch
-        lrs = self._lrs()
-        if self._need_sync or (self._predictor_stale and self.resync == "phase"):
-            # BP→GP boundary (or initial/invalidate) sync; consecutive
-            # GP batches never sync — they stay comm-free by design.
-            self._sync_replicas(epoch, lrs)
-        ranks = list(self._active)
-        n = len(inputs)
-        sizes = shard_sizes(n, len(ranks))
-        offsets = [sum(sizes[:i]) for i in range(len(ranks))]
-        pending = []
-        for i in range(1, len(ranks)):
-            if sizes[i] == 0:
-                continue
-            cut = slice(offsets[i], offsets[i] + sizes[i])
-            pending.append(
-                (
-                    ranks[i],
-                    self._submit(
-                        ranks[i],
-                        {
-                            "op": "gp",
-                            "inputs": inputs[cut],
-                            "targets": targets[cut],
-                            "lrs": lrs,
-                        },
-                    ),
-                )
-            )
+    # -- GP: every rank predicts locally; zero gradient bytes on the wire --
+    def _train_gp(self, inner, inputs, targets, phase, lrs) -> BatchResult:
+        _, sizes, pending = self._scatter(inputs, targets, {"op": "gp", "lrs": lrs})
         with self._scope(inner):
-            local = inner.train_batch(inputs[: sizes[0]], targets[: sizes[0]], Phase.GP)
-        engine.model.clear_caches()
-        replies = {0: {"loss": local.loss, "n": sizes[0]}}
-        try:
-            replies.update(self._collect_all(pending, epoch))
-            for rank, sent in pending:
-                self._log[rank].append(sent)
-        except _RanksLost as err:
+            local = inner.train_batch(inputs[: sizes[0]], targets[: sizes[0]], phase)
+        self.engine.model.clear_caches()
+        replies, lost = self._collect(pending)
+        replies[0] = {"loss": local.loss, "n": sizes[0]}
+        if lost:
             # GP shard results are replica-local by design (the
             # trajectory is rank 0's alone; replica drift is overwritten
             # at the next boundary) — keep the survivors' work and merge
             # what arrived instead of double-applying rank 0's update.
-            replies.update(err.replies)
-            self._forfeit(err.ranks)
-            for rank, sent in pending:
-                if rank in self._active:
-                    self._log[rank].append(sent)
-            n = sum(reply["n"] for reply in replies.values())
+            self._forfeit(lost)
         self._drifted = True
-        self.comm.record_gp(epoch)
-        return self._merge_results(replies, Phase.GP, n)
+        self.comm.add(self.engine.current_epoch, gp_batches=1)
+        n = sum(reply["n"] for reply in replies.values())
+        return self._merge_results(replies, phase, n)

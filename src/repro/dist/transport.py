@@ -16,14 +16,15 @@ Both build workers from the *same* picklable factory
 (``factory(rank) -> worker``, a ``functools.partial`` over one pickled
 payload), so a replica's construction path — and therefore its state —
 is identical whichever transport hosts it.  That construction symmetry,
-plus the rank-ordered :meth:`Transport.allreduce`, is why swapping
-transports cannot change a single bit of the training trajectory.
+plus the rank-ordered :func:`~repro.dist.codec.decode_sum` every rank
+reduces with, is why swapping transports cannot change a single bit of
+the training trajectory.
 
 The protocol is strict request/reply: every :meth:`submit` owes exactly
-one :meth:`collect` on the same rank, and :meth:`broadcast` pairs the
-two for all ranks at once.  The data-parallel strategy alternates
-submit-all / collect-all per batch, which keeps the pipes deadlock-free
-by construction (no rank ever holds two outstanding commands).
+one :meth:`collect` on the same rank.  The data-parallel strategy
+alternates submit-all / collect-all per batch, which keeps the pipes
+deadlock-free by construction (no rank ever holds two outstanding
+commands).
 
 Fault model (PR 9).  The fabric is no longer assumed perfect:
 
@@ -45,10 +46,11 @@ Fault model (PR 9).  The fabric is no longer assumed perfect:
   :meth:`start`, so a rebuilt replica's construction path is identical
   to the original's.
 
-Transports resolve through a **registry** (:func:`register_transport`),
-so new fabrics — including the fault-injection wrapper in
-:mod:`repro.dist.faults` — compose by name exactly like
-``repro.nn.backend`` substrates.
+Transports resolve through a **registry** (:func:`register_transport`)
+and decorate each other through :class:`TransportWrapper` — the
+fault-injection layer (:mod:`repro.dist.faults`) and the recovery layer
+(:mod:`repro.dist.reliable`) are both wrappers, so new fabrics compose
+by name exactly like ``repro.nn.backend`` substrates.
 """
 
 from __future__ import annotations
@@ -60,11 +62,7 @@ import struct
 import time
 import weakref
 import zlib
-from typing import Callable, Iterable, Optional
-
-import numpy as np
-
-from .codec import _ordered_sum
+from typing import Callable, Optional, Union
 
 WorkerFactory = Callable[[int], object]
 
@@ -146,6 +144,10 @@ def unframe_payload(data: bytes, rank: Optional[int] = None) -> object:
 class Transport:
     """Command/reply fabric over worker ranks ``1..world_size-1``."""
 
+    #: Default :meth:`collect` deadline in seconds — finite on every
+    #: transport, and the unit the recovery layer's budgets derive from.
+    timeout: float = 60.0
+
     def __init__(self, world_size: int) -> None:
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
@@ -173,31 +175,6 @@ class Transport:
         :class:`WorkerDied` when the rank is gone.
         """
         raise NotImplementedError
-
-    def broadcast(self, cmd: dict, timeout: Optional[float] = None) -> list[dict]:
-        """Submit ``cmd`` to every worker rank, collect every reply
-        (rank order).  Returns the replies for ranks ``1..W-1``."""
-        for rank in self.worker_ranks:
-            self.submit(rank, cmd)
-        return [self.collect(rank, timeout=timeout) for rank in self.worker_ranks]
-
-    def barrier(self) -> None:
-        """Block until every worker rank has drained its queue and
-        acknowledged a ping."""
-        self.broadcast({"op": "ping"})
-
-    def allreduce(
-        self, contributions: Iterable[Optional[np.ndarray]]
-    ) -> Optional[np.ndarray]:
-        """Exact rank-ordered sum of per-rank arrays (``None`` skipped).
-
-        Gather-sum-broadcast rather than a ring: every rank sees all
-        contributions and adds them in rank order, so the reduction is
-        bitwise-deterministic — the property the parity gates rely on,
-        and the deliberate trade against ring-allreduce bandwidth
-        optimality at this world size.
-        """
-        return _ordered_sum(contributions)
 
     # Rank lifecycle (the recovery layer's hooks).
     def alive(self, rank: int) -> bool:
@@ -380,7 +357,7 @@ class ProcessTransport(Transport):
     def __init__(
         self,
         world_size: int,
-        timeout: float = 60.0,
+        timeout: float = Transport.timeout,
         heartbeat: float = 0.05,
     ) -> None:
         super().__init__(world_size)
@@ -500,6 +477,73 @@ class ProcessTransport(Transport):
         _LIVE_TRANSPORTS.discard(self)
 
 
+class TransportWrapper(Transport):
+    """A transport that decorates another one (chaos, reliable).
+
+    ``inner`` is a registered name or an instance.  Name specs resolve
+    when the world size is known — :meth:`bind_world`, called by
+    :func:`resolve_transport` — so one wrapper spec drops into any
+    ``workers=`` count.  Lifecycle calls delegate; subclasses supply
+    ``submit``/``collect`` and override what else they decorate.
+    """
+
+    def __init__(
+        self, inner: Union[str, Transport] = "local", world_size: Optional[int] = None
+    ) -> None:
+        # No super().__init__: the world size may be bound later.
+        self._inner_spec = inner
+        self.inner: Optional[Transport] = None
+        self.started = False
+        if world_size is None and isinstance(inner, Transport):
+            world_size = inner.world_size
+        if world_size is not None:
+            self.bind_world(world_size)
+
+    @property
+    def world_size(self) -> Optional[int]:  # type: ignore[override]
+        return None if self.inner is None else self.inner.world_size
+
+    @property
+    def timeout(self) -> float:  # type: ignore[override]
+        return self._require_inner().timeout
+
+    def bind_world(self, world_size: int) -> None:
+        if self.inner is not None:
+            if self.inner.world_size != world_size:
+                raise ValueError(
+                    f"{type(self).__name__} already bound to world_size "
+                    f"{self.inner.world_size}, cannot rebind to {world_size}"
+                )
+            return
+        self.inner = resolve_transport(self._inner_spec, world_size)
+
+    def _require_inner(self) -> Transport:
+        if self.inner is None:
+            raise TransportError(
+                f"{type(self).__name__} is not bound to a world size yet; resolve "
+                "it through resolve_transport or pass world_size="
+            )
+        return self.inner
+
+    def start(self, factory: WorkerFactory) -> None:
+        self._require_inner().start(factory)
+        self.started = True
+
+    def alive(self, rank: int) -> bool:
+        return self._require_inner().alive(rank)
+
+    def kill_rank(self, rank: int) -> None:
+        self._require_inner().kill_rank(rank)
+
+    def respawn_rank(self, rank: int) -> None:
+        self._require_inner().respawn_rank(rank)
+
+    def close(self) -> None:
+        if self.inner is not None:
+            self.inner.close()
+        self.started = False
+
+
 # ----------------------------------------------------------------------
 # Registry.
 # ----------------------------------------------------------------------
@@ -526,14 +570,12 @@ register_transport("process", ProcessTransport)
 def resolve_transport(spec, world_size: int) -> Transport:
     """Resolve a transport spec: a registered name (``"local"``,
     ``"process"``, ...), a :class:`Transport` instance (world size must
-    match; instances built world-size-late — the chaos wrapper — are
-    bound here), or ``None`` (local)."""
+    match; wrappers built world-size-late are bound here), or ``None``
+    (local)."""
     if spec is None:
         return LocalTransport(world_size)
     if isinstance(spec, Transport):
-        if getattr(spec, "world_size", None) is None and hasattr(
-            spec, "bind_world"
-        ):
+        if spec.world_size is None:
             spec.bind_world(world_size)
         if spec.world_size != world_size:
             raise ValueError(

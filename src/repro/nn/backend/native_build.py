@@ -200,6 +200,24 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
 _LIBS: dict[bool, ctypes.CDLL] = {}
 
 
+def _pin_forked_child() -> None:
+    """Fork-safety: libgomp's worker threads do not survive ``fork``, so
+    a child that inherits a library which already ran a parallel region
+    hangs in its next one.  Pinning the child to one OpenMP thread makes
+    every region a team of one (same bits: the loops are static
+    partitions of independent planes) and keeps the cheap fork start
+    method for ``ProcessTransport`` ranks and tune pool workers."""
+    for lib in _LIBS.values():
+        pin = getattr(lib, "omp_set_num_threads", None)  # absent without -fopenmp
+        if pin is not None:
+            pin.argtypes, pin.restype = [ctypes.c_int], None
+            pin(1)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pin_forked_child)
+
+
 def load(force: bool = False, sanitize: Optional[bool] = None) -> ctypes.CDLL:
     """Build if needed and load the shared library (per-variant singleton)."""
     if sanitize is None:

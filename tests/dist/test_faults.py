@@ -28,6 +28,7 @@ from repro.dist import (
     Fault,
     LocalTransport,
     PayloadCorrupt,
+    ReliableTransport,
     WorkerDied,
     WorkerTimeout,
     chaos,
@@ -60,21 +61,23 @@ def _split():
     return synthetic_images(3, 48, 24, image_size=8, seed=0)
 
 
-def _run(transport, codec="identity", workers=2, epochs=3, **kwargs):
+def _run(transport, codec="identity", workers=2, epochs=3, max_rebuilds=3, **kwargs):
     """One short BP+GP fit; returns (History, state bytes, strategy)."""
     split = _split()
     engine = ddp_engine(
         _model(0),
         CrossEntropyLoss(),
         workers=workers,
-        transport=transport,
+        # chaos timeouts are schedule-driven, not waits: no backoff
+        transport=ReliableTransport(
+            transport, retry_backoff=0.0, max_rebuilds=max_rebuilds
+        ),
         codec=codec,
         lr=0.05,
         metric_fn=accuracy,
         # Warm-up epoch is all-BP; later epochs interleave 2 GP per BP,
         # so both phases (and both boundary syncs) see traffic.
         schedule=HeuristicSchedule(warmup_epochs=1, ladder=((1, (2, 1)),)),
-        retry_backoff=0.0,  # chaos timeouts are schedule-driven, not waits
         **kwargs,
     )
     history = engine.fit(
@@ -168,7 +171,7 @@ class TestFaultMatrixProcess:
         wrapper = ChaosTransport(
             "process", faults=[Fault(kind, rank=1, op=op, nth=1)]
         )
-        history, state, _ = _run(wrapper, timeout=20.0)
+        history, state, _ = _run(wrapper)
         h0, s0 = unfaulted
         assert [e.kind for e in wrapper.events] == [kind]
         assert history == h0

@@ -1,6 +1,7 @@
-"""Transport substrate tests: request/reply protocol, rank-ordered
-allreduce determinism, Local/Process interchangeability, and the fault
-surface (framing, deadlines, death detection, lifecycle hardening)."""
+"""Transport substrate tests: request/reply protocol, Local/Process
+interchangeability, and the fault surface (framing, deadlines, death
+detection, lifecycle hardening).  The rank-ordered reduction lives in
+``decode_sum`` (``test_codec.py``)."""
 
 import multiprocessing as mp
 import os
@@ -93,15 +94,18 @@ class TestProtocol:
         assert transport.collect(1)["value"] == 2
         assert transport.collect(1)["value"] == 101
 
-    def test_broadcast_collects_in_rank_order(self, transport):
-        replies = transport.broadcast({"op": "add", "value": 0})
+    def test_every_rank_answers_its_own_command(self, transport):
+        for rank in transport.worker_ranks:
+            transport.submit(rank, {"op": "add", "value": 0})
+        replies = [transport.collect(rank) for rank in transport.worker_ranks]
         assert [r["rank"] for r in replies] == [1, 2]
         assert [r["value"] for r in replies] == [1, 2]
 
-    def test_barrier_drains_every_rank(self, transport):
-        transport.barrier()
-        replies = transport.broadcast({"op": "calls"})
-        # barrier's ping was call 1 on every rank; this broadcast is 2.
+    def test_worker_call_counts_advance_in_lockstep(self, transport):
+        for op in ("ping", "calls"):
+            for rank in transport.worker_ranks:
+                transport.submit(rank, {"op": op})
+            replies = [transport.collect(rank) for rank in transport.worker_ranks]
         assert [r["calls"] for r in replies] == [2, 2]
 
     def test_arrays_cross_intact(self, transport):
@@ -120,30 +124,6 @@ class TestProtocol:
         transport.close()
         transport.close()
         assert not transport.started
-
-
-class TestAllreduce:
-    def test_rank_ordered_exact_sum(self):
-        t = LocalTransport(3)
-        a = RNG.standard_normal(32).astype(np.float32)
-        b = RNG.standard_normal(32).astype(np.float32)
-        c = RNG.standard_normal(32).astype(np.float32)
-        total = t.allreduce([a, b, c])
-        # Same accumulation order as a manual left-to-right sum.
-        assert total.tobytes() == ((a + b) + c).tobytes()
-
-    def test_none_contributions_skipped(self):
-        t = LocalTransport(2)
-        a = RNG.standard_normal(8).astype(np.float32)
-        assert t.allreduce([None, a]).tobytes() == a.tobytes()
-        assert t.allreduce([None, None]) is None
-
-    def test_does_not_mutate_inputs(self):
-        t = LocalTransport(2)
-        a = np.ones(4, dtype=np.float32)
-        b = np.ones(4, dtype=np.float32)
-        t.allreduce([a, b])
-        assert a.tolist() == [1, 1, 1, 1]
 
 
 class TestResolveTransport:

@@ -44,11 +44,12 @@ def folding_backends():
     """Backends whose ``fold_pipeline()`` is live: fused + native."""
     params = []
     for name in list_backends():
-        if nn.get_backend(name).fold_pipeline() is None:
-            continue
         marks = []
         if name == "native" and not native_available():
+            # Unavailable backends cannot even be instantiated to ask.
             marks.append(pytest.mark.skip(reason="native extension unavailable"))
+        elif nn.get_backend(name).fold_pipeline() is None:
+            continue
         params.append(pytest.param(name, marks=marks, id=name))
     return params
 

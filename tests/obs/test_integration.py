@@ -23,7 +23,14 @@ from repro.core import (
 )
 from repro.core.engine.events import ThroughputTimer
 from repro.data import synthetic_images
-from repro.dist import ChaosTransport, Fault, ddp_engine, dp_strategy, shutdown
+from repro.dist import (
+    ChaosTransport,
+    Fault,
+    ReliableTransport,
+    ddp_engine,
+    dp_strategy,
+    shutdown,
+)
 from repro.models import build_mini
 from repro.nn.backend import FusedBackend
 from repro.nn.losses import CrossEntropyLoss, accuracy
@@ -190,11 +197,10 @@ class TestDistObservability:
             _model(),
             CrossEntropyLoss(),
             workers=2,
-            transport=wrapper,
+            transport=ReliableTransport(wrapper, retry_backoff=0.0),
             lr=0.05,
             metric_fn=accuracy,
             schedule=_schedule(),
-            retry_backoff=0.0,
         )
         engine.add_callback(obs.MetricsCallback(reg))
         _fit(engine, _split())
@@ -217,11 +223,10 @@ class TestDistObservability:
                 _model(),
                 CrossEntropyLoss(),
                 workers=2,
-                transport=wrapper,
+                transport=ReliableTransport(wrapper, retry_backoff=0.0),
                 lr=0.05,
                 metric_fn=accuracy,
                 schedule=_schedule(),
-                retry_backoff=0.0,
             )
             _fit(engine, _split())
             comm = dp_strategy(engine).comm

@@ -2,15 +2,16 @@
 
 §3.4 applies each layer's predicted update the moment its forward pass
 completes — that per-layer immediacy is what the hardware's dedicated
-predictor array buys.  In software the per-layer predictor invocations
-dominate a Phase-GP batch, so the engine also offers ``batched_gp``:
-one stacked ``predict_many`` trunk call plus one grouped optimizer
-apply *after* the no-grad forward (the ROADMAP's "Batched GP phase").
+predictor array buys.  In software each per-layer predictor invocation
+pays its own dispatch, so the engine also offers ``batched_gp``: one
+stacked ``predict_many`` call plus one grouped optimizer apply *after*
+the no-grad forward (the ROADMAP's "Batched GP phase").
 
 For a single-pass feed-forward chain the two are mathematically
 equivalent within a batch (no later layer re-reads an updated weight),
-so accuracy should track closely while throughput improves — this
-example measures both, plus plain BP as the baseline.
+so accuracy should track closely; since the predictor runs as two GEMMs
+(DESIGN.md §4) the throughput gap is small too — this example measures
+both.
 
 Run:  python examples/batched_gp_tradeoff.py
 """

@@ -82,6 +82,7 @@ class BackendDispatchRule(Rule):
         "src/repro/nn/layers/",
         "src/repro/nn/functional.py",
         "src/repro/nn/passes/",
+        "src/repro/core/predictor.py",
     )
 
     def visit(self, tree: ast.AST, ctx: FileContext) -> list[Finding]:

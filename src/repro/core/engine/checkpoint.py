@@ -9,8 +9,8 @@ remaining epochs reproduces the uninterrupted run exactly — the
 round-trip test in ``tests/core/test_engine.py`` asserts bit-identical
 History.
 
-Optimizer and scale state is keyed by ``id(parameter)`` /
-``id(layer)`` in memory; checkpoints remap those ids to stable indices
+Optimizer state is keyed by ``id(parameter)`` and predictor scale state
+by the layer object in memory; checkpoints remap both to stable indices
 (position in ``optimizer.parameters`` / ``engine.layers``) so state
 survives into a new process.
 """
@@ -103,15 +103,10 @@ def engine_state(engine: "TrainingEngine") -> dict:
     if engine.lr_scheduler is not None:
         state["lr_scheduler"] = _scheduler_state(engine.lr_scheduler)
     if engine.predictor is not None:
-        index_of = {id(layer): i for i, layer in enumerate(engine.layers)}
         state["predictor"] = {
             "network": engine.predictor.network.state_dict(),
             "optimizer": optimizer_state(engine.predictor.optimizer),
-            "scales": {
-                index_of[key]: value
-                for key, value in engine.predictor._scales.items()
-                if key in index_of
-            },
+            "scales": engine.predictor.scales_state(engine.layers),
         }
     if engine.predictor_scheduler is not None:
         state["predictor_scheduler"] = _scheduler_state(engine.predictor_scheduler)
@@ -162,10 +157,9 @@ def load_engine_state(engine: "TrainingEngine", state: dict) -> None:
             raise ValueError("checkpoint has predictor state but engine has none")
         engine.predictor.network.load_state_dict(state["predictor"]["network"])
         load_optimizer_state(engine.predictor.optimizer, state["predictor"]["optimizer"])
-        engine.predictor._scales = {
-            id(engine.layers[i]): value
-            for i, value in state["predictor"]["scales"].items()
-        }
+        engine.predictor.load_scales_state(
+            engine.layers, state["predictor"]["scales"]
+        )
     if "predictor_scheduler" in state:
         if engine.predictor_scheduler is None:
             raise ValueError(

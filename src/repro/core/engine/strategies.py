@@ -103,7 +103,7 @@ class BackpropStrategy(PhaseStrategy):
     :meth:`GradientPredictor.train_step_many`, which stacks all layers'
     reorganized activations into a single predictor forward/backward —
     the BP-phase hot path of the paper's software loop.  ``batched=False``
-    keeps the original per-layer Python loop (one optimizer step per
+    keeps the per-layer loop over the same path (one optimizer step per
     layer); the two are numerically equivalent at the gradient level
     (``tests/core/test_predictor_batched.py``) but follow slightly
     different Adam trajectories, which neither the paper nor the
@@ -249,7 +249,7 @@ class GradPredictStrategy(PhaseStrategy):
       batches).
     * ``True``: the forward only *collects* predictable-layer
       activations; afterwards one stacked
-      :meth:`~repro.core.predictor.GradientPredictor.predict_many` trunk
+      :meth:`~repro.core.predictor.GradientPredictor.predict_many`
       call predicts every layer and one grouped
       ``gp_optimizer.apply_gradients`` applies them — far fewer
       predictor invocations per batch, updates landing after the

@@ -20,17 +20,29 @@ does not specify this detail and it defaults to on for robustness
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 import numpy as np
 
 from .. import nn
+from ..nn import functional as F
+from ..nn.backend import current_backend
 from ..nn.module import Module, PredictableMixin
 from . import reorganize
 
 
 class PredictorNetwork(Module):
-    """Pool -> Conv -> ReLU -> Pool -> Flatten -> FC (paper Fig 6)."""
+    """Pool -> Conv -> ReLU -> Pool -> Flatten -> FC (paper Fig 6).
+
+    The layered :meth:`forward` / :meth:`backward` are the parameter
+    container and the test oracle.  :class:`GradientPredictor` executes
+    the same function as two GEMMs (DESIGN.md §4): the network has one
+    non-linearity, so on the fixed ``input_grid`` it is
+    ``relu(pooled @ D + b1) @ W2 + b2`` with ``D`` the convolution
+    written as a dense matrix and ``W2`` the FC with the final pool
+    absorbed — see :meth:`dense_operator`.
+    """
 
     def __init__(
         self,
@@ -43,6 +55,7 @@ class PredictorNetwork(Module):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         self.max_row = max_row
+        self.input_grid = (pool_size, pool_size)
         self.net = nn.Sequential(
             nn.AdaptiveAvgPool2d(pool_size),
             nn.Conv2d(1, conv_channels, 3, padding=1, rng=rng),
@@ -51,6 +64,22 @@ class PredictorNetwork(Module):
             nn.Flatten(),
             nn.Linear(conv_channels * final_pool * final_pool, max_row, rng=rng),
         )
+        # The conv's im2col over the one-hot images of the input grid:
+        # row (position l, grid cell p), column tap k.  Constant, so the
+        # dense conv matrix is one small GEMM with the flat conv weight
+        # and its backward another — no im2col/col2im per call.
+        conv = self.net.layers[1]
+        cells = pool_size * pool_size
+        basis = np.eye(cells, dtype=np.float32).reshape(cells, 1, pool_size, pool_size)
+        cols, out_h, out_w = F.im2col(
+            basis, conv.kernel_size, conv.stride, conv.padding
+        )
+        self._conv_hw = (out_h, out_w)
+        self._taps = np.ascontiguousarray(cols.transpose(2, 0, 1)).reshape(
+            out_h * out_w * cells, -1
+        )
+        self._dense_versions: Optional[tuple[int, ...]] = None
+        self._dense: Optional[tuple[np.ndarray, ...]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net(x)
@@ -59,32 +88,101 @@ class PredictorNetwork(Module):
         return self.net.backward(grad_out)
 
     # ------------------------------------------------------------------
-    # Split execution for the batched multi-layer path.
-    #
-    # The front AdaptiveAvgPool2d maps every layer's reorganized
-    # activations — whatever their spatial size — onto one common shape,
-    # so pooled inputs from *different* DNN layers can be stacked along
-    # the sample axis and pushed through the parameterized trunk in a
-    # single forward/backward.  The pool has no parameters and the trunk
-    # treats samples independently, so per-sample results match the
-    # unbatched :meth:`forward` exactly.
+    # The two-GEMM form.  Samples are independent and the front pool
+    # maps every layer's activations onto ``input_grid``, so pooled
+    # inputs of *different* DNN layers stack along the sample axis.
     # ------------------------------------------------------------------
-    def pool_front(self, x: np.ndarray) -> np.ndarray:
-        """Apply only the shape-normalizing front pool (parameter-free)."""
-        return self.net.layers[0].forward(x)
+    def dense_operator(self) -> tuple[np.ndarray, ...]:
+        """``(D.T, b1, W2.T, b2)``, rebuilt when a parameter version moved.
 
-    def forward_trunk(self, pooled: np.ndarray) -> np.ndarray:
-        """Run everything after the front pool on pre-pooled samples."""
-        for layer in self.net.layers[1:]:
-            pooled = layer(pooled)
-        return pooled
+        Memoised on ``Parameter.version`` like the fold passes' caches,
+        so an optimizer step, ``load_state_dict`` or a checkpoint resume
+        invalidates it.  Both matrices are stored transposed (the
+        ``linear_forward`` weight layout), which also makes
+        ``W2.T[:row]`` a contiguous slice for layers narrower than
+        ``max_row``.
+        """
+        conv, fc = self.net.layers[1], self.net.layers[5]
+        versions = (
+            conv.weight.version,
+            conv.bias.version,
+            fc.weight.version,
+            fc.bias.version,
+        )
+        if versions != self._dense_versions:
+            backend = current_backend()
+            channels = conv.out_channels
+            positions = self._conv_hw[0] * self._conv_hw[1]
+            dense_t = backend.linear_forward(
+                conv.weight.data.reshape(channels, -1), self._taps, None
+            ).reshape(channels * positions, -1)
+            # W2.T = W_fc @ Q.T: the final pool's transpose spreads each
+            # FC weight uniformly over its window — the pool backward.
+            pooled_hw = self.net.layers[3].output_size
+            head_t = backend.adaptive_avg_pool2d_backward(
+                fc.weight.data.reshape(self.max_row, channels, *pooled_hw),
+                (self.max_row, channels, *self._conv_hw),
+            ).reshape(self.max_row, -1)
+            self._dense = (
+                dense_t,
+                np.repeat(conv.bias.data, positions),
+                head_t,
+                fc.bias.data,
+            )
+            self._dense_versions = versions
+        return self._dense
 
-    def backward_trunk(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backward through the trunk only; the front pool holds no
-        parameters, so trunk gradients are the complete picture."""
-        for layer in reversed(self.net.layers[1:]):
-            grad_out = layer.backward(grad_out)
-        return grad_out
+    def dense_forward(
+        self, pooled: np.ndarray, row: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, hidden)`` for pooled samples ``(N, grid cells)``: the
+        first ``row`` FC columns and the post-ReLU conv activations that
+        :meth:`dense_backward` needs."""
+        dense_t, bias1, head_t, bias2 = self.dense_operator()
+        backend = current_backend()
+        hidden = backend.linear_forward(pooled, dense_t, bias1)
+        np.maximum(hidden, 0.0, out=hidden)
+        return backend.linear_forward(hidden, head_t[:row], bias2[:row]), hidden
+
+    def dense_backward(
+        self, pooled: np.ndarray, hidden: np.ndarray, grad_rows: np.ndarray
+    ) -> None:
+        """Accumulate the four parameter gradients of :meth:`dense_forward`.
+
+        ``grad_rows`` is the loss gradient on the ``row`` computed
+        columns.  No input gradient is formed: nothing upstream of the
+        predictor learns from it.
+        """
+        dense_t, _, head_t, _ = self.dense_operator()
+        backend = current_backend()
+        conv, fc = self.net.layers[1], self.net.layers[5]
+        row = grad_rows.shape[1]
+        grad_hidden, grad_head_t, grad_bias2 = backend.linear_backward(
+            hidden, grad_rows, head_t[:row], with_bias=True
+        )
+        grad_hidden *= hidden > 0.0
+        # g_D.T = g_hidden.T @ pooled, written as a forward GEMM because
+        # linear_backward would also form the unused g_pooled.
+        grad_dense_t = backend.linear_forward(grad_hidden.T, pooled.T, None)
+        channels = conv.out_channels
+        conv.weight.accumulate_grad(
+            backend.linear_forward(
+                grad_dense_t.reshape(channels, -1), self._taps.T, None
+            ).reshape(conv.weight.shape)
+        )
+        conv.bias.accumulate_grad(
+            grad_hidden.sum(axis=0).reshape(channels, -1).sum(axis=1)
+        )
+        # Columns past ``row`` were never computed: their gradient is 0.
+        grad_fc_weight = np.zeros_like(fc.weight.data)
+        grad_fc_weight[:row] = backend.adaptive_avg_pool2d(
+            grad_head_t.reshape(row, channels, *self._conv_hw),
+            self.net.layers[3].output_size,
+        ).reshape(row, -1)
+        fc.weight.accumulate_grad(grad_fc_weight)
+        grad_fc_bias = np.zeros_like(fc.bias.data)
+        grad_fc_bias[:row] = grad_bias2
+        fc.bias.accumulate_grad(grad_fc_bias)
 
 
 class GradientPredictor:
@@ -93,7 +191,14 @@ class GradientPredictor:
     One instance serves every predictable layer of the model.  The
     latency of its forward pass is the ``alpha`` of the paper's timeline
     analysis (§3.7); the accelerator model derives alpha from this same
-    architecture via :meth:`spec_alpha_ops`.
+    architecture via
+    :func:`repro.accel.predictor_cost.predictor_layer_cost`.
+
+    All four entry points — :meth:`predict`, :meth:`predict_many`,
+    :meth:`train_step`, :meth:`train_step_many` — run the network's
+    two-GEMM form (:meth:`PredictorNetwork.dense_forward` /
+    ``dense_backward``); they differ only in how many layers share one
+    call and, for training, one Adam step.
     """
 
     def __init__(
@@ -117,7 +222,10 @@ class GradientPredictor:
         # overflowing, and the clip breaks the "noisy prediction -> larger
         # gradients -> larger scale" feedback loop in long fp32 runs.
         self.clip_sigma = clip_sigma
-        self._scales: dict[int, float] = {}
+        # Weak-keyed on the layer itself: an id() key could be reused by
+        # a new layer after a discarded model is collected and hand it a
+        # stranger's scale.
+        self._scales: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -131,18 +239,34 @@ class GradientPredictor:
 
     # ------------------------------------------------------------------
     def _scale_for(self, layer: PredictableMixin) -> float:
-        return self._scales.get(id(layer), 1.0)
+        return self._scales.get(layer, 1.0)
 
     def _update_scale(self, layer: PredictableMixin, rows: np.ndarray) -> None:
         rms = float(np.sqrt(np.mean(rows.astype(np.float64) ** 2))) or 1e-12
-        key = id(layer)
-        if key in self._scales:
-            self._scales[key] = (
-                self.scale_momentum * self._scales[key]
-                + (1 - self.scale_momentum) * rms
-            )
+        previous = self._scales.get(layer)
+        if previous is None:
+            self._scales[layer] = rms
         else:
-            self._scales[key] = rms
+            self._scales[layer] = (
+                self.scale_momentum * previous + (1 - self.scale_momentum) * rms
+            )
+
+    def scales_state(self, layers: list[PredictableMixin]) -> dict[int, float]:
+        """Per-layer RMS scales keyed by position in ``layers`` — the
+        process-independent form checkpoints and replica syncs carry."""
+        return {
+            index: self._scales[layer]
+            for index, layer in enumerate(layers)
+            if layer in self._scales
+        }
+
+    def load_scales_state(
+        self, layers: list[PredictableMixin], state: dict[int, float]
+    ) -> None:
+        """Inverse of :meth:`scales_state` (same layer order)."""
+        self._scales = weakref.WeakKeyDictionary(
+            {layers[index]: value for index, value in state.items()}
+        )
 
     # ------------------------------------------------------------------
     def _check_capacity(self, layer: PredictableMixin) -> int:
@@ -163,19 +287,48 @@ class GradientPredictor:
         bound = self.clip_sigma * scale
         return np.clip(rows * scale, -bound, bound)
 
-    def predict_rows(self, layer: PredictableMixin, output: np.ndarray) -> np.ndarray:
-        """Raw masked prediction rows for a layer, in gradient units.
+    def _forward(
+        self, layers: list[PredictableMixin], outputs: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+        """One two-GEMM forward over all ``layers``' pooled activations.
 
-        Prediction is inherently forward-only — the predictor trains
-        against true gradients elsewhere (:meth:`train_step`) — so the
-        network runs under :func:`~repro.nn.no_grad` and retains none of
-        its own backward caches.
+        Returns ``(rows, pooled, hidden, slices)``: the stacked FC
+        output ``(sum(units_i), max(row_i))``, the two arrays the
+        backward needs, and per-layer ``(start, units, row)`` slices
+        into the sample axis.
         """
-        row = self._check_capacity(layer)
-        reorganized = reorganize.reorganize_activations(layer, output)
-        with nn.no_grad():
-            full = self.network(reorganized)
-        return self._denormalize_rows(layer, full[:, :row])
+        if len(layers) != len(outputs):
+            raise ValueError(
+                f"got {len(layers)} layers but {len(outputs)} activations"
+            )
+        if not layers:
+            raise ValueError("batched predictor call received no layers")
+        slices: list[tuple[int, int, int]] = []
+        start = 0
+        for layer in layers:
+            units = layer.output_units()
+            slices.append((start, units, self._check_capacity(layer)))
+            start += units
+        grid = self.network.input_grid
+        backend = current_backend()
+        # One float32 buffer for every layer's pooled samples: models may
+        # hand over float64 activations (the transformer's mostly are),
+        # and a float64 operand would drag both GEMMs off the sgemm path.
+        pooled = np.empty((start, grid[0] * grid[1]), dtype=np.float32)
+        for layer, output, (begin, units, _) in zip(layers, outputs, slices):
+            reorganized = reorganize.reorganize_activations(layer, output)
+            pooled[begin : begin + units] = backend.adaptive_avg_pool2d(
+                reorganized, grid
+            ).reshape(units, -1)
+        rows, hidden = self.network.dense_forward(
+            pooled, max(row for _, _, row in slices)
+        )
+        return rows, pooled, hidden, slices
+
+    def predict_rows(self, layer: PredictableMixin, output: np.ndarray) -> np.ndarray:
+        """Raw masked prediction rows for a layer, in gradient units."""
+        rows, _, _, _ = self._forward([layer], [output])
+        return self._denormalize_rows(layer, rows)
 
     def predict(
         self, layer: PredictableMixin, output: np.ndarray
@@ -184,46 +337,16 @@ class GradientPredictor:
         rows = self.predict_rows(layer, output)
         return reorganize.unflatten_gradients(layer, rows)
 
-    def _stacked_forward(
-        self, layers: list[PredictableMixin], outputs: list[np.ndarray]
-    ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-        """One trunk forward over all layers' pooled activations.
-
-        Returns the stacked FC output ``(sum(units_i), max_row)`` plus
-        per-layer ``(start, units, row)`` slices into it.
-        """
-        if len(layers) != len(outputs):
-            raise ValueError(
-                f"got {len(layers)} layers but {len(outputs)} activations"
-            )
-        if not layers:
-            raise ValueError("batched predictor call received no layers")
-        pooled: list[np.ndarray] = []
-        slices: list[tuple[int, int, int]] = []
-        start = 0
-        for layer, output in zip(layers, outputs):
-            row = self._check_capacity(layer)
-            units, _ = reorganize.gradient_rows(layer)
-            reorganized = reorganize.reorganize_activations(layer, output)
-            pooled.append(self.network.pool_front(reorganized))
-            slices.append((start, units, row))
-            start += units
-        stacked = np.concatenate(pooled, axis=0)
-        full = self.network.forward_trunk(stacked)
-        return full, slices
-
     def predict_many(
         self, layers: list[PredictableMixin], outputs: list[np.ndarray]
     ) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Batched :meth:`predict` over many layers in one forward.
+        """:meth:`predict` for many layers in one forward.
 
-        Numerically equivalent to calling :meth:`predict` per layer (the
-        trunk treats samples independently); one network invocation
-        instead of ``len(layers)``, run under no-grad like
-        :meth:`predict_rows`.
+        Numerically equivalent to calling :meth:`predict` per layer
+        (samples are independent): one pair of GEMMs instead of
+        ``len(layers)``.
         """
-        with nn.no_grad():
-            full, slices = self._stacked_forward(layers, outputs)
+        full, _, _, slices = self._forward(layers, outputs)
         results = []
         for layer, (start, units, row) in zip(layers, slices):
             rows = self._denormalize_rows(layer, full[start : start + units, :row])
@@ -267,21 +390,9 @@ class GradientPredictor:
         ``apply_update=False`` accumulates gradients without stepping
         the optimizer (used by the equivalence tests).
         """
-        row = self._check_capacity(layer)
-        target_rows = reorganize.flatten_gradients(layer, weight_grad, bias_grad)
-        if self.normalize_targets:
-            self._update_scale(layer, target_rows)
-        reorganized = reorganize.reorganize_activations(layer, output)
-        full = self.network(reorganized)
-        pred_rows = full[:, :row]
-        mse, mape = self._prediction_metrics(layer, pred_rows, target_rows)
-        grad_full = np.zeros_like(full)
-        grad_full[:, :row] = self._loss_grad_rows(layer, pred_rows, target_rows)
-        self.network.zero_grad()
-        self.network.backward(grad_full)
-        if apply_update:
-            self.optimizer.step()
-        return mse, mape
+        return self._train(
+            [layer], [output], [weight_grad], [bias_grad], apply_update
+        )[0]
 
     def train_step_many(
         self,
@@ -291,11 +402,10 @@ class GradientPredictor:
         bias_grads: list[Optional[np.ndarray]],
         apply_update: bool = True,
     ) -> list[tuple[float, float]]:
-        """Batched :meth:`train_step`: one forward/backward/step for all
-        layers of a batch instead of a per-layer Python loop.
+        """:meth:`train_step` for all layers of a batch: one forward,
+        one backward and one Adam step instead of ``len(layers)``.
 
-        All layers' pooled activations are stacked into one trunk pass;
-        the backward gradient is the per-layer MSE gradients laid into
+        The backward gradient is the per-layer MSE gradients laid into
         their slices, so the accumulated parameter gradient equals the
         *sum* of the per-layer gradients at the current weights (see
         ``tests/core/test_predictor_batched.py``).  The single combined
@@ -303,25 +413,36 @@ class GradientPredictor:
         gradient signal, one optimizer trajectory; Fig-15 metrics are
         still reported per layer, *before* the update.
         """
+        return self._train(layers, outputs, weight_grads, bias_grads, apply_update)
+
+    def _train(
+        self,
+        layers: list[PredictableMixin],
+        outputs: list[np.ndarray],
+        weight_grads: list[np.ndarray],
+        bias_grads: list[Optional[np.ndarray]],
+        apply_update: bool,
+    ) -> list[tuple[float, float]]:
         target_rows_list = []
         for layer, weight_grad, bias_grad in zip(layers, weight_grads, bias_grads):
             target_rows = reorganize.flatten_gradients(layer, weight_grad, bias_grad)
             if self.normalize_targets:
                 self._update_scale(layer, target_rows)
             target_rows_list.append(target_rows)
-        full, slices = self._stacked_forward(layers, outputs)
-        grad_full = np.zeros_like(full)
+        full, pooled, hidden, slices = self._forward(layers, outputs)
         metrics: list[tuple[float, float]] = []
+        # ``full`` turns into the loss gradient in place: each slice is
+        # overwritten once its metrics are taken, and whatever a narrower
+        # layer leaves to its right is zeroed.
         for layer, target_rows, (start, units, row) in zip(
             layers, target_rows_list, slices
         ):
             pred_rows = full[start : start + units, :row]
             metrics.append(self._prediction_metrics(layer, pred_rows, target_rows))
-            grad_full[start : start + units, :row] = self._loss_grad_rows(
-                layer, pred_rows, target_rows
-            )
+            pred_rows[...] = self._loss_grad_rows(layer, pred_rows, target_rows)
+            full[start : start + units, row:] = 0.0
         self.network.zero_grad()
-        self.network.backward_trunk(grad_full)
+        self.network.dense_backward(pooled, hidden, full)
         if apply_update:
             self.optimizer.step()
         return metrics

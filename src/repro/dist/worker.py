@@ -57,15 +57,10 @@ def sync_state(engine: TrainingEngine) -> dict:
     if engine.gp_optimizer is not None and engine.gp_optimizer is not engine.optimizer:
         state["gp_optimizer"] = checkpoint_io.optimizer_state(engine.gp_optimizer)
     if engine.predictor is not None:
-        index_of = {id(layer): i for i, layer in enumerate(engine.layers)}
         state["predictor"] = {
             "network": engine.predictor.network.state_dict(),
             "optimizer": checkpoint_io.optimizer_state(engine.predictor.optimizer),
-            "scales": {
-                index_of[key]: value
-                for key, value in engine.predictor._scales.items()
-                if key in index_of
-            },
+            "scales": engine.predictor.scales_state(engine.layers),
         }
     return state
 
@@ -81,10 +76,9 @@ def load_sync_state(engine: TrainingEngine, state: dict) -> None:
         checkpoint_io.load_optimizer_state(
             engine.predictor.optimizer, state["predictor"]["optimizer"]
         )
-        engine.predictor._scales = {
-            id(engine.layers[i]): value
-            for i, value in state["predictor"]["scales"].items()
-        }
+        engine.predictor.load_scales_state(
+            engine.layers, state["predictor"]["scales"]
+        )
 
 
 def state_nbytes(obj: Any) -> int:

@@ -8,6 +8,7 @@ a single GEMM, which also mirrors how the accelerator model in
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -174,85 +175,57 @@ def adaptive_pool_splits(in_size: int, out_size: int) -> list[tuple[int, int]]:
     return splits
 
 
-def _splits_tile(starts: np.ndarray, ends: np.ndarray, size: int) -> bool:
-    """True when adaptive windows exactly tile the axis (no overlap)."""
-    return (
-        starts[0] == 0
-        and ends[-1] == size
-        and bool(np.all(ends[:-1] == starts[1:]))
-    )
+@functools.lru_cache(maxsize=256)
+def adaptive_pool_operator(in_size: int, out_size: int) -> np.ndarray:
+    """The ``(out_size, in_size)`` averaging operator of one pooled axis.
 
-
-def _window_sums(x: np.ndarray, splits: list[tuple[int, int]], axis: int) -> np.ndarray:
-    """Per-window sums along ``axis`` for adaptive pooling windows.
-
-    Tiling windows reduce in one :func:`np.add.reduceat`; overlapping
-    windows (``in_size % out_size != 0`` can overlap by construction)
-    fall back to cumulative-sum differences.
+    Row ``i`` holds ``1 / len(window_i)`` over adaptive window ``i``, so
+    ``P @ v`` pools a vector and ``P.T @ g`` is the exact backward.  The
+    2-D pool is separable — ``P_h . x . P_w.T`` — which keeps the cached
+    state at O(in_size * out_size) per axis at any input size.  Cached
+    operators are shared between callers and therefore read-only.
     """
-    starts = np.array([s for s, _ in splits])
-    ends = np.array([e for _, e in splits])
-    if _splits_tile(starts, ends, x.shape[axis]):
-        return np.add.reduceat(x, starts, axis=axis)
-    csum = np.cumsum(x, axis=axis)
-    zero_shape = list(x.shape)
-    zero_shape[axis] = 1
-    csum = np.concatenate([np.zeros(zero_shape, dtype=csum.dtype), csum], axis=axis)
-    return csum.take(ends, axis=axis) - csum.take(starts, axis=axis)
+    operator = np.zeros((out_size, in_size), dtype=np.float32)
+    for i, (start, end) in enumerate(adaptive_pool_splits(in_size, out_size)):
+        operator[i, start:end] = 1.0 / (end - start)
+    operator.setflags(write=False)
+    return operator
+
+
+def _apply_separable(
+    x: np.ndarray, row_op: np.ndarray, col_op: np.ndarray
+) -> np.ndarray:
+    """``row_op . x . col_op.T`` over the two trailing axes of NCHW ``x``:
+    the column contraction as one flat GEMM, the row contraction as a
+    stacked one.
+
+    Reference substrate beneath dispatch: ``Backend.adaptive_avg_pool2d``
+    defaults to these functions, so routing the matmuls back through
+    ``current_backend()`` would recurse.
+    """
+    batch, channels, height, width = x.shape
+    cols = np.matmul(  # repro: noqa[backend-dispatch]
+        x.reshape(-1, width), col_op.T
+    ).reshape(batch, channels, height, -1)
+    return np.matmul(row_op, cols)  # repro: noqa[backend-dispatch]
 
 
 def adaptive_avg_pool2d(x: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     """Average-pool an NCHW tensor to an exact output spatial size."""
-    out_h, out_w = out_hw
-    batch, channels, height, width = x.shape
-    if (height, width) == (out_h, out_w):
-        return x.copy()
-    rows = adaptive_pool_splits(height, out_h)
-    cols = adaptive_pool_splits(width, out_w)
-    sums = _window_sums(_window_sums(x, rows, axis=2), cols, axis=3)
-    areas = np.outer(
-        [r1 - r0 for r0, r1 in rows], [c1 - c0 for c0, c1 in cols]
-    ).astype(x.dtype)
-    return sums / areas
+    return _apply_separable(
+        x,
+        adaptive_pool_operator(x.shape[2], out_hw[0]),
+        adaptive_pool_operator(x.shape[3], out_hw[1]),
+    )
 
 
 def adaptive_avg_pool2d_backward(
     grad_out: np.ndarray, input_shape: tuple[int, int, int, int]
 ) -> np.ndarray:
-    """Backward of :func:`adaptive_avg_pool2d`: scatter each output
-    cell's gradient uniformly over its window.  The separable scatter is
-    ``expand(rows) . grad . expand(cols)`` — ``np.repeat`` when windows
-    tile the axis, an indicator-matrix matmul when they overlap."""
-    _, _, height, width = input_shape
-    out_h, out_w = grad_out.shape[2], grad_out.shape[3]
-    if (height, width) == (out_h, out_w):
-        return grad_out.copy()
-    rows = adaptive_pool_splits(height, out_h)
-    cols = adaptive_pool_splits(width, out_w)
-    row_lens = np.array([r1 - r0 for r0, r1 in rows])
-    col_lens = np.array([c1 - c0 for c0, c1 in cols])
-    areas = np.outer(row_lens, col_lens).astype(grad_out.dtype)
-    scaled = grad_out / areas
-    row_starts = np.array([r0 for r0, _ in rows])
-    row_ends = np.array([r1 for _, r1 in rows])
-    col_starts = np.array([c0 for c0, _ in cols])
-    col_ends = np.array([c1 for _, c1 in cols])
-    if _splits_tile(row_starts, row_ends, height):
-        expanded = np.repeat(scaled, row_lens, axis=2)
-    else:
-        indicator = np.zeros((out_h, height), dtype=grad_out.dtype)
-        for i, (r0, r1) in enumerate(rows):
-            indicator[i, r0:r1] = 1.0
-        # Reference substrate beneath dispatch: Backend.adaptive_avg_pool2d
-        # defaults to these functions, so routing this matmul back through
-        # current_backend() would recurse.
-        expanded = np.matmul(  # repro: noqa[backend-dispatch]
-            indicator.T, scaled.reshape(-1, out_h, out_w)
-        ).reshape(grad_out.shape[0], grad_out.shape[1], height, out_w)
-    if _splits_tile(col_starts, col_ends, width):
-        return np.repeat(expanded, col_lens, axis=3)
-    indicator = np.zeros((out_w, width), dtype=grad_out.dtype)
-    for j, (c0, c1) in enumerate(cols):
-        indicator[j, c0:c1] = 1.0
-    # Same reference-substrate exemption as the row matmul above.
-    return np.matmul(expanded, indicator)  # repro: noqa[backend-dispatch]
+    """Backward of :func:`adaptive_avg_pool2d`: the transposed operators
+    scatter each output cell's gradient uniformly over its window."""
+    return _apply_separable(
+        grad_out,
+        adaptive_pool_operator(input_shape[2], grad_out.shape[2]).T,
+        adaptive_pool_operator(input_shape[3], grad_out.shape[3]).T,
+    )

@@ -52,6 +52,13 @@ class TestBackendDispatch:
         assert len(findings) == 5
         assert rules_of(findings) == {"backend-dispatch"}
 
+    def test_predictor_is_in_scope(self):
+        # Its GEMMs must stay visible to ProfilingBackend's op view.
+        findings = lint_source(
+            BAD_DISPATCH, "src/repro/core/predictor.py", rules=["backend-dispatch"]
+        )
+        assert len(findings) == 5
+
     def test_quiet_on_dispatched_code(self):
         assert not lint_source(GOOD_DISPATCH, LAYER_PATH, rules=["backend-dispatch"])
 

@@ -267,9 +267,10 @@ class TestCheckpointResume:
         for key, value in engine.model.state_dict().items():
             np.testing.assert_array_equal(fresh.model.state_dict()[key], value)
         # Predictor scales were re-keyed onto the new engine's layers.
-        assert sorted(
-            engine.predictor._scales[id(l)] for l in engine.layers
-        ) == sorted(fresh.predictor._scales[id(l)] for l in fresh.layers)
+        assert engine.predictor.scales_state(engine.layers)
+        assert fresh.predictor.scales_state(
+            fresh.layers
+        ) == engine.predictor.scales_state(engine.layers)
 
     def test_mismatched_checkpoint_rejected(self):
         engine = _adagp()

@@ -1,7 +1,7 @@
 """Batched-vs-sequential predictor equivalence (the BP-phase fast path).
 
 ``GradientPredictor.predict_many``/``train_step_many`` stack every
-layer's pooled activations into one trunk forward/backward.  These tests
+layer's pooled activations into one forward/backward.  These tests
 pin the numerical contract: batched predictions match per-layer
 predictions, and the batched backward accumulates exactly the sum of the
 per-layer gradients at frozen weights (atol <= 1e-5).

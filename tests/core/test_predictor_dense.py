@@ -1,0 +1,349 @@
+"""The predictor's two-GEMM form against its layered oracle.
+
+``GradientPredictor`` never runs ``PredictorNetwork.forward``: all four
+entry points go through ``dense_forward`` / ``dense_backward`` (DESIGN.md
+§4).  The layered network stays as the parameter container and as the
+reference these tests compare against — outputs and all four parameter
+gradients at atol <= 1e-5 on every backend, on hypothesis-generated
+mixes of conv / linear / sequence-linear layers — plus the staleness
+contract of the version-keyed dense operator.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import nn
+from repro.core import (
+    GradientPredictor,
+    HeuristicSchedule,
+    adagp_engine,
+    dni_engine,
+    pipeline_adagp_engine,
+    reorganize,
+)
+from repro.data import synthetic_images
+from repro.nn.backend import list_backends, native_available, use_backend
+from repro.nn.losses import CrossEntropyLoss
+
+ATOL = 1e-5
+
+BACKENDS = [
+    pytest.param(
+        name,
+        marks=[pytest.mark.skip(reason="native extension unavailable")]
+        if name == "native" and not native_available()
+        else [],
+    )
+    for name in list_backends()
+]
+
+# ----------------------------------------------------------------------
+# Layer mixes.  A spec is (kind, units, fan_in, extent, bias, batch); the
+# predictor only reads a layer's type, shapes and bias, so activations
+# are drawn directly instead of running the layer.
+# ----------------------------------------------------------------------
+_odd = st.sampled_from([1, 3, 5])
+_conv = st.tuples(
+    st.just("conv"),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    # Odd H != W, both sides of the 8x8 grid.
+    st.sampled_from([(3, 5), (7, 11), (9, 5), (13, 3), (1, 7)]),
+    st.booleans(),
+    _odd,
+)
+_linear2d = st.tuples(
+    st.just("linear2d"), st.integers(1, 7), st.integers(1, 9), st.none(),
+    st.booleans(), _odd,
+)
+_linear3d = st.tuples(
+    st.just("linear3d"),
+    st.integers(1, 7),
+    st.integers(1, 9),
+    st.sampled_from([1, 3, 6, 7, 9, 13]),  # seq below and above the grid
+    st.booleans(),
+    _odd,
+)
+_mixes = st.lists(st.one_of(_conv, _linear2d, _linear3d), min_size=1, max_size=4)
+
+
+def _build(specs, seed):
+    """[(layer, activation)] for a mix, deterministic in ``seed``."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for kind, units, fan_in, extent, bias, batch in specs:
+        if kind == "conv":
+            layer = nn.Conv2d(fan_in, units, 3, padding=1, bias=bias, rng=rng)
+            shape = (batch, units, *extent)
+        elif kind == "linear2d":
+            layer = nn.Linear(fan_in, units, bias=bias, rng=rng)
+            shape = (batch, units)
+        else:
+            layer = nn.Linear(fan_in, units, bias=bias, rng=rng)
+            shape = (batch, extent, units)
+        entries.append((layer, rng.standard_normal(shape).astype(np.float32)))
+    return entries
+
+
+def _predictor(entries, seed=5, **kwargs):
+    max_row = max(layer.gradient_size() for layer, _ in entries)
+    return GradientPredictor(max_row, rng=np.random.default_rng(seed), **kwargs)
+
+
+def _param_grads(network):
+    return [
+        np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+        for p in network.parameters()
+    ]
+
+
+def _oracle_rows(predictor, layer, output):
+    """Layered ``network(x)`` masked to the layer's row width."""
+    x = reorganize.reorganize_activations(layer, output)
+    return predictor.network(x)[:, : layer.gradient_size()]
+
+
+class TestDenseMatchesLayered:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(specs=_mixes, seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_forward_and_parameter_gradients(self, backend, specs, seed):
+        """One stacked dense forward/backward == the layered network run
+        layer by layer with its gradients summed."""
+        entries = _build(specs, seed)
+        predictor = _predictor(entries)
+        network = predictor.network
+        layers = [layer for layer, _ in entries]
+        outputs = [output for _, output in entries]
+        rng = np.random.default_rng(seed + 1)
+        with use_backend(backend):
+            rows, pooled, hidden, slices = predictor._forward(layers, outputs)
+            grad_rows = np.zeros_like(rows)
+            expected = [np.zeros_like(p.data) for p in network.parameters()]
+            for (layer, output), (start, units, row) in zip(entries, slices):
+                x = reorganize.reorganize_activations(layer, output)
+                full = network(x)
+                np.testing.assert_allclose(
+                    rows[start : start + units, :row], full[:, :row], atol=ATOL
+                )
+                grad = rng.standard_normal((units, row)).astype(np.float32)
+                grad_rows[start : start + units, :row] = grad
+                grad_full = np.zeros_like(full)
+                grad_full[:, :row] = grad
+                network.zero_grad()
+                network.backward(grad_full)
+                for total, part in zip(expected, _param_grads(network)):
+                    total += part
+            network.zero_grad()
+            network.dense_backward(pooled, hidden, grad_rows)
+        for actual, total in zip(_param_grads(network), expected):
+            np.testing.assert_allclose(actual, total, atol=ATOL, rtol=1e-4)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(specs=_mixes, seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
+    def test_predict_many_matches_per_layer_predict(self, backend, specs, seed):
+        entries = _build(specs, seed)
+        predictor = _predictor(entries, normalize_targets=False)
+        with use_backend(backend):
+            batched = predictor.predict_many(
+                [layer for layer, _ in entries], [output for _, output in entries]
+            )
+            for (layer, output), (w_many, b_many) in zip(entries, batched):
+                w_one, b_one = predictor.predict(layer, output)
+                np.testing.assert_allclose(w_many, w_one, atol=ATOL)
+                rows = _oracle_rows(predictor, layer, output)
+                w_ref, b_ref = reorganize.unflatten_gradients(layer, rows)
+                np.testing.assert_allclose(w_one, w_ref, atol=ATOL)
+                if layer.bias is None:
+                    assert b_many is None and b_one is None
+                else:
+                    np.testing.assert_allclose(b_many, b_one, atol=ATOL)
+                    np.testing.assert_allclose(b_one, b_ref, atol=ATOL)
+
+
+def test_float64_activations_are_predicted_in_float32():
+    """Models may hand over float64 activations (the transformer's
+    mostly are); a float64 operand would drag both GEMMs off sgemm."""
+    layer = nn.Linear(5, 3)
+    output = np.random.default_rng(0).standard_normal((4, 9, 3))  # float64
+    predictor = GradientPredictor(layer.gradient_size())
+    rows, pooled, hidden, _ = predictor._forward([layer], [output])
+    assert rows.dtype == pooled.dtype == hidden.dtype == np.float32
+    assert predictor.predict(layer, output)[0].dtype == np.float32
+
+
+class TestDenseOperatorStaleness:
+    """The dense operator is memoised on ``Parameter.version``: every
+    way of changing a predictor parameter must invalidate it, and an
+    unchanged network must not rebuild it."""
+
+    def _setup(self):
+        rng = np.random.default_rng(3)
+        layer = nn.Conv2d(2, 4, 3, padding=1, rng=rng)
+        output = rng.standard_normal((3, 4, 7, 5)).astype(np.float32)
+        predictor = GradientPredictor(
+            layer.gradient_size(), lr=1e-2, normalize_targets=False, rng=rng
+        )
+        return predictor, layer, output
+
+    def _assert_fresh(self, predictor, layer, output):
+        # Raw network rows: the engine's predictor also rescales them.
+        np.testing.assert_allclose(
+            predictor._forward([layer], [output])[0],
+            _oracle_rows(predictor, layer, output),
+            atol=ATOL,
+        )
+
+    def test_unchanged_versions_do_not_rebuild(self):
+        predictor, layer, output = self._setup()
+        predictor.predict(layer, output)
+        built = predictor.network.dense_operator()
+        predictor.predict(layer, output)
+        assert predictor.network.dense_operator() is built
+
+    def test_optimizer_step_invalidates(self):
+        predictor, layer, output = self._setup()
+        before = predictor.predict_rows(layer, output)
+        w_grad = np.ones_like(layer.weight.data)
+        b_grad = np.ones_like(layer.bias.data)
+        for _ in range(3):
+            predictor.train_step(layer, output, w_grad, b_grad)
+        self._assert_fresh(predictor, layer, output)
+        assert not np.allclose(predictor.predict_rows(layer, output), before)
+
+    def test_load_state_dict_invalidates(self):
+        predictor, layer, output = self._setup()
+        predictor.predict(layer, output)
+        donor = GradientPredictor(
+            layer.gradient_size(), rng=np.random.default_rng(99)
+        )
+        predictor.network.load_state_dict(donor.network.state_dict())
+        self._assert_fresh(predictor, layer, output)
+        np.testing.assert_allclose(
+            predictor.predict_rows(layer, output),
+            _oracle_rows(donor, layer, output),
+            atol=ATOL,
+        )
+
+    def test_direct_write_with_bump_invalidates(self):
+        predictor, layer, output = self._setup()
+        predictor.predict(layer, output)
+        for param in predictor.network.parameters():
+            param.data *= np.float32(1.5)
+            param.bump_version()
+            self._assert_fresh(predictor, layer, output)
+
+    def test_engine_checkpoint_resume_invalidates(self, tmp_path):
+        split = synthetic_images(3, 32, 16, image_size=8, seed=0)
+
+        def build():
+            rng = np.random.default_rng(0)
+            model = nn.Sequential(
+                nn.Conv2d(3, 4, 3, padding=1, rng=rng),
+                nn.ReLU(),
+                nn.GlobalAvgPool2d(),
+                nn.Linear(4, 3, rng=rng),
+            )
+            return adagp_engine(
+                model,
+                CrossEntropyLoss(),
+                lr=0.05,
+                predictor_lr=1e-2,
+                schedule=HeuristicSchedule(warmup_epochs=1, ladder=((1, (1, 1)),)),
+            )
+
+        trained = build()
+        trained.fit(
+            lambda: split.train.batches(16, rng=np.random.default_rng(1)),
+            lambda: split.val.batches(16, shuffle=False),
+            epochs=2,
+        )
+        path = str(tmp_path / "ckpt.pkl")
+        trained.save_checkpoint(path)
+
+        resumed = build()
+        layer = resumed.layers[0]
+        output = np.random.default_rng(2).standard_normal((4, 4, 8, 8))
+        output = output.astype(np.float32)
+        resumed.predictor.predict(layer, output)  # builds the fresh-init operator
+        resumed.load_checkpoint(path)
+        self._assert_fresh(resumed.predictor, layer, output)
+        np.testing.assert_array_equal(
+            resumed.predictor.predict(layer, output)[0],
+            trained.predictor.predict(trained.layers[0], output)[0],
+        )
+
+
+class TestScaleStore:
+    def test_scales_do_not_outlive_their_layer(self):
+        """A discarded layer's scale can never be inherited through
+        ``id()`` reuse: the store holds layers weakly."""
+        predictor = GradientPredictor(max_row=10)
+        layer = nn.Linear(9, 4)
+        output = np.ones((2, 4), dtype=np.float32)
+        predictor.train_step(
+            layer, output, np.ones_like(layer.weight.data), np.ones(4, np.float32)
+        )
+        assert len(predictor._scales) == 1
+        del layer
+        assert len(predictor._scales) == 0
+
+    def test_state_round_trips_by_layer_index(self):
+        layers = [nn.Linear(3, 2), nn.Linear(3, 2), nn.Linear(3, 2)]
+        predictor = GradientPredictor(max_row=4)
+        predictor.load_scales_state(layers, {0: 0.5, 2: 2.0})
+        assert predictor.scales_state(layers) == {0: 0.5, 2: 2.0}
+        assert predictor._scale_for(layers[1]) == 1.0
+        # Re-keyed onto another engine's layers by position.
+        twins = [nn.Linear(3, 2), nn.Linear(3, 2), nn.Linear(3, 2)]
+        other = GradientPredictor(max_row=4)
+        other.load_scales_state(twins, predictor.scales_state(layers))
+        assert other._scale_for(twins[2]) == 2.0
+
+
+class TestStrategiesOnTheSinglePath:
+    """DNI (per-layer predict + per-layer train_step) and the pipeline
+    executor's GP stream still learn through the dense path."""
+
+    def _model(self):
+        rng = np.random.default_rng(0)
+        return nn.Sequential(
+            nn.Conv2d(3, 4, 3, padding=1, rng=rng),
+            nn.ReLU(),
+            nn.MaxPool2d(2),
+            nn.Conv2d(4, 8, 3, padding=1, rng=rng),
+            nn.ReLU(),
+            nn.GlobalAvgPool2d(),
+            nn.Linear(8, 3, rng=rng),
+        )
+
+    def _fit(self, engine, epochs):
+        split = synthetic_images(3, 96, 24, image_size=8, seed=0)
+        return engine.fit(
+            lambda: split.train.batches(16, rng=np.random.default_rng(1)),
+            lambda: split.val.batches(24, shuffle=False),
+            epochs=epochs,
+        )
+
+    def test_dni_fit_is_finite_and_decreasing(self):
+        engine = dni_engine(self._model(), CrossEntropyLoss(), lr=0.05)
+        history = self._fit(engine, epochs=4)
+        assert np.isfinite(history.train_loss).all()
+        assert history.train_loss[-1] < history.train_loss[0]
+        assert len(history.predictor_mape[-1]) == 3
+
+    def test_pipeline_gp_fit_is_finite_and_decreasing(self):
+        engine = pipeline_adagp_engine(
+            self._model(),
+            CrossEntropyLoss(),
+            num_stages=2,
+            micro_batches=2,
+            lr=0.05,
+            schedule=HeuristicSchedule(warmup_epochs=2, ladder=((2, (1, 1)),)),
+        )
+        history = self._fit(engine, epochs=4)
+        assert sum(history.gp_batches) > 0
+        assert np.isfinite(history.train_loss).all()
+        assert history.train_loss[-1] < history.train_loss[0]

@@ -106,6 +106,41 @@ class TestAdaptivePooling:
         for start, end in splits:
             assert end > start
 
+    @given(
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        out_h=st.integers(1, 40),
+        out_w=st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_separable_matches_window_loop_and_backward_is_adjoint(
+        self, height, width, out_h, out_w
+    ):
+        rng = np.random.default_rng(height * 41 + width)
+        x = rng.standard_normal((2, 3, height, width)).astype(np.float32)
+        out = F.adaptive_avg_pool2d(x, (out_h, out_w))
+        reference = np.empty((2, 3, out_h, out_w), dtype=np.float64)
+        for i, (r0, r1) in enumerate(F.adaptive_pool_splits(height, out_h)):
+            for j, (c0, c1) in enumerate(F.adaptive_pool_splits(width, out_w)):
+                reference[:, :, i, j] = x[:, :, r0:r1, c0:c1].mean(
+                    axis=(2, 3), dtype=np.float64
+                )
+        np.testing.assert_allclose(out, reference, atol=1e-5)
+        # <P x, y> == <x, P^T y>: backward is the exact transpose.
+        y = rng.standard_normal(out.shape).astype(np.float32)
+        grad_in = F.adaptive_avg_pool2d_backward(y, x.shape)
+        assert grad_in.shape == x.shape
+        np.testing.assert_allclose(
+            np.vdot(out.astype(np.float64), y),
+            np.vdot(x.astype(np.float64), grad_in),
+            rtol=1e-4,
+            atol=1e-3,
+        )
+
+    def test_cached_operator_is_read_only(self):
+        with pytest.raises(ValueError):
+            F.adaptive_pool_operator(7, 3)[0, 0] = 1.0
+
     def test_backward_preserves_gradient_mass(self):
         """Average pooling backward distributes each grad unit exactly once."""
         rng = np.random.default_rng(3)

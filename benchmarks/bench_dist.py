@@ -8,8 +8,7 @@ Three records into ``BENCH_dist.json``:
    ``MIN_DDP_SPEEDUP``x serial.  On single-core machines process
    parallelism cannot beat the physical core count, so the ratio is
    recorded but the gate is skipped — the same
-   recorded-but-not-enforced pattern as ``bench_native`` /
-   ``bench_tune``.
+   recorded-but-not-enforced pattern as ``bench_tune``.
 2. **AdaComp compression** — always enforced, core-count independent:
    the measured steady-state compression ratio of
    :class:`~repro.dist.AdaCompCodec` on *real* ResNet50-mini BP

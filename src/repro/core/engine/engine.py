@@ -14,6 +14,7 @@ per batch by the phase schedule (``HeuristicSchedule`` /
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -246,6 +247,16 @@ class TrainingEngine:
         per-phase batch counts (warm-up counts as BP: both run true
         backprop).
         """
+        # A dropped engine is freed by refcount (strategies hold their
+        # engine weakly), unless its owner wrapped a method by attribute
+        # replacement — ``engine.train_batch = timed(engine.train_batch)``,
+        # as the benchmark's step log and sweep loops do — which closes a
+        # cycle from outside.  Sweeps fit dozens of engines per process,
+        # so free the previous one (model, grads, optimizer slots,
+        # predictor: ~1 MB each) before this fit allocates its own, not
+        # whenever generation 2 next fills.  Measured 5-10 ms at 28 k
+        # tracked objects, against fits >= 0.5 s.
+        gc.collect()
         self.stop_requested = False
         self.callbacks.on_fit_begin(self, epochs)
         for _ in range(epochs):

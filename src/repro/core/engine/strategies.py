@@ -25,6 +25,7 @@ new strategy class, not a fourth copy of the fit loop.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -72,11 +73,20 @@ class PhaseStrategy:
     """
 
     def __init__(self, backend: Optional[BackendSpec] = None) -> None:
-        self.engine: Optional["TrainingEngine"] = None
+        self._engine_ref: Optional[weakref.ref] = None
         self.backend = resolve_backend(backend)
 
+    @property
+    def engine(self) -> Optional["TrainingEngine"]:
+        """The engine this strategy is bound to.  Held weakly: the
+        engine owns its strategies, and a strong back-reference would
+        make every finished engine (model, grads, optimizer slots,
+        predictor) cyclic garbage that lives until a generation-2
+        collection instead of being freed when its last user drops it."""
+        return None if self._engine_ref is None else self._engine_ref()
+
     def bind(self, engine: "TrainingEngine") -> None:
-        self.engine = engine
+        self._engine_ref = weakref.ref(engine)
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
         raise NotImplementedError

@@ -214,7 +214,6 @@ class GradientPredictor:
             raise ValueError(f"max_row must be positive, got {max_row}")
         self.network = PredictorNetwork(max_row, rng=rng)
         self.optimizer = nn.Adam(self.network.parameters(), lr=lr)
-        self.mse_loss = nn.MSELoss()
         self.normalize_targets = normalize_targets
         self.scale_momentum = scale_momentum
         # Predicted rows are clipped to +-clip_sigma * (per-layer running
@@ -241,8 +240,9 @@ class GradientPredictor:
     def _scale_for(self, layer: PredictableMixin) -> float:
         return self._scales.get(layer, 1.0)
 
-    def _update_scale(self, layer: PredictableMixin, rows: np.ndarray) -> None:
-        rms = float(np.sqrt(np.mean(rows.astype(np.float64) ** 2))) or 1e-12
+    def _update_scale(self, layer: PredictableMixin, rms: float) -> None:
+        """Fold this batch's target RMS into the layer's running scale."""
+        rms = rms or 1e-12
         previous = self._scales.get(layer)
         if previous is None:
             self._scales[layer] = rms
@@ -354,27 +354,6 @@ class GradientPredictor:
         return results
 
     # ------------------------------------------------------------------
-    def _prediction_metrics(
-        self, layer: PredictableMixin, pred_rows: np.ndarray, target_rows: np.ndarray
-    ) -> tuple[float, float]:
-        """(mse, mape) in raw gradient units (float64 avoids fp32
-        overflow on transiently exploding gradients)."""
-        scale = self._scale_for(layer) if self.normalize_targets else 1.0
-        raw_pred = pred_rows.astype(np.float64) * scale
-        target64 = target_rows.astype(np.float64)
-        mse = float(np.mean((raw_pred - target64) ** 2))
-        mape = mean_absolute_percentage_error(target64, raw_pred)
-        return mse, mape
-
-    def _loss_grad_rows(
-        self, layer: PredictableMixin, pred_rows: np.ndarray, target_rows: np.ndarray
-    ) -> np.ndarray:
-        """MSE gradient on (optionally normalized) targets."""
-        scale = self._scale_for(layer) if self.normalize_targets else 1.0
-        target_scaled = target_rows / scale if self.normalize_targets else target_rows
-        _, grad_rows = self.mse_loss(pred_rows, target_scaled.astype(np.float32))
-        return grad_rows
-
     def train_step(
         self,
         layer: PredictableMixin,
@@ -423,29 +402,56 @@ class GradientPredictor:
         bias_grads: list[Optional[np.ndarray]],
         apply_update: bool,
     ) -> list[tuple[float, float]]:
-        target_rows_list = []
-        for layer, weight_grad, bias_grad in zip(layers, weight_grads, bias_grads):
-            target_rows = reorganize.flatten_gradients(layer, weight_grad, bias_grad)
-            if self.normalize_targets:
-                self._update_scale(layer, target_rows)
-            target_rows_list.append(target_rows)
         full, pooled, hidden, slices = self._forward(layers, outputs)
-        metrics: list[tuple[float, float]] = []
-        # ``full`` turns into the loss gradient in place: each slice is
-        # overwritten once its metrics are taken, and whatever a narrower
-        # layer leaves to its right is zeroed.
-        for layer, target_rows, (start, units, row) in zip(
-            layers, target_rows_list, slices
+        # All layers' target rows in one zero-padded float32 buffer laid
+        # out like ``full`` (whatever ``full`` holds to the right of a
+        # narrower layer is zeroed too), so scale, metrics and loss
+        # gradient are one pass each over the stack instead of one per
+        # layer: padding adds exact zeros to every sum.
+        targets = np.zeros_like(full)
+        for layer, weight_grad, bias_grad, (start, units, row) in zip(
+            layers, weight_grads, bias_grads, slices
         ):
-            pred_rows = full[start : start + units, :row]
-            metrics.append(self._prediction_metrics(layer, pred_rows, target_rows))
-            pred_rows[...] = self._loss_grad_rows(layer, pred_rows, target_rows)
+            targets[start : start + units, :row] = reorganize.flatten_gradients(
+                layer, weight_grad, bias_grad
+            )
             full[start : start + units, row:] = 0.0
+        starts = [start for start, _, _ in slices]
+        samples = [units for _, units, _ in slices]
+        sizes = np.array([units * row for _, units, row in slices], dtype=np.float64)
+
+        def layer_means(stacked: np.ndarray) -> np.ndarray:
+            per_sample = stacked.sum(axis=1, dtype=np.float64)
+            return np.add.reduceat(per_sample, starts) / sizes
+
+        # Every sum below runs in float64, through one work buffer: fp32
+        # would overflow on transiently exploding gradients.
+        work = np.empty(full.shape, dtype=np.float64)
+        scales = np.ones(len(layers))
+        if self.normalize_targets:
+            np.multiply(targets, targets, out=work, dtype=np.float64)
+            for layer, rms in zip(layers, np.sqrt(layer_means(work))):
+                self._update_scale(layer, float(rms))
+            scales = np.array([self._scale_for(layer) for layer in layers])
+        sample_scale = np.repeat(scales, samples)[:, None]
+        # (mse, mape) of the prediction before the update, in raw
+        # gradient units; mape as :func:`mean_absolute_percentage_error`.
+        np.multiply(full, sample_scale, out=work)
+        work -= targets
+        np.abs(work, out=work)
+        mape = layer_means(work) / (layer_means(np.abs(targets)) + 1e-8) * 100.0
+        np.square(work, out=work)
+        mse = layer_means(work)
+        # ``full`` turns into the MSE gradient on the normalized targets
+        # in place.
+        targets /= sample_scale.astype(np.float32)
+        full -= targets
+        full *= np.repeat(2.0 / sizes, samples).astype(np.float32)[:, None]
         self.network.zero_grad()
         self.network.dense_backward(pooled, hidden, full)
         if apply_update:
             self.optimizer.step()
-        return metrics
+        return list(zip(mse.tolist(), mape.tolist()))
 
     # ------------------------------------------------------------------
     def num_parameters(self) -> int:

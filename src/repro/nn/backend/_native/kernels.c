@@ -1,39 +1,68 @@
 /* kernels.c — C kernels behind the "native" compute backend.
  *
- * Direct convolution over NCHW float32 tensors: instead of
- * materializing an im2col column matrix (which copies the activation
- * K*K times and is a large slice of the fused backend's conv cost at
- * bench shapes), the input is copied once into a zero-padded plane and
- * the convolution runs as register-blocked loops over it.  The forward
- * and the input gradient share one microkernel (`conv_sample`, the
- * input gradient being a stride-1 convolution of the dilated-padded
- * output gradient with the channel-transposed, spatially-flipped
- * weights); the weight gradient has a fully unrolled K=3/stride=1 fast
- * path that keeps all nine tap accumulators in vector registers.
+ * Direct convolution over NCHW float32 tensors, with no im2col column
+ * matrix: the input is copied once into zero-padded planes and the
+ * convolution runs as register-blocked loops over that copy.
+ *
+ * The flattened-plane formulation.  A stride-1 convolution over a
+ * zero-padded plane stored at row pitch Wp is a 1-D correlation of the
+ * *flattened* plane:
+ *
+ *     out_flat[q] = sum_{c,kh,kw} w[o,c,kh,kw] * xp_flat[c][q + kh*Wp + kw]
+ *
+ * so the kernels never look at rows.  The scratch copy is laid out
+ * channel-major, (C, N*Hp*Wp): one flat row per channel holding all N
+ * padded planes back to back, and the microkernels tile *consecutive q*
+ * — across row boundaries and across sample boundaries.  Positions whose
+ * column is >= OW or whose row is >= OH (the K-1 "garbage" columns/rows
+ * of each padded plane) are computed and dropped at the store, so vector
+ * occupancy is H*W / (Hp*Wp) for every plane width — 79 % at 16x16,
+ * 64 % at 8x8, 44 % at 4x4, 25 % at 2x2 with K=3 — instead of "vector
+ * at W >= 16, scalar below".  (Routing narrow planes to the inherited
+ * im2col + BLAS path instead reaches the same speed but pins a column
+ * buffer per layer: +51 % peak RSS on the VGG13 bench workload.  The
+ * direct kernels pin only the input.)
+ *
+ * The same reformulation serves all three kernels:
+ *   - forward: `conv_flat` over the padded input;
+ *   - input gradient: `conv_flat` again, over the dilated-padded output
+ *     gradient with the channel-transposed, spatially-flipped weights;
+ *   - weight gradient: the output gradient is laid out at the *same*
+ *     pitch with zeros in the garbage slots, and gw[o,c,kh,kw] is one
+ *     long dot product of two flat rows (`wgrad_flat`).
+ *
+ * Slack.  A tile may read up to one tile plus (K-1)*(Wp+1) floats
+ * past the last plane; every channel row of a flattened buffer
+ * therefore ends in that much zeroed slack (`flat_pitch`), *inside* the
+ * allocation — each flattened buffer is a malloc of its own, so under
+ * ASan the slack is all that separates an over-read from a redzone —
+ * and inputs are always copied (also for pad == 0): the caller's
+ * arrays are never read past their end.
+ *
  * Linear forward/backward and the pooling unfold/fold round out the
  * set.  Everything is exported with C linkage and called through
  * ctypes (see native_build.py for the build recipe, native.py for
  * dispatch).
  *
  * Numerical contract: float32 storage everywhere, float32 arithmetic in
- * the saxpy/fma loops, float64 outer accumulators for the long
- * reductions (weight/bias gradients) so per-op equivalence with the
- * NumPy reference holds at atol <= 1e-5 without -ffast-math (which is
+ * the fma loops, float64 outer accumulators for the long reductions
+ * (weight/bias gradients: a float32 lane sums at most WCHUNK/TILE
+ * products before it is widened) so per-op equivalence with the NumPy
+ * reference holds at atol <= 1e-5 without -ffast-math (which is
  * deliberately NOT used: linking crtfastmath.o from a shared library
  * would flip the process-wide FTZ/DAZ flags under NumPy's feet).
- * Reduction loops are written with explicit multi-accumulator blocks so
- * the compiler can vectorize them without reassociation licenses; the
- * microkernel inner loops run over 16-float tiles — exactly one
- * AVX-512 register, or two AVX2 ones — with constant trip counts.
  *
  * Threading: every entry point parallelizes its outermost independent
- * loop with OpenMP when compiled with -fopenmp; each (sample, plane)
- * pair is owned by exactly one thread, so there are no atomics and the
- * result is deterministic for a fixed thread count.
+ * loop with OpenMP when compiled with -fopenmp.  Each output position
+ * (conv_flat: a chunk of consecutive q) and each (o, c) weight-gradient
+ * cell (wgrad_flat: a WB x WB block) is owned by exactly one thread and
+ * is summed in an order that does not depend on the partition, so there
+ * are no atomics and results are bitwise equal for any thread count.
  *
- * Allocation-failure / exotic-geometry paths fall back to the naive
- * bounds-checked loops at the bottom of this file, so the exported
- * entry points are total over all valid inputs.
+ * Strided forward/weight-gradient, pad > K-1 input gradients,
+ * allocation failure and compilers without GNU vector extensions fall
+ * back to the naive bounds-checked loops at the bottom of this file, so
+ * the exported entry points are total over all valid inputs.
  */
 
 #include <stdint.h>
@@ -48,31 +77,64 @@
 
 typedef int64_t i64;
 
-#define TILE 16
-
-/* 16-float vector type (one AVX-512 register; GCC splits it into two
- * AVX2 halves on older targets).  Named vector variables are the only
- * reliable way to keep accumulator tiles in registers across a loop —
- * equivalent float[9][16] locals verifiably round-trip through the
- * stack on every iteration, which makes the weight-gradient kernel
- * load/store bound instead of fma bound. */
+/* One vector register of floats, through the GNU vector extensions
+ * (GCC lowers a vector type wider than the target's registers piecewise
+ * and slowly, so the width follows the target), and the register
+ * blocking sized to that register file: conv_flat accumulates 4 output
+ * channels x QV vectors of consecutive positions, wgrad_flat a WB x WB
+ * block of dot products — 12 resp. 16 accumulators plus operands in
+ * AVX-512's 32 registers, 8 resp. 9 in the 16 of AVX2/SSE.
+ *
+ * Accumulator blocks are small arrays of vf indexed only by
+ * constant-bound loops: those unroll fully and stay in registers across
+ * the hot loop, whereas equivalent float[4][TILE] locals verifiably
+ * round-trip through the stack on every iteration, which makes the
+ * kernels load/store bound instead of fma bound. */
 #if defined(__GNUC__) && !defined(_MSC_VER)
-#define HAVE_V16 1
-typedef float v16 __attribute__((vector_size(64)));
-static inline v16 v16_load(const float *p) {
-    v16 v;
+#define HAVE_VEC 1
+#if defined(__AVX512F__)
+#define TILE 16 /* floats per vector */
+#define QV 3
+#define WB 4
+#elif defined(__AVX__)
+#define TILE 8
+#define QV 2
+#define WB 3
+#else
+#define TILE 4
+#define QV 2
+#define WB 3
+#endif
+#define QT (QV * TILE) /* positions per conv_flat tile */
+typedef float vf __attribute__((vector_size(TILE * sizeof(float))));
+static inline vf vf_load(const float *p) {
+    vf v;
     memcpy(&v, p, sizeof(v));
     return v;
 }
-static inline float v16_sum(v16 v) {
-    /* Explicit pairwise tree: a sequential s += v[i] loop cannot be
-     * reordered without -fassociative-math and serializes on add
-     * latency. */
-    const float s01 = v[0] + v[1], s23 = v[2] + v[3];
-    const float s45 = v[4] + v[5], s67 = v[6] + v[7];
-    const float s89 = v[8] + v[9], sab = v[10] + v[11];
-    const float scd = v[12] + v[13], sef = v[14] + v[15];
-    return (((s01 + s23) + (s45 + s67)) + ((s89 + sab) + (scd + sef)));
+static inline void vf_store(float *p, vf v) { memcpy(p, &v, sizeof(v)); }
+static inline vf vf_set1(float s) {
+    /* A brace initializer, which compiles to one broadcast; a lane loop
+     * compiles to TILE inserts. */
+#if TILE == 16
+    return (vf){s, s, s, s, s, s, s, s, s, s, s, s, s, s, s, s};
+#elif TILE == 8
+    return (vf){s, s, s, s, s, s, s, s};
+#else
+    return (vf){s, s, s, s};
+#endif
+}
+static inline float vf_sum(vf v) {
+    /* Explicit halving tree over 4-float quarters: a sequential
+     * s += v[i] loop cannot be reordered without -fassociative-math and
+     * serializes on add latency. */
+    typedef float quad __attribute__((vector_size(16)));
+    quad part[TILE / 4];
+    memcpy(part, &v, sizeof(v));
+    for (int half = TILE / 8; half > 0; half /= 2)
+        for (int i = 0; i < half; i++)
+            part[i] += part[i + half];
+    return (part[0][0] + part[0][1]) + (part[0][2] + part[0][3]);
 }
 #endif
 
@@ -111,103 +173,294 @@ static void ow_range(i64 W, i64 OW, i64 stride, i64 pad, i64 k, i64 *lo,
     *hi = hi_;
 }
 
-/* Copy P (H, W) planes into zero-padded (H+2p, W+2p) planes. */
-static void pad_planes(const float *restrict x, float *restrict xpad, i64 P,
-                       i64 H, i64 W, i64 pad) {
-    const i64 Hp = H + 2 * pad, Wp = W + 2 * pad;
+#if defined(HAVE_VEC)
+
+static inline i64 min_i64(i64 a, i64 b) { return a < b ? a : b; }
+static inline i64 round_up(i64 a, i64 m) { return (a + m - 1) / m * m; }
+
+/* Floats per channel row of a flattened scratch buffer: L positions,
+ * rounded up to whole tiles, plus the farthest tap offset — the slack a
+ * tile at the last position may read. */
+static i64 flat_pitch(i64 L, i64 K, i64 Wp) {
+    return round_up(L, QT) + (K - 1) * (Wp + 1);
+}
+
+/* Copy src:(N, C, H, W) into the channel-major flattened layout
+ * dst:(rows, pitch): row c holds the N planes of channel c, each
+ * (Hp, Wp), back to back; source element (h, w) lands at
+ * (border + h*dil, border + w*dil).  Everything else — padding,
+ * dilation holes, the slack after the last plane, rows [C, rows) — is
+ * zero. */
+static void flatten_planes(const float *restrict src, float *restrict dst,
+                           i64 N, i64 C, i64 rows, i64 H, i64 W, i64 Hp,
+                           i64 Wp, i64 border, i64 dil, i64 pitch) {
+    memset(dst, 0, (size_t)(rows * pitch) * sizeof(float));
     i64 pl;
 #if defined(_OPENMP)
 #pragma omp parallel for schedule(static)
 #endif
-    for (pl = 0; pl < P; pl++) {
-        const float *src = x + pl * H * W;
-        float *dst = xpad + pl * Hp * Wp;
-        memset(dst, 0, (size_t)(pad * Wp) * sizeof(float));
+    for (pl = 0; pl < N * C; pl++) {
+        const i64 n = pl / C, c = pl % C;
+        const float *sp = src + pl * H * W;
+        float *dp = dst + c * pitch + (n * Hp + border) * Wp + border;
         for (i64 h = 0; h < H; h++) {
-            float *row = dst + (pad + h) * Wp;
-            for (i64 i = 0; i < pad; i++)
-                row[i] = 0.0f;
-            memcpy(row + pad, src + h * W, (size_t)W * sizeof(float));
-            for (i64 i = 0; i < pad; i++)
-                row[pad + W + i] = 0.0f;
+            float *row = dp + h * dil * Wp;
+            for (i64 i = 0; i < W; i++)
+                row[i * dil] = sp[h * W + i];
         }
-        memset(dst + (pad + H) * Wp, 0, (size_t)(pad * Wp) * sizeof(float));
+    }
+}
+
+/* Pack weights for conv_flat: blocks of 4 output channels, each block
+ * C*KK taps of 4 floats (one per channel of the block, zero past O)
+ * followed by the block's 4 biases.  Source element (o, c, k) is read
+ * at w[o*so + c*sc + k], or at the spatially flipped tap when `flip`
+ * (the input gradient's transposed kernel). */
+static void pack_weights(const float *restrict w, const float *restrict bias,
+                         float *restrict wp, i64 O, i64 C, i64 KK, i64 so,
+                         i64 sc, int flip) {
+    for (i64 ob = 0; ob < O; ob += 4) {
+        for (i64 c = 0; c < C; c++)
+            for (i64 k = 0; k < KK; k++)
+                for (i64 j = 0; j < 4; j++)
+                    *wp++ = (ob + j < O) ? w[(ob + j) * so + c * sc +
+                                             (flip ? KK - 1 - k : k)]
+                                         : 0.0f;
+        for (i64 j = 0; j < 4; j++)
+            *wp++ = (bias && ob + j < O) ? bias[ob + j] : 0.0f;
     }
 }
 
 /* ------------------------------------------------------------------ */
-/* Microkernel: valid convolution of one padded sample.                */
+/* Microkernel: 4 output channels x QT consecutive flat positions.     */
 /*                                                                     */
-/* xp:(C, Hp, Wp) padded input, w:(O, C, K, K), writes O output planes */
-/* at op with row stride `orow` and plane stride `oplane` (decoupled   */
-/* from OH/OW so the input-gradient path can write a cropped interior  */
-/* region of a larger plane).  Blocks 4 output channels x 16 output    */
-/* columns: the hot branch holds the 4x16 accumulator tile in vector   */
-/* registers and performs 4 fused multiply-adds per input-row load.    */
+/* xq points at position q of channel 0; tap k of the C*K*K reads the  */
+/* vectors at xq + toff[k].  One input load feeds 4 fused              */
+/* multiply-adds.  Results (bias added) go to t:(4, QT).               */
 /* ------------------------------------------------------------------ */
-static void conv_sample(const float *restrict xp, const float *restrict w,
-                        const float *restrict bias, float *restrict op, i64 C,
-                        i64 Hp, i64 Wp, i64 O, i64 K, i64 stride, i64 OH,
-                        i64 OW, i64 orow, i64 oplane) {
-    const i64 CKK = C * K * K;
-    for (i64 ob = 0; ob < O; ob += 4) {
-        const i64 nb = (O - ob < 4) ? O - ob : 4;
-        const float *wb = w + ob * CKK;
-        for (i64 oh = 0; oh < OH; oh++) {
-            for (i64 ow0 = 0; ow0 < OW; ow0 += TILE) {
-                const i64 len = (OW - ow0 < TILE) ? OW - ow0 : TILE;
-                float a[4][TILE];
-                for (i64 j = 0; j < 4; j++)
-                    for (i64 i = 0; i < TILE; i++)
-                        a[j][i] = 0.0f;
-                const float *xbase = xp + (oh * stride) * Wp + ow0 * stride;
-                if (nb == 4 && len == TILE && stride == 1) {
-                    for (i64 c = 0; c < C; c++) {
-                        const float *xc = xbase + c * Hp * Wp;
-                        const float *wc = wb + c * K * K;
-                        for (i64 kh = 0; kh < K; kh++) {
-                            const float *xr = xc + kh * Wp;
-                            for (i64 kw = 0; kw < K; kw++) {
-                                const float *xv = xr + kw;
-                                const float w0 = wc[kh * K + kw];
-                                const float w1 = wc[CKK + kh * K + kw];
-                                const float w2 = wc[2 * CKK + kh * K + kw];
-                                const float w3 = wc[3 * CKK + kh * K + kw];
-                                for (i64 i = 0; i < TILE; i++) {
-                                    a[0][i] += w0 * xv[i];
-                                    a[1][i] += w1 * xv[i];
-                                    a[2][i] += w2 * xv[i];
-                                    a[3][i] += w3 * xv[i];
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    for (i64 c = 0; c < C; c++) {
-                        const float *xc = xbase + c * Hp * Wp;
-                        for (i64 kh = 0; kh < K; kh++) {
-                            const float *xr = xc + kh * Wp;
-                            for (i64 kw = 0; kw < K; kw++) {
-                                for (i64 j = 0; j < nb; j++) {
-                                    const float wv =
-                                        wb[j * CKK + (c * K + kh) * K + kw];
-                                    for (i64 i = 0; i < len; i++)
-                                        a[j][i] += wv * xr[i * stride + kw];
-                                }
-                            }
-                        }
+static inline void conv_block(const float *restrict xq,
+                              const i64 *restrict toff,
+                              const float *restrict wb, i64 CKK,
+                              float *restrict t) {
+    vf a[4][QV];
+    for (int j = 0; j < 4; j++)
+        for (int v = 0; v < QV; v++)
+            a[j][v] = vf_set1(0.0f);
+    for (i64 k = 0; k < CKK; k++, wb += 4) {
+        vf x[QV];
+        for (int v = 0; v < QV; v++)
+            x[v] = vf_load(xq + toff[k] + v * TILE);
+        for (int j = 0; j < 4; j++) {
+            const vf w = vf_set1(wb[j]);
+            for (int v = 0; v < QV; v++)
+                a[j][v] += w * x[v];
+        }
+    }
+    for (int j = 0; j < 4; j++)
+        for (int v = 0; v < QV; v++)
+            vf_store(t + j * QT + v * TILE, a[j][v] + vf_set1(wb[j]));
+}
+
+/* Tiles per parallel work item of conv_flat: one division to locate
+ * the chunk's first position, then the (sample, row, column) of every
+ * tile follows incrementally. */
+#define QCHUNK (16 * QT)
+
+/* ------------------------------------------------------------------ */
+/* Stride-1 valid convolution over flattened padded planes.            */
+/*                                                                     */
+/* src:(N, C, Hs, Ws) is flattened into (Hp, Wp) planes (element       */
+/* (h, w) at (border + h*dil, border + w*dil), see flatten_planes) and */
+/* convolved with w as addressed by (so, sc, flip) (see pack_weights)  */
+/* into out:(N, O, Hp-K+1, Wp-K+1), dense.  Every tile of QT           */
+/* consecutive positions is computed in full; only the runs that are   */
+/* real output columns of real output rows are stored.  Returns 0,     */
+/* with out untouched, when the scratch cannot be allocated.           */
+/* ------------------------------------------------------------------ */
+static int conv_flat(const float *restrict src, const float *restrict w,
+                     const float *restrict bias, float *restrict out, i64 N,
+                     i64 C, i64 Hs, i64 Ws, i64 Hp, i64 Wp, i64 border,
+                     i64 dil, i64 O, i64 K, i64 so, i64 sc, int flip) {
+    const i64 OH = Hp - K + 1, OW = Wp - K + 1;
+    const i64 L = N * Hp * Wp, CKK = C * K * K;
+    const i64 pitch = flat_pitch(L, K, Wp);
+    const i64 wblock = CKK * 4 + 4; /* packed floats per 4 channels */
+    /* The planes get an allocation of their own: the slack they end in
+     * is the only thing between a tile's over-read and the heap. */
+    float *xp = malloc((size_t)(C * pitch) * sizeof(float));
+    i64 *toff = malloc((size_t)CKK * sizeof(i64) +
+                       (size_t)((O + 3) / 4 * wblock) * sizeof(float));
+    if (!xp || !toff) {
+        free(xp);
+        free(toff);
+        return 0;
+    }
+    float *wp = (float *)(toff + CKK);
+    flatten_planes(src, xp, N, C, C, Hs, Ws, Hp, Wp, border, dil, pitch);
+    pack_weights(w, bias, wp, O, C, K * K, so, sc, flip);
+    for (i64 c = 0; c < C; c++)
+        for (i64 kh = 0; kh < K; kh++)
+            for (i64 kw = 0; kw < K; kw++)
+                toff[(c * K + kh) * K + kw] = c * pitch + kh * Wp + kw;
+    i64 chunk;
+#if defined(_OPENMP)
+#pragma omp parallel for schedule(static)
+#endif
+    for (chunk = 0; chunk < (L + QCHUNK - 1) / QCHUNK; chunk++) {
+        i64 q = chunk * QCHUNK;
+        const i64 qend = min_i64(q + QCHUNK, L);
+        i64 col = q % Wp, oh = (q / Wp) % Hp, n = q / (Wp * Hp);
+        for (; q < qend; q += QT) {
+            /* Valid runs of this tile: lanes [lane, lane+len) are
+             * output elements off.. of channel 0 of their sample. */
+            i64 lane[QT], len[QT], off[QT];
+            i64 runs = 0;
+            for (i64 i = 0; i < QT && n < N;) {
+                const i64 seg = min_i64(Wp - col, QT - i);
+                if (oh < OH && col < OW) {
+                    lane[runs] = i;
+                    len[runs] = min_i64(OW - col, seg);
+                    off[runs] = (n * O * OH + oh) * OW + col;
+                    runs++;
+                }
+                i += seg;
+                col += seg;
+                if (col == Wp) {
+                    col = 0;
+                    if (++oh == Hp) {
+                        oh = 0;
+                        n++;
                     }
                 }
-                for (i64 j = 0; j < nb; j++) {
-                    const float bv = bias ? bias[ob + j] : 0.0f;
-                    float *orow_p = op + (ob + j) * oplane + oh * orow + ow0;
-                    for (i64 i = 0; i < len; i++)
-                        orow_p[i] = a[j][i] + bv;
+            }
+            if (!runs)
+                continue;
+            for (i64 ob = 0; ob < O; ob += 4) {
+                float t[4 * QT];
+                conv_block(xp + q, toff, wp + (ob / 4) * wblock, CKK, t);
+                for (i64 j = 0; j < min_i64(4, O - ob); j++) {
+                    float *op = out + (ob + j) * OH * OW;
+                    for (i64 r = 0; r < runs; r++)
+                        memcpy(op + off[r], t + j * QT + lane[r],
+                               (size_t)len[r] * sizeof(float));
                 }
             }
         }
     }
+    free(xp);
+    free(toff);
+    return 1;
 }
+
+/* Positions per weight-gradient chunk: a float32 lane accumulates
+ * WCHUNK/TILE products before it is widened to float64, and the 2*WB
+ * operand rows of one chunk stay in L1 across the K*K taps. */
+#define WCHUNK (64 * TILE)
+
+/* ------------------------------------------------------------------ */
+/* Microkernel: WB x WB block of dot products over `tiles` tiles.      */
+/* s[j*WB+i] = sum_q g[j*pitch + q] * x[i*pitch + q].                  */
+/* ------------------------------------------------------------------ */
+static inline void dot_block(const float *restrict g,
+                             const float *restrict x, i64 pitch, i64 tiles,
+                             float *restrict s) {
+    vf a[WB][WB];
+    for (int j = 0; j < WB; j++)
+        for (int i = 0; i < WB; i++)
+            a[j][i] = vf_set1(0.0f);
+    for (i64 t = 0; t < tiles; t++, g += TILE, x += TILE) {
+        vf xv[WB];
+        for (int i = 0; i < WB; i++)
+            xv[i] = vf_load(x + i * pitch);
+        for (int j = 0; j < WB; j++) {
+            const vf gv = vf_load(g + j * pitch);
+            for (int i = 0; i < WB; i++)
+                a[j][i] += gv * xv[i];
+        }
+    }
+    for (int j = 0; j < WB; j++)
+        for (int i = 0; i < WB; i++)
+            s[j * WB + i] = vf_sum(a[j][i]);
+}
+
+/* ------------------------------------------------------------------ */
+/* Stride-1 weight/bias gradient over flattened planes.                */
+/*                                                                     */
+/* x is flattened into padded (Hp, Wp) planes and g into planes of the */
+/* same pitch with zeros in the garbage slots, both rounded up to a    */
+/* multiple of WB zero rows; gw[o,c,kh,kw] is then the dot product of  */
+/* g row o with x row c shifted by kh*Wp + kw, and gb[o] the sum of g  */
+/* row o.  Returns 0, with nothing written, when the scratch cannot    */
+/* be allocated.                                                       */
+/* ------------------------------------------------------------------ */
+static int wgrad_flat(const float *restrict x, const float *restrict g,
+                      float *restrict gw, float *restrict gb, i64 N, i64 C,
+                      i64 H, i64 W, i64 O, i64 K, i64 pad) {
+    const i64 Hp = H + 2 * pad, Wp = W + 2 * pad, L = N * Hp * Wp;
+    const i64 KK = K * K, cblocks = (C + WB - 1) / WB;
+    const i64 oblocks = (O + WB - 1) / WB;
+    const i64 pitch = flat_pitch(L, K, Wp);
+    /* Separate allocations, each ending in its own slack (see
+     * conv_flat). */
+    float *xp = malloc((size_t)(cblocks * WB * pitch) * sizeof(float));
+    float *gp = malloc((size_t)(oblocks * WB * pitch) * sizeof(float));
+    double *acc = malloc((size_t)(oblocks * cblocks * KK * WB * WB) *
+                         sizeof(double));
+    if (!xp || !gp || !acc) {
+        free(xp);
+        free(gp);
+        free(acc);
+        return 0;
+    }
+    flatten_planes(x, xp, N, C, cblocks * WB, H, W, Hp, Wp, pad, 1, pitch);
+    flatten_planes(g, gp, N, O, oblocks * WB, Hp - K + 1, Wp - K + 1, Hp, Wp,
+                   0, 1, pitch);
+    i64 blk, o;
+#if defined(_OPENMP)
+#pragma omp parallel for schedule(static)
+#endif
+    for (blk = 0; blk < oblocks * cblocks; blk++) {
+        const i64 ob = blk / cblocks * WB, cb = blk % cblocks * WB;
+        double *ab = acc + blk * KK * WB * WB;
+        for (i64 i = 0; i < KK * WB * WB; i++)
+            ab[i] = 0.0;
+        for (i64 q = 0; q < L; q += WCHUNK) {
+            const i64 tiles = (min_i64(WCHUNK, L - q) + TILE - 1) / TILE;
+            for (i64 k = 0; k < KK; k++) {
+                float s[WB * WB];
+                dot_block(gp + ob * pitch + q,
+                          xp + cb * pitch + q + (k / K) * Wp + k % K, pitch,
+                          tiles, s);
+                for (int i = 0; i < WB * WB; i++)
+                    ab[k * WB * WB + i] += (double)s[i];
+            }
+        }
+        for (i64 j = 0; j < min_i64(WB, O - ob); j++)
+            for (i64 i = 0; i < min_i64(WB, C - cb); i++)
+                for (i64 k = 0; k < KK; k++)
+                    gw[((ob + j) * C + cb + i) * KK + k] =
+                        (float)ab[(k * WB + j) * WB + i];
+    }
+#if defined(_OPENMP)
+#pragma omp parallel for schedule(static)
+#endif
+    for (o = 0; o < (gb ? O : 0); o++) {
+        double bacc = 0.0;
+        for (i64 q = 0; q < L; q += WCHUNK) {
+            vf a = vf_set1(0.0f);
+            for (i64 i = q; i < min_i64(q + WCHUNK, L); i += TILE)
+                a += vf_load(gp + o * pitch + i);
+            bacc += (double)vf_sum(a);
+        }
+        gb[o] = (float)bacc;
+    }
+    free(xp);
+    free(gp);
+    free(acc);
+    return 1;
+}
+
+#endif /* HAVE_VEC */
 
 /* ------------------------------------------------------------------ */
 /* Convolution forward.                                                */
@@ -215,93 +468,39 @@ static void conv_sample(const float *restrict xp, const float *restrict w,
 EXPORT void conv2d_forward(const float *x, const float *w, const float *bias,
                            float *out, i64 N, i64 C, i64 H, i64 W, i64 O,
                            i64 K, i64 stride, i64 pad, i64 OH, i64 OW) {
-    const i64 Hp = H + 2 * pad, Wp = W + 2 * pad;
-    const float *xp = x;
-    float *scratch = NULL;
-    if (pad > 0) {
-        scratch = malloc((size_t)(N * C * Hp * Wp) * sizeof(float));
-        if (!scratch) {
-            conv2d_forward_naive(x, w, bias, out, N, C, H, W, O, K, stride,
-                                 pad, OH, OW);
-            return;
-        }
-        pad_planes(x, scratch, N * C, H, W, pad);
-        xp = scratch;
-    }
-    i64 n;
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
+#if defined(HAVE_VEC)
+    if (stride == 1 &&
+        conv_flat(x, w, bias, out, N, C, H, W, H + 2 * pad, W + 2 * pad, pad,
+                  1, O, K, C * K * K, K * K, 0))
+        return;
 #endif
-    for (n = 0; n < N; n++)
-        conv_sample(xp + n * C * Hp * Wp, w, bias, out + n * O * OH * OW, C,
-                    Hp, Wp, O, K, stride, OH, OW, OW, OH * OW);
-    free(scratch);
+    conv2d_forward_naive(x, w, bias, out, N, C, H, W, O, K, stride, pad, OH,
+                         OW);
 }
 
 /* ------------------------------------------------------------------ */
 /* Convolution input gradient, as a convolution: gx is the stride-1    */
 /* valid conv of the dilated-padded output gradient with the           */
-/* channel-transposed, spatially-flipped weights.                      */
+/* channel-transposed, spatially-flipped weights                       */
+/* wt[c][o][k] = w[o][c][K*K-1-k].                                     */
 /* ------------------------------------------------------------------ */
 EXPORT void conv2d_backward_input(const float *g, const float *w, float *gx,
                                   i64 N, i64 C, i64 H, i64 W, i64 O, i64 K,
                                   i64 stride, i64 pad, i64 OH, i64 OW) {
-    const i64 q = K - 1 - pad; /* transpose-conv padding */
-    if (q < 0) {
-        conv2d_backward_input_naive(g, w, gx, N, C, H, W, O, K, stride, pad,
-                                    OH, OW);
+#if defined(HAVE_VEC)
+    /* g is dilated by the stride and padded by q = K-1-pad; when
+     * (H + 2p - K) is not divisible by the stride the last input
+     * rows/cols are only reached by the smaller taps, and the extra
+     * bottom/right padding that accounts for them makes the padded
+     * plane exactly (H + K - 1, W + K - 1), i.e. the valid conv output
+     * (H, W). */
+    const i64 q = K - 1 - pad;
+    if (q >= 0 && conv_flat(g, w, NULL, gx, N, O, OH, OW, H + K - 1,
+                            W + K - 1, q, stride, C, K, K * K, C * K * K, 1))
         return;
-    }
-    const i64 Hd = (OH - 1) * stride + 1, Wd = (OW - 1) * stride + 1;
-    /* When (H + 2p - K) is not divisible by the stride, the last
-     * rh/rw input rows/cols are only reached by the *smaller* kernel
-     * taps; extending the right/bottom padding by the remainder makes
-     * the valid conv output exactly (H, W). */
-    const i64 rh = (H + 2 * pad - K) - (OH - 1) * stride;
-    const i64 rw = (W + 2 * pad - K) - (OW - 1) * stride;
-    const i64 Hdp = Hd + 2 * q + rh, Wdp = Wd + 2 * q + rw;
-    float *wt = malloc((size_t)(C * O * K * K) * sizeof(float));
-    float *gdp = malloc((size_t)(N * O * Hdp * Wdp) * sizeof(float));
-    if (!wt || !gdp) {
-        free(wt);
-        free(gdp);
-        conv2d_backward_input_naive(g, w, gx, N, C, H, W, O, K, stride, pad,
-                                    OH, OW);
-        return;
-    }
-    /* wt[c][o][kh][kw] = w[o][c][K-1-kh][K-1-kw] */
-    for (i64 c = 0; c < C; c++)
-        for (i64 o = 0; o < O; o++)
-            for (i64 kh = 0; kh < K; kh++)
-                for (i64 kw = 0; kw < K; kw++)
-                    wt[((c * O + o) * K + kh) * K + kw] =
-                        w[((o * C + c) * K + (K - 1 - kh)) * K + (K - 1 - kw)];
-    i64 pl;
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
 #endif
-    for (pl = 0; pl < N * O; pl++) {
-        const float *src = g + pl * OH * OW;
-        float *dst = gdp + pl * Hdp * Wdp;
-        memset(dst, 0, (size_t)(Hdp * Wdp) * sizeof(float));
-        for (i64 oh = 0; oh < OH; oh++) {
-            float *row = dst + (q + oh * stride) * Wdp + q;
-            if (stride == 1)
-                memcpy(row, src + oh * OW, (size_t)OW * sizeof(float));
-            else
-                for (i64 ow = 0; ow < OW; ow++)
-                    row[ow * stride] = src[oh * OW + ow];
-        }
-    }
-    i64 n;
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-    for (n = 0; n < N; n++)
-        conv_sample(gdp + n * O * Hdp * Wdp, wt, NULL, gx + n * C * H * W, O,
-                    Hdp, Wdp, C, K, 1, H, W, W, H * W);
-    free(wt);
-    free(gdp);
+    conv2d_backward_input_naive(g, w, gx, N, C, H, W, O, K, stride, pad, OH,
+                                OW);
 }
 
 /* ------------------------------------------------------------------ */
@@ -312,141 +511,12 @@ EXPORT void conv2d_backward_weight(const float *x, const float *g, float *gw,
                                    float *gb, i64 N, i64 C, i64 H, i64 W,
                                    i64 O, i64 K, i64 stride, i64 pad, i64 OH,
                                    i64 OW) {
-    const i64 Hp = H + 2 * pad, Wp = W + 2 * pad;
-    const float *xp = x;
-    float *scratch = NULL;
-    if (pad > 0) {
-        scratch = malloc((size_t)(N * C * Hp * Wp) * sizeof(float));
-        if (!scratch) {
-            conv2d_backward_weight_naive(x, g, gw, gb, N, C, H, W, O, K,
-                                         stride, pad, OH, OW);
-            return;
-        }
-        pad_planes(x, scratch, N * C, H, W, pad);
-        xp = scratch;
-    }
-    i64 o;
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
+#if defined(HAVE_VEC)
+    if (stride == 1 && wgrad_flat(x, g, gw, gb, N, C, H, W, O, K, pad))
+        return;
 #endif
-    for (o = 0; o < O; o++) {
-        if (gb) {
-            double bacc = 0.0;
-            for (i64 n = 0; n < N; n++) {
-                const float *gp = g + ((n * O + o) * OH) * OW;
-                float racc[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-                i64 i = 0;
-                for (; i + 4 <= OH * OW; i += 4) {
-                    racc[0] += gp[i];
-                    racc[1] += gp[i + 1];
-                    racc[2] += gp[i + 2];
-                    racc[3] += gp[i + 3];
-                }
-                for (; i < OH * OW; i++)
-                    racc[0] += gp[i];
-                bacc += (double)((racc[0] + racc[1]) + (racc[2] + racc[3]));
-            }
-            gb[o] = (float)bacc;
-        }
-        for (i64 c = 0; c < C; c++) {
-            float *gwr = gw + (o * C + c) * K * K;
-#if defined(HAVE_V16)
-            if (K == 3 && stride == 1) {
-                /* Nine tap accumulators, each one 16-float register
-                 * vector, held across the whole plane; one grad load
-                 * feeds nine fmas. */
-                double accd[9] = {0.0};
-                for (i64 n = 0; n < N; n++) {
-                    const float *gp = g + ((n * O + o) * OH) * OW;
-                    const float *xc = xp + (n * C + c) * Hp * Wp;
-                    v16 a0 = {0.0f}, a1 = {0.0f}, a2 = {0.0f};
-                    v16 a3 = {0.0f}, a4 = {0.0f}, a5 = {0.0f};
-                    v16 a6 = {0.0f}, a7 = {0.0f}, a8 = {0.0f};
-                    float tl[9] = {0.0f};
-                    for (i64 oh = 0; oh < OH; oh++) {
-                        const float *gr = gp + oh * OW;
-                        const float *x0 = xc + oh * Wp;
-                        const float *x1 = x0 + Wp;
-                        const float *x2 = x1 + Wp;
-                        i64 ow0 = 0;
-                        for (; ow0 + TILE <= OW; ow0 += TILE) {
-                            const v16 gv = v16_load(gr + ow0);
-                            a0 += gv * v16_load(x0 + ow0);
-                            a1 += gv * v16_load(x0 + ow0 + 1);
-                            a2 += gv * v16_load(x0 + ow0 + 2);
-                            a3 += gv * v16_load(x1 + ow0);
-                            a4 += gv * v16_load(x1 + ow0 + 1);
-                            a5 += gv * v16_load(x1 + ow0 + 2);
-                            a6 += gv * v16_load(x2 + ow0);
-                            a7 += gv * v16_load(x2 + ow0 + 1);
-                            a8 += gv * v16_load(x2 + ow0 + 2);
-                        }
-                        for (; ow0 < OW; ow0++) {
-                            const float gv = gr[ow0];
-                            tl[0] += gv * x0[ow0];
-                            tl[1] += gv * x0[ow0 + 1];
-                            tl[2] += gv * x0[ow0 + 2];
-                            tl[3] += gv * x1[ow0];
-                            tl[4] += gv * x1[ow0 + 1];
-                            tl[5] += gv * x1[ow0 + 2];
-                            tl[6] += gv * x2[ow0];
-                            tl[7] += gv * x2[ow0 + 1];
-                            tl[8] += gv * x2[ow0 + 2];
-                        }
-                    }
-                    accd[0] += (double)(v16_sum(a0) + tl[0]);
-                    accd[1] += (double)(v16_sum(a1) + tl[1]);
-                    accd[2] += (double)(v16_sum(a2) + tl[2]);
-                    accd[3] += (double)(v16_sum(a3) + tl[3]);
-                    accd[4] += (double)(v16_sum(a4) + tl[4]);
-                    accd[5] += (double)(v16_sum(a5) + tl[5]);
-                    accd[6] += (double)(v16_sum(a6) + tl[6]);
-                    accd[7] += (double)(v16_sum(a7) + tl[7]);
-                    accd[8] += (double)(v16_sum(a8) + tl[8]);
-                }
-                for (i64 k = 0; k < 9; k++)
-                    gwr[k] = (float)accd[k];
-            } else {
-#else
-            if (0) {
-            } else {
-#endif
-                for (i64 kh = 0; kh < K; kh++) {
-                    for (i64 kw = 0; kw < K; kw++) {
-                        double acc = 0.0;
-                        for (i64 n = 0; n < N; n++) {
-                            const float *gp = g + ((n * O + o) * OH) * OW;
-                            const float *xc = xp + (n * C + c) * Hp * Wp;
-                            for (i64 oh = 0; oh < OH; oh++) {
-                                const float *gr = gp + oh * OW;
-                                const float *xr =
-                                    xc + (oh * stride + kh) * Wp + kw;
-                                float dot[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-                                i64 i = 0;
-                                if (stride == 1) {
-                                    for (; i + 4 <= OW; i += 4) {
-                                        dot[0] += gr[i] * xr[i];
-                                        dot[1] += gr[i + 1] * xr[i + 1];
-                                        dot[2] += gr[i + 2] * xr[i + 2];
-                                        dot[3] += gr[i + 3] * xr[i + 3];
-                                    }
-                                    for (; i < OW; i++)
-                                        dot[0] += gr[i] * xr[i];
-                                } else {
-                                    for (; i < OW; i++)
-                                        dot[0] += gr[i] * xr[i * stride];
-                                }
-                                acc += (double)((dot[0] + dot[1]) +
-                                                (dot[2] + dot[3]));
-                            }
-                        }
-                        gwr[kh * K + kw] = (float)acc;
-                    }
-                }
-            }
-        }
-    }
-    free(scratch);
+    conv2d_backward_weight_naive(x, g, gw, gb, N, C, H, W, O, K, stride, pad,
+                                 OH, OW);
 }
 
 /* ------------------------------------------------------------------ */

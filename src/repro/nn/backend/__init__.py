@@ -13,6 +13,7 @@ from .base import (
     Backend,
     BackendSpec,
     ConvCtx,
+    NormCtx,
     backend_scope,
     current_backend,
     get_backend,
@@ -33,6 +34,7 @@ __all__ = [
     "FusedBackend",
     "NativeBackend",
     "NativeUnavailableError",
+    "NormCtx",
     "NumpyBackend",
     "WorkspacePool",
     "backend_scope",

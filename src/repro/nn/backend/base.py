@@ -1,12 +1,12 @@
 """Backend protocol, registry and selection context for tensor ops.
 
 Every heavy tensor primitive of the layer framework — im2col+GEMM
-convolution, linear GEMMs, pooling unfold/fold, the attention einsums
-and the batch-norm moment reductions — dispatches through the active
-:class:`Backend`.  Layers never call ``np.einsum`` / ``np.matmul`` on
-the hot path directly; they ask :func:`current_backend` (or the context
-that produced their forward cache) so an alternative substrate is a
-one-argument change.
+convolution, linear GEMMs, pooling unfold/fold, the attention einsums,
+batch normalisation and the layer-norm moment reductions — dispatches
+through the active :class:`Backend`.  Layers never call ``np.einsum``
+/ ``np.matmul`` on the hot path directly; they ask
+:func:`current_backend` (or the context that produced their forward
+cache) so an alternative substrate is a one-argument change.
 
 Selection works at three levels, innermost wins:
 
@@ -63,6 +63,30 @@ class ConvCtx:
         if self.pooled and not self.released:
             self.released = True
             self.backend.release(self.cols)
+
+
+@dataclass
+class NormCtx:
+    """Forward context a backend hands to its own ``batchnorm_backward``.
+
+    ``backend`` pins backward to the backend that produced the context,
+    exactly as :class:`ConvCtx` does — which matters more here, because
+    ``saved`` is a backend-private representation: the normalised
+    ``x_hat`` on the reference backend, the merely centred ``x - mean``
+    on the fused one.  Backward only reads it: a second backward, and
+    the pipeline executor's cache snapshot/restore, see the same
+    tensors.
+    """
+
+    backend: "Backend"
+    saved: np.ndarray
+    inv_std: np.ndarray
+
+
+def channel_axes(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(reduction axes, broadcast shape) of a per-channel statistic of
+    an ``ndim``-D tensor whose channels are axis 1."""
+    return (0, *range(2, ndim)), (1, -1) + (1,) * (ndim - 2)
 
 
 class Backend:
@@ -169,6 +193,40 @@ class Backend:
 
     def attn_context_t(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
         """``bhqk,bhqd->bhkd`` (d_v and d_k backward)."""
+        raise NotImplementedError
+
+    # -- batch normalisation ----------------------------------------------
+    def batchnorm_forward(
+        self,
+        x: np.ndarray,
+        gamma: np.ndarray,
+        beta: np.ndarray,
+        eps: float,
+        stats: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        relu: bool = False,
+        need_ctx: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[NormCtx]]:
+        """``gamma * (x - mean) / sqrt(var + eps) + beta`` per channel
+        (axis 1; every other axis is reduced, so 2-D and 4-D batch norm
+        share the op).  ``stats=None`` normalises with the batch mean
+        and biased batch variance, ``stats=(mean, var)`` with the given
+        ones; either way ``(out, mean, var, ctx)`` returns the pair
+        used.  ``relu`` clamps ``out`` at zero and is not part of
+        ``ctx``, which differentiates the normalisation alone.
+        ``need_ctx=False`` (forward-only streams) returns ``ctx=None``
+        and lets the backend reuse its scratch as the output."""
+        raise NotImplementedError
+
+    def batchnorm_backward(
+        self,
+        grad_out: np.ndarray,
+        gamma: np.ndarray,
+        ctx: NormCtx,
+        training: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(grad_x, grad_gamma, grad_beta)``; ``training`` says the
+        forward used batch statistics, which then carry gradient.  Must
+        not modify ``ctx``."""
         raise NotImplementedError
 
     # -- normalization moments -------------------------------------------

@@ -20,12 +20,16 @@ idiom (per-op equivalence is pinned at ``atol <= 1e-5`` by
 * 1x1 stride-1 convolutions skip im2col entirely: the input *is* the
   column matrix as a reshape view and the forward is one batched matmul
   — the bottleneck-conv fast path that dominates ResNet-style models.
+* Batch normalisation works off one centred tensor ``x - mean``, shared
+  by the variance (a contraction, no squared temporary), the output and
+  the backward (two reductions, four elementwise passes); forward-only
+  streams normalise in place, one allocation per call.
 * Forward-only (``nn.no_grad``) streams run through the shared fold
   pipeline (:mod:`repro.nn.passes`): conv+BN(+ReLU) collapses into one
-  GEMM with per-channel-rescaled weights, BN+ReLU into an in-place
-  affine, linear+activation into a GEMM with the activation applied in
-  place — version-cache invalidation and eligibility rules live with
-  the passes (DESIGN.md §8, §10).
+  GEMM with per-channel-rescaled weights, BN+ReLU into one
+  ``batchnorm_forward(relu=True)`` call, linear+activation into a GEMM
+  with the activation applied in place — version-cache invalidation
+  and eligibility rules live with the passes (DESIGN.md §8, §10).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .. import functional as F
-from .base import ConvCtx, register_backend
+from .base import ConvCtx, NormCtx, channel_axes, register_backend
 from .numpy_backend import NumpyBackend
 
 
@@ -252,11 +256,72 @@ class FusedBackend(NumpyBackend):
     def attn_context_t(self, p, g):
         return np.matmul(p.swapaxes(2, 3), g)
 
-    # Batch-norm moments deliberately inherit the reference two-pass
-    # mean/var: measurement showed NumPy's pairwise-summation reductions
-    # are already optimal here, and every single-pass sum-of-squares
-    # variant either loses to it or breaks the atol<=1e-5 equivalence
-    # pin through catastrophic cancellation on offset activations.
+    # -- batch normalisation ----------------------------------------------
+    # Everything after the one mean pass works off the centred tensor
+    # ``xc = x - mean``: the variance is a contraction of xc with itself,
+    # the output is xc times one per-channel factor, and xc — never
+    # x_hat — is what backward keeps, so the reference's four full-size
+    # forward temporaries and seven backward passes become two and four.
+    #
+    # The variance must come from the *centred* buffer.  The single-pass
+    # shortcut E[x^2] - E[x]^2 subtracts two numbers of size offset^2 to
+    # get one of size std^2 and loses every digit once a channel's
+    # offset is a few hundred standard deviations (post-ReLU activations
+    # feeding the next BN are offset by construction); it breaks the
+    # atol<=1e-5 equivalence pin long before that.  For the same reason
+    # the mean is NumPy's pairwise ``x.mean`` — the reference's own, so
+    # xc is bit-identical to the reference's — and not a faster
+    # sequential sum.  ``moments`` (LayerNorm, ``accel.calibrate``)
+    # inherits the reference two-pass mean/var unchanged: reducing over
+    # the last axis NumPy's pairwise reductions are already optimal.
+    @staticmethod
+    def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``sum(a * b)`` over every axis but 1, without the product."""
+        axes = list(range(a.ndim))
+        return np.einsum(a, axes, b, axes, [1])
+
+    def batchnorm_forward(
+        self, x, gamma, beta, eps, stats=None, relu=False, need_ctx=True
+    ):
+        axes, shape = channel_axes(x.ndim)
+        mean = x.mean(axis=axes) if stats is None else stats[0]
+        xc = x - mean.reshape(shape)
+        if stats is None:
+            var = self._channel_dot(xc, xc) / (x.size // x.shape[1])
+        else:
+            var = stats[1]
+        inv_std = 1.0 / np.sqrt(var + eps)
+        # Forward-only streams normalise in place: xc is the one
+        # full-size allocation of the op.
+        out = np.multiply(
+            xc, (gamma * inv_std).reshape(shape), out=None if need_ctx else xc
+        )
+        out += beta.reshape(shape)
+        if relu:
+            np.maximum(out, 0.0, out=out)
+        ctx = NormCtx(self, xc, inv_std) if need_ctx else None
+        return out, mean, var, ctx
+
+    def batchnorm_backward(self, grad_out, gamma, ctx, training):
+        xc, inv_std = ctx.saved, ctx.inv_std
+        _, shape = channel_axes(grad_out.ndim)
+        # The two reductions every term below is built from.  (einsum's
+        # plain accumulation is enough here: gradients carry no offset,
+        # and mean(g) is only ever subtracted from g.)
+        sum_g = np.einsum(grad_out, list(range(grad_out.ndim)), [1])
+        sum_gxc = self._channel_dot(grad_out, xc)
+        grad_gamma = sum_gxc * inv_std
+        scale = (gamma * inv_std).reshape(shape)
+        if not training:
+            return grad_out * scale, grad_gamma, sum_g
+        # scale * (g - mean(g) - x_hat * mean(g * x_hat)) with
+        # x_hat = xc * inv_std folded into the per-channel coefficient.
+        count = grad_out.size // grad_out.shape[1]
+        grad_x = xc * (grad_gamma * inv_std / count).reshape(shape)
+        np.subtract(grad_out, grad_x, out=grad_x)
+        grad_x -= (sum_g / count).reshape(shape)
+        grad_x *= scale
+        return grad_x, grad_gamma, sum_g
 
 
 register_backend("fused", FusedBackend)

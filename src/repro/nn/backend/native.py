@@ -28,10 +28,10 @@ dilated-padded output gradient with flipped weights) and weight gradient
 formulation.  The slack a tile reads past the last plane lives *inside*
 the scratch copy, zeroed; the caller's arrays are never over-read.
 
-Everything else (linear GEMMs, attention contractions, moments, the 1x1
-pointwise fast path, the workspace pool for pooling layers) is
-inherited from :class:`~.fused.FusedBackend`, as is the fold pipeline,
-so a folded no-grad graph runs identically on both.
+Everything else (linear GEMMs, attention contractions, the batch-norm
+op pair, moments, the 1x1 pointwise fast path, the workspace pool for
+pooling layers) is inherited from :class:`~.fused.FusedBackend`, as is
+the fold pipeline, so a folded no-grad graph runs identically on both.
 
 What stays off the C kernels, and why.  Narrow planes are *not* routed
 to the inherited im2col path: measured on the VGG13 benchmark workload

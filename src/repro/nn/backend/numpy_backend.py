@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .. import functional as F
-from .base import Backend, ConvCtx, register_backend
+from .base import Backend, ConvCtx, NormCtx, channel_axes, register_backend
 
 
 class NumpyBackend(Backend):
@@ -81,6 +81,36 @@ class NumpyBackend(Backend):
 
     def attn_context_t(self, p, g):
         return np.einsum("bhqk,bhqd->bhkd", p, g, optimize=True)
+
+    # -- batch normalisation ----------------------------------------------
+    def batchnorm_forward(
+        self, x, gamma, beta, eps, stats=None, relu=False, need_ctx=True
+    ):
+        axes, shape = channel_axes(x.ndim)
+        mean, var = self.moments(x, axes) if stats is None else stats
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+        out = gamma.reshape(shape) * x_hat + beta.reshape(shape)
+        if relu:
+            out = np.maximum(out, 0.0)
+        ctx = NormCtx(self, x_hat, inv_std) if need_ctx else None
+        return out, mean, var, ctx
+
+    def batchnorm_backward(self, grad_out, gamma, ctx, training):
+        x_hat, inv_std = ctx.saved, ctx.inv_std
+        axes, shape = channel_axes(grad_out.ndim)
+        inv_std = inv_std.reshape(shape)
+        grad_gamma = (grad_out * x_hat).sum(axis=axes)
+        grad_beta = grad_out.sum(axis=axes)
+        g = grad_out * gamma.reshape(shape)
+        if not training:
+            return g * inv_std, grad_gamma, grad_beta
+        g_mean = g.mean(axis=axes, keepdims=True)
+        gx_mean = (g * x_hat).mean(axis=axes, keepdims=True)
+        # Standard batchnorm backward; the element count cancels into
+        # the two means.
+        grad_x = inv_std * (g - g_mean - x_hat * gx_mean)
+        return grad_x, grad_gamma, grad_beta
 
     # -- normalization moments -------------------------------------------
     def moments(

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend import current_backend
+from ..backend import NormCtx, current_backend
 from ..module import (
     NO_GRAD,
     Module,
@@ -17,122 +17,90 @@ from ..module import (
 from .. import init
 
 
-class BatchNorm2d(Module):
+class _BatchNorm(Module):
+    """Batch normalisation over axis 1 of an ``_ndim``-D tensor.
+
+    The arithmetic is the backend's ``batchnorm_forward`` /
+    ``batchnorm_backward`` pair; what lives here is the input check and
+    the running statistics.
+    """
+
+    _ndim: int
+
+    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
+        super().__init__()
+        self.num_features = num_features
+        self.eps = eps
+        self.momentum = momentum
+        self.weight = Parameter(init.ones((num_features,)), name="weight")
+        self.bias = Parameter(init.zeros((num_features,)), name="bias")
+        self.running_mean = np.zeros(num_features, dtype=np.float32)
+        self.running_var = np.ones(num_features, dtype=np.float32)
+        # Bumped whenever the running stats change; the fold passes'
+        # conv+BN cache keys on it (plus Parameter versions).
+        self.stats_version = 0
+        self._cache: Optional[NormCtx] = None
+
+    def _normalize(self, x: np.ndarray, relu: bool = False) -> np.ndarray:
+        """The forward proper, ``relu`` optionally clamped onto it (the
+        BN+ReLU fold's entry point): batch statistics in training mode
+        — advancing the running ones — and the running ones otherwise."""
+        if x.ndim != self._ndim or x.shape[1] != self.num_features:
+            raise ValueError(
+                f"{type(self).__name__} expected {self._ndim}-D input with "
+                f"{self.num_features} channels, got {x.shape}"
+            )
+        grad = is_grad_enabled()
+        out, mean, var, ctx = current_backend().batchnorm_forward(
+            x,
+            self.weight.data,
+            self.bias.data,
+            self.eps,
+            stats=None if self.training else (self.running_mean, self.running_var),
+            relu=relu,
+            need_ctx=grad,
+        )
+        if self.training:
+            # PyTorch-compatible running stats: running_var stores the
+            # unbiased (Bessel-corrected) estimate, while normalisation
+            # uses the biased batch variance.
+            count = x.size // self.num_features
+            unbiased_var = var * (count / (count - 1)) if count > 1 else var
+            self.running_mean = (
+                (1 - self.momentum) * self.running_mean + self.momentum * mean
+            ).astype(np.float32)
+            self.running_var = (
+                (1 - self.momentum) * self.running_var + self.momentum * unbiased_var
+            ).astype(np.float32)
+            self.stats_version += 1
+        self._cache = ctx if grad else NO_GRAD
+        return out
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._normalize(x)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        ctx = self._cache
+        check_backward_cache(ctx, self)
+        # On the backend that produced the context (see NormCtx).
+        grad_x, grad_gamma, grad_beta = ctx.backend.batchnorm_backward(
+            grad_out, self.weight.data, ctx, self.training
+        )
+        self.weight.accumulate_grad(grad_gamma)
+        self.bias.accumulate_grad(grad_beta)
+        return grad_x
+
+
+class BatchNorm2d(_BatchNorm):
     """Batch normalization over the channel dim of NCHW tensors."""
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(init.ones((num_features,)), name="weight")
-        self.bias = Parameter(init.zeros((num_features,)), name="bias")
-        self.running_mean = np.zeros(num_features, dtype=np.float32)
-        self.running_var = np.ones(num_features, dtype=np.float32)
-        # Bumped whenever the running stats change; the fused backend's
-        # folded conv+BN cache keys on it (plus Parameter versions).
-        self.stats_version = 0
-        self._cache: Optional[tuple] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm2d expected NCHW with {self.num_features} channels, "
-                f"got {x.shape}"
-            )
-        if self.training:
-            mean, var = current_backend().moments(x, (0, 2, 3))
-            # PyTorch-compatible running stats: the running_var update
-            # stores the unbiased (Bessel-corrected) estimate, while
-            # normalization below keeps using the biased batch variance.
-            count = x.shape[0] * x.shape[2] * x.shape[3]
-            unbiased_var = var * (count / (count - 1)) if count > 1 else var
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            ).astype(np.float32)
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * unbiased_var
-            ).astype(np.float32)
-            self.stats_version += 1
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._cache = (x_hat, inv_std) if is_grad_enabled() else NO_GRAD
-        return (
-            self.weight.data[None, :, None, None] * x_hat
-            + self.bias.data[None, :, None, None]
-        )
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._cache, self)
-        x_hat, inv_std = self._cache
-        axes = (0, 2, 3)
-        count = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
-        self.weight.accumulate_grad((grad_out * x_hat).sum(axis=axes))
-        self.bias.accumulate_grad(grad_out.sum(axis=axes))
-        gamma = self.weight.data[None, :, None, None]
-        g = grad_out * gamma
-        if not self.training:
-            return g * inv_std[None, :, None, None]
-        g_mean = g.mean(axis=axes, keepdims=True)
-        gx_mean = (g * x_hat).mean(axis=axes, keepdims=True)
-        # Standard batchnorm backward; `count` cancels into the means above.
-        return inv_std[None, :, None, None] * (g - g_mean - x_hat * gx_mean)
+    _ndim = 4
 
 
-class BatchNorm1d(Module):
+class BatchNorm1d(_BatchNorm):
     """Batch normalization over (batch, features) tensors."""
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(init.ones((num_features,)), name="weight")
-        self.bias = Parameter(init.zeros((num_features,)), name="bias")
-        self.running_mean = np.zeros(num_features, dtype=np.float32)
-        self.running_var = np.ones(num_features, dtype=np.float32)
-        self.stats_version = 0
-        self._cache: Optional[tuple] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm1d expected (batch, {self.num_features}), got {x.shape}"
-            )
-        if self.training:
-            mean, var = current_backend().moments(x, (0,))
-            self.stats_version += 1
-            # Unbiased running_var, biased normalization (see BatchNorm2d).
-            count = x.shape[0]
-            unbiased_var = var * (count / (count - 1)) if count > 1 else var
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            ).astype(np.float32)
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * unbiased_var
-            ).astype(np.float32)
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        self._cache = (x_hat, inv_std) if is_grad_enabled() else NO_GRAD
-        return self.weight.data * x_hat + self.bias.data
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._cache, self)
-        x_hat, inv_std = self._cache
-        self.weight.accumulate_grad((grad_out * x_hat).sum(axis=0))
-        self.bias.accumulate_grad(grad_out.sum(axis=0))
-        g = grad_out * self.weight.data
-        if not self.training:
-            return g * inv_std
-        g_mean = g.mean(axis=0, keepdims=True)
-        gx_mean = (g * x_hat).mean(axis=0, keepdims=True)
-        return inv_std * (g - g_mean - x_hat * gx_mean)
+    _ndim = 2
 
 
 class LayerNorm(Module):

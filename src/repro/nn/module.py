@@ -24,7 +24,7 @@ import numpy as np
 #
 # Phase-GP batches and evaluation are *forward-only*: nothing will ever
 # call ``backward``, so retaining backward caches (im2col columns,
-# activation masks, normalization ``x_hat`` — the largest allocations of
+# activation masks, normalization contexts — the largest allocations of
 # a step) is pure waste.  ``no_grad()`` switches every layer's forward
 # into a cache-free mode whose per-layer outputs are bitwise identical
 # to the grad-enabled forward; it is orthogonal to ``train()``/``eval()``
@@ -48,7 +48,7 @@ def no_grad():
 
     Inside the scope every layer forward skips its backward bookkeeping:
     conv layers release their im2col workspace immediately, activations
-    save no masks, normalization layers save no ``x_hat`` — per-layer
+    save no masks, normalization layers save no context — per-layer
     outputs stay bitwise identical (composite fused-backend folding is
     the one atol-level exception, see the module note above).  Calling
     ``backward`` on a layer whose last forward ran under ``no_grad``
@@ -216,8 +216,18 @@ class Module:
             yield from child.named_modules(child_prefix)
 
     def modules(self) -> Iterator["Module"]:
-        for _name, module in self.named_modules():
+        """This module and its descendants, in :meth:`named_modules`
+        order.  A fresh walk every call (``Sequential.append`` mutates
+        ``layers`` in place), but an iterative one — no generator frame
+        per tree level, no dotted names — because ``clear_caches`` and
+        ``train`` run it on every batch."""
+        stack = [self]
+        while stack:
+            module = stack.pop()
             yield module
+            stack.extend(
+                [child for _name, child in module._direct_children()][::-1]
+            )
 
     def parameters(self) -> Iterator[Parameter]:
         seen: set[int] = set()
@@ -249,7 +259,7 @@ class Module:
         """Drop every forward cache in this module tree.
 
         Layer caches (conv columns, pooling argmax, normalization
-        ``x_hat``) are the largest allocations of a training step and
+        contexts) are the largest allocations of a training step and
         would otherwise stay pinned until the *next* forward overwrites
         them; the engine calls this after each batch to cut peak memory
         between batches.  Backward requires a fresh forward afterwards.

@@ -40,13 +40,21 @@ PROFILED_OPS = (
     "attn_scores",
     "attn_context",
     "attn_context_t",
+    "batchnorm_forward",
+    "batchnorm_backward",
     "moments",
     "adaptive_avg_pool2d",
     "adaptive_avg_pool2d_backward",
 )
 
 
+#: Where each context-returning forward op puts its context.
+_CTX_INDEX = {"conv2d_forward": 1, "batchnorm_forward": 3}
+
+
 def _make_op(op_name: str):
+    ctx_index = _CTX_INDEX.get(op_name)
+
     def timed(self, *args, **kwargs):
         inner_op = getattr(self.inner, op_name)
         self._counts[op_name] = count = self._counts.get(op_name, 0) + 1
@@ -68,10 +76,11 @@ def _make_op(op_name: str):
             self._op_seconds.inc(
                 elapsed * self.sample_every, phase=phase, op=op_name
             )
-        # Forward conv contexts come back pinned to the inner backend;
-        # re-pin to the profiler so the paired backward is timed too.
-        if op_name == "conv2d_forward":
-            result[1].backend = self
+        # Forward contexts come back pinned to the inner backend; re-pin
+        # to the profiler so the paired backward is timed too.
+        ctx = result[ctx_index] if ctx_index is not None else None
+        if ctx is not None:
+            ctx.backend = self
         return result
 
     timed.__name__ = op_name

@@ -8,6 +8,23 @@ from hypothesis import strategies as st
 from repro.nn import functional as F
 
 
+class TestPad2d:
+    @pytest.mark.parametrize("fill_value", [0.0, -np.inf, 2.5])
+    @pytest.mark.parametrize("padding", [1, 3])
+    def test_matches_np_pad(self, padding, fill_value):
+        x = np.random.default_rng(0).standard_normal((2, 3, 4, 5)).astype(np.float32)
+        widths = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        expected = np.pad(x, widths, mode="constant", constant_values=fill_value)
+        out = F.pad2d(x[:, :, ::-1], padding, fill_value)  # a non-contiguous view
+        assert out.dtype == x.dtype and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, expected[:, :, ::-1])
+        np.testing.assert_array_equal(F.pad2d(x, padding, fill_value), expected)
+
+    def test_zero_padding_is_the_identity(self):
+        x = np.ones((1, 1, 2, 2), dtype=np.float32)
+        assert F.pad2d(x, 0, -np.inf) is x
+
+
 class TestIm2col:
     def test_shapes(self):
         x = np.random.default_rng(0).standard_normal((2, 3, 8, 8)).astype(np.float32)

@@ -100,6 +100,55 @@ class TestActivations:
         out = nn.ReLU6()(np.array([-1.0, 3.0, 9.0], dtype=np.float32))
         np.testing.assert_array_equal(out, [0.0, 3.0, 6.0])
 
+    # (layer factory, the per-element select each one is defined by:
+    # forward(x) and backward(x, g)).
+    PIECEWISE = {
+        "relu": (
+            nn.ReLU,
+            lambda x: np.where(x > 0.0, x, 0.0),
+            lambda x, g: np.where(x > 0.0, g, 0.0),
+        ),
+        "leaky": (
+            lambda: nn.LeakyReLU(0.1),
+            lambda x: np.where(x > 0.0, x, 0.1 * x),
+            lambda x, g: np.where(x > 0.0, g, 0.1 * g),
+        ),
+        "leaky_steep": (
+            lambda: nn.LeakyReLU(1.5),
+            lambda x: np.where(x > 0.0, x, 1.5 * x),
+            lambda x, g: np.where(x > 0.0, g, 1.5 * g),
+        ),
+        "relu6": (
+            nn.ReLU6,
+            lambda x: np.clip(x, 0.0, 6.0),
+            lambda x, g: np.where((x > 0.0) & (x < 6.0), g, 0.0),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", PIECEWISE)
+    def test_piecewise_linear_is_arithmetic_with_one_semantics(self, name):
+        """The arithmetic forms equal the select they replaced (atol 0)
+        on finite input, and both gradient modes run one expression:
+        bitwise-equal outputs, signed zeros and NaN included — a diverged
+        activation is as loud in a BP batch as in a GP one."""
+        factory, forward, backward = self.PIECEWISE[name]
+        x = (RNG.standard_normal((6, 40)) * 4.0).astype(np.float32)
+        g = RNG.standard_normal(x.shape).astype(np.float32)
+        x[0, :4] = [0.0, -0.0, 6.0, -6.0]
+        layer = factory()
+        out = layer(x)
+        np.testing.assert_array_equal(out, forward(x))
+        grad = layer.backward(g)
+        assert grad.dtype == np.float32
+        np.testing.assert_array_equal(grad, backward(x, g))
+
+        x[1, 0] = np.nan
+        with_grad = factory()(x)
+        with nn.no_grad():
+            without = factory()(x)
+        assert np.isnan(with_grad[1, 0]) and np.isnan(without[1, 0])
+        assert with_grad.tobytes() == without.tobytes()
+
 
 class TestAttention:
     def test_self_attention_shape(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.models.zoo import MINI_BUILDERS, build_mini
 from repro.nn.module import Parameter, predictable_layers
 
 
@@ -51,6 +52,27 @@ class TestModuleIntrospection:
         model = self._model()
         expected = 4 * 3 * 9 + 4 + 4 + 4 + 5 * 4 * 14 * 14 + 5
         assert model.num_parameters() == expected
+
+    @pytest.mark.parametrize("name", sorted(MINI_BUILDERS))
+    def test_modules_walks_in_named_modules_order(self, name):
+        model = build_mini(name, 10, rng=np.random.default_rng(0))
+        walked = list(model.modules())
+        named = [module for _, module in model.named_modules()]
+        assert len(walked) == len(named)
+        assert all(a is b for a, b in zip(walked, named))
+
+    def test_modules_sees_layers_appended_after_a_walk(self):
+        """No cached module list: ``Sequential.append`` mutates
+        ``layers`` in place, and the next ``clear_caches`` must reach
+        the new layer."""
+        model = self._model()
+        model.clear_caches()
+        late = nn.ReLU()
+        model.append(nn.Sequential(late))
+        late(np.ones((2, 5), dtype=np.float32))
+        assert late._mask is not None
+        model.clear_caches()
+        assert late._mask is None
 
     def test_train_eval_propagates(self):
         model = self._model()

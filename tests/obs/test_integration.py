@@ -405,3 +405,25 @@ class TestProfiler:
             profiled.conv2d_backward(np.ones_like(out), w, ctx, with_bias=False)
         calls = reg.counter("repro_backend_op_calls")
         assert calls.value(phase="bp", op="conv2d_backward") == 1
+
+    def test_batchnorm_is_op_time_in_both_directions(self):
+        """The layer's backward goes through the context's pin, so the
+        profiler has to re-pin it to see ``batchnorm_backward``; a
+        forward-only call has no context to pin."""
+        reg = obs.MetricsRegistry()
+        profiled = obs.ProfilingBackend(FusedBackend(), registry=reg)
+        bn = nn.BatchNorm2d(3)
+        x = np.random.default_rng(0).standard_normal((4, 3, 5, 5)).astype(np.float32)
+        with obs.phase_scope("bp"):
+            with nn.backend_scope(profiled):
+                out = bn(x)
+            assert bn._cache.backend is profiled
+            # Outside the backend scope: only the pin can route this.
+            bn.backward(np.ones_like(out))
+        with obs.phase_scope("gp"), nn.backend_scope(profiled), nn.no_grad():
+            bn(x)
+        calls = reg.counter("repro_backend_op_calls")
+        assert calls.value(phase="bp", op="batchnorm_forward") == 1
+        assert calls.value(phase="bp", op="batchnorm_backward") == 1
+        assert calls.value(phase="gp", op="batchnorm_forward") == 1
+        assert calls.value(phase="bp", op="moments") == 0

@@ -14,8 +14,6 @@ import platform
 from pathlib import Path
 from typing import Optional
 
-from repro.obs.snapshots import throughput_snapshot
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,7 +22,6 @@ def record(
     section: str,
     payload: dict,
     workers: Optional[int] = None,
-    throughput=None,
 ) -> Path:
     """Merge ``payload`` under ``section`` into ``REPO_ROOT/filename``.
 
@@ -33,13 +30,6 @@ def record(
     files are comparable at a glance.  Benchmarks that fan out pass
     ``workers=`` and the count lands in the section payload — parallel
     speedup numbers are meaningless without it.
-
-    ``throughput=`` takes a ``ThroughputTimer`` (or an already-built
-    ``repro.obs`` throughput snapshot dict) and embeds the *canonical*
-    per-phase aggregation under ``payload["throughput"]`` — the same
-    dict ``ThroughputTimer.summary`` and the experiment runners format,
-    so a ``BENCH_*.json`` number can never disagree with the engine's
-    own report.
     """
     path = REPO_ROOT / filename
     data: dict = {}
@@ -55,13 +45,6 @@ def record(
     meta["hostname"] = platform.node()
     if workers is not None:
         payload = {**payload, "workers": int(workers)}
-    if throughput is not None:
-        snapshot = (
-            throughput
-            if isinstance(throughput, dict)
-            else throughput_snapshot(throughput)
-        )
-        payload = {**payload, "throughput": snapshot}
     data[section] = payload
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return path

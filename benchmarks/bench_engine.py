@@ -34,7 +34,6 @@ import numpy as np
 
 from _bench_io import record
 from repro import nn
-from repro.obs.snapshots import rate, throughput_snapshot
 from repro.core import (
     GradientPredictor,
     HeuristicSchedule,
@@ -45,6 +44,7 @@ from repro.core import (
 from repro.data import synthetic_images
 from repro.models import build_mini
 from repro.nn.losses import CrossEntropyLoss
+from repro.obs import MetricsRegistry
 
 MIN_BATCHED_SPEEDUP = 1.5
 MIN_FUSED_SPEEDUP = 1.3
@@ -158,13 +158,13 @@ def test_bench_engine_phase_rates(benchmark):
         )
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    # One aggregation for everyone: rates come out of the canonical obs
-    # snapshot, and the snapshot itself rides along in the record — the
-    # bench numbers and the engine's own summary() share one source.
-    snapshot = throughput_snapshot(timer)
-    bp_rate = rate(snapshot, Phase.BP)
-    warmup_rate = rate(snapshot, Phase.WARMUP)
-    gp_rate = rate(snapshot, Phase.GP)
+    # Rates come out of the timer's own snapshot, and the snapshot rides
+    # along in the record — the bench numbers and the engine's summary()
+    # share one source.
+    snapshot = timer.snapshot()
+    bp_rate = snapshot[Phase.BP.value]["batches_per_second"]
+    warmup_rate = snapshot[Phase.WARMUP.value]["batches_per_second"]
+    gp_rate = snapshot[Phase.GP.value]["batches_per_second"]
     benchmark.extra_info["bp_batches_per_s"] = bp_rate
     benchmark.extra_info["warmup_batches_per_s"] = warmup_rate
     benchmark.extra_info["gp_batches_per_s"] = gp_rate
@@ -175,9 +175,9 @@ def test_bench_engine_phase_rates(benchmark):
             "bp_batches_per_s": bp_rate,
             "warmup_batches_per_s": warmup_rate,
             "gp_batches_per_s": gp_rate,
-            "gp_over_bp": gp_rate / bp_rate if bp_rate else float("nan"),
+            "gp_over_bp": gp_rate / bp_rate,
+            "throughput": snapshot,
         },
-        throughput=snapshot,
     )
     print(f"\n{timer.summary()}")
     # Skipping backward must pay off in software too.
@@ -230,14 +230,10 @@ def test_bench_gp_stream_gate(benchmark):
 
     pool = nn.get_backend("fused").pool
 
-    def step(name, capture=None):
+    def step(name):
         phase = Phase.BP if name == "bp" else Phase.GP
         with backend_scope(engine.backend):
             strategies[name].train_batch(x, y, phase)
-        if capture is not None:
-            # Snapshot before clear_caches: clearing resets the pool's
-            # hit/miss counters along with the model caches.
-            capture.update(pool.stats())
         engine.model.clear_caches()
 
     # Warm every path (BLAS planning, workspace pool, predictor scales).
@@ -248,8 +244,16 @@ def test_bench_gp_stream_gate(benchmark):
     # Pool counters across one warm hooked-GP step: the peak-allocation
     # proxy.  A no-grad stream must be allocation-free (all workspace
     # acquisitions served by the pool) and leave nothing checked out.
-    pool_stats: dict = {}
-    step("gp_hooked", capture=pool_stats)
+    # Nothing resets the pool's counters, so the step's own numbers are
+    # a before/after delta of the registry's view of it.
+    registry = MetricsRegistry()
+    registry.attach(pool)
+    before = registry.snapshot()
+    step("gp_hooked")
+    pool_stats = {
+        name.removeprefix("repro_backend_pool_"): entry["series"][""]
+        for name, entry in MetricsRegistry.delta(registry.snapshot(), before).items()
+    }
 
     # Per-variant blocks of rounds (a GP step mutates weights, so the
     # variants cannot share one model state trajectory anyway); each

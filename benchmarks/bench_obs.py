@@ -12,7 +12,7 @@ drift hits every level equally:
   a disabled ``Tracer`` installed globally (every seam branches on
   ``tracer.enabled`` and takes the shared-null-context path);
 * ``enabled`` — the same stack with tracing on: spans buffered per
-  fit/epoch/batch/eval, ledgers bridged at epoch boundaries;
+  fit/epoch/batch/eval, count owners attached to the registry;
 * ``profiled`` — ``enabled`` plus a ``ProfilingBackend`` timing the
   hot ops at its documented low-overhead decimation
   (``sample_every=4`` — counts are scaled back, so totals stay

@@ -4,9 +4,9 @@ The end-to-end tour of ``repro.obs`` (DESIGN.md §14):
 
 1. train a ResNet50-mini with ADA-GP, with both observability
    callbacks attached — ``TracingCallback`` records phase-tagged
-   fit/epoch/batch spans, ``MetricsCallback`` bridges the existing
-   ledgers (``ThroughputTimer``, workspace pool, fold caches) into the
-   metrics registry at epoch boundaries,
+   fit/epoch/batch spans, ``MetricsCallback`` attaches the count
+   owners (``ThroughputTimer``, workspace pool, fold caches) to the
+   metrics registry, which reads them whenever a snapshot is taken,
 2. wrap the compute backend in a ``ProfilingBackend`` so every hot op
    (conv, linear, unfold, …) is timed and attributed to the phase it
    ran under — the software twin of the paper's Fig 15/16 cycle

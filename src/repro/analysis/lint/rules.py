@@ -414,13 +414,13 @@ class ObsDisciplineRule(Rule):
     layers is unstructured output no exporter ever sees, and an ad-hoc
     ``time.perf_counter()`` accumulator is a fourth timing aggregation
     waiting to disagree with the tracer.  The tracer's own clock is the
-    one justified raw-clock site (inline ``noqa``); pre-obs timers are
-    grandfathered in the baseline."""
+    one justified raw-clock site (inline ``noqa``); everything else reads
+    ``tracer().clock``, and the baseline holds no exception."""
 
     name = "obs-discipline"
     description = (
         "no bare print()/ad-hoc time.perf_counter() in hot subsystems; "
-        "instrument through repro.obs (spans, metrics, bridges)"
+        "instrument through repro.obs (spans, metrics, the tracer clock)"
     )
     scope = (
         "src/repro/core/",

@@ -16,9 +16,9 @@ so every trainer (BP, ADA-GP, DNI) gets them for free.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
+from ...obs.trace import tracer as _obs_tracer
 from ..schedule import Phase
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -338,6 +338,10 @@ class ThroughputTimer(Callback):
     the separate :meth:`worker_batches_per_second`.  (Before
     ``shard_batches`` existed, summing per-process timers over-counted
     multi-worker throughput by the world size.)
+
+    Seconds are read from the installed tracer's clock
+    (``repro.obs.tracer().clock``), so a counting fake installed with
+    ``set_tracer`` makes them deterministic.
     """
 
     def __init__(self) -> None:
@@ -354,12 +358,12 @@ class ThroughputTimer(Callback):
         }
 
     def on_batch_begin(self, engine, epoch, batch_index, phase):
-        self._start = time.perf_counter()  # repro: noqa[obs-discipline] — pre-obs timer, bridged via obs.bridge_throughput
+        self._start = _obs_tracer().clock()
 
     def on_batch_end(self, engine, epoch, batch_index, result):
         if self._start is None:
             return
-        elapsed = time.perf_counter() - self._start  # repro: noqa[obs-discipline] — pre-obs timer, bridged via obs.bridge_throughput
+        elapsed = _obs_tracer().clock() - self._start
         self._start = None
         self.batches[result.phase] += 1
         self.worker_batches[result.phase] += getattr(result, "shard_batches", 1)
@@ -381,13 +385,52 @@ class ThroughputTimer(Callback):
         return self.worker_batches[phase] / self.seconds[phase]
 
     def snapshot(self) -> dict:
-        """Canonical per-phase throughput dict (the one aggregation the
-        experiment runners and benchmark records share too)."""
-        from ...obs.snapshots import throughput_snapshot
-
-        return throughput_snapshot(self)
+        """Per-phase throughput as plain data, the dict the experiment
+        runner and the benchmark records read.  Phases with zero batches
+        are omitted; rates are ``None`` (JSON-safe, unlike NaN) when no
+        time accrued."""
+        snap: dict[str, dict] = {}
+        for phase, count in self.batches.items():
+            if not count:
+                continue
+            seconds = self.seconds[phase]
+            workers = self.worker_batches[phase]
+            snap[phase.value] = {
+                "batches": count,
+                "worker_batches": workers,
+                "seconds": seconds,
+                "batches_per_second": (count / seconds) if seconds > 0 else None,
+                "worker_batches_per_second": (
+                    (workers / seconds) if seconds > 0 else None
+                ),
+            }
+        return snap
 
     def summary(self) -> str:
-        from ...obs.snapshots import format_throughput
+        """Human-readable one-liner (logs and tests parse it: keep the
+        format)."""
+        parts = []
+        for phase, count in self.batches.items():
+            if not count:
+                continue
+            rate = self.batches_per_second(phase)
+            part = f"{phase.value}: {rate:.2f} batches/s ({count} batches)"
+            workers = self.worker_batches[phase]
+            if workers != count:
+                wrate = self.worker_batches_per_second(phase)
+                part += f" [{workers} worker shards, {wrate:.2f}/s]"
+            parts.append(part)
+        return "throughput — " + ("; ".join(parts) if parts else "no batches")
 
-        return format_throughput(self.snapshot())
+    def metrics(self):
+        """``repro_engine_{batches,worker_batches,phase_seconds}{phase}``
+        rows, read by ``repro.obs`` whenever a snapshot is taken."""
+        return [
+            (f"repro_engine_{name}", "counter", value, {"phase": phase.value})
+            for name, table in (
+                ("batches", self.batches),
+                ("worker_batches", self.worker_batches),
+                ("phase_seconds", self.seconds),
+            )
+            for phase, value in table.items()
+        ]

@@ -175,6 +175,14 @@ class AdaptiveSchedule:
         k, m = ratio
         return k / (k + m)
 
+    def metrics(self):
+        """The ``repro_schedule_recent_mape`` gauge row (``repro.obs``
+        pulls it); nothing until a MAPE was observed — the initial
+        ``inf`` is a sentinel, not a measurement, and is not JSON."""
+        if self._recent_mape == float("inf"):
+            return []
+        return [("repro_schedule_recent_mape", "gauge", self._recent_mape, {})]
+
     # -- state / config round-trip (checkpointing and schedule search) --
 
     def state_dict(self) -> dict:

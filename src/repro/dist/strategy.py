@@ -134,6 +134,19 @@ class CommStats:
             return float("nan")
         return row["grad_dense_bytes"] / row["grad_wire_bytes"]
 
+    def metrics(self):
+        """One ``repro_dist_<column>`` counter per ledger column (exactly
+        :meth:`totals`) plus the compression-ratio gauge once gradient
+        traffic exists (``repro.obs`` pulls these rows)."""
+        rows = [
+            (f"repro_dist_{key}", "counter", value, {})
+            for key, value in self.totals().items()
+        ]
+        ratio = self.compression_ratio()
+        if ratio == ratio:  # NaN before any gradient traffic
+            rows.append(("repro_dist_compression_ratio", "gauge", ratio, {}))
+        return rows
+
     @classmethod
     def _empty(cls) -> dict[str, float]:
         return {key: 0 for key in cls._KEYS}

@@ -24,7 +24,6 @@ from . import (
 )
 from ..accel import DataflowKind
 from ..core import ThroughputTimer
-from ..obs.snapshots import format_throughput, throughput_snapshot, total_seconds
 from ..pipeline import PipelineKind
 
 QUICK_TABLE1_MODELS = ["ResNet50", "VGG13", "DenseNet121", "MobileNet-V2"]
@@ -105,13 +104,11 @@ def run_all(quick: bool = False, stream=sys.stdout) -> None:
     # Fig 21 (analytical).
     emit(fig21_energy.format_fig21(fig21_energy.run_fig21()))
 
-    # The same canonical snapshot ThroughputTimer.summary and the
-    # BENCH_*.json records format — one aggregation, three reporters.
-    snapshot = throughput_snapshot(timer)
-    print(f"[{format_throughput(snapshot)}]", file=stream)
+    print(f"[{timer.summary()}]", file=stream)
+    batch_seconds = sum(row["seconds"] for row in timer.snapshot().values())
     print(
         f"[done in {time.time() - start:.1f}s wall, "
-        f"{total_seconds(snapshot):.1f}s in measured training batches]",
+        f"{batch_seconds:.1f}s in measured training batches]",
         file=stream,
     )
 

@@ -19,7 +19,6 @@ from .base import (
     get_backend,
     list_backends,
     register_backend,
-    reset_backend_stats,
     resolve_backend,
     use_backend,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "list_backends",
     "native_available",
     "register_backend",
-    "reset_backend_stats",
     "resolve_backend",
     "use_backend",
 ]

@@ -117,7 +117,8 @@ class Backend:
         """Drop all pooled scratch buffers; no-op by default."""
 
     def reset_stats(self) -> None:
-        """Reset workspace/bench counters; no-op by default."""
+        """Zero this backend's counters; no-op by default.  Only a
+        reader starting a measurement window calls it, never the library."""
 
     # -- no-grad graph rewriting -----------------------------------------
     def fold_pipeline(self):
@@ -280,19 +281,6 @@ def get_backend(name: str) -> Backend:
     if name not in _INSTANCES:
         _INSTANCES[name] = _FACTORIES[name]()
     return _INSTANCES[name]
-
-
-def reset_backend_stats() -> None:
-    """Reset the bench counters of every backend alive in this process:
-    instantiated registry singletons, the global default and any active
-    scope overrides (ad-hoc instances passed to ``use_backend`` /
-    ``backend_scope`` are not in ``_INSTANCES``)."""
-    seen: set[int] = set()
-    candidates = [*_INSTANCES.values(), _default_backend, *_override_stack]
-    for backend in candidates:
-        if backend is not None and id(backend) not in seen:
-            seen.add(id(backend))
-            backend.reset_stats()
 
 
 def resolve_backend(spec: Optional[BackendSpec]) -> Optional[Backend]:

@@ -92,25 +92,14 @@ class WorkspacePool:
             buf.nbytes for parked in self._free.values() for buf in parked
         )
 
-    def parked_bytes_by_dtype(self) -> dict[str, int]:
-        """Parked bytes per dtype string (e.g. ``{"<f4": 262144}``)."""
-        by_dtype: dict[str, int] = {}
-        for (_shape, dtype), parked in self._free.items():
-            if parked:
-                by_dtype[dtype] = by_dtype.get(dtype, 0) + sum(
-                    buf.nbytes for buf in parked
-                )
-        return by_dtype
-
-    def stats(self) -> dict:
-        """Counters for benchmark records (peak-allocation proxy)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "outstanding": self.outstanding,
-            "parked_bytes": self.parked_bytes(),
-            "parked_bytes_by_dtype": self.parked_bytes_by_dtype(),
-        }
+    def metrics(self):
+        """``repro_backend_pool_*`` rows (``repro.obs`` pulls them)."""
+        return [
+            ("repro_backend_pool_hits", "counter", self.hits, {}),
+            ("repro_backend_pool_misses", "counter", self.misses, {}),
+            ("repro_backend_pool_outstanding", "gauge", self.outstanding, {}),
+            ("repro_backend_pool_parked_bytes", "gauge", self.parked_bytes(), {}),
+        ]
 
     def reset_stats(self) -> None:
         self.hits = 0

@@ -108,14 +108,21 @@ class NativeBackend(FusedBackend):
         # conv loop (see the module docstring).
         self._c_linear = os.environ.get("REPRO_NATIVE_LINEAR") == "1"
         self._c_strided = os.environ.get("REPRO_NATIVE_STRIDED") == "1"
-        # Per-op native-vs-fallback decision counts, bridged into the
-        # metrics registry by repro.obs.bridge_native.
+        # Per-op native-vs-fallback decision counts.
         self.dispatch_counts: dict[str, dict[str, int]] = {}
 
     def _dispatch(self, op: str, native: bool) -> bool:
         paths = self.dispatch_counts.setdefault(op, {"native": 0, "fallback": 0})
         paths["native" if native else "fallback"] += 1
         return native
+
+    def metrics(self):
+        """``repro_backend_dispatch{op,path}`` rows (``repro.obs`` pulls them)."""
+        return [
+            ("repro_backend_dispatch", "counter", count, {"op": op, "path": path})
+            for op, paths in self.dispatch_counts.items()
+            for path, count in paths.items()
+        ]
 
     def reset_stats(self) -> None:
         super().reset_stats()

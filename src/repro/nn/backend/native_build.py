@@ -248,9 +248,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         path = build(force=force, sanitize=sanitize)
     except NativeBuildError as exc:
-        print(f"native build failed: {exc}", file=sys.stderr)
+        sys.stderr.write(f"native build failed: {exc}\n")
         return 1
-    print(path)
+    sys.stdout.write(f"{path}\n")
     return 0
 
 

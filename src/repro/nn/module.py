@@ -265,15 +265,10 @@ class Module:
         between batches.  Backward requires a fresh forward afterwards.
         Cache objects exposing ``release()`` (backend conv contexts
         holding a pooled workspace) are released back to their pool
-        first, and backend workspace-pool counters are reset so every
-        bench window that starts at a cache-clear boundary starts from
-        clean stats.
+        first.
         """
         for module in self.modules():
             module._clear_cache()
-        from .backend import reset_backend_stats
-
-        reset_backend_stats()
         return self
 
     def _clear_cache(self) -> None:

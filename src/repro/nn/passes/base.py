@@ -99,14 +99,23 @@ class FoldCache:
 
     def __init__(self) -> None:
         self._entries: dict[tuple, tuple] = {}
-        # Hit/miss counters for repro.obs.bridge_fold_cache: a miss is
-        # any lookup that recomputes (absent, version-stale, or id
-        # reuse), which is exactly the fold work the caller pays for.
+        # A miss is any lookup that recomputes (absent, version-stale,
+        # or id reuse), which is exactly the fold work the caller pays
+        # for.
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def metrics(self):
+        """``repro_passes_fold_*`` rows (``repro.obs`` pulls them; the
+        attaching side adds the ``pass_name`` label)."""
+        return [
+            ("repro_passes_fold_hits", "counter", self.hits, {}),
+            ("repro_passes_fold_misses", "counter", self.misses, {}),
+            ("repro_passes_fold_entries", "gauge", len(self), {}),
+        ]
 
     def lookup(self, layers: Sequence[Module], versions: tuple):
         key = tuple(id(layer) for layer in layers)

@@ -11,35 +11,28 @@ self-measuring along exactly those axes:
   ``trace_event`` exporters (open in Perfetto / ``about:tracing``).
 * :mod:`~repro.obs.metrics` — ``Counter``/``Gauge``/``Histogram``
   registry (names ``repro_<subsystem>_<name>``) with snapshot / delta /
-  cross-rank merge semantics.
-* :mod:`~repro.obs.bridges` — existing stats (``ThroughputTimer``,
-  ``CommStats``, ``WorkspacePool``, fold caches, native dispatch
-  counts, schedule MAPE) bridge in rather than being duplicated.
+  cross-rank merge semantics.  Every count has one owner: subsystems
+  that keep their own integers (``ThroughputTimer``, ``CommStats``,
+  ``WorkspacePool``, fold caches, native dispatch counts, schedule
+  MAPE) expose ``metrics()`` and are *read when a snapshot is taken*
+  (:meth:`MetricsRegistry.attach`); the registry holds no copy.
 * :mod:`~repro.obs.callbacks` — :class:`TracingCallback` /
   :class:`MetricsCallback` attach at the engine callback seam.
 * :mod:`~repro.obs.profiler` — opt-in sampling :class:`ProfilingBackend`
   wrapping any backend for the Fig-15 phase×op breakdown.
-* :mod:`~repro.obs.snapshots` — the one throughput aggregation shared
-  by ``ThroughputTimer.summary``, the experiment runners and the
-  benchmark records.
 * ``python -m repro.obs report`` — phase totals, stage occupancy /
   bubble time, phase×op table from a trace + metrics snapshot.
+
+The tracer's clock (:attr:`Tracer.clock`) is the one clock: the
+throughput timer, the pipeline executor and the reliable transport all
+read it, so an injected counting clock makes their seconds
+deterministic.
 
 The default tracer is a no-op (:data:`NULL_TRACER`); instrumented hot
 paths pay one attribute check until :func:`set_tracer` installs a real
 one.
 """
 
-from .bridges import (
-    bridge_all,
-    bridge_comm,
-    bridge_fold_cache,
-    bridge_fold_pipeline,
-    bridge_native,
-    bridge_schedule,
-    bridge_throughput,
-    bridge_workspace,
-)
 from .callbacks import MetricsCallback, TracingCallback
 from .metrics import (
     Counter,
@@ -62,7 +55,6 @@ from .report import (
     report_text,
     stage_occupancy,
 )
-from .snapshots import format_throughput, rate, throughput_snapshot
 from .trace import (
     BP,
     COMM,
@@ -103,17 +95,8 @@ __all__ = [
     "Span",
     "Tracer",
     "TracingCallback",
-    "bridge_all",
-    "bridge_comm",
-    "bridge_fold_cache",
-    "bridge_fold_pipeline",
-    "bridge_native",
-    "bridge_schedule",
-    "bridge_throughput",
-    "bridge_workspace",
     "current_phase",
     "dump_snapshot",
-    "format_throughput",
     "load_jsonl",
     "load_snapshot",
     "merge_snapshots",
@@ -121,7 +104,6 @@ __all__ = [
     "phase_scope",
     "phase_tag",
     "phase_totals",
-    "rate",
     "registry",
     "render_phase_op_table",
     "render_phase_totals",
@@ -131,6 +113,5 @@ __all__ = [
     "set_tracer",
     "spans_from_chrome",
     "stage_occupancy",
-    "throughput_snapshot",
     "tracer",
 ]

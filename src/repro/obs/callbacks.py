@@ -2,12 +2,10 @@
 
 :class:`TracingCallback` opens one span per batch (named
 ``engine.batch``, phase-tagged from the scheduled phase) plus per-epoch
-and per-fit framing spans; :class:`MetricsCallback` counts batches as
-they happen and re-runs the stat bridges each epoch end, discovering
-the engine's attached accumulators (``ThroughputTimer`` on the callback
-list, ``CommStats`` on any dist strategy, backend pool / fold cache /
-native dispatch counts, schedule MAPE) so callers attach two callbacks
-and get the whole registry populated.
+and per-fit framing spans; :class:`MetricsCallback` attaches every
+count owner the engine reaches to the registry, which reads them
+whenever a snapshot is taken — so callers attach two callbacks and
+every snapshot, mid-epoch included, is current.
 
 Both are *duck-typed* callbacks — they implement the six hook methods
 plus ``state_dict``/``load_state_dict`` without importing
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import bridges
 from .metrics import MetricsRegistry, registry as _default_registry
 from .trace import Tracer, phase_tag, tracer as _default_tracer
 
@@ -84,19 +81,16 @@ class TracingCallback:
 
 
 class MetricsCallback:
-    """Populate the metrics registry from a training run.
+    """Attach the engine's count owners to the metrics registry.
 
-    Per batch: increments ``repro_engine_batches_live`` (labelled by
-    phase) — a counter that exists even when no ``ThroughputTimer`` is
-    attached.  Per epoch end and at fit end: runs every applicable
-    bridge, discovering sources from the engine —
-
-    * ``ThroughputTimer`` instances on ``engine.callbacks``,
-    * ``CommStats`` via a ``comm`` attribute on any strategy,
-    * the workspace pool via ``engine.backend.pool``,
-    * fold-cache counters via the backend's ``fold_pipeline()`` passes,
-    * native dispatch counts via ``engine.backend.dispatch_counts``,
-    * ``_recent_mape`` on ``engine.schedule``.
+    At fit begin (or on an explicit :meth:`attach`) everything the
+    engine reaches that has a callable ``metrics`` is handed to
+    :meth:`MetricsRegistry.attach <repro.obs.metrics.MetricsRegistry.attach>`:
+    the callbacks, the distinct strategies and their ``comm`` ledgers,
+    the backend (through a ``ProfilingBackend``'s ``inner``), its
+    workspace pool and fold caches (labelled ``pass_name``), and the
+    schedule.  Nothing is copied: the registry asks each owner when a
+    snapshot is taken.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -114,7 +108,7 @@ class MetricsCallback:
         pass
 
     def on_fit_begin(self, engine, epochs):
-        pass
+        self.attach(engine)
 
     def on_epoch_begin(self, engine, epoch):
         pass
@@ -123,49 +117,31 @@ class MetricsCallback:
         pass
 
     def on_batch_end(self, engine, epoch, batch_index, result):
-        phase = getattr(result, "phase", None)
-        self.registry.counter(
-            "repro_engine_batches_live", "batches seen by MetricsCallback"
-        ).inc(phase=phase_tag(phase) if phase is not None else "unknown")
+        pass
 
     def on_epoch_end(self, engine, epoch, logs):
-        self.bridge(engine)
+        pass
 
     def on_fit_end(self, engine):
-        self.bridge(engine)
+        pass
 
-    # -- bridging -------------------------------------------------------
-    def bridge(self, engine) -> None:
-        """Run every applicable bridge against ``engine``'s state."""
-        reg = self.registry
-        for callback in getattr(engine.callbacks, "callbacks", []):
-            # ThroughputTimer duck-check: the three aggregation dicts.
-            if (
-                hasattr(callback, "batches")
-                and hasattr(callback, "seconds")
-                and hasattr(callback, "batches_per_second")
-            ):
-                bridges.bridge_throughput(callback, reg)
-        seen: set[int] = set()
-        for strategy in getattr(engine, "strategies", {}).values():
-            comm = getattr(strategy, "comm", None)
-            if comm is not None and hasattr(comm, "totals") and id(comm) not in seen:
-                seen.add(id(comm))
-                bridges.bridge_comm(comm, reg)
-        backend = getattr(engine, "backend", None)
-        pool = getattr(backend, "pool", None)
-        if pool is not None and hasattr(pool, "hits"):
-            bridges.bridge_workspace(pool, reg)
-        if hasattr(backend, "dispatch_counts"):
-            bridges.bridge_native(backend, reg)
-        fold_pipeline = (
-            backend.fold_pipeline() if hasattr(backend, "fold_pipeline") else None
-        )
-        if fold_pipeline is not None:
-            bridges.bridge_fold_pipeline(fold_pipeline, reg)
-        schedule = getattr(engine, "schedule", None)
-        if schedule is not None:
-            bridges.bridge_schedule(schedule, reg)
+    # -- attaching ------------------------------------------------------
+    def attach(self, engine) -> None:
+        """Attach every count owner ``engine`` reaches right now."""
 
-    def snapshot(self) -> dict:
-        return self.registry.snapshot()
+        def offer(owner, **labels) -> None:
+            if callable(getattr(owner, "metrics", None)):
+                self.registry.attach(owner, **labels)
+
+        for callback in engine.callbacks:
+            offer(callback)
+        for strategy in engine.strategies.values():
+            offer(strategy)
+            offer(getattr(strategy, "comm", None))
+        backend = getattr(engine.backend, "inner", engine.backend)
+        offer(backend)
+        offer(getattr(backend, "pool", None))
+        pipeline = backend.fold_pipeline() if backend is not None else None
+        for fold in getattr(pipeline, "passes", ()):
+            offer(getattr(fold, "cache", None), pass_name=fold.name)
+        offer(engine.schedule)

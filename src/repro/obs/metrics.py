@@ -1,13 +1,21 @@
 """Metrics registry: counters, gauges, histograms with label sets.
 
-Naming follows ``repro_<subsystem>_<name>`` (enforced by a regex at
-registration) so a snapshot is self-describing: ``repro_dist_grad_wire_bytes``,
-``repro_backend_pool_hits``, ``repro_engine_batches``.  Existing stats
-objects (``CommStats``, ``WorkspacePool``, ``ThroughputTimer``, ...)
-**bridge into** the registry — they stay the source of truth and the
-bridge copies their values with :meth:`Counter.set_to`, which is what
-makes "metrics snapshot comm counters equal ``CommStats`` exactly" an
-achievable invariant rather than two accumulators drifting apart.
+Naming follows ``repro_<subsystem>_<name>`` (enforced by a regex, for
+pushed and pulled series alike) so a snapshot is self-describing:
+``repro_dist_grad_wire_bytes``, ``repro_backend_pool_hits``,
+``repro_engine_batches``.
+
+A count has one owner.  Subsystems that already keep their own plain
+integers (``CommStats``, ``WorkspacePool``, ``ThroughputTimer``, fold
+caches, native dispatch, the adaptive schedule) are *pulled*: each
+exposes ``metrics() -> [(name, kind, value, labels), ...]``,
+:meth:`MetricsRegistry.attach` registers the object weakly, and
+:meth:`MetricsRegistry.snapshot` asks it at that moment.  The registry
+holds no copy, so "snapshot comm counters equal ``CommStats`` exactly"
+is true by construction and a mid-epoch snapshot is current.  Counts
+with no other home (``ProfilingBackend``'s op counters) are *pushed*
+into :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments
+the registry does own.
 
 Semantics:
 
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from typing import Iterable, Mapping, Optional, Sequence
 
 _NAME_RE = re.compile(r"^repro_[a-z0-9]+(_[a-z0-9]+)+$")
@@ -94,8 +103,7 @@ def parse_labels(text: str) -> tuple:
 
 
 class Counter(_Instrument):
-    """Monotone total. ``inc`` adds; ``set_to`` pins to an external
-    accumulator's exact value (bridging), still monotone-checked."""
+    """Monotone total: ``inc`` is the only way to move it."""
 
     kind = "counter"
 
@@ -104,16 +112,6 @@ class Counter(_Instrument):
             raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0) + amount
-
-    def set_to(self, value: float, **labels) -> None:
-        key = _label_key(labels)
-        current = self._series.get(key, 0)
-        if value < current:
-            raise ValueError(
-                f"counter {self.name}{dict(labels)} cannot move backwards: "
-                f"{current} -> {value}"
-            )
-        self._series[key] = value
 
     def value(self, **labels) -> float:
         return self._series.get(_label_key(labels), 0)
@@ -196,12 +194,14 @@ class MetricsRegistry:
     """Named instrument store with snapshot/delta/merge semantics.
 
     ``counter``/``gauge``/``histogram`` are get-or-create: repeated
-    calls with the same name return the same instrument, so bridges and
-    callbacks can look instruments up without threading references.
+    calls with the same name return the same instrument, so callers can
+    look instruments up without threading references.
     """
 
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
+        # (id(owner), extra label key) -> owner, weakly; see attach().
+        self._owners = weakref.WeakValueDictionary()
 
     def _get_or_create(self, cls, name: str, description: str, **kwargs):
         inst = self._instruments.get(name)
@@ -237,14 +237,41 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self._instruments = {}
+        self._owners.clear()
+
+    def attach(self, owner, **labels) -> None:
+        """Read ``owner.metrics()`` at every :meth:`snapshot` from now on.
+
+        ``metrics()`` returns ``(name, kind, value, labels)`` rows with
+        ``kind`` ``"counter"`` or ``"gauge"``; ``labels`` given here join
+        every row (how one pass's fold cache is told from another's).
+        The owner is held weakly — its series leave the snapshot when it
+        dies, and attaching never keeps an engine alive — and attaching
+        it again under the same labels changes nothing.
+        """
+        if not callable(getattr(owner, "metrics", None)):
+            raise TypeError(f"{owner!r} has no metrics() to read")
+        self._owners[id(owner), _label_key(labels)] = owner
 
     # -- snapshot / delta ------------------------------------------------
     def snapshot(self) -> dict:
-        """Plain nested dict: ``{name: {"kind": ..., "series": {...}}}``."""
-        return {
-            name: inst.snapshot()
-            for name, inst in sorted(self._instruments.items())
-        }
+        """Plain nested dict: ``{name: {"kind": ..., "series": {...}}}``
+        — the pushed instruments plus every attached, still-alive
+        owner's rows as of this call, folded in by
+        :func:`merge_snapshots`' rules (kind conflicts raise, two owners
+        reporting one counter series sum, the first gauge wins)."""
+        parts = [{name: inst.snapshot() for name, inst in self._instruments.items()}]
+        for (_, extra), owner in list(self._owners.items()):
+            for name, kind, value, labels in owner.metrics():
+                if kind not in ("counter", "gauge"):
+                    raise ValueError(
+                        f"{name}: pulled metrics are counters or gauges, got {kind!r}"
+                    )
+                label = _format_labels(_label_key({**labels, **dict(extra)}))
+                parts.append(
+                    {_check_name(name): {"kind": kind, "series": {label: value}}}
+                )
+        return dict(sorted(merge_snapshots(parts).items()))
 
     @staticmethod
     def delta(later: dict, earlier: dict) -> dict:
@@ -289,7 +316,7 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
             target = merged.setdefault(name, {"kind": kind, "series": {}})
             if target["kind"] != kind:
                 raise TypeError(
-                    f"metric {name!r} has conflicting kinds across ranks: "
+                    f"metric {name!r} has conflicting kinds: "
                     f"{target['kind']} vs {kind}"
                 )
             for label, value in entry["series"].items():
@@ -312,8 +339,10 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
 
 
 def dump_snapshot(snapshot: dict, path) -> None:
+    """Write ``snapshot`` as strict JSON (a NaN / infinite value raises
+    instead of emitting a token other parsers reject)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
+        json.dump(snapshot, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def load_snapshot(path) -> dict:
@@ -325,7 +354,7 @@ _registry = MetricsRegistry()
 
 
 def registry() -> MetricsRegistry:
-    """The process-global registry (bridges and callbacks default to it)."""
+    """The process-global registry (callbacks and the profiler default to it)."""
     return _registry
 
 

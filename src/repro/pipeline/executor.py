@@ -4,8 +4,9 @@ Where :mod:`.simulator` *models* GPipe/DAPPLE schedules with abstract
 ``tf``/``tb`` step costs, this module *executes* them: the model is split
 into stage sub-models (:mod:`.partition`), each stage owns a virtual
 device clock, and every forward/backward micro-batch slot runs real
-NumPy compute whose duration is measured with ``perf_counter``.  A slot
-is placed on its device at ``max(dependency ready time, device free
+NumPy compute whose duration is measured on the installed tracer's
+clock (``repro.obs.tracer().clock`` — inject a counting fake and the
+timeline is deterministic).  A slot is placed on its device at ``max(dependency ready time, device free
 time)`` — so the resulting :class:`~repro.pipeline.simulator.Timeline`
 is a *measurement* of the schedule (Fig 20 as measurement, not
 simulation), while :meth:`Timeline.validate` and
@@ -34,7 +35,6 @@ Semantics notes:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -279,6 +279,7 @@ class PipelineExecutor:
         # phase tag follows the engine's scope, defaulting to bp for
         # backward batches and gp for forward-only streams.
         tracer = _obs_tracer()
+        clock = tracer.clock
         span_phase = current_phase(BP if backward else GP)
         while remaining:
             progressed = False
@@ -290,9 +291,9 @@ class PipelineExecutor:
                             break
                         x = micro_inputs[m] if s == 0 else acts[(s - 1, m)]
                         self.current_micro = m
-                        t0 = time.perf_counter()
+                        t0 = clock()
                         out = self.stages[s](x)
-                        duration = time.perf_counter() - t0
+                        duration = clock() - t0
                         # Loss evaluation stays outside the timed slot: the
                         # schedule models fw/bw work only, and GP batches
                         # compute it purely for monitoring.
@@ -326,9 +327,9 @@ class PipelineExecutor:
                             ready = bw_end[(s + 1, m)]
                             grad_out = grads[(s + 1, m)]
                         self._restore(snaps[(s, m)])
-                        t0 = time.perf_counter()
+                        t0 = clock()
                         grads[(s, m)] = self.stages[s].backward(grad_out)
-                        duration = time.perf_counter() - t0
+                        duration = clock() - t0
                     start = max(ready, self.device_free[s])
                     end = start + duration
                     self.device_free[s] = end

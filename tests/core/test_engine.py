@@ -201,6 +201,36 @@ class TestCallbacks:
         assert timer.batches_per_second(Phase.GP) > 0
         assert "batches/s" in timer.summary()
 
+    def test_throughput_timer_snapshot_and_summary_format(self):
+        """The timer formats itself; logs parse the line, the experiment
+        runner and the bench records read the dict."""
+        timer = ThroughputTimer()
+        assert timer.snapshot() == {}
+        assert timer.summary() == "throughput — no batches"
+        timer.batches[Phase.BP], timer.worker_batches[Phase.BP] = 3, 6
+        timer.seconds[Phase.BP] = 1.5
+        timer.batches[Phase.GP] = timer.worker_batches[Phase.GP] = 4
+        assert timer.snapshot() == {
+            "bp": {
+                "batches": 3,
+                "worker_batches": 6,
+                "seconds": 1.5,
+                "batches_per_second": 2.0,
+                "worker_batches_per_second": 4.0,
+            },
+            "gp": {
+                "batches": 4,
+                "worker_batches": 4,
+                "seconds": 0.0,
+                "batches_per_second": None,
+                "worker_batches_per_second": None,
+            },
+        }
+        assert timer.summary() == (
+            "throughput — bp: 2.00 batches/s (3 batches) "
+            "[6 worker shards, 4.00/s]; gp: nan batches/s (4 batches)"
+        )
+
     def test_checkpointing_callback_saves_per_epoch(self, tmp_path):
         split = _tiny_split()
         target = str(tmp_path / "ckpt-{epoch}.pkl")

@@ -1,22 +1,29 @@
-"""End-to-end observability: the ISSUE 10 acceptance criteria.
+"""End-to-end observability: the ISSUE 10 acceptance criteria, on one
+ledger.
 
 One adagp run with ``TracingCallback`` + ``MetricsCallback`` attached
 must produce (a) a trace whose per-phase span totals reconcile with
 ``ThroughputTimer`` within 1%, (b) a metrics snapshot whose comm
 counters equal ``CommStats`` exactly under W=2 DDP, and (c) chaos runs
 whose fault/retry/rebuild increments match the ledger.  Plus: pipeline
-spans rebuild a Timeline identical to the executor's, and the profiler
-emits the Fig-15 phase×op table.
+spans rebuild a Timeline identical to the executor's, the profiler
+emits the Fig-15 phase×op table, and — the owner rule of DESIGN.md §14
+— every count is read from its one monotone owner when the snapshot is
+taken, so a name-resolved backend reports what an ad-hoc instance does
+and no snapshot is stale.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import nn, obs
 from repro.core import (
+    AdaptiveSchedule,
     HeuristicSchedule,
+    LambdaCallback,
     Phase,
     adagp_engine,
     pipeline_adagp_engine,
@@ -32,7 +39,7 @@ from repro.dist import (
     shutdown,
 )
 from repro.models import build_mini
-from repro.nn.backend import FusedBackend
+from repro.nn.backend import FusedBackend, native_available
 from repro.nn.losses import CrossEntropyLoss, accuracy
 from repro.pipeline import Timeline, render_timeline
 
@@ -106,7 +113,11 @@ class TestEngineReconciliation:
             lr=0.05,
             metric_fn=accuracy,
             schedule=_schedule(),
-            callbacks=[obs.TracingCallback(tracer), obs.MetricsCallback(reg)],
+            callbacks=[
+                ThroughputTimer(),
+                obs.TracingCallback(tracer),
+                obs.MetricsCallback(reg),
+            ],
         )
         history = _fit(engine, _split())
         batch_spans = [s for s in tracer.spans if s.name == "engine.batch"]
@@ -114,9 +125,10 @@ class TestEngineReconciliation:
         bp_spans = sum(1 for s in batch_spans if s.phase == "bp")
         assert gp_spans == sum(history.gp_batches)
         assert bp_spans == sum(history.bp_batches)
-        live = reg.counter("repro_engine_batches_live")
-        assert live.value(phase="gp") == gp_spans
-        assert live.value(phase="bp") == bp_spans
+        counted = reg.snapshot()["repro_engine_batches"]["series"]
+        assert counted["phase=gp"] == gp_spans
+        # Warm-up batches run backprop: the tracer tags them bp.
+        assert counted["phase=bp"] + counted["phase=warmup"] == bp_spans
         # Every batch span closed carrying its loss.
         assert all("loss" in s.args for s in batch_spans)
 
@@ -140,15 +152,16 @@ class TestEngineReconciliation:
 
 
 class TestDistObservability:
-    def test_comm_counters_equal_commstats_exactly_w2(self):
-        """Acceptance (b): bridged counters are set_to-pinned copies of
-        CommStats.totals() — exact equality, not approximation."""
+    @pytest.mark.parametrize("transport", ["local", "process"])
+    def test_comm_counters_equal_commstats_exactly_w2(self, transport):
+        """Acceptance (b): the snapshot reads CommStats.totals() itself
+        — exact equality, not approximation."""
         reg = obs.MetricsRegistry()
         engine = ddp_engine(
             _model(),
             CrossEntropyLoss(),
             workers=2,
-            transport="local",
+            transport=transport,
             lr=0.05,
             metric_fn=accuracy,
             schedule=_schedule(),
@@ -187,8 +200,8 @@ class TestDistObservability:
 
     def test_chaos_fault_metrics_match_commstats(self):
         """PR 9 fault matrix rides through: a killed compute forces
-        fault + rebuild increments, and the bridged counters show the
-        ledger's exact numbers."""
+        fault + rebuild increments, and the snapshot shows the ledger's
+        exact numbers."""
         reg = obs.MetricsRegistry()
         wrapper = ChaosTransport(
             "local", faults=[Fault("kill", rank=1, op="compute", nth=1)]
@@ -257,12 +270,289 @@ class TestDistObservability:
         for _epoch, row in comm.epochs.items():
             reg = obs.MetricsRegistry()
             for key, value in row.items():
-                reg.counter(f"repro_dist_{key}").set_to(value)
+                reg.counter(f"repro_dist_{key}").inc(value)
             parts.append(reg.snapshot())
         serial = obs.MetricsRegistry()
-        for key, value in comm.totals().items():
-            serial.counter(f"repro_dist_{key}").set_to(value)
-        assert obs.merge_snapshots(parts) == serial.snapshot()
+        serial.attach(comm)
+        serial_snap = serial.snapshot()
+        del serial_snap["repro_dist_compression_ratio"]  # gauge: not a sum
+        assert obs.merge_snapshots(parts) == serial_snap
+
+
+def _vgg_fit(backend, probe=None, epochs=3):
+    """A 3-epoch ADA-GP fit of VGG13-mini with the full metrics stack,
+    validation batches larger than training ones (so the first epoch's
+    evaluate allocates and the later ones do not — the shape of traffic
+    that used to drive a re-pinned counter backwards).  Counts every
+    ``pool.acquire`` and native dispatch decision with wrappers and
+    returns ``(wrapper counts, what the snapshot reports over the same
+    window)``."""
+    split = synthetic_images(10, 32, 24, image_size=16, seed=0)
+    reg = obs.MetricsRegistry()
+    callbacks = [ThroughputTimer(), obs.MetricsCallback(reg)]
+    if probe is not None:
+        callbacks.append(probe(reg))
+    engine = adagp_engine(
+        build_mini("VGG13", 10, rng=np.random.default_rng(1)),
+        CrossEntropyLoss(),
+        lr=0.05,
+        metric_fn=accuracy,
+        schedule=_schedule(),
+        backend=backend,
+        callbacks=callbacks,
+    )
+    backend = engine.backend
+    pool = backend.pool
+    # Plain attribute reads: a name-resolved singleton carries whatever
+    # earlier tests in this process left on it.
+    acquired_before = pool.hits + pool.misses
+    dispatch_before = {
+        (op, path): count
+        for op, paths in getattr(backend, "dispatch_counts", {}).items()
+        for path, count in paths.items()
+    }
+    acquires: list[tuple] = []
+    dispatches: dict[tuple, int] = {}
+    real_acquire = pool.acquire
+
+    def counting_acquire(shape, dtype):
+        acquires.append(shape)
+        return real_acquire(shape, dtype)
+
+    pool.acquire = counting_acquire
+    real_dispatch = getattr(backend, "_dispatch", None)
+    if real_dispatch is not None:
+
+        def counting_dispatch(op, native):
+            key = (op, "native" if native else "fallback")
+            dispatches[key] = dispatches.get(key, 0) + 1
+            return real_dispatch(op, native)
+
+        backend._dispatch = counting_dispatch
+    try:
+        engine.fit(
+            lambda: split.train.batches(16, rng=np.random.default_rng(1)),
+            lambda: split.val.batches(24, shuffle=False),
+            epochs,
+        )
+    finally:
+        del pool.acquire
+        if real_dispatch is not None:
+            del backend._dispatch
+    snap = reg.snapshot()
+    reported_acquires = (
+        snap["repro_backend_pool_hits"]["series"][""]
+        + snap["repro_backend_pool_misses"]["series"][""]
+        - acquired_before
+    )
+    reported_dispatches = {}
+    for label, count in snap.get("repro_backend_dispatch", {"series": {}})[
+        "series"
+    ].items():
+        parts = dict(obs.metrics.parse_labels(label))
+        key = (parts["op"], parts["path"])
+        if count - dispatch_before.get(key, 0):
+            reported_dispatches[key] = count - dispatch_before.get(key, 0)
+    return (len(acquires), dispatches), (reported_acquires, reported_dispatches)
+
+
+class TestOneLedger:
+    """Every count has one monotone owner; the registry reads it when a
+    snapshot is taken (DESIGN.md §14)."""
+
+    @pytest.mark.parametrize("name", ["fused", "native"])
+    def test_name_resolved_backend_counts_like_an_instance(self, name):
+        """The regression: ``clear_caches`` used to zero the counters of
+        registry-singleton backends after every batch, so a >= 2-epoch
+        fit with ``MetricsCallback`` on ``backend="fused"`` / ``"native"``
+        died with "cannot move backwards" while an ad-hoc instance
+        reported everything."""
+        if name == "native" and not native_available():
+            pytest.skip("native backend unavailable (no C compiler)")
+        counted_name, reported_name = _vgg_fit(name)
+        instance = type(nn.get_backend(name))()
+        counted_inst, reported_inst = _vgg_fit(instance)
+        assert counted_name[0] > 0
+        assert reported_name == counted_name
+        assert reported_inst == counted_inst
+        assert reported_name == reported_inst
+        if name == "native":
+            assert sum(counted_name[1].values()) > 0
+
+    def test_mid_epoch_snapshot_is_current(self):
+        """A snapshot taken inside ``on_batch_end`` of epoch 2 already
+        holds epoch 2's batches (epoch-boundary re-pinning was one epoch
+        stale)."""
+        seen: list[tuple[int, float]] = []
+        batches = itertools.count(1)
+
+        def probe(reg):
+            def on_batch_end(engine, epoch, batch_index, result):
+                done = next(batches)
+                if epoch == 2:
+                    series = reg.snapshot()["repro_engine_batches"]["series"]
+                    seen.append((done, sum(series.values())))
+
+            return LambdaCallback(on_batch_end=on_batch_end)
+
+        _vgg_fit(FusedBackend(), probe=probe)
+        assert seen and all(batches == counted for batches, counted in seen)
+
+    def test_untrained_adaptive_snapshot_round_trips(self, tmp_path):
+        """No MAPE observed yet: the schedule reports no gauge instead
+        of the ``inf`` sentinel, so the snapshot is strict JSON."""
+        reg = obs.MetricsRegistry()
+        callback = obs.MetricsCallback(reg)
+        engine = adagp_engine(
+            _model(),
+            CrossEntropyLoss(),
+            lr=0.05,
+            schedule=AdaptiveSchedule(warmup_epochs=1),
+            backend="fused",
+            callbacks=[ThroughputTimer(), callback],
+        )
+        callback.attach(engine)
+        snap = reg.snapshot()
+        assert "repro_schedule_recent_mape" not in snap
+        assert "repro_engine_batches" in snap
+        path = tmp_path / "snap.json"
+        obs.dump_snapshot(snap, path)
+        assert obs.load_snapshot(path) == snap
+        engine.schedule.observe_mape(7.5)
+        assert reg.snapshot()["repro_schedule_recent_mape"]["series"][""] == 7.5
+        with pytest.raises(ValueError):
+            obs.dump_snapshot(
+                {"repro_x_y": {"kind": "gauge", "series": {"": float("inf")}}}, path
+            )
+
+    def test_attaching_does_not_keep_the_engine_alive(self):
+        reg = obs.MetricsRegistry()
+        callback = obs.MetricsCallback(reg)
+        engine = adagp_engine(
+            _model(),
+            CrossEntropyLoss(),
+            lr=0.05,
+            schedule=_schedule(),
+            backend=FusedBackend(),
+            callbacks=[ThroughputTimer(), callback],
+        )
+        callback.attach(engine)
+        assert {"repro_backend_pool_hits", "repro_engine_batches"} <= set(
+            reg.snapshot()
+        )
+        del engine
+        # What the engine owned is gone with it; the fold caches belong
+        # to the process-wide default pipeline and stay.
+        assert {name.split("_")[1] for name in reg.snapshot()} == {"passes"}
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        ops=st.lists(
+            st.sampled_from(["bp", "gp", "evaluate", "clear_caches", "snapshot"]),
+            min_size=1,
+            max_size=12,
+        ),
+        backend=st.sampled_from(["fused", "native"]),
+    )
+    def test_counters_never_move_backwards(self, ops, backend):
+        """Property: whatever the interleaving of batches, evaluation,
+        cache clears and snapshots, no counter series decreases."""
+        if backend == "native" and not native_available():
+            backend = "fused"
+        reg = obs.MetricsRegistry()
+        callback = obs.MetricsCallback(reg)
+        engine = adagp_engine(
+            _model(),
+            CrossEntropyLoss(),
+            lr=0.05,
+            metric_fn=accuracy,
+            schedule=_schedule(),
+            backend=backend,
+            callbacks=[callback],
+        )
+        callback.attach(engine)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 3, 4)
+        snapshots = [reg.snapshot()]
+        for op in ops:
+            if op == "bp":
+                engine.train_batch(x, y, Phase.BP)
+            elif op == "gp":
+                engine.train_batch(x, y, Phase.GP)
+            elif op == "evaluate":
+                engine.evaluate([(x, y)])
+            elif op == "clear_caches":
+                engine.model.clear_caches()
+            else:
+                snapshots.append(reg.snapshot())
+        snapshots.append(reg.snapshot())
+        for earlier, later in zip(snapshots, snapshots[1:]):
+            for name, entry in earlier.items():
+                if entry["kind"] != "counter":
+                    continue
+                for label, value in entry["series"].items():
+                    assert later[name]["series"][label] >= value, (name, label)
+
+
+def _counting_tracer():
+    ticks = itertools.count()
+    return obs.Tracer(clock=lambda: next(ticks) * 0.001)
+
+
+class TestOneClock:
+    """``ThroughputTimer`` and ``PipelineExecutor`` read the tracer's
+    clock, so a counting fake makes their seconds reproducible."""
+
+    def test_throughput_seconds_deterministic_under_counting_clock(self):
+        runs = []
+        for _ in range(2):
+            previous = obs.set_tracer(_counting_tracer())
+            try:
+                timer = ThroughputTimer()
+                engine = adagp_engine(
+                    _model(),
+                    CrossEntropyLoss(),
+                    lr=0.05,
+                    metric_fn=accuracy,
+                    schedule=_schedule(),
+                    callbacks=[timer],
+                )
+                _fit(engine, _split())
+            finally:
+                obs.set_tracer(previous)
+            runs.append(timer.seconds)
+        assert runs[0] == runs[1]
+        assert sum(runs[0].values()) > 0
+
+    def test_pipeline_timeline_deterministic_under_counting_clock(self):
+        def batches():
+            rng = np.random.default_rng(5)
+            for _ in range(2):
+                x = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+                yield x, rng.integers(0, 10, 8)
+
+        timelines = []
+        for _ in range(2):
+            previous = obs.set_tracer(_counting_tracer())
+            try:
+                engine = pipeline_adagp_engine(
+                    build_mini("ResNet50", 10, rng=np.random.default_rng(0)),
+                    CrossEntropyLoss(),
+                    num_stages=2,
+                    micro_batches=4,
+                    schedule=_schedule(),
+                    plateau_scheduler=False,
+                )
+                engine.fit(batches, batches, epochs=2)
+            finally:
+                obs.set_tracer(previous)
+            live = engine.strategies[Phase.GP].executor.timeline
+            timelines.append(
+                [(t.device, t.start, t.end, t.kind, t.micro_batch) for t in live.tasks]
+            )
+        assert timelines[0] == timelines[1]
+        assert timelines[0]
 
 
 class TestPipelineObservability:

@@ -1,4 +1,4 @@
-"""Metrics registry semantics: naming, labels, snapshot/delta/merge.
+"""Metrics registry semantics: naming, labels, pull, snapshot/delta/merge.
 
 The cross-rank merge rules (counters/histograms sum, gauges keep the
 first rank) are what make "W=2 rank-merge equals serial accounting" a
@@ -52,16 +52,13 @@ class TestCounter:
         counter = obs.MetricsRegistry().counter("repro_engine_batches_total")
         with pytest.raises(ValueError, match="cannot decrease"):
             counter.inc(-1)
-        counter.set_to(10)
-        with pytest.raises(ValueError, match="backwards"):
-            counter.set_to(5)
 
-    def test_set_to_pins_exact_value(self):
-        # The bridging contract: external accumulators copy exactly.
+    def test_inc_keeps_integer_totals_exact(self):
         counter = obs.MetricsRegistry().counter("repro_dist_sync_bytes")
-        counter.set_to(17_123)
-        counter.set_to(17_123)  # idempotent re-bridge
+        counter.inc(17_000)
+        counter.inc(123)
         assert counter.value() == 17_123
+        assert isinstance(counter.value(), int)
 
 
 class TestGaugeHistogram:
@@ -108,6 +105,85 @@ class TestSnapshotDelta:
         path = tmp_path / "snap.json"
         obs.dump_snapshot(reg.snapshot(), path)
         assert obs.load_snapshot(path) == reg.snapshot()
+
+
+class _Owner:
+    """Anything with ``metrics()`` — the whole pull contract."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def metrics(self):
+        return list(self.rows)
+
+
+class TestAttach:
+    def test_owner_is_read_when_the_snapshot_is_taken(self):
+        reg = obs.MetricsRegistry()
+        owner = _Owner([("repro_dist_sync_bytes", "counter", 3, {})])
+        reg.attach(owner)
+        first = reg.snapshot()
+        owner.rows = [("repro_dist_sync_bytes", "counter", 10, {})]
+        assert first["repro_dist_sync_bytes"]["series"][""] == 3
+        later = reg.snapshot()
+        assert later["repro_dist_sync_bytes"] == {"kind": "counter", "series": {"": 10}}
+        # A window is a delta the reader takes.
+        delta = obs.MetricsRegistry.delta(later, first)
+        assert delta["repro_dist_sync_bytes"]["series"][""] == 7
+
+    def test_attach_labels_join_the_owners(self):
+        reg = obs.MetricsRegistry()
+        rows = [("repro_passes_fold_hits", "counter", 2, {"op": "conv"})]
+        reg.attach(_Owner(rows), pass_name="a")
+        keep = _Owner(rows)
+        reg.attach(keep, pass_name="b")
+        # The first owner was never referenced again: only "b" is alive.
+        assert reg.snapshot()["repro_passes_fold_hits"]["series"] == {
+            "op=conv,pass_name=b": 2
+        }
+
+    def test_same_series_from_two_owners_sums_and_joins_pushed(self):
+        reg = obs.MetricsRegistry()
+        reg.counter("repro_engine_batches").inc(1, phase="bp")
+        owners = [
+            _Owner([("repro_engine_batches", "counter", n, {"phase": "bp"})])
+            for n in (2, 4)
+        ]
+        for owner in owners:
+            reg.attach(owner)
+            reg.attach(owner)  # re-attaching replaces, never double counts
+        assert reg.snapshot()["repro_engine_batches"]["series"]["phase=bp"] == 7
+
+    def test_kind_conflict_and_bad_rows_rejected(self):
+        reg = obs.MetricsRegistry()
+        reg.counter("repro_dist_sync_bytes").inc()
+        clash = _Owner([("repro_dist_sync_bytes", "gauge", 1, {})])
+        reg.attach(clash)
+        with pytest.raises(TypeError, match="conflicting kinds"):
+            reg.snapshot()
+        for rows, error in (
+            ([("sync_bytes", "counter", 1, {})], "repro_<subsystem>_<name>"),
+            ([("repro_dist_sync_bytes", "histogram", 1, {})], "counters or gauges"),
+        ):
+            reg = obs.MetricsRegistry()
+            owner = _Owner(rows)
+            reg.attach(owner)
+            with pytest.raises(ValueError, match=error):
+                reg.snapshot()
+        with pytest.raises(TypeError, match="no metrics"):
+            obs.MetricsRegistry().attach(object())
+
+    def test_owner_is_held_weakly_and_clear_detaches(self):
+        reg = obs.MetricsRegistry()
+        owner = _Owner([("repro_dist_sync_bytes", "counter", 3, {})])
+        reg.attach(owner)
+        assert reg.snapshot()
+        del owner
+        assert reg.snapshot() == {}
+        owner = _Owner([("repro_dist_sync_bytes", "counter", 3, {})])
+        reg.attach(owner)
+        reg.clear()
+        assert reg.snapshot() == {}
 
 
 class TestMerge:

@@ -33,11 +33,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 FORMAT_VERSION = 1
 
-#: On-disk frame: magic + CRC32(body) + body length, then the pickled
-#: state — same shape as the dist wire framing, so truncation and bit
-#: rot are detected before unpickling.
+#: The frame checkpoints (``RCK1``) and the dist wire format (``RDF1``)
+#: share: magic + CRC32(body) + body length, then the body — truncation
+#: and bit rot are detected before anything is unpickled.
+_FRAME_HEADER = struct.Struct("<4sII")
 CHECKPOINT_MAGIC = b"RCK1"
-_CHECKPOINT_HEADER = struct.Struct("<4sII")
+
+
+def pack_frame(magic: bytes, body: bytes) -> bytes:
+    """``body`` behind a checksummed ``magic`` header."""
+    return _FRAME_HEADER.pack(magic, zlib.crc32(body), len(body)) + body
+
+
+def unpack_frame(magic: bytes, data: bytes) -> bytes:
+    """The verified body of a :func:`pack_frame` byte string; raises
+    ``ValueError`` carrying the one reason ``data`` is not that frame."""
+    if len(data) < _FRAME_HEADER.size:
+        raise ValueError(f"frame truncated to {len(data)} bytes")
+    found, crc, size = _FRAME_HEADER.unpack_from(data)
+    body = data[_FRAME_HEADER.size :]
+    if found != magic:
+        raise ValueError(f"bad frame magic {found!r}, expected {magic!r}")
+    if len(body) != size:
+        raise ValueError(
+            f"frame truncated or extended: body is {len(body)} bytes, "
+            f"header promised {size}"
+        )
+    if zlib.crc32(body) != crc:
+        raise ValueError("frame body fails its CRC32 check")
+    return body
 
 
 class CheckpointCorrupt(RuntimeError):
@@ -89,25 +113,58 @@ def _load_scheduler_state(scheduler, state: dict) -> None:
         setattr(scheduler, key, _copy_value(value))
 
 
-def engine_state(engine: "TrainingEngine") -> dict:
-    """Capture the complete mutable state of an engine."""
+def trainable_state(engine: "TrainingEngine") -> dict:
+    """What training itself mutates: model weights, optimizer slots, the
+    separate GP optimizer's, and the predictor (network, its Adam state,
+    per-layer scales).  The part of :func:`engine_state` a data-parallel
+    replica must copy to match rank 0 bitwise (``repro.dist`` broadcasts
+    exactly this dict as its sync state)."""
     state: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
         "model": engine.model.state_dict(),
         "optimizer": optimizer_state(engine.optimizer),
-        "current_epoch": engine.current_epoch,
-        "history": copy.deepcopy(engine.history),
     }
     if engine.gp_optimizer is not None and engine.gp_optimizer is not engine.optimizer:
         state["gp_optimizer"] = optimizer_state(engine.gp_optimizer)
-    if engine.lr_scheduler is not None:
-        state["lr_scheduler"] = _scheduler_state(engine.lr_scheduler)
     if engine.predictor is not None:
         state["predictor"] = {
             "network": engine.predictor.network.state_dict(),
             "optimizer": optimizer_state(engine.predictor.optimizer),
             "scales": engine.predictor.scales_state(engine.layers),
         }
+    return state
+
+
+def load_trainable_state(engine: "TrainingEngine", state: dict) -> None:
+    """Inverse of :func:`trainable_state` on a structurally identical
+    engine; extra keys (a whole checkpoint) are ignored."""
+    engine.model.load_state_dict(state["model"])
+    load_optimizer_state(engine.optimizer, state["optimizer"])
+    if "gp_optimizer" in state:
+        if engine.gp_optimizer is None or engine.gp_optimizer is engine.optimizer:
+            raise ValueError(
+                "checkpoint has a separate gp_optimizer but the engine does not"
+            )
+        load_optimizer_state(engine.gp_optimizer, state["gp_optimizer"])
+    if "predictor" in state:
+        if engine.predictor is None:
+            raise ValueError("checkpoint has predictor state but engine has none")
+        engine.predictor.network.load_state_dict(state["predictor"]["network"])
+        load_optimizer_state(engine.predictor.optimizer, state["predictor"]["optimizer"])
+        engine.predictor.load_scales_state(
+            engine.layers, state["predictor"]["scales"]
+        )
+
+
+def engine_state(engine: "TrainingEngine") -> dict:
+    """Capture the complete mutable state of an engine."""
+    state: dict[str, Any] = {
+        "format_version": FORMAT_VERSION,
+        **trainable_state(engine),
+        "current_epoch": engine.current_epoch,
+        "history": copy.deepcopy(engine.history),
+    }
+    if engine.lr_scheduler is not None:
+        state["lr_scheduler"] = _scheduler_state(engine.lr_scheduler)
     if engine.predictor_scheduler is not None:
         state["predictor_scheduler"] = _scheduler_state(engine.predictor_scheduler)
     if engine.schedule is not None:
@@ -140,26 +197,11 @@ def load_engine_state(engine: "TrainingEngine", state: dict) -> None:
         raise ValueError(
             f"unsupported checkpoint format {version!r}; expected {FORMAT_VERSION}"
         )
-    engine.model.load_state_dict(state["model"])
-    load_optimizer_state(engine.optimizer, state["optimizer"])
-    if "gp_optimizer" in state:
-        if engine.gp_optimizer is None or engine.gp_optimizer is engine.optimizer:
-            raise ValueError(
-                "checkpoint has a separate gp_optimizer but the engine does not"
-            )
-        load_optimizer_state(engine.gp_optimizer, state["gp_optimizer"])
+    load_trainable_state(engine, state)
     if "lr_scheduler" in state:
         if engine.lr_scheduler is None:
             raise ValueError("checkpoint has LR-scheduler state but engine has none")
         _load_scheduler_state(engine.lr_scheduler, state["lr_scheduler"])
-    if "predictor" in state:
-        if engine.predictor is None:
-            raise ValueError("checkpoint has predictor state but engine has none")
-        engine.predictor.network.load_state_dict(state["predictor"]["network"])
-        load_optimizer_state(engine.predictor.optimizer, state["predictor"]["optimizer"])
-        engine.predictor.load_scales_state(
-            engine.layers, state["predictor"]["scales"]
-        )
     if "predictor_scheduler" in state:
         if engine.predictor_scheduler is None:
             raise ValueError(
@@ -192,42 +234,46 @@ def save_checkpoint(engine: "TrainingEngine", path: str) -> None:
     ``os.replace``'d over ``path`` — a crash mid-write leaves either the
     old checkpoint or the new one, never a torn file.
     """
-    body = pickle.dumps(engine_state(engine))
-    header = _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, zlib.crc32(body), len(body))
+    frame = pack_frame(CHECKPOINT_MAGIC, pickle.dumps(engine_state(engine)))
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "wb") as handle:
-        handle.write(header)
-        handle.write(body)
+        handle.write(frame)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
 
 
+def _is_bare_pickle(data: bytes) -> bool:
+    """Whether ``data`` opens like ``pickle.dump`` output (protocol 4+):
+    PROTO, then a FRAME whose length fits the file.  Checked *before*
+    unpickling, because pickle run over damaged bytes can allocate
+    without bound — seven bytes (push ``None``, ``LONG_BINPUT`` to index
+    0x03ffffff, stop) make the unpickler's memo a gigabyte."""
+    return (
+        data[:1] == b"\x80"
+        and data[2:3] == b"\x95"
+        and int.from_bytes(data[3:11], "little") <= len(data) - 11
+    )
+
+
 def _read_checkpoint(path: str) -> dict:
     with open(path, "rb") as handle:
         data = handle.read()
-    if len(data) < _CHECKPOINT_HEADER.size or data[:4] != CHECKPOINT_MAGIC:
-        # Pre-framing checkpoints were a bare pickle; keep loading them.
-        try:
-            return pickle.loads(data)
-        except Exception as err:
-            raise CheckpointCorrupt(
-                f"{path}: not a checkpoint (no {CHECKPOINT_MAGIC!r} header and "
-                f"not a legacy pickle): {err}"
-            ) from err
-    magic, crc, length = _CHECKPOINT_HEADER.unpack_from(data)
-    body = data[_CHECKPOINT_HEADER.size :]
-    if len(body) != length:
-        raise CheckpointCorrupt(
-            f"{path}: truncated checkpoint — header promises {length} body "
-            f"bytes, file has {len(body)}"
-        )
-    if zlib.crc32(body) != crc:
-        raise CheckpointCorrupt(f"{path}: checkpoint body fails its CRC32 check")
     try:
-        return pickle.loads(body)
-    except Exception as err:  # pragma: no cover - CRC passed but pickle broke
-        raise CheckpointCorrupt(f"{path}: checkpoint body unpickle failed: {err}") from err
+        if data[:4] == CHECKPOINT_MAGIC:
+            data = unpack_frame(CHECKPOINT_MAGIC, data)
+        elif not _is_bare_pickle(data):
+            # Pre-framing checkpoints were a bare pickle; keep loading them.
+            raise ValueError(
+                f"not a checkpoint (no {CHECKPOINT_MAGIC!r} header and not a "
+                "legacy pickle)"
+            )
+        state = pickle.loads(data)
+        if not isinstance(state, dict):
+            raise ValueError(f"not a checkpoint (a pickled {type(state).__name__})")
+    except Exception as err:
+        raise CheckpointCorrupt(f"{path}: {err}") from err
+    return state
 
 
 def load_checkpoint(engine: "TrainingEngine", path: str) -> None:

@@ -129,60 +129,41 @@ def pipeline_adagp_engine(
     num_stages: int = 2,
     micro_batches: int = 4,
     kind: str = "GPipe",
-    optimizer: Optional[Optimizer] = None,
-    predictor: Optional[GradientPredictor] = None,
-    schedule=None,
-    lr: float = 1e-3,
-    predictor_lr: float = 1e-4,
-    metric_fn: Optional[MetricFn] = None,
-    plateau_scheduler: bool = True,
-    predictor_milestones: tuple[int, ...] = (20, 40),
-    gp_optimizer: Optional[Optimizer] = None,
     batched_predictor: bool = True,
-    callbacks: Iterable[Callback] = (),
-    backend: Optional[BackendSpec] = None,
+    **adagp_kwargs,
 ) -> TrainingEngine:
     """ADA-GP on a stage-partitioned pipeline (§3.7, measured Fig 20).
 
-    Identical phase semantics to :func:`adagp_engine`, but every batch —
-    BP and GP alike — executes on the event-driven micro-batch pipeline
-    executor, one :class:`PipelineGPStrategy` for all phases so the
-    per-stage device clocks stay continuous and Phase-GP streams
-    measurably fill the schedule's bubbles.  The measured timeline is at
+    :func:`adagp_engine` (every other keyword flows to it) with its
+    strategy table swapped for one :class:`PipelineGPStrategy`: identical
+    phase semantics, but every batch — BP and GP alike — executes on the
+    micro-batch pipeline executor, one strategy for all phases so the
+    per-stage device clocks stay continuous and the engine-level backend
+    scope covers the stage compute.  The measured timeline is at
     ``engine.strategies[Phase.GP].executor.timeline``.
 
     ``model`` must be a top-level :class:`~repro.nn.Sequential` (what
     :func:`repro.models.build_mini` returns); the split happens lazily
     on the first training batch, balanced by the accel cost model.
     """
-    if not nn.predictable_layers(model):
-        raise ValueError("model has no predictable layers for ADA-GP")
-    optimizer = optimizer or nn.SGD(model.parameters(), lr=lr, momentum=0.9)
-    predictor = predictor or GradientPredictor.for_model(model, lr=predictor_lr)
+    per_phase = [key for key in ("batched_gp", "gp_backend") if adagp_kwargs.get(key)]
+    if per_phase:
+        raise ValueError(
+            f"pipeline_adagp_engine cannot honour {per_phase}: one strategy "
+            "serves every phase, and its Phase-GP updates fire in flight"
+        )
+    engine = adagp_engine(
+        model, loss_fn, batched_predictor=batched_predictor, **adagp_kwargs
+    )
     strategy = PipelineGPStrategy(
         num_stages=num_stages,
         micro_batches=micro_batches,
         kind=kind,
         batched=batched_predictor,
     )
-    # One strategy serves all phases, so the engine-level backend scope
-    # covers the executor's stage compute for BP and GP batches alike.
-    return TrainingEngine(
-        model,
-        loss_fn,
-        optimizer,
-        strategies=strategy,
-        schedule=schedule or HeuristicSchedule(),
-        metric_fn=metric_fn,
-        lr_scheduler=ReduceLROnPlateau(optimizer) if plateau_scheduler else None,
-        predictor=predictor,
-        gp_optimizer=gp_optimizer,
-        predictor_scheduler=MultiStepLR(
-            predictor.optimizer, milestones=list(predictor_milestones)
-        ),
-        callbacks=callbacks,
-        backend=backend,
-    )
+    engine.strategies = {phase: strategy for phase in Phase}
+    strategy.bind(engine)
+    return engine
 
 
 def dni_engine(

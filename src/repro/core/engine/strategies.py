@@ -1,43 +1,56 @@
 """Per-batch phase strategies for the :class:`TrainingEngine`.
 
-ADA-GP, its BP baseline and the DNI baseline differ only in what one
-training batch does — *when* gradient predictions are trained and
-applied (paper §2/§3).  Each variant is a :class:`PhaseStrategy`:
+The paper defines a training batch as three steps, and this module
+writes each of them once, on :class:`PhaseStrategy`:
 
-* :class:`BackpropStrategy` — forward + backward + optimizer step; with
-  ``train_predictor=True`` it is ADA-GP's Warm-Up / Phase BP (§3.3): the
-  predictor additionally learns every predictable layer's true gradient,
-  through the batched fast path by default.
-* :class:`GradPredictStrategy` — ADA-GP's Phase GP (§3.4): backprop is
-  skipped and the batch runs under :func:`~repro.nn.no_grad` (no
-  backward caches are retained anywhere); a forward hook applies each
-  layer's predicted update the moment that layer's forward pass
-  completes, or ``batched_predict=True`` defers to one stacked
-  ``predict_many`` + grouped apply after the forward.
-* :class:`DNIStrategy` — the §2 baseline: synthetic gradients are
-  applied during *every* forward pass and full backprop still runs
-  afterwards, so it never saves backward work.
+1. *observe* every predictable layer's output — :meth:`PhaseStrategy.tap`,
+   the only code that installs a forward hook on ``engine.layers``;
+2. *train* the predictor on the layers' true gradients (§3.3, Warm-Up /
+   Phase BP) — :meth:`PhaseStrategy._train_predictor`; or
+3. *predict* the gradients and apply them (§3.4, Phase GP) —
+   :meth:`PhaseStrategy._apply_predictions`.
 
-The engine selects a strategy per batch from its phase schedule; adding
-a new training scheme (a new backend, a pipelined variant, ...) is one
-new strategy class, not a fourth copy of the fit loop.
+Steps 2 and 3 are the only code that touches ``engine.predictor``.  The
+schemes differ in which steps run and in *how forward/backward run*:
+
+* :class:`BackpropStrategy` — tap → ``run_forward_backward`` → train the
+  predictor (when ``train_predictor=True``: ADA-GP's Warm-Up / Phase BP),
+  then the optimizer step.
+* :class:`GradPredictStrategy` — ADA-GP's Phase GP: backprop is skipped
+  and the batch runs under :func:`~repro.nn.no_grad`; the tap applies
+  each layer's predicted update the moment that layer's forward
+  completes, or ``batched_predict=True`` defers to one stacked predict +
+  grouped apply after ``run_forward``.
+* :class:`DNIStrategy` — the §2 baseline: the BP body with synthetic
+  gradients applied in flight during *every* forward, so it never saves
+  backward work.
+* :class:`PipelineGPStrategy` — §3.7: both bodies with the two ``run_*``
+  primitives swapped for the micro-batch pipeline executor.
+
+The engine selects a strategy per batch from its phase schedule.  Adding
+a scheme is choosing ``on_output`` and the two ``run_*`` primitives, not
+a fourth copy of the hooks and the predictor calls.
 """
 
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
 from ...nn.backend import BackendSpec, resolve_backend
 from ...nn.losses import loss_value
 from ...nn.module import Module, no_grad
+from ...nn.optim import Optimizer
 from ..schedule import Phase
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .engine import TrainingEngine
+
+OnOutput = Callable[[Module, np.ndarray], None]
 
 
 @dataclass
@@ -72,6 +85,10 @@ class PhaseStrategy:
     backend (and, failing that, the global default).
     """
 
+    #: How many times each predictable layer's forward runs per batch
+    #: (a pipeline's micro-batch count); the tap joins that many chunks.
+    chunks = 1
+
     def __init__(self, backend: Optional[BackendSpec] = None) -> None:
         self._engine_ref: Optional[weakref.ref] = None
         self.backend = resolve_backend(backend)
@@ -91,34 +108,173 @@ class PhaseStrategy:
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
         raise NotImplementedError
 
+    # -- how forward/backward run: the two primitives a scheme may swap ----
+    def run_forward_backward(self, inputs, targets, grad_scale: float = 1.0) -> float:
+        """Forward + backward leaving the batch's gradients in
+        ``param.grad``; returns the loss.  ``grad_scale=1.0`` skips the
+        scaling entirely, keeping the serial path bitwise unchanged."""
+        engine = self.engine
+        outputs = engine.model(inputs)
+        loss, grad = engine.loss_fn(outputs, targets)
+        if grad_scale != 1.0:
+            grad = grad * np.float32(grad_scale)
+        engine.optimizer.zero_grad()
+        engine.model.backward(grad)
+        return loss
 
-def install_capture_hooks(
-    engine: "TrainingEngine", store: dict[int, np.ndarray]
-) -> None:
-    """Hook every predictable layer to record its output into ``store``
-    (keyed by ``id(layer)``) — the activation-capture side of both
-    predictor training and batched Phase-GP."""
+    def run_forward(self, inputs, targets) -> float:
+        """Forward only, under no-grad — no layer retains a backward
+        cache and conv workspaces return to the backend pool
+        mid-forward; the loss is evaluated value-only, for monitoring."""
+        engine = self.engine
+        with no_grad():
+            outputs = engine.model(inputs)
+        return loss_value(engine.loss_fn, outputs, targets)
 
-    def hook(layer: Module, output: np.ndarray) -> None:
-        store[id(layer)] = output
+    # -- the three steps ---------------------------------------------------
+    @contextmanager
+    def tap(
+        self, on_output: Optional[OnOutput] = None, keep: bool = True
+    ) -> Iterator[dict[int, np.ndarray]]:
+        """Observe every predictable layer's output for one batch.
 
-    for layer in engine.layers:
-        layer.forward_hook = hook
+        Yields an ``id(layer) -> full-batch activation`` store that is
+        *local to the batch* — kept as a strategy attribute it pinned
+        every predictable layer's output (1–3 MB on the mini models)
+        until the next BP batch, while the model drops its caches after
+        every batch.  ``keep=False`` leaves it empty, for callers that
+        consume each activation in ``on_output``.
+
+        ``on_output(layer, activation)`` fires the moment a layer's
+        batch is complete — §3.4's in-flight timing.  When layers run
+        ``chunks`` times per batch the chunks are joined in the hook
+        only if ``on_output`` needs the joined array (so predict + apply
+        stay inside the last micro-batch's measured slot); otherwise
+        they are joined after the forward, outside any measured slot.
+        Hooks are always cleared.
+        """
+        engine = self.engine
+        chunks = self.chunks
+        store: dict[int, np.ndarray] = {}
+        parts: dict[int, list[np.ndarray]] = {}
+
+        def hook(layer: Module, output: np.ndarray) -> None:
+            if chunks > 1:
+                got = parts.setdefault(id(layer), [])
+                got.append(output)
+                if on_output is None or len(got) < chunks:
+                    return
+                output = np.concatenate(parts.pop(id(layer)), axis=0)
+            if keep:
+                store[id(layer)] = output
+            if on_output is not None:
+                on_output(layer, output)
+
+        for layer in engine.layers:
+            layer.forward_hook = hook
+        try:
+            yield store
+        finally:
+            engine.clear_hooks()
+        for key, got in parts.items():
+            store[key] = np.concatenate(got, axis=0)
+
+    def _train_predictor(
+        self, activations: dict[int, np.ndarray], batched: bool
+    ) -> tuple[dict[int, float], dict[int, float]]:
+        """One predictor update on every tapped layer's true gradients
+        (§3.3); returns per-layer ``(mse, mape)`` before the update.
+
+        ``batched=True`` stacks all layers into a single predictor
+        forward/backward and one Adam step — the BP-phase hot path of
+        the paper's software loop; ``False`` keeps one step per layer.
+        The two are numerically equivalent at the gradient level
+        (``tests/core/test_predictor_batched.py``) but follow slightly
+        different Adam trajectories, which neither the paper nor the
+        accelerator model distinguishes.
+        """
+        engine = self.engine
+        indices, layers = [], []
+        for index, layer in enumerate(engine.layers):
+            if id(layer) in activations and layer.weight.grad is not None:
+                indices.append(index)
+                layers.append(layer)
+        if not layers:
+            return {}, {}
+        outputs = [activations[id(layer)] for layer in layers]
+        weight_grads = [layer.weight.grad for layer in layers]
+        bias_grads = [
+            layer.bias.grad if layer.bias is not None else None for layer in layers
+        ]
+        if batched and len(layers) > 1:
+            metrics = engine.predictor.train_step_many(
+                layers, outputs, weight_grads, bias_grads
+            )
+        else:
+            metrics = [
+                engine.predictor.train_step(*row)
+                for row in zip(layers, outputs, weight_grads, bias_grads)
+            ]
+        mse_by_layer: dict[int, float] = {}
+        mape_by_layer: dict[int, float] = {}
+        for index, (mse, mape) in zip(indices, metrics):
+            mse_by_layer[index] = mse
+            mape_by_layer[index] = mape
+            if hasattr(engine.schedule, "observe_mape"):
+                engine.schedule.observe_mape(mape)
+        return mse_by_layer, mape_by_layer
+
+    def _apply_predictions(
+        self,
+        layers: list[Module],
+        outputs: list[np.ndarray],
+        optimizer: Optimizer,
+        scale: float = 1.0,
+    ) -> None:
+        """Predict the layers' gradients from their activations in one
+        stacked predictor call and apply them (times ``scale``) through
+        ``optimizer`` in one grouped apply — the plain-MAC hardware
+        update path.  In-flight callers pass one-layer lists."""
+        if not layers:
+            return
+        predictions = self.engine.predictor.predict_many(layers, outputs)
+        updates = []
+        for layer, (weight_grad, bias_grad) in zip(layers, predictions):
+            updates.append((layer.weight, weight_grad))
+            if layer.bias is not None and bias_grad is not None:
+                updates.append((layer.bias, bias_grad))
+        if scale != 1.0:
+            updates = [(param, scale * grad) for param, grad in updates]
+        optimizer.apply_gradients(updates)
+
+    def _gp_batch(self, inputs, targets, batched_predict: bool = False) -> BatchResult:
+        """The Phase-GP body (§3.4): tap → ``run_forward`` → predicted
+        updates, in flight per layer or (``batched_predict``) all at
+        once after the forward.  No gradient ever touches ``param.grad``."""
+        engine = self.engine
+        engine.model.train()
+        optimizer = engine.gp_optimizer
+
+        def in_flight(layer: Module, output: np.ndarray) -> None:
+            self._apply_predictions([layer], [output], optimizer)
+
+        on_output = None if batched_predict else in_flight
+        with self.tap(on_output, keep=batched_predict) as activations:
+            loss = self.run_forward(inputs, targets)
+        if batched_predict:
+            layers = [layer for layer in engine.layers if id(layer) in activations]
+            outputs = [activations[id(layer)] for layer in layers]
+            self._apply_predictions(layers, outputs, optimizer)
+        return BatchResult(loss=loss, phase=Phase.GP)
 
 
 class BackpropStrategy(PhaseStrategy):
-    """Standard backprop batch, optionally also training the predictor.
+    """Standard backprop batch, optionally also training the predictor
+    (``train_predictor=True``, ``batched`` as in
+    :meth:`PhaseStrategy._train_predictor`)."""
 
-    ``batched=True`` routes predictor training through
-    :meth:`GradientPredictor.train_step_many`, which stacks all layers'
-    reorganized activations into a single predictor forward/backward —
-    the BP-phase hot path of the paper's software loop.  ``batched=False``
-    keeps the per-layer loop over the same path (one optimizer step per
-    layer); the two are numerically equivalent at the gradient level
-    (``tests/core/test_predictor_batched.py``) but follow slightly
-    different Adam trajectories, which neither the paper nor the
-    accelerator model distinguishes.
-    """
+    #: Called with each layer's output during the forward (DNI's seam).
+    on_output: Optional[OnOutput] = None
 
     def __init__(
         self,
@@ -129,7 +285,6 @@ class BackpropStrategy(PhaseStrategy):
         super().__init__(backend=backend)
         self.train_predictor = train_predictor
         self.batched = batched
-        self._activations: dict[int, np.ndarray] = {}
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
         result = self.forward_backward(inputs, targets, phase)
@@ -148,8 +303,7 @@ class BackpropStrategy(PhaseStrategy):
         scaled by ``grad_scale`` (its shard's fraction of the global
         batch, so the rank-summed gradient matches full-batch
         mean-reduction semantics), and the reduced gradient is applied
-        in a separate step.  ``grad_scale=1.0`` skips the scaling
-        entirely, keeping the serial path bitwise unchanged.
+        in a separate step.
 
         Predictor training (when enabled) runs on the *local* gradients
         computed here — it touches neither model parameters nor
@@ -158,114 +312,34 @@ class BackpropStrategy(PhaseStrategy):
         """
         engine = self.engine
         engine.model.train()
-        capture = self.train_predictor and engine.predictor is not None
-        if capture:
-            self._activations.clear()
-            install_capture_hooks(engine, self._activations)
-        try:
-            outputs = engine.model(inputs)
-            loss, grad = engine.loss_fn(outputs, targets)
-            if grad_scale != 1.0:
-                grad = grad * np.float32(grad_scale)
-            engine.optimizer.zero_grad()
-            engine.model.backward(grad)
-        finally:
-            if capture:
-                engine.clear_hooks()
-        if not capture:
+        if not self.train_predictor or engine.predictor is None:
+            loss = self.run_forward_backward(inputs, targets, grad_scale)
             return BatchResult(loss=loss, phase=phase)
-        mse_by_layer, mape_by_layer = self._train_predictor()
-        return BatchResult(
-            loss=loss,
-            phase=phase,
-            predictor_mse=mse_by_layer,
-            predictor_mape=mape_by_layer,
-        )
-
-    def _train_predictor(self) -> tuple[dict[int, float], dict[int, float]]:
-        """One predictor update on every layer's true gradients (§3.3)."""
-        engine = self.engine
-        entries = []
-        for index, layer in enumerate(engine.layers):
-            output = self._activations.get(id(layer))
-            if output is None or layer.weight.grad is None:
-                continue
-            bias_grad = layer.bias.grad if layer.bias is not None else None
-            entries.append((index, layer, output, layer.weight.grad, bias_grad))
-        if not entries:
-            return {}, {}
-        if self.batched and len(entries) > 1:
-            metrics = engine.predictor.train_step_many(
-                [e[1] for e in entries],
-                [e[2] for e in entries],
-                [e[3] for e in entries],
-                [e[4] for e in entries],
-            )
-        else:
-            metrics = [
-                engine.predictor.train_step(layer, output, weight_grad, bias_grad)
-                for _, layer, output, weight_grad, bias_grad in entries
-            ]
-        mse_by_layer: dict[int, float] = {}
-        mape_by_layer: dict[int, float] = {}
-        for (index, *_), (mse, mape) in zip(entries, metrics):
-            mse_by_layer[index] = mse
-            mape_by_layer[index] = mape
-            if hasattr(engine.schedule, "observe_mape"):
-                engine.schedule.observe_mape(mape)
-        return mse_by_layer, mape_by_layer
-
-
-def apply_predicted_update(
-    engine: "TrainingEngine", layer: Module, output: np.ndarray
-) -> None:
-    """Predict a layer's gradients from its activations and apply them
-    through the GP optimizer (the plain-MAC hardware update path)."""
-    weight_grad, bias_grad = engine.predictor.predict(layer, output)
-    engine.gp_optimizer.apply_gradient(layer.weight, weight_grad)
-    if layer.bias is not None and bias_grad is not None:
-        engine.gp_optimizer.apply_gradient(layer.bias, bias_grad)
-
-
-def install_predict_hooks(engine: "TrainingEngine") -> None:
-    """Hook every predictable layer to apply its predicted update the
-    moment its forward pass completes (§3.4)."""
-
-    def hook(layer: Module, output: np.ndarray) -> None:
-        apply_predicted_update(engine, layer, output)
-
-    for layer in engine.layers:
-        layer.forward_hook = hook
+        with self.tap(self.on_output) as activations:
+            loss = self.run_forward_backward(inputs, targets, grad_scale)
+        errors = self._train_predictor(activations, self.batched)
+        return BatchResult(loss, phase, *errors)
 
 
 class GradPredictStrategy(PhaseStrategy):
     """Phase GP batch: forward-only with predicted updates, under no-grad.
 
-    The whole batch runs inside :func:`~repro.nn.no_grad` — backprop can
-    never happen in Phase GP, so no layer retains a backward cache, conv
-    im2col workspaces return to the backend pool mid-forward, and the
-    loss is evaluated value-only (:func:`~repro.nn.losses.loss_value`)
-    for monitoring; no gradient ever touches ``param.grad``.
-
     ``batched_predict`` selects *when* predictions are applied:
 
-    * ``False`` (default, §3.4-faithful): a forward hook applies each
-      layer's predicted update the moment its forward completes — the
-      in-flight timing the accelerator implements (the update lands on
-      weights whose forward work for this batch is already done, so on
-      a single-pass feed-forward chain the resulting weights equal the
+    * ``False`` (default, §3.4-faithful): the tap applies each layer's
+      predicted update the moment its forward completes — the in-flight
+      timing the accelerator implements (the update lands on weights
+      whose forward work for this batch is already done, so on a
+      single-pass feed-forward chain the resulting weights equal the
       deferred mode's; the timing matters for hardware overlap, for
       models that reuse a layer object within one forward, and across
       batches).
     * ``True``: the forward only *collects* predictable-layer
-      activations; afterwards one stacked
-      :meth:`~repro.core.predictor.GradientPredictor.predict_many`
-      call predicts every layer and one grouped
-      ``gp_optimizer.apply_gradients`` applies them — far fewer
-      predictor invocations per batch, updates landing after the
-      forward instead of during it (the ROADMAP "Batched GP phase"
-      item; accuracy/throughput comparison in
-      ``examples/batched_gp_tradeoff.py``).
+      activations; afterwards one stacked predictor call predicts every
+      layer and one grouped ``gp_optimizer.apply_gradients`` applies
+      them — far fewer predictor invocations per batch, updates landing
+      after the forward instead of during it (accuracy/throughput
+      comparison in ``examples/batched_gp_tradeoff.py``).
     """
 
     def __init__(
@@ -275,74 +349,34 @@ class GradPredictStrategy(PhaseStrategy):
     ) -> None:
         super().__init__(backend=backend)
         self.batched_predict = batched_predict
-        self._activations: dict[int, np.ndarray] = {}
-
-    def _apply_collected(self) -> None:
-        """One stacked predict + one grouped optimizer apply (post-forward)."""
-        engine = self.engine
-        entries = [
-            (layer, self._activations[id(layer)])
-            for layer in engine.layers
-            if id(layer) in self._activations
-        ]
-        self._activations.clear()
-        if not entries:
-            return
-        layers = [layer for layer, _ in entries]
-        predictions = engine.predictor.predict_many(
-            layers, [output for _, output in entries]
-        )
-        updates = []
-        for layer, (weight_grad, bias_grad) in zip(layers, predictions):
-            updates.append((layer.weight, weight_grad))
-            if layer.bias is not None and bias_grad is not None:
-                updates.append((layer.bias, bias_grad))
-        engine.gp_optimizer.apply_gradients(updates)
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
-        engine = self.engine
-        engine.model.train()
-        if self.batched_predict:
-            self._activations.clear()
-            install_capture_hooks(engine, self._activations)
-        else:
-            install_predict_hooks(engine)
-        try:
-            with no_grad():
-                outputs = engine.model(inputs)
-        finally:
-            engine.clear_hooks()
-        if self.batched_predict:
-            self._apply_collected()
-        loss = loss_value(engine.loss_fn, outputs, targets)  # monitoring only
-        return BatchResult(loss=loss, phase=Phase.GP)
+        return self._gp_batch(inputs, targets, self.batched_predict)
 
 
 class PipelineGPStrategy(BackpropStrategy):
     """Pipeline-parallel ADA-GP on stage-partitioned models (§3.7, Fig 20).
 
-    On first batch, the engine's ``Sequential`` model is split into
-    ``num_stages`` balanced stage sub-models (accel cost model, see
+    The batch bodies are :class:`BackpropStrategy`'s and the Phase-GP
+    one; this class only swaps *how forward/backward run*.  On first
+    batch the engine's ``Sequential`` model is split into ``num_stages``
+    balanced stage sub-models (accel cost model, see
     :mod:`repro.pipeline.partition`) and every batch thereafter runs on
     the event-driven micro-batch executor with per-stage virtual device
     clocks (:mod:`repro.pipeline.executor`):
 
     * WARMUP/BP batches execute the GPipe- or DAPPLE-ordered fw/bw
       schedule (gradients identical to full-batch backprop for
-      mean-reduction losses) and train the predictor exactly like
-      :class:`BackpropStrategy`;
-    * GP batches stream forward-only micro-batches with each predictable
-      layer's predicted update applied the moment its forward completes
-      — the Phase-GP work that fills the pipeline bubbles.  Predictor
-      predict+apply time runs inside the measured forward slot, so the
-      paper's alpha overhead is part of the measurement.  By default the
-      update fires once per batch, on the *final* micro-batch's forward,
-      predicting from the accumulated full-batch activations — the same
-      update semantics and cost as the single-chip
-      :class:`GradPredictStrategy` (the hardware overlaps alpha on a
-      dedicated array, software pays it per invocation);
-      ``apply_every_micro=True`` instead applies per micro-batch from
-      that micro-batch's activations alone.
+      mean-reduction losses); the predictor trains on each layer's
+      micro-batch outputs joined back into the full batch;
+    * GP batches stream forward-only micro-batches.  Each predictable
+      layer's update fires once per batch, on its *final* micro-batch's
+      forward, predicted from the joined full-batch activations — the
+      same update semantics and cost as the single-chip
+      :class:`GradPredictStrategy` — and runs inside that measured
+      forward slot, so the paper's alpha overhead is part of the
+      measurement (the hardware overlaps alpha on a dedicated array,
+      software pays it per invocation).
 
     Device clocks persist across batches, making the executor's
     ``timeline`` a *measured* Fig 20: its makespan is the multi-device
@@ -357,7 +391,6 @@ class PipelineGPStrategy(BackpropStrategy):
         kind: str = "GPipe",
         train_predictor: bool = True,
         batched: bool = True,
-        apply_every_micro: bool = False,
         backend: Optional[BackendSpec] = None,
     ) -> None:
         super().__init__(
@@ -366,118 +399,61 @@ class PipelineGPStrategy(BackpropStrategy):
         self.num_stages = num_stages
         self.micro_batches = micro_batches
         self.kind = kind
-        self.apply_every_micro = apply_every_micro
         self.executor = None  # built lazily (needs the input shape)
-        self._activation_chunks: dict[int, list[np.ndarray]] = {}
 
-    def _ensure_executor(self, inputs: np.ndarray) -> None:
-        if self.executor is not None:
-            return
-        # Imported here: repro.core.engine must stay importable without
-        # dragging the pipeline package (and its accel/models deps) in.
-        from ...pipeline.executor import PipelineExecutor
-        from ...pipeline.schedules import PipelineKind
+    @property
+    def chunks(self) -> int:
+        return self.micro_batches
 
-        self.executor = PipelineExecutor.from_model(
-            self.engine.model,
-            self.num_stages,
-            input_shape=inputs.shape[1:],
-            micro_batches=self.micro_batches,
-            kind=PipelineKind(self.kind),
-        )
+    def _ensure_executor(self, inputs: np.ndarray):
+        if self.executor is None:
+            # Imported here: repro.core.engine must stay importable without
+            # dragging the pipeline package (and its accel/models deps) in.
+            from ...pipeline.executor import PipelineExecutor
+            from ...pipeline.schedules import PipelineKind
 
-    def _install_pipeline_capture_hooks(self) -> None:
-        """Collect every micro-batch's activations so predictor training
-        sees the full batch (concatenated), matching BackpropStrategy's
-        activation/gradient pairing."""
-        chunks = self._activation_chunks
+            self.executor = PipelineExecutor.from_model(
+                self.engine.model,
+                self.num_stages,
+                input_shape=inputs.shape[1:],
+                micro_batches=self.micro_batches,
+                kind=PipelineKind(self.kind),
+            )
+        return self.executor
 
-        def hook(layer: Module, output: np.ndarray) -> None:
-            chunks.setdefault(id(layer), []).append(output)
+    def run_forward_backward(self, inputs, targets, grad_scale: float = 1.0) -> float:
+        if grad_scale != 1.0:
+            raise ValueError(
+                f"PipelineGPStrategy cannot apply grad_scale={grad_scale}: the "
+                "executor already rescales every micro-batch's loss gradient, "
+                "so a pipeline cannot be a data-parallel rank"
+            )
+        executor = self._ensure_executor(inputs)
+        self.engine.optimizer.zero_grad()
+        return executor.run_bp_batch(inputs, targets, self.engine.loss_fn).loss
 
-        for layer in self.engine.layers:
-            layer.forward_hook = hook
-
-    def _install_pipeline_predict_hooks(self) -> None:
-        engine = self.engine
-        if self.apply_every_micro:
-            install_predict_hooks(engine)
-            return
-        # Accumulate each layer's micro-batch activations and predict
-        # once from the full batch when its last micro-batch forward
-        # completes — single-chip GradPredictStrategy semantics, with
-        # the predict+apply still inside that measured forward slot.
-        executor = self.executor
-        last_micro = executor.config.micro_batches - 1
-        chunks: dict[int, list[np.ndarray]] = {}
-
-        def hook(layer: Module, output: np.ndarray) -> None:
-            parts = chunks.setdefault(id(layer), [])
-            parts.append(output)
-            if executor.current_micro == last_micro:
-                apply_predicted_update(
-                    engine, layer, np.concatenate(parts, axis=0)
-                )
-                parts.clear()
-
-        for layer in engine.layers:
-            layer.forward_hook = hook
+    def run_forward(self, inputs, targets) -> float:
+        executor = self._ensure_executor(inputs)
+        # Forward-only micro-batch streams: no stage will ever run
+        # backward on them, so the whole streamed batch is cache-free.
+        with no_grad():
+            return executor.run_gp_batch(inputs, targets, self.engine.loss_fn).loss
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
-        engine = self.engine
-        engine.model.train()
-        self._ensure_executor(inputs)
         if phase == Phase.GP:
-            if engine.predictor is not None:
-                self._install_pipeline_predict_hooks()
-            try:
-                # Forward-only micro-batch streams: no stage will ever
-                # run backward on them, so the whole streamed batch is
-                # cache-free (predict hooks still fire inside the
-                # measured slots).
-                with no_grad():
-                    run = self.executor.run_gp_batch(
-                        inputs, targets, engine.loss_fn
-                    )
-            finally:
-                engine.clear_hooks()
-            return BatchResult(loss=run.loss, phase=Phase.GP)
-        capture = self.train_predictor and engine.predictor is not None
-        if capture:
-            self._activations.clear()
-            self._activation_chunks.clear()
-            self._install_pipeline_capture_hooks()
-        try:
-            engine.optimizer.zero_grad()
-            run = self.executor.run_bp_batch(inputs, targets, engine.loss_fn)
-            engine.optimizer.step()
-        finally:
-            if capture:
-                engine.clear_hooks()
-        if not capture:
-            return BatchResult(loss=run.loss, phase=phase)
-        self._activations = {
-            key: np.concatenate(chunks, axis=0)
-            for key, chunks in self._activation_chunks.items()
-        }
-        self._activation_chunks.clear()
-        mse_by_layer, mape_by_layer = self._train_predictor()
-        return BatchResult(
-            loss=run.loss,
-            phase=phase,
-            predictor_mse=mse_by_layer,
-            predictor_mape=mape_by_layer,
-        )
+            return self._gp_batch(inputs, targets)
+        return super().train_batch(inputs, targets, phase)
 
 
-class DNIStrategy(PhaseStrategy):
+class DNIStrategy(BackpropStrategy):
     """DNI batch (Jaderberg et al. 2017): synthetic updates + full BP.
 
     Each batch applies scaled synthetic gradients layer-by-layer during
-    forward, then still runs complete backpropagation to update the
-    model with true gradients and train the predictor — strictly more
-    work than plain BP, which is the paper's §2 point ("DNI does not
-    improve training time").
+    forward (through the model's own optimizer), then still runs
+    complete backpropagation to update the model with true gradients and
+    train the predictor, one step per layer — strictly more work than
+    plain BP, which is the paper's §2 point ("DNI does not improve
+    training time").
     """
 
     def __init__(
@@ -485,58 +461,10 @@ class DNIStrategy(PhaseStrategy):
         synthetic_lr_scale: float = 0.1,
         backend: Optional[BackendSpec] = None,
     ) -> None:
-        super().__init__(backend=backend)
+        super().__init__(train_predictor=True, batched=False, backend=backend)
         self.synthetic_lr_scale = synthetic_lr_scale
-        self._activations: dict[int, np.ndarray] = {}
 
-    def _install_dni_hooks(self) -> None:
-        engine = self.engine
-
-        def hook(layer: Module, output: np.ndarray) -> None:
-            # DNI's decoupled update: apply the synthetic gradient the
-            # moment the layer's forward completes...
-            self._activations[id(layer)] = output
-            weight_grad, bias_grad = engine.predictor.predict(layer, output)
-            engine.optimizer.apply_gradient(
-                layer.weight, self.synthetic_lr_scale * weight_grad
-            )
-            if layer.bias is not None and bias_grad is not None:
-                engine.optimizer.apply_gradient(
-                    layer.bias, self.synthetic_lr_scale * bias_grad
-                )
-
-        for layer in engine.layers:
-            layer.forward_hook = hook
-
-    def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
-        engine = self.engine
-        engine.model.train()
-        self._activations.clear()
-        self._install_dni_hooks()
-        try:
-            outputs = engine.model(inputs)
-        finally:
-            engine.clear_hooks()
-        # ...and then backpropagation still runs in full (§2).
-        loss, grad = engine.loss_fn(outputs, targets)
-        engine.optimizer.zero_grad()
-        engine.model.backward(grad)
-        engine.optimizer.step()
-        mse_by_layer: dict[int, float] = {}
-        mape_by_layer: dict[int, float] = {}
-        for index, layer in enumerate(engine.layers):
-            output = self._activations.get(id(layer))
-            if output is None or layer.weight.grad is None:
-                continue
-            bias_grad = layer.bias.grad if layer.bias is not None else None
-            mse, mape = engine.predictor.train_step(
-                layer, output, layer.weight.grad, bias_grad
-            )
-            mse_by_layer[index] = mse
-            mape_by_layer[index] = mape
-        return BatchResult(
-            loss=loss,
-            phase=phase,
-            predictor_mse=mse_by_layer,
-            predictor_mape=mape_by_layer,
+    def on_output(self, layer: Module, output: np.ndarray) -> None:
+        self._apply_predictions(
+            [layer], [output], self.engine.optimizer, scale=self.synthetic_lr_scale
         )

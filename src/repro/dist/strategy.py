@@ -3,8 +3,12 @@
 :class:`DataParallelStrategy` wraps an engine's existing per-phase
 strategies (any :class:`~repro.core.engine.strategies.BackpropStrategy`
 family for WARMUP/BP, any GP strategy for Phase GP) and distributes each
-batch over ``workers`` ranks — rank 0 *is* the driver engine; ranks
-``1..W-1`` are replicas behind a :class:`~repro.dist.transport.Transport`.
+batch over ``workers`` ranks — rank 0 is the driver engine behind an
+in-process :class:`~repro.dist.worker.DistWorker`, ranks ``1..W-1`` are
+replicas behind a :class:`~repro.dist.transport.Transport`, and all
+answer the same ``compute`` / ``apply`` / ``gp`` command dicts: this file
+holds sharding, ordering, accounting and the lost-rank policy, and
+nothing a rank *does*.
 
 Per **BP/WARMUP** batch: the batch is cut into contiguous rank-ordered
 shards (their concatenation is the original batch), every active rank
@@ -62,17 +66,16 @@ byte-identical to the serial engine's.
 from __future__ import annotations
 
 import warnings
-from contextlib import nullcontext
 from typing import Mapping, Optional, Union
 
 from ..core.engine.strategies import BatchResult, PhaseStrategy
 from ..core.schedule import Phase
 from ..nn.backend import backend_scope
 from ..obs.trace import COMM, tracer as _obs_tracer
-from .codec import Codec, decode_sum, resolve_codec
+from .codec import Codec, resolve_codec
 from .reliable import RankLost, ReliableTransport
 from .transport import resolve_transport
-from .worker import state_nbytes, sync_state
+from .worker import DistWorker, state_nbytes, sync_state
 
 
 def shard_sizes(n: int, world_size: int) -> list[int]:
@@ -262,17 +265,21 @@ class DataParallelStrategy(PhaseStrategy):
         self._need_sync = True
 
     # -- batch dispatch ----------------------------------------------------
-    def _scope(self, inner: PhaseStrategy):
-        """The inner strategy's backend scope (the engine only sees this
-        wrapper's ``backend``, so per-phase overrides are re-applied
-        here — serial-equivalent resolution order)."""
-        return nullcontext() if inner.backend is None else backend_scope(inner.backend)
+    def _rank0(self) -> DistWorker:
+        """Rank 0 as the worker every other rank is: the driver engine,
+        this strategy's codec and the serial strategies it took over,
+        answering the same command dicts the transport carries.  Built
+        per use — held, it would close the engine → strategy → engine
+        cycle the weak ``engine`` reference exists to avoid."""
+        return DistWorker(self.engine, self.codec, 0, self.workers, strategies=self.inner)
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
-        inner = self.inner[phase]
         while True:
             if self.workers == 1 or self._serial:
-                with self._scope(inner):
+                inner = self.inner[phase]
+                # The engine only sees this wrapper's ``backend``, so the
+                # inner strategy's own override is re-applied here.
+                with backend_scope(inner.backend):
                     return inner.train_batch(inputs, targets, phase)
             # Boundary sync (BP→GP: stale replica predictors; GP→BP:
             # drifted replica models) — never inside a run, so
@@ -283,7 +290,7 @@ class DataParallelStrategy(PhaseStrategy):
                 if not self._sync_replicas(lrs):
                     continue
             train = self._train_gp if phase is Phase.GP else self._train_bp
-            result = train(inner, inputs, targets, phase, lrs)
+            result = train(inputs, targets, phase, lrs)
             # None (like a failed sync): a rank was lost before anything
             # was applied and has been forfeited — re-run the batch on
             # the surviving shard layout (serial if degraded).
@@ -299,27 +306,29 @@ class DataParallelStrategy(PhaseStrategy):
             self.fault_log.append({"epoch": epoch, **entry})
         self.comm.add(epoch, **counts)
 
-    def _scatter(self, inputs, targets, cmd: dict) -> tuple[list, list, list]:
+    def _scatter(self, inputs, targets, cmd: dict) -> tuple[list, dict, list]:
         """Cut the batch into contiguous rank-ordered shards and submit
-        ``cmd`` + shard to every worker rank that got one (rank 0's shard
-        is the head, run in-process by the caller).  Returns the active
-        ranks, their shard sizes and the ranks that owe a reply."""
+        ``cmd`` + shard to every worker rank that got one.  Returns the
+        active ranks, rank 0's own command (the head shard, for the
+        caller to run in-process once the others are under way) and the
+        ranks that owe a reply."""
         ranks = list(self._active)
         n = len(inputs)
-        sizes = shard_sizes(n, len(ranks))
-        pending = []
-        offset = sizes[0]
-        for rank, size in zip(ranks[1:], sizes[1:]):
+        pending, offset = [], 0
+        for rank, size in zip(ranks, shard_sizes(n, len(ranks))):
             if size == 0:
                 continue
             cut = slice(offset, offset + size)
             shard = {**cmd, "inputs": inputs[cut], "targets": targets[cut]}
             if cmd["op"] == "compute":
                 shard["scale"] = size / n
-            self.transport.submit(rank, shard)
-            pending.append(rank)
+            if rank == 0:
+                local = shard
+            else:
+                self.transport.submit(rank, shard)
+                pending.append(rank)
             offset += size
-        return ranks, sizes, pending
+        return ranks, local, pending
 
     def _collect(self, ranks: list[int]) -> tuple[dict, list[int]]:
         """Collect every rank's reply in rank order.  A lost rank does
@@ -394,31 +403,14 @@ class DataParallelStrategy(PhaseStrategy):
         return True
 
     # -- BP/WARMUP: shard → forward_backward → all-reduce → step everywhere --
-    def _train_bp(self, inner, inputs, targets, phase, lrs) -> Optional[BatchResult]:
+    def _train_bp(self, inputs, targets, phase, lrs) -> Optional[BatchResult]:
         engine = self.engine
-        ranks, sizes, pending = self._scatter(
+        ranks, local, pending = self._scatter(
             inputs, targets, {"op": "compute", "phase": phase, "lrs": lrs}
         )
-        n = len(inputs)
         # Rank 0's shard runs in-process while worker ranks compute.
-        with self._scope(inner):
-            local = inner.forward_backward(
-                inputs[: sizes[0]], targets[: sizes[0]], phase, grad_scale=sizes[0] / n
-            )
-        engine.model.clear_caches()
-        params = engine.optimizer.parameters
-        replies = {
-            0: {
-                "loss": local.loss,
-                "n": sizes[0],
-                "enc": [
-                    None if param.grad is None else self.codec.encode(index, param.grad)
-                    for index, param in enumerate(params)
-                ],
-                "mse": local.predictor_mse,
-                "mape": local.predictor_mape,
-            }
-        }
+        rank0 = self._rank0()
+        replies = {0: rank0.handle(local)}
         with _obs_tracer().span("dist.gather", phase=COMM, ranks=len(pending)):
             gathered, lost = self._collect(pending)
         if lost:
@@ -426,16 +418,13 @@ class DataParallelStrategy(PhaseStrategy):
             self._forfeit(lost)
             return None
         replies.update(gathered)
-        # Rank-ordered decode+sum — the same kernel every worker runs in
-        # its apply step, so all ranks install bitwise-equal gradients.
+        # Every rank, 0 first, decodes and sums the same payloads in
+        # rank order (``DistWorker._apply``) and steps its optimizer.
         encs_by_rank = [replies[rank]["enc"] if rank in replies else None for rank in ranks]
-        for index, param in enumerate(params):
-            param.grad = decode_sum(
-                [encs[index] if encs is not None else None for encs in encs_by_rank]
-            )
-        engine.optimizer.step()
+        apply = {"op": "apply", "encs": encs_by_rank, "lrs": lrs}
+        rank0.handle(apply)
         for rank in ranks[1:]:
-            self.transport.submit(rank, {"op": "apply", "encs": encs_by_rank, "lrs": lrs})
+            self.transport.submit(rank, apply)
         with _obs_tracer().span("dist.apply", phase=COMM, ranks=len(ranks) - 1):
             _, lost = self._collect(ranks[1:])
         if lost:
@@ -456,7 +445,7 @@ class DataParallelStrategy(PhaseStrategy):
         )
         if engine.predictor is not None:
             self._predictor_stale = True
-        return self._merge_results(replies, phase, n)
+        return self._merge_results(replies, phase, len(inputs))
 
     def _merge_results(self, replies: dict, phase: Phase, n: int) -> BatchResult:
         """Shard-weighted merge of per-rank losses and predictor metrics
@@ -491,13 +480,11 @@ class DataParallelStrategy(PhaseStrategy):
         )
 
     # -- GP: every rank predicts locally; zero gradient bytes on the wire --
-    def _train_gp(self, inner, inputs, targets, phase, lrs) -> BatchResult:
-        _, sizes, pending = self._scatter(inputs, targets, {"op": "gp", "lrs": lrs})
-        with self._scope(inner):
-            local = inner.train_batch(inputs[: sizes[0]], targets[: sizes[0]], phase)
-        self.engine.model.clear_caches()
-        replies, lost = self._collect(pending)
-        replies[0] = {"loss": local.loss, "n": sizes[0]}
+    def _train_gp(self, inputs, targets, phase, lrs) -> BatchResult:
+        _, local, pending = self._scatter(inputs, targets, {"op": "gp", "lrs": lrs})
+        replies = {0: self._rank0().handle(local)}
+        gathered, lost = self._collect(pending)
+        replies.update(gathered)
         if lost:
             # GP shard results are replica-local by design (the
             # trajectory is rank 0's alone; replica drift is overwritten

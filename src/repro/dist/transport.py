@@ -58,11 +58,11 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import pickle
-import struct
 import time
 import weakref
-import zlib
 from typing import Callable, Optional, Union
+
+from ..core.engine.checkpoint import pack_frame, unpack_frame
 
 WorkerFactory = Callable[[int], object]
 
@@ -102,15 +102,15 @@ class PayloadCorrupt(TransportError):
 # ----------------------------------------------------------------------
 # CRC32 wire framing.
 # ----------------------------------------------------------------------
-#: Frame layout: magic, CRC32 of the pickled body, body length, body.
+#: Frame layout — magic, CRC32 of the pickled body, body length, body —
+#: and its four checks are the checkpoint file's (``pack_frame`` /
+#: ``unpack_frame``); only the magic differs.
 FRAME_MAGIC = b"RDF1"
-_FRAME_HEADER = struct.Struct("<4sII")
 
 
 def frame_payload(obj: object) -> bytes:
     """Pickle ``obj`` into a CRC32-framed byte string."""
-    body = pickle.dumps(obj)
-    return _FRAME_HEADER.pack(FRAME_MAGIC, zlib.crc32(body), len(body)) + body
+    return pack_frame(FRAME_MAGIC, pickle.dumps(obj))
 
 
 def unframe_payload(data: bytes, rank: Optional[int] = None) -> object:
@@ -121,24 +121,10 @@ def unframe_payload(data: bytes, rank: Optional[int] = None) -> object:
     differ from sent bytes maps to the one named error the recovery
     policy handles.
     """
-    if len(data) < _FRAME_HEADER.size:
-        raise PayloadCorrupt(
-            f"frame truncated to {len(data)} bytes", rank=rank
-        )
-    magic, crc, size = _FRAME_HEADER.unpack_from(data)
-    body = data[_FRAME_HEADER.size:]
-    if magic != FRAME_MAGIC:
-        raise PayloadCorrupt(f"bad frame magic {magic!r}", rank=rank)
-    if len(body) != size:
-        raise PayloadCorrupt(
-            f"frame body {len(body)} bytes, header promised {size}", rank=rank
-        )
-    if zlib.crc32(body) != crc:
-        raise PayloadCorrupt("frame CRC32 mismatch", rank=rank)
     try:
-        return pickle.loads(body)
+        return pickle.loads(unpack_frame(FRAME_MAGIC, data))
     except Exception as err:
-        raise PayloadCorrupt(f"frame unpickle failed: {err}", rank=rank) from err
+        raise PayloadCorrupt(str(err), rank=rank) from err
 
 
 class Transport:

@@ -1,25 +1,26 @@
-"""Replica-side of data-parallel training: one engine per worker rank.
+"""What one data-parallel rank does: an engine answering commands.
 
-A :class:`DistWorker` hosts a full replica :class:`TrainingEngine`
-(model, optimizer(s), predictor — built by the same factory on every
-rank) but never runs a fit loop; it answers the driver's commands:
+A :class:`DistWorker` hosts a :class:`TrainingEngine` — a full replica
+(model, optimizer(s), predictor, built by the same factory on every
+rank), or, for rank 0, the driver's own engine — and never runs a fit
+loop; it answers the data-parallel strategy's commands:
 
 ``sync``
-    Load a full sync-state broadcast (model weights, optimizer slots,
-    predictor network/optimizer/scales) so the replica is bitwise
-    identical to rank 0 — sent once at startup, after
-    ``invalidate_replicas()``, and at phase boundaries (BP→GP and
-    GP→BP) under ``resync="phase"``.
+    Load a full sync-state broadcast (the checkpoint's trainable part:
+    model weights, optimizer slots, predictor network/optimizer/scales)
+    so the replica is bitwise identical to rank 0 — sent once at
+    startup, after ``invalidate_replicas()``, and at phase boundaries
+    (BP→GP and GP→BP) under ``resync="phase"``.
 ``compute``
     Run forward+backward (+ local predictor training) on this rank's
     shard with the driver's loss-gradient scale, then reply with the
     shard loss and this rank's codec-encoded gradients.
 ``apply``
     Decode *all* ranks' encoded gradients, sum them in rank order
-    (:func:`~repro.dist.codec.decode_sum` — the same reduction the
-    driver runs), install them as ``param.grad`` and step the local
-    optimizer.  Every rank applies the identical reduced gradient, so
-    replicas stay in lockstep without shipping dense sums.
+    (:func:`~repro.dist.codec.decode_sum`), install them as
+    ``param.grad`` and step the local optimizer.  Every rank, the driver
+    included, applies the identical reduced gradient through this one
+    method, so ranks stay in lockstep without shipping dense sums.
 ``gp``
     Run a Phase-GP batch on this rank's shard — locally-predicted
     updates only, zero gradient communication (the ADA-GP phase
@@ -32,53 +33,25 @@ schedules need no extra protocol.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from contextlib import contextmanager
+from typing import Any, Iterator, Mapping, Optional
 
 import numpy as np
 
 from ..core.engine import checkpoint as checkpoint_io
 from ..core.engine.engine import TrainingEngine
+from ..core.engine.strategies import PhaseStrategy
 from ..core.schedule import Phase
 from ..nn.backend import backend_scope
+from ..obs.trace import phase_scope
 from .codec import Codec, decode_sum
 
 
-def sync_state(engine: TrainingEngine) -> dict:
-    """Everything a replica must copy to match rank 0 bitwise.
-
-    A strict subset of :func:`~repro.core.engine.checkpoint.engine_state`
-    — no history, epoch counter, schedule or callback state (driver-only
-    concerns), which also keeps resync broadcasts lean.
-    """
-    state: dict[str, Any] = {
-        "model": engine.model.state_dict(),
-        "optimizer": checkpoint_io.optimizer_state(engine.optimizer),
-    }
-    if engine.gp_optimizer is not None and engine.gp_optimizer is not engine.optimizer:
-        state["gp_optimizer"] = checkpoint_io.optimizer_state(engine.gp_optimizer)
-    if engine.predictor is not None:
-        state["predictor"] = {
-            "network": engine.predictor.network.state_dict(),
-            "optimizer": checkpoint_io.optimizer_state(engine.predictor.optimizer),
-            "scales": engine.predictor.scales_state(engine.layers),
-        }
-    return state
-
-
-def load_sync_state(engine: TrainingEngine, state: dict) -> None:
-    """Install a :func:`sync_state` snapshot into a replica engine."""
-    engine.model.load_state_dict(state["model"])
-    checkpoint_io.load_optimizer_state(engine.optimizer, state["optimizer"])
-    if "gp_optimizer" in state:
-        checkpoint_io.load_optimizer_state(engine.gp_optimizer, state["gp_optimizer"])
-    if "predictor" in state and engine.predictor is not None:
-        engine.predictor.network.load_state_dict(state["predictor"]["network"])
-        checkpoint_io.load_optimizer_state(
-            engine.predictor.optimizer, state["predictor"]["optimizer"]
-        )
-        engine.predictor.load_scales_state(
-            engine.layers, state["predictor"]["scales"]
-        )
+#: What a replica must copy to match rank 0 bitwise is the trainable part
+#: of a checkpoint — no history, epoch counter, schedule or callback
+#: state (driver-only concerns) — so the checkpoint's walk is the only one.
+sync_state = checkpoint_io.trainable_state
+load_sync_state = checkpoint_io.load_trainable_state
 
 
 def state_nbytes(obj: Any) -> int:
@@ -94,15 +67,27 @@ def state_nbytes(obj: Any) -> int:
 
 
 class DistWorker:
-    """One worker rank: a replica engine plus its rank-local codec."""
+    """One rank: an engine plus its rank-local codec.
+
+    ``strategies`` is the serial per-phase table the rank runs.  Every
+    replica uses its engine's own (the default); rank 0's engine table
+    holds the data-parallel wrapper itself, so the driver passes the
+    serial strategies that wrapper took over.
+    """
 
     def __init__(
-        self, engine: TrainingEngine, codec: Codec, rank: int, world_size: int
+        self,
+        engine: TrainingEngine,
+        codec: Codec,
+        rank: int,
+        world_size: int,
+        strategies: Optional[Mapping[Phase, PhaseStrategy]] = None,
     ) -> None:
         self.engine = engine
         self.codec = codec
         self.rank = int(rank)
         self.world_size = int(world_size)
+        self.strategies = engine.strategies if strategies is None else strategies
 
     # ------------------------------------------------------------------
     # Command dispatch.
@@ -157,21 +142,28 @@ class DistWorker:
             self.codec.reset()
         return {"ok": True, "rank": self.rank}
 
+    @contextmanager
+    def _batch(self, phase: Phase) -> Iterator[PhaseStrategy]:
+        """``phase``'s serial strategy, inside the scope
+        :meth:`TrainingEngine.train_batch` resolves (strategy backend >
+        engine backend); forward caches are dropped afterwards."""
+        strategy = self.strategies[phase]
+        backend = strategy.backend if strategy.backend is not None else self.engine.backend
+        with phase_scope(phase), backend_scope(backend):
+            yield strategy
+        self.engine.model.clear_caches()
+
     def _compute(self, cmd: dict) -> dict:
         """Shard forward+backward; reply with encoded local gradients."""
         self._set_lrs(cmd.get("lrs"))
-        engine = self.engine
         phase: Phase = cmd["phase"]
-        strategy = engine.strategy_for(phase)
-        backend = strategy.backend if strategy.backend is not None else engine.backend
-        with backend_scope(backend):
+        with self._batch(phase) as strategy:
             result = strategy.forward_backward(
                 cmd["inputs"], cmd["targets"], phase, grad_scale=cmd["scale"]
             )
-        engine.model.clear_caches()
         encoded = [
             self.codec.encode(index, param.grad) if param.grad is not None else None
-            for index, param in enumerate(engine.optimizer.parameters)
+            for index, param in enumerate(self.engine.optimizer.parameters)
         ]
         return {
             "rank": self.rank,
@@ -183,8 +175,9 @@ class DistWorker:
         }
 
     def _apply(self, cmd: dict) -> dict:
-        """Decode+sum all ranks' gradients (rank order, same kernel as
-        the driver) and step the local optimizer."""
+        """Decode+sum all ranks' gradients in rank order — every rank
+        runs this same kernel on the same payloads, so all install
+        bitwise-equal gradients — and step the local optimizer."""
         self._set_lrs(cmd.get("lrs"))
         engine = self.engine
         encs_by_rank = cmd["encs"]
@@ -199,7 +192,8 @@ class DistWorker:
     def _gp(self, cmd: dict) -> dict:
         """Phase-GP shard: locally-predicted updates, no gradient comm."""
         self._set_lrs(cmd.get("lrs"))
-        result = self.engine.train_batch(cmd["inputs"], cmd["targets"], Phase.GP)
+        with self._batch(Phase.GP) as strategy:
+            result = strategy.train_batch(cmd["inputs"], cmd["targets"], Phase.GP)
         return {
             "rank": self.rank,
             "loss": result.loss,

@@ -14,6 +14,7 @@ gives ADA-GP direct access to the two things it needs:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -34,12 +35,16 @@ import numpy as np
 # mode may fold conv+BN into a single GEMM under no_grad, equivalent at
 # atol<=1e-5 rather than bitwise — see DESIGN.md §8.)
 # ----------------------------------------------------------------------
-_grad_enabled: bool = True
+# The mode is context-local (a ``ContextVar``, default enabled): a
+# thread started inside a ``no_grad()`` scope begins grad-enabled, and a
+# scope entered on one thread never changes what another thread's
+# layers retain.
+_grad_enabled: ContextVar[bool] = ContextVar("repro_grad_enabled", default=True)
 
 
 def is_grad_enabled() -> bool:
     """Whether layer forwards currently retain backward caches."""
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 @contextmanager
@@ -55,13 +60,11 @@ def no_grad():
     raises a :class:`RuntimeError`.  Forward hooks still fire, so
     Phase-GP predicted updates work unchanged.
     """
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_enabled.reset(token)
 
 
 class _NoGradCache:

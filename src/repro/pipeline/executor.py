@@ -6,12 +6,15 @@ into stage sub-models (:mod:`.partition`), each stage owns a virtual
 device clock, and every forward/backward micro-batch slot runs real
 NumPy compute whose duration is measured on the installed tracer's
 clock (``repro.obs.tracer().clock`` — inject a counting fake and the
-timeline is deterministic).  A slot is placed on its device at ``max(dependency ready time, device free
-time)`` — so the resulting :class:`~repro.pipeline.simulator.Timeline`
-is a *measurement* of the schedule (Fig 20 as measurement, not
-simulation), while :meth:`Timeline.validate` and
-:func:`validate_dependencies` keep the ordering honest against the
-simulator's dependency rules.
+timeline is deterministic).  The op order per stage and the walk that
+places a slot on its device at ``max(dependency ready time, device free
+time)`` are the simulator's own (:func:`~.simulator.stage_op_lists`,
+:func:`~.simulator.place_op_lists`; only the slot's duration differs: a
+constant there, measured compute here) — so the resulting
+:class:`~repro.pipeline.simulator.Timeline` is a *measurement* of the
+schedule (Fig 20 as measurement, not simulation), while
+:meth:`Timeline.validate` and :func:`validate_dependencies`, the
+independent oracle, keep the ordering honest.
 
 Semantics notes:
 
@@ -48,7 +51,7 @@ from ..nn.module import Module, Parameter
 from ..obs.trace import BP, GP, current_phase, tracer as _obs_tracer
 from .partition import StagePlan, partition_sequential
 from .schedules import PipelineConfig, PipelineKind
-from .simulator import Task, Timeline
+from .simulator import Task, Timeline, place_op_lists, stage_op_lists
 
 LossFn = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
 
@@ -139,9 +142,6 @@ class PipelineExecutor:
         self.timeline = Timeline()
         self.device_free = [0.0] * len(self.stages)
         self.batches_run = 0
-        # Micro-batch index currently in flight; forward hooks installed
-        # by strategies read this to gate per-micro-batch work.
-        self.current_micro: Optional[int] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -211,151 +211,82 @@ class PipelineExecutor:
             )
         return np.array_split(array, micro, axis=0)
 
-    def _op_lists(self, backward: bool) -> list[list[tuple[str, int]]]:
-        stages, micro = self.config.num_stages, self.config.micro_batches
-        if not backward:
-            return [[("fw", m) for m in range(micro)] for _ in range(stages)]
-        if self.kind == PipelineKind.GPIPE:
-            return [
-                [("fw", m) for m in range(micro)]
-                + [("bw", m) for m in range(micro)]
-                for _ in range(stages)
-            ]
-        # DAPPLE / 1F1B: warm-up forwards, then alternate BW/FW.
-        op_lists: list[list[tuple[str, int]]] = []
-        for s in range(stages):
-            warmup = min(stages - s, micro)
-            ops: list[tuple[str, int]] = [("fw", m) for m in range(warmup)]
-            next_fw, next_bw = warmup, 0
-            while next_bw < micro:
-                ops.append(("bw", next_bw))
-                next_bw += 1
-                if next_fw < micro:
-                    ops.append(("fw", next_fw))
-                    next_fw += 1
-            op_lists.append(ops)
-        return op_lists
-
     # ------------------------------------------------------------------
     def _run_ops(
         self,
-        op_lists: list[list[tuple[str, int]]],
         micro_inputs: list[np.ndarray],
         micro_targets: Optional[list[np.ndarray]],
         loss_fn: Optional[LossFn],
         backward: bool,
     ) -> BatchRun:
-        """Execute per-stage op lists under data dependencies, measuring
-        each slot and placing it on the virtual device clocks."""
-        with backend_scope(self.backend):
-            return self._run_ops_inner(
-                op_lists, micro_inputs, micro_targets, loss_fn, backward
-            )
-
-    def _run_ops_inner(
-        self,
-        op_lists: list[list[tuple[str, int]]],
-        micro_inputs: list[np.ndarray],
-        micro_targets: Optional[list[np.ndarray]],
-        loss_fn: Optional[LossFn],
-        backward: bool,
-    ) -> BatchRun:
-        stages = self.config.num_stages
-        last = stages - 1
+        """Run one batch: the simulator's per-stage op lists walked by
+        the simulator's own dependency loop, with real stage compute as
+        the slot and its measured seconds as the duration."""
+        last = self.config.num_stages - 1
         total = sum(x.shape[0] for x in micro_inputs)
         acts: dict[tuple[int, int], np.ndarray] = {}
         grads: dict[tuple[int, int], np.ndarray] = {}
         snaps: dict[tuple[int, int], list] = {}
-        fw_end: dict[tuple[int, int], float] = {}
-        bw_end: dict[tuple[int, int], float] = {}
         loss_grads: dict[int, np.ndarray] = {}
         losses: dict[int, float] = {}
-        tasks: list[Task] = []
-        position = [0] * stages
-        remaining = sum(len(ops) for ops in op_lists)
-        batch_id = self.batches_run
-        # Spans carry the *virtual device clock* times (same numbers as
-        # the Timeline), so trace and ASCII timeline agree exactly; the
-        # phase tag follows the engine's scope, defaulting to bp for
-        # backward batches and gp for forward-only streams.
         tracer = _obs_tracer()
         clock = tracer.clock
-        span_phase = current_phase(BP if backward else GP)
-        while remaining:
-            progressed = False
-            for s in range(stages):
-                while position[s] < len(op_lists[s]):
-                    op, m = op_lists[s][position[s]]
-                    if op == "fw":
-                        if s > 0 and (s - 1, m) not in acts:
-                            break
-                        x = micro_inputs[m] if s == 0 else acts[(s - 1, m)]
-                        self.current_micro = m
-                        t0 = clock()
-                        out = self.stages[s](x)
-                        duration = clock() - t0
-                        # Loss evaluation stays outside the timed slot: the
-                        # schedule models fw/bw work only, and GP batches
-                        # compute it purely for monitoring.
-                        if s == last and loss_fn is not None and micro_targets is not None:
-                            if backward:
-                                loss, grad = loss_fn(out, micro_targets[m])
-                                losses[m] = float(loss)
-                                # Mean-reduction losses: rescale so the sum
-                                # of micro-batch gradients equals one
-                                # full-batch backward.
-                                loss_grads[m] = grad * (x.shape[0] / total)
-                            else:
-                                # Forward-only stream: value-only loss, no
-                                # gradient tensor allocated and discarded.
-                                losses[m] = loss_value(
-                                    loss_fn, out, micro_targets[m]
-                                )
-                        acts[(s, m)] = out
-                        if backward:
-                            snaps[(s, m)] = self._snapshot(self.stages[s])
-                        ready = fw_end[(s - 1, m)] if s > 0 else 0.0
-                    else:
-                        if s == last:
-                            if (s, m) not in acts:
-                                break
-                            ready = fw_end[(s, m)]
-                            grad_out = loss_grads[m]
-                        else:
-                            if (s + 1, m) not in grads:
-                                break
-                            ready = bw_end[(s + 1, m)]
-                            grad_out = grads[(s + 1, m)]
-                        self._restore(snaps[(s, m)])
-                        t0 = clock()
-                        grads[(s, m)] = self.stages[s].backward(grad_out)
-                        duration = clock() - t0
-                    start = max(ready, self.device_free[s])
-                    end = start + duration
-                    self.device_free[s] = end
-                    if op == "fw":
-                        fw_end[(s, m)] = end
-                    else:
-                        bw_end[(s, m)] = end
-                    task = Task(s, start, end, op, m, s, batch=batch_id)
-                    tasks.append(task)
-                    self.timeline.tasks.append(task)
-                    if tracer.enabled:
-                        tracer.record(
-                            f"pipe.{op}",
-                            span_phase,
-                            start,
-                            end,
-                            track=s,
-                            micro=m,
-                            batch=batch_id,
-                        )
-                    position[s] += 1
-                    remaining -= 1
-                    progressed = True
-            if not progressed:
-                raise RuntimeError("pipeline op schedule deadlocked")
-        self.current_micro = None
+
+        def run(op: str, s: int, m: int) -> float:
+            stage = self.stages[s]
+            if op == "bw":
+                self._restore(snaps[(s, m)])
+                grad_out = loss_grads[m] if s == last else grads[(s + 1, m)]
+                t0 = clock()
+                grads[(s, m)] = stage.backward(grad_out)
+                return clock() - t0
+            x = micro_inputs[m] if s == 0 else acts[(s - 1, m)]
+            t0 = clock()
+            out = stage(x)
+            duration = clock() - t0
+            # Loss evaluation stays outside the timed slot: the schedule
+            # models fw/bw work only, and GP batches compute it purely
+            # for monitoring.
+            if s == last and loss_fn is not None and micro_targets is not None:
+                if backward:
+                    loss, grad = loss_fn(out, micro_targets[m])
+                    losses[m] = float(loss)
+                    # Mean-reduction losses: rescale so the sum of
+                    # micro-batch gradients equals one full-batch backward.
+                    loss_grads[m] = grad * (x.shape[0] / total)
+                else:
+                    # Forward-only stream: value-only loss, no gradient
+                    # tensor allocated and discarded.
+                    losses[m] = loss_value(loss_fn, out, micro_targets[m])
+            acts[(s, m)] = out
+            if backward:
+                snaps[(s, m)] = self._snapshot(stage)
+            return duration
+
+        with backend_scope(self.backend):
+            tasks = place_op_lists(
+                stage_op_lists(self.kind, self.config, backward),
+                run,
+                self.device_free,
+                batch=self.batches_run,
+            )
+        self.timeline.tasks.extend(tasks)
+        if tracer.enabled:
+            # Spans carry the *virtual device clock* times (the
+            # Timeline's numbers), so trace and ASCII timeline agree
+            # exactly; the phase tag follows the engine's scope (bp for
+            # backward batches, gp for forward-only streams without one).
+            span_phase = current_phase(BP if backward else GP)
+            for task in tasks:
+                tracer.record(
+                    f"pipe.{task.kind}",
+                    span_phase,
+                    task.start,
+                    task.end,
+                    track=task.stage,
+                    micro=task.micro_batch,
+                    batch=task.batch,
+                )
         self.batches_run += 1
         if losses:
             loss = float(
@@ -375,11 +306,7 @@ class PipelineExecutor:
         full-batch backward would; the caller steps the optimizer.
         """
         return self._run_ops(
-            self._op_lists(backward=True),
-            self._split(inputs),
-            self._split(targets),
-            loss_fn,
-            backward=True,
+            self._split(inputs), self._split(targets), loss_fn, backward=True
         )
 
     def run_gp_batch(
@@ -389,12 +316,11 @@ class PipelineExecutor:
         loss_fn: Optional[LossFn] = None,
     ) -> BatchRun:
         """One Phase-GP batch: forward-only micro-batches streaming with
-        no flush.  Predictor work (predict + apply_gradient hooks
-        installed by the strategy) runs inside each measured forward
-        slot, so the paper's alpha overhead is part of the measurement.
-        ``loss_fn`` is for monitoring only."""
+        no flush.  Predictor work (the strategy's tap: predict + apply)
+        runs inside the measured forward slots, so the paper's alpha
+        overhead is part of the measurement.  ``loss_fn`` is for
+        monitoring only."""
         return self._run_ops(
-            self._op_lists(backward=False),
             self._split(inputs),
             self._split(targets) if targets is not None else None,
             loss_fn,

@@ -9,7 +9,7 @@ and reports the makespan.  Tests assert the paper's quoted step counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .schedules import PipelineConfig, PipelineKind
 
@@ -124,6 +124,102 @@ def render_timeline(
     return "\n".join(rows)
 
 
+OpLists = list[list[tuple[str, int]]]
+
+
+def stage_op_lists(
+    kind: PipelineKind, config: PipelineConfig, backward: bool = True
+) -> OpLists:
+    """Per-stage ``(op, micro)`` order of one batch — the one place the
+    GPipe and DAPPLE orderings are written; simulator and executor both
+    walk it.  ``backward=False`` is a Phase-GP forward-only stream."""
+    stages, micro = config.num_stages, config.micro_batches
+    forwards = [("fw", m) for m in range(micro)]
+    if not backward:
+        return [list(forwards) for _ in range(stages)]
+    if kind == PipelineKind.GPIPE:
+        # All forwards, flush, all backwards.
+        return [forwards + [("bw", m) for m in range(micro)] for _ in range(stages)]
+    if kind != PipelineKind.DAPPLE:
+        raise ValueError(f"no per-stage op order for {kind}; see simulate_chimera")
+    # DAPPLE / 1F1B: warm-up forwards, then alternate BW/FW.
+    op_lists: OpLists = []
+    for s in range(stages):
+        warmup = min(stages - s, micro)
+        ops = forwards[:warmup]
+        next_fw = warmup
+        for next_bw in range(micro):
+            ops.append(("bw", next_bw))
+            if next_fw < micro:
+                ops.append(("fw", next_fw))
+                next_fw += 1
+        op_lists.append(ops)
+    return op_lists
+
+
+def place_op_lists(
+    op_lists: OpLists,
+    run: Callable[[str, int, int], float],
+    device_free: list[float],
+    batch: int = 0,
+) -> list[Task]:
+    """Walk per-stage op lists under the pipeline's data dependencies.
+
+    ``fw(s, m)`` waits for ``fw(s-1, m)``; ``bw(s, m)`` for ``bw(s+1, m)``
+    (for ``fw(s, m)`` at the last stage).  The moment an op's dependency
+    is complete ``run(op, stage, micro)`` is called — a constant for the
+    simulator, real compute returning its measured seconds for the
+    executor — and the slot is placed on its stage's device at
+    ``max(dependency end, device_free[stage])``.  ``device_free`` is
+    updated in place, so consecutive batches stream into each other.
+    """
+    stages = len(op_lists)
+    done: dict[tuple[str, int, int], float] = {}
+    position = [0] * stages
+    tasks: list[Task] = []
+    remaining = sum(len(ops) for ops in op_lists)
+    while remaining:
+        progressed = False
+        for s in range(stages):
+            while position[s] < len(op_lists[s]):
+                op, m = op_lists[s][position[s]]
+                if op == "fw":
+                    dep = ("fw", s - 1, m) if s > 0 else None
+                else:
+                    dep = ("fw", s, m) if s == stages - 1 else ("bw", s + 1, m)
+                if dep is not None and dep not in done:
+                    break
+                start = max(done[dep] if dep else 0.0, device_free[s])
+                end = start + run(op, s, m)
+                done[(op, s, m)] = device_free[s] = end
+                tasks.append(Task(s, start, end, op, m, s, batch=batch))
+                position[s] += 1
+                remaining -= 1
+                progressed = True
+        if not progressed:
+            raise RuntimeError("pipeline op schedule deadlocked")
+    return tasks
+
+
+def _simulate(
+    kind: PipelineKind,
+    config: PipelineConfig,
+    tf: float,
+    tb: float,
+    batch: int,
+    device_free: Optional[list[float]],
+) -> Timeline:
+    free = list(device_free) if device_free is not None else [0.0] * config.num_stages
+    durations = {"fw": tf, "bw": tb}
+    timeline = Timeline(
+        place_op_lists(
+            stage_op_lists(kind, config), lambda op, s, m: durations[op], free, batch
+        )
+    )
+    timeline.validate()
+    return timeline
+
+
 def simulate_gpipe(
     config: PipelineConfig,
     tf: float = 1.0,
@@ -132,31 +228,7 @@ def simulate_gpipe(
     device_free: Optional[list[float]] = None,
 ) -> Timeline:
     """GPipe: all forwards, flush, all backwards (paper Fig 10a)."""
-    stages, micro = config.num_stages, config.micro_batches
-    offsets = list(device_free) if device_free is not None else [0.0] * stages
-    timeline = Timeline()
-    fw_end = [[0.0] * micro for _ in range(stages)]
-    for s in range(stages):
-        for m in range(micro):
-            ready = fw_end[s - 1][m] if s > 0 else 0.0
-            free = fw_end[s][m - 1] if m > 0 else offsets[s]
-            start = max(ready, free)
-            fw_end[s][m] = start + tf
-            timeline.tasks.append(
-                Task(s, start, start + tf, "fw", m, s, batch=batch)
-            )
-    bw_end = [[0.0] * micro for _ in range(stages)]
-    for s in reversed(range(stages)):
-        for m in range(micro):
-            ready = bw_end[s + 1][m] if s < stages - 1 else fw_end[s][micro - 1]
-            free = bw_end[s][m - 1] if m > 0 else fw_end[s][micro - 1]
-            start = max(ready, free)
-            bw_end[s][m] = start + tb
-            timeline.tasks.append(
-                Task(s, start, start + tb, "bw", m, s, batch=batch)
-            )
-    timeline.validate()
-    return timeline
+    return _simulate(PipelineKind.GPIPE, config, tf, tb, batch, device_free)
 
 
 def simulate_dapple(
@@ -171,29 +243,7 @@ def simulate_dapple(
     Same critical path as GPipe for one batch; the op order per device
     differs (warm-up forwards, then alternating BW/FW).
     """
-    stages, micro = config.num_stages, config.micro_batches
-    op_lists: list[list[tuple[str, int]]] = []
-    for s in range(stages):
-        warmup = min(stages - s, micro)
-        ops: list[tuple[str, int]] = [("fw", m) for m in range(warmup)]
-        next_fw = warmup
-        next_bw = 0
-        while next_bw < micro:
-            ops.append(("bw", next_bw))
-            next_bw += 1
-            if next_fw < micro:
-                ops.append(("fw", next_fw))
-                next_fw += 1
-        op_lists.append(ops)
-    return _run_op_lists(
-        op_lists,
-        config,
-        tf,
-        tb,
-        device_of_stage=lambda s: s,
-        batch=batch,
-        device_free=device_free,
-    )
+    return _simulate(PipelineKind.DAPPLE, config, tf, tb, batch, device_free)
 
 
 def simulate_chimera(
@@ -274,19 +324,13 @@ def simulate_gp_stream(
     config: PipelineConfig, num_batches: int, tf: float = 1.0
 ) -> Timeline:
     """Phase GP: forward-only batches streaming with no flush (Fig 10b)."""
-    stages, micro = config.num_stages, config.micro_batches
+    op_lists = stage_op_lists(PipelineKind.GPIPE, config, backward=False)
+    device_free = [0.0] * config.num_stages
     timeline = Timeline()
-    fw_end: dict[tuple[int, int], float] = {}  # (stage, global micro index)
-    total_micro = num_batches * micro
-    for s in range(stages):
-        for g in range(total_micro):
-            ready = fw_end[(s - 1, g)] if s > 0 else 0.0
-            free = fw_end[(s, g - 1)] if g > 0 else 0.0
-            start = max(ready, free)
-            fw_end[(s, g)] = start + tf
-            timeline.tasks.append(
-                Task(s, start, start + tf, "fw", g % micro, s, batch=g // micro)
-            )
+    for batch in range(num_batches):
+        timeline.tasks += place_op_lists(
+            op_lists, lambda op, s, m: tf, device_free, batch
+        )
     timeline.validate()
     return timeline
 
@@ -303,16 +347,11 @@ def simulate_gp_then_bp(
     """
     stages, micro = config.num_stages, config.micro_batches
     gp = simulate_gp_stream(config, 1, tf)
-    if kind == PipelineKind.GPIPE:
+    if kind != PipelineKind.CHIMERA:
         gp_free = [
             max(t.end for t in gp.device_tasks(d)) for d in range(stages)
         ]
-        bp = simulate_gpipe(config, tf, tb, batch=1, device_free=gp_free)
-    elif kind == PipelineKind.DAPPLE:
-        gp_free = [
-            max(t.end for t in gp.device_tasks(d)) for d in range(stages)
-        ]
-        bp = simulate_dapple(config, tf, tb, batch=1, device_free=gp_free)
+        bp = _simulate(kind, config, tf, tb, batch=1, device_free=gp_free)
     else:
         # Chimera streams GP batches bidirectionally (Fig 12b), so in
         # steady state every device runs M forward slots per batch and
@@ -327,53 +366,3 @@ def simulate_gp_then_bp(
     merged = Timeline(tasks=list(gp.tasks) + list(bp.tasks))
     merged.validate()
     return merged
-
-
-def _run_op_lists(
-    op_lists: list[list[tuple[str, int]]],
-    config: PipelineConfig,
-    tf: float,
-    tb: float,
-    device_of_stage,
-    batch: int = 0,
-    device_free: Optional[list[float]] = None,
-) -> Timeline:
-    """Execute fixed per-device op lists under dependency constraints."""
-    stages, micro = config.num_stages, config.micro_batches
-    done: dict[tuple[str, int, int], float] = {}
-    position = [0] * stages
-    device_free = list(device_free) if device_free is not None else [0.0] * stages
-    timeline = Timeline()
-    remaining = sum(len(ops) for ops in op_lists)
-    while remaining:
-        progressed = False
-        for s in range(stages):
-            while position[s] < len(op_lists[s]):
-                kind, m = op_lists[s][position[s]]
-                if kind == "fw":
-                    ready = done.get(("fw", s - 1, m), 0.0) if s > 0 else 0.0
-                    if s > 0 and ("fw", s - 1, m) not in done:
-                        break
-                else:
-                    if s == stages - 1:
-                        dep = ("fw", s, m)
-                    else:
-                        dep = ("bw", s + 1, m)
-                    if dep not in done:
-                        break
-                    ready = done[dep]
-                device = device_of_stage(s)
-                start = max(ready, device_free[device])
-                duration = tf if kind == "fw" else tb
-                done[(kind, s, m)] = start + duration
-                device_free[device] = start + duration
-                timeline.tasks.append(
-                    Task(device, start, start + duration, kind, m, s, batch=batch)
-                )
-                position[s] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise RuntimeError("op-list schedule deadlocked")
-    timeline.validate()
-    return timeline

@@ -5,16 +5,21 @@ Trajectory-level resume correctness lives in ``test_engine.py``; this
 file covers the on-disk contract a crash-during-save or disk corruption
 exercises — the fault-tolerance rung for *persistence*."""
 
+import functools
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.core import CheckpointCorrupt, bp_engine
 from repro.core.engine.checkpoint import CHECKPOINT_MAGIC, engine_state
 from repro.data import synthetic_images
+from repro.dist import PayloadCorrupt, frame_payload, unframe_payload
 from repro.nn.losses import CrossEntropyLoss
 
 
@@ -115,6 +120,66 @@ class TestCorruptionDetection:
         with open(path, "wb") as handle:
             handle.write(b"junk")
         with pytest.raises(CheckpointCorrupt, match="which-one"):
+            _engine().load_checkpoint(path)
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_frames():
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "valid.ckpt")
+        _engine().save_checkpoint(path)
+        with open(path, "rb") as handle:
+            checkpoint = handle.read()
+    payload = {"op": "apply", "encs": [np.arange(6.0)]}
+    return {"RCK1": checkpoint, "RDF1": frame_payload(payload)}
+
+
+class TestFrameFuzz:
+    """``RCK1`` files and ``RDF1`` wire payloads are one frame: whatever
+    happens to the bytes, each format answers with its own named error —
+    never another exception, never an object."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_damage_raises_the_formats_named_error(self, data, tmp_path_factory):
+        path = str(tmp_path_factory.getbasetemp() / "fuzzed.ckpt")
+        fmt = data.draw(st.sampled_from(["RCK1", "RDF1"]))
+        frame = _valid_frames()[fmt]
+        damage = data.draw(st.sampled_from(["truncate", "extend", "flip", "magic"]))
+        if damage == "truncate":
+            damaged = frame[: data.draw(st.integers(0, len(frame) - 1))]
+        elif damage == "extend":
+            damaged = frame + data.draw(st.binary(min_size=1, max_size=16))
+        elif damage == "flip":
+            at = data.draw(st.integers(0, len(frame) - 1))
+            flipped = frame[at] ^ data.draw(st.integers(1, 255))
+            damaged = frame[:at] + bytes([flipped]) + frame[at + 1 :]
+        else:
+            other = data.draw(st.binary(min_size=4, max_size=4).filter(frame[:4].__ne__))
+            damaged = other + frame[4:]
+        if fmt == "RDF1":
+            with pytest.raises(PayloadCorrupt):
+                unframe_payload(damaged, rank=1)
+        else:
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            with pytest.raises(CheckpointCorrupt, match="fuzzed.ckpt"):
+                _engine().load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "junk",
+        [
+            pickle.dumps(["a", "pickle", "but", "no", "state", "dict"]),
+            # A complete pickle of ``None`` whose LONG_BINPUT index makes
+            # the unpickler's memo a gigabyte: must never reach pickle.
+            b"Nr\xff\xff\xff\x03.",
+        ],
+    )
+    def test_a_picklable_non_checkpoint_is_refused_by_name(self, junk, tmp_path):
+        path = str(tmp_path / "junk.pkl")
+        with open(path, "wb") as handle:
+            handle.write(junk)
+        with pytest.raises(CheckpointCorrupt, match="not a checkpoint"):
             _engine().load_checkpoint(path)
 
 

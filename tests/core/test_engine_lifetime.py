@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import HeuristicSchedule, adagp_engine, bp_engine, dni_engine
+from repro.core import (
+    HeuristicSchedule,
+    Phase,
+    adagp_engine,
+    bp_engine,
+    dni_engine,
+    pipeline_adagp_engine,
+)
 from repro.data import synthetic_images
 from repro.models import build_mini
 from repro.nn.losses import CrossEntropyLoss, accuracy
@@ -43,10 +50,10 @@ def _conv_model():
     )
 
 
-def _adagp(model, **kwargs):
+def _adagp(model, factory=adagp_engine, **kwargs):
     # One BP and one GP batch per epoch, so both strategies run.
     schedule = HeuristicSchedule(warmup_epochs=0, ladder=((1, (1, 1)),))
-    return adagp_engine(
+    return factory(
         model, CrossEntropyLoss(), lr=0.01, schedule=schedule,
         metric_fn=accuracy, **kwargs,
     )
@@ -60,6 +67,9 @@ ENGINES = {
     "adagp_batched": lambda model: _adagp(model, batched_gp=True),
     "dni": lambda model: dni_engine(
         model, CrossEntropyLoss(), lr=0.01, metric_fn=accuracy
+    ),
+    "pipeline": lambda model: _adagp(
+        model, pipeline_adagp_engine, num_stages=2, micro_batches=4
     ),
 }
 
@@ -82,6 +92,39 @@ def test_dropped_engine_is_freed_by_refcount(name, no_automatic_gc):
     alive = weakref.ref(model)
     del engine, model
     assert alive() is None, "a finished engine survived as cyclic garbage"
+
+
+def _holds_array(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple, set)):
+        return any(_holds_array(item) for item in value)
+    return isinstance(value, np.ndarray)
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_no_activation_outlives_its_batch(name, no_automatic_gc):
+    """The engine drops the model's caches after every batch; a strategy
+    must not keep the predictable layers' outputs alive behind its back
+    (the activation store of a batch is local to that batch)."""
+    model = _conv_model()
+    engine = ENGINES[name](model)
+    layer = model.layers[2]  # second conv: predictable, mid-chain
+    forward, outputs = layer.forward, []
+
+    def watched(x):
+        out = forward(x)
+        outputs.append(weakref.ref(out))
+        return out
+
+    layer.forward = watched
+    inputs, targets = next(iter(SPLIT.train.batches(16, shuffle=False)))
+    for phase in (Phase.BP, Phase.GP):
+        engine.train_batch(inputs, targets, phase)
+        assert outputs and all(ref() is None for ref in outputs), phase
+        for strategy in {id(s): s for s in engine.strategies.values()}.values():
+            pinned = [k for k, v in vars(strategy).items() if _holds_array(v)]
+            assert pinned == [], (type(strategy).__name__, phase)
 
 
 def _rss_mb() -> float:

@@ -111,6 +111,34 @@ class TestGradMode:
                 raise ValueError("boom")
         assert is_grad_enabled()
 
+    def test_mode_is_local_to_the_thread_that_set_it(self):
+        """A thread started inside a no-grad scope begins grad-enabled,
+        and a scope it enters does not change its parent's mode."""
+        import threading
+
+        seen = {}
+        entered, release = threading.Event(), threading.Event()
+
+        def child():
+            seen["at start"] = is_grad_enabled()
+            with no_grad():
+                entered.set()
+                release.wait(5)
+                seen["inside its own scope"] = is_grad_enabled()
+            seen["after its scope"] = is_grad_enabled()
+
+        with no_grad():
+            thread = threading.Thread(target=child)
+            thread.start()
+            assert entered.wait(5)
+        # The child still sits inside its no_grad(); this thread left its own.
+        assert is_grad_enabled()
+        release.set()
+        thread.join(5)
+        assert seen == {
+            "at start": True, "inside its own scope": False, "after its scope": True,
+        }
+
     def test_forward_hooks_still_fire(self):
         layer = nn.Linear(4, 3, rng=np.random.default_rng(0))
         seen = []

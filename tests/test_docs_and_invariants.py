@@ -1,5 +1,6 @@
 """Documentation consistency + cross-module property tests."""
 
+import ast
 import pathlib
 import re
 
@@ -93,3 +94,60 @@ class TestCrossModuleInvariants:
             assert cost.traffic.dram_read > 0
             assert cost.traffic.dram_write > 0
             assert cost.traffic.sram > 0
+
+
+class TestOneBatchBody:
+    """The seam every open direction lands on stays one site: who may
+    install a forward hook, and who may call the predictor."""
+
+    @staticmethod
+    def _functions(path):
+        """``(qualified name, node)`` of every module-level function and
+        method in ``path`` (closures count towards their enclosing one)."""
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    yield f"{prefix}{child.name}", child
+                elif isinstance(child, ast.ClassDef):
+                    yield from walk(child, f"{prefix}{child.name}.")
+
+        yield from walk(ast.parse(path.read_text()), "")
+
+    def test_forward_hook_is_assigned_in_four_places(self):
+        src = REPO / "src" / "repro"
+        sites = set()
+        for path in src.rglob("*.py"):
+            for name, function in self._functions(path):
+                targets = [
+                    target
+                    for node in ast.walk(function)
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in getattr(node, "targets", [getattr(node, "target", None)])
+                ]
+                if any(
+                    isinstance(target, ast.Attribute) and target.attr == "forward_hook"
+                    for target in targets
+                ):
+                    sites.add((path.relative_to(src).as_posix(), name))
+        assert sites == {
+            ("nn/module.py", "Module.__init__"),
+            ("core/engine/engine.py", "TrainingEngine.clear_hooks"),
+            ("core/engine/strategies.py", "PhaseStrategy.tap"),
+            ("pipeline/partition.py", "probe_layer_costs"),
+        }
+
+    def test_predictor_is_called_from_at_most_three_functions(self):
+        path = REPO / "src" / "repro" / "core" / "engine" / "strategies.py"
+        callers = {
+            name
+            for name, function in self._functions(path)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "predictor"
+        }
+        assert callers == {
+            "PhaseStrategy._train_predictor",
+            "PhaseStrategy._apply_predictions",
+        }

@@ -30,6 +30,7 @@ Three records into ``BENCH_dist.json``:
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_dist.py -q
 """
 
+import itertools
 import os
 import time
 
@@ -84,12 +85,6 @@ def test_bench_ddp_scaling_gate(benchmark):
     def schedule():
         return HeuristicSchedule(warmup_epochs=1, ladder=((2, (1, 1)),))
 
-    def train_fn():
-        return split.train.batches(16, rng=np.random.default_rng(2))
-
-    def val_fn():
-        return split.val.batches(16)
-
     times: dict[str, float] = {}
 
     def measure():
@@ -98,7 +93,7 @@ def test_bench_ddp_scaling_gate(benchmark):
             schedule=schedule(),
         )
         start = time.perf_counter()
-        serial.fit(train_fn, val_fn, 3)
+        serial.fit(split.train.epochs(16, 2), split.val.epochs(16), 3)
         times["serial"] = time.perf_counter() - start
 
         ddp = ddp_engine(
@@ -107,7 +102,7 @@ def test_bench_ddp_scaling_gate(benchmark):
             schedule=schedule(),
         )
         start = time.perf_counter()
-        ddp.fit(train_fn, val_fn, 3)
+        ddp.fit(split.train.epochs(16, 2), split.val.epochs(16), 3)
         times["ddp"] = time.perf_counter() - start
         shutdown(ddp)
 
@@ -155,13 +150,9 @@ def test_bench_adacomp_compression_gate(benchmark):
     step_ratios: list[float] = []
 
     def measure():
-        batches = iter([])
-        for _ in range(ADACOMP_STEPS):
-            try:
-                inputs, targets = next(batches)
-            except StopIteration:
-                batches = split.train.batches(16, rng=np.random.default_rng(3))
-                inputs, targets = next(batches)
+        next_epoch = split.train.epochs(16, 3)
+        steps = (batch for _ in itertools.count() for batch in next_epoch())
+        for inputs, targets in itertools.islice(steps, ADACOMP_STEPS):
             engine.train_batch(inputs, targets)
             wire = dense = 0
             for key, param in enumerate(engine.optimizer.parameters):
@@ -223,9 +214,7 @@ def test_bench_recovery_overhead_gate(benchmark):
         )
         start = time.perf_counter()
         history = engine.fit(
-            lambda: split.train.batches(16, rng=np.random.default_rng(2)),
-            lambda: split.val.batches(16),
-            3,
+            split.train.epochs(16, 2), split.val.epochs(16), 3
         )
         elapsed = time.perf_counter() - start
         state = pickle.dumps(engine.state_dict())

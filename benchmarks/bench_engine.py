@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from _bench_io import record
+from _bench_io import interleaved_medians, record, timed
 from repro import nn
 from repro.core import (
     GradientPredictor,
@@ -152,8 +152,8 @@ def test_bench_engine_phase_rates(benchmark):
 
     def run():
         return engine.fit(
-            lambda: split.train.batches(16, rng=np.random.default_rng(2)),
-            lambda: split.val.batches(32, shuffle=False),
+            split.train.epochs(16, 2),
+            split.val.epochs(32),
             epochs=4,
         )
 
@@ -395,22 +395,13 @@ def test_bench_fused_backend_gate(benchmark):
         bp_step(name)
         bp_step(name)
 
-    # Interleave the two backends round-by-round and compare medians:
-    # machine-load drift then hits both sides equally, keeping the ratio
-    # stable on shared CI runners.
-    rounds = 25
-    times: dict[str, list[float]] = {"numpy": [], "fused": []}
-
-    def measure():
-        for _ in range(rounds):
-            for name in ("numpy", "fused"):
-                start = time.perf_counter()
-                bp_step(name)
-                times[name].append(time.perf_counter() - start)
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-    numpy_s = float(np.median(times["numpy"]))
-    fused_s = float(np.median(times["fused"]))
+    medians = benchmark.pedantic(
+        interleaved_medians,
+        args=({name: timed(bp_step, name) for name in models}, 25),
+        rounds=1,
+        iterations=1,
+    )
+    numpy_s, fused_s = medians["numpy"], medians["fused"]
 
     speedup = numpy_s / fused_s
     ops = _op_microbench()

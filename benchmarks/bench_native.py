@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _bench_io import record
+from _bench_io import interleaved_medians, record, timed
 from repro import nn
 from repro.models import build_mini
 from repro.nn.backend import NativeBackend, native_available
@@ -86,18 +86,18 @@ def _sweep_shape(in_c, out_c, width, seed):
         np.testing.assert_allclose(want, got, rtol=BENCH_RTOL, atol=BENCH_ATOL)
 
     ops = {"fwd": forward, "fwd_bwd": forward_backward}
-    times = {(name, op): [] for name in backends for op in ops}
-    for _ in range(12 if width > 16 else 40):
-        for name, backend in backends.items():
-            for op, fn in ops.items():
-                start = time.perf_counter()
-                fn(backend)
-                times[name, op].append(time.perf_counter() - start)
+    medians = interleaved_medians(
+        {
+            (name, op): timed(fn, backend)
+            for name, backend in backends.items()
+            for op, fn in ops.items()
+        },
+        rounds=12 if width > 16 else 40,
+    )
     macs = BATCH * width * width * in_c * out_c * 9
     row = {"shape": f"{in_c}->{out_c}@{width}x{width}", "macs": macs}
     for op, passes in (("fwd", 1), ("fwd_bwd", 3)):
-        fused_s = float(np.median(times["fused", op]))
-        native_s = float(np.median(times["native", op]))
+        fused_s, native_s = medians["fused", op], medians["native", op]
         row[op] = {
             "fused_ms": fused_s * 1e3,
             "native_ms": native_s * 1e3,
@@ -249,19 +249,13 @@ def test_bench_native_model_step(benchmark):
         bp_step(name)
         bp_step(name)
 
-    rounds = 15
-    times: dict[str, list[float]] = {"fused": [], "native": []}
-
-    def measure():
-        for _ in range(rounds):
-            for name in ("fused", "native"):
-                start = time.perf_counter()
-                bp_step(name)
-                times[name].append(time.perf_counter() - start)
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-    fused_s = float(np.median(times["fused"]))
-    native_s = float(np.median(times["native"]))
+    medians = benchmark.pedantic(
+        interleaved_medians,
+        args=({name: timed(bp_step, name) for name in models}, 15),
+        rounds=1,
+        iterations=1,
+    )
+    fused_s, native_s = medians["fused"], medians["native"]
     speedup = fused_s / native_s
     ops = _linear_table()
     benchmark.extra_info["fused_ms"] = fused_s * 1e3

@@ -27,10 +27,11 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_obs.py -q
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
-from _bench_io import record
+from _bench_io import interleaved_medians, record
 from repro import obs
 from repro.core import HeuristicSchedule, adagp_engine
 from repro.data import synthetic_images
@@ -74,8 +75,8 @@ def _fit_once(level):
 
     def fit():
         return engine.fit(
-            lambda: split.train.batches(16, rng=np.random.default_rng(2)),
-            lambda: split.val.batches(32, shuffle=False),
+            split.train.epochs(16, 2),
+            split.val.epochs(32),
             epochs=3,
         )
 
@@ -94,19 +95,18 @@ def test_bench_obs_overhead_gate(benchmark):
     for level in LEVELS:  # warm: BLAS planning, workspace pools, caches
         _fit_once(level)
 
-    rounds = 7
-    times: dict[str, list[float]] = {level: [] for level in LEVELS}
     spans = {level: 0 for level in LEVELS}
 
-    def measure():
-        for _ in range(rounds):
-            for level in LEVELS:
-                elapsed, count = _fit_once(level)
-                times[level].append(elapsed)
-                spans[level] = count
+    def fit_seconds(level):  # _fit_once times the fit only, not the engine build
+        elapsed, spans[level] = _fit_once(level)
+        return elapsed
 
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-    medians = {level: float(np.median(times[level])) for level in LEVELS}
+    medians = benchmark.pedantic(
+        interleaved_medians,
+        args=({level: partial(fit_seconds, level) for level in LEVELS}, 7),
+        rounds=1,
+        iterations=1,
+    )
     overhead = {
         level: medians[level] / medians["baseline"] - 1.0
         for level in LEVELS[1:]

@@ -42,8 +42,8 @@ def run(split, batched_gp: bool, epochs: int = 16):
     )
     start = time.perf_counter()
     history = engine.fit(
-        lambda: split.train.batches(32, rng=np.random.default_rng(2)),
-        lambda: split.val.batches(64, shuffle=False),
+        split.train.epochs(32, 2),
+        split.val.epochs(64),
         epochs=epochs,
     )
     elapsed = time.perf_counter() - start

@@ -54,8 +54,8 @@ def train_once(split, codec, label, args, inner="bp"):
         **extra,
     )
     history = engine.fit(
-        lambda: split.train.batches(32, rng=np.random.default_rng(2)),
-        lambda: split.val.batches(128, shuffle=False),
+        split.train.epochs(32, 2),
+        split.val.epochs(128),
         args.epochs,
     )
     comm = dp_strategy(engine).comm

@@ -31,9 +31,7 @@ def train(use_adagp: bool, train_set, val_set, epochs: int = 60):
     else:
         engine = bp_engine(model, loss, lr=0.01)
     engine.fit(
-        lambda: train_set.batches(16, shuffle=True, seed=2),
-        lambda: val_set.batches(64, shuffle=False),
-        epochs=epochs,
+        train_set.epochs(16, 2), val_set.epochs(64), epochs=epochs
     )
     return model
 

@@ -65,8 +65,8 @@ def main() -> None:
     bp_history = bp_engine(
         bp_model, CrossEntropyLoss(), lr=0.02, metric_fn=accuracy
     ).fit(
-        lambda: split.train.batches(32, rng=np.random.default_rng(2)),
-        lambda: split.val.batches(64, shuffle=False),
+        split.train.epochs(32, 2),
+        split.val.epochs(64),
         epochs=epochs,
     )
     print(f"BP best accuracy: {bp_history.best_metric:.1f}%")
@@ -83,8 +83,8 @@ def main() -> None:
         ada_model, CrossEntropyLoss(), lr=0.02, metric_fn=accuracy,
         schedule=schedule, callbacks=(timer,),
     ).fit(
-        lambda: split.train.batches(32, rng=np.random.default_rng(2)),
-        lambda: split.val.batches(64, shuffle=False),
+        split.train.epochs(32, 2),
+        split.val.epochs(64),
         epochs=epochs,
     )
     skipped = sum(ada_history.gp_batches)

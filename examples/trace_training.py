@@ -72,8 +72,8 @@ def main() -> None:
         ],
     )
     history = engine.fit(
-        lambda: split.train.batches(32, rng=np.random.default_rng(2)),
-        lambda: split.val.batches(64, shuffle=False),
+        split.train.epochs(32, 2),
+        split.val.epochs(64),
         epochs=args.epochs,
     )
     print(

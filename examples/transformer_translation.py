@@ -16,12 +16,9 @@ from repro.data.translation import (
     EOS_ID,
     PAD_ID,
     synthetic_translation,
+    teacher_forcing,
 )
-from repro.experiments.table2_transformer import (
-    _evaluate_bleu,
-    _seq_batches,
-    _token_accuracy,
-)
+from repro.experiments.table2_transformer import evaluate_bleu, token_accuracy
 from repro.models import Seq2SeqTransformer
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import Adam, SGD
@@ -38,17 +35,17 @@ def train(use_adagp: bool, train_set, val_set, epochs: int):
         engine = adagp_engine(
             model, loss, optimizer=optimizer,
             gp_optimizer=SGD(model.parameters(), lr=2e-3, momentum=0.9),
-            metric_fn=_token_accuracy, plateau_scheduler=False,
+            metric_fn=token_accuracy, plateau_scheduler=False,
             schedule=HeuristicSchedule(warmup_epochs=10),
         )
     else:
         engine = bp_engine(
-            model, loss, optimizer=optimizer, metric_fn=_token_accuracy,
+            model, loss, optimizer=optimizer, metric_fn=token_accuracy,
             plateau_scheduler=False,
         )
     history = engine.fit(
-        lambda: _seq_batches(train_set, 32, 2),
-        lambda: _seq_batches(val_set, 64, 3),
+        teacher_forcing(train_set.epochs(32, 2)),
+        teacher_forcing(val_set.epochs(64)),
         epochs=epochs,
     )
     return model, history
@@ -66,14 +63,14 @@ def main() -> None:
     bp_model, bp_hist = train(False, train_set, val_set, epochs=60)
     print(
         f"BP      : token acc {bp_hist.val_metric[-1]:.1f}%  "
-        f"BLEU {_evaluate_bleu(bp_model, val_set):.1f}"
+        f"BLEU {evaluate_bleu(bp_model, val_set):.1f}"
     )
 
     print("Training ADA-GP (more epochs; see Table 2 notes)...")
     ada_model, ada_hist = train(True, train_set, val_set, epochs=110)
     print(
         f"ADA-GP  : token acc {ada_hist.val_metric[-1]:.1f}%  "
-        f"BLEU {_evaluate_bleu(ada_model, val_set):.1f}"
+        f"BLEU {evaluate_bleu(ada_model, val_set):.1f}"
     )
 
     print("\nSample decodes (ADA-GP model):")

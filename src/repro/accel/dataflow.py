@@ -141,10 +141,6 @@ def layer_backward_cycles(
     return dx + dw
 
 
-def ideal_macs_per_cycle(config: AcceleratorConfig) -> int:
-    return config.num_pes
-
-
 def utilization(
     spec: LayerSpec, batch: int, config: AcceleratorConfig
 ) -> float:

@@ -15,8 +15,9 @@ Mechanics:
   scoped ``("src/",)`` — cache-naming, version-bump, rng-discipline,
   no-grad-purity — covers the whole ``src/repro`` tree, so subsystems
   added later (``repro.tune``, ``repro.dist``) are linted by
-  construction, with no per-package opt-in; only backend-dispatch pins
-  explicit hot-path prefixes.
+  construction, with no per-package opt-in; backend-dispatch pins
+  explicit hot-path prefixes, and epoch-order also reads
+  ``examples/`` and ``benchmarks/``.
 * **Suppression**: append ``# repro: noqa[rule-name]`` (or a bare
   ``# repro: noqa``) to a flagged line; a standalone
   ``# repro: noqa-file[rule-name]`` line suppresses the rule for the
@@ -185,13 +186,14 @@ def lint_source(
 
 
 def iter_source_files(root: Path) -> Iterable[Path]:
-    """Python files under ``root/src``, the linter's enforcement surface."""
+    """The enforcement surface: ``root/src``, plus ``examples/`` and
+    ``benchmarks/`` for rules whose ``scope`` lists them (never ``bench/``)."""
     src = root / "src"
-    base = src if src.is_dir() else root
-    for path in sorted(base.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        yield path
+    bases = [src, root / "examples", root / "benchmarks"] if src.is_dir() else [root]
+    for base in bases:
+        for path in sorted(base.rglob("*.py")):
+            if "__pycache__" not in path.parts:
+                yield path
 
 
 def lint_paths(

@@ -465,6 +465,39 @@ class ObsDisciplineRule(Rule):
         return findings
 
 
+class EpochOrderRule(Rule):
+    """``fit`` gets its data order from ``Dataset.epochs(batch_size, seed)``
+    (PR 21): ``batches`` with ``rng=default_rng(k)`` or ``seed=k`` names
+    one *fixed* permutation, so a per-epoch closure replays it and the
+    positional phase schedule keeps the same samples in Phase GP all run.
+    Out of scope by name: ``bench/`` (frozen until the next ``[benchmark]``
+    PR re-records its loss bands) and ``tests/`` (most need only *an* order)."""
+
+    name = "epoch-order"
+    description = "hand fit() dataset.epochs(b, seed), never a fixed .batches() order"
+    scope = ("src/", "examples/", "benchmarks/")
+
+    def visit(self, tree: ast.AST, ctx: FileContext) -> list[Finding]:
+        findings = []
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)  # only ast.Call has one
+            if not (isinstance(func, ast.Attribute) and func.attr == "batches"):
+                continue
+            for keyword in node.keywords:
+                fresh_rng = (
+                    keyword.arg == "rng"
+                    and isinstance(keyword.value, ast.Call)
+                    and ast.unparse(keyword.value.func).endswith("default_rng")
+                )
+                if keyword.arg == "seed" or fresh_rng:
+                    message = (
+                        f".batches({keyword.arg}=...) rebuilds the same permutation "
+                        "every epoch; use .epochs(batch_size, seed) (DESIGN.md §5)"
+                    )
+                    findings.append(ctx.finding(self, node, message))
+        return findings
+
+
 for _rule in (
     BackendDispatchRule(),
     CacheNamingRule(),
@@ -472,5 +505,6 @@ for _rule in (
     RngDisciplineRule(),
     NoGradPurityRule(),
     ObsDisciplineRule(),
+    EpochOrderRule(),
 ):
     register_rule(_rule)

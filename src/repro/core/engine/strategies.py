@@ -220,7 +220,7 @@ class PhaseStrategy:
         for index, (mse, mape) in zip(indices, metrics):
             mse_by_layer[index] = mse
             mape_by_layer[index] = mape
-            if hasattr(engine.schedule, "observe_mape"):
+            if engine.schedule is not None:
                 engine.schedule.observe_mape(mape)
         return mse_by_layer, mape_by_layer
 

@@ -37,15 +37,42 @@ PAPER_RATIO_LADDER: tuple[tuple[int, tuple[int, int]], ...] = (
 PAPER_FINAL_RATIO: tuple[int, int] = (1, 1)
 
 
+class RatioSchedule:
+    """A phase schedule is a ``k:m`` GP:BP ratio per epoch: subclasses
+    decide :meth:`ratio_for_epoch`, the rest follows from it here, once.
+    Within an epoch, batches cycle GP-first: ``k`` GP batches then ``m``
+    BP batches, matching "Initially, it proceeds with Phase GP ... for k
+    batches before switching to Phase BP for m batches".
+    """
+
+    def phase_for(self, epoch: int, batch_index: int) -> Phase:
+        """Phase of batch ``batch_index`` (0-based) within ``epoch``."""
+        ratio = self.ratio_for_epoch(epoch)
+        if ratio is None:
+            return Phase.WARMUP
+        k, m = ratio
+        position = batch_index % (k + m)
+        return Phase.GP if position < k else Phase.BP
+
+    def gp_fraction(self, epoch: int) -> float:
+        """Fraction of batches run in Phase GP during ``epoch``."""
+        ratio = self.ratio_for_epoch(epoch)
+        if ratio is None:
+            return 0.0
+        k, m = ratio
+        return k / (k + m)
+
+    def observe_mape(self, mape: float) -> None:
+        """Fed each layer's predictor MAPE after every true-gradient
+        batch; a fixed schedule ignores it."""
+
+
 @dataclass
-class HeuristicSchedule:
+class HeuristicSchedule(RatioSchedule):
     """The paper's fixed ratio ladder (§3.5).
 
     ``warmup_epochs`` is the paper's ``L`` (e.g. 10 for the full runs;
-    the mini experiments use smaller values).  Within an epoch, batches
-    cycle GP-first: ``k`` GP batches then ``m`` BP batches, matching
-    "Initially, it proceeds with Phase GP ... for k batches before
-    switching to Phase BP for m batches".
+    the mini experiments use smaller values).
     """
 
     warmup_epochs: int = 10
@@ -64,23 +91,6 @@ class HeuristicSchedule:
                 return ratio
             offset -= window
         return self.final_ratio
-
-    def phase_for(self, epoch: int, batch_index: int) -> Phase:
-        """Phase of batch ``batch_index`` (0-based) within ``epoch``."""
-        ratio = self.ratio_for_epoch(epoch)
-        if ratio is None:
-            return Phase.WARMUP
-        k, m = ratio
-        position = batch_index % (k + m)
-        return Phase.GP if position < k else Phase.BP
-
-    def gp_fraction(self, epoch: int) -> float:
-        """Fraction of batches run in Phase GP during ``epoch``."""
-        ratio = self.ratio_for_epoch(epoch)
-        if ratio is None:
-            return 0.0
-        k, m = ratio
-        return k / (k + m)
 
     # -- state / config round-trip (checkpointing and schedule search) --
 
@@ -122,7 +132,7 @@ class HeuristicSchedule:
 
 
 @dataclass
-class AdaptiveSchedule:
+class AdaptiveSchedule(RatioSchedule):
     """Quality-driven ratio control (the general algorithm of §3.5).
 
     The paper motivates adapting ``m`` upward as training converges
@@ -157,23 +167,6 @@ class AdaptiveSchedule:
             if self._recent_mape <= threshold:
                 return ratio
         return self.ratios[-1]
-
-    def phase_for(self, epoch: int, batch_index: int) -> Phase:
-        """Phase of one batch under the currently-earned ratio."""
-        ratio = self.ratio_for_epoch(epoch)
-        if ratio is None:
-            return Phase.WARMUP
-        k, m = ratio
-        position = batch_index % (k + m)
-        return Phase.GP if position < k else Phase.BP
-
-    def gp_fraction(self, epoch: int) -> float:
-        """Fraction of batches run in Phase GP during ``epoch``."""
-        ratio = self.ratio_for_epoch(epoch)
-        if ratio is None:
-            return 0.0
-        k, m = ratio
-        return k / (k + m)
 
     def metrics(self):
         """The ``repro_schedule_recent_mape`` gauge row (``repro.obs``
@@ -225,7 +218,7 @@ SCHEDULE_KINDS = {
 }
 
 
-def schedule_from_config(config: dict) -> HeuristicSchedule | AdaptiveSchedule:
+def schedule_from_config(config: dict) -> RatioSchedule:
     """Rebuild either schedule class from its :meth:`to_config` dict.
 
     The ``kind`` key dispatches; configs are JSON-safe, so schedules can
@@ -246,7 +239,7 @@ def schedule_from_config(config: dict) -> HeuristicSchedule | AdaptiveSchedule:
 
 
 def phase_counts(
-    schedule: HeuristicSchedule | AdaptiveSchedule,
+    schedule: RatioSchedule,
     num_epochs: int,
     batches_per_epoch: int,
 ) -> dict[Phase, int]:

@@ -22,7 +22,6 @@ The ADA-GP phases (unchanged semantics):
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Optional
 
 from ..nn.module import Module, PredictableMixin
@@ -224,9 +223,3 @@ class AdaGPTrainer:
         predictor errors (Fig 15's series) accumulate in ``self.history``.
         """
         return self.engine.fit(train_batches, val_batches, epochs)
-
-    # Kept for callers that built per-epoch stats dicts themselves.
-    @staticmethod
-    def empty_stats() -> dict:
-        """A stats accumulator in the shape ``train_batch_bp`` fills."""
-        return {"mse": defaultdict(list), "mape": defaultdict(list)}

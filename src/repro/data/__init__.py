@@ -15,6 +15,7 @@ from .translation import (
     TranslationDataset,
     reference_translation,
     synthetic_translation,
+    teacher_forcing,
 )
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "TranslationDataset",
     "reference_translation",
     "synthetic_translation",
+    "teacher_forcing",
 ]

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import BatchedDataset
+
 CLASS_NAMES = ["square", "cross", "disc"]
 
 
 @dataclass
-class DetectionDataset:
+class DetectionDataset(BatchedDataset):
     """Images plus grid targets and ground-truth box lists."""
 
     images: np.ndarray  # (count, 3, size, size)
@@ -26,16 +28,9 @@ class DetectionDataset:
     grid_size: int
     num_classes: int
 
-    def __len__(self) -> int:
-        return len(self.images)
-
-    def batches(self, batch_size: int, shuffle: bool = True, seed: int = 0):
-        order = np.arange(len(self))
-        if shuffle:
-            np.random.default_rng(seed).shuffle(order)
-        for start in range(0, len(self), batch_size):
-            idx = order[start : start + batch_size]
-            yield self.images[idx], self.grid_targets[idx]
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.images, self.grid_targets
 
 
 def _draw_object(

@@ -11,8 +11,11 @@ learnable offline at mini scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 import numpy as np
+
+from .dataset import Batches, BatchedDataset
 
 PAD_ID = 0
 BOS_ID = 1
@@ -21,7 +24,7 @@ NUM_SPECIAL = 3
 
 
 @dataclass
-class TranslationDataset:
+class TranslationDataset(BatchedDataset):
     """Parallel corpus of padded id sequences."""
 
     src: np.ndarray  # (count, src_len) int64, 0-padded
@@ -29,16 +32,27 @@ class TranslationDataset:
     src_vocab: int
     tgt_vocab: int
 
-    def __len__(self) -> int:
-        return len(self.src)
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.src, self.tgt
 
-    def batches(self, batch_size: int, shuffle: bool = True, seed: int = 0):
-        order = np.arange(len(self))
-        if shuffle:
-            np.random.default_rng(seed).shuffle(order)
-        for start in range(0, len(self), batch_size):
-            idx = order[start : start + batch_size]
-            yield self.src[idx], self.tgt[idx]
+    def batches(
+        self, batch_size, shuffle=True, rng=None, drop_last=False,
+        seed: Optional[int] = None,
+    ) -> Batches:
+        # ``seed=`` cannot say "reshuffle next epoch"; it survives only for
+        # bench/workloads.py, frozen until the [benchmark] PR that re-records
+        # the loss bands under ``epochs()`` and deletes this override.
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+        return super().batches(batch_size, shuffle, rng, drop_last)
+
+
+def teacher_forcing(epochs: Callable[[], Batches]) -> Callable[[], Iterator[tuple]]:
+    """Adapt what :meth:`TranslationDataset.epochs` returns to the seq2seq
+    trainer's ``((src, tgt_in), tgt_out)`` batches: the decoder reads
+    ``tgt`` without its last token and is scored against it shifted."""
+    return lambda: (((src, tgt[:, :-1]), tgt[:, 1:]) for src, tgt in epochs())
 
 
 def _translate(sentence: np.ndarray, shift: int, content_vocab: int) -> np.ndarray:

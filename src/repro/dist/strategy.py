@@ -468,7 +468,7 @@ class DataParallelStrategy(PhaseStrategy):
             # Rank 0's MAPEs were observed inside its own
             # forward_backward; feed worker MAPEs to the driver's
             # adaptive schedule in rank order.
-            if rank > 0 and hasattr(schedule, "observe_mape"):
+            if rank > 0 and schedule is not None:
                 for index in sorted(mape):
                     schedule.observe_mape(mape[index])
         return BatchResult(

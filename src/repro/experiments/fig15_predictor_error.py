@@ -57,8 +57,8 @@ def run_fig15(
         callbacks=callbacks,
     )
     history = engine.fit(
-        lambda: split.train.batches(batch_size, rng=np.random.default_rng(seed + 2)),
-        lambda: split.val.batches(2 * batch_size, shuffle=False),
+        split.train.epochs(batch_size, seed + 2),
+        split.val.epochs(2 * batch_size),
         epochs=epochs,
     )
     return Fig15Result(history=history, num_layers=len(engine.layers))

@@ -79,10 +79,8 @@ def _train_once(
             model, loss, metric_fn=accuracy, lr=lr, callbacks=callbacks
         )
     history = engine.fit(
-        lambda: split.train.batches(
-            batch_size, rng=np.random.default_rng(seed + 2)
-        ),
-        lambda: split.val.batches(2 * batch_size, shuffle=False),
+        split.train.epochs(batch_size, seed + 2),
+        split.val.epochs(2 * batch_size),
         epochs=epochs,
     )
     return history.best_metric

@@ -10,7 +10,6 @@ model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from ..data.translation import (
     PAD_ID,
     TranslationDataset,
     synthetic_translation,
+    teacher_forcing,
 )
 from ..models import Seq2SeqTransformer, spec_for
 from ..nn.losses import CrossEntropyLoss
@@ -39,21 +39,13 @@ class Table2Row:
     cycles_e9: float
 
 
-def _seq_batches(
-    dataset: TranslationDataset, batch_size: int, seed: int
-) -> Iterator[tuple]:
-    """Adapt (src, tgt) pairs to ((src, tgt_in), tgt_out) trainer batches."""
-    for src, tgt in dataset.batches(batch_size, shuffle=True, seed=seed):
-        yield (src, tgt[:, :-1]), tgt[:, 1:]
-
-
-def _token_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
+def token_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
     mask = targets != PAD_ID
     predictions = logits.argmax(axis=-1)
     return float((predictions[mask] == targets[mask]).mean() * 100.0)
 
 
-def _evaluate_bleu(
+def evaluate_bleu(
     model: Seq2SeqTransformer, dataset: TranslationDataset, max_len: int = 12
 ) -> float:
     decoded = model.greedy_decode(dataset.src, max_len, BOS_ID, EOS_ID)
@@ -146,7 +138,7 @@ def run_table2(
                 loss,
                 optimizer=optimizer,
                 gp_optimizer=SGD(model.parameters(), lr=lr, momentum=0.9),
-                metric_fn=_token_accuracy,
+                metric_fn=token_accuracy,
                 plateau_scheduler=False,
                 schedule=HeuristicSchedule(
                     warmup_epochs=warmup_epochs,
@@ -159,16 +151,16 @@ def run_table2(
                 model,
                 loss,
                 optimizer=optimizer,
-                metric_fn=_token_accuracy,
+                metric_fn=token_accuracy,
                 plateau_scheduler=False,
                 callbacks=callbacks,
             )
         history = engine.fit(
-            lambda: _seq_batches(train, batch_size, seed + 2),
-            lambda: _seq_batches(val, 64, seed + 3),
+            teacher_forcing(train.epochs(batch_size, seed + 2)),
+            teacher_forcing(val.epochs(64)),
             epochs=adagp_epochs if use_adagp else epochs,
         )
-        bleu = _evaluate_bleu(model, val)
+        bleu = evaluate_bleu(model, val)
         rows.append(
             Table2Row(
                 method="ADA-GP" if use_adagp else "Baseline(BP)",

@@ -9,7 +9,6 @@ full-size YOLO-v3 spec on the accelerator model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -64,12 +63,6 @@ def _training_cycles(
     return cost.cycles / 1e9
 
 
-def _batches(
-    dataset: DetectionDataset, batch_size: int, seed: int
-) -> Iterator[tuple]:
-    yield from dataset.batches(batch_size, shuffle=True, seed=seed)
-
-
 def run_table3(
     epochs: int = 60,
     num_images: int = 320,
@@ -118,9 +111,7 @@ def run_table3(
                 callbacks=callbacks,
             )
         engine.fit(
-            lambda: _batches(train, batch_size, seed + 2),
-            lambda: _batches(val, 64, seed + 3),
-            epochs=epochs,
+            train.epochs(batch_size, seed + 2), val.epochs(64), epochs=epochs
         )
         class_acc, test_map = _evaluate(model, val)
         rows.append(

@@ -105,14 +105,6 @@ def col2im(
     return padded[:, :, padding:-padding, padding:-padding]
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def leaky_relu(x: np.ndarray, slope: float = 0.1) -> np.ndarray:
-    return np.where(x > 0.0, x, slope * x)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0

@@ -48,26 +48,6 @@ def kaiming_uniform(
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def kaiming_normal(
-    shape: tuple[int, ...], fan_in: int, rng: np.random.Generator
-) -> np.ndarray:
-    """He/Kaiming normal initialization."""
-    if fan_in <= 0:
-        raise ValueError(f"fan_in must be positive, got {fan_in}")
-    std = float(np.sqrt(2.0 / fan_in))
-    return (rng.standard_normal(size=shape) * std).astype(np.float32)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialization, used for attention/embeddings."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 

@@ -20,10 +20,6 @@ class LRScheduler:
         self.base_lr = optimizer.lr
         self.last_epoch = -1
 
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
-
 
 class MultiStepLR(LRScheduler):
     """Decay the learning rate by ``gamma`` at each milestone epoch."""

@@ -74,9 +74,6 @@ class _Instrument:
         self.description = description
         self._series: dict[tuple, object] = {}
 
-    def labels_seen(self) -> list[tuple]:
-        return sorted(self._series)
-
     def _snap_value(self, value):
         raise NotImplementedError
 

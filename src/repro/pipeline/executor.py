@@ -165,12 +165,6 @@ class PipelineExecutor:
         )
 
     # ------------------------------------------------------------------
-    def reset_clock(self) -> None:
-        """Forget all measured tasks and device clocks."""
-        self.timeline = Timeline()
-        self.device_free = [0.0] * len(self.stages)
-        self.batches_run = 0
-
     @property
     def makespan(self) -> float:
         return self.timeline.makespan

@@ -250,13 +250,12 @@ def _paper_dataset(dataset: str) -> str:
 def run_trial(spec: TrialSpec) -> TrialResult:
     """Execute one trial end-to-end; deterministic given ``spec``.
 
-    All randomness — model init, batch shuffling — is spawned from
-    ``spec.seed`` via one :class:`numpy.random.SeedSequence`, so a
-    journal-resumed or process-pool re-run reproduces the original
-    :meth:`TrialResult.deterministic_dict` exactly.
+    All randomness — data, model init, epoch order — is a function of
+    ``spec.seed``, so a journal-resumed or process-pool re-run
+    reproduces the original :meth:`TrialResult.deterministic_dict`
+    exactly.
     """
-    root = np.random.SeedSequence(spec.seed)
-    model_ss, order_ss = root.spawn(2)
+    (model_ss,) = np.random.SeedSequence(spec.seed).spawn(1)
     split = preset_split(
         spec.dataset, num_train=spec.num_train, num_val=spec.num_val, seed=spec.seed
     )
@@ -273,11 +272,10 @@ def run_trial(spec: TrialSpec) -> TrialResult:
         batched_gp=spec.batched_gp,
         callbacks=(prune_cb,) if prune_cb is not None else (),
     )
-    order_rng = np.random.default_rng(order_ss)  # advances across epochs
     start = time.perf_counter()
     history = engine.fit(
-        lambda: split.train.batches(spec.batch_size, rng=order_rng),
-        lambda: split.val.batches(max(spec.num_val, 1), shuffle=False),
+        split.train.epochs(spec.batch_size, spec.seed),
+        split.val.epochs(max(spec.num_val, 1)),
         epochs=spec.epochs,
     )
     wall = time.perf_counter() - start

@@ -323,6 +323,76 @@ class TestObsDiscipline:
 
 
 # ----------------------------------------------------------------------
+# epoch-order
+# ----------------------------------------------------------------------
+FROZEN_RNG_CLOSURE = """
+import numpy as np
+
+def run(engine, split, seed):
+    return engine.fit(
+        lambda: split.train.batches(32, rng=np.random.default_rng(seed + 2)),
+        lambda: split.val.batches(64, shuffle=False),
+        epochs=3,
+    )
+"""
+
+FROZEN_SEED_HELPER = """
+def _batches(dataset, batch_size, seed):
+    yield from dataset.batches(batch_size, shuffle=True, seed=seed)
+"""
+
+GOOD_EPOCHS = """
+import numpy as np
+
+def run(engine, split, seed):
+    return engine.fit(
+        split.train.epochs(32, seed + 2), split.val.epochs(64), epochs=3
+    )
+
+def one_pass(dataset, rng):
+    return dataset.batches(8, rng=rng)
+"""
+
+
+class TestEpochOrder:
+    TREES = ("src/repro/experiments/x.py", "examples/x.py", "benchmarks/bench_x.py")
+
+    @pytest.mark.parametrize("path", TREES)
+    def test_flags_the_frozen_closure(self, path):
+        findings = lint_source(FROZEN_RNG_CLOSURE, path, rules=["epoch-order"])
+        assert [f.line for f in findings] == [6]
+        assert "same permutation every epoch" in findings[0].message
+        assert ".epochs(batch_size, seed)" in findings[0].message
+
+    def test_flags_a_seed_signature_wherever_it_hides(self):
+        findings = lint_source(
+            FROZEN_SEED_HELPER, "src/repro/experiments/x.py", rules=["epoch-order"]
+        )
+        assert len(findings) == 1 and ".batches(seed=...)" in findings[0].message
+
+    @pytest.mark.parametrize("path", TREES)
+    def test_quiet_on_epochs_and_on_a_caller_owned_rng(self, path):
+        assert not lint_source(GOOD_EPOCHS, path, rules=["epoch-order"])
+
+    @pytest.mark.parametrize("path", ["bench/workloads.py", "tests/core/test_x.py"])
+    def test_frozen_bench_and_tests_are_out_of_scope(self, path):
+        assert not lint_source(FROZEN_RNG_CLOSURE, path, rules=["epoch-order"])
+
+    @pytest.mark.parametrize("tree", ["src/repro", "examples", "benchmarks"])
+    def test_cli_fails_when_the_closure_comes_back(self, tree, tmp_path, capsys):
+        """``python -m repro.analysis`` reads all three trees."""
+        from repro.analysis.__main__ import main
+
+        for name in ("src/repro", "examples", "benchmarks"):
+            (tmp_path / name).mkdir(parents=True)
+            (tmp_path / name / "ok.py").write_text(GOOD_EPOCHS)
+        assert main(["--root", str(tmp_path), "lint"]) == 0
+        (tmp_path / tree / "old.py").write_text(FROZEN_RNG_CLOSURE)
+        assert main(["--root", str(tmp_path), "lint"]) == 1
+        assert f"{tree}/old.py:6: [epoch-order]" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
 # framework: suppression, baseline, scope, registry
 # ----------------------------------------------------------------------
 class TestFramework:
@@ -335,6 +405,7 @@ class TestFramework:
             "rng-discipline",
             "no-grad-purity",
             "obs-discipline",
+            "epoch-order",
         }
 
     def test_line_suppression(self):

@@ -1,9 +1,11 @@
 """Checkpoint file-format tests: atomic writes, CRC-framed headers, and
 the :class:`CheckpointCorrupt` surface for truncated / bit-rotted files.
 
-Trajectory-level resume correctness lives in ``test_engine.py``; this
-file covers the on-disk contract a crash-during-save or disk corruption
-exercises — the fault-tolerance rung for *persistence*."""
+Trajectory-level resume correctness lives in ``test_engine.py`` (its
+cases replay one frozen order); this file covers the on-disk contract a
+crash-during-save or disk corruption exercises — the fault-tolerance
+rung for *persistence* — plus the one resume case whose order
+reshuffles, where the resuming side has to land on the right epoch."""
 
 import functools
 import os
@@ -181,6 +183,61 @@ class TestFrameFuzz:
             handle.write(junk)
         with pytest.raises(CheckpointCorrupt, match="not a checkpoint"):
             _engine().load_checkpoint(path)
+
+
+class TestResumeUnderEpochs:
+    def test_resume_equals_uninterrupted_when_the_order_reshuffles(self, tmp_path):
+        """``epochs()`` orders epoch k as a function of (seed, k), so a
+        resumed fit discards ``current_epoch`` lazy calls and continues
+        on the uninterrupted run's batches — bitwise, through the file."""
+        from repro.core import HeuristicSchedule, adagp_engine
+
+        split = synthetic_images(3, 48, 16, image_size=8, seed=0)
+
+        def build():
+            rng = np.random.default_rng(0)
+            model = nn.Sequential(
+                nn.Conv2d(3, 4, 3, padding=1, rng=rng),
+                nn.ReLU(),
+                nn.Conv2d(4, 4, 3, padding=1, rng=rng),
+                nn.GlobalAvgPool2d(),
+                nn.Linear(4, 3, rng=rng),
+            )
+            return adagp_engine(
+                model, CrossEntropyLoss(), lr=0.05,
+                schedule=HeuristicSchedule(warmup_epochs=1, ladder=((2, (2, 1)),)),
+            )
+
+        def fit(engine, epochs):
+            train = split.train.epochs(8, seed=4)
+            for _ in range(engine.current_epoch):
+                train()
+            return engine.fit(train, split.val.epochs(16), epochs)
+
+        straight = build()
+        fit(straight, 5)
+
+        path = str(tmp_path / "ckpt.pkl")
+        first = build()
+        fit(first, 2)
+        first.save_checkpoint(path)
+        resumed = build()
+        resumed.load_checkpoint(path)
+        assert resumed.current_epoch == 2
+        fit(resumed, 3)
+
+        assert resumed.history.train_loss == straight.history.train_loss
+        assert resumed.history.val_loss == straight.history.val_loss
+        assert resumed.history.gp_batches == straight.history.gp_batches
+        assert resumed.history.predictor_mape == straight.history.predictor_mape
+        assert pickle.dumps(resumed.model.state_dict()) == pickle.dumps(
+            straight.model.state_dict()
+        )
+        # Forgetting to skip ahead replays epochs 0-2 and diverges.
+        replayed = build()
+        replayed.load_checkpoint(path)
+        replayed.fit(split.train.epochs(8, seed=4), split.val.epochs(16), 3)
+        assert replayed.history.train_loss != straight.history.train_loss
 
 
 class TestLegacyFormat:

@@ -208,8 +208,9 @@ class TestScheduleCheckpointResume:
     def test_duck_typed_schedule_state_still_checkpointed(self, tmp_path):
         """A custom schedule tracking ``_recent_mape`` without the
         state_dict protocol keeps its pre-protocol checkpoint coverage."""
+        from repro.core.schedule import RatioSchedule
 
-        class LegacySchedule:
+        class LegacySchedule(RatioSchedule):  # inherits the no-op observe_mape
             warmup_epochs = 0
             _recent_mape = float("inf")
 

@@ -20,8 +20,8 @@ equivalence sanity check at bench shapes (rtol/atol 1e-3 — float32
 summation-order noise at these sizes; the strict 1e-5 equivalence lives
 in tests/nn/test_backend.py and tests/nn/test_native_shapes.py).
 
-A whole ResNet50-mini BP step and the linear rows that justify BLAS
-dispatch are recorded next to it, without a gate.
+A whole ResNet50-mini BP step and the inherited linear row are recorded
+next to it, without a gate.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_native.py -q
 """
@@ -39,7 +39,7 @@ import pytest
 from _bench_io import interleaved_medians, record, timed
 from repro import nn
 from repro.models import build_mini
-from repro.nn.backend import NativeBackend, native_available
+from repro.nn.backend import native_available
 from repro.nn.losses import CrossEntropyLoss
 
 MIN_SHAPE_RATIO = 0.8
@@ -186,9 +186,8 @@ def test_bench_native_conv_gate(benchmark):
 
 
 def _linear_table():
-    """Fused-vs-native linear timings for the BENCH_native.json record,
-    including the opt-in C GEMM: that row is *why* linear dispatch stays
-    on BLAS by default."""
+    """Fused-vs-native linear timings for the BENCH_native.json record
+    (native inherits the fused BLAS path, so the ratio reads ~1)."""
     rng = np.random.default_rng(5)
     x_lin = rng.standard_normal((256, 512)).astype(np.float32)
     w_lin = rng.standard_normal((128, 512)).astype(np.float32)
@@ -200,19 +199,14 @@ def _linear_table():
             backend.linear_forward(x_lin, w_lin, None)
         return (time.perf_counter() - start) / rounds * 1e3
 
-    c_linear = NativeBackend()
-    c_linear._c_linear = True
     fused_ms = time_op(nn.get_backend("fused"))
+    native_ms = time_op(nn.get_backend("native"))
     return {
-        name: {
+        "linear_fwd": {
             "fused_ms": fused_ms,
             "native_ms": native_ms,
             "speedup": fused_ms / native_ms,
         }
-        for name, native_ms in (
-            ("linear_fwd", time_op(nn.get_backend("native"))),
-            ("linear_fwd_c_kernel", time_op(c_linear)),
-        )
     }
 
 

@@ -213,14 +213,9 @@ def check_all_specs(dataset: Optional[str] = None) -> list[Finding]:
     for ds in datasets:
         for spec in spec_registry.all_specs(ds).values():
             findings.extend(check_spec(spec))
-    # Transformer / YOLO are buildable via spec_for but (depending on
-    # registry wiring) may not be in all_specs; include them explicitly.
+    # Transformer / YOLO build via spec_for but are not in all_specs.
     for extra in ("Transformer", "YOLO-v3"):
-        try:
-            spec = spec_registry.spec_for(extra, "ImageNet")
-        except (KeyError, ValueError):
-            continue
-        findings.extend(check_spec(spec))
+        findings.extend(check_spec(spec_registry.spec_for(extra, "ImageNet")))
     return findings
 
 

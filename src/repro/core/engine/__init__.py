@@ -23,7 +23,6 @@ from .events import (
     Checkpointing,
     EarlyStopping,
     LambdaCallback,
-    PruneCallback,
     ThroughputTimer,
 )
 from .factories import adagp_engine, bp_engine, dni_engine, pipeline_adagp_engine
@@ -50,7 +49,6 @@ __all__ = [
     "LambdaCallback",
     "EarlyStopping",
     "Checkpointing",
-    "PruneCallback",
     "ThroughputTimer",
     "bp_engine",
     "adagp_engine",

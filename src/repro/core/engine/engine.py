@@ -82,9 +82,8 @@ class TrainingEngine:
         per-layer predictor errors in History.
     backend:
         Compute backend (name or :class:`~repro.nn.backend.Backend`)
-        every batch and evaluation runs under.  A strategy's own
-        ``backend`` takes precedence for its batches; ``None`` inherits
-        the process-global default (``nn.use_backend``).
+        every batch and evaluation runs under; ``None`` inherits the
+        process-global default (``nn.use_backend``).
     """
 
     def __init__(
@@ -164,14 +163,13 @@ class TrainingEngine:
         self, inputs, targets, phase: Phase = Phase.BP
     ) -> BatchResult:
         """Run one training batch under ``phase``'s strategy, inside the
-        resolved backend scope (strategy override > engine > global).
-        Forward caches are dropped afterwards so the step's largest
-        allocations don't stay pinned between batches."""
+        engine's backend scope.  Forward caches are dropped afterwards
+        so the step's largest allocations don't stay pinned between
+        batches."""
         strategy = self.strategy_for(phase)
-        backend = strategy.backend if strategy.backend is not None else self.backend
         # phase_scope (one list push/pop) lets obs attribute backend op
         # time to the scheduled phase even when tracing is off.
-        with phase_scope(phase), backend_scope(backend):
+        with phase_scope(phase), backend_scope(self.backend):
             result = strategy.train_batch(inputs, targets, phase)
         self.model.clear_caches()
         return result

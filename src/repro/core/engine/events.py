@@ -225,63 +225,6 @@ class EarlyStopping(Callback):
             engine.request_stop()
 
 
-class PruneCallback(Callback):
-    """Stop a trial at a rung boundary when its metric misses the cutoff.
-
-    The in-engine seam of the tune subsystem's successive-halving driver
-    (:class:`repro.tune.SuccessiveHalving`): ``rung_epochs`` lists epoch
-    budgets (number of *completed* epochs) at which the trial is judged,
-    and ``thresholds`` the cutoff its monitored value must meet there.
-    Missing a cutoff calls :meth:`TrainingEngine.request_stop` and
-    records ``pruned_at_epoch``, so an underperforming trial stops
-    paying for epochs a synchronized rung decision would discard anyway.
-
-    ``monitor`` is an epoch-logs key (``"val_metric"``, ``"val_loss"``,
-    ``"train_loss"``); ``mode="max"`` prunes when the value falls
-    *below* the threshold, ``mode="min"`` when it rises *above*.
-    Surviving a rung means meeting its cutoff exactly or better, so a
-    deterministic re-run of a promoted trial is never self-pruned.
-    """
-
-    def __init__(
-        self,
-        rung_epochs: Iterable[int],
-        thresholds: Iterable[float],
-        monitor: str = "val_metric",
-        mode: str = "max",
-    ) -> None:
-        self.rung_epochs = [int(e) for e in rung_epochs]
-        self.thresholds = [float(t) for t in thresholds]
-        if len(self.rung_epochs) != len(self.thresholds):
-            raise ValueError(
-                f"{len(self.rung_epochs)} rung epochs but "
-                f"{len(self.thresholds)} thresholds"
-            )
-        if any(e <= 0 for e in self.rung_epochs):
-            raise ValueError(f"rung epochs must be positive: {self.rung_epochs}")
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-        self.monitor = monitor
-        self.mode = mode
-        self.pruned_at_epoch: Optional[int] = None
-        self._cutoffs = dict(zip(self.rung_epochs, self.thresholds))
-
-    def state_dict(self) -> dict:
-        return {"pruned_at_epoch": self.pruned_at_epoch}
-
-    def on_epoch_end(self, engine, epoch, logs):
-        cutoff = self._cutoffs.get(epoch + 1)  # epochs completed so far
-        if cutoff is None:
-            return
-        value = logs.get(self.monitor)
-        if value is None:
-            raise KeyError(f"PruneCallback monitor {self.monitor!r} not in logs")
-        survives = value >= cutoff if self.mode == "max" else value <= cutoff
-        if not survives:
-            self.pruned_at_epoch = epoch
-            engine.request_stop()
-
-
 class Checkpointing(Callback):
     """Save the full engine state every ``every`` epochs (and at fit end).
 

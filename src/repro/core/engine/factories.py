@@ -67,7 +67,6 @@ def adagp_engine(
     batched_gp: bool = False,
     callbacks: Iterable[Callback] = (),
     backend: Optional[BackendSpec] = None,
-    gp_backend: Optional[BackendSpec] = None,
 ) -> TrainingEngine:
     """ADA-GP: warm-up / Phase BP / Phase GP under a phase schedule.
 
@@ -90,9 +89,7 @@ def adagp_engine(
     ``examples/batched_gp_tradeoff.py`` for the accuracy/throughput
     trade.
 
-    ``backend`` selects the compute backend for every batch;
-    ``gp_backend`` additionally pins Phase-GP forward streams to their
-    own backend (e.g. ``backend="numpy", gp_backend="fused"``).
+    ``backend`` selects the compute backend for every batch.
     """
     if not nn.predictable_layers(model):
         raise ValueError("model has no predictable layers for ADA-GP")
@@ -106,9 +103,7 @@ def adagp_engine(
         strategies={
             Phase.WARMUP: bp_strategy,
             Phase.BP: bp_strategy,
-            Phase.GP: GradPredictStrategy(
-                batched_predict=batched_gp, backend=gp_backend
-            ),
+            Phase.GP: GradPredictStrategy(batched_predict=batched_gp),
         },
         schedule=schedule or HeuristicSchedule(),
         metric_fn=metric_fn,
@@ -146,11 +141,10 @@ def pipeline_adagp_engine(
     :func:`repro.models.build_mini` returns); the split happens lazily
     on the first training batch, balanced by the accel cost model.
     """
-    per_phase = [key for key in ("batched_gp", "gp_backend") if adagp_kwargs.get(key)]
-    if per_phase:
+    if adagp_kwargs.get("batched_gp"):
         raise ValueError(
-            f"pipeline_adagp_engine cannot honour {per_phase}: one strategy "
-            "serves every phase, and its Phase-GP updates fire in flight"
+            "pipeline_adagp_engine cannot honour batched_gp: its Phase-GP "
+            "updates fire in flight, stage by stage"
         )
     engine = adagp_engine(
         model, loss_fn, batched_predictor=batched_predictor, **adagp_kwargs

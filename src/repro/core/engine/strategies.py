@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
-from ...nn.backend import BackendSpec, resolve_backend
 from ...nn.losses import loss_value
 from ...nn.module import Module, no_grad
 from ...nn.optim import Optimizer
@@ -75,23 +74,14 @@ class BatchResult:
 
 
 class PhaseStrategy:
-    """One way of running a training batch; bound to an engine at setup.
-
-    ``backend`` optionally pins this strategy's batches to a compute
-    backend (name or instance).  The engine enters that scope around
-    ``train_batch``, preferring the strategy's backend over its own —
-    e.g. Phase-GP forward streams can run ``"fused"`` while BP batches
-    stay on the reference backend.  ``None`` inherits the engine's
-    backend (and, failing that, the global default).
-    """
+    """One way of running a training batch; bound to an engine at setup."""
 
     #: How many times each predictable layer's forward runs per batch
     #: (a pipeline's micro-batch count); the tap joins that many chunks.
     chunks = 1
 
-    def __init__(self, backend: Optional[BackendSpec] = None) -> None:
+    def __init__(self) -> None:
         self._engine_ref: Optional[weakref.ref] = None
-        self.backend = resolve_backend(backend)
 
     @property
     def engine(self) -> Optional["TrainingEngine"]:
@@ -276,13 +266,8 @@ class BackpropStrategy(PhaseStrategy):
     #: Called with each layer's output during the forward (DNI's seam).
     on_output: Optional[OnOutput] = None
 
-    def __init__(
-        self,
-        train_predictor: bool = False,
-        batched: bool = True,
-        backend: Optional[BackendSpec] = None,
-    ) -> None:
-        super().__init__(backend=backend)
+    def __init__(self, train_predictor: bool = False, batched: bool = True) -> None:
+        super().__init__()
         self.train_predictor = train_predictor
         self.batched = batched
 
@@ -342,12 +327,8 @@ class GradPredictStrategy(PhaseStrategy):
       comparison in ``examples/batched_gp_tradeoff.py``).
     """
 
-    def __init__(
-        self,
-        batched_predict: bool = False,
-        backend: Optional[BackendSpec] = None,
-    ) -> None:
-        super().__init__(backend=backend)
+    def __init__(self, batched_predict: bool = False) -> None:
+        super().__init__()
         self.batched_predict = batched_predict
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
@@ -391,11 +372,8 @@ class PipelineGPStrategy(BackpropStrategy):
         kind: str = "GPipe",
         train_predictor: bool = True,
         batched: bool = True,
-        backend: Optional[BackendSpec] = None,
     ) -> None:
-        super().__init__(
-            train_predictor=train_predictor, batched=batched, backend=backend
-        )
+        super().__init__(train_predictor=train_predictor, batched=batched)
         self.num_stages = num_stages
         self.micro_batches = micro_batches
         self.kind = kind
@@ -456,12 +434,8 @@ class DNIStrategy(BackpropStrategy):
     training time").
     """
 
-    def __init__(
-        self,
-        synthetic_lr_scale: float = 0.1,
-        backend: Optional[BackendSpec] = None,
-    ) -> None:
-        super().__init__(train_predictor=True, batched=False, backend=backend)
+    def __init__(self, synthetic_lr_scale: float = 0.1) -> None:
+        super().__init__(train_predictor=True, batched=False)
         self.synthetic_lr_scale = synthetic_lr_scale
 
     def on_output(self, layer: Module, output: np.ndarray) -> None:

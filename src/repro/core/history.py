@@ -72,6 +72,9 @@ class History:
         return sum(self.gp_batches) / total
 
     def layer_series(self, layer_index: int, kind: str = "mape") -> list[float]:
-        """Error-over-epochs series for one layer (Fig 15 curves)."""
+        """Error-over-epochs series for one layer (Fig 15 curves);
+        ``kind`` is ``"mape"`` or ``"mse"``."""
+        if kind not in ("mape", "mse"):
+            raise ValueError(f"kind must be 'mape' or 'mse', got {kind!r}")
         source = self.predictor_mape if kind == "mape" else self.predictor_mse
         return [epoch.get(layer_index, float("nan")) for epoch in source]

@@ -25,15 +25,15 @@ callbacks, checkpointing and History all unchanged, all rank-0-only:
   full sync state before the first batch — construction-path symmetry
   is what makes the transport-parity gate bitwise.
 
-Resume: replicas are not checkpointed — under ``resync="phase"`` the
-trajectory is a function of rank-0 state alone (replica drift is always
-re-broadcast away at phase boundaries before it can matter), so a
-checkpoint of the driver is a checkpoint of the world.  After
-``engine.load_checkpoint(...)`` call ``invalidate_replicas(engine)`` so
-the next batch re-broadcasts rank-0 state; with the identity codec the
-resumed trajectory is then bitwise identical to the uninterrupted run.
-AdaComp residuals are the one exception — rank-local, ephemeral across
-resume (documented lossy-codec caveat).
+Resume: replicas are not checkpointed — the trajectory is a function
+of rank-0 state alone (replica drift is always re-broadcast away at
+phase boundaries before it can matter), so a checkpoint of the driver
+is a checkpoint of the world.  After ``engine.load_checkpoint(...)``
+call ``invalidate_replicas(engine)`` so the next batch re-broadcasts
+rank-0 state; with the identity codec the resumed trajectory is then
+bitwise identical to the uninterrupted run.  AdaComp residuals are the
+one exception — rank-local, ephemeral across resume (documented
+lossy-codec caveat).
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ def ddp_engine(
     codec="identity",
     transport="local",
     inner: str = "adagp",
-    resync: str = "phase",
     metric_fn: Optional[MetricFn] = None,
     callbacks: Iterable[Callback] = (),
     min_workers: int = 2,
@@ -156,7 +155,6 @@ def ddp_engine(
         workers=workers,
         codec=base_codec,
         transport=transport,
-        resync=resync,
         worker_factory=worker_factory,
         min_workers=min_workers,
     )

@@ -23,16 +23,15 @@ bitwise lockstep without shipping dense sums.
 Per **GP** batch: each rank runs the inner GP strategy on its shard —
 predicted updates come from the rank-local predictor, so *zero gradient
 bytes* cross the wire (ADA-GP's phase structure makes the comm story a
-feature).  ``resync="phase"`` broadcasts rank 0's sync state at each
-phase *boundary* — before the first GP batch after a BP run (replica
-predictors trained on local shards are stale) and before the first BP
-batch after a GP run (locally-predicted updates drifted the replica
-models) — never inside a run, so consecutive GP batches stay strictly
-comm-free.  Boundary syncing makes the whole trajectory a function of
-rank-0 state alone: replica-local drift is always overwritten before it
-can influence an observable result, which is exactly what makes
-checkpoint/resume bitwise reproducible (identity codec) and transports
-interchangeable.
+feature).  Rank 0's sync state is broadcast at each phase *boundary* —
+before the first GP batch after a BP run (replica predictors trained on
+local shards are stale) and before the first BP batch after a GP run
+(locally-predicted updates drifted the replica models) — never inside a
+run, so consecutive GP batches stay strictly comm-free.  Boundary
+syncing makes the whole trajectory a function of rank-0 state alone:
+replica-local drift is always overwritten before it can influence an
+observable result, which is exactly what makes checkpoint/resume bitwise
+reproducible (identity codec) and transports interchangeable.
 
 ``workers=1`` is pure delegation to the inner strategy — bitwise
 identical to the serial engine, which is the enforceable end of the
@@ -70,7 +69,6 @@ from typing import Mapping, Optional, Union
 
 from ..core.engine.strategies import BatchResult, PhaseStrategy
 from ..core.schedule import Phase
-from ..nn.backend import backend_scope
 from ..obs.trace import COMM, tracer as _obs_tracer
 from .codec import Codec, resolve_codec
 from .reliable import RankLost, ReliableTransport
@@ -174,12 +172,6 @@ class DataParallelStrategy(PhaseStrategy):
         :class:`~repro.dist.transport.Transport`; :meth:`bind` wraps it
         in a default :class:`~repro.dist.reliable.ReliableTransport`
         unless it already is one (pass a configured one to tune recovery).
-    resync:
-        ``"phase"`` (default): broadcast rank-0 sync state at phase
-        boundaries.  ``"never"``: replicas keep their drifted
-        predictors/weights until the next :meth:`invalidate_replicas` —
-        documented-unsafe, for drift experiments (the recovery replay
-        log then grows for the whole run: the boundary never advances).
     worker_factory:
         Picklable ``factory(rank) -> DistWorker`` (required when
         ``workers > 1``); built by :func:`repro.dist.ddp_engine`.
@@ -195,24 +187,19 @@ class DataParallelStrategy(PhaseStrategy):
         workers: int = 2,
         codec: Union[str, Codec, None] = "identity",
         transport="local",
-        resync: str = "phase",
         worker_factory=None,
-        backend=None,
         min_workers: int = 2,
     ) -> None:
-        super().__init__(backend=backend)
+        super().__init__()
         if isinstance(inner, PhaseStrategy):
             inner = {phase: inner for phase in Phase}
         self.inner: dict[Phase, PhaseStrategy] = dict(inner)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if resync not in ("phase", "never"):
-            raise ValueError(f"resync must be 'phase' or 'never', got {resync!r}")
         if min_workers < 1:
             raise ValueError(f"min_workers must be >= 1, got {min_workers}")
         self.workers = int(workers)
         self.codec = resolve_codec(codec)
-        self.resync = resync
         self.worker_factory = worker_factory
         self._transport_spec = transport
         self.transport: Optional[ReliableTransport] = None
@@ -276,17 +263,13 @@ class DataParallelStrategy(PhaseStrategy):
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
         while True:
             if self.workers == 1 or self._serial:
-                inner = self.inner[phase]
-                # The engine only sees this wrapper's ``backend``, so the
-                # inner strategy's own override is re-applied here.
-                with backend_scope(inner.backend):
-                    return inner.train_batch(inputs, targets, phase)
+                return self.inner[phase].train_batch(inputs, targets, phase)
             # Boundary sync (BP→GP: stale replica predictors; GP→BP:
             # drifted replica models) — never inside a run, so
             # consecutive GP batches stay strictly comm-free.
             stale = self._predictor_stale if phase is Phase.GP else self._drifted
             lrs = self._lrs()
-            if self._need_sync or (stale and self.resync == "phase"):
+            if self._need_sync or stale:
                 if not self._sync_replicas(lrs):
                     continue
             train = self._train_gp if phase is Phase.GP else self._train_bp

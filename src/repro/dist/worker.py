@@ -10,7 +10,7 @@ loop; it answers the data-parallel strategy's commands:
     model weights, optimizer slots, predictor network/optimizer/scales)
     so the replica is bitwise identical to rank 0 — sent once at
     startup, after ``invalidate_replicas()``, and at phase boundaries
-    (BP→GP and GP→BP) under ``resync="phase"``.
+    (BP→GP and GP→BP).
 ``compute``
     Run forward+backward (+ local predictor training) on this rank's
     shard with the driver's loss-gradient scale, then reply with the
@@ -145,12 +145,10 @@ class DistWorker:
     @contextmanager
     def _batch(self, phase: Phase) -> Iterator[PhaseStrategy]:
         """``phase``'s serial strategy, inside the scope
-        :meth:`TrainingEngine.train_batch` resolves (strategy backend >
-        engine backend); forward caches are dropped afterwards."""
-        strategy = self.strategies[phase]
-        backend = strategy.backend if strategy.backend is not None else self.engine.backend
-        with phase_scope(phase), backend_scope(backend):
-            yield strategy
+        :meth:`TrainingEngine.train_batch` enters (the engine's
+        backend); forward caches are dropped afterwards."""
+        with phase_scope(phase), backend_scope(self.engine.backend):
+            yield self.strategies[phase]
         self.engine.model.clear_caches()
 
     def _compute(self, cmd: dict) -> dict:

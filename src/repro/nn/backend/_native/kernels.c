@@ -39,10 +39,10 @@
  * and inputs are always copied (also for pad == 0): the caller's
  * arrays are never read past their end.
  *
- * Linear forward/backward and the pooling unfold/fold round out the
- * set.  Everything is exported with C linkage and called through
- * ctypes (see native_build.py for the build recipe, native.py for
- * dispatch).
+ * The pooling unfold/fold round out the set (there is no GEMM here:
+ * linear layers stay on BLAS).  Everything is exported with C linkage
+ * and called through ctypes (see native_build.py for the build recipe,
+ * native.py for dispatch).
  *
  * Numerical contract: float32 storage everywhere, float32 arithmetic in
  * the fma loops, float64 outer accumulators for the long reductions
@@ -517,74 +517,6 @@ EXPORT void conv2d_backward_weight(const float *x, const float *g, float *gw,
 #endif
     conv2d_backward_weight_naive(x, g, gw, gb, N, C, H, W, O, K, stride, pad,
                                  OH, OW);
-}
-
-/* ------------------------------------------------------------------ */
-/* Linear: out = x @ w^T + bias.  x:(M,IN) w:(OUT,IN) out:(M,OUT).     */
-/* ------------------------------------------------------------------ */
-EXPORT void linear_forward(const float *x, const float *w, const float *bias,
-                           float *out, i64 M, i64 IN, i64 OUT) {
-    i64 m;
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-    for (m = 0; m < M; m++) {
-        const float *xr = x + m * IN;
-        float *orow = out + m * OUT;
-        for (i64 o = 0; o < OUT; o++) {
-            const float *wr = w + o * IN;
-            float dot[8] = {0.0f};
-            i64 i = 0;
-            for (; i + 8 <= IN; i += 8)
-                for (i64 j = 0; j < 8; j++)
-                    dot[j] += xr[i + j] * wr[i + j];
-            for (; i < IN; i++)
-                dot[0] += xr[i] * wr[i];
-            float acc = ((dot[0] + dot[1]) + (dot[2] + dot[3])) +
-                        ((dot[4] + dot[5]) + (dot[6] + dot[7]));
-            orow[o] = acc + (bias ? bias[o] : 0.0f);
-        }
-    }
-}
-
-/* gw = g^T @ x, gb = colsum(g), gx = g @ w. */
-EXPORT void linear_backward(const float *x, const float *g, const float *w,
-                            float *gx, float *gw, float *gb, i64 M, i64 IN,
-                            i64 OUT) {
-    i64 o, m;
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-    for (o = 0; o < OUT; o++) {
-        float *gwr = gw + o * IN;
-        for (i64 i = 0; i < IN; i++)
-            gwr[i] = 0.0f;
-        double bacc = 0.0;
-        for (i64 mm = 0; mm < M; mm++) {
-            const float gv = g[mm * OUT + o];
-            bacc += (double)gv;
-            const float *xr = x + mm * IN;
-            for (i64 i = 0; i < IN; i++)
-                gwr[i] += gv * xr[i];
-        }
-        if (gb)
-            gb[o] = (float)bacc;
-    }
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-    for (m = 0; m < M; m++) {
-        float *gxr = gx + m * IN;
-        for (i64 i = 0; i < IN; i++)
-            gxr[i] = 0.0f;
-        const float *gr = g + m * OUT;
-        for (i64 oo = 0; oo < OUT; oo++) {
-            const float gv = gr[oo];
-            const float *wr = w + oo * IN;
-            for (i64 i = 0; i < IN; i++)
-                gxr[i] += gv * wr[i];
-        }
-    }
 }
 
 /* ------------------------------------------------------------------ */

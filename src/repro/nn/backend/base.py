@@ -8,17 +8,13 @@ through the active :class:`Backend`.  Layers never call ``np.einsum``
 :func:`current_backend` (or the context that produced their forward
 cache) so an alternative substrate is a one-argument change.
 
-Selection works at three levels, innermost wins:
+Selection works at two levels, innermost wins:
 
 1. global default — :func:`use_backend` (also usable as a context
    manager that restores the previous default on exit);
 2. dynamic scope — :func:`backend_scope`, which the
    :class:`~repro.core.engine.engine.TrainingEngine` enters around every
-   batch with its configured backend;
-3. per-:class:`~repro.core.engine.strategies.PhaseStrategy` override,
-   which the engine prefers over its own backend, so e.g. a GP-phase
-   forward-only stream can run fused while BP batches stay on the
-   reference backend.
+   batch and evaluation with its configured backend.
 
 Registering a third backend is :func:`register_backend` plus a subclass
 overriding whichever ops the new substrate accelerates (see DESIGN.md

@@ -36,18 +36,17 @@ the fold pipeline, so a folded no-grad graph runs identically on both.
 What stays off the C kernels, and why.  Narrow planes are *not* routed
 to the inherited im2col path: measured on the VGG13 benchmark workload
 that reaches the same speed but pins a column buffer per layer (+51 %
-peak RSS), whereas the direct kernel pins only the input.  Linear layers
-stay on the inherited BLAS path: the library ships C
-``linear_forward``/``linear_backward`` kernels, but a hand-rolled GEMM
-loses to a tuned BLAS by an order of magnitude at practical shapes —
-conv wins natively because skipping im2col changes the memory traffic,
-not because the C compiler out-multiplies BLAS.  Strided convolutions
-fall back to the im2col path for the same reason: the flattened
-formulation is stride-1, and the bounds-checked strided loop the C entry
-points degrade to runs 2-5x behind BLAS at ResNet-style shapes.  Set
-``REPRO_NATIVE_LINEAR=1`` / ``REPRO_NATIVE_STRIDED=1`` to dispatch
-those cases to the C kernels anyway (the equivalence tests do, to keep
-every kernel verified).
+peak RSS), whereas the direct kernel pins only the input.  There is no
+C GEMM: a hand-rolled one measured 0.042x the inherited BLAS path on the
+model-step shape (8.51 ms against 0.36 ms) — conv wins natively because
+skipping im2col changes the memory traffic, not because the C compiler
+out-multiplies BLAS.  Strided convolutions fall back to the im2col path
+for the same reason: the flattened formulation is stride-1, and the
+bounds-checked strided loop the C entry points degrade to runs 2-5x
+behind BLAS at ResNet-style shapes.  ``REPRO_NATIVE_STRIDED=1``
+dispatches them to the C kernels anyway — the test hook through which
+the equivalence tests and the sanitizer job reach that loop, which is
+also what allocation failure and non-GNU compilers fall back to.
 
 Dispatch is eligibility-checked per call: float32 C-contiguous operands
 take the C kernels, anything else (float64 gradchecks, sliced views)
@@ -104,9 +103,8 @@ class NativeBackend(FusedBackend):
             raise NativeUnavailableError(
                 f"native backend unavailable: {exc}"
             ) from exc
-        # Opt-in only — BLAS beats the C GEMM and the generic strided
-        # conv loop (see the module docstring).
-        self._c_linear = os.environ.get("REPRO_NATIVE_LINEAR") == "1"
+        # Opt-in only — BLAS beats the generic strided conv loop (see
+        # the module docstring).
         self._c_strided = os.environ.get("REPRO_NATIVE_STRIDED") == "1"
         # Per-op native-vs-fallback decision counts.
         self.dispatch_counts: dict[str, dict[str, int]] = {}
@@ -182,41 +180,6 @@ class NativeBackend(FusedBackend):
         )
         self._lib.conv2d_backward_input(_ptr(g), _ptr(weight), _ptr(grad_x), *dims)
         self._lib.conv2d_backward_weight(_ptr(x), _ptr(g), _ptr(grad_w), _ptr(grad_b), *dims)
-        return grad_x, grad_w, grad_b
-
-    # -- linear ----------------------------------------------------------
-    def linear_forward(self, x, weight, bias):
-        if not self._c_linear or not (
-            _f32c(x) and _f32c(weight) and (bias is None or _f32c(bias))
-        ):
-            self._dispatch("linear_forward", False)
-            return super().linear_forward(x, weight, bias)
-        self._dispatch("linear_forward", True)
-        rows = int(np.prod(x.shape[:-1], dtype=np.int64))
-        out_f, in_f = weight.shape
-        out = np.empty(x.shape[:-1] + (out_f,), dtype=np.float32)
-        self._lib.linear_forward(
-            _ptr(x), _ptr(weight), _ptr(bias), _ptr(out), rows, in_f, out_f
-        )
-        return out
-
-    def linear_backward(self, x, grad_out, weight, with_bias=False):
-        if not self._c_linear or not (
-            _f32c(weight) and _f32c(x) and _f32c(grad_out)
-        ):
-            self._dispatch("linear_backward", False)
-            return super().linear_backward(x, grad_out, weight, with_bias)
-        self._dispatch("linear_backward", True)
-        out_f, in_f = weight.shape
-        rows = int(np.prod(x.shape[:-1], dtype=np.int64))
-        grad_x = np.empty_like(x)
-        grad_w = np.empty_like(weight)
-        grad_b = np.empty(out_f, dtype=np.float32) if with_bias else None
-        self._lib.linear_backward(
-            _ptr(x), _ptr(grad_out), _ptr(weight),
-            _ptr(grad_x), _ptr(grad_w), _ptr(grad_b),
-            rows, in_f, out_f,
-        )
         return grad_x, grad_w, grad_b
 
     # -- unfold / fold (pooling columns) ---------------------------------

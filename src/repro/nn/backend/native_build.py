@@ -181,8 +181,6 @@ _SIGNATURES = {
     "conv2d_forward": (4, 10, 0),
     "conv2d_backward_input": (3, 10, 0),
     "conv2d_backward_weight": (4, 10, 0),
-    "linear_forward": (4, 3, 0),
-    "linear_backward": (6, 3, 0),
     "unfold": (2, 9, 1),
     "fold": (2, 9, 0),
 }

@@ -44,7 +44,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..accel.config import AcceleratorConfig
-from ..nn.backend import BackendSpec, backend_scope, resolve_backend
 from ..nn.layers.core import Sequential
 from ..nn.losses import loss_value
 from ..nn.module import Module, Parameter
@@ -121,7 +120,6 @@ class PipelineExecutor:
         micro_batches: int = 4,
         kind: PipelineKind = PipelineKind.GPIPE,
         plan: Optional[StagePlan] = None,
-        backend: Optional[BackendSpec] = None,
     ) -> None:
         if kind == PipelineKind.CHIMERA:
             raise ValueError(
@@ -129,11 +127,6 @@ class PipelineExecutor:
                 "bidirectional mapping needs two model replicas per device"
             )
         self.stages = list(stages)
-        # Backend every stage slot computes under.  ``None`` inherits the
-        # caller's scope — which is how stages inherit the engine's
-        # backend when driven by PipelineGPStrategy; an explicit backend
-        # pins standalone (benchmark) runs.
-        self.backend = resolve_backend(backend)
         self.config = PipelineConfig(
             num_stages=len(self.stages), micro_batches=micro_batches
         )
@@ -154,15 +147,12 @@ class PipelineExecutor:
         kind: PipelineKind = PipelineKind.GPIPE,
         batch: int = 1,
         accel_config: Optional[AcceleratorConfig] = None,
-        backend: Optional[BackendSpec] = None,
     ) -> "PipelineExecutor":
         """Partition ``model`` (accel cost model) and build an executor."""
         stages, plan = partition_sequential(
             model, num_stages, input_shape, batch=batch, config=accel_config
         )
-        return cls(
-            stages, micro_batches=micro_batches, kind=kind, plan=plan, backend=backend
-        )
+        return cls(stages, micro_batches=micro_batches, kind=kind, plan=plan)
 
     # ------------------------------------------------------------------
     @property
@@ -257,13 +247,12 @@ class PipelineExecutor:
                 snaps[(s, m)] = self._snapshot(stage)
             return duration
 
-        with backend_scope(self.backend):
-            tasks = place_op_lists(
-                stage_op_lists(self.kind, self.config, backward),
-                run,
-                self.device_free,
-                batch=self.batches_run,
-            )
+        tasks = place_op_lists(
+            stage_op_lists(self.kind, self.config, backward),
+            run,
+            self.device_free,
+            batch=self.batches_run,
+        )
         self.timeline.tasks.extend(tasks)
         if tracer.enabled:
             # Spans carry the *virtual device clock* times (the

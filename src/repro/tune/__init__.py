@@ -12,9 +12,8 @@ cycle-model speedup it buys.
 Layering: ``space`` (what to search) → ``search`` (which trials to run)
 → ``runner`` (how to run them) → ``trial`` (one engine run) →
 ``frontier`` (what the results mean).  Nothing below ``repro.core``
-knows this package exists; the engine's only contributions are the
-callback seam (:class:`~repro.core.PruneCallback`) and the
-checkpoint-grade schedule state dicts.
+knows this package exists; the engine's only contribution is the
+checkpoint-grade schedule config dicts.
 
 Quickstart::
 

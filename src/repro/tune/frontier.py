@@ -36,20 +36,18 @@ def pareto_front(
     results: Sequence[TrialResult],
     x: Axis = _gp_share,
     y: Axis = _best_metric,
-    statuses: Sequence[str] = ("ok",),
 ) -> list[TrialResult]:
     """Non-dominated subset of ``results``, sorted by ``x`` ascending.
 
-    Both axes are maximized.  Pruned and failed trials are excluded by
-    default (their budgets differ, so their metrics aren't comparable);
-    points with NaN on either axis never make the front.  Coincident
-    points are all kept — each is evidence the same trade-off is
-    achievable by more than one configuration.
+    Both axes are maximized.  Failed trials are excluded (they have no
+    metrics); points with NaN on either axis never make the front.
+    Coincident points are all kept — each is evidence the same trade-off
+    is achievable by more than one configuration.
     """
     candidates = [
         (x(result), y(result), result)
         for result in results
-        if result.status in statuses
+        if result.status == "ok"
     ]
     candidates = [
         c for c in candidates if not (math.isnan(c[0]) or math.isnan(c[1]))

@@ -20,36 +20,16 @@ unit of parallelism).  Two properties make long searches safe:
   interrupted search resumes without re-running finished trials and
   (trials being deterministic) produces bit-identical
   :meth:`~repro.tune.trial.TrialResult.deterministic_dict` outputs.
-  A half-written trailing line (the interruption itself) is ignored.
-
-Multi-host searches add a third property:
-
-* **Claimed execution** — with ``claim=True`` several hosts (or
-  processes) point runners at *one shared journal*; before executing a
-  trial each runner appends a lease-timestamped claim record to the
-  ``<journal>.claims`` sidecar under an ``fcntl.lockf`` critical
-  section, so every trial runs exactly once across the fleet.  A claim
-  whose lease expired without a journaled result is an *orphan* (its
-  host crashed) and is silently reclaimed by the next runner.  Trials
-  being deterministic, the union of all hosts' work is bit-identical to
-  one serial run — the multi-host parallel-equals-serial contract.
+  A half-written line (the interruption itself) is ignored, and the
+  next append starts on a fresh line behind it.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import socket
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence, Union
-
-try:  # POSIX-only; claim mode degrades to a hard error elsewhere.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 from .trial import TrialResult, TrialSpec, run_trial
 
@@ -69,8 +49,9 @@ def run_trial_guarded(spec_dict: dict) -> dict:
 def load_journal(path: Union[str, Path]) -> dict[str, dict]:
     """Completed trials from a journal: ``trial_id -> journal record``.
 
-    Tolerates a missing file (fresh search) and a torn final line (the
-    write that an interruption cut short).
+    Tolerates a missing file (fresh search), a torn line (the write
+    that an interruption cut short) and any line that is not a record
+    of this journal version.
     """
     path = Path(path)
     if not path.exists():
@@ -84,9 +65,11 @@ def load_journal(path: Union[str, Path]) -> dict[str, dict]:
             record = json.loads(line)
         except json.JSONDecodeError:
             continue  # torn write at the interruption point
-        if record.get("version") != JOURNAL_VERSION:
+        if not isinstance(record, dict) or record.get("version") != JOURNAL_VERSION:
             continue
-        records[record["trial"]["trial_id"]] = record
+        trial, result = record.get("trial"), record.get("result")
+        if isinstance(trial, dict) and "trial_id" in trial and isinstance(result, dict):
+            records[trial["trial_id"]] = record
     return records
 
 
@@ -98,113 +81,18 @@ class SearchRunner:
     ``executed`` counter records how many trials actually ran (vs. were
     served from the journal) in the most recent :meth:`run`.
 
-    ``claim=True`` turns the journal into a shared multi-host work
-    queue: each trial is claimed under a file lock before running (see
-    the module docstring).  Claim mode executes in-process and one
-    trial at a time — fleet parallelism comes from running one claiming
-    runner per host, not from a local pool — and ``lease`` seconds
-    without a journaled result marks a claim orphaned (crashed host)
-    and reclaimable.
+    The journal has one writer: this process appends every record; pool
+    workers only return result dicts.
     """
 
     def __init__(
-        self,
-        workers: int = 1,
-        journal: Optional[Union[str, Path]] = None,
-        claim: bool = False,
-        lease: float = 300.0,
-        poll_interval: float = 0.05,
-        owner: Optional[str] = None,
+        self, workers: int = 1, journal: Optional[Union[str, Path]] = None
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if claim:
-            if journal is None:
-                raise ValueError("claim=True needs a shared journal path")
-            if workers != 1:
-                raise ValueError(
-                    "claim mode runs trials in-process (workers=1); "
-                    "parallelism comes from one claiming runner per host"
-                )
-            if fcntl is None:
-                raise RuntimeError("claim mode needs fcntl (POSIX file locks)")
-            if lease <= 0:
-                raise ValueError(f"lease must be > 0 seconds, got {lease}")
         self.workers = workers
         self.journal = Path(journal) if journal is not None else None
-        self.claim = claim
-        self.lease = float(lease)
-        self.poll_interval = float(poll_interval)
-        self.owner = owner or f"{socket.gethostname()}:{os.getpid()}"
         self.executed = 0
-
-    # ------------------------------------------------------------------
-    # Shared-journal locking + claims.
-    # ------------------------------------------------------------------
-    @property
-    def _claims_path(self) -> Path:
-        return self.journal.with_name(self.journal.name + ".claims")
-
-    @contextmanager
-    def _locked(self):
-        """Exclusive cross-host critical section on ``<journal>.lock``."""
-        lock_path = self.journal.with_name(self.journal.name + ".lock")
-        with lock_path.open("a") as handle:
-            fcntl.lockf(handle, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.lockf(handle, fcntl.LOCK_UN)
-
-    def _load_claims(self) -> dict[str, dict]:
-        """Latest claim record per trial id (a reclaim supersedes the
-        orphaned claim it replaces)."""
-        path = self._claims_path
-        if not path.exists():
-            return {}
-        claims: dict[str, dict] = {}
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write from a crashed host
-            if record.get("version") != JOURNAL_VERSION:
-                continue
-            claims[record["trial_id"]] = record
-        return claims
-
-    def _claim_next(self, specs: Sequence[TrialSpec]) -> Optional[TrialSpec]:
-        """Atomically claim the first spec that is neither journaled nor
-        under a live lease; ``None`` when every remaining trial is owned
-        by a live peer."""
-        now = time.time()
-        with self._locked():
-            done = load_journal(self.journal)
-            claims = self._load_claims()
-            for spec in specs:
-                if spec.trial_id in done:
-                    continue
-                claim = claims.get(spec.trial_id)
-                if claim is not None and now - claim["ts"] < self.lease:
-                    continue  # live claim on another host
-                line = json.dumps(
-                    {
-                        "version": JOURNAL_VERSION,
-                        "trial_id": spec.trial_id,
-                        "owner": self.owner,
-                        "ts": now,
-                    },
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-                with self._claims_path.open("a") as handle:
-                    handle.write(line + "\n")
-                    handle.flush()
-                return spec
-        return None
 
     # ------------------------------------------------------------------
     def _record(self, spec: TrialSpec, result: TrialResult) -> None:
@@ -222,15 +110,15 @@ class SearchRunner:
             # should fail loudly, not emit NaN tokens.
             allow_nan=False,
         )
-        if self.claim:
-            # Serialize appends across hosts sharing the journal.
-            with self._locked():
-                with self.journal.open("a") as handle:
-                    handle.write(line + "\n")
-                    handle.flush()
-            return
-        with self.journal.open("a") as handle:
-            handle.write(line + "\n")
+        with self.journal.open("ab+") as handle:
+            # An interrupted write leaves a fragment with no newline;
+            # end it so this record starts a line of its own and
+            # load_journal drops the fragment, not the record.
+            if handle.seek(0, 2):
+                handle.seek(-1, 2)
+                if handle.read(1) != b"\n":
+                    handle.write(b"\n")
+            handle.write(line.encode() + b"\n")
             handle.flush()
 
     def _from_journal(self, specs: Sequence[TrialSpec]) -> dict[str, TrialResult]:
@@ -287,37 +175,6 @@ class SearchRunner:
                     results[spec.trial_id] = result
         return results
 
-    def _run_claimed(self, pending: Sequence[TrialSpec]) -> dict[str, TrialResult]:
-        """Multi-host mode: claim → run → journal, adopting peer results
-        as they land; waits (bounded by lease reclaim) for trials other
-        hosts own."""
-        results: dict[str, TrialResult] = {}
-        waiting = {spec.trial_id: spec for spec in pending}
-        while waiting:
-            progressed = False
-            records = load_journal(self.journal)
-            for trial_id in list(waiting):
-                record = records.get(trial_id)
-                if record is not None:
-                    results[trial_id] = TrialResult.from_dict(record["result"])
-                    del waiting[trial_id]
-                    progressed = True
-            if not waiting:
-                break
-            spec = self._claim_next(list(waiting.values()))
-            if spec is not None:
-                result = TrialResult.from_dict(run_trial_guarded(spec.to_dict()))
-                self._record(spec, result)
-                results[spec.trial_id] = result
-                del waiting[spec.trial_id]
-                self.executed += 1
-                progressed = True
-            if waiting and not progressed:
-                # Every remaining trial is under a live claim elsewhere:
-                # poll for its result (or its lease to orphan out).
-                time.sleep(self.poll_interval)
-        return results
-
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[TrialSpec]) -> list[TrialResult]:
         """Run every spec (journal hits excluded) and return results in
@@ -327,11 +184,6 @@ class SearchRunner:
             raise ValueError("trial ids must be unique within one run")
         results = self._from_journal(specs)
         pending = [spec for spec in specs if spec.trial_id not in results]
-        if self.claim:
-            self.executed = 0  # _run_claimed counts what actually ran here
-            if pending:
-                results.update(self._run_claimed(pending))
-            return [results[trial_id] for trial_id in ids]
         self.executed = len(pending)
         if pending:
             runner = self._run_pool if self.workers > 1 else self._run_serial

@@ -8,17 +8,10 @@ configuration draws come from ``SeedSequence`` spawning
 (:mod:`repro.tune.space`), which makes every driver deterministic in its
 ``seed`` — the property the journal-resume guarantee rests on.
 
-:class:`SuccessiveHalving` additionally prunes: trials run rung by rung
+:class:`SuccessiveHalving` additionally halves: trials run rung by rung
 with geometrically growing epoch budgets and only the top ``1/eta`` of
 each rung is promoted — that synchronized ranking is where the compute
-saving comes from.  Promoted re-runs also carry a
-:class:`~repro.core.PruneCallback` armed with every earlier rung's
-cutoff; with fully deterministic trials a promoted re-run reproduces
-its rung prefix and meets every cutoff by construction, so the armed
-callback is a divergence guard (nondeterministic backends, edited base
-params) rather than the primary pruner.  It becomes the live stopper
-when trials continue from checkpoints instead of re-running, and via
-``TrialSpec.prune`` it prunes any standalone trial directly.
+saving comes from.
 """
 
 from __future__ import annotations
@@ -154,20 +147,14 @@ class HalvingOutcome:
 
 
 class SuccessiveHalving:
-    """Prune-as-you-go random search (the classic SHA ladder).
+    """Halve-as-you-go random search (the classic SHA ladder).
 
     ``num_trials`` configurations start at ``min_epochs``; after each
     rung only the top ``ceil(n / eta)`` by the monitored metric at the
     rung boundary are promoted to an ``eta``-times larger budget, until
     ``max_epochs``.  Promotions re-run from scratch at the larger budget
     (trials are deterministic, so rung prefixes reproduce exactly and
-    the journal deduplicates across interrupted searches); each re-run
-    carries a :class:`~repro.core.PruneCallback` armed with the earlier
-    cutoffs so the engine stops any re-run whose trajectory falls below
-    an established bar — with deterministic trials that is a guard
-    against divergence (a promoted re-run meets its own cutoffs by
-    construction), not the mechanism that saves compute: the rung-level
-    promotion is.
+    the journal deduplicates across interrupted searches).
 
     Ties rank deterministically (metric, then trial index); failed or
     too-short trials rank last.
@@ -200,12 +187,10 @@ class SuccessiveHalving:
             # Rung ranking reads TrialResult.val_metric; other monitors
             # would need their own recorded series.
             raise ValueError("successive halving ranks by 'val_metric' only")
-        reserved = {"epochs", "prune"} & set(base)
-        if reserved:
+        if "epochs" in base:
             raise ValueError(
-                f"{sorted(reserved)} are driver-managed in successive "
-                "halving: budgets come from min_epochs/max_epochs and "
-                "prune callbacks from the rung cutoffs"
+                "epochs is driver-managed in successive halving: budgets "
+                "come from min_epochs/max_epochs"
             )
         self.space = space
         self.num_trials = num_trials
@@ -244,28 +229,12 @@ class SuccessiveHalving:
             )
         )
         for rung, budget in enumerate(budgets):
-            # Arm earlier rungs' cutoffs (NaN cutoffs — a rung whose
-            # worst survivor failed — establish no bar).
-            armed = [
-                (budgets[k], cutoff)
-                for k, cutoff in enumerate(outcome.cutoffs)
-                if not math.isnan(cutoff)
-            ]
-            prune = None
-            if armed:
-                prune = {
-                    "rung_epochs": [epochs for epochs, _ in armed],
-                    "thresholds": [cutoff for _, cutoff in armed],
-                    "monitor": self.monitor,
-                    "mode": self.mode,
-                }
             specs = [
                 spec_from_config(
                     f"{self.prefix}{index:03d}-r{rung}",
                     config,
                     seed=trial_seed,
                     epochs=budget,
-                    prune=prune,
                     **self.base,
                 )
                 for index, (config, trial_seed) in active

@@ -24,7 +24,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from ..core import Phase, PruneCallback, adagp_engine, schedule_from_config
+from ..core import Phase, adagp_engine, schedule_from_config
 from ..core.schedule import AdaptiveSchedule, HeuristicSchedule
 from ..data import preset_split
 from ..data.synthetic import DATASET_PRESETS, PAPER_TO_PRESET
@@ -72,7 +72,6 @@ class TrialSpec:
     batched_gp: bool = False
     design: str = "ADA-GP-Efficient"
     seed: int = 0
-    prune: Optional[dict] = None  # PruneCallback kwargs (rungs/thresholds)
 
     def to_dict(self) -> dict:
         # Tuples canonicalize to lists: the journal's resume check
@@ -99,7 +98,7 @@ class TrialResult:
     """
 
     trial_id: str
-    status: str  # "ok" | "pruned" | "failed"
+    status: str  # "ok" | "failed"
     spec: dict = field(default_factory=dict)
     epochs_run: int = 0
     best_metric: float = float("nan")
@@ -262,7 +261,6 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     model = build_mini(
         spec.model, _num_classes(spec.dataset), rng=np.random.default_rng(model_ss)
     )
-    prune_cb = PruneCallback(**spec.prune) if spec.prune else None
     engine = adagp_engine(
         model,
         CrossEntropyLoss(),
@@ -270,7 +268,6 @@ def run_trial(spec: TrialSpec) -> TrialResult:
         metric_fn=accuracy,
         schedule=spec.build_schedule(),
         batched_gp=spec.batched_gp,
-        callbacks=(prune_cb,) if prune_cb is not None else (),
     )
     start = time.perf_counter()
     history = engine.fit(
@@ -289,7 +286,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
 
     return TrialResult(
         trial_id=spec.trial_id,
-        status="pruned" if prune_cb is not None and prune_cb.pruned_at_epoch is not None else "ok",
+        status="ok",
         spec=spec.to_dict(),
         epochs_run=history.num_epochs,
         best_metric=history.best_metric,

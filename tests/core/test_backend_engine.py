@@ -1,9 +1,8 @@
 """Backend selection through the TrainingEngine and pipeline executor.
 
-Proves the three selection levels compose: engine-level ``backend=``,
-per-``PhaseStrategy`` overrides (GP batches on a different backend than
-BP batches), inheritance by pipeline executor stages, and that backend
-choice is orthogonal to bit-identical checkpoint/resume.
+Proves engine-level ``backend=`` reaches every batch, that pipeline
+executor stages inherit it, and that backend choice is orthogonal to
+bit-identical checkpoint/resume.
 """
 
 import numpy as np
@@ -105,26 +104,6 @@ class TestEngineBackend:
             for key, value in module.__dict__.items():
                 if key.startswith("_cache") or key in module._extra_cache_attrs:
                     assert value is None, f"{type(module).__name__}.{key}"
-
-    def test_strategy_level_backend_overrides_engine(self):
-        """gp_backend pins Phase-GP streams to their own backend while BP
-        batches keep the engine backend."""
-        counting = CountingBackend()
-        engine = _adagp(backend="numpy", gp_backend=counting)
-        assert engine.strategies[Phase.GP].backend is counting
-        split = _split()
-        train_fn, val_fn = _fns(split)
-
-        # Epoch 0 is pure warm-up: only the engine backend runs.
-        engine.fit(train_fn, val_fn, epochs=1)
-        assert counting.conv_forward_calls == 0
-
-        # Later epochs stream GP batches through the counting backend,
-        # forward-only: backward stays at zero.
-        history = engine.fit(train_fn, val_fn, epochs=2)
-        assert sum(history.gp_batches) > 0
-        assert counting.conv_forward_calls > 0
-        assert counting.conv_backward_calls == 0
 
     def test_pipeline_stages_inherit_engine_backend(self):
         counting = CountingBackend()

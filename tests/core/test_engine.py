@@ -415,6 +415,17 @@ class TestHistoryGPShare:
         with pytest.raises(ValueError):
             History().gp_share
 
+    def test_layer_series_rejects_an_unknown_kind(self):
+        """``"MAPE"`` / ``"cosine"`` used to fall through to the MSE
+        series silently."""
+        from repro.core import History
+
+        history = History(predictor_mape=[{0: 5.0}], predictor_mse=[{0: 0.1}])
+        assert history.layer_series(0, "mape") == [5.0]
+        assert history.layer_series(0, "mse") == [0.1]
+        with pytest.raises(ValueError, match="'mape' or 'mse'"):
+            history.layer_series(0, "MAPE")
+
     def test_old_pickles_backfill_missing_fields(self):
         """A History pickled before gp_fraction existed must restore
         with the field defaulted, not AttributeError on first append."""

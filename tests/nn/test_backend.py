@@ -185,18 +185,12 @@ def test_backend_matches_numpy(backend, name, factory, shape):
 )
 @pytest.mark.parametrize(
     "name,factory,shape",
-    [
-        case
-        for case in _layer_cases()
-        if case[0].startswith("linear") or case[0] == "conv_strided"
-    ],
+    [case for case in _layer_cases() if case[0] == "conv_strided"],
 )
 def test_native_opt_in_kernels_match_numpy(name, factory, shape):
-    """The opt-in C paths (``REPRO_NATIVE_LINEAR=1`` GEMMs,
-    ``REPRO_NATIVE_STRIDED=1`` strided convs) stay correct even though
-    default dispatch keeps them on BLAS."""
+    """The opt-in C path (``REPRO_NATIVE_STRIDED=1`` strided convs)
+    stays correct even though default dispatch keeps it on BLAS."""
     backend = NativeBackend()
-    backend._c_linear = True
     backend._c_strided = True
     x = _x(shape, seed=11)
     out_n, gin_n, grads_n = _run_layer("numpy", factory, x)

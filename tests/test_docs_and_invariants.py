@@ -151,3 +151,94 @@ class TestOneBatchBody:
             "PhaseStrategy._train_predictor",
             "PhaseStrategy._apply_predictions",
         }
+
+
+class TestOptionsCensus:
+    """An option earns its keep by being selected: every keyword
+    parameter of the engine factories and the three constructors below
+    is passed by name somewhere other than a test."""
+
+    #: call name -> (file under src/repro, qualified function name)
+    SURFACE = {
+        "bp_engine": ("core/engine/factories.py", "bp_engine"),
+        "adagp_engine": ("core/engine/factories.py", "adagp_engine"),
+        "pipeline_adagp_engine": ("core/engine/factories.py", "pipeline_adagp_engine"),
+        "dni_engine": ("core/engine/factories.py", "dni_engine"),
+        "ddp_engine": ("dist/engine.py", "ddp_engine"),
+        "SearchRunner": ("tune/runner.py", "SearchRunner.__init__"),
+        "DataParallelStrategy": ("dist/strategy.py", "DataParallelStrategy.__init__"),
+        "PipelineExecutor": ("pipeline/executor.py", "PipelineExecutor.__init__"),
+        "from_model": ("pipeline/executor.py", "PipelineExecutor.from_model"),
+    }
+    #: Factories whose ``**kwargs`` flow to another factory: a keyword
+    #: their caller passes that is not their own selects it there.
+    FORWARDS = {
+        "pipeline_adagp_engine": ("adagp_engine",),
+        "ddp_engine": ("adagp_engine", "bp_engine"),
+    }
+    #: Unselected but kept — the agenda for the next census.
+    EXEMPT = {
+        "pipeline_adagp_engine.batched_predictor": (
+            "sets the strategy's and the inner factory's flag together; "
+            "per-layer predictor updates are the pre-engine oracle"
+        ),
+        "dni_engine.plateau_scheduler": (
+            "mirrors adagp_engine's switch, which bench/ selects; no DNI caller turns it off"
+        ),
+        "dni_engine.callbacks": "engine-construction plumbing every factory forwards",
+        "dni_engine.backend": "the engine selection level, uniform across the factories",
+        "ddp_engine.callbacks": "engine-construction plumbing every factory forwards",
+        "ddp_engine.min_workers": (
+            "lost-rank policy floor; only tests/dist/test_faults.py raises it"
+        ),
+        "from_model.accel_config": (
+            "cost-model plumbing for partition_sequential; default config everywhere"
+        ),
+        "from_model.batch": (
+            "cost-model batch for partition_sequential; both callers partition at 1"
+        ),
+    }
+
+    def test_every_keyword_parameter_is_selected_outside_tests(self):
+        keywords = {}
+        for callee, (relative, qualified) in self.SURFACE.items():
+            path = REPO / "src" / "repro" / relative
+            args = dict(TestOneBatchBody._functions(path))[qualified].args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            keywords[callee] = {arg.arg for arg in defaulted + args.kwonlyargs}
+
+        selected = {callee: set() for callee in self.SURFACE}
+
+        def visit(node, owner):
+            """Record ``name(keyword=...)`` calls; ``cls(...)`` inside a
+            class body is a call of that class."""
+            for child in ast.iter_child_nodes(node):
+                visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+            if not isinstance(node, ast.Call):
+                return
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            name = owner if name == "cls" else name
+            if name in selected:
+                passed = {keyword.arg for keyword in node.keywords if keyword.arg}
+                selected[name] |= passed
+                for target in self.FORWARDS.get(name, ()):
+                    selected[target] |= passed - keywords[name]
+
+        for root in ("src", "examples", "benchmarks", "bench"):
+            for path in (REPO / root).rglob("*.py"):
+                visit(ast.parse(path.read_text()), None)
+
+        unselected = {
+            f"{callee}.{parameter}"
+            for callee in self.SURFACE
+            for parameter in keywords[callee] - selected[callee]
+        }
+        for name, reason in sorted(self.EXEMPT.items()):
+            print(f"exempt {name}: {reason}")
+        assert all(reason.strip() for reason in self.EXEMPT.values())
+        assert unselected == set(self.EXEMPT), (
+            "selected by nothing outside tests (delete the parameter and "
+            f"its code path): {sorted(unselected - set(self.EXEMPT))}; "
+            f"stale exemptions: {sorted(set(self.EXEMPT) - unselected)}"
+        )

@@ -69,15 +69,12 @@ class TestParetoFront:
         results = [_result("a", 70.0, 0.5), _result("b", 70.0, 0.5)]
         assert {r.trial_id for r in pareto_front(results)} == {"a", "b"}
 
-    def test_failed_and_pruned_excluded_by_default(self):
+    def test_failed_excluded(self):
         results = [
             _result("ok", 60.0, 0.5),
             _result("boom", 99.0, 0.9, status="failed"),
-            _result("cut", 99.0, 0.9, status="pruned"),
         ]
         assert [r.trial_id for r in pareto_front(results)] == ["ok"]
-        widened = pareto_front(results, statuses=("ok", "pruned"))
-        assert {r.trial_id for r in widened} == {"cut"}
 
     def test_nan_axes_never_make_the_front(self):
         results = [

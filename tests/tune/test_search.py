@@ -1,10 +1,9 @@
-"""Tests for the search drivers and the PruneCallback seam."""
+"""Tests for the search drivers."""
 
 import math
 
 import pytest
 
-from repro.core import PruneCallback
 from repro.tune import (
     Grid,
     GridSearch,
@@ -57,53 +56,6 @@ class TestDrivers:
     def test_draw_trials_never_shares_seeds(self):
         pairs = draw_trials(_space(), seed=0, count=32)
         assert len({seed for _, seed in pairs}) == 32
-
-
-class TestPruneCallback:
-    class _EngineStub:
-        def __init__(self):
-            self.stopped = False
-
-        def request_stop(self):
-            self.stopped = True
-
-    def test_prunes_below_threshold_at_rung(self):
-        callback = PruneCallback(rung_epochs=[2], thresholds=[50.0])
-        engine = self._EngineStub()
-        callback.on_epoch_end(engine, 0, {"val_metric": 10.0})  # not a rung
-        assert not engine.stopped
-        callback.on_epoch_end(engine, 1, {"val_metric": 49.9})  # rung: below
-        assert engine.stopped
-        assert callback.pruned_at_epoch == 1
-
-    def test_meeting_the_cutoff_survives(self):
-        """Equality survives: a promoted trial re-run at a larger budget
-        meets its own cutoff exactly and must not self-prune."""
-        callback = PruneCallback(rung_epochs=[1], thresholds=[50.0])
-        engine = self._EngineStub()
-        callback.on_epoch_end(engine, 0, {"val_metric": 50.0})
-        assert not engine.stopped
-        assert callback.pruned_at_epoch is None
-
-    def test_min_mode_prunes_above(self):
-        callback = PruneCallback(
-            rung_epochs=[1], thresholds=[0.5], monitor="val_loss", mode="min"
-        )
-        engine = self._EngineStub()
-        callback.on_epoch_end(engine, 0, {"val_loss": 0.6})
-        assert engine.stopped
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PruneCallback(rung_epochs=[1, 2], thresholds=[1.0])
-        with pytest.raises(ValueError):
-            PruneCallback(rung_epochs=[0], thresholds=[1.0])
-        with pytest.raises(ValueError):
-            PruneCallback(rung_epochs=[1], thresholds=[1.0], mode="avg")
-        with pytest.raises(KeyError):
-            PruneCallback(rung_epochs=[1], thresholds=[1.0]).on_epoch_end(
-                self._EngineStub(), 0, {}
-            )
 
 
 class _FakeRunner:
@@ -163,17 +115,6 @@ class TestSuccessiveHalving:
         assert outcome.cutoffs[0] == min(scale_of(s) for s in promoted) * 1
         assert outcome.survivors[0].trial_id == final[0].trial_id
 
-    def test_later_rungs_carry_armed_prune_callbacks(self):
-        runner = _FakeRunner()
-        outcome = self._sha().run(runner)
-        assert all(spec.prune is None for spec in runner.seen[0])
-        rung1_prune = runner.seen[1][0].prune
-        assert rung1_prune["rung_epochs"] == [1]
-        assert rung1_prune["thresholds"] == [outcome.cutoffs[0]]
-        rung2_prune = runner.seen[2][0].prune
-        assert rung2_prune["rung_epochs"] == [1, 2]
-        assert rung2_prune["thresholds"] == list(outcome.cutoffs)
-
     def test_failed_trials_rank_last(self):
         class FailingFirstRunner(_FakeRunner):
             def run(self, specs):
@@ -220,9 +161,7 @@ class TestSuccessiveHalving:
             SuccessiveHalving(_space(), num_trials=4, min_epochs=0)
         with pytest.raises(ValueError):
             SuccessiveHalving(_space(), num_trials=4, monitor="train_loss")
-        # epochs/prune are driver-managed; catching them at construction
-        # beats a TypeError deep inside run().
+        # epochs is driver-managed; catching it at construction beats a
+        # TypeError deep inside run().
         with pytest.raises(ValueError, match="driver-managed"):
             SuccessiveHalving(_space(), num_trials=4, epochs=16)
-        with pytest.raises(ValueError, match="driver-managed"):
-            SuccessiveHalving(_space(), num_trials=4, prune={"rung_epochs": [1]})

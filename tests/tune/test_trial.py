@@ -167,17 +167,3 @@ class TestRunTrial:
         base = spec_from_config("t", {"kind": "adaptive"}, seed=1, **TINY)
         other = spec_from_config("t", {"kind": "adaptive"}, seed=2, **TINY)
         assert run_trial(base).train_loss != run_trial(other).train_loss
-
-    def test_prune_spec_stops_training(self):
-        spec = spec_from_config(
-            "t", {"kind": "adaptive", "warmup_epochs": 1}, seed=5, **TINY
-        )
-        pruned_spec = TrialSpec(
-            **{**spec.to_dict(), "prune": {
-                "rung_epochs": [1], "thresholds": [1e9], "monitor": "val_metric",
-                "mode": "max",
-            }}
-        )
-        result = run_trial(pruned_spec)
-        assert result.status == "pruned"
-        assert result.epochs_run == 1  # stopped at the first rung boundary

@@ -1,10 +1,10 @@
 """AST-based invariant linter: rule framework, suppressions, baseline.
 
-The repo's correctness conventions (backend dispatch, cache naming,
+The repo's correctness conventions (backend dispatch, the saved slot,
 version bumps, rng discipline, no-grad purity — see DESIGN.md) are
 cheap to follow and expensive to violate, because nothing at runtime
 checks them: a direct ``np.matmul`` silently ignores the active
-backend, an un-prefixed forward cache silently pins memory forever.
+backend, forward state kept outside ``_saved`` silently pins memory.
 This package turns each convention into a :class:`Rule` that inspects
 the AST and emits :class:`~repro.analysis.findings.Finding` records.
 

@@ -113,14 +113,15 @@ class BackendDispatchRule(Rule):
 
 
 class CacheNamingRule(Rule):
-    """Forward state consumed by backward must be ``_cache*``-prefixed or
-    listed in ``_extra_cache_attrs`` (PR 3/4) — anything else is invisible
-    to ``Module.clear_caches()`` and stays pinned between batches."""
+    """What a forward keeps for its backward lives in ``_saved`` — the
+    one slot ``Module.clear_caches()``, the fold passes and the pipeline
+    executor's per-micro-batch snapshot know about.  State passed under
+    any other name stays pinned between batches and is overwritten by
+    an interleaved micro-batch."""
 
     name = "cache-naming"
     description = (
-        "attrs written in forward() and read in backward() must be "
-        "_cache*-prefixed or declared in _extra_cache_attrs"
+        "an attr written in forward() and read in backward() must be _saved"
     )
     scope = ("src/",)
 
@@ -136,88 +137,46 @@ class CacheNamingRule(Rule):
         return name in cls._BACKWARD or name.startswith("_backward")
 
     @staticmethod
-    def _extra_cache_attrs(cls_node: ast.ClassDef) -> set[str]:
-        declared: set[str] = set()
-        for stmt in cls_node.body:
-            targets: list[ast.expr] = []
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets = [stmt.target]
-                value = stmt.value
-            else:
-                continue
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "_extra_cache_attrs"
-                    and isinstance(value, (ast.Tuple, ast.List))
-                ):
-                    for element in value.elts:
-                        if isinstance(element, ast.Constant) and isinstance(
-                            element.value, str
-                        ):
-                            declared.add(element.value)
-        return declared
-
-    @staticmethod
-    def _self_attr_stores(fn: ast.FunctionDef) -> dict[str, int]:
-        stores: dict[str, int] = {}
+    def _self_attrs(fn: ast.FunctionDef, ctx_type: type) -> dict[str, int]:
+        """``self.<attr>`` nodes of one context (Store / Load) in ``fn``:
+        attribute name -> first line."""
+        found: dict[str, int] = {}
         for node in _walk_skipping_functions(fn.body):
             if (
                 isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.ctx, ctx_type)
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "self"
             ):
-                stores.setdefault(node.attr, node.lineno)
-        return stores
-
-    @staticmethod
-    def _self_attr_loads(fn: ast.FunctionDef) -> set[str]:
-        loads: set[str] = set()
-        for node in _walk_skipping_functions(fn.body):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                loads.add(node.attr)
-        return loads
+                found.setdefault(node.attr, node.lineno)
+        return found
 
     def visit(self, tree: ast.AST, ctx: FileContext) -> list[Finding]:
         findings = []
         for cls_node in ast.walk(tree):
             if not isinstance(cls_node, ast.ClassDef):
                 continue
-            extra = self._extra_cache_attrs(cls_node)
             stores: dict[str, int] = {}
             loads: set[str] = set()
             for stmt in cls_node.body:
                 if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 if self._is_forward(stmt.name):
-                    for attr, line in self._self_attr_stores(stmt).items():
+                    for attr, line in self._self_attrs(stmt, ast.Store).items():
                         stores.setdefault(attr, line)
                 elif self._is_backward(stmt.name):
-                    loads |= self._self_attr_loads(stmt)
-            for attr in sorted(stores.keys() & loads):
-                if attr.startswith("_cache") or attr in extra:
-                    continue
-                line = stores[attr]
+                    loads |= self._self_attrs(stmt, ast.Load).keys()
+            for attr in sorted((stores.keys() & loads) - {"_saved"}):
                 findings.append(
                     Finding(
                         file=ctx.path,
-                        line=line,
+                        line=stores[attr],
                         rule=self.name,
                         message=(
                             f"{cls_node.name}.{attr} is written in a forward "
-                            "method and read in backward, but is neither "
-                            "'_cache*'-prefixed nor declared in "
-                            "_extra_cache_attrs — Module.clear_caches() will "
-                            "never release it (DESIGN.md §8)"
+                            "method and read in backward, but is not the "
+                            "'_saved' slot — Module.clear_caches() will never "
+                            "release it (DESIGN.md §8)"
                         ),
                     )
                 )
@@ -349,14 +308,14 @@ class RngDisciplineRule(Rule):
 
 
 class NoGradPurityRule(Rule):
-    """Code lexically under ``with no_grad():`` must not populate
-    ``_cache*`` attributes (PR 4) — forward-only streams are
-    allocation-free precisely because nothing retains backward state;
-    a real cache written there pins memory *and* lets a later
-    ``backward()`` silently consume stale data."""
+    """Code lexically under ``with no_grad():`` must not fill a
+    ``_saved`` slot (PR 4) — forward-only streams are allocation-free
+    precisely because nothing retains backward state; a real value
+    written there pins memory *and* lets a later ``backward()``
+    silently consume stale data."""
 
     name = "no-grad-purity"
-    description = "no _cache* attribute assignment under no_grad()"
+    description = "no _saved assignment under no_grad()"
     scope = ("src/",)
 
     @staticmethod
@@ -392,16 +351,14 @@ class NoGradPurityRule(Rule):
                 if value is not None and self._is_sentinel(value):
                     continue
                 for target in targets:
-                    if isinstance(target, ast.Attribute) and target.attr.startswith(
-                        "_cache"
-                    ):
+                    if isinstance(target, ast.Attribute) and target.attr == "_saved":
                         findings.append(
                             ctx.finding(
                                 self,
                                 stmt,
                                 f"assignment to {ast.unparse(target)} inside "
                                 "a no_grad() block: forward-only streams "
-                                "must stay cache-free (assign the NO_GRAD "
+                                "must save nothing (assign the NO_GRAD "
                                 "sentinel instead, DESIGN.md §8)",
                             )
                         )

@@ -1,13 +1,15 @@
 """Engine state capture/restore for checkpointing and resume.
 
-A checkpoint holds everything the fit loop mutates: model weights,
-optimizer slots (SGD velocity, Adam moments), LR-scheduler state, the
-predictor (network weights, its Adam state and per-layer scales), the
-adaptive phase schedule's observed quality, the History so far, and the
-epoch counter.  Restoring it into a freshly built engine and fitting the
-remaining epochs reproduces the uninterrupted run exactly — the
-round-trip test in ``tests/core/test_engine.py`` asserts bit-identical
-History.
+A checkpoint holds everything the fit loop mutates: model weights and
+declared statistics (BatchNorm's running mean / variance — what
+validation normalises with), optimizer slots (SGD velocity, Adam
+moments), LR-scheduler state, the predictor (network weights, its Adam
+state and per-layer scales), the adaptive phase schedule's observed
+quality, the History so far, and the epoch counter.  Restoring it into
+a freshly built engine and fitting the remaining epochs reproduces the
+uninterrupted run exactly — the round-trip tests in
+``tests/core/test_engine.py`` and ``tests/core/test_checkpoint_io.py``
+(BatchNorm models, ``val_loss`` included) assert bit-identical History.
 
 Optimizer state is keyed by ``id(parameter)`` and predictor scale state
 by the layer object in memory; checkpoints remap both to stable indices
@@ -114,9 +116,10 @@ def _load_scheduler_state(scheduler, state: dict) -> None:
 
 
 def trainable_state(engine: "TrainingEngine") -> dict:
-    """What training itself mutates: model weights, optimizer slots, the
-    separate GP optimizer's, and the predictor (network, its Adam state,
-    per-layer scales).  The part of :func:`engine_state` a data-parallel
+    """What training itself mutates: the model's ``state_dict`` (weights
+    and running statistics), optimizer slots, the separate GP
+    optimizer's, and the predictor (network, its Adam state, per-layer
+    scales).  The part of :func:`engine_state` a data-parallel
     replica must copy to match rank 0 bitwise (``repro.dist`` broadcasts
     exactly this dict as its sync state)."""
     state: dict[str, Any] = {

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .. import functional as F
@@ -18,32 +16,23 @@ from ..module import NO_GRAD, Module, check_backward_cache, is_grad_enabled
 
 
 class ReLU(Module):
-    _extra_cache_attrs = ("_mask",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         # No mask materialized at all in forward-only streams.
-        self._mask = (x > 0.0) if is_grad_enabled() else NO_GRAD
+        self._saved = (x > 0.0) if is_grad_enabled() else NO_GRAD
         return np.maximum(x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._mask, self)
-        return grad_out * self._mask
+        check_backward_cache(self._saved, self)
+        return grad_out * self._saved
 
 
 class LeakyReLU(Module):
-    _extra_cache_attrs = ("_mask",)
-
     def __init__(self, slope: float = 0.1) -> None:
         super().__init__()
         self.slope = slope
-        self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = (x > 0.0) if is_grad_enabled() else NO_GRAD
+        self._saved = (x > 0.0) if is_grad_enabled() else NO_GRAD
         # x and slope * x cross at zero; which one lies above the other
         # for x > 0 depends on the side of 1 the slope is on.
         pick = np.maximum if self.slope <= 1.0 else np.minimum
@@ -51,11 +40,11 @@ class LeakyReLU(Module):
         return pick(x, out, out=out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._mask, self)
+        check_backward_cache(self._saved, self)
         # The per-element factor is exactly 1 or slope (1 + slope * 0,
         # 0 + slope * 1); built and applied in one buffer.
-        grad = ~self._mask * grad_out.dtype.type(self.slope)
-        grad += self._mask
+        grad = ~self._saved * grad_out.dtype.type(self.slope)
+        grad += self._saved
         grad *= grad_out
         return grad
 
@@ -63,74 +52,50 @@ class LeakyReLU(Module):
 class ReLU6(Module):
     """min(max(x, 0), 6) — the MobileNet activation."""
 
-    _extra_cache_attrs = ("_mask",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = ((x > 0.0) & (x < 6.0)) if is_grad_enabled() else NO_GRAD
+        self._saved = ((x > 0.0) & (x < 6.0)) if is_grad_enabled() else NO_GRAD
         return np.clip(x, 0.0, 6.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._mask, self)
-        return grad_out * self._mask
+        check_backward_cache(self._saved, self)
+        return grad_out * self._saved
 
 
 class Sigmoid(Module):
-    _extra_cache_attrs = ("_out",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = F.sigmoid(x)
-        self._out = out if is_grad_enabled() else NO_GRAD
+        self._saved = out if is_grad_enabled() else NO_GRAD
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._out, self)
-        return grad_out * self._out * (1.0 - self._out)
+        check_backward_cache(self._saved, self)
+        return grad_out * self._saved * (1.0 - self._saved)
 
 
 class Tanh(Module):
-    _extra_cache_attrs = ("_out",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.tanh(x)
-        self._out = out if is_grad_enabled() else NO_GRAD
+        self._saved = out if is_grad_enabled() else NO_GRAD
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._out, self)
-        return grad_out * (1.0 - self._out**2)
+        check_backward_cache(self._saved, self)
+        return grad_out * (1.0 - self._saved**2)
 
 
 class GELU(Module):
     """Gaussian error linear unit (tanh approximation), used by Transformer."""
 
-    _extra_cache_attrs = ("_x",)
-
     _C = 0.7978845608028654  # sqrt(2/pi)
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._x: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x if is_grad_enabled() else NO_GRAD
+        self._saved = x if is_grad_enabled() else NO_GRAD
         inner = self._C * (x + 0.044715 * x**3)
         return 0.5 * x * (1.0 + np.tanh(inner))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._x, self)
-        x = self._x
+        check_backward_cache(self._saved, self)
+        x = self._saved
         inner = self._C * (x + 0.044715 * x**3)
         tanh_inner = np.tanh(inner)
         sech2 = 1.0 - tanh_inner**2

@@ -40,7 +40,6 @@ class MultiHeadAttention(Module):
         self.k_proj = Linear(d_model, d_model, rng=rng)
         self.v_proj = Linear(d_model, d_model, rng=rng)
         self.out_proj = Linear(d_model, d_model, rng=rng)
-        self._cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
@@ -77,16 +76,16 @@ class MultiHeadAttention(Module):
         context = backend.attn_context(attn, v)
         # Under no_grad the per-head q/k/v and the full attention matrix
         # — the layer's largest retained tensors — are not kept.
-        self._cache = (q, k, v, attn, scale) if is_grad_enabled() else NO_GRAD
+        self._saved = (q, k, v, attn, scale) if is_grad_enabled() else NO_GRAD
         return self.out_proj(self._merge_heads(context))
 
     def backward_attend(
         self, grad_out: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Backward through attention; returns (d_query, d_key, d_value)."""
-        check_backward_cache(self._cache, self)
+        check_backward_cache(self._saved, self)
         backend = current_backend()
-        q, k, v, attn, scale = self._cache
+        q, k, v, attn, scale = self._saved
         d_context = self._split_heads(self.out_proj.backward(grad_out))
         d_attn = backend.attn_scores(d_context, v)
         d_v = backend.attn_context_t(attn, d_context)

@@ -44,27 +44,24 @@ class ConcatBranches(Module):
     and sums the input gradients.
     """
 
-    _extra_cache_attrs = ("_split_sizes",)
-
     def __init__(self, branches: Sequence[Module]) -> None:
         super().__init__()
         if not branches:
             raise ValueError("ConcatBranches needs at least one branch")
         self.branches: list[Module] = list(branches)
-        self._split_sizes: Optional[list[int]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         outputs = [branch(x) for branch in self.branches]
-        self._split_sizes = (
+        self._saved = (
             [out.shape[1] for out in outputs] if is_grad_enabled() else NO_GRAD
         )
         return np.concatenate(outputs, axis=1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._split_sizes, self)
+        check_backward_cache(self._saved, self)
         grad_in = None
         offset = 0
-        for branch, size in zip(self.branches, self._split_sizes):
+        for branch, size in zip(self.branches, self._saved):
             grad_slice = grad_out[:, offset : offset + size]
             offset += size
             g = branch.backward(np.ascontiguousarray(grad_slice))
@@ -75,22 +72,19 @@ class ConcatBranches(Module):
 class DenseConcat(Module):
     """``y = concat(x, main(x))`` on channels — one DenseNet layer hop."""
 
-    _extra_cache_attrs = ("_in_channels",)
-
     def __init__(self, main: Module) -> None:
         super().__init__()
         self.main = main
-        self._in_channels: Optional[int] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._in_channels = x.shape[1] if is_grad_enabled() else NO_GRAD
+        self._saved = x.shape[1] if is_grad_enabled() else NO_GRAD
         new_features = self.main(x)
         return np.concatenate([x, new_features], axis=1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._in_channels, self)
-        grad_passthrough = np.ascontiguousarray(grad_out[:, : self._in_channels])
-        grad_new = np.ascontiguousarray(grad_out[:, self._in_channels :])
+        check_backward_cache(self._saved, self)
+        grad_passthrough = np.ascontiguousarray(grad_out[:, : self._saved])
+        grad_new = np.ascontiguousarray(grad_out[:, self._saved :])
         return grad_passthrough + self.main.backward(grad_new)
 
 

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import init
-from ..backend import ConvCtx, current_backend
+from ..backend import current_backend
 from ..module import (
     NO_GRAD,
     Module,
@@ -43,22 +43,21 @@ class Linear(Module, PredictableMixin):
         self.bias = (
             Parameter(init.zeros((out_features,)), name="bias") if bias else None
         )
-        self._cache_x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"Linear expected last dim {self.in_features}, got {x.shape}"
             )
-        self._cache_x = x if is_grad_enabled() else NO_GRAD
+        self._saved = x if is_grad_enabled() else NO_GRAD
         return current_backend().linear_forward(
             x, self.weight.data, self.bias.data if self.bias is not None else None
         )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._cache_x, self)
+        check_backward_cache(self._saved, self)
         grad_x, grad_w, grad_b = current_backend().linear_backward(
-            self._cache_x,
+            self._saved,
             grad_out,
             self.weight.data,
             with_bias=self.bias is not None,
@@ -109,7 +108,6 @@ class Conv2d(Module, PredictableMixin):
         self.bias = (
             Parameter(init.zeros((out_channels,)), name="bias") if bias else None
         )
-        self._cache_ctx: Optional[ConvCtx] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -125,17 +123,17 @@ class Conv2d(Module, PredictableMixin):
             self.padding,
         )
         if is_grad_enabled():
-            self._cache_ctx = ctx
+            self._saved = ctx
         else:
             # Forward-only stream: the im2col workspace goes straight
             # back to the backend pool so the next same-shaped conv
             # reuses it instead of allocating.
             ctx.release()
-            self._cache_ctx = NO_GRAD
+            self._saved = NO_GRAD
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        ctx = self._cache_ctx
+        ctx = self._saved
         check_backward_cache(ctx, self)
         # Backward runs on the backend that produced the forward context,
         # so phase-level backend switches can never mix representations.
@@ -165,17 +163,13 @@ class Conv2d(Module, PredictableMixin):
 class Flatten(Module):
     """Flatten all dims after the batch dim."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._cache_shape: Optional[tuple[int, ...]] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache_shape = x.shape if is_grad_enabled() else NO_GRAD
+        self._saved = x.shape if is_grad_enabled() else NO_GRAD
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._cache_shape, self)
-        return grad_out.reshape(self._cache_shape)
+        check_backward_cache(self._saved, self)
+        return grad_out.reshape(self._saved)
 
 
 class Identity(Module):
@@ -223,8 +217,8 @@ class Sequential(Module):
         linear+activation in place (see :mod:`repro.nn.passes`).
         Eligibility — running-stats-only BN, no forward hooks on folded
         layers — is re-checked on every forward because modes and hooks
-        change between batches; folded layers are left in the same
-        NO_GRAD cache state a plain no-grad forward produces.
+        change between batches; folded layers are left with the
+        ``_saved = NO_GRAD`` a plain no-grad forward produces.
         """
         pipeline = current_backend().fold_pipeline()
         plan = pipeline.plan(self.layers) if pipeline is not None else None

@@ -35,7 +35,6 @@ class Embedding(Module):
             ),
             name="weight",
         )
-        self._cache_ids: Optional[np.ndarray] = None
 
     def forward(self, token_ids: np.ndarray) -> np.ndarray:
         token_ids = np.asarray(token_ids)
@@ -44,18 +43,18 @@ class Embedding(Module):
                 f"token ids out of range [0, {self.num_embeddings}): "
                 f"[{token_ids.min()}, {token_ids.max()}]"
             )
-        self._cache_ids = token_ids if is_grad_enabled() else NO_GRAD
+        self._saved = token_ids if is_grad_enabled() else NO_GRAD
         return self.weight.data[token_ids]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._cache_ids, self)
+        check_backward_cache(self._saved, self)
         grad_w = np.zeros_like(self.weight.data)
-        flat_ids = self._cache_ids.reshape(-1)
+        flat_ids = self._saved.reshape(-1)
         flat_grad = grad_out.reshape(-1, self.embedding_dim)
         np.add.at(grad_w, flat_ids, flat_grad)
         self.weight.accumulate_grad(grad_w)
         # Token ids are not differentiable; return a zero placeholder.
-        return np.zeros(self._cache_ids.shape, dtype=np.float32)
+        return np.zeros(self._saved.shape, dtype=np.float32)
 
 
 class PositionalEncoding(Module):

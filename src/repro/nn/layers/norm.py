@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend import NormCtx, current_backend
+from ..backend import current_backend
 from ..module import (
     NO_GRAD,
     Module,
@@ -26,6 +26,7 @@ class _BatchNorm(Module):
     """
 
     _ndim: int
+    statistics = ("running_mean", "running_var")
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -39,7 +40,6 @@ class _BatchNorm(Module):
         # Bumped whenever the running stats change; the fold passes'
         # conv+BN cache keys on it (plus Parameter versions).
         self.stats_version = 0
-        self._cache: Optional[NormCtx] = None
 
     def _normalize(self, x: np.ndarray, relu: bool = False) -> np.ndarray:
         """The forward proper, ``relu`` optionally clamped onto it (the
@@ -73,14 +73,14 @@ class _BatchNorm(Module):
                 (1 - self.momentum) * self.running_var + self.momentum * unbiased_var
             ).astype(np.float32)
             self.stats_version += 1
-        self._cache = ctx if grad else NO_GRAD
+        self._saved = ctx if grad else NO_GRAD
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._normalize(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        ctx = self._cache
+        ctx = self._saved
         check_backward_cache(ctx, self)
         # On the backend that produced the context (see NormCtx).
         grad_x, grad_gamma, grad_beta = ctx.backend.batchnorm_backward(
@@ -112,7 +112,6 @@ class LayerNorm(Module):
         self.eps = eps
         self.weight = Parameter(init.ones((normalized_shape,)), name="weight")
         self.bias = Parameter(init.zeros((normalized_shape,)), name="bias")
-        self._cache: Optional[tuple] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.normalized_shape:
@@ -122,12 +121,12 @@ class LayerNorm(Module):
         mean, var = current_backend().moments(x, -1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean) * inv_std
-        self._cache = (x_hat, inv_std) if is_grad_enabled() else NO_GRAD
+        self._saved = (x_hat, inv_std) if is_grad_enabled() else NO_GRAD
         return self.weight.data * x_hat + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._cache, self)
-        x_hat, inv_std = self._cache
+        check_backward_cache(self._saved, self)
+        x_hat, inv_std = self._saved
         reduce_axes = tuple(range(grad_out.ndim - 1))
         self.weight.accumulate_grad((grad_out * x_hat).sum(axis=reduce_axes))
         self.bias.accumulate_grad(grad_out.sum(axis=reduce_axes))
@@ -140,31 +139,27 @@ class LayerNorm(Module):
 class Dropout(Module):
     """Inverted dropout; identity when the module is in eval mode."""
 
-    _extra_cache_attrs = ("_mask",)
-
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
         super().__init__()
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self._rng = init.layer_rng(rng)
-        self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
-            self._mask = None if is_grad_enabled() else NO_GRAD
+            self._saved = None if is_grad_enabled() else NO_GRAD
             return x
         keep = 1.0 - self.p
         # Training semantics regardless of grad mode: the mask is drawn
         # and applied either way (consuming the same rng stream); only
         # its retention for backward is skipped under no_grad.
         mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
-        self._mask = mask if is_grad_enabled() else NO_GRAD
+        self._saved = mask if is_grad_enabled() else NO_GRAD
         return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is NO_GRAD:
-            check_backward_cache(self._mask, self)
-        if self._mask is None:
+        if self._saved is None:  # identity forward: no mask was drawn
             return grad_out
-        return grad_out * self._mask
+        check_backward_cache(self._saved, self)
+        return grad_out * self._saved

@@ -25,7 +25,6 @@ class MaxPool2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
-        self._cache: Optional[tuple] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, channels, _, _ = x.shape
@@ -46,7 +45,7 @@ class MaxPool2d(Module):
             # no index tensor is materialized or retained.
             out = windows.max(axis=2)
             backend.release(cols)
-            self._cache = NO_GRAD
+            self._saved = NO_GRAD
             return np.ascontiguousarray(
                 out.reshape(batch, channels, out_h, out_w)
             )
@@ -55,12 +54,12 @@ class MaxPool2d(Module):
         # Only argmax survives into backward; the columns go back to the
         # workspace pool immediately.
         backend.release(cols)
-        self._cache = (x.shape, argmax, out_h, out_w)
+        self._saved = (x.shape, argmax, out_h, out_w)
         return np.ascontiguousarray(out.reshape(batch, channels, out_h, out_w))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._cache, self)
-        x_shape, argmax, out_h, out_w = self._cache
+        check_backward_cache(self._saved, self)
+        x_shape, argmax, out_h, out_w = self._saved
         batch, channels = x_shape[0], x_shape[1]
         backend = current_backend()
         k2 = self.kernel_size * self.kernel_size
@@ -83,14 +82,11 @@ class MaxPool2d(Module):
 class AvgPool2d(Module):
     """Average pooling with square windows."""
 
-    _extra_cache_attrs = ("_x_shape",)
-
     def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
-        self._x_shape: Optional[tuple[int, int, int, int]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, channels, _, _ = x.shape
@@ -101,12 +97,12 @@ class AvgPool2d(Module):
         k2 = self.kernel_size * self.kernel_size
         out = cols.reshape(batch, channels, k2, out_h * out_w).mean(axis=2)
         backend.release(cols)
-        self._x_shape = x.shape if is_grad_enabled() else NO_GRAD
+        self._saved = x.shape if is_grad_enabled() else NO_GRAD
         return out.reshape(batch, channels, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._x_shape, self)
-        batch, channels = self._x_shape[0], self._x_shape[1]
+        check_backward_cache(self._saved, self)
+        batch, channels = self._saved[0], self._saved[1]
         out_h, out_w = grad_out.shape[2], grad_out.shape[3]
         backend = current_backend()
         k2 = self.kernel_size * self.kernel_size
@@ -120,7 +116,7 @@ class AvgPool2d(Module):
             np.copyto(buf.reshape(spread.shape), spread)
             grad_cols = buf
         grad_x = backend.fold(
-            grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding
+            grad_cols, self._saved, self.kernel_size, self.stride, self.padding
         )
         backend.release(grad_cols)
         return grad_x
@@ -129,41 +125,32 @@ class AvgPool2d(Module):
 class AdaptiveAvgPool2d(Module):
     """Average-pool to a fixed output size regardless of input size."""
 
-    _extra_cache_attrs = ("_x_shape",)
-
     def __init__(self, output_size: tuple[int, int] | int):
         super().__init__()
         if isinstance(output_size, int):
             output_size = (output_size, output_size)
         self.output_size = output_size
-        self._x_shape: Optional[tuple[int, int, int, int]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape if is_grad_enabled() else NO_GRAD
+        self._saved = x.shape if is_grad_enabled() else NO_GRAD
         return current_backend().adaptive_avg_pool2d(x, self.output_size)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._x_shape, self)
+        check_backward_cache(self._saved, self)
         return current_backend().adaptive_avg_pool2d_backward(
-            grad_out, self._x_shape
+            grad_out, self._saved
         )
 
 
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions, producing (batch, channels)."""
 
-    _extra_cache_attrs = ("_x_shape",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._x_shape: Optional[tuple[int, int, int, int]] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape if is_grad_enabled() else NO_GRAD
+        self._saved = x.shape if is_grad_enabled() else NO_GRAD
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._x_shape, self)
-        batch, channels, height, width = self._x_shape
+        check_backward_cache(self._saved, self)
+        batch, channels, height, width = self._saved
         grad = grad_out.reshape(batch, channels, 1, 1) / (height * width)
-        return np.broadcast_to(grad, self._x_shape).astype(grad_out.dtype).copy()
+        return np.broadcast_to(grad, self._saved).astype(grad_out.dtype).copy()

@@ -80,12 +80,12 @@ class _NoGradCache:
         return "NO_GRAD"
 
 
-#: The singleton layers assign to their cache attributes under no_grad.
+#: The singleton a layer's forward stores in ``_saved`` under no_grad.
 NO_GRAD = _NoGradCache()
 
 
 def check_backward_cache(cache, layer) -> None:
-    """Validate a layer's saved forward cache at the top of ``backward``.
+    """Validate a layer's ``_saved`` slot at the top of ``backward``.
 
     Raises the classic "backward before forward" error on ``None`` and a
     no-grad-specific error on the :data:`NO_GRAD` sentinel.
@@ -161,16 +161,24 @@ class Module:
     module (``module(x)``) runs forward and then fires the module's
     ``forward_hook`` if one is installed; the ADA-GP trainer uses this to
     observe activations and, in Phase GP, update weights immediately.
+
+    A module holds three kinds of state (DESIGN.md §8): ``Parameter``
+    attributes (optimizer and :meth:`state_dict`), the array attributes
+    named in :attr:`statistics` (:meth:`state_dict` only), and
+    ``_saved`` — the one slot for what ``forward`` keeps for
+    ``backward``: ``None`` (no forward yet, or cleared), :data:`NO_GRAD`
+    (last forward was forward-only) or the layer's own value.
     """
 
-    #: Extra attribute names (beyond the ``_cache*`` prefix convention)
-    #: that :meth:`clear_caches` resets — subclasses with differently
-    #: named forward caches (masks, saved shapes) list them here.
-    _extra_cache_attrs: tuple[str, ...] = ()
+    #: Attributes that are persistent but not trained (batch-norm
+    #: running statistics).  A class that names any also keeps a
+    #: ``stats_version`` counter, bumped whenever one is replaced.
+    statistics: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.training = True
         self.forward_hook: Optional[ForwardHook] = None
+        self._saved = None
 
     # ------------------------------------------------------------------
     # Interface to implement.
@@ -259,30 +267,25 @@ class Module:
             param.zero_grad()
 
     def clear_caches(self) -> "Module":
-        """Drop every forward cache in this module tree.
+        """Empty ``_saved`` on every module of this tree.
 
-        Layer caches (conv columns, pooling argmax, normalization
-        contexts) are the largest allocations of a training step and
+        What layers save (conv columns, pooling argmax, normalization
+        contexts) is the largest allocation of a training step and
         would otherwise stay pinned until the *next* forward overwrites
-        them; the engine calls this after each batch to cut peak memory
+        it; the engine calls this after each batch to cut peak memory
         between batches.  Backward requires a fresh forward afterwards.
-        Cache objects exposing ``release()`` (backend conv contexts
-        holding a pooled workspace) are released back to their pool
-        first.
         """
         for module in self.modules():
             module._clear_cache()
         return self
 
-    def _clear_cache(self) -> None:
-        for key, value in self.__dict__.items():
-            if value is None:
-                continue
-            if key.startswith("_cache") or key in self._extra_cache_attrs:
-                release = getattr(value, "release", None)
-                if callable(release):
-                    release()
-                self.__dict__[key] = None
+    def _clear_cache(self, empty=None) -> None:
+        """Set ``_saved`` to ``empty``, first handing a saved value that
+        has ``release()`` (a conv context's pooled workspace) back."""
+        release = getattr(self._saved, "release", None)
+        if release is not None:
+            release()
+        self._saved = empty
 
     def train(self) -> "Module":
         for module in self.modules():
@@ -294,23 +297,43 @@ class Module:
             module.training = False
         return self
 
+    def _state_slots(self) -> dict[str, tuple[object, str]]:
+        """``name -> (owner, attribute)`` of every persistent array."""
+        slots = {name: (p, "data") for name, p in self.named_parameters()}
+        for mod_name, module in self.named_modules():
+            for attr in module.statistics:
+                slots[f"{mod_name}.{attr}"] = (module, attr)
+        return slots
+
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
+        """Copies of every parameter and declared statistic, by name."""
+        return {
+            name: getattr(owner, attr).copy()
+            for name, (owner, attr) in self._state_slots().items()
+        }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
+        slots = self._state_slots()
+        missing = set(slots) - set(state)
         if missing:
             raise KeyError(f"state dict is missing parameters: {sorted(missing)}")
-        for name, param in own.items():
+        unexpected = set(state) - set(slots)
+        if unexpected:
+            raise KeyError(f"state dict has unexpected keys: {sorted(unexpected)}")
+        for name, (owner, attr) in slots.items():
             value = np.asarray(state[name], dtype=np.float32)
-            if value.shape != param.data.shape:
+            shape = getattr(owner, attr).shape
+            if value.shape != shape:
                 raise ValueError(
-                    f"shape mismatch for {name!r}: "
-                    f"{value.shape} vs {param.data.shape}"
+                    f"shape mismatch for {name!r}: {value.shape} vs {shape}"
                 )
-            param.data = value.copy()
-            param.bump_version()
+            setattr(owner, attr, value.copy())
+            # Derived caches (folded conv+BN weights, the predictor's
+            # dense operator) key on these counters.
+            if isinstance(owner, Parameter):
+                owner.bump_version()
+            else:
+                owner.stats_version += 1
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

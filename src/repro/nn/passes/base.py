@@ -35,9 +35,9 @@ class FoldedOp:
 
     ``run(x)`` computes what the replaced layers would have produced in
     a forward-only pass; :meth:`mark_no_grad` then leaves each replaced
-    layer exactly as a plain no-grad forward would have — backward
-    caches set to the ``NO_GRAD`` sentinel (so ``backward`` raises the
-    precise error) and any releasable cache value returned to its pool.
+    layer exactly as a plain no-grad forward would have — ``_saved``
+    set to the ``NO_GRAD`` sentinel (so ``backward`` raises the precise
+    error) and a releasable saved value returned to its pool.
     """
 
     __slots__ = ("layers", "run", "pass_name")
@@ -54,12 +54,7 @@ class FoldedOp:
 
     def mark_no_grad(self) -> None:
         for layer in self.layers:
-            for key, value in layer.__dict__.items():
-                if key.startswith("_cache") or key in layer._extra_cache_attrs:
-                    release = getattr(value, "release", None)
-                    if callable(release):
-                        release()
-                    layer.__dict__[key] = NO_GRAD
+            layer._clear_cache(NO_GRAD)
 
     def __repr__(self) -> str:
         inner = ", ".join(type(layer).__name__ for layer in self.layers)

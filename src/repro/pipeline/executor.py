@@ -26,10 +26,11 @@ Semantics notes:
   full-batch backward for mean-reduction losses.  (BatchNorm batch
   statistics are still per-micro-batch — inherent to micro-batched
   pipelines.)
-* Because layer caches are single-slot, the executor snapshots each
-  stage's private state after a forward and restores it before the
-  matching backward, letting GPipe run all forwards before any backward
-  without activation recomputation.
+* A module keeps what its backward needs in one slot (``_saved``), so
+  the executor copies each stage module's ``_saved`` pointer after a
+  forward and puts it back before the matching backward, letting GPipe
+  run all forwards before any backward without activation
+  recomputation.
 * Device clocks persist across batches, so a Phase-GP batch's
   forward-only micro-batches stream into the bubbles left by adjacent
   batches — the §3.7 overlap the analytical model charges as ``M*tf``
@@ -46,7 +47,7 @@ import numpy as np
 from ..accel.config import AcceleratorConfig
 from ..nn.layers.core import Sequential
 from ..nn.losses import loss_value
-from ..nn.module import Module, Parameter
+from ..nn.module import Module
 from ..obs.trace import BP, GP, current_phase, tracer as _obs_tracer
 from .partition import StagePlan, partition_sequential
 from .schedules import PipelineConfig, PipelineKind
@@ -165,26 +166,17 @@ class PipelineExecutor:
         validate_dependencies(self.timeline)
 
     # ------------------------------------------------------------------
-    # Per-micro-batch stage state (layer caches are single-slot).
+    # Per-micro-batch stage state: a module saves for backward in one
+    # slot, so interleaved micro-batches each keep their own pointers.
     # ------------------------------------------------------------------
     @staticmethod
-    def _snapshot(stage: Sequential) -> list[tuple[Module, dict]]:
-        snap = []
-        for module in stage.modules():
-            saved = {
-                key: value
-                for key, value in module.__dict__.items()
-                if key.startswith("_")
-                and not isinstance(value, (Parameter, Module))
-            }
-            if saved:
-                snap.append((module, saved))
-        return snap
+    def _snapshot(stage: Sequential) -> list[tuple[Module, object]]:
+        return [(module, module._saved) for module in stage.modules()]
 
     @staticmethod
-    def _restore(snap: list[tuple[Module, dict]]) -> None:
+    def _restore(snap: list[tuple[Module, object]]) -> None:
         for module, saved in snap:
-            module.__dict__.update(saved)
+            module._saved = saved
 
     # ------------------------------------------------------------------
     def _split(self, array: np.ndarray) -> list[np.ndarray]:

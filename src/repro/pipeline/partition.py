@@ -30,7 +30,7 @@ from ..accel.config import AcceleratorConfig
 from ..accel.dataflow import layer_backward_cycles, layer_forward_cycles
 from ..models.specs import LayerKind, LayerSpec
 from ..nn.layers.core import Conv2d, Linear, Sequential
-from ..nn.module import Module
+from ..nn.module import Module, no_grad
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,12 @@ def probe_layer_costs(
 ) -> list[float]:
     """Accel-model cost (fw + bw cycles) of each top-level layer.
 
-    Runs one probe forward (eval mode, so BatchNorm running stats and
-    Dropout masks are untouched) with hooks on every sub-module; each
-    module's observed output shape feeds the cycle model, and costs roll
-    up into the top-level layer that owns the module.
+    Runs one probe forward with hooks on every sub-module — in eval
+    mode, so BatchNorm running stats and Dropout masks are untouched,
+    and under ``no_grad()``, so no conv keeps a pooled workspace for a
+    backward that never comes; each module's observed output shape
+    feeds the cycle model, and costs roll up into the top-level layer
+    that owns the module.
     """
     if not isinstance(model, Sequential):
         raise TypeError(
@@ -135,8 +137,8 @@ def probe_layer_costs(
     was_training = model.training
     model.eval()
     try:
-        probe = np.zeros((batch, *input_shape), dtype=np.float32)
-        model(probe)
+        with no_grad():
+            model(np.zeros((batch, *input_shape), dtype=np.float32))
     finally:
         for module, previous in hooked:
             module.forward_hook = previous

@@ -89,15 +89,24 @@ class Layer:
 
 GOOD_CACHE = """
 class Layer:
-    _extra_cache_attrs = ("_mask",)
-
     def forward(self, x):
-        self._cache_x = x
+        self._saved = (x, x > 0)
+        return x
+
+    def backward(self, grad):
+        x, mask = self._saved
+        return grad * x * mask
+"""
+
+SECOND_SLOT = """
+class Layer:
+    def forward(self, x):
+        self._saved = x
         self._mask = x > 0
         return x
 
     def backward(self, grad):
-        return grad * self._cache_x * self._mask
+        return grad * self._saved * self._mask
 """
 
 ATTEND_CACHE = """
@@ -119,6 +128,11 @@ class TestCacheNaming:
 
     def test_quiet_on_prefixed_and_declared(self):
         assert not lint_source(GOOD_CACHE, LAYER_PATH, rules=["cache-naming"])
+
+    def test_flags_a_second_cache_attribute_next_to_the_slot(self):
+        findings = lint_source(SECOND_SLOT, LAYER_PATH, rules=["cache-naming"])
+        assert len(findings) == 1
+        assert "_mask" in findings[0].message
 
     def test_attend_counts_as_forward(self):
         findings = lint_source(ATTEND_CACHE, LAYER_PATH, rules=["cache-naming"])
@@ -216,7 +230,7 @@ class TestRngDiscipline:
 BAD_PURITY = """
 def run(model, x, no_grad):
     with no_grad():
-        model._cache_x = x
+        model._saved = x
     return x
 """
 
@@ -225,7 +239,7 @@ NO_GRAD = object()
 
 def run(model, x, no_grad):
     with no_grad():
-        model._cache_x = NO_GRAD
+        model._saved = NO_GRAD
         model.count = 1
     return x
 """
@@ -235,7 +249,7 @@ class TestNoGradPurity:
     def test_flags_cache_write_under_no_grad(self):
         findings = lint_source(BAD_PURITY, LAYER_PATH, rules=["no-grad-purity"])
         assert len(findings) == 1
-        assert "_cache_x" in findings[0].message
+        assert "_saved" in findings[0].message
 
     def test_sentinel_assignment_is_allowed(self):
         assert not lint_source(GOOD_PURITY, LAYER_PATH, rules=["no-grad-purity"])

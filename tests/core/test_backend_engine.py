@@ -101,9 +101,7 @@ class TestEngineBackend:
         inputs, targets = next(iter(split.train.batches(16, shuffle=False)))
         engine.train_batch(inputs, targets)
         for module in engine.model.modules():
-            for key, value in module.__dict__.items():
-                if key.startswith("_cache") or key in module._extra_cache_attrs:
-                    assert value is None, f"{type(module).__name__}.{key}"
+            assert module._saved is None, type(module).__name__
 
     def test_pipeline_stages_inherit_engine_backend(self):
         counting = CountingBackend()

@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core import CheckpointCorrupt, bp_engine
+from repro.core import CheckpointCorrupt, HeuristicSchedule, adagp_engine, bp_engine
 from repro.core.engine.checkpoint import CHECKPOINT_MAGIC, engine_state
 from repro.data import synthetic_images
 from repro.dist import PayloadCorrupt, frame_payload, unframe_payload
-from repro.nn.losses import CrossEntropyLoss
+from repro.models import build_mini
+from repro.nn.losses import CrossEntropyLoss, accuracy
 
 
 def _engine(seed=0):
@@ -185,13 +186,20 @@ class TestFrameFuzz:
             _engine().load_checkpoint(path)
 
 
+def _fit_on_the_runs_order(engine, split, epochs, batch_size):
+    """Fit from ``engine.current_epoch`` on the epochs an uninterrupted
+    run would meet there: the lazy calls already consumed are discarded."""
+    train = split.train.epochs(batch_size, seed=4)
+    for _ in range(engine.current_epoch):
+        train()
+    return engine.fit(train, split.val.epochs(16), epochs)
+
+
 class TestResumeUnderEpochs:
     def test_resume_equals_uninterrupted_when_the_order_reshuffles(self, tmp_path):
         """``epochs()`` orders epoch k as a function of (seed, k), so a
         resumed fit discards ``current_epoch`` lazy calls and continues
         on the uninterrupted run's batches — bitwise, through the file."""
-        from repro.core import HeuristicSchedule, adagp_engine
-
         split = synthetic_images(3, 48, 16, image_size=8, seed=0)
 
         def build():
@@ -209,10 +217,7 @@ class TestResumeUnderEpochs:
             )
 
         def fit(engine, epochs):
-            train = split.train.epochs(8, seed=4)
-            for _ in range(engine.current_epoch):
-                train()
-            return engine.fit(train, split.val.epochs(16), epochs)
+            return _fit_on_the_runs_order(engine, split, epochs, batch_size=8)
 
         straight = build()
         fit(straight, 5)
@@ -238,6 +243,64 @@ class TestResumeUnderEpochs:
         replayed.load_checkpoint(path)
         replayed.fit(split.train.epochs(8, seed=4), split.val.epochs(16), 3)
         assert replayed.history.train_loss != straight.history.train_loss
+
+
+BN_MINIS = ["VGG13", "ResNet50", "DenseNet121", "MobileNet-V2"]
+
+
+def _bn_engine(name, factory):
+    model = build_mini(name, 10, rng=np.random.default_rng(0))
+    if factory == "bp_engine":
+        return bp_engine(model, CrossEntropyLoss(), lr=0.05, metric_fn=accuracy)
+    return adagp_engine(
+        model, CrossEntropyLoss(), lr=0.05, metric_fn=accuracy,
+        schedule=HeuristicSchedule(warmup_epochs=1, ladder=((2, (1, 1)),)),
+    )
+
+
+class TestResumeOnBatchNormModels:
+    """A checkpoint carries the running statistics validation reads:
+    resume equals uninterrupted on ``val_loss`` / ``val_metric`` too,
+    not only on the ``train_loss`` batch statistics produce."""
+
+    @pytest.mark.parametrize("factory", ["bp_engine", "adagp_engine"])
+    @pytest.mark.parametrize("name", BN_MINIS)
+    def test_resume_equals_uninterrupted_history(self, name, factory, tmp_path):
+        split = synthetic_images(10, 32, 16, image_size=16, seed=0)
+
+        def fit(engine, epochs):
+            return _fit_on_the_runs_order(engine, split, epochs, batch_size=16)
+
+        straight = _bn_engine(name, factory)
+        fit(straight, 3)
+
+        path = str(tmp_path / "ckpt.pkl")
+        first = _bn_engine(name, factory)
+        fit(first, 2)
+        first.save_checkpoint(path)
+        resumed = _bn_engine(name, factory)
+        resumed.load_checkpoint(path)
+        fit(resumed, 1)
+
+        assert resumed.history == straight.history
+        assert pickle.dumps(resumed.model.state_dict()) == pickle.dumps(
+            straight.model.state_dict()
+        )
+
+    def test_a_checkpoint_without_statistics_is_refused_by_key(self, tmp_path):
+        """What this format held before it carried them: loading one
+        into a BatchNorm model names the missing key instead of
+        evaluating with zero mean and unit variance."""
+        engine = _bn_engine("VGG13", "bp_engine")
+        state = engine_state(engine)
+        state["model"] = {
+            key: value for key, value in state["model"].items() if "running_" not in key
+        }
+        path = str(tmp_path / "old.pkl")
+        with open(path, "wb") as handle:
+            pickle.dump(state, handle)
+        with pytest.raises(KeyError, match="running_mean"):
+            _bn_engine("VGG13", "bp_engine").load_checkpoint(path)
 
 
 class TestLegacyFormat:

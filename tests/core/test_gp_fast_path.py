@@ -126,12 +126,11 @@ class TestNoGradGPBatch:
         result = engine.train_batch(x, y, Phase.GP)
         assert result.phase == Phase.GP
         assert np.isfinite(result.loss)
-        # Every conv's ctx is the no-grad sentinel or cleared, never a
+        # Every layer's slot is the no-grad sentinel or cleared, never a
         # retained context (the engine clear_caches turns NO_GRAD into
         # None; both prove nothing was pinned).
         for layer in engine.layers:
-            cache = layer.__dict__.get("_cache_ctx", layer.__dict__.get("_cache_x"))
-            assert cache is None or cache is NO_GRAD
+            assert layer._saved is None or layer._saved is NO_GRAD
 
     def test_backward_raises_after_gp_batch(self):
         engine = _adagp()
@@ -294,8 +293,7 @@ class TestPipelineGPNoGrad:
         assert np.isfinite(result.loss)
         # The GP stream ran forward-only: no stage retained a context.
         for layer in engine.layers:
-            cache = layer.__dict__.get("_cache_ctx", layer.__dict__.get("_cache_x"))
-            assert cache is None or cache is NO_GRAD
+            assert layer._saved is None or layer._saved is NO_GRAD
         # And a BP batch afterwards still works (grad mode restored).
         bp = engine.train_batch(x, y, Phase.BP)
         assert np.isfinite(bp.loss)

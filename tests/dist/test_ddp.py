@@ -31,6 +31,7 @@ from repro.dist import (
     shard_sizes,
     shutdown,
 )
+from repro.models import build_mini
 from repro.nn.backend import native_available
 from repro.nn.losses import CrossEntropyLoss, accuracy
 
@@ -179,6 +180,42 @@ class TestPhaseAwareComm:
             assert rows[1]["sync_bytes"] > 0
             assert rows[2]["sync_bytes"] == 0
             assert rows[3]["sync_bytes"] == 0
+        finally:
+            shutdown(ddp)
+
+    def test_boundary_sync_carries_batchnorm_statistics(self):
+        """Shard-local batch statistics make every replica's running
+        statistics drift from rank 0's during a BP run; the boundary
+        sync overwrites them with the rest of rank 0's trainable state."""
+        ddp = ddp_engine(
+            build_mini("VGG13", 10, rng=np.random.default_rng(0)),
+            CrossEntropyLoss(),
+            workers=2,
+            lr=0.05,
+        )
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+        y = rng.integers(0, 10, 8)
+
+        def replica_state():
+            transport = dp_strategy(ddp).transport
+            transport.submit(1, {"op": "state"})
+            return transport.collect(1)["model"]
+
+        try:
+            ddp.train_batch(x, y, Phase.WARMUP)
+            rank0 = ddp.model.state_dict()
+            statistics = [key for key in rank0 if "running_" in key]
+            assert len(statistics) == 2 * 10
+            assert any(
+                not np.array_equal(replica_state()[key], rank0[key]) for key in statistics
+            )
+            # One sample: rank 1 is synced at the BP→GP boundary and then
+            # sits the batch out, so what it holds is what was sent.
+            ddp.train_batch(x[:1], y[:1], Phase.GP)
+            replica = replica_state()
+            for key in statistics:
+                np.testing.assert_array_equal(replica[key], rank0[key], err_msg=key)
         finally:
             shutdown(ddp)
 

@@ -83,7 +83,7 @@ def _run(backend, x, grad_out, state, training, grad, relu):
         else:
             with nn.no_grad():
                 seen["out"] = layer._normalize(x, relu=relu)
-            assert layer._cache is nn.module.NO_GRAD
+            assert layer._saved is nn.module.NO_GRAD
     seen["running_mean"] = layer.running_mean
     seen["running_var"] = layer.running_var
     seen["stats_version"] = layer.stats_version
@@ -177,17 +177,17 @@ def test_fused_gradcheck_float64(shape, training):
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
 def test_backward_twice_returns_equal_results(backend, training):
     """Backward reads the context and leaves it as it found it — the
-    pipeline executor restores a snapshot of ``_cache`` and runs it
+    pipeline executor restores a snapshot of ``_saved`` and runs it
     again."""
     x, grad_out, _ = _case(4, 3, 5, 5, False, 1.0, False, seed=2)
     layer = nn.BatchNorm2d(3)
     layer.training = training
     with use_backend(backend):
         layer(x)
-        ctx = layer._cache
+        ctx = layer._saved
         saved, inv_std = ctx.saved.copy(), ctx.inv_std.copy()
         first = layer.backward(grad_out)
-        assert layer._cache is ctx
+        assert layer._saved is ctx
         second = layer.backward(grad_out)
     np.testing.assert_array_equal(first, second)
     np.testing.assert_array_equal(ctx.saved, saved)
@@ -219,7 +219,7 @@ def test_backward_runs_on_the_backend_that_made_the_context():
     layer = nn.BatchNorm2d(3)
     with backend_scope(producer):
         layer(x)
-    assert isinstance(layer._cache, NormCtx) and layer._cache.backend is producer
+    assert isinstance(layer._saved, NormCtx) and layer._saved.backend is producer
     with backend_scope("numpy"):
         got = layer.backward(grad_out)
     assert producer.calls == ["batchnorm_backward"]

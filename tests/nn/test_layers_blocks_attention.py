@@ -165,7 +165,7 @@ class TestAttention:
         x = RNG.standard_normal((1, 4, 4)).astype(np.float32)
         mask = causal_mask(4)
         mha.attend(x, x, x, mask)
-        _q, _k, _v, attn, _scale = mha._cache
+        _q, _k, _v, attn, _scale = mha._saved
         # Upper triangle (future positions) must carry ~zero weight.
         assert attn[0, 0][np.triu_indices(4, k=1)].max() < 1e-6
 

@@ -70,9 +70,9 @@ class TestModuleIntrospection:
         late = nn.ReLU()
         model.append(nn.Sequential(late))
         late(np.ones((2, 5), dtype=np.float32))
-        assert late._mask is not None
+        assert late._saved is not None
         model.clear_caches()
-        assert late._mask is None
+        assert late._saved is None
 
     def test_train_eval_propagates(self):
         model = self._model()
@@ -83,13 +83,23 @@ class TestModuleIntrospection:
 
     def test_state_dict_round_trip(self):
         model = self._model()
+        model(np.random.default_rng(1).standard_normal((2, 3, 16, 16)).astype(np.float32))
         state = model.state_dict()
         clone = self._model()
         for p in clone.parameters():
             p.data += 1.0
+        bn, clone_bn = model.layers[1], clone.layers[1]
+        version = clone_bn.stats_version
         clone.load_state_dict(state)
         for (_, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+        # Declared statistics travel too, as copies, and loading moves
+        # the counter the conv+BN fold cache keys on.
+        assert bn.running_mean.any() and not np.array_equal(bn.running_var, 1.0)
+        np.testing.assert_array_equal(clone_bn.running_mean, bn.running_mean)
+        np.testing.assert_array_equal(clone_bn.running_var, bn.running_var)
+        assert clone_bn.running_mean is not state["layers.1.running_mean"]
+        assert clone_bn.stats_version != version
 
     def test_load_state_dict_validates(self):
         model = self._model()
@@ -102,6 +112,20 @@ class TestModuleIntrospection:
         del bad[key]
         with pytest.raises(KeyError):
             model.load_state_dict(bad)
+        del state["layers.1.running_var"]
+        with pytest.raises(KeyError, match="layers.1.running_var"):
+            model.load_state_dict(state)
+
+    def test_load_state_dict_rejects_unexpected_keys(self):
+        model = self._model()
+        before = model.state_dict()
+        state = {name: value + 1.0 for name, value in before.items()}
+        state["nope"] = np.zeros(1, dtype=np.float32)
+        with pytest.raises(KeyError, match="nope"):
+            model.load_state_dict(state)
+        # Refused before anything was written.
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
 
     def test_predictable_layers_in_forward_order(self):
         model = self._model()

@@ -32,41 +32,41 @@ def _x(shape, seed=0):
 
 
 def _layer_cases():
-    """(name, layer factory, input shape, cache attrs) per layer type.
+    """(name, layer factory, input shape) per layer type.
 
     The factory is called twice per test (grad / no-grad instance), so
     every rng is explicitly seeded to make the two instances identical.
     """
     return [
-        ("conv3x3", lambda: nn.Conv2d(3, 6, 3, padding=1, rng=np.random.default_rng(1)), (4, 3, 9, 9), ["_cache_ctx"]),
-        ("conv1x1", lambda: nn.Conv2d(5, 7, 1, rng=np.random.default_rng(2)), (4, 5, 6, 6), ["_cache_ctx"]),
-        ("linear", lambda: nn.Linear(6, 4, rng=np.random.default_rng(3)), (8, 6), ["_cache_x"]),
-        ("flatten", lambda: nn.Flatten(), (3, 4, 5), ["_cache_shape"]),
-        ("maxpool_padded", lambda: nn.MaxPool2d(3, stride=2, padding=1), (3, 4, 9, 9), ["_cache"]),
-        ("avgpool", lambda: nn.AvgPool2d(2), (3, 4, 8, 8), ["_x_shape"]),
-        ("adaptive_pool", lambda: nn.AdaptiveAvgPool2d(3), (2, 4, 7, 7), ["_x_shape"]),
-        ("global_pool", lambda: nn.GlobalAvgPool2d(), (2, 4, 5, 5), ["_x_shape"]),
-        ("batchnorm2d", lambda: nn.BatchNorm2d(5), (6, 5, 4, 4), ["_cache"]),
-        ("batchnorm1d", lambda: nn.BatchNorm1d(7), (12, 7), ["_cache"]),
-        ("layernorm", lambda: nn.LayerNorm(9), (3, 6, 9), ["_cache"]),
-        ("relu", lambda: nn.ReLU(), (4, 6), ["_mask"]),
-        ("leaky_relu", lambda: nn.LeakyReLU(0.2), (4, 6), ["_mask"]),
-        ("relu6", lambda: nn.ReLU6(), (4, 6), ["_mask"]),
-        ("sigmoid", lambda: nn.Sigmoid(), (4, 6), ["_out"]),
-        ("tanh", lambda: nn.Tanh(), (4, 6), ["_out"]),
-        ("gelu", lambda: nn.GELU(), (4, 6), ["_x"]),
-        ("dropout", lambda: nn.Dropout(0.4, rng=np.random.default_rng(4)), (16, 12), ["_mask"]),
-        ("attention", lambda: nn.MultiHeadAttention(8, 2, rng=np.random.default_rng(5)), (2, 5, 8), ["_cache"]),
+        ("conv3x3", lambda: nn.Conv2d(3, 6, 3, padding=1, rng=np.random.default_rng(1)), (4, 3, 9, 9)),
+        ("conv1x1", lambda: nn.Conv2d(5, 7, 1, rng=np.random.default_rng(2)), (4, 5, 6, 6)),
+        ("linear", lambda: nn.Linear(6, 4, rng=np.random.default_rng(3)), (8, 6)),
+        ("flatten", lambda: nn.Flatten(), (3, 4, 5)),
+        ("maxpool_padded", lambda: nn.MaxPool2d(3, stride=2, padding=1), (3, 4, 9, 9)),
+        ("avgpool", lambda: nn.AvgPool2d(2), (3, 4, 8, 8)),
+        ("adaptive_pool", lambda: nn.AdaptiveAvgPool2d(3), (2, 4, 7, 7)),
+        ("global_pool", lambda: nn.GlobalAvgPool2d(), (2, 4, 5, 5)),
+        ("batchnorm2d", lambda: nn.BatchNorm2d(5), (6, 5, 4, 4)),
+        ("batchnorm1d", lambda: nn.BatchNorm1d(7), (12, 7)),
+        ("layernorm", lambda: nn.LayerNorm(9), (3, 6, 9)),
+        ("relu", lambda: nn.ReLU(), (4, 6)),
+        ("leaky_relu", lambda: nn.LeakyReLU(0.2), (4, 6)),
+        ("relu6", lambda: nn.ReLU6(), (4, 6)),
+        ("sigmoid", lambda: nn.Sigmoid(), (4, 6)),
+        ("tanh", lambda: nn.Tanh(), (4, 6)),
+        ("gelu", lambda: nn.GELU(), (4, 6)),
+        ("dropout", lambda: nn.Dropout(0.4, rng=np.random.default_rng(4)), (16, 12)),
+        ("attention", lambda: nn.MultiHeadAttention(8, 2, rng=np.random.default_rng(5)), (2, 5, 8)),
     ]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "name,factory,shape,cache_attrs",
+    "name,factory,shape",
     _layer_cases(),
     ids=[c[0] for c in _layer_cases()],
 )
-def test_no_grad_forward_bitwise_equal(backend, name, factory, shape, cache_attrs):
+def test_no_grad_forward_bitwise_equal(backend, name, factory, shape):
     """A no-grad forward returns the training-mode forward bit for bit."""
     x = _x(shape, seed=11)
     with nn.use_backend(backend):
@@ -75,17 +75,16 @@ def test_no_grad_forward_bitwise_equal(backend, name, factory, shape, cache_attr
         with no_grad():
             out = layer(x)
     assert np.array_equal(reference, out)
-    for attr in cache_attrs:
-        assert getattr(layer, attr) is NO_GRAD, attr
+    assert layer._saved is NO_GRAD
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "name,factory,shape,cache_attrs",
+    "name,factory,shape",
     _layer_cases(),
     ids=[c[0] for c in _layer_cases()],
 )
-def test_backward_after_no_grad_raises(backend, name, factory, shape, cache_attrs):
+def test_backward_after_no_grad_raises(backend, name, factory, shape):
     x = _x(shape, seed=3)
     with nn.use_backend(backend):
         layer = factory()

@@ -707,7 +707,7 @@ class TestProfiler:
         with obs.phase_scope("bp"):
             with nn.backend_scope(profiled):
                 out = bn(x)
-            assert bn._cache.backend is profiled
+            assert bn._saved.backend is profiled
             # Outside the backend scope: only the pin can route this.
             bn.backward(np.ones_like(out))
         with obs.phase_scope("gp"), nn.backend_scope(profiled), nn.no_grad():

@@ -16,6 +16,7 @@ from repro.core import (
     pipeline_adagp_engine,
 )
 from repro.models import build_mini
+from repro.nn.backend import FusedBackend
 from repro.nn.losses import CrossEntropyLoss
 from repro.pipeline import (
     PipelineExecutor,
@@ -27,15 +28,23 @@ from repro.pipeline import (
 )
 
 
-def small_cnn(seed: int = 42) -> nn.Sequential:
-    """BatchNorm-free CNN: pipelined BP is then bit-comparable to
-    full-batch BP (BN batch statistics differ per micro-batch)."""
+def small_cnn(seed: int = 42, norm: bool = False) -> nn.Sequential:
+    """BatchNorm-free by default: pipelined BP is then bit-comparable to
+    full-batch BP (BN batch statistics differ per micro-batch).  With
+    ``norm`` the stages hold every kind of saved value: a pooled conv
+    context, a norm context, a mask, an argmax tuple, a shape, an input."""
     rng = np.random.default_rng(seed)
+
+    def bn():
+        return [nn.BatchNorm2d(8)] if norm else []
+
     return nn.Sequential(
         nn.Conv2d(3, 8, 3, padding=1, rng=rng),
+        *bn(),
         nn.ReLU(),
         nn.MaxPool2d(2, padding=1),
         nn.Conv2d(8, 8, 3, padding=1, rng=rng),
+        *bn(),
         nn.ReLU(),
         nn.Flatten(),
         nn.Linear(8 * 9 * 9, 10, rng=rng),
@@ -81,6 +90,20 @@ class TestPartition:
         np.testing.assert_array_equal(bn.running_mean, before)
         assert model.training
 
+    def test_probe_keeps_no_pooled_workspace(self):
+        """The probe forward is never followed by a backward, so a conv
+        context it kept would be overwritten unreleased by the first
+        real forward and the pool's gauge could never return to 0."""
+        backend = FusedBackend()
+        model = build_mini("VGG13", 10, rng=np.random.default_rng(0))
+        with nn.backend_scope(backend):
+            partition_sequential(model, 2, (3, 16, 16))
+            assert backend.pool.outstanding == 0
+            x = np.zeros((4, 3, 16, 16), dtype=np.float32)
+            model.backward(np.ones_like(model(x)))
+            model.clear_caches()
+        assert backend.pool.outstanding == 0
+
     def test_rejects_non_sequential(self):
         with pytest.raises(TypeError):
             probe_layer_costs(nn.Linear(4, 4), (4,))
@@ -117,6 +140,73 @@ class TestExecutor:
             np.testing.assert_allclose(
                 param.grad, ref_grads[name], rtol=1e-4, atol=1e-5
             )
+
+    @pytest.mark.parametrize("backend", ["numpy", "fused"])
+    @pytest.mark.parametrize("kind", [PipelineKind.GPIPE, PipelineKind.DAPPLE])
+    def test_bp_batch_through_batchnorm_stages(self, kind, backend):
+        """The per-micro-batch snapshot is one pointer per module.  With
+        running statistics (eval-mode BN, so micro-batching changes no
+        arithmetic) the pipelined batch equals one full-batch backward;
+        with batch statistics it equals the micro-batches run one after
+        another, forward then backward, with nothing to restore."""
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+        y = rng.integers(0, 10, 8)
+        loss_fn = CrossEntropyLoss()
+
+        def pipelined_grads(training):
+            model = small_cnn(norm=True)
+            executor = PipelineExecutor.from_model(
+                model, 2, (3, 16, 16), micro_batches=4, kind=kind
+            )
+            if not training:
+                model.eval()
+            run = executor.run_bp_batch(x, y, loss_fn)
+            executor.validate()
+            return run.loss, {n: p.grad for n, p in model.named_parameters()}
+
+        with nn.use_backend(backend):
+            full = small_cnn(norm=True).eval()
+            loss, grad = loss_fn(full(x), y)
+            full.backward(grad)
+            got_loss, got = pipelined_grads(training=False)
+            assert got_loss == pytest.approx(loss, abs=1e-6)
+            for name, param in full.named_parameters():
+                np.testing.assert_allclose(
+                    got[name], param.grad, rtol=1e-4, atol=1e-5, err_msg=name
+                )
+
+            serial = small_cnn(norm=True)
+            for xm, ym in zip(np.array_split(x, 4), np.array_split(y, 4)):
+                _, grad = loss_fn(serial(xm), ym)
+                serial.backward(grad * (len(xm) / len(x)))
+            _, got = pipelined_grads(training=True)
+            for name, param in serial.named_parameters():
+                np.testing.assert_array_equal(got[name], param.grad, err_msg=name)
+
+    def test_restore_hands_backward_an_older_micro_batch(self):
+        rng = np.random.default_rng(3)
+        old, new = (
+            rng.standard_normal((2, 3, 16, 16)).astype(np.float32) for _ in range(2)
+        )
+        grad_out = rng.standard_normal((2, 10)).astype(np.float32)
+        stage = small_cnn(norm=True)
+        stage(old)
+        expected = stage.backward(grad_out)
+        expected_grads = [p.grad for p in stage.parameters()]
+        stage.zero_grad()
+
+        stage(old)
+        snap = PipelineExecutor._snapshot(stage)
+        assert [module for module, _ in snap] == list(stage.modules())
+        stage(new)
+        assert all(
+            module._saved is not saved for module, saved in snap if saved is not None
+        )
+        PipelineExecutor._restore(snap)
+        np.testing.assert_array_equal(stage.backward(grad_out), expected)
+        for param, grad in zip(stage.parameters(), expected_grads):
+            np.testing.assert_array_equal(param.grad, grad)
 
     def test_timeline_dependencies_and_exclusivity(self):
         executor = PipelineExecutor.from_model(
@@ -212,6 +302,23 @@ class TestPipelineGPStrategy:
         executor.validate()
         bw_tasks = [t for t in executor.timeline.tasks if t.kind == "bw"]
         assert len(bw_tasks) == 4 * 2 * 4  # 4 BP-style batches x 2 stages x 4 micro
+
+    @pytest.mark.parametrize("phase", [Phase.BP, Phase.GP])
+    def test_first_batch_returns_every_pooled_workspace(self, phase):
+        """The lazy split probes the model inside the first batch."""
+        backend = FusedBackend()
+        engine = pipeline_adagp_engine(
+            build_mini("VGG13", 10, rng=np.random.default_rng(0)),
+            CrossEntropyLoss(),
+            num_stages=2,
+            micro_batches=2,
+            backend=backend,
+        )
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
+        engine.train_batch(x, rng.integers(0, 10, 4), phase)
+        assert backend.pool.outstanding == 0
+        assert all(m._saved is None for m in engine.model.modules())
 
     def test_gp_phase_applies_predicted_updates(self):
         model = build_mini("ResNet50", 10, rng=np.random.default_rng(0))

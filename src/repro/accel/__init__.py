@@ -1,15 +1,12 @@
 """Systolic-accelerator simulator: cycles, traffic, energy, area/power."""
 
-from .adagp import AcceleratorModel, BatchCost, LayerPhaseCost
+from .adagp import AcceleratorModel, BatchCost, LayerCost, LayerPhaseCost
 from .calibrate import (
     CalibrationReport,
     OpCalibration,
-    PhaseCycleCosts,
     calibrate,
     calibrate_from_bench,
     calibrated_config,
-    phase_cycle_costs,
-    schedule_speedup,
 )
 from .area import (
     AsicArea,
@@ -52,15 +49,13 @@ from .predictor_cost import predictor_layer_cost, predictor_load_cycles
 __all__ = [
     "AcceleratorModel",
     "BatchCost",
+    "LayerCost",
     "LayerPhaseCost",
     "CalibrationReport",
     "OpCalibration",
-    "PhaseCycleCosts",
     "calibrate",
     "calibrate_from_bench",
     "calibrated_config",
-    "phase_cycle_costs",
-    "schedule_speedup",
     "AsicArea",
     "AsicPower",
     "FpgaPower",

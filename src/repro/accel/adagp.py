@@ -17,7 +17,8 @@ Design differences:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from ..core.schedule import HeuristicSchedule, Phase, phase_counts
 from ..models.specs import LayerSpec, ModelSpec
@@ -30,7 +31,6 @@ from .memory import (
     layer_gp_update_traffic,
 )
 from .predictor_cost import (
-    PredictorLayerCost,
     gradient_row_of,
     predictor_layer_cost,
     predictor_load_cycles,
@@ -56,6 +56,24 @@ class BatchCost:
 
 
 @dataclass(frozen=True)
+class LayerCost:
+    """One row of the cycle table: a layer's per-batch cost on one design.
+
+    ``alpha_fw`` / ``alpha_bw`` are the predictor's forward and training
+    cycles with LOW's per-use weight streaming folded in; both are 0 for
+    a layer ADA-GP does not predict and for every layer of the baseline.
+    """
+
+    spec: LayerSpec
+    fw: int
+    bw: int
+    bp_traffic: Traffic  # FW + BW (+ predictor forward and training)
+    gp_traffic: Traffic  # FW (+ predictor forward and in-place update)
+    alpha_fw: int = 0
+    alpha_bw: int = 0
+
+
+@dataclass(frozen=True)
 class LayerPhaseCost:
     """Per-layer cycle breakdown used by the Fig 16 characterization."""
 
@@ -67,7 +85,13 @@ class LayerPhaseCost:
 
 
 class AcceleratorModel:
-    """Costs a full training run of one model spec on the accelerator."""
+    """Costs a full training run of one model spec on the accelerator.
+
+    :meth:`layer_costs` is the one walk over a model's layers; every
+    batch cost is a fold over its rows and every run cost is
+    :meth:`training_cost` of a phase mix.  ``design=None`` throughout
+    means no predictor: the plain-BP baseline.
+    """
 
     def __init__(
         self,
@@ -77,124 +101,88 @@ class AcceleratorModel:
         self.config = config or AcceleratorConfig()
         self.predictor_hw = predictor_hw or PredictorHardware()
 
-    # ------------------------------------------------------------------
-    # Per-layer primitives.
-    # ------------------------------------------------------------------
-    def _predictor_cost(
-        self, spec: LayerSpec, design: AdaGPDesign
-    ) -> PredictorLayerCost:
-        on_chip = design != AdaGPDesign.LOW
-        return predictor_layer_cost(spec, self.config, self.predictor_hw, on_chip)
+    def layer_costs(
+        self, model: ModelSpec, batch: int, design: AdaGPDesign | None
+    ) -> list[LayerCost]:
+        """The cycle table: one :class:`LayerCost` per layer, in order."""
+        config, hw = self.config, self.predictor_hw
+        rows = []
+        for spec in model.layers:
+            fw_traffic = layer_forward_traffic(spec, batch, config)
+            row = LayerCost(
+                spec=spec,
+                fw=layer_forward_cycles(spec, batch, config),
+                bw=layer_backward_cycles(spec, batch, config),
+                bp_traffic=fw_traffic + layer_backward_traffic(spec, batch, config),
+                gp_traffic=fw_traffic,
+            )
+            if design is not None and spec.is_predictable:
+                # Efficient/MAX keep predictor weights on chip; LOW streams
+                # them from DRAM before every predictor use.
+                on_chip = design != AdaGPDesign.LOW
+                pcost = predictor_layer_cost(spec, config, hw, on_chip)
+                load = 0 if on_chip else predictor_load_cycles(
+                    gradient_row_of(spec), config, hw
+                )
+                row = replace(
+                    row,
+                    alpha_fw=pcost.alpha_fw + load,
+                    alpha_bw=pcost.alpha_bw + load,
+                    bp_traffic=row.bp_traffic + pcost.fw_traffic + pcost.train_traffic,
+                    gp_traffic=row.gp_traffic
+                    + pcost.fw_traffic
+                    + layer_gp_update_traffic(spec, batch, config),
+                )
+            rows.append(row)
+        return rows
 
-    def _load_cycles(self, spec: LayerSpec, design: AdaGPDesign) -> int:
-        """Per-use predictor weight-streaming cost (LOW design only)."""
-        if design != AdaGPDesign.LOW:
-            return 0
-        return predictor_load_cycles(
-            gradient_row_of(spec), self.config, self.predictor_hw
-        )
-
     # ------------------------------------------------------------------
-    # Batch costs.
+    # Batch costs: folds over the table.
     # ------------------------------------------------------------------
     def baseline_batch(self, model: ModelSpec, batch: int) -> BatchCost:
         """One batch of plain backprop training."""
-        cycles = 0
-        traffic = Traffic()
-        for spec in model.layers:
-            cycles += layer_forward_cycles(spec, batch, self.config)
-            cycles += layer_backward_cycles(spec, batch, self.config)
-            traffic = traffic + layer_forward_traffic(spec, batch, self.config)
-            traffic = traffic + layer_backward_traffic(spec, batch, self.config)
-        return BatchCost(cycles=cycles, traffic=traffic)
+        return self.phase_bp_batch(model, batch, None)
 
     def phase_bp_batch(
-        self, model: ModelSpec, batch: int, design: AdaGPDesign
+        self, model: ModelSpec, batch: int, design: AdaGPDesign | None
     ) -> BatchCost:
         """Phase BP (and Warm Up): backprop + predictor training."""
-        fw_cycles: list[int] = []
-        bw_cycles: list[int] = []
-        alpha_fw: list[int] = []
-        alpha_bw: list[int] = []
-        traffic = Traffic()
-        for spec in model.layers:
-            fw = layer_forward_cycles(spec, batch, self.config)
-            bw = layer_backward_cycles(spec, batch, self.config)
-            traffic = traffic + layer_forward_traffic(spec, batch, self.config)
-            traffic = traffic + layer_backward_traffic(spec, batch, self.config)
-            a_fw = a_bw = 0
-            if spec.is_predictable:
-                pcost = self._predictor_cost(spec, design)
-                a_fw, a_bw = pcost.alpha_fw, pcost.alpha_bw
-                traffic = traffic + pcost.fw_traffic + pcost.train_traffic
-                load = self._load_cycles(spec, design)
-                a_fw += load
-                a_bw += load
-            fw_cycles.append(fw)
-            bw_cycles.append(bw)
-            alpha_fw.append(a_fw)
-            alpha_bw.append(a_bw)
-        if design == AdaGPDesign.MAX:
-            cycles = _overlapped(fw_cycles, alpha_fw) + _overlapped(
-                bw_cycles, alpha_bw
-            )
-        else:
-            cycles = sum(fw_cycles) + sum(alpha_fw) + sum(bw_cycles) + sum(alpha_bw)
-        return BatchCost(cycles=cycles, traffic=traffic)
+        rows = self.layer_costs(model, batch, design)
+        fw = _pass_cycles(design, [r.fw for r in rows], [r.alpha_fw for r in rows])
+        bw = _pass_cycles(design, [r.bw for r in rows], [r.alpha_bw for r in rows])
+        return BatchCost(fw + bw, sum((r.bp_traffic for r in rows), Traffic()))
 
     def phase_gp_batch(
         self, model: ModelSpec, batch: int, design: AdaGPDesign
     ) -> BatchCost:
         """Phase GP: forward-only with in-flight predicted weight updates."""
-        fw_cycles: list[int] = []
-        alpha_fw: list[int] = []
-        traffic = Traffic()
-        for spec in model.layers:
-            fw = layer_forward_cycles(spec, batch, self.config)
-            traffic = traffic + layer_forward_traffic(spec, batch, self.config)
-            a_fw = 0
-            if spec.is_predictable:
-                pcost = self._predictor_cost(spec, design)
-                a_fw = pcost.alpha_fw + self._load_cycles(spec, design)
-                traffic = traffic + pcost.fw_traffic
-                traffic = traffic + layer_gp_update_traffic(spec, batch, self.config)
-            fw_cycles.append(fw)
-            alpha_fw.append(a_fw)
-        if design == AdaGPDesign.MAX:
-            cycles = _overlapped(fw_cycles, alpha_fw)
-        else:
-            cycles = sum(fw_cycles) + sum(alpha_fw)
-        return BatchCost(cycles=cycles, traffic=traffic)
+        rows = self.layer_costs(model, batch, design)
+        fw = _pass_cycles(design, [r.fw for r in rows], [r.alpha_fw for r in rows])
+        return BatchCost(fw, sum((r.gp_traffic for r in rows), Traffic()))
 
     # ------------------------------------------------------------------
-    # Training-run aggregation.
+    # Training-run aggregation: the one weighting.
     # ------------------------------------------------------------------
     def training_cost(
         self,
         model: ModelSpec,
-        design: AdaGPDesign,
-        schedule: HeuristicSchedule,
-        epochs: int,
-        batches_per_epoch: int,
+        design: AdaGPDesign | None,
+        counts: Mapping[Phase, int],
         batch: int = 32,
     ) -> BatchCost:
-        """Total ADA-GP training cost under a phase schedule."""
-        counts = phase_counts(schedule, epochs, batches_per_epoch)
-        bp_cost = self.phase_bp_batch(model, batch, design)
-        gp_cost = self.phase_gp_batch(model, batch, design)
-        total = bp_cost.scaled(counts[Phase.WARMUP] + counts[Phase.BP])
-        total = total + gp_cost.scaled(counts[Phase.GP])
-        return total
+        """Cost of a phase mix: ``counts`` maps :class:`Phase` to batches.
 
-    def baseline_training_cost(
-        self,
-        model: ModelSpec,
-        epochs: int,
-        batches_per_epoch: int,
-        batch: int = 32,
-    ) -> BatchCost:
-        """Total plain-backprop training cost over a whole run."""
-        return self.baseline_batch(model, batch).scaled(epochs * batches_per_epoch)
+        ``counts`` is :func:`~repro.core.schedule.phase_counts` of a
+        schedule or the realized mix a run's History recorded.  The
+        baseline (``design=None``) runs every batch as backprop.
+        """
+        true_grad = counts.get(Phase.WARMUP, 0) + counts.get(Phase.BP, 0)
+        gp = counts.get(Phase.GP, 0)
+        if true_grad + gp == 0:
+            raise ValueError(f"empty phase mix {dict(counts)}: no batches to cost")
+        bp_cost = self.phase_bp_batch(model, batch, design)
+        gp_cost = bp_cost if design is None else self.phase_gp_batch(model, batch, design)
+        return bp_cost.scaled(true_grad) + gp_cost.scaled(gp)
 
     def speedup(
         self,
@@ -206,12 +194,9 @@ class AcceleratorModel:
         batch: int = 32,
     ) -> float:
         """End-to-end training speedup of a design over the BP baseline."""
-        schedule = schedule or HeuristicSchedule()
-        base = self.baseline_training_cost(model, epochs, batches_per_epoch, batch)
-        ada = self.training_cost(
-            model, design, schedule, epochs, batches_per_epoch, batch
-        )
-        return base.cycles / ada.cycles
+        counts = phase_counts(schedule or HeuristicSchedule(), epochs, batches_per_epoch)
+        base = self.training_cost(model, None, counts, batch)
+        return base.cycles / self.training_cost(model, design, counts, batch).cycles
 
     # ------------------------------------------------------------------
     # Characterization (Fig 16).
@@ -229,26 +214,26 @@ class AcceleratorModel:
         since overlap makes per-layer attribution ambiguous for MAX.
         """
         results = []
-        for spec in model.layers:
-            if not spec.is_compute:
-                continue
-            fw = layer_forward_cycles(spec, batch, self.config)
-            bw = layer_backward_cycles(spec, batch, self.config)
-            a_fw = a_bw = load = 0
-            if spec.is_predictable:
-                pcost = self._predictor_cost(spec, design)
-                a_fw, a_bw = pcost.alpha_fw, pcost.alpha_bw
-                load = self._load_cycles(spec, design)
-            results.append(
-                LayerPhaseCost(
-                    name=spec.name,
-                    baseline=fw + bw,
-                    warmup=fw + bw + a_fw + a_bw + 2 * load,
-                    phase_bp=fw + bw + a_fw + a_bw + 2 * load,
-                    phase_gp=fw + a_fw + load,
+        for r in self.layer_costs(model, batch, design):
+            if r.spec.is_compute:
+                bp = r.fw + r.bw + r.alpha_fw + r.alpha_bw
+                results.append(
+                    LayerPhaseCost(
+                        r.spec.name, r.fw + r.bw, bp, bp, r.fw + r.alpha_fw
+                    )
                 )
-            )
         return results
+
+
+def _pass_cycles(
+    design: AdaGPDesign | None, main_cycles: list[int], aux_cycles: list[int]
+) -> int:
+    """One pass's cycles: MAX overlaps each layer's aux (predictor) work
+    with the next layer the main array runs; every other design
+    serializes it."""
+    if design == AdaGPDesign.MAX:
+        return _overlapped(main_cycles, aux_cycles)
+    return sum(main_cycles) + sum(aux_cycles)
 
 
 def _overlapped(main_cycles: list[int], aux_cycles: list[int]) -> int:

@@ -181,100 +181,6 @@ def calibrate_from_bench(
     return calibrate(op_timings, config=config, backend=backend)
 
 
-@dataclass(frozen=True)
-class PhaseCycleCosts:
-    """Per-batch cycle costs of one model on one accelerator design.
-
-    The schedule-search objective: a realized phase mix from a trial's
-    History weights these three numbers into an end-to-end speedup.
-    """
-
-    model: str
-    design: str
-    batch: int
-    baseline_cycles: int  # plain-BP batch (no predictor anywhere)
-    bp_cycles: int  # Warm-Up / Phase-BP batch (backprop + predictor training)
-    gp_cycles: int  # Phase-GP batch (forward-only + predicted updates)
-
-    def speedup(self, counts: Mapping["Phase", int]) -> float:
-        """Cycle-model training speedup of a realized phase mix over the
-        all-BP baseline on the same number of batches.
-
-        ``counts`` maps :class:`~repro.core.schedule.Phase` to batch
-        counts — either the arithmetic plan from
-        :func:`repro.core.schedule.phase_counts` or, for an
-        :class:`~repro.core.AdaptiveSchedule` whose ratios depend on
-        observed predictor quality, the *realized* counts a trial's
-        History recorded.
-        """
-        from ..core.schedule import Phase
-
-        true_grad = counts.get(Phase.WARMUP, 0) + counts.get(Phase.BP, 0)
-        gp = counts.get(Phase.GP, 0)
-        total = true_grad + gp
-        if total == 0:
-            raise ValueError("phase counts contain no batches")
-        ada = true_grad * self.bp_cycles + gp * self.gp_cycles
-        return total * self.baseline_cycles / ada
-
-
-def phase_cycle_costs(
-    model: str,
-    design: Union[str, "AdaGPDesign", None] = None,
-    batch: int = 32,
-    dataset: str = "ImageNet",
-    config: Optional[AcceleratorConfig] = None,
-) -> PhaseCycleCosts:
-    """Cost one model's three batch kinds on the accelerator cycle model.
-
-    ``model`` is a paper model name (``spec_for`` registry); ``design``
-    defaults to ADA-GP-Efficient, the paper's headline configuration.
-    Pass ``config=calibrated_config(report)`` to clock the model at a
-    measured machine's implied frequency — the cycle *ratio* (and thus
-    :meth:`PhaseCycleCosts.speedup`) is frequency-invariant, but
-    per-op cost scales and absolute seconds are not.
-    """
-    # Imported here: accel.calibrate must stay importable from
-    # accel.__init__ before accel.adagp (and without repro.models).
-    from ..models import spec_for
-    from .adagp import AcceleratorModel
-    from .config import AdaGPDesign
-
-    design = AdaGPDesign(design) if design is not None else AdaGPDesign.EFFICIENT
-    accel = AcceleratorModel(config=config)
-    spec = spec_for(model, dataset)
-    return PhaseCycleCosts(
-        model=model,
-        design=design.value,
-        batch=batch,
-        baseline_cycles=accel.baseline_batch(spec, batch).cycles,
-        bp_cycles=accel.phase_bp_batch(spec, batch, design).cycles,
-        gp_cycles=accel.phase_gp_batch(spec, batch, design).cycles,
-    )
-
-
-def schedule_speedup(
-    counts: Mapping["Phase", int],
-    model: str,
-    design: Union[str, "AdaGPDesign", None] = None,
-    batch: int = 32,
-    dataset: str = "ImageNet",
-    config: Optional[AcceleratorConfig] = None,
-) -> float:
-    """One-call speedup objective for the tune subsystem.
-
-    Weights the per-batch cycle costs of ``model`` on ``design`` by a
-    phase mix (planned via :func:`~repro.core.schedule.phase_counts`, or
-    realized from a trial's History) and returns training speedup over
-    the all-BP baseline.  This is the second axis of the
-    accuracy-vs-speedup frontier: GP share only matters insofar as the
-    accelerator turns skipped backward passes into cycles saved.
-    """
-    return phase_cycle_costs(
-        model, design=design, batch=batch, dataset=dataset, config=config
-    ).speedup(counts)
-
-
 def calibrated_config(
     report: CalibrationReport,
     config: Optional[AcceleratorConfig] = None,

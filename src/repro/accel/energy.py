@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.schedule import HeuristicSchedule
+from ..core.schedule import HeuristicSchedule, phase_counts
 from ..models.specs import ModelSpec
 from .adagp import AcceleratorModel
 from .config import AdaGPDesign
@@ -64,16 +64,8 @@ def training_energy(
     design under the phase schedule.
     """
     accelerator = accelerator or AcceleratorModel()
-    if design is None:
-        cost = accelerator.baseline_training_cost(
-            model, epochs, batches_per_epoch, batch
-        )
-    else:
-        schedule = schedule or HeuristicSchedule()
-        cost = accelerator.training_cost(
-            model, design, schedule, epochs, batches_per_epoch, batch
-        )
-    return traffic_energy(cost.traffic)
+    counts = phase_counts(schedule or HeuristicSchedule(), epochs, batches_per_epoch)
+    return traffic_energy(accelerator.training_cost(model, design, counts, batch).traffic)
 
 
 def energy_saving(

@@ -45,10 +45,6 @@ def gradient_row_of(spec: LayerSpec) -> int:
     raise ValueError(f"layer kind {spec.kind} is not predictable")
 
 
-def predictor_units_of(spec: LayerSpec) -> int:
-    return spec.out_channels
-
-
 def predictor_layer_cost(
     spec: LayerSpec,
     config: AcceleratorConfig,
@@ -61,7 +57,7 @@ def predictor_layer_cost(
     weights in a dedicated memory (SRAM traffic); LOW must stream them
     from DRAM every use.
     """
-    units = predictor_units_of(spec)
+    units = spec.out_channels
     row = gradient_row_of(spec)
     elem = config.bytes_per_element
     conv_n = hardware.pool_size * hardware.pool_size * units

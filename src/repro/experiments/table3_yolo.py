@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..accel import AcceleratorModel, AdaGPDesign
-from ..core import HeuristicSchedule, adagp_engine, bp_engine
+from ..core import HeuristicSchedule, adagp_engine, bp_engine, phase_counts
 from ..core.metrics import detection_class_accuracy, mean_average_precision
 from ..data.detection import DetectionDataset, synthetic_detection
 from ..models import MiniYolo, YoloLoss, decode_predictions, spec_for
@@ -52,14 +52,8 @@ def _training_cycles(
     (1.17x Efficient, 1.26x MAX) — the reason YOLO gains less than the
     ImageNet CNNs.
     """
-    spec = spec_for("YOLO-v3")
-    accelerator = AcceleratorModel()
-    if design is None:
-        cost = accelerator.baseline_training_cost(spec, epochs, batches, batch)
-    else:
-        cost = accelerator.training_cost(
-            spec, design, HeuristicSchedule(), epochs, batches, batch
-        )
+    counts = phase_counts(HeuristicSchedule(), epochs, batches)
+    cost = AcceleratorModel().training_cost(spec_for("YOLO-v3"), design, counts, batch)
     return cost.cycles / 1e9
 
 

@@ -20,7 +20,7 @@ from ..accel import (
     fpga_power,
     fpga_resources,
 )
-from ..core import HeuristicSchedule
+from ..core import HeuristicSchedule, phase_counts
 from ..models import spec_for
 from .formats import format_table
 
@@ -137,19 +137,13 @@ def run_equal_resource_study(
     big_cfg = AcceleratorConfig(rows=base_cfg.rows, cols=extra_cols)
     small = AcceleratorModel(base_cfg)
     big = AcceleratorModel(big_cfg)
-    schedule = HeuristicSchedule()
+    counts = phase_counts(HeuristicSchedule(), epochs, batches_per_epoch)
     rows = []
     for dataset in datasets:
         spec = spec_for(model, dataset)
-        base_cycles = small.baseline_training_cost(
-            spec, epochs, batches_per_epoch, batch
-        ).cycles
-        big_cycles = big.baseline_training_cost(
-            spec, epochs, batches_per_epoch, batch
-        ).cycles
-        ada_cycles = small.training_cost(
-            spec, AdaGPDesign.MAX, schedule, epochs, batches_per_epoch, batch
-        ).cycles
+        base_cycles = small.training_cost(spec, None, counts, batch).cycles
+        big_cycles = big.training_cost(spec, None, counts, batch).cycles
+        ada_cycles = small.training_cost(spec, AdaGPDesign.MAX, counts, batch).cycles
         rows.append(
             EqualResourceRow(
                 dataset=dataset,

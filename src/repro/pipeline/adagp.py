@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 from ..accel.adagp import AcceleratorModel
 from ..accel.config import AdaGPDesign
-from ..accel.dataflow import layer_backward_cycles, layer_forward_cycles
-from ..accel.predictor_cost import predictor_layer_cost, predictor_load_cycles
-from ..accel.predictor_cost import gradient_row_of
 from ..core.schedule import HeuristicSchedule
 from ..models.specs import ModelSpec
 from .schedules import (
@@ -50,29 +47,13 @@ def model_stage_times(
     on 1/M of the samples per slot.
     """
     micro_batch = max(batch // config.micro_batches, 1)
-    fw = bw = a_fw = a_bw = 0.0
-    for spec in model.layers:
-        fw += layer_forward_cycles(spec, micro_batch, accelerator.config)
-        bw += layer_backward_cycles(spec, micro_batch, accelerator.config)
-        if spec.is_predictable:
-            pcost = predictor_layer_cost(
-                spec,
-                accelerator.config,
-                accelerator.predictor_hw,
-                on_chip_weights=design != AdaGPDesign.LOW,
-            )
-            load = 0
-            if design == AdaGPDesign.LOW:
-                load = predictor_load_cycles(
-                    gradient_row_of(spec),
-                    accelerator.config,
-                    accelerator.predictor_hw,
-                )
-            a_fw += pcost.alpha_fw + load
-            a_bw += pcost.alpha_bw + load
+    rows = accelerator.layer_costs(model, micro_batch, design)
     stages = config.num_stages
     return StageTimes(
-        tf=fw / stages, tb=bw / stages, alpha_fw=a_fw / stages, alpha_bw=a_bw / stages
+        tf=sum(r.fw for r in rows) / stages,
+        tb=sum(r.bw for r in rows) / stages,
+        alpha_fw=sum(r.alpha_fw for r in rows) / stages,
+        alpha_bw=sum(r.alpha_bw for r in rows) / stages,
     )
 
 
@@ -93,7 +74,10 @@ def pipeline_speedup(
     schedule = schedule or HeuristicSchedule()
     times = model_stage_times(model, accelerator, config, design, batch)
     phases = training_phase_sequence(schedule, epochs, batches_per_epoch)
-
+    if not phases:
+        raise ValueError(
+            f"empty phase mix: {epochs} epochs x {batches_per_epoch} batches"
+        )
     baseline = batch_makespan(kind, config, times.tf, times.tb) * len(phases)
     if design == AdaGPDesign.MAX:
         # Dedicated predictor array: alpha overlaps the next micro-batch

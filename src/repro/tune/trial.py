@@ -12,7 +12,7 @@ what travels through the process pool and the results journal.
 spawned from ``spec.seed``) and returns a :class:`TrialResult` carrying
 the two frontier axes — best/final accuracy and realized GP share —
 plus wall time and the accelerator cycle-model speedup of the realized
-phase mix (:func:`repro.accel.schedule_speedup`).
+phase mix (:meth:`repro.accel.AcceleratorModel.training_cost`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..core import Phase, adagp_engine, schedule_from_config
 from ..core.schedule import AdaptiveSchedule, HeuristicSchedule
 from ..data import preset_split
 from ..data.synthetic import DATASET_PRESETS, PAPER_TO_PRESET
-from ..models import build_mini
+from ..models import build_mini, spec_for
 from ..nn.losses import CrossEntropyLoss, accuracy
 
 #: Default AdaptiveSchedule MAPE cut-offs that ``threshold_scale`` scales.
@@ -282,7 +282,14 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     }
     # Import deferred so repro.tune loads without the accel package in
     # play until a result actually needs costing.
-    from ..accel import schedule_speedup
+    from ..accel import AcceleratorModel, AdaGPDesign
+
+    accelerator = AcceleratorModel()
+    cost_spec = spec_for(spec.model, _paper_dataset(spec.dataset))
+    base = accelerator.training_cost(cost_spec, None, counts, spec.batch_size)
+    ada = accelerator.training_cost(
+        cost_spec, AdaGPDesign(spec.design), counts, spec.batch_size
+    )
 
     return TrialResult(
         trial_id=spec.trial_id,
@@ -295,12 +302,6 @@ def run_trial(spec: TrialSpec) -> TrialResult:
         train_loss=list(history.train_loss),
         gp_share=history.gp_share,
         gp_fraction=list(history.gp_fraction),
-        cycle_speedup=schedule_speedup(
-            counts,
-            spec.model,
-            design=spec.design,
-            batch=spec.batch_size,
-            dataset=_paper_dataset(spec.dataset),
-        ),
+        cycle_speedup=base.cycles / ada.cycles,
         wall_time_s=wall,
     )

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro import nn
 from repro.accel import AcceleratorModel
-from repro.core import HeuristicSchedule
+from repro.core import HeuristicSchedule, phase_counts
 from repro.core.dni import DNITrainer, dni_batch_cost_ratio
 from repro.models import spec_for
 from repro.nn.losses import CrossEntropyLoss, accuracy
@@ -82,12 +82,10 @@ class TestDNICostArgument:
         dni_total = accelerator.phase_bp_batch(
             spec, 32, AdaGPDesign.EFFICIENT
         ).cycles * (epochs * batches)
+        counts = phase_counts(HeuristicSchedule(warmup_epochs=5), epochs, batches)
         ada_total = accelerator.training_cost(
-            spec, AdaGPDesign.EFFICIENT, HeuristicSchedule(warmup_epochs=5),
-            epochs, batches,
+            spec, AdaGPDesign.EFFICIENT, counts
         ).cycles
-        base_total = accelerator.baseline_training_cost(
-            spec, epochs, batches
-        ).cycles
+        base_total = accelerator.training_cost(spec, None, counts).cycles
         assert dni_total > base_total  # DNI slower than plain BP
         assert ada_total < base_total  # ADA-GP faster than plain BP

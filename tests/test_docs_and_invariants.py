@@ -153,6 +153,37 @@ class TestOneBatchBody:
         }
 
 
+class TestOneCycleTable:
+    """A layer's per-phase cycles are computed in one walk
+    (``AcceleratorModel.layer_costs``); every batch, stage and run cost
+    folds its rows instead of re-pricing the layers."""
+
+    @staticmethod
+    def _callers(*names):
+        src = REPO / "src" / "repro"
+        return {
+            (path.relative_to(src).as_posix(), qualified)
+            for path in src.rglob("*.py")
+            for qualified, function in TestOneBatchBody._functions(path)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+        }
+
+    def test_layer_cycles_are_priced_by_the_table_builder(self):
+        # partition.probe_layer_costs prices live modules, not specs.
+        assert self._callers("layer_forward_cycles", "layer_backward_cycles") == {
+            ("accel/adagp.py", "AcceleratorModel.layer_costs"),
+            ("accel/dataflow.py", "utilization"),
+            ("pipeline/partition.py", "probe_layer_costs"),
+        }
+
+    def test_predictor_cost_is_priced_by_the_table_builder(self):
+        assert self._callers("predictor_layer_cost", "predictor_load_cycles") == {
+            ("accel/adagp.py", "AcceleratorModel.layer_costs"),
+        }
+
+
 class TestOptionsCensus:
     """An option earns its keep by being selected: every keyword
     parameter of the engine factories and the three constructors below

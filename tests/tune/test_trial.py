@@ -138,8 +138,9 @@ class TestRunTrial:
     def test_cycle_speedup_costed_at_the_trial_dataset(self):
         """The speedup axis must use the trial's dataset geometry, not
         the cycle model's ImageNet default."""
-        from repro.accel import schedule_speedup
+        from repro.accel import AcceleratorModel, AdaGPDesign
         from repro.core import Phase
+        from repro.models import spec_for
 
         spec = spec_from_config(
             "t", {"kind": "adaptive", "threshold_scale": 8.0, "warmup_epochs": 1},
@@ -149,12 +150,16 @@ class TestRunTrial:
         total = result.epochs_run * 2  # 32 samples / batch 16
         gp = round(total * result.gp_share)
         counts = {Phase.BP: total - gp, Phase.GP: gp}
-        cifar = schedule_speedup(
-            counts, "VGG13", batch=spec.batch_size, dataset="Cifar10"
-        )
-        imagenet = schedule_speedup(
-            counts, "VGG13", batch=spec.batch_size, dataset="ImageNet"
-        )
+
+        def speedup(dataset):
+            cost_spec, accelerator = spec_for("VGG13", dataset), AcceleratorModel()
+            base = accelerator.training_cost(cost_spec, None, counts, spec.batch_size)
+            ada = accelerator.training_cost(
+                cost_spec, AdaGPDesign.EFFICIENT, counts, spec.batch_size
+            )
+            return base.cycles / ada.cycles
+
+        cifar, imagenet = speedup("Cifar10"), speedup("ImageNet")
         assert result.cycle_speedup == cifar != imagenet
 
     def test_deterministic_across_reruns(self):

@@ -149,7 +149,8 @@ class AcceleratorModel:
         """Phase BP (and Warm Up): backprop + predictor training."""
         rows = self.layer_costs(model, batch, design)
         fw = _pass_cycles(design, [r.fw for r in rows], [r.alpha_fw for r in rows])
-        bw = _pass_cycles(design, [r.bw for r in rows], [r.alpha_bw for r in rows])
+        back = rows[::-1]  # backward runs last layer -> first
+        bw = _pass_cycles(design, [r.bw for r in back], [r.alpha_bw for r in back])
         return BatchCost(fw + bw, sum((r.bp_traffic for r in rows), Traffic()))
 
     def phase_gp_batch(
@@ -228,9 +229,9 @@ class AcceleratorModel:
 def _pass_cycles(
     design: AdaGPDesign | None, main_cycles: list[int], aux_cycles: list[int]
 ) -> int:
-    """One pass's cycles: MAX overlaps each layer's aux (predictor) work
-    with the next layer the main array runs; every other design
-    serializes it."""
+    """One pass's cycles, lists in execution order: MAX overlaps each
+    layer's aux (predictor) work with the next layer the main array
+    runs; every other design serializes it."""
     if design == AdaGPDesign.MAX:
         return _overlapped(main_cycles, aux_cycles)
     return sum(main_cycles) + sum(aux_cycles)

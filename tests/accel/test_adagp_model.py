@@ -11,6 +11,7 @@ from repro.accel import (
 from repro.accel.adagp import _overlapped
 from repro.core import HeuristicSchedule
 from repro.models import spec_for
+from repro.models.specs import LayerKind, LayerSpec, ModelSpec
 
 MODEL = AcceleratorModel()
 SCHEDULE = HeuristicSchedule()  # paper defaults: L=10, 4:1/3:1/2:1/1:1
@@ -116,3 +117,22 @@ class TestOverlap:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             _overlapped([1], [1, 2])
+
+    def test_max_backward_overlaps_in_execution_order(self):
+        """Backward runs last -> first: each layer's predictor training
+        hides behind the layer executed after it, and layer 1's — the
+        last executed — drains at the end of the pass."""
+        layers = [
+            LayerSpec(
+                f"conv{i}", LayerKind.CONV, cin, cout, 3, padding=1,
+                in_h=32, in_w=32, out_h=32, out_w=32,
+            )
+            for i, (cin, cout) in enumerate([(3, 8), (8, 16), (16, 64)], 1)
+        ]
+        spec = ModelSpec("three-conv", (3, 32, 32), layers)
+        rows = MODEL.layer_costs(spec, 32, AdaGPDesign.MAX)
+        assert rows[0].alpha_bw != rows[-1].alpha_bw
+        assert min(r.bw for r in rows) > 10 * max(r.alpha_bw for r in rows)
+        forward = _overlapped([r.fw for r in rows], [r.alpha_fw for r in rows])
+        expected = forward + sum(r.bw for r in rows) + rows[0].alpha_bw
+        assert MODEL.phase_bp_batch(spec, 32, AdaGPDesign.MAX).cycles == expected

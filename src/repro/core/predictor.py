@@ -311,9 +311,10 @@ class GradientPredictor:
             start += units
         grid = self.network.input_grid
         backend = current_backend()
-        # One float32 buffer for every layer's pooled samples: models may
-        # hand over float64 activations (the transformer's mostly are),
-        # and a float64 operand would drag both GEMMs off the sgemm path.
+        # One float32 buffer for every layer's pooled samples.  Training
+        # activations are float32 (tests/nn/test_dtype_discipline.py);
+        # the buffer guards against float64 callers such as gradchecks,
+        # whose operand would drag both GEMMs off the sgemm path.
         pooled = np.empty((start, grid[0] * grid[1]), dtype=np.float32)
         for layer, output, (begin, units, _) in zip(layers, outputs, slices):
             reorganized = reorganize.reorganize_activations(layer, output)

@@ -19,8 +19,8 @@ boundaries — computing the ``K-1`` garbage columns of every row and
 dropping them at the store.  Vector occupancy is ``H*W / (Hp*Wp)`` at
 every plane width (79 % at 16x16, 64 % at 8x8, 44 % at 4x4, 25 % at 2x2
 for K=3), where a per-row tiling is scalar below one vector of columns:
-all ten conv layers of VGG13-mini on 16x16 inputs, whose planes are
-16, 16, 8, 8, 4, 4, 2, 2, 1 and 1 wide, run the same register-blocked
+the first eight conv layers of VGG13-mini on 16x16 inputs, whose planes
+are 16, 16, 8, 8, 4, 4, 2 and 2 wide, run the same register-blocked
 loops.  Forward, input gradient (the same microkernel over the
 dilated-padded output gradient with flipped weights) and weight gradient
 (the output gradient at the same pitch with zeros in the garbage slots:
@@ -36,8 +36,14 @@ the fold pipeline, so a folded no-grad graph runs identically on both.
 What stays off the C kernels, and why.  Narrow planes are *not* routed
 to the inherited im2col path: measured on the VGG13 benchmark workload
 that reaches the same speed but pins a column buffer per layer (+51 %
-peak RSS), whereas the direct kernel pins only the input.  There is no
-C GEMM: a hand-rolled one measured 0.042x the inherited BLAS path on the
+peak RSS), whereas the direct kernel pins only the input.  The one
+exception is a 1x1 output plane (VGG13-mini's last two layers): 11 %
+occupancy, eight of the nine taps of a padded 3x3 read padding, and the
+kernel measured 0.76-0.90x fused forward and 0.65-0.76x forward+backward
+at 32->32 channels, batch 32, one thread, while the column buffer there
+is 9*C floats per sample.  Those convs, and the pooling unfold/fold
+with a 1x1 output, take the inherited path.  There is no C GEMM: a
+hand-rolled one measured 0.042x the inherited BLAS path on the
 model-step shape (8.51 ms against 0.36 ms) — conv wins natively because
 skipping im2col changes the memory traffic, not because the C compiler
 out-multiplies BLAS.  Strided convolutions fall back to the im2col path
@@ -127,26 +133,32 @@ class NativeBackend(FusedBackend):
         self.dispatch_counts = {}
 
     # -- convolution -----------------------------------------------------
-    def conv2d_forward(self, x, weight, bias, stride, padding):
-        kernel = weight.shape[2]
-        if (
+    def _on_blas(self, kernel, stride, padding, out_h, out_w) -> bool:
+        """Shapes the inherited path runs faster (module docstring):
+        1x1 stride-1 convs (one GEMM upstream: the input *is* the column
+        matrix), strided convs, and convs with a 1x1 output plane."""
+        return (
             self._is_pointwise(kernel, stride, padding)
             or (stride != 1 and not self._c_strided)
+            or out_h * out_w == 1
+        )
+
+    def conv2d_forward(self, x, weight, bias, stride, padding):
+        batch, in_c, height, width = x.shape
+        out_c, _, kernel, _ = weight.shape
+        out_h = F.conv_output_size(height, kernel, stride, padding)
+        out_w = F.conv_output_size(width, kernel, stride, padding)
+        if (
+            self._on_blas(kernel, stride, padding, out_h, out_w)
             or not _f32c(x)
             or not _f32c(weight)
             or (bias is not None and not _f32c(bias))
         ):
-            # 1x1 stride-1 convs are a single BLAS GEMM upstream (the
-            # input *is* the column matrix), strided convs run faster
-            # through im2col (module docstring); fall back for anything
-            # else the kernels don't cover.
+            # Fall back for those shapes and anything else the kernels
+            # don't cover.
             self._dispatch("conv2d_forward", False)
             return super().conv2d_forward(x, weight, bias, stride, padding)
         self._dispatch("conv2d_forward", True)
-        batch, in_c, height, width = x.shape
-        out_c = weight.shape[0]
-        out_h = F.conv_output_size(height, kernel, stride, padding)
-        out_w = F.conv_output_size(width, kernel, stride, padding)
         out = np.empty((batch, out_c, out_h, out_w), dtype=np.float32)
         self._lib.conv2d_forward(
             _ptr(x), _ptr(weight), _ptr(bias), _ptr(out),
@@ -183,14 +195,16 @@ class NativeBackend(FusedBackend):
         return grad_x, grad_w, grad_b
 
     # -- unfold / fold (pooling columns) ---------------------------------
+    # A 1x1 output plane stays on NumPy's strided copy here too: the C
+    # loops pay per (sample, channel, tap) and measured 2-4x slower.
     def unfold(self, x, kernel, stride, padding, fill_value=0.0):
-        if not _f32c(x):
-            self._dispatch("unfold", False)
-            return super().unfold(x, kernel, stride, padding, fill_value)
-        self._dispatch("unfold", True)
         batch, channels, height, width = x.shape
         out_h = F.conv_output_size(height, kernel, stride, padding)
         out_w = F.conv_output_size(width, kernel, stride, padding)
+        if not _f32c(x) or out_h * out_w == 1:
+            self._dispatch("unfold", False)
+            return super().unfold(x, kernel, stride, padding, fill_value)
+        self._dispatch("unfold", True)
         cols = self.pool.acquire(
             (batch, channels * kernel * kernel, out_h * out_w), x.dtype
         )
@@ -203,13 +217,13 @@ class NativeBackend(FusedBackend):
         return cols, out_h, out_w
 
     def fold(self, cols, input_shape, kernel, stride, padding):
-        if not _f32c(cols):
-            self._dispatch("fold", False)
-            return super().fold(cols, input_shape, kernel, stride, padding)
-        self._dispatch("fold", True)
         batch, channels, height, width = input_shape
         out_h = F.conv_output_size(height, kernel, stride, padding)
         out_w = F.conv_output_size(width, kernel, stride, padding)
+        if not _f32c(cols) or out_h * out_w == 1:
+            self._dispatch("fold", False)
+            return super().fold(cols, input_shape, kernel, stride, padding)
+        self._dispatch("fold", True)
         grad_x = np.empty(input_shape, dtype=np.float32)
         self._lib.fold(
             _ptr(cols), _ptr(grad_x),

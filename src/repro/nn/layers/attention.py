@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -68,7 +69,10 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.q_proj(query))
         k = self._split_heads(self.k_proj(key))
         v = self._split_heads(self.v_proj(value))
-        scale = 1.0 / np.sqrt(self.head_dim)
+        # A Python float: NEP 50 lets it take the scores' dtype, where an
+        # np.float64 scalar would run the rest of the model in float64
+        # (DESIGN.md §1, dtype policy).
+        scale = 1.0 / math.sqrt(self.head_dim)
         scores = backend.attn_scores(q, k) * scale
         if mask is not None:
             scores = np.where(mask.astype(bool), scores, np.float32(-1e9))

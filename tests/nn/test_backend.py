@@ -203,6 +203,31 @@ def test_native_opt_in_kernels_match_numpy(name, factory, shape):
         )
 
 
+@pytest.mark.skipif(
+    not native_available(), reason="native extension unavailable"
+)
+def test_native_sends_a_1x1_output_plane_to_the_fused_path():
+    """A padded 3x3 conv on a 1x1 plane (VGG13-mini's last two layers)
+    runs the inherited im2col + BLAS path and is counted as a fallback,
+    forward and backward; a 2x2 plane still takes the C kernels.  Both
+    match fused at atol 1e-5."""
+    rng = np.random.default_rng(13)
+    weight = (rng.standard_normal((32, 32, 3, 3)) / 17).astype(np.float32)
+    bias = rng.standard_normal(32).astype(np.float32)
+    for width, path in ((1, "fallback"), (2, "native")):
+        x = rng.standard_normal((4, 32, width, width)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        native = NativeBackend()
+        results = []
+        for backend in (native, get_backend("fused")):
+            out, ctx = backend.conv2d_forward(x, weight, bias, 1, 1)
+            results.append((out, *backend.conv2d_backward(g, weight, ctx, True)))
+        for op in ("conv2d_forward", "conv2d_backward"):
+            assert native.dispatch_counts[op][path] == 1, (width, op)
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, atol=ATOL, rtol=1e-5)
+
+
 # ----------------------------------------------------------------------
 # Numeric gradchecks per backend (conv, linear, maxpool, attention, bn).
 # ----------------------------------------------------------------------

@@ -206,6 +206,26 @@ class TestAttention:
         for analytic, array in ((d_q, q), (d_k, k), (d_v, v)):
             assert max_relative_error(analytic, numerical_gradient(loss, array)) < 2e-2
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_input_dtype_forward_and_backward(self, dtype):
+        """The 1/sqrt(head_dim) scale is a Python float, which NEP 50
+        treats as weak: float32 stays float32 (bit-identical to an
+        explicit ``np.float32`` scale) and float64 gradchecks stay
+        float64 (DESIGN.md §1, dtype policy)."""
+        mha = nn.MultiHeadAttention(8, 2, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        q, k, v = (rng.standard_normal((2, 3, 8)).astype(dtype) for _ in range(3))
+        mask = causal_mask(3)
+        out = mha.attend(q, k, v, mask)
+        saved_q, saved_k, saved_v, attn, scale = mha._saved
+        grads = mha.backward_attend(rng.standard_normal(out.shape).astype(dtype))
+        arrays = (out, saved_q, saved_k, saved_v, attn, *grads)
+        assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
+        if dtype is np.float32:
+            scores = nn.backend.current_backend().attn_scores(saved_q, saved_k)
+            scores = np.where(mask.astype(bool), scores * np.float32(scale), np.float32(-1e9))
+            assert attn.tobytes() == nn.functional.softmax(scores, axis=-1).tobytes()
+
     def test_default_rng_projections_differ(self):
         """Regression: q/k/v/out built without an rng must not collide.
 

@@ -36,11 +36,10 @@ ATOL = 1e-5
 
 def _c_kernel_backend() -> NativeBackend:
     """A native backend that sends *every* float32 conv to kernels.c:
-    strided ones (``REPRO_NATIVE_STRIDED=1``) and 1x1 ones, which default
-    dispatch keeps on BLAS."""
+    1x1, strided and 1x1-output-plane ones, which default dispatch keeps
+    on BLAS."""
     backend = NativeBackend()
-    backend._c_strided = True
-    backend._is_pointwise = lambda kernel, stride, padding: False
+    backend._on_blas = lambda *shape: False
     return backend
 
 

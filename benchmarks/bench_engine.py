@@ -349,9 +349,6 @@ def _op_microbench():
             "conv1x1_fwd": lambda: backend.conv2d_forward(x_conv, w1, None, 1, 0),
             "linear_fwd": lambda: backend.linear_forward(x_lin, w_lin, None),
             "attn_scores": lambda: backend.attn_scores(q, q),
-            # The cycle model (accel.calibrate) is keyed on bn_moments;
-            # batchnorm_fwd_bwd is what the BatchNorm layers dispatch.
-            "bn_moments": lambda: backend.moments(x_bn, (0, 2, 3)),
             "batchnorm_fwd_bwd": batchnorm,
         }
 

@@ -12,8 +12,9 @@ Package map
                       datasets (offline stand-ins, DESIGN.md §2).
 ``repro.core``        The paper's contribution: gradient predictor,
                       tensor reorganization, phase schedules, and the
-                      unified ``TrainingEngine`` (phase strategies +
-                      callbacks) behind the ADA-GP / BP / DNI trainers.
+                      one ``TrainingEngine`` (phase strategies +
+                      callbacks) that the ``bp_engine`` / ``adagp_engine``
+                      / ``dni_engine`` factories wire for each scheme.
 ``repro.accel``       Systolic accelerator simulator: cycles under four
                       dataflows, DRAM/SRAM traffic, energy, FPGA/ASIC
                       area & power.
@@ -40,10 +41,7 @@ Package map
 from . import accel, core, data, dist, experiments, models, nn, obs, pipeline, tune
 from .accel import AcceleratorConfig, AcceleratorModel, AdaGPDesign, DataflowKind
 from .core import (
-    AdaGPTrainer,
     AdaptiveSchedule,
-    BPTrainer,
-    DNITrainer,
     GradientPredictor,
     HeuristicSchedule,
     Phase,
@@ -73,10 +71,7 @@ __all__ = [
     "AcceleratorModel",
     "AdaGPDesign",
     "DataflowKind",
-    "AdaGPTrainer",
     "AdaptiveSchedule",
-    "BPTrainer",
-    "DNITrainer",
     "GradientPredictor",
     "HeuristicSchedule",
     "Phase",

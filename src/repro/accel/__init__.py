@@ -1,22 +1,13 @@
 """Systolic-accelerator simulator: cycles, traffic, energy, area/power."""
 
 from .adagp import AcceleratorModel, BatchCost, LayerCost, LayerPhaseCost
-from .calibrate import (
-    CalibrationReport,
-    OpCalibration,
-    calibrate,
-    calibrate_from_bench,
-    calibrated_config,
-)
 from .area import (
     AsicArea,
     AsicPower,
     FpgaPower,
     FpgaResources,
-    area_overhead,
     asic_area,
     asic_power,
-    equal_resource_pe_bonus,
     fpga_power,
     fpga_resources,
 )
@@ -30,11 +21,9 @@ from .dataflow import (
     gemm_cycles,
     layer_backward_cycles,
     layer_forward_cycles,
-    utilization,
 )
 from .energy import (
     EnergyBreakdown,
-    energy_saving,
     traffic_energy,
     training_energy,
 )
@@ -51,19 +40,12 @@ __all__ = [
     "BatchCost",
     "LayerCost",
     "LayerPhaseCost",
-    "CalibrationReport",
-    "OpCalibration",
-    "calibrate",
-    "calibrate_from_bench",
-    "calibrated_config",
     "AsicArea",
     "AsicPower",
     "FpgaPower",
     "FpgaResources",
-    "area_overhead",
     "asic_area",
     "asic_power",
-    "equal_resource_pe_bonus",
     "fpga_power",
     "fpga_resources",
     "AcceleratorConfig",
@@ -73,9 +55,7 @@ __all__ = [
     "gemm_cycles",
     "layer_backward_cycles",
     "layer_forward_cycles",
-    "utilization",
     "EnergyBreakdown",
-    "energy_saving",
     "traffic_energy",
     "training_energy",
     "Traffic",

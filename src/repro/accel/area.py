@@ -227,30 +227,3 @@ def asic_power(design: AdaGPDesign | None) -> AsicPower:
     if design == AdaGPDesign.EFFICIENT:
         return total
     return total + ASIC_PREDICTOR_PE_POWER
-
-
-def area_overhead(design: AdaGPDesign) -> float:
-    """Fractional ASIC area increase over baseline (paper: 1.7/2.6/8.3%)."""
-    return asic_area(design).total / asic_area(None).total - 1.0
-
-
-def equal_resource_pe_bonus(design: AdaGPDesign, platform: str = "fpga") -> float:
-    """Extra-PE fraction a baseline gets for the same power/area (§6.6.1).
-
-    The paper grants the baseline 10% more PEs at ADA-GP-MAX's FPGA power
-    and 11% more at its ASIC area.  For other designs the bonus scales
-    with the design's own overhead relative to MAX.
-    """
-    if platform == "fpga":
-        max_overhead = fpga_power(AdaGPDesign.MAX).total / fpga_power(None).total - 1
-        design_overhead = fpga_power(design).total / fpga_power(None).total - 1
-        max_bonus = 0.10
-    elif platform == "asic":
-        max_overhead = area_overhead(AdaGPDesign.MAX)
-        design_overhead = area_overhead(design)
-        max_bonus = 0.11
-    else:
-        raise ValueError(f"platform must be 'fpga' or 'asic', got {platform!r}")
-    if max_overhead <= 0:
-        return 0.0
-    return max_bonus * max(design_overhead, 0.0) / max_overhead

@@ -139,13 +139,3 @@ def layer_backward_cycles(
     dx = gemm_cycles(k, m, n, config)  # gradient w.r.t. the streamed operand
     dw = gemm_cycles(m, n, k, config)  # gradient w.r.t. the resident operand
     return dx + dw
-
-
-def utilization(
-    spec: LayerSpec, batch: int, config: AcceleratorConfig
-) -> float:
-    """Achieved MACs/cycle over peak for the forward pass of a layer."""
-    cycles = layer_forward_cycles(spec, batch, config)
-    if cycles == 0:
-        return 0.0
-    return spec.macs_forward(batch) / (cycles * config.num_pes)

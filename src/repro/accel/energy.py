@@ -66,16 +66,3 @@ def training_energy(
     accelerator = accelerator or AcceleratorModel()
     counts = phase_counts(schedule or HeuristicSchedule(), epochs, batches_per_epoch)
     return traffic_energy(accelerator.training_cost(model, design, counts, batch).traffic)
-
-
-def energy_saving(
-    model: ModelSpec,
-    design: AdaGPDesign,
-    accelerator: AcceleratorModel | None = None,
-    **kwargs,
-) -> float:
-    """Fractional memory-energy saving of a design vs. the BP baseline."""
-    accelerator = accelerator or AcceleratorModel()
-    base = training_energy(model, None, accelerator, **kwargs).total_joules
-    ada = training_energy(model, design, accelerator, **kwargs).total_joules
-    return 1.0 - ada / base

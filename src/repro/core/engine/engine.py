@@ -52,16 +52,6 @@ class EpochStats:
     predictor_mse: dict[int, float] = field(default_factory=dict)
     predictor_mape: dict[int, float] = field(default_factory=dict)
 
-    def legacy_dict(self) -> dict:
-        """The dict shape the pre-engine ``AdaGPTrainer.train_epoch``
-        returned, kept for the compatibility shims."""
-        return {
-            "loss": self.loss,
-            "counts": self.counts,
-            "mse": self.predictor_mse,
-            "mape": self.predictor_mape,
-        }
-
 
 class TrainingEngine:
     """Phase-scheduled training loop with callbacks and checkpointing.

@@ -2,9 +2,9 @@
 
 These factories are the one place that knows how to wire strategies,
 schedules, optimizers and the shared predictor into a
-:class:`TrainingEngine`; the legacy ``BPTrainer`` / ``AdaGPTrainer`` /
-``DNITrainer`` classes are thin shims over them, and the experiments use
-them directly.
+:class:`TrainingEngine`: BP, ADA-GP, its pipelined variant, and DNI
+(the paper's §2 baseline) are wirings of the one loop.  Examples,
+experiments and benchmarks build their engines here.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ def adagp_engine(
     predictor_lr: float = 1e-4,
     metric_fn: Optional[MetricFn] = None,
     plateau_scheduler: bool = True,
-    predictor_milestones: tuple[int, ...] = (20, 40),
     gp_optimizer: Optional[Optimizer] = None,
     batched_predictor: bool = True,
     batched_gp: bool = False,
@@ -78,8 +77,8 @@ def adagp_engine(
     predicted gradients up into full-size steps.
 
     ``batched_predictor`` selects the stacked one-shot predictor update
-    in Phase BP (the fast path); the per-layer loop remains available
-    for exact reproduction of the pre-engine trajectories.
+    in Phase BP (the fast path); ``False`` trains the predictor one
+    layer at a time.
 
     ``batched_gp`` selects the batched Phase-GP mode: predictions for
     every predictable layer fire as one stacked ``predict_many`` call
@@ -110,9 +109,7 @@ def adagp_engine(
         lr_scheduler=ReduceLROnPlateau(optimizer) if plateau_scheduler else None,
         predictor=predictor,
         gp_optimizer=gp_optimizer,
-        predictor_scheduler=MultiStepLR(
-            predictor.optimizer, milestones=list(predictor_milestones)
-        ),
+        predictor_scheduler=MultiStepLR(predictor.optimizer, milestones=[20, 40]),
         callbacks=callbacks,
         backend=backend,
     )

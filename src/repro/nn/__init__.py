@@ -25,14 +25,7 @@ from .backend import (
 from .layers import *  # noqa: F401,F403 -- curated in layers/__init__.py
 from .layers import __all__ as _layers_all
 from . import passes  # noqa: E402 -- after layers: passes match layer types
-from .losses import (
-    BCEWithLogitsLoss,
-    CrossEntropyLoss,
-    MSELoss,
-    SmoothL1Loss,
-    accuracy,
-    loss_value,
-)
+from .losses import CrossEntropyLoss, accuracy, loss_value
 from .module import (
     NO_GRAD,
     Module,
@@ -63,10 +56,7 @@ __all__ = [
     "native_available",
     "register_backend",
     "use_backend",
-    "BCEWithLogitsLoss",
     "CrossEntropyLoss",
-    "MSELoss",
-    "SmoothL1Loss",
     "accuracy",
     "loss_value",
     "Module",

@@ -260,7 +260,7 @@ class FusedBackend(NumpyBackend):
     # atol<=1e-5 equivalence pin long before that.  For the same reason
     # the mean is NumPy's pairwise ``x.mean`` — the reference's own, so
     # xc is bit-identical to the reference's — and not a faster
-    # sequential sum.  ``moments`` (LayerNorm, ``accel.calibrate``)
+    # sequential sum.  ``moments`` (LayerNorm)
     # inherits the reference two-pass mean/var unchanged: reducing over
     # the last axis NumPy's pairwise reductions are already optimal.
     @staticmethod

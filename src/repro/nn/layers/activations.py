@@ -81,24 +81,3 @@ class Tanh(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         check_backward_cache(self._saved, self)
         return grad_out * (1.0 - self._saved**2)
-
-
-class GELU(Module):
-    """Gaussian error linear unit (tanh approximation), used by Transformer."""
-
-    _C = 0.7978845608028654  # sqrt(2/pi)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._saved = x if is_grad_enabled() else NO_GRAD
-        inner = self._C * (x + 0.044715 * x**3)
-        return 0.5 * x * (1.0 + np.tanh(inner))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._saved, self)
-        x = self._saved
-        inner = self._C * (x + 0.044715 * x**3)
-        tanh_inner = np.tanh(inner)
-        sech2 = 1.0 - tanh_inner**2
-        d_inner = self._C * (1.0 + 3 * 0.044715 * x**2)
-        grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-        return grad_out * grad

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -246,8 +246,3 @@ class Sequential(Module):
     def __repr__(self) -> str:
         inner = ", ".join(repr(layer) for layer in self.layers)
         return f"Sequential({inner})"
-
-
-def sequential_of(layers: Sequence[Module]) -> Sequential:
-    """Build a :class:`Sequential` from any sequence of modules."""
-    return Sequential(*layers)

@@ -1,7 +1,7 @@
 """Loss functions.
 
 Every loss is a callable returning ``(loss_value, grad_wrt_input)`` so
-trainers can feed the gradient straight into ``model.backward``.  Each
+the engine can feed the gradient straight into ``model.backward``.  Each
 also exposes ``value(prediction, target)`` computing only the scalar —
 the entry point for forward-only consumers (Phase-GP monitoring,
 ``engine.evaluate``) that would otherwise pay for a full-size gradient
@@ -82,103 +82,6 @@ class CrossEntropyLoss:
         grad[~valid] = 0.0
         grad /= count
         return loss, grad.reshape(orig_shape).astype(np.float32)
-
-
-class MSELoss:
-    """Mean squared error; used to train the gradient predictor."""
-
-    def value(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        if prediction.shape != target.shape:
-            raise ValueError(
-                f"prediction shape {prediction.shape} != target shape {target.shape}"
-            )
-        diff = prediction - target
-        return float(np.mean(diff**2))
-
-    def __call__(
-        self, prediction: np.ndarray, target: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        if prediction.shape != target.shape:
-            raise ValueError(
-                f"prediction shape {prediction.shape} != target shape {target.shape}"
-            )
-        diff = prediction - target
-        loss = float(np.mean(diff**2))
-        grad = (2.0 / diff.size) * diff
-        return loss, grad.astype(np.float32)
-
-
-class SmoothL1Loss:
-    """Huber-style loss used by the detection head."""
-
-    def __init__(self, beta: float = 1.0) -> None:
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        self.beta = beta
-
-    def value(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        if prediction.shape != target.shape:
-            raise ValueError(
-                f"prediction shape {prediction.shape} != target shape {target.shape}"
-            )
-        diff = prediction - target
-        abs_diff = np.abs(diff)
-        losses = np.where(
-            abs_diff < self.beta,
-            0.5 * diff**2 / self.beta,
-            abs_diff - 0.5 * self.beta,
-        )
-        return float(losses.mean())
-
-    def __call__(
-        self, prediction: np.ndarray, target: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        if prediction.shape != target.shape:
-            raise ValueError(
-                f"prediction shape {prediction.shape} != target shape {target.shape}"
-            )
-        diff = prediction - target
-        abs_diff = np.abs(diff)
-        quad = abs_diff < self.beta
-        losses = np.where(
-            quad, 0.5 * diff**2 / self.beta, abs_diff - 0.5 * self.beta
-        )
-        loss = float(losses.mean())
-        grad = np.where(quad, diff / self.beta, np.sign(diff)) / diff.size
-        return loss, grad.astype(np.float32)
-
-
-class BCEWithLogitsLoss:
-    """Sigmoid + binary cross entropy, numerically stable."""
-
-    def value(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        if logits.shape != targets.shape:
-            raise ValueError(
-                f"logits shape {logits.shape} != targets shape {targets.shape}"
-            )
-        losses = (
-            np.maximum(logits, 0.0)
-            - logits * targets
-            + np.log1p(np.exp(-np.abs(logits)))
-        )
-        return float(losses.mean())
-
-    def __call__(
-        self, logits: np.ndarray, targets: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        if logits.shape != targets.shape:
-            raise ValueError(
-                f"logits shape {logits.shape} != targets shape {targets.shape}"
-            )
-        # log(1 + exp(-|x|)) formulation avoids overflow.
-        losses = (
-            np.maximum(logits, 0.0)
-            - logits * targets
-            + np.log1p(np.exp(-np.abs(logits)))
-        )
-        loss = float(losses.mean())
-        grad = (F.sigmoid(logits) - targets) / logits.size
-        return loss, grad.astype(np.float32)
 
 
 def loss_value(loss_fn, outputs: np.ndarray, targets: np.ndarray) -> float:

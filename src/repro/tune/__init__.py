@@ -40,7 +40,6 @@ from .space import (
     Uniform,
     seed_for_trial,
     spawn_rngs,
-    spawn_seeds,
 )
 from .trial import (
     BASE_THRESHOLDS,
@@ -75,7 +74,6 @@ __all__ = [
     "SearchSpace",
     "seed_for_trial",
     "spawn_rngs",
-    "spawn_seeds",
     "BASE_THRESHOLDS",
     "TrialSpec",
     "TrialResult",

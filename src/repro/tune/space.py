@@ -135,19 +135,6 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in children]
 
 
-def spawn_seeds(seed: int, count: int) -> list[int]:
-    """JSON-safe per-trial seeds from the same spawning discipline.
-
-    Each is the first state word of a spawned child sequence, so trial
-    seeds inherit the non-collision property while remaining plain ints
-    a :class:`~repro.tune.trial.TrialSpec` can journal.  Seeds here are
-    keyed on *position*; prefer :func:`seed_for_trial` when a stable
-    trial id exists — id-keyed seeds survive re-batching.
-    """
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [int(child.generate_state(1, np.uint32)[0]) for child in children]
-
-
 def seed_for_trial(seed: int, trial_id: str) -> int:
     """JSON-safe training seed as a pure function of (root seed, trial id).
 

@@ -13,7 +13,6 @@ from repro.accel.dataflow import (
     layer_backward_cycles,
     layer_forward_cycles,
     rs_conv_cycles,
-    utilization,
 )
 from repro.models.specs import LayerKind, LayerSpec, SpecBuilder
 
@@ -101,13 +100,6 @@ class TestLayerCycles:
                        out_channels=10, out_h=1, out_w=1)
         with pytest.raises(ValueError):
             rs_conv_cycles(fc, 1, CFG)
-
-    def test_utilization_bounded(self):
-        spec = _conv_spec(in_ch=256, out_ch=256, size=14)
-        for flow in DataflowKind:
-            cfg = CFG.with_dataflow(flow)
-            u = utilization(spec, 32, cfg)
-            assert 0.0 < u <= 1.0
 
     def test_batch_scales_forward_work(self):
         spec = _conv_spec()

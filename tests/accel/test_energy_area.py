@@ -5,11 +5,8 @@ import pytest
 from repro.accel import (
     AdaGPDesign,
     Traffic,
-    area_overhead,
     asic_area,
     asic_power,
-    energy_saving,
-    equal_resource_pe_bonus,
     fpga_power,
     fpga_resources,
     traffic_energy,
@@ -67,18 +64,6 @@ class TestEnergy:
         e = traffic_energy(Traffic(dram_read=10**12, dram_write=0, sram=0))
         assert e.dram_joules == pytest.approx(50.0)
         assert e.total_joules == pytest.approx(50.0)
-
-    def test_energy_saving_in_paper_range(self):
-        """Paper: ~34% average memory-energy saving."""
-        savings = [
-            energy_saving(
-                spec_for(name, "ImageNet"), AdaGPDesign.EFFICIENT,
-                epochs=90, batches_per_epoch=20,
-            )
-            for name in ("VGG13", "ResNet50", "DenseNet121")
-        ]
-        mean = sum(savings) / len(savings)
-        assert 0.25 < mean < 0.45
 
     def test_baseline_uses_no_design(self):
         from repro.core import HeuristicSchedule
@@ -142,18 +127,15 @@ class TestAsicTables:
 
     def test_area_overheads_match_paper_percentages(self):
         """Paper: +1.7%, +2.6%, +8.3% total area."""
-        assert area_overhead(AdaGPDesign.LOW) == pytest.approx(0.017, abs=2e-3)
-        assert area_overhead(AdaGPDesign.EFFICIENT) == pytest.approx(0.026, abs=2e-3)
-        assert area_overhead(AdaGPDesign.MAX) == pytest.approx(0.083, abs=2e-3)
+        base = asic_area(None).total
+        for design, overhead in (
+            (AdaGPDesign.LOW, 0.017),
+            (AdaGPDesign.EFFICIENT, 0.026),
+            (AdaGPDesign.MAX, 0.083),
+        ):
+            assert asic_area(design).total / base - 1 == pytest.approx(overhead, abs=2e-3)
 
     def test_asic_power_magnitudes(self):
         base = asic_power(None)
         assert base.total == pytest.approx(2.24e5, rel=0.01)
         assert asic_power(AdaGPDesign.MAX).total > base.total
-
-    def test_equal_resource_bonus(self):
-        assert equal_resource_pe_bonus(AdaGPDesign.MAX, "fpga") == pytest.approx(0.10)
-        assert equal_resource_pe_bonus(AdaGPDesign.MAX, "asic") == pytest.approx(0.11)
-        assert 0 < equal_resource_pe_bonus(AdaGPDesign.LOW, "asic") < 0.11
-        with pytest.raises(ValueError):
-            equal_resource_pe_bonus(AdaGPDesign.MAX, "gpu")

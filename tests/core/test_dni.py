@@ -3,9 +3,8 @@
 import numpy as np
 
 from repro import nn
-from repro.accel import AcceleratorModel
-from repro.core import HeuristicSchedule, phase_counts
-from repro.core.dni import DNITrainer, dni_batch_cost_ratio
+from repro.accel import AcceleratorModel, AdaGPDesign
+from repro.core import HeuristicSchedule, dni_engine, phase_counts
 from repro.models import spec_for
 from repro.nn.losses import CrossEntropyLoss, accuracy
 
@@ -24,39 +23,39 @@ def _tiny_model(seed=0):
 
 class TestDNITrainer:
     def test_batch_updates_model_and_predictor(self):
-        trainer = DNITrainer(_tiny_model(), CrossEntropyLoss(), lr=0.05)
+        engine = dni_engine(_tiny_model(), CrossEntropyLoss(), lr=0.05)
         x = RNG.standard_normal((8, 3, 8, 8)).astype(np.float32)
         y = RNG.integers(0, 3, 8)
         weights_before = {
-            name: p.data.copy() for name, p in trainer.model.named_parameters()
+            name: p.data.copy() for name, p in engine.model.named_parameters()
         }
         predictor_before = [
-            p.data.copy() for p in trainer.predictor.network.parameters()
+            p.data.copy() for p in engine.predictor.network.parameters()
         ]
-        trainer.train_batch(x, y)
+        engine.train_batch(x, y)
         assert any(
             not np.array_equal(weights_before[name], p.data)
-            for name, p in trainer.model.named_parameters()
+            for name, p in engine.model.named_parameters()
         )
         assert any(
             not np.array_equal(b, a.data)
-            for b, a in zip(predictor_before, trainer.predictor.network.parameters())
+            for b, a in zip(predictor_before, engine.predictor.network.parameters())
         )
 
     def test_hooks_removed_after_batch(self):
-        trainer = DNITrainer(_tiny_model(), CrossEntropyLoss(), lr=0.05)
+        engine = dni_engine(_tiny_model(), CrossEntropyLoss(), lr=0.05)
         x = RNG.standard_normal((4, 3, 8, 8)).astype(np.float32)
-        trainer.train_batch(x, RNG.integers(0, 3, 4))
-        assert all(layer.forward_hook is None for layer in trainer.layers)
+        engine.train_batch(x, RNG.integers(0, 3, 4))
+        assert all(layer.forward_hook is None for layer in engine.layers)
 
     def test_still_learns(self):
         from repro.data import synthetic_images
 
         split = synthetic_images(3, 64, 32, image_size=8, seed=5)
-        trainer = DNITrainer(
+        engine = dni_engine(
             _tiny_model(seed=2), CrossEntropyLoss(), lr=0.05, metric_fn=accuracy
         )
-        history = trainer.fit(
+        history = engine.fit(
             lambda: split.train.batches(16, rng=np.random.default_rng(1)),
             lambda: split.val.batches(32, shuffle=False),
             epochs=8,
@@ -69,13 +68,12 @@ class TestDNICostArgument:
         """Paper §2: DNI keeps (and inflates) the backprop step."""
         spec = spec_for("VGG13", "Cifar10")
         accelerator = AcceleratorModel()
-        assert dni_batch_cost_ratio(spec, accelerator) > 1.0
+        dni = accelerator.phase_bp_batch(spec, 32, AdaGPDesign.EFFICIENT).cycles
+        assert dni / accelerator.baseline_batch(spec, 32).cycles > 1.0
 
     def test_adagp_training_beats_dni_training(self):
         """End-to-end: ADA-GP's phase mix is faster than DNI's constant
         BP+predictor cost — the paper's core §2 differentiation."""
-        from repro.accel import AdaGPDesign
-
         spec = spec_for("VGG13", "Cifar10")
         accelerator = AcceleratorModel()
         epochs, batches = 30, 20

@@ -6,12 +6,9 @@ import pytest
 
 from repro import nn
 from repro.core import (
-    AdaGPTrainer,
     AdaptiveSchedule,
     BackpropStrategy,
-    BPTrainer,
     Checkpointing,
-    DNITrainer,
     EarlyStopping,
     HeuristicSchedule,
     LambdaCallback,
@@ -70,12 +67,12 @@ class TestUnification:
 
     def test_every_trainer_shim_wraps_an_engine(self):
         model_args = (CrossEntropyLoss(),)
-        for trainer in (
-            BPTrainer(_tiny_model(), *model_args),
-            AdaGPTrainer(_tiny_model(), *model_args),
-            DNITrainer(_tiny_model(), *model_args),
+        for engine in (
+            bp_engine(_tiny_model(), *model_args),
+            adagp_engine(_tiny_model(), *model_args),
+            dni_engine(_tiny_model(), *model_args),
         ):
-            assert isinstance(trainer.engine, TrainingEngine)
+            assert isinstance(engine, TrainingEngine)
 
     def test_factories_share_the_fit_loop(self):
         engines = [
@@ -98,8 +95,8 @@ class TestUnification:
 
     def test_bp_trainer_shim_inherits_true_counts(self):
         split = _tiny_split()
-        trainer = BPTrainer(_tiny_model(), CrossEntropyLoss(), lr=0.05)
-        history = trainer.fit(_train_fn(split), _val_fn(split), epochs=2)
+        engine = bp_engine(_tiny_model(), CrossEntropyLoss(), lr=0.05)
+        history = engine.fit(_train_fn(split), _val_fn(split), epochs=2)
         assert all(count >= 0 for count in history.bp_batches)
         assert history.bp_batches == [3, 3]
 

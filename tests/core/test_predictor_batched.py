@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import AdaGPTrainer, GradientPredictor, HeuristicSchedule
+from repro.core import GradientPredictor, HeuristicSchedule, adagp_engine
 from repro.data import synthetic_images
 from repro.nn.losses import CrossEntropyLoss
 
@@ -188,19 +188,19 @@ class TestTrainStepManyEquivalence:
 
 
 class TestTrainerPaths:
-    """Both predictor paths work end-to-end through the trainer shim."""
+    """Both predictor paths work end-to-end through the engine."""
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_fit_collects_errors_either_way(self, batched):
         split = synthetic_images(3, 48, 24, image_size=8, seed=3)
-        trainer = AdaGPTrainer(
+        engine = adagp_engine(
             _model(seed=2),
             CrossEntropyLoss(),
             lr=0.05,
             schedule=HeuristicSchedule(warmup_epochs=1, ladder=((1, (2, 1)),)),
             batched_predictor=batched,
         )
-        history = trainer.fit(
+        history = engine.fit(
             lambda: split.train.batches(16, rng=np.random.default_rng(0)),
             lambda: split.val.batches(24, shuffle=False),
             epochs=2,

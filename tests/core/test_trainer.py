@@ -1,10 +1,10 @@
-"""Tests for the BP and ADA-GP trainers (§3.3, §3.4)."""
+"""Tests for the BP and ADA-GP engines (§3.3, §3.4)."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import AdaGPTrainer, BPTrainer, HeuristicSchedule, Phase
+from repro.core import HeuristicSchedule, Phase, adagp_engine, bp_engine
 from repro.data import synthetic_images
 from repro.nn.losses import CrossEntropyLoss, accuracy
 
@@ -31,20 +31,20 @@ def _tiny_split(seed=0):
 class TestBPTrainer:
     def test_single_batch_reduces_loss_over_steps(self):
         model = _tiny_model()
-        trainer = BPTrainer(model, CrossEntropyLoss(), lr=0.05)
+        engine = bp_engine(model, CrossEntropyLoss(), lr=0.05)
         x = RNG.standard_normal((16, 3, 8, 8)).astype(np.float32)
         y = RNG.integers(0, 3, 16)
-        first = trainer.train_batch(x, y)
+        first = engine.train_batch(x, y).loss
         for _ in range(30):
-            last = trainer.train_batch(x, y)
+            last = engine.train_batch(x, y).loss
         assert last < first
 
     def test_fit_records_history(self):
         split = _tiny_split()
-        trainer = BPTrainer(
+        engine = bp_engine(
             _tiny_model(), CrossEntropyLoss(), lr=0.05, metric_fn=accuracy
         )
-        history = trainer.fit(
+        history = engine.fit(
             lambda: split.train.batches(16, rng=np.random.default_rng(0)),
             lambda: split.val.batches(24, shuffle=False),
             epochs=3,
@@ -54,22 +54,22 @@ class TestBPTrainer:
 
     def test_evaluate_does_not_change_weights(self):
         split = _tiny_split()
-        trainer = BPTrainer(_tiny_model(), CrossEntropyLoss(), metric_fn=accuracy)
-        before = trainer.model.state_dict()
-        trainer.evaluate(split.val.batches(24, shuffle=False))
-        after = trainer.model.state_dict()
+        engine = bp_engine(_tiny_model(), CrossEntropyLoss(), metric_fn=accuracy)
+        before = engine.model.state_dict()
+        engine.evaluate(split.val.batches(24, shuffle=False))
+        after = engine.model.state_dict()
         for key in before:
             np.testing.assert_array_equal(before[key], after[key])
 
     def test_empty_epoch_rejected(self):
-        trainer = BPTrainer(_tiny_model(), CrossEntropyLoss())
+        engine = bp_engine(_tiny_model(), CrossEntropyLoss())
         with pytest.raises(ValueError):
-            trainer.train_epoch([])
+            engine.train_epoch([])
 
 
 class TestAdaGPTrainer:
-    def _trainer(self, schedule=None, seed=0, **kwargs):
-        return AdaGPTrainer(
+    def _engine(self, schedule=None, seed=0, **kwargs):
+        return adagp_engine(
             _tiny_model(seed),
             CrossEntropyLoss(),
             lr=0.05,
@@ -81,45 +81,45 @@ class TestAdaGPTrainer:
 
     def test_requires_predictable_layers(self):
         with pytest.raises(ValueError):
-            AdaGPTrainer(nn.Sequential(nn.ReLU()), CrossEntropyLoss())
+            adagp_engine(nn.Sequential(nn.ReLU()), CrossEntropyLoss())
 
     def test_gp_batch_skips_backward_but_updates_weights(self):
-        trainer = self._trainer()
+        engine = self._engine()
         x = RNG.standard_normal((8, 3, 8, 8)).astype(np.float32)
         y = RNG.integers(0, 3, 8)
-        trainer.train_batch_bp(x, y)  # give predictor a scale estimate
+        engine.train_batch(x, y, Phase.BP)  # give predictor a scale estimate
         before = {
-            name: p.data.copy() for name, p in trainer.model.named_parameters()
+            name: p.data.copy() for name, p in engine.model.named_parameters()
         }
-        trainer.optimizer.zero_grad()
-        trainer.train_batch_gp(x, y)
+        engine.optimizer.zero_grad()
+        engine.train_batch(x, y, Phase.GP)
         # No gradients were accumulated (backprop skipped)...
-        conv = trainer.layers[0]
+        conv = engine.layers[0]
         assert conv.weight.grad is None
         # ...yet predictable weights moved (predicted updates applied).
         changed = any(
             not np.array_equal(before[name], p.data)
-            for name, p in trainer.model.named_parameters()
+            for name, p in engine.model.named_parameters()
             if name.endswith("weight")
         )
         assert changed
 
     def test_gp_hooks_are_removed_after_batch(self):
-        trainer = self._trainer()
+        engine = self._engine()
         x = RNG.standard_normal((4, 3, 8, 8)).astype(np.float32)
         y = RNG.integers(0, 3, 4)
-        trainer.train_batch_gp(x, y)
-        assert all(layer.forward_hook is None for layer in trainer.layers)
+        engine.train_batch(x, y, Phase.GP)
+        assert all(layer.forward_hook is None for layer in engine.layers)
 
     def test_bp_batch_trains_predictor(self):
-        trainer = self._trainer()
+        engine = self._engine()
         x = RNG.standard_normal((8, 3, 8, 8)).astype(np.float32)
         y = RNG.integers(0, 3, 8)
         params_before = [
-            p.data.copy() for p in trainer.predictor.network.parameters()
+            p.data.copy() for p in engine.predictor.network.parameters()
         ]
-        trainer.train_batch_bp(x, y)
-        params_after = list(trainer.predictor.network.parameters())
+        engine.train_batch(x, y, Phase.BP)
+        params_after = list(engine.predictor.network.parameters())
         moved = any(
             not np.array_equal(b, a.data)
             for b, a in zip(params_before, params_after)
@@ -128,20 +128,20 @@ class TestAdaGPTrainer:
 
     def test_epoch_phase_accounting(self):
         split = _tiny_split()
-        trainer = self._trainer(
+        engine = self._engine(
             schedule=HeuristicSchedule(warmup_epochs=0, ladder=((10, (2, 1)),))
         )
-        stats = trainer.train_epoch(
+        stats = engine.train_epoch(
             split.train.batches(16, rng=np.random.default_rng(0)), epoch=0
         )
-        counts = stats["counts"]
+        counts = stats.counts
         assert counts[Phase.GP] == 2
         assert counts[Phase.BP] == 1
 
     def test_fit_collects_predictor_errors(self):
         split = _tiny_split()
-        trainer = self._trainer()
-        history = trainer.fit(
+        engine = self._engine()
+        history = engine.fit(
             lambda: split.train.batches(16, rng=np.random.default_rng(0)),
             lambda: split.val.batches(24, shuffle=False),
             epochs=2,
@@ -160,7 +160,7 @@ class TestAdaGPTrainer:
                 super().apply_gradient(param, grad)
 
         model = _tiny_model()
-        trainer = AdaGPTrainer(
+        engine = adagp_engine(
             model,
             CrossEntropyLoss(),
             lr=0.05,
@@ -169,7 +169,7 @@ class TestAdaGPTrainer:
         )
         x = RNG.standard_normal((4, 3, 8, 8)).astype(np.float32)
         y = RNG.integers(0, 3, 4)
-        trainer.train_batch_gp(x, y)
+        engine.train_batch(x, y, Phase.GP)
         # weight + bias for each of the three predictable layers
         assert len(gp_moves) == 6
 
@@ -178,18 +178,18 @@ class TestAdaGPTrainer:
 
         schedule = AdaptiveSchedule(warmup_epochs=0)
         model = _tiny_model()
-        trainer = AdaGPTrainer(
+        engine = adagp_engine(
             model, CrossEntropyLoss(), lr=0.05, schedule=schedule
         )
         x = RNG.standard_normal((4, 3, 8, 8)).astype(np.float32)
         y = RNG.integers(0, 3, 4)
-        trainer.train_batch_bp(x, y)
+        engine.train_batch(x, y, Phase.BP)
         assert schedule._recent_mape != float("inf")
 
     def test_evaluate_runs_without_hooks(self):
         split = _tiny_split()
-        trainer = self._trainer()
-        loss, metric = trainer.evaluate(split.val.batches(24, shuffle=False))
+        engine = self._engine()
+        loss, metric = engine.evaluate(split.val.batches(24, shuffle=False))
         assert np.isfinite(loss)
         assert np.isfinite(metric)
 
@@ -208,17 +208,17 @@ class TestBpVsAdaGpIntegration:
         def fit(use_adagp):
             model = _tiny_model(seed=3)
             if use_adagp:
-                trainer = AdaGPTrainer(
+                engine = adagp_engine(
                     model, CrossEntropyLoss(), lr=0.05, metric_fn=accuracy,
                     schedule=HeuristicSchedule(
                         warmup_epochs=4, ladder=((4, (2, 1)),), final_ratio=(1, 1)
                     ),
                 )
             else:
-                trainer = BPTrainer(
+                engine = bp_engine(
                     model, CrossEntropyLoss(), lr=0.05, metric_fn=accuracy
                 )
-            history = trainer.fit(
+            history = engine.fit(
                 lambda: split.train.batches(8, rng=np.random.default_rng(1)),
                 lambda: split.val.batches(48, shuffle=False),
                 epochs=14,

@@ -54,7 +54,6 @@ def _layer_cases():
         ("relu6", lambda: nn.ReLU6(), (4, 6)),
         ("sigmoid", lambda: nn.Sigmoid(), (4, 6)),
         ("tanh", lambda: nn.Tanh(), (4, 6)),
-        ("gelu", lambda: nn.GELU(), (4, 6)),
         ("dropout", lambda: nn.Dropout(0.4, rng=np.random.default_rng(4)), (16, 12)),
         ("attention", lambda: nn.MultiHeadAttention(8, 2, rng=np.random.default_rng(5)), (2, 5, 8)),
     ]

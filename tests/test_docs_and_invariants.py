@@ -13,6 +13,11 @@ from repro.core import HeuristicSchedule
 from repro.models import CLASSIFICATION_MODELS, spec_for
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+#: One reason for every census entry DNI owns: it is kept or cut whole.
+DNI_BASELINE = (
+    "the §2 baseline; its only runner is tests/core/test_dni.py, "
+    "and the next census decides DNI as a unit"
+)
 
 
 class TestDocs:
@@ -174,7 +179,6 @@ class TestOneCycleTable:
         # partition.probe_layer_costs prices live modules, not specs.
         assert self._callers("layer_forward_cycles", "layer_backward_cycles") == {
             ("accel/adagp.py", "AcceleratorModel.layer_costs"),
-            ("accel/dataflow.py", "utilization"),
             ("pipeline/partition.py", "probe_layer_costs"),
         }
 
@@ -211,8 +215,18 @@ class TestOptionsCensus:
     EXEMPT = {
         "pipeline_adagp_engine.batched_predictor": (
             "sets the strategy's and the inner factory's flag together; "
-            "per-layer predictor updates are the pre-engine oracle"
+            "the per-layer predictor update is the batched path's oracle"
         ),
+        "adagp_engine.predictor": (
+            "test seam: tests inject a seeded predictor to compare engines bitwise"
+        ),
+        **{
+            f"dni_engine.{name}": DNI_BASELINE
+            for name in (
+                "optimizer", "predictor", "lr", "predictor_lr",
+                "synthetic_lr_scale", "metric_fn",
+            )
+        },
         "dni_engine.plateau_scheduler": (
             "mirrors adagp_engine's switch, which bench/ selects; no DNI caller turns it off"
         ),

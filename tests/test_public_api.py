@@ -7,8 +7,6 @@ from repro import (
     AcceleratorConfig,
     AcceleratorModel,
     AdaGPDesign,
-    AdaGPTrainer,
-    BPTrainer,
     DataflowKind,
     GradientPredictor,
     HeuristicSchedule,
@@ -17,6 +15,8 @@ from repro import (
     PipelineKind,
     build_mini,
     pipeline_speedup,
+    adagp_engine,
+    bp_engine,
     spec_for,
 )
 
@@ -37,11 +37,11 @@ def test_readme_flow():
 
     split = preset_split("Cifar10", num_train=48, num_val=24)
     model = build_mini("VGG13", 10, rng=np.random.default_rng(0))
-    trainer = AdaGPTrainer(
+    engine = adagp_engine(
         model, CrossEntropyLoss(), lr=0.02, metric_fn=accuracy,
         schedule=HeuristicSchedule(warmup_epochs=1, ladder=((1, (2, 1)),)),
     )
-    history = trainer.fit(
+    history = engine.fit(
         lambda: split.train.batches(16, rng=np.random.default_rng(1)),
         lambda: split.val.batches(24, shuffle=False),
         epochs=2,
@@ -80,5 +80,5 @@ def test_bp_trainer_importable():
     from repro.nn.losses import CrossEntropyLoss
 
     model = build_mini("VGG13", 10, rng=np.random.default_rng(0))
-    trainer = BPTrainer(model, CrossEntropyLoss())
-    assert trainer.optimizer is not None
+    engine = bp_engine(model, CrossEntropyLoss())
+    assert engine.optimizer is not None

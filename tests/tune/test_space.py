@@ -11,7 +11,6 @@ from repro.tune import (
     SearchSpace,
     Uniform,
     spawn_rngs,
-    spawn_seeds,
 )
 
 
@@ -139,12 +138,6 @@ class TestSpawnedStreams:
         arithmetic, which collides across overlapping searches."""
         draws = [tuple(rng.integers(1 << 30, size=4)) for rng in spawn_rngs(0, 64)]
         assert len(set(draws)) == 64
-
-    def test_spawn_seeds_json_safe_and_distinct(self):
-        seeds = spawn_seeds(5, 64)
-        assert all(isinstance(s, int) for s in seeds)
-        assert len(set(seeds)) == 64
-        assert seeds == spawn_seeds(5, 64)
 
     def test_spawn_rejects_negative_count(self):
         with pytest.raises(ValueError):

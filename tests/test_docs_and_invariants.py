@@ -1,8 +1,10 @@
 """Documentation consistency + cross-module property tests."""
 
 import ast
+import importlib
 import pathlib
 import re
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -286,4 +288,87 @@ class TestOptionsCensus:
             "selected by nothing outside tests (delete the parameter and "
             f"its code path): {sorted(unselected - set(self.EXEMPT))}; "
             f"stale exemptions: {sorted(set(self.EXEMPT) - unselected)}"
+        )
+
+
+class TestExportCensus:
+    """A public name earns its keep by being used: every name in a
+    ``repro.*`` ``__all__`` is loaded, as an identifier or an attribute,
+    somewhere other than a test.  Deliberately name-based (no import
+    resolution): an import line, an ``__all__`` string or the name's own
+    ``def`` / ``class`` is not a load, so none of them counts as a use.
+    Submodules are exempt by rule."""
+
+    #: Unused outside tests but kept — the agenda for the next census.
+    EXEMPT = {
+        "mean_squared_error": (
+            "reference implementation of the per-layer MSE the predictor "
+            "computes in place (Fig 15)"
+        ),
+        "mean_absolute_percentage_error": (
+            "reference implementation of the per-layer MAPE the predictor "
+            "computes in place (Fig 15)"
+        ),
+        "reference_translation": (
+            "reference implementation of the rule synthetic_translation applies"
+        ),
+        "Checkpointing": "callback a user hands to fit via a factory's callbacks=",
+        "EarlyStopping": "callback a user hands to fit via a factory's callbacks=",
+        "LambdaCallback": "callback a user hands to fit via a factory's callbacks=",
+        "Dropout": "layer for a user's own model; the zoo's minis train without it",
+        "LeakyReLU": "activation for a user's own model; the zoo uses ReLU and ReLU6",
+        "Choice": "search-space domain a user composes a SearchSpace from",
+        "Uniform": "search-space domain a user composes a SearchSpace from",
+        "SuccessiveHalving": "search strategy a user hands to SearchRunner",
+        "PHASES": "the span-phase vocabulary a user filters a trace by",
+        "chaos": "one-call fault-injecting transport for a user's recovery drills",
+        "set_registry": "isolates one run's counters in a fresh global registry",
+        "dni_engine": DNI_BASELINE,
+    }
+
+    @staticmethod
+    def _exports():
+        """``{name: [module, ...]}`` over every ``repro`` module whose
+        body assigns ``__all__``, read after import so a computed list
+        (``repro.nn``'s) counts too; submodules are left out."""
+        src = REPO / "src"
+        exports = {}
+        for path in sorted((src / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            if not any(
+                isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                for node in tree.body
+            ):
+                continue
+            parts = path.relative_to(src).with_suffix("").parts
+            module = importlib.import_module(
+                ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            )
+            for name in module.__all__:
+                if not isinstance(getattr(module, name), types.ModuleType):
+                    exports.setdefault(name, []).append(module.__name__)
+        return exports
+
+    def test_every_public_name_is_used_outside_tests(self):
+        loaded = set()
+        for root in ("src", "examples", "benchmarks", "bench"):
+            for path in (REPO / root).rglob("*.py"):
+                if path.name.startswith("test_"):
+                    continue
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        loaded.add(node.id)
+                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                        loaded.add(node.attr)
+
+        exports = self._exports()
+        unused = set(exports) - loaded
+        for name, reason in sorted(self.EXEMPT.items()):
+            print(f"exempt {name}: {reason}")
+        assert all(reason.strip() for reason in self.EXEMPT.values())
+        assert unused == set(self.EXEMPT), (
+            "used by nothing outside tests (delete it, or give it a caller): "
+            f"{sorted(f'{exports[n][0]}.{n}' for n in unused - set(self.EXEMPT))}; "
+            f"stale exemptions: {sorted(set(self.EXEMPT) - unused)}"
         )

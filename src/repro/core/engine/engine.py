@@ -202,21 +202,26 @@ class TrainingEngine:
         loss: evaluation can never backpropagate, so no layer retains a
         backward cache and (in eval mode) the backend's fold pipeline
         applies — conv+BN(+ReLU), BN+ReLU and linear+activation each
-        run as one op.
+        run as one op.  The model is back in train mode on return, even
+        when a forward raises; no batches at all is a ``ValueError``.
         """
         self.model.eval()
         self.clear_hooks()
         losses: list[float] = []
         metrics: list[float] = []
-        with _obs_tracer().span("engine.evaluate", phase=EVAL), phase_scope(
-            EVAL
-        ), backend_scope(self.backend), nn.no_grad():
-            for inputs, targets in batches:
-                outputs = self.model(inputs)
-                losses.append(nn.loss_value(self.loss_fn, outputs, targets))
-                if self.metric_fn is not None:
-                    metrics.append(self.metric_fn(outputs, targets))
-        self.model.train()
+        try:
+            with _obs_tracer().span("engine.evaluate", phase=EVAL), phase_scope(
+                EVAL
+            ), backend_scope(self.backend), nn.no_grad():
+                for inputs, targets in batches:
+                    outputs = self.model(inputs)
+                    losses.append(nn.loss_value(self.loss_fn, outputs, targets))
+                    if self.metric_fn is not None:
+                        metrics.append(self.metric_fn(outputs, targets))
+        finally:
+            self.model.train()
+        if not losses:
+            raise ValueError("evaluate received no batches")
         mean_metric = float(np.mean(metrics)) if metrics else float("nan")
         return float(np.mean(losses)), mean_metric
 

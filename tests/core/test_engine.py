@@ -20,6 +20,7 @@ from repro.core import (
     dni_engine,
 )
 from repro.data import synthetic_images
+from repro.models import build_mini
 from repro.nn.losses import CrossEntropyLoss, accuracy
 
 RNG = np.random.default_rng(53)
@@ -125,6 +126,19 @@ class TestUnification:
         engine = bp_engine(_tiny_model(), CrossEntropyLoss())
         with pytest.raises(ValueError):
             engine.train_epoch([])
+
+    def test_empty_evaluation_rejected(self):
+        """No batches is an error, not a nan handed to ReduceLROnPlateau."""
+        engine = bp_engine(build_mini("ResNet50", 10, rng=RNG), CrossEntropyLoss())
+        with pytest.raises(ValueError, match="evaluate received no batches"):
+            engine.evaluate([])
+
+    def test_failed_evaluation_restores_train_mode(self):
+        engine = bp_engine(build_mini("ResNet50", 10, rng=RNG), CrossEntropyLoss())
+        wrong_channels = np.zeros((2, 5, 16, 16), dtype=np.float32)
+        with pytest.raises(ValueError):
+            engine.evaluate([(wrong_channels, np.zeros(2, dtype=np.int64))])
+        assert engine.model.training
 
 
 class TestCallbacks:

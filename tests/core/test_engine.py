@@ -129,12 +129,14 @@ class TestUnification:
 
     def test_empty_evaluation_rejected(self):
         """No batches is an error, not a nan handed to ReduceLROnPlateau."""
-        engine = bp_engine(build_mini("ResNet50", 10, rng=RNG), CrossEntropyLoss())
+        model = build_mini("ResNet50", 10, rng=np.random.default_rng(0))
+        engine = bp_engine(model, CrossEntropyLoss())
         with pytest.raises(ValueError, match="evaluate received no batches"):
             engine.evaluate([])
 
     def test_failed_evaluation_restores_train_mode(self):
-        engine = bp_engine(build_mini("ResNet50", 10, rng=RNG), CrossEntropyLoss())
+        model = build_mini("ResNet50", 10, rng=np.random.default_rng(0))
+        engine = bp_engine(model, CrossEntropyLoss())
         wrong_channels = np.zeros((2, 5, 16, 16), dtype=np.float32)
         with pytest.raises(ValueError):
             engine.evaluate([(wrong_channels, np.zeros(2, dtype=np.int64))])

@@ -17,8 +17,8 @@ from repro.models import CLASSIFICATION_MODELS, spec_for
 REPO = pathlib.Path(__file__).resolve().parent.parent
 #: One reason for every census entry DNI owns: it is kept or cut whole.
 DNI_BASELINE = (
-    "the §2 baseline; its only runner is tests/core/test_dni.py, "
-    "and the next census decides DNI as a unit"
+    "the §2 baseline, run only by tests (tests/core/test_dni.py checks the "
+    "§2 claims); the next census decides DNI as a unit"
 )
 
 
@@ -217,7 +217,7 @@ class TestOptionsCensus:
     EXEMPT = {
         "pipeline_adagp_engine.batched_predictor": (
             "sets the strategy's and the inner factory's flag together; "
-            "the per-layer predictor update is the batched path's oracle"
+            "per-layer predictor training is the reference tests hold the batched path to"
         ),
         "adagp_engine.predictor": (
             "test seam: tests inject a seeded predictor to compare engines bitwise"

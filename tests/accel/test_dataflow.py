@@ -101,6 +101,15 @@ class TestLayerCycles:
         with pytest.raises(ValueError):
             rs_conv_cycles(fc, 1, CFG)
 
+    def test_utilization_bounded(self):
+        """Achieved MACs/cycle over peak: no dataflow beats the array."""
+        spec = _conv_spec(in_ch=256, out_ch=256, size=14)
+        for flow in DataflowKind:
+            cfg = CFG.with_dataflow(flow)
+            cycles = layer_forward_cycles(spec, 32, cfg)
+            u = spec.macs_forward(32) / (cycles * cfg.num_pes)
+            assert 0.0 < u <= 1.0
+
     def test_batch_scales_forward_work(self):
         spec = _conv_spec()
         one = layer_forward_cycles(spec, 1, CFG)

@@ -18,6 +18,7 @@ from repro.accel.memory import (
     layer_gp_update_traffic,
 )
 from repro.accel.config import AcceleratorConfig
+from repro.experiments import table4_5_hardware
 from repro.models import spec_for
 from repro.models.specs import SpecBuilder
 
@@ -64,6 +65,19 @@ class TestEnergy:
         e = traffic_energy(Traffic(dram_read=10**12, dram_write=0, sram=0))
         assert e.dram_joules == pytest.approx(50.0)
         assert e.total_joules == pytest.approx(50.0)
+
+    def test_energy_saving_in_paper_range(self):
+        """Paper: ~34% average memory-energy saving."""
+        savings = []
+        for name in ("VGG13", "ResNet50", "DenseNet121"):
+            spec = spec_for(name, "ImageNet")
+            base, ada = (
+                training_energy(spec, design, epochs=90, batches_per_epoch=20).total_joules
+                for design in (None, AdaGPDesign.EFFICIENT)
+            )
+            savings.append(1.0 - ada / base)
+        mean = sum(savings) / len(savings)
+        assert 0.25 < mean < 0.45
 
     def test_baseline_uses_no_design(self):
         from repro.core import HeuristicSchedule
@@ -139,3 +153,15 @@ class TestAsicTables:
         base = asic_power(None)
         assert base.total == pytest.approx(2.24e5, rel=0.01)
         assert asic_power(AdaGPDesign.MAX).total > base.total
+
+    def test_equal_resource_bonus(self):
+        """§6.6.1: the PEs ADA-GP-MAX's power (+10%, FPGA) or area (+11%,
+        ASIC) would buy the baseline gain it far less than ADA-GP-MAX."""
+        fpga, asic = (
+            table4_5_hardware.run_equal_resource_study(
+                bonus, datasets=["Cifar10"], epochs=30, batches_per_epoch=10
+            )[0]
+            for bonus in (0.10, 0.11)
+        )
+        assert 0 < fpga.baseline_gain <= asic.baseline_gain
+        assert asic.adagp_max_gain > 2 * asic.baseline_gain

@@ -1,11 +1,12 @@
 """Tests for the DNI baseline and the paper's §2 cost argument."""
 
 import numpy as np
+import pytest
 
 from repro import nn
 from repro.accel import AcceleratorModel, AdaGPDesign
 from repro.core import HeuristicSchedule, dni_engine, phase_counts
-from repro.models import spec_for
+from repro.models import CLASSIFICATION_MODELS, spec_for
 from repro.nn.losses import CrossEntropyLoss, accuracy
 
 RNG = np.random.default_rng(41)
@@ -70,6 +71,15 @@ class TestDNICostArgument:
         accelerator = AcceleratorModel()
         dni = accelerator.phase_bp_batch(spec, 32, AdaGPDesign.EFFICIENT).cycles
         assert dni / accelerator.baseline_batch(spec, 32).cycles > 1.0
+
+    @pytest.mark.parametrize("model", CLASSIFICATION_MODELS)
+    def test_every_model_pays_bp_plus_predictor(self, model):
+        """DNI's batch is the Efficient Phase-BP batch — the full backprop
+        step plus predictor training — so it never undercuts BP."""
+        spec = spec_for(model, "Cifar10")
+        accelerator = AcceleratorModel()
+        dni = accelerator.phase_bp_batch(spec, 32, AdaGPDesign.EFFICIENT).cycles
+        assert dni > accelerator.baseline_batch(spec, 32).cycles
 
     def test_adagp_training_beats_dni_training(self):
         """End-to-end: ADA-GP's phase mix is faster than DNI's constant

@@ -18,12 +18,15 @@ from repro.core import (
     adagp_engine,
     bp_engine,
     dni_engine,
+    pipeline_adagp_engine,
 )
 from repro.data import synthetic_images
 from repro.models import build_mini
 from repro.nn.losses import CrossEntropyLoss, accuracy
 
 RNG = np.random.default_rng(53)
+FACTORIES = (bp_engine, adagp_engine, dni_engine, pipeline_adagp_engine)
+FACTORY_IDS = ("bp", "adagp", "dni", "pipeline_adagp")
 
 
 def _tiny_model(seed=0):
@@ -127,20 +130,46 @@ class TestUnification:
         with pytest.raises(ValueError):
             engine.train_epoch([])
 
-    def test_empty_evaluation_rejected(self):
+    @pytest.mark.parametrize("factory", FACTORIES, ids=FACTORY_IDS)
+    def test_empty_evaluation_rejected(self, factory):
         """No batches is an error, not a nan handed to ReduceLROnPlateau."""
         model = build_mini("ResNet50", 10, rng=np.random.default_rng(0))
-        engine = bp_engine(model, CrossEntropyLoss())
+        engine = factory(model, CrossEntropyLoss())
         with pytest.raises(ValueError, match="evaluate received no batches"):
             engine.evaluate([])
+        assert engine.model.training
 
-    def test_failed_evaluation_restores_train_mode(self):
+    @pytest.mark.parametrize("factory", FACTORIES, ids=FACTORY_IDS)
+    def test_failed_evaluation_restores_train_mode(self, factory):
         model = build_mini("ResNet50", 10, rng=np.random.default_rng(0))
-        engine = bp_engine(model, CrossEntropyLoss())
+        engine = factory(model, CrossEntropyLoss())
         wrong_channels = np.zeros((2, 5, 16, 16), dtype=np.float32)
         with pytest.raises(ValueError):
             engine.evaluate([(wrong_channels, np.zeros(2, dtype=np.int64))])
         assert engine.model.training
+
+    def test_fit_rejects_empty_validation(self):
+        """fit stops on an empty validation set before the plateau
+        scheduler could see a nan loss, and leaves the lr untouched."""
+        split = _tiny_split()
+        engine = bp_engine(_tiny_model(), CrossEntropyLoss(), lr=0.05)
+        with pytest.raises(ValueError, match="evaluate received no batches"):
+            engine.fit(_train_fn(split), lambda: iter(()), epochs=1)
+        assert engine.optimizer.lr == 0.05
+        assert engine.lr_scheduler.best is None
+
+    def test_predictor_lr_decays_at_epochs_20_and_40(self):
+        """adagp_engine's predictor schedule is fixed at the paper's
+        milestones; no factory keyword moves them."""
+        engine = _adagp()
+        scheduler = engine.predictor_scheduler
+        drops = []
+        for _ in range(45):
+            lr = engine.predictor.optimizer.lr
+            scheduler.step()
+            if engine.predictor.optimizer.lr < lr:
+                drops.append(scheduler.last_epoch)
+        assert drops == [20, 40]
 
 
 class TestCallbacks:

@@ -1,5 +1,7 @@
 """Tests for search-space primitives: domains, grids, spawned rngs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,17 @@ class TestSpawnedStreams:
         arithmetic, which collides across overlapping searches."""
         draws = [tuple(rng.integers(1 << 30, size=4)) for rng in spawn_rngs(0, 64)]
         assert len(set(draws)) == 64
+
+    def test_spawn_seeds_json_safe_and_distinct(self):
+        """The per-trial seeds a search journals are plain, distinct ints."""
+        from repro.tune import draw_trials
+
+        space = SearchSpace({"lr": Uniform(0.01, 0.1)})
+        seeds = [seed for _, seed in draw_trials(space, seed=5, count=64)]
+        assert all(type(s) is int for s in seeds)
+        assert json.loads(json.dumps(seeds)) == seeds
+        assert len(set(seeds)) == 64
+        assert seeds == [seed for _, seed in draw_trials(space, seed=5, count=64)]
 
     def test_spawn_rejects_negative_count(self):
         with pytest.raises(ValueError):

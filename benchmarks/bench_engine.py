@@ -4,10 +4,11 @@ Three measurements seed the perf trajectory of the engine refactor, all
 recorded into ``BENCH_engine.json`` for cross-PR tracking:
 
 1. **Batched vs per-layer predictor updates** — the BP-phase hot path.
-   Both are entry points of the same two-GEMM path (DESIGN.md §4);
-   ``GradientPredictor.train_step_many`` stacks all layers' pooled
-   activations into one forward/backward and one Adam step where the
-   per-layer loop pays 18 of each plus 18 dense-operator rebuilds.  On
+   Both are entry points of the same dense path (DESIGN.md §4): a
+   first GEMM over the stacked planes and one head GEMM per row-width
+   bucket.  ``GradientPredictor.train_step_many`` runs all layers
+   through one forward/backward and one Adam step where the per-layer
+   loop pays 18 of each plus 18 dense-operator rebuilds.  On
    a ResNet-style spec (18 predictable layers) it must be >= 1.5x
    faster (typically ~3x here).
 2. **BP-phase vs GP-phase batches/sec** through the engine — Phase GP

@@ -233,7 +233,12 @@ class Checkpointing(Callback):
     rolling "latest" checkpoint.  Restore with
     :meth:`TrainingEngine.load_checkpoint`, then keep calling ``fit`` for
     the remaining epochs — the resumed run reproduces the original
-    History exactly (see ``tests/core/test_engine.py``).
+    History exactly (see ``tests/core/test_engine.py``).  Callbacks run
+    in list order, so attach this one after every stateful callback
+    (``EarlyStopping``): placed before it, the file carries that
+    callback's state from before the epoch it closes, and a run resumed
+    from it can stop on a different epoch
+    (``examples/checkpoint_early_stop.py``).
     """
 
     def __init__(self, path: str, every: int = 1) -> None:

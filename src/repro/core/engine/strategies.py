@@ -44,6 +44,7 @@ import numpy as np
 from ...nn.losses import loss_value
 from ...nn.module import Module, no_grad
 from ...nn.optim import Optimizer
+from ...obs.trace import PREDICTOR_TRAIN, current_phase, tracer as _obs_tracer
 from ..schedule import Phase
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -196,6 +197,12 @@ class PhaseStrategy:
         bias_grads = [
             layer.bias.grad if layer.bias is not None else None for layer in layers
         ]
+        # begin/end rather than ``span``: a span would push its phase tag
+        # and move the predictor's backend ops out of the batch's phase.
+        tracer = _obs_tracer()
+        span = tracer.begin(
+            "predictor.train", phase=PREDICTOR_TRAIN, layers=len(layers)
+        )
         if batched and len(layers) > 1:
             metrics = engine.predictor.train_step_many(
                 layers, outputs, weight_grads, bias_grads
@@ -205,6 +212,7 @@ class PhaseStrategy:
                 engine.predictor.train_step(*row)
                 for row in zip(layers, outputs, weight_grads, bias_grads)
             ]
+        tracer.end(span)
         mse_by_layer: dict[int, float] = {}
         mape_by_layer: dict[int, float] = {}
         for index, (mse, mape) in zip(indices, metrics):
@@ -227,7 +235,12 @@ class PhaseStrategy:
         update path.  In-flight callers pass one-layer lists."""
         if not layers:
             return
+        tracer = _obs_tracer()
+        span = tracer.begin(
+            "predictor.predict", phase=current_phase(), layers=len(layers)
+        )
         predictions = self.engine.predictor.predict_many(layers, outputs)
+        tracer.end(span)
         updates = []
         for layer, (weight_grad, bias_grad) in zip(layers, predictions):
             updates.append((layer.weight, weight_grad))

@@ -44,7 +44,7 @@ def reorganize_activations(layer: Module, output: np.ndarray) -> np.ndarray:
     if isinstance(layer, Linear):
         if output.ndim == 3:
             averaged = output.mean(axis=0)  # (seq, out)
-            return np.ascontiguousarray(averaged.T)[:, None, None, :]
+            return averaged.T[:, None, None, :]
         flat = output.reshape(-1, output.shape[-1])
         averaged = flat.mean(axis=0)  # (out_features,)
         return averaged[:, None, None, None]

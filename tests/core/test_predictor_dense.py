@@ -5,15 +5,22 @@ entry points go through ``dense_forward`` / ``dense_backward`` (DESIGN.md
 §4).  The layered network stays as the parameter container and as the
 reference these tests compare against — outputs and all four parameter
 gradients at atol <= 1e-5 on every backend, on hypothesis-generated
-mixes of conv / linear / sequence-linear layers — plus the staleness
-contract of the version-keyed dense operator.
+mixes of conv / linear / sequence-linear layers, with the head bucketed
+by the merge rule and with every row width split off — plus the
+Fig-15 metrics against their reference implementations, independence
+from the caller's layer order, and the staleness contract of the
+version-keyed dense operator.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
+from repro.core import predictor as predictor_module
 from repro.core import (
     GradientPredictor,
     HeuristicSchedule,
@@ -22,6 +29,7 @@ from repro.core import (
     pipeline_adagp_engine,
     reorganize,
 )
+from repro.core.metrics import mean_absolute_percentage_error, mean_squared_error
 from repro.data import synthetic_images
 from repro.nn.backend import list_backends, native_available, use_backend
 from repro.nn.losses import CrossEntropyLoss
@@ -48,8 +56,9 @@ _conv = st.tuples(
     st.just("conv"),
     st.integers(1, 5),
     st.integers(1, 3),
-    # Odd H != W, both sides of the 8x8 grid.
-    st.sampled_from([(3, 5), (7, 11), (9, 5), (13, 3), (1, 7)]),
+    # Odd H != W on both sides of the 8x8 grid, the grid itself, and
+    # a single cell.
+    st.sampled_from([(3, 5), (7, 11), (9, 5), (13, 3), (1, 7), (8, 8), (1, 1)]),
     st.booleans(),
     _odd,
 )
@@ -65,7 +74,17 @@ _linear3d = st.tuples(
     st.booleans(),
     _odd,
 )
-_mixes = st.lists(st.one_of(_conv, _linear2d, _linear3d), min_size=1, max_size=4)
+# Row widths 28, 19, 10 and 6 in one stack; a plane with one side past the
+# grid but fewer cells (9x5) next to one with more cells (7x11).
+_PINNED = [
+    ("conv", 3, 3, (9, 5), True, 3),
+    ("conv", 2, 2, (7, 11), True, 1),
+    ("linear2d", 5, 9, None, True, 1),
+    ("linear3d", 4, 6, 6, False, 3),
+]
+_mixes = st.lists(
+    st.one_of(_conv, _linear2d, _linear3d), min_size=1, max_size=4
+) | st.permutations(_PINNED)
 
 
 def _build(specs, seed):
@@ -98,10 +117,87 @@ def _param_grads(network):
     ]
 
 
+def _locate(stack):
+    """``(bucket position, start, units, row)`` per layer, in the order
+    the layers were handed to ``GradientPredictor._forward``."""
+    found = {
+        index: (position, start, units, row)
+        for position, bucket in enumerate(stack.buckets)
+        for index, start, units, row in bucket.members
+    }
+    return [found[index] for index in range(len(found))]
+
+
+def _split_buckets():
+    """A bucket costs nothing: every distinct row width gets its own."""
+    return mock.patch.object(predictor_module, "_BUCKET_CELLS", 0)
+
+
+def _targets(entries, seed):
+    """Random ``(weight_grads, bias_grads)`` for a mix."""
+    rng = np.random.default_rng(seed + 2)
+    weight_grads, bias_grads = [], []
+    for layer, _ in entries:
+        weight_grads.append(
+            rng.standard_normal(layer.weight.shape).astype(np.float32)
+        )
+        bias_grads.append(
+            None
+            if layer.bias is None
+            else rng.standard_normal(layer.bias.shape).astype(np.float32)
+        )
+    return weight_grads, bias_grads
+
+
+def _raw_rows(predictor, layer, output):
+    """The network rows ``_forward`` computes for one layer."""
+    (bucket,) = predictor._forward([layer], [output]).buckets
+    return bucket.rows
+
+
 def _oracle_rows(predictor, layer, output):
     """Layered ``network(x)`` masked to the layer's row width."""
     x = reorganize.reorganize_activations(layer, output)
     return predictor.network(x)[:, : layer.gradient_size()]
+
+
+def _check_against_layered(backend, specs, seed):
+    """One stacked dense forward/backward == the layered network run
+    layer by layer with its gradients summed."""
+    entries = _build(specs, seed)
+    predictor = _predictor(entries)
+    network = predictor.network
+    layers = [layer for layer, _ in entries]
+    outputs = [output for _, output in entries]
+    rng = np.random.default_rng(seed + 1)
+    with use_backend(backend):
+        stack = predictor._forward(layers, outputs)
+        grad_rows = [np.zeros_like(bucket.rows) for bucket in stack.buckets]
+        expected = [np.zeros_like(p.data) for p in network.parameters()]
+        for (layer, output), (bucket, start, units, row) in zip(
+            entries, _locate(stack)
+        ):
+            x = reorganize.reorganize_activations(layer, output)
+            full = network(x)
+            np.testing.assert_allclose(
+                stack.buckets[bucket].rows[start : start + units, :row],
+                full[:, :row],
+                atol=ATOL,
+            )
+            grad = rng.standard_normal((units, row)).astype(np.float32)
+            grad_rows[bucket][start : start + units, :row] = grad
+            grad_full = np.zeros_like(full)
+            grad_full[:, :row] = grad
+            network.zero_grad()
+            network.backward(grad_full)
+            for total, part in zip(expected, _param_grads(network)):
+                total += part
+        network.zero_grad()
+        network.dense_backward(
+            stack.inputs, stack.extents, stack.hidden, stack.spans(), grad_rows
+        )
+    for actual, total in zip(_param_grads(network), expected):
+        np.testing.assert_allclose(actual, total, atol=ATOL, rtol=1e-4)
 
 
 class TestDenseMatchesLayered:
@@ -109,36 +205,17 @@ class TestDenseMatchesLayered:
     @given(specs=_mixes, seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
     def test_forward_and_parameter_gradients(self, backend, specs, seed):
-        """One stacked dense forward/backward == the layered network run
-        layer by layer with its gradients summed."""
-        entries = _build(specs, seed)
-        predictor = _predictor(entries)
-        network = predictor.network
-        layers = [layer for layer, _ in entries]
-        outputs = [output for _, output in entries]
-        rng = np.random.default_rng(seed + 1)
-        with use_backend(backend):
-            rows, pooled, hidden, slices = predictor._forward(layers, outputs)
-            grad_rows = np.zeros_like(rows)
-            expected = [np.zeros_like(p.data) for p in network.parameters()]
-            for (layer, output), (start, units, row) in zip(entries, slices):
-                x = reorganize.reorganize_activations(layer, output)
-                full = network(x)
-                np.testing.assert_allclose(
-                    rows[start : start + units, :row], full[:, :row], atol=ATOL
-                )
-                grad = rng.standard_normal((units, row)).astype(np.float32)
-                grad_rows[start : start + units, :row] = grad
-                grad_full = np.zeros_like(full)
-                grad_full[:, :row] = grad
-                network.zero_grad()
-                network.backward(grad_full)
-                for total, part in zip(expected, _param_grads(network)):
-                    total += part
-            network.zero_grad()
-            network.dense_backward(pooled, hidden, grad_rows)
-        for actual, total in zip(_param_grads(network), expected):
-            np.testing.assert_allclose(actual, total, atol=ATOL, rtol=1e-4)
+        _check_against_layered(backend, specs, seed)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(specs=_mixes, seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
+    def test_every_row_width_its_own_bucket(self, backend, specs, seed):
+        """The test mixes are too small for a split head to pay, so the
+        merge rule keeps one bucket; a free split runs one head GEMM per
+        distinct row width."""
+        with _split_buckets():
+            _check_against_layered(backend, specs, seed)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(specs=_mixes, seed=st.integers(0, 2**16))
@@ -169,9 +246,99 @@ def test_float64_activations_are_predicted_in_float32():
     layer = nn.Linear(5, 3)
     output = np.random.default_rng(0).standard_normal((4, 9, 3))  # float64
     predictor = GradientPredictor(layer.gradient_size())
-    rows, pooled, hidden, _ = predictor._forward([layer], [output])
-    assert rows.dtype == pooled.dtype == hidden.dtype == np.float32
+    stack = predictor._forward([layer], [output])
+    (bucket,) = stack.buckets
+    assert bucket.rows.dtype == stack.inputs.dtype == stack.hidden.dtype == np.float32
     assert predictor.predict(layer, output)[0].dtype == np.float32
+
+
+class TestFig15Metrics:
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("split", [False, True])
+    @given(specs=_mixes, seed=st.integers(0, 2**16))
+    @settings(max_examples=10, deadline=None)
+    def test_metrics_equal_reference_implementations(
+        self, split, normalize, specs, seed
+    ):
+        """Each layer's ``(mse, mape)`` is the reference functions'
+        value on the prediction the call measured.  ``apply_update=False``
+        keeps the weights it measured; the running scale is refreshed
+        before measuring, so ``predict()`` afterwards sees the same one,
+        and the metrics read unclipped rows (``clip_sigma=inf``)."""
+        entries = _build(specs, seed)
+        weight_grads, bias_grads = _targets(entries, seed)
+        predictor = _predictor(
+            entries, normalize_targets=normalize, clip_sigma=np.inf
+        )
+        layers = [layer for layer, _ in entries]
+        outputs = [output for _, output in entries]
+        with _split_buckets() if split else contextlib.nullcontext():
+            metrics = predictor.train_step_many(
+                layers, outputs, weight_grads, bias_grads, apply_update=False
+            )
+        for (layer, output), w_grad, b_grad, (mse, mape) in zip(
+            entries, weight_grads, bias_grads, metrics
+        ):
+            predicted = reorganize.flatten_gradients(
+                layer, *predictor.predict(layer, output)
+            ).astype(np.float64)
+            actual = reorganize.flatten_gradients(layer, w_grad, b_grad)
+            actual = actual.astype(np.float64)
+            assert mse == pytest.approx(
+                mean_squared_error(actual, predicted), rel=1e-5
+            )
+            assert mape == pytest.approx(
+                mean_absolute_percentage_error(actual, predicted), rel=1e-5
+            )
+
+
+class TestLayerOrder:
+    @pytest.mark.parametrize("split", [False, True])
+    @given(
+        specs=_mixes,
+        seed=st.integers(0, 2**16),
+        order_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_shuffled_stack_gives_the_same_per_layer_results(
+        self, split, specs, seed, order_seed
+    ):
+        """Bucketing reorders samples internally; every result comes
+        back in the caller's order, whatever that order is."""
+        entries = _build(specs, seed)
+        weight_grads, bias_grads = _targets(entries, seed)
+        order = np.random.default_rng(order_seed).permutation(len(entries))
+        results = []
+        for positions in (range(len(entries)), order):
+            predictor = _predictor(entries)
+            layers = [entries[k][0] for k in positions]
+            outputs = [entries[k][1] for k in positions]
+            with _split_buckets() if split else contextlib.nullcontext():
+                predictions = predictor.predict_many(layers, outputs)
+                metrics = predictor.train_step_many(
+                    layers,
+                    outputs,
+                    [weight_grads[k] for k in positions],
+                    [bias_grads[k] for k in positions],
+                    apply_update=False,
+                )
+            by_layer = {
+                k: (predictions[i], metrics[i]) for i, k in enumerate(positions)
+            }
+            results.append((by_layer, _param_grads(predictor.network)))
+        (in_order, grads), (shuffled, shuffled_grads) = results
+        for k, ((w_grad, b_grad), metric) in in_order.items():
+            (w_shuffled, b_shuffled), metric_shuffled = shuffled[k]
+            np.testing.assert_allclose(w_shuffled, w_grad, atol=ATOL)
+            if b_grad is None:
+                assert b_shuffled is None
+            else:
+                np.testing.assert_allclose(b_shuffled, b_grad, atol=ATOL)
+            np.testing.assert_allclose(
+                metric_shuffled, metric, rtol=1e-5, atol=ATOL
+            )
+        for actual, expected in zip(shuffled_grads, grads):
+            np.testing.assert_allclose(actual, expected, atol=ATOL)
 
 
 class TestDenseOperatorStaleness:
@@ -191,7 +358,7 @@ class TestDenseOperatorStaleness:
     def _assert_fresh(self, predictor, layer, output):
         # Raw network rows: the engine's predictor also rescales them.
         np.testing.assert_allclose(
-            predictor._forward([layer], [output])[0],
+            _raw_rows(predictor, layer, output),
             _oracle_rows(predictor, layer, output),
             atol=ATOL,
         )

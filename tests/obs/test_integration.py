@@ -150,6 +150,41 @@ class TestEngineReconciliation:
         assert len(evals) == 3
         assert all(s.phase == "eval" for s in evals)
 
+    @pytest.mark.parametrize("batched_gp", [False, True])
+    def test_predictor_spans_per_batch_and_layer(self, batched_gp):
+        """Predictor alpha is visible: one ``predictor.train`` span per
+        BP or warm-up batch, one ``predictor.predict`` span per
+        predictable layer of a hooked GP batch (per batch when batched)
+        — and the spans leave backend-op attribution to the batch's
+        phase."""
+        tracer = obs.Tracer()
+        reg = obs.MetricsRegistry()
+        previous = obs.set_tracer(tracer)
+        try:
+            engine = adagp_engine(
+                _model(),
+                CrossEntropyLoss(),
+                lr=0.05,
+                schedule=_schedule(),
+                batched_gp=batched_gp,
+                backend=obs.ProfilingBackend(FusedBackend(), registry=reg),
+                callbacks=[obs.TracingCallback(tracer)],
+            )
+            history = _fit(engine, _split())
+        finally:
+            obs.set_tracer(previous)
+        train = [s for s in tracer.spans if s.name == "predictor.train"]
+        predict = [s for s in tracer.spans if s.name == "predictor.predict"]
+        assert len(train) == sum(history.bp_batches) > 0
+        assert all(s.phase == obs.PREDICTOR_TRAIN for s in train)
+        per_batch = 1 if batched_gp else len(engine.layers)
+        assert len(predict) == per_batch * sum(history.gp_batches) > 0
+        assert all(s.phase == "gp" for s in predict)
+        batches = [s for s in tracer.spans if s.name == "engine.batch"]
+        for span in train + predict:
+            assert any(b.start <= span.start <= span.end <= b.end for b in batches)
+        assert set(obs.phase_op_table(reg.snapshot())) == {"bp", "gp", "eval"}
+
 
 class TestDistObservability:
     @pytest.mark.parametrize("transport", ["local", "process"])

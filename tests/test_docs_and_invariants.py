@@ -312,9 +312,6 @@ class TestExportCensus:
         "reference_translation": (
             "reference implementation of the rule synthetic_translation applies"
         ),
-        "Checkpointing": "callback a user hands to fit via a factory's callbacks=",
-        "EarlyStopping": "callback a user hands to fit via a factory's callbacks=",
-        "LambdaCallback": "callback a user hands to fit via a factory's callbacks=",
         "Dropout": "layer for a user's own model; the zoo's minis train without it",
         "LeakyReLU": "activation for a user's own model; the zoo uses ReLU and ReLU6",
         "Choice": "search-space domain a user composes a SearchSpace from",

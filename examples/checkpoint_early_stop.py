@@ -57,12 +57,12 @@ def build(checkpoint_pattern: pathlib.Path, label: str):
         predictor_lr=1e-2,
         metric_fn=accuracy,
         schedule=HeuristicSchedule(warmup_epochs=2, ladder=((EPOCHS, (2, 1)),)),
-        # Callbacks run in list order, so the checkpoint goes last: it
-        # then captures the stopper's verdict on the epoch it closes.
+        # The checkpoint saves after every other callback's epoch end,
+        # so it captures the stopper's verdict on the epoch it closes.
         callbacks=[
+            Checkpointing(str(checkpoint_pattern)),
             stopper,
             LambdaCallback(on_epoch_end=report),
-            Checkpointing(str(checkpoint_pattern)),
         ],
     )
     return engine, stopper

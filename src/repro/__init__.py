@@ -14,7 +14,8 @@ Package map
                       tensor reorganization, phase schedules, and the
                       one ``TrainingEngine`` (phase strategies +
                       callbacks) that the ``bp_engine`` / ``adagp_engine``
-                      / ``dni_engine`` factories wire for each scheme.
+                      / ``pipeline_adagp_engine`` factories wire for each
+                      scheme.
 ``repro.accel``       Systolic accelerator simulator: cycles under four
                       dataflows, DRAM/SRAM traffic, energy, FPGA/ASIC
                       area & power.
@@ -48,7 +49,6 @@ from .core import (
     TrainingEngine,
     adagp_engine,
     bp_engine,
-    dni_engine,
 )
 from .dist import ddp_engine
 from .models import build_mini, spec_for
@@ -79,7 +79,6 @@ __all__ = [
     "bp_engine",
     "adagp_engine",
     "ddp_engine",
-    "dni_engine",
     "build_mini",
     "spec_for",
     "PipelineConfig",

@@ -4,7 +4,7 @@ See :mod:`repro.core.engine.engine` for the loop,
 :mod:`repro.core.engine.strategies` for the per-batch phase strategies,
 :mod:`repro.core.engine.events` for the callback system and
 :mod:`repro.core.engine.factories` for the preconfigured BP / ADA-GP /
-DNI engines.
+pipelined ADA-GP engines.
 """
 
 from .checkpoint import (
@@ -25,11 +25,10 @@ from .events import (
     LambdaCallback,
     ThroughputTimer,
 )
-from .factories import adagp_engine, bp_engine, dni_engine, pipeline_adagp_engine
+from .factories import adagp_engine, bp_engine, pipeline_adagp_engine
 from .strategies import (
     BackpropStrategy,
     BatchResult,
-    DNIStrategy,
     GradPredictStrategy,
     PhaseStrategy,
     PipelineGPStrategy,
@@ -41,7 +40,6 @@ __all__ = [
     "PhaseStrategy",
     "BackpropStrategy",
     "GradPredictStrategy",
-    "DNIStrategy",
     "PipelineGPStrategy",
     "BatchResult",
     "Callback",
@@ -52,7 +50,6 @@ __all__ = [
     "ThroughputTimer",
     "bp_engine",
     "adagp_engine",
-    "dni_engine",
     "pipeline_adagp_engine",
     "CheckpointCorrupt",
     "engine_state",

@@ -5,7 +5,7 @@ stepping and :class:`~repro.core.History` recording; what happens inside
 a single training batch is delegated to pluggable
 :class:`~repro.core.engine.strategies.PhaseStrategy` objects selected
 per batch by the phase schedule (``HeuristicSchedule`` /
-``AdaptiveSchedule``).  BP, ADA-GP and DNI training are therefore the
+``AdaptiveSchedule``).  BP, ADA-GP and pipelined ADA-GP are therefore the
 *same* loop with different strategy wiring — see
 :mod:`repro.core.engine.factories` — and cross-cutting loop features
 (checkpoint/resume, early stopping, throughput timing) are composable

@@ -9,9 +9,13 @@ The engine fires a fixed set of events while it runs the fit loop:
 ``on_epoch_end``    after validation, LR stepping and History recording
 ``on_fit_end``      once, after the last epoch (or an early stop)
 
+Callbacks see each event in list order, except that every
+:class:`Checkpointing` sees ``on_epoch_end`` and ``on_fit_end`` after
+all the others, so a checkpoint carries the state they leave behind.
+
 Cross-cutting loop concerns — checkpointing, early stopping, throughput
 measurement — are composable callbacks instead of copy-pasted loop code,
-so every trainer (BP, ADA-GP, DNI) gets them for free.
+so every trainer (BP, ADA-GP, pipelined ADA-GP) gets them for free.
 """
 
 from __future__ import annotations
@@ -102,12 +106,15 @@ class CallbackList(Callback):
         for callback in self.callbacks:
             callback.on_batch_end(engine, epoch, batch_index, result)
 
+    def _checkpoints_last(self) -> list[Callback]:
+        return sorted(self.callbacks, key=lambda cb: isinstance(cb, Checkpointing))
+
     def on_epoch_end(self, engine, epoch, logs):
-        for callback in self.callbacks:
+        for callback in self._checkpoints_last():
             callback.on_epoch_end(engine, epoch, logs)
 
     def on_fit_end(self, engine):
-        for callback in self.callbacks:
+        for callback in self._checkpoints_last():
             callback.on_fit_end(engine)
 
 
@@ -233,12 +240,8 @@ class Checkpointing(Callback):
     rolling "latest" checkpoint.  Restore with
     :meth:`TrainingEngine.load_checkpoint`, then keep calling ``fit`` for
     the remaining epochs — the resumed run reproduces the original
-    History exactly (see ``tests/core/test_engine.py``).  Callbacks run
-    in list order, so attach this one after every stateful callback
-    (``EarlyStopping``): placed before it, the file carries that
-    callback's state from before the epoch it closes, and a run resumed
-    from it can stop on a different epoch
-    (``examples/checkpoint_early_stop.py``).
+    History exactly, early stop included, wherever this callback sits
+    in the list (see ``tests/core/test_engine.py``).
     """
 
     def __init__(self, path: str, every: int = 1) -> None:

@@ -2,8 +2,8 @@
 
 These factories are the one place that knows how to wire strategies,
 schedules, optimizers and the shared predictor into a
-:class:`TrainingEngine`: BP, ADA-GP, its pipelined variant, and DNI
-(the paper's §2 baseline) are wirings of the one loop.  Examples,
+:class:`TrainingEngine`: BP, ADA-GP and its pipelined variant are
+wirings of the one loop.  Examples,
 experiments and benchmarks build their engines here.
 """
 
@@ -19,12 +19,7 @@ from ..predictor import GradientPredictor
 from ..schedule import HeuristicSchedule, Phase
 from .engine import LossFn, MetricFn, TrainingEngine
 from .events import Callback
-from .strategies import (
-    BackpropStrategy,
-    DNIStrategy,
-    GradPredictStrategy,
-    PipelineGPStrategy,
-)
+from .strategies import BackpropStrategy, GradPredictStrategy, PipelineGPStrategy
 
 
 def bp_engine(
@@ -62,7 +57,6 @@ def adagp_engine(
     metric_fn: Optional[MetricFn] = None,
     plateau_scheduler: bool = True,
     gp_optimizer: Optional[Optimizer] = None,
-    batched_predictor: bool = True,
     batched_gp: bool = False,
     callbacks: Iterable[Callback] = (),
     backend: Optional[BackendSpec] = None,
@@ -75,10 +69,6 @@ def adagp_engine(
     optimizer is Adam, pass an SGD instance here to mirror the hardware
     — Adam's per-element normalization would otherwise blow small
     predicted gradients up into full-size steps.
-
-    ``batched_predictor`` selects the stacked one-shot predictor update
-    in Phase BP (the fast path); ``False`` trains the predictor one
-    layer at a time.
 
     ``batched_gp`` selects the batched Phase-GP mode: predictions for
     every predictable layer fire as one stacked ``predict_many`` call
@@ -94,7 +84,7 @@ def adagp_engine(
         raise ValueError("model has no predictable layers for ADA-GP")
     optimizer = optimizer or nn.SGD(model.parameters(), lr=lr, momentum=0.9)
     predictor = predictor or GradientPredictor.for_model(model, lr=predictor_lr)
-    bp_strategy = BackpropStrategy(train_predictor=True, batched=batched_predictor)
+    bp_strategy = BackpropStrategy(train_predictor=True)
     return TrainingEngine(
         model,
         loss_fn,
@@ -121,7 +111,6 @@ def pipeline_adagp_engine(
     num_stages: int = 2,
     micro_batches: int = 4,
     kind: str = "GPipe",
-    batched_predictor: bool = True,
     **adagp_kwargs,
 ) -> TrainingEngine:
     """ADA-GP on a stage-partitioned pipeline (§3.7, measured Fig 20).
@@ -143,51 +132,10 @@ def pipeline_adagp_engine(
             "pipeline_adagp_engine cannot honour batched_gp: its Phase-GP "
             "updates fire in flight, stage by stage"
         )
-    engine = adagp_engine(
-        model, loss_fn, batched_predictor=batched_predictor, **adagp_kwargs
-    )
+    engine = adagp_engine(model, loss_fn, **adagp_kwargs)
     strategy = PipelineGPStrategy(
-        num_stages=num_stages,
-        micro_batches=micro_batches,
-        kind=kind,
-        batched=batched_predictor,
+        num_stages=num_stages, micro_batches=micro_batches, kind=kind
     )
     engine.strategies = {phase: strategy for phase in Phase}
     strategy.bind(engine)
     return engine
-
-
-def dni_engine(
-    model: Module,
-    loss_fn: LossFn,
-    optimizer: Optional[Optimizer] = None,
-    predictor: Optional[GradientPredictor] = None,
-    lr: float = 1e-3,
-    predictor_lr: float = 1e-4,
-    synthetic_lr_scale: float = 0.1,
-    metric_fn: Optional[MetricFn] = None,
-    plateau_scheduler: bool = True,
-    callbacks: Iterable[Callback] = (),
-    backend: Optional[BackendSpec] = None,
-) -> TrainingEngine:
-    """DNI baseline: synthetic gradients every batch + full backprop.
-
-    Differs from ADA-GP only in strategy wiring — every batch runs the
-    :class:`DNIStrategy`, there is no phase schedule and no backward
-    work is ever skipped (the paper's §2 comparison).
-    """
-    if not nn.predictable_layers(model):
-        raise ValueError("model has no predictable layers for DNI")
-    optimizer = optimizer or nn.SGD(model.parameters(), lr=lr, momentum=0.9)
-    predictor = predictor or GradientPredictor.for_model(model, lr=predictor_lr)
-    return TrainingEngine(
-        model,
-        loss_fn,
-        optimizer,
-        strategies=DNIStrategy(synthetic_lr_scale=synthetic_lr_scale),
-        metric_fn=metric_fn,
-        lr_scheduler=ReduceLROnPlateau(optimizer) if plateau_scheduler else None,
-        predictor=predictor,
-        callbacks=callbacks,
-        backend=backend,
-    )

@@ -21,15 +21,12 @@ schemes differ in which steps run and in *how forward/backward run*:
   each layer's predicted update the moment that layer's forward
   completes, or ``batched_predict=True`` defers to one stacked predict +
   grouped apply after ``run_forward``.
-* :class:`DNIStrategy` — the §2 baseline: the BP body with synthetic
-  gradients applied in flight during *every* forward, so it never saves
-  backward work.
 * :class:`PipelineGPStrategy` — §3.7: both bodies with the two ``run_*``
   primitives swapped for the micro-batch pipeline executor.
 
 The engine selects a strategy per batch from its phase schedule.  Adding
-a scheme is choosing ``on_output`` and the two ``run_*`` primitives, not
-a fourth copy of the hooks and the predictor calls.
+a scheme is choosing the tap's ``on_output`` and the two ``run_*``
+primitives, not another copy of the hooks and the predictor calls.
 """
 
 from __future__ import annotations
@@ -171,18 +168,16 @@ class PhaseStrategy:
             store[key] = np.concatenate(got, axis=0)
 
     def _train_predictor(
-        self, activations: dict[int, np.ndarray], batched: bool
+        self, activations: dict[int, np.ndarray]
     ) -> tuple[dict[int, float], dict[int, float]]:
         """One predictor update on every tapped layer's true gradients
         (§3.3); returns per-layer ``(mse, mape)`` before the update.
 
-        ``batched=True`` stacks all layers into a single predictor
+        All tapped layers are stacked into a single predictor
         forward/backward and one Adam step — the BP-phase hot path of
-        the paper's software loop; ``False`` keeps one step per layer.
-        The two are numerically equivalent at the gradient level
-        (``tests/core/test_predictor_batched.py``) but follow slightly
-        different Adam trajectories, which neither the paper nor the
-        accelerator model distinguishes.
+        the paper's software loop.  The stacked update is held to the
+        per-layer :meth:`GradientPredictor.train_step` reference at the
+        gradient level by ``tests/core/test_predictor_batched.py``.
         """
         engine = self.engine
         indices, layers = [], []
@@ -203,15 +198,9 @@ class PhaseStrategy:
         span = tracer.begin(
             "predictor.train", phase=PREDICTOR_TRAIN, layers=len(layers)
         )
-        if batched and len(layers) > 1:
-            metrics = engine.predictor.train_step_many(
-                layers, outputs, weight_grads, bias_grads
-            )
-        else:
-            metrics = [
-                engine.predictor.train_step(*row)
-                for row in zip(layers, outputs, weight_grads, bias_grads)
-            ]
+        metrics = engine.predictor.train_step_many(
+            layers, outputs, weight_grads, bias_grads
+        )
         tracer.end(span)
         mse_by_layer: dict[int, float] = {}
         mape_by_layer: dict[int, float] = {}
@@ -223,16 +212,12 @@ class PhaseStrategy:
         return mse_by_layer, mape_by_layer
 
     def _apply_predictions(
-        self,
-        layers: list[Module],
-        outputs: list[np.ndarray],
-        optimizer: Optimizer,
-        scale: float = 1.0,
+        self, layers: list[Module], outputs: list[np.ndarray], optimizer: Optimizer
     ) -> None:
         """Predict the layers' gradients from their activations in one
-        stacked predictor call and apply them (times ``scale``) through
-        ``optimizer`` in one grouped apply — the plain-MAC hardware
-        update path.  In-flight callers pass one-layer lists."""
+        stacked predictor call and apply them through ``optimizer`` in
+        one grouped apply — the plain-MAC hardware update path.
+        In-flight callers pass one-layer lists."""
         if not layers:
             return
         tracer = _obs_tracer()
@@ -246,8 +231,6 @@ class PhaseStrategy:
             updates.append((layer.weight, weight_grad))
             if layer.bias is not None and bias_grad is not None:
                 updates.append((layer.bias, bias_grad))
-        if scale != 1.0:
-            updates = [(param, scale * grad) for param, grad in updates]
         optimizer.apply_gradients(updates)
 
     def _gp_batch(self, inputs, targets, batched_predict: bool = False) -> BatchResult:
@@ -273,16 +256,11 @@ class PhaseStrategy:
 
 class BackpropStrategy(PhaseStrategy):
     """Standard backprop batch, optionally also training the predictor
-    (``train_predictor=True``, ``batched`` as in
-    :meth:`PhaseStrategy._train_predictor`)."""
+    (``train_predictor=True``: ADA-GP's Warm-Up / Phase BP)."""
 
-    #: Called with each layer's output during the forward (DNI's seam).
-    on_output: Optional[OnOutput] = None
-
-    def __init__(self, train_predictor: bool = False, batched: bool = True) -> None:
+    def __init__(self, train_predictor: bool = False) -> None:
         super().__init__()
         self.train_predictor = train_predictor
-        self.batched = batched
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
         result = self.forward_backward(inputs, targets, phase)
@@ -313,9 +291,9 @@ class BackpropStrategy(PhaseStrategy):
         if not self.train_predictor or engine.predictor is None:
             loss = self.run_forward_backward(inputs, targets, grad_scale)
             return BatchResult(loss=loss, phase=phase)
-        with self.tap(self.on_output) as activations:
+        with self.tap() as activations:
             loss = self.run_forward_backward(inputs, targets, grad_scale)
-        errors = self._train_predictor(activations, self.batched)
+        errors = self._train_predictor(activations)
         return BatchResult(loss, phase, *errors)
 
 
@@ -384,9 +362,8 @@ class PipelineGPStrategy(BackpropStrategy):
         micro_batches: int = 4,
         kind: str = "GPipe",
         train_predictor: bool = True,
-        batched: bool = True,
     ) -> None:
-        super().__init__(train_predictor=train_predictor, batched=batched)
+        super().__init__(train_predictor=train_predictor)
         self.num_stages = num_stages
         self.micro_batches = micro_batches
         self.kind = kind
@@ -434,24 +411,3 @@ class PipelineGPStrategy(BackpropStrategy):
         if phase == Phase.GP:
             return self._gp_batch(inputs, targets)
         return super().train_batch(inputs, targets, phase)
-
-
-class DNIStrategy(BackpropStrategy):
-    """DNI batch (Jaderberg et al. 2017): synthetic updates + full BP.
-
-    Each batch applies scaled synthetic gradients layer-by-layer during
-    forward (through the model's own optimizer), then still runs
-    complete backpropagation to update the model with true gradients and
-    train the predictor, one step per layer — strictly more work than
-    plain BP, which is the paper's §2 point ("DNI does not improve
-    training time").
-    """
-
-    def __init__(self, synthetic_lr_scale: float = 0.1) -> None:
-        super().__init__(train_predictor=True, batched=False)
-        self.synthetic_lr_scale = synthetic_lr_scale
-
-    def on_output(self, layer: Module, output: np.ndarray) -> None:
-        self._apply_predictions(
-            [layer], [output], self.engine.optimizer, scale=self.synthetic_lr_scale
-        )

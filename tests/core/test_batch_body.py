@@ -2,8 +2,8 @@
 update are written once (``PhaseStrategy``), and the bespoke per-scheme
 hooks they replaced live on here as hand-written oracles.
 
-Covers: pipeline GP and DNI batches equal their hand-written hooks
-bitwise; the pipeline engine equals serial ADA-GP on a BatchNorm-free
+Covers: pipeline GP and ADA-GP Phase-BP batches equal their
+hand-written hooks bitwise; the pipeline engine equals serial ADA-GP on a BatchNorm-free
 chain (an equivalence the schemes always implied and nothing stated);
 ``PipelineGPStrategy.forward_backward`` runs on the executor; rank 0 of
 a data-parallel world is a ``DistWorker`` like every other rank.
@@ -20,7 +20,6 @@ from repro.core import (
     HeuristicSchedule,
     Phase,
     adagp_engine,
-    dni_engine,
     pipeline_adagp_engine,
 )
 from repro.dist import DistWorker, IdentityCodec, ddp_engine, shutdown
@@ -42,10 +41,15 @@ def _chain(convs=2, bias=True, seed=0):
     return nn.Sequential(*layers)
 
 
+def _single_conv(seed=0):
+    """One predictable layer: a one-layer predictor stack."""
+    rng = np.random.default_rng(seed)
+    return nn.Sequential(nn.Conv2d(3, 3, 3, padding=1, rng=rng), nn.GlobalAvgPool2d())
+
+
 def _engine(factory, model, **kwargs):
     predictor = GradientPredictor.for_model(model, rng=np.random.default_rng(42))
-    if factory is not dni_engine:
-        kwargs.setdefault("schedule", HeuristicSchedule(warmup_epochs=0))
+    kwargs.setdefault("schedule", HeuristicSchedule(warmup_epochs=0))
     return factory(
         model, CrossEntropyLoss(), predictor=predictor, lr=0.05,
         plateau_scheduler=False, **kwargs,
@@ -117,25 +121,33 @@ class TestBespokeHooksAsOracles:
         assert result.loss == run.loss
         _assert_same_weights(engine, reference)
 
-    def test_dni_batch_equals_handwritten_hook(self):
-        """Synthetic update in flight, full backprop, one predictor step
-        per layer *after* the optimizer step — the deleted DNI hook and
-        the loop that followed it.  Bitwise equality also shows that
-        training the predictor before the step changes nothing."""
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _chain,
+            lambda: _chain(bias=False),
+            lambda: _chain(convs=1),
+            _single_conv,
+        ],
+        ids=["two_convs", "no_bias", "one_conv", "single_layer"],
+    )
+    def test_bp_batch_equals_handwritten_hook(self, build):
+        """A plain activation hook, full backprop, the optimizer step,
+        then one stacked predictor step on the layers' gradients
+        *after* the step, on chains of one to three layers.  Bitwise
+        equality shows that the strategy's training of the predictor
+        before the step changes nothing — the property the
+        data-parallel rank seam relies on."""
         x, y = _batch()
-        engine = _engine(dni_engine, _chain(), synthetic_lr_scale=0.1)
-        reference = _engine(dni_engine, _chain(), synthetic_lr_scale=0.1)
-        for _ in range(2):  # the second batch predicts with trained scales
+        engine = _engine(adagp_engine, build())
+        reference = _engine(adagp_engine, build())
+        for _ in range(2):  # the second batch starts from trained scales
             result = engine.train_batch(x, y, Phase.BP)
 
             activations = {}
 
             def hook(layer, output):
                 activations[id(layer)] = output
-                weight_grad, bias_grad = reference.predictor.predict(layer, output)
-                reference.optimizer.apply_gradient(layer.weight, 0.1 * weight_grad)
-                if layer.bias is not None and bias_grad is not None:
-                    reference.optimizer.apply_gradient(layer.bias, 0.1 * bias_grad)
 
             for layer in reference.layers:
                 layer.forward_hook = hook
@@ -146,20 +158,19 @@ class TestBespokeHooksAsOracles:
             reference.optimizer.zero_grad()
             reference.model.backward(grad)
             reference.optimizer.step()
-            errors = {
-                index: reference.predictor.train_step(
-                    layer,
-                    activations[id(layer)],
-                    layer.weight.grad,
-                    layer.bias.grad if layer.bias is not None else None,
-                )
-                for index, layer in enumerate(reference.layers)
-            }
+            layers = reference.layers
+            rows = (
+                layers,
+                [activations[id(layer)] for layer in layers],
+                [layer.weight.grad for layer in layers],
+                [None if layer.bias is None else layer.bias.grad for layer in layers],
+            )
+            metrics = reference.predictor.train_step_many(*rows)
             reference.model.clear_caches()
 
             assert result.loss == loss
-            assert result.predictor_mse == {i: mse for i, (mse, _) in errors.items()}
-            assert result.predictor_mape == {i: mape for i, (_, mape) in errors.items()}
+            assert result.predictor_mse == {i: m for i, (m, _) in enumerate(metrics)}
+            assert result.predictor_mape == {i: m for i, (_, m) in enumerate(metrics)}
             _assert_same_weights(engine, reference)
 
 

@@ -17,7 +17,6 @@ from repro.core import (
     TrainingEngine,
     adagp_engine,
     bp_engine,
-    dni_engine,
     pipeline_adagp_engine,
 )
 from repro.data import synthetic_images
@@ -25,8 +24,8 @@ from repro.models import build_mini
 from repro.nn.losses import CrossEntropyLoss, accuracy
 
 RNG = np.random.default_rng(53)
-FACTORIES = (bp_engine, adagp_engine, dni_engine, pipeline_adagp_engine)
-FACTORY_IDS = ("bp", "adagp", "dni", "pipeline_adagp")
+FACTORIES = (bp_engine, adagp_engine, pipeline_adagp_engine)
+FACTORY_IDS = ("bp", "adagp", "pipeline_adagp")
 
 
 def _tiny_model(seed=0):
@@ -74,7 +73,7 @@ class TestUnification:
         for engine in (
             bp_engine(_tiny_model(), *model_args),
             adagp_engine(_tiny_model(), *model_args),
-            dni_engine(_tiny_model(), *model_args),
+            pipeline_adagp_engine(_tiny_model(), *model_args),
         ):
             assert isinstance(engine, TrainingEngine)
 
@@ -82,7 +81,7 @@ class TestUnification:
         engines = [
             bp_engine(_tiny_model(), CrossEntropyLoss()),
             adagp_engine(_tiny_model(), CrossEntropyLoss()),
-            dni_engine(_tiny_model(), CrossEntropyLoss()),
+            pipeline_adagp_engine(_tiny_model(), CrossEntropyLoss()),
         ]
         assert all(type(e).fit is TrainingEngine.fit for e in engines)
 
@@ -103,13 +102,6 @@ class TestUnification:
         history = engine.fit(_train_fn(split), _val_fn(split), epochs=2)
         assert all(count >= 0 for count in history.bp_batches)
         assert history.bp_batches == [3, 3]
-
-    def test_dni_records_predictor_errors(self):
-        split = _tiny_split()
-        engine = dni_engine(_tiny_model(), CrossEntropyLoss(), lr=0.05)
-        history = engine.fit(_train_fn(split), _val_fn(split), epochs=1)
-        assert len(history.predictor_mape) == 1
-        assert len(history.predictor_mape[0]) == 3  # three predictable layers
 
     def test_missing_phase_strategy_is_an_error(self):
         model = _tiny_model()
@@ -384,6 +376,59 @@ class TestCheckpointResume:
         resumed = resumed_engine.fit(train_fn, val_fn, epochs=8)
         assert resumed.num_epochs == 3
         self._histories_equal(resumed, uninterrupted)
+
+    @pytest.mark.parametrize("order", ["checkpoint_first", "checkpoint_last"])
+    @pytest.mark.parametrize("builder", ["bp", "adagp", "adaptive", "pipeline_adagp"])
+    def test_checkpoint_carries_the_stoppers_verdict(self, builder, order, tmp_path):
+        """Wherever Checkpointing sits relative to EarlyStopping, it saves
+        the stopper's state after the epoch it closes, so a run resumed
+        from its file stops on the straight run's epoch."""
+        split = _tiny_split()
+        pattern = str(tmp_path / "ckpt-{epoch}.pkl")
+
+        def build():
+            stopper = EarlyStopping(monitor="val_loss", patience=1, min_delta=1e9)
+            callbacks = (Checkpointing(pattern), stopper)
+            if order == "checkpoint_last":
+                callbacks = callbacks[::-1]
+            if builder == "bp":
+                engine = bp_engine(
+                    _tiny_model(),
+                    CrossEntropyLoss(),
+                    lr=0.05,
+                    metric_fn=accuracy,
+                    callbacks=callbacks,
+                )
+            elif builder == "adagp":
+                engine = _adagp(callbacks=callbacks)
+            elif builder == "adaptive":
+                engine = _adagp(
+                    schedule=AdaptiveSchedule(warmup_epochs=1), callbacks=callbacks
+                )
+            else:
+                engine = pipeline_adagp_engine(
+                    _tiny_model(),
+                    CrossEntropyLoss(),
+                    lr=0.05,
+                    metric_fn=accuracy,
+                    schedule=HeuristicSchedule(warmup_epochs=1, ladder=((1, (2, 1)),)),
+                    callbacks=callbacks,
+                )
+            return engine, stopper
+
+        train_fn, val_fn = _train_fn(split), _val_fn(split)
+
+        straight_engine, straight_stopper = build()
+        straight = straight_engine.fit(train_fn, val_fn, epochs=10)
+        assert straight.num_epochs == 3  # best @0, bad @1, bad @2 -> stop
+        assert straight_stopper.stopped_epoch == 2
+
+        resumed_engine, resumed_stopper = build()
+        resumed_engine.load_checkpoint(pattern.format(epoch=1))
+        assert resumed_stopper.num_bad_epochs == 1
+        resumed = resumed_engine.fit(train_fn, val_fn, epochs=8)
+        assert resumed_stopper.stopped_epoch == 2
+        self._histories_equal(resumed, straight)
 
     def test_callback_count_mismatch_rejected(self):
         engine = bp_engine(

@@ -20,7 +20,6 @@ from repro.core import (
     Phase,
     adagp_engine,
     bp_engine,
-    dni_engine,
     pipeline_adagp_engine,
 )
 from repro.data import synthetic_images
@@ -65,9 +64,6 @@ ENGINES = {
     ),
     "adagp_hooked": _adagp,
     "adagp_batched": lambda model: _adagp(model, batched_gp=True),
-    "dni": lambda model: dni_engine(
-        model, CrossEntropyLoss(), lr=0.01, metric_fn=accuracy
-    ),
     "pipeline": lambda model: _adagp(
         model, pipeline_adagp_engine, num_stages=2, micro_batches=4
     ),

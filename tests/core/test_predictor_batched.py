@@ -188,17 +188,19 @@ class TestTrainStepManyEquivalence:
 
 
 class TestTrainerPaths:
-    """Both predictor paths work end-to-end through the engine."""
+    """The stacked predictor update works end-to-end through the engine,
+    with either Phase-GP mode (hooked or ``batched_gp``) between its
+    Phase-BP batches."""
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_fit_collects_errors_either_way(self, batched):
+    @pytest.mark.parametrize("batched_gp", [True, False])
+    def test_fit_collects_errors_either_way(self, batched_gp):
         split = synthetic_images(3, 48, 24, image_size=8, seed=3)
         engine = adagp_engine(
             _model(seed=2),
             CrossEntropyLoss(),
             lr=0.05,
             schedule=HeuristicSchedule(warmup_epochs=1, ladder=((1, (2, 1)),)),
-            batched_predictor=batched,
+            batched_gp=batched_gp,
         )
         history = engine.fit(
             lambda: split.train.batches(16, rng=np.random.default_rng(0)),

@@ -25,7 +25,6 @@ from repro.core import (
     GradientPredictor,
     HeuristicSchedule,
     adagp_engine,
-    dni_engine,
     pipeline_adagp_engine,
     reorganize,
 )
@@ -471,8 +470,8 @@ class TestScaleStore:
 
 
 class TestStrategiesOnTheSinglePath:
-    """DNI (per-layer predict + per-layer train_step) and the pipeline
-    executor's GP stream still learn through the dense path."""
+    """The pipeline executor's GP stream still learns through the dense
+    path."""
 
     def _model(self):
         rng = np.random.default_rng(0)
@@ -493,13 +492,6 @@ class TestStrategiesOnTheSinglePath:
             lambda: split.val.batches(24, shuffle=False),
             epochs=epochs,
         )
-
-    def test_dni_fit_is_finite_and_decreasing(self):
-        engine = dni_engine(self._model(), CrossEntropyLoss(), lr=0.05)
-        history = self._fit(engine, epochs=4)
-        assert np.isfinite(history.train_loss).all()
-        assert history.train_loss[-1] < history.train_loss[0]
-        assert len(history.predictor_mape[-1]) == 3
 
     def test_pipeline_gp_fit_is_finite_and_decreasing(self):
         engine = pipeline_adagp_engine(

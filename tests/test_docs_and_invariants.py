@@ -15,11 +15,6 @@ from repro.core import HeuristicSchedule
 from repro.models import CLASSIFICATION_MODELS, spec_for
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-#: One reason for every census entry DNI owns: it is kept or cut whole.
-DNI_BASELINE = (
-    "the §2 baseline, run only by tests (tests/core/test_dni.py checks the "
-    "§2 claims); the next census decides DNI as a unit"
-)
 
 
 class TestDocs:
@@ -200,7 +195,6 @@ class TestOptionsCensus:
         "bp_engine": ("core/engine/factories.py", "bp_engine"),
         "adagp_engine": ("core/engine/factories.py", "adagp_engine"),
         "pipeline_adagp_engine": ("core/engine/factories.py", "pipeline_adagp_engine"),
-        "dni_engine": ("core/engine/factories.py", "dni_engine"),
         "ddp_engine": ("dist/engine.py", "ddp_engine"),
         "SearchRunner": ("tune/runner.py", "SearchRunner.__init__"),
         "DataParallelStrategy": ("dist/strategy.py", "DataParallelStrategy.__init__"),
@@ -215,25 +209,9 @@ class TestOptionsCensus:
     }
     #: Unselected but kept — the agenda for the next census.
     EXEMPT = {
-        "pipeline_adagp_engine.batched_predictor": (
-            "sets the strategy's and the inner factory's flag together; "
-            "per-layer predictor training is the reference tests hold the batched path to"
-        ),
         "adagp_engine.predictor": (
             "test seam: tests inject a seeded predictor to compare engines bitwise"
         ),
-        **{
-            f"dni_engine.{name}": DNI_BASELINE
-            for name in (
-                "optimizer", "predictor", "lr", "predictor_lr",
-                "synthetic_lr_scale", "metric_fn",
-            )
-        },
-        "dni_engine.plateau_scheduler": (
-            "mirrors adagp_engine's switch, which bench/ selects; no DNI caller turns it off"
-        ),
-        "dni_engine.callbacks": "engine-construction plumbing every factory forwards",
-        "dni_engine.backend": "the engine selection level, uniform across the factories",
         "ddp_engine.callbacks": "engine-construction plumbing every factory forwards",
         "ddp_engine.min_workers": (
             "lost-rank policy floor; only tests/dist/test_faults.py raises it"
@@ -320,7 +298,6 @@ class TestExportCensus:
         "PHASES": "the span-phase vocabulary a user filters a trace by",
         "chaos": "one-call fault-injecting transport for a user's recovery drills",
         "set_registry": "isolates one run's counters in a fresh global registry",
-        "dni_engine": DNI_BASELINE,
     }
 
     @staticmethod

@@ -18,13 +18,11 @@ recorded into ``BENCH_engine.json`` for cross-PR tracking:
    the blocking CI gate of the backend refactor (>= 1.3x; both numbers
    come from the same process, so machine noise largely cancels).
 4. **GP-stream fast path** (``BENCH_gp.json``) — one full BP training
-   step vs a hooked-GP step vs a batched-GP step, all no-grad on the
-   fused backend, plus workspace-pool counters as the peak-allocation
-   proxy.  Blocking CI gate: the batched no-grad GP step must be
+   step vs a no-grad GP step (one stacked predict + grouped apply) on
+   the fused backend, plus workspace-pool counters as the
+   peak-allocation proxy.  Blocking CI gate: the GP step must be
    >= 1.5x faster than the BP step (the paper's Phase-GP asymmetry,
-   measured rather than simulated); the hooked §3.4-faithful step must
-   still beat BP outright while paying the per-layer predictor alpha
-   per invocation.
+   measured rather than simulated).
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_engine.py -q
 """
@@ -188,21 +186,18 @@ def test_bench_engine_phase_rates(benchmark):
 def test_bench_gp_stream_gate(benchmark):
     """No-grad Phase-GP steps vs a full BP training step (blocking gate).
 
-    Three step kinds through the engine on ResNet50-mini, fused backend:
+    Two step kinds through the engine on ResNet50-mini, fused backend:
 
     * ``bp`` — plain backprop training batch (forward + loss grad + full
       backward + optimizer step), no predictor training: the §3.4
       baseline cost;
-    * ``gp_hooked`` — Phase GP with per-layer predict hooks (paper
-      semantics, predictor alpha paid per layer);
-    * ``gp_batched`` — Phase GP with one stacked ``predict_many`` and a
-      grouped optimizer apply after the no-grad forward.
+    * ``gp`` — Phase GP: the no-grad forward, then one stacked
+      ``predict_many`` and a grouped optimizer apply.
 
-    Gate: the batched no-grad GP step is >= 1.5x faster than the BP
-    step, and the hooked step still beats BP outright.  Workspace-pool
-    counters around a GP step are recorded as the peak-allocation proxy
-    — a warm no-grad stream must run miss-free with zero outstanding
-    checkouts.
+    Gate: the no-grad GP step is >= 1.5x faster than the BP step.
+    Workspace-pool counters around a GP step are recorded as the
+    peak-allocation proxy — a warm no-grad stream must run miss-free
+    with zero outstanding checkouts.
     """
     from repro.core.engine.strategies import (
         BackpropStrategy,
@@ -223,8 +218,7 @@ def test_bench_gp_stream_gate(benchmark):
     # Plain BP (no predictor training) for the paper-faithful baseline.
     strategies = {
         "bp": BackpropStrategy(),
-        "gp_hooked": GradPredictStrategy(),
-        "gp_batched": GradPredictStrategy(batched_predict=True),
+        "gp": GradPredictStrategy(),
     }
     for strategy in strategies.values():
         strategy.bind(engine)
@@ -242,7 +236,7 @@ def test_bench_gp_stream_gate(benchmark):
         step(name)
         step(name)
 
-    # Pool counters across one warm hooked-GP step: the peak-allocation
+    # Pool counters across one warm GP step: the peak-allocation
     # proxy.  A no-grad stream must be allocation-free (all workspace
     # acquisitions served by the pool) and leave nothing checked out.
     # Nothing resets the pool's counters, so the step's own numbers are
@@ -250,7 +244,7 @@ def test_bench_gp_stream_gate(benchmark):
     registry = MetricsRegistry()
     registry.attach(pool)
     before = registry.snapshot()
-    step("gp_hooked")
+    step("gp")
     pool_stats = {
         name.removeprefix("repro_backend_pool_"): entry["series"][""]
         for name, entry in MetricsRegistry.delta(registry.snapshot(), before).items()
@@ -274,12 +268,10 @@ def test_bench_gp_stream_gate(benchmark):
     medians = {
         name: float(np.median(values)) for name, values in times.items()
     }
-    hooked_speedup = medians["bp"] / medians["gp_hooked"]
-    batched_speedup = medians["bp"] / medians["gp_batched"]
+    speedup = medians["bp"] / medians["gp"]
     benchmark.extra_info["bp_ms"] = medians["bp"] * 1e3
-    benchmark.extra_info["gp_hooked_ms"] = medians["gp_hooked"] * 1e3
-    benchmark.extra_info["gp_batched_ms"] = medians["gp_batched"] * 1e3
-    benchmark.extra_info["batched_speedup"] = batched_speedup
+    benchmark.extra_info["gp_ms"] = medians["gp"] * 1e3
+    benchmark.extra_info["gp_speedup"] = speedup
     record(
         "BENCH_gp.json",
         "gp_stream",
@@ -288,29 +280,22 @@ def test_bench_gp_stream_gate(benchmark):
             "batch": 16,
             "backend": "fused",
             "bp_step_ms": medians["bp"] * 1e3,
-            "gp_hooked_step_ms": medians["gp_hooked"] * 1e3,
-            "gp_batched_step_ms": medians["gp_batched"] * 1e3,
-            "gp_hooked_speedup": hooked_speedup,
-            "gp_batched_speedup": batched_speedup,
+            "gp_step_ms": medians["gp"] * 1e3,
+            "gp_speedup": speedup,
             "gate": MIN_GP_STREAM_SPEEDUP,
             "gp_step_pool": pool_stats,
         },
     )
     print(
         f"\nResNet50-mini steps: bp {medians['bp'] * 1e3:.2f} ms, "
-        f"hooked gp {medians['gp_hooked'] * 1e3:.2f} ms "
-        f"({hooked_speedup:.2f}x), batched gp "
-        f"{medians['gp_batched'] * 1e3:.2f} ms ({batched_speedup:.2f}x); "
+        f"gp {medians['gp'] * 1e3:.2f} ms ({speedup:.2f}x); "
         f"gp-step pool {pool_stats}"
     )
     # The no-grad stream must be allocation-free once the pool is warm.
     assert pool_stats["misses"] == 0
     assert pool_stats["outstanding"] == 0
-    # Skipping backward must beat the full BP step even with the
-    # per-layer predictor alpha paid in software...
-    assert hooked_speedup > 1.0
-    # ...and the batched no-grad stream is the blocking 1.5x gate.
-    assert batched_speedup >= MIN_GP_STREAM_SPEEDUP
+    # The no-grad stream is the blocking 1.5x gate.
+    assert speedup >= MIN_GP_STREAM_SPEEDUP
 
 
 def _time_op(fn, rounds=30):

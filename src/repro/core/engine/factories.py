@@ -57,7 +57,7 @@ def adagp_engine(
     metric_fn: Optional[MetricFn] = None,
     plateau_scheduler: bool = True,
     gp_optimizer: Optional[Optimizer] = None,
-    batched_gp: bool = False,
+    batched_gp: bool = True,
     callbacks: Iterable[Callback] = (),
     backend: Optional[BackendSpec] = None,
 ) -> TrainingEngine:
@@ -70,16 +70,23 @@ def adagp_engine(
     — Adam's per-element normalization would otherwise blow small
     predicted gradients up into full-size steps.
 
-    ``batched_gp`` selects the batched Phase-GP mode: predictions for
-    every predictable layer fire as one stacked ``predict_many`` call
-    (plus one grouped optimizer apply) *after* the no-grad forward,
-    instead of per-layer hooks applying updates in flight.  Default off
-    — the per-layer immediacy is §3.4's semantics; see
-    ``examples/batched_gp_tradeoff.py`` for the accuracy/throughput
-    trade.
+    A Phase-GP batch taps every predictable layer's output during the
+    no-grad forward, then predicts all layers in one stacked
+    ``predict_many`` call and applies them in one grouped
+    ``gp_optimizer`` apply.  §3.4's per-layer in-flight updates are a
+    hardware overlap: on one device each layer's update lands on the
+    same weights after the forward.  ``batched_gp`` accepts only
+    ``True`` (``bench/workloads.py`` still passes it); in-flight updates
+    run on :func:`pipeline_adagp_engine`, where each predict sits inside
+    its measured stage slot.
 
     ``backend`` selects the compute backend for every batch.
     """
+    if not batched_gp:
+        raise ValueError(
+            "adagp_engine applies every Phase-GP update after the forward; "
+            "per-layer in-flight updates run on pipeline_adagp_engine"
+        )
     if not nn.predictable_layers(model):
         raise ValueError("model has no predictable layers for ADA-GP")
     optimizer = optimizer or nn.SGD(model.parameters(), lr=lr, momentum=0.9)
@@ -92,7 +99,7 @@ def adagp_engine(
         strategies={
             Phase.WARMUP: bp_strategy,
             Phase.BP: bp_strategy,
-            Phase.GP: GradPredictStrategy(batched_predict=batched_gp),
+            Phase.GP: GradPredictStrategy(),
         },
         schedule=schedule or HeuristicSchedule(),
         metric_fn=metric_fn,
@@ -127,9 +134,9 @@ def pipeline_adagp_engine(
     :func:`repro.models.build_mini` returns); the split happens lazily
     on the first training batch, balanced by the accel cost model.
     """
-    if adagp_kwargs.get("batched_gp"):
+    if "batched_gp" in adagp_kwargs:
         raise ValueError(
-            "pipeline_adagp_engine cannot honour batched_gp: its Phase-GP "
+            "pipeline_adagp_engine takes no batched_gp: its Phase-GP "
             "updates fire in flight, stage by stage"
         )
     engine = adagp_engine(model, loss_fn, **adagp_kwargs)

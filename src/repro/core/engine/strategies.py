@@ -17,12 +17,16 @@ schemes differ in which steps run and in *how forward/backward run*:
   predictor (when ``train_predictor=True``: ADA-GP's Warm-Up / Phase BP),
   then the optimizer step.
 * :class:`GradPredictStrategy` — ADA-GP's Phase GP: backprop is skipped
-  and the batch runs under :func:`~repro.nn.no_grad`; the tap applies
-  each layer's predicted update the moment that layer's forward
-  completes, or ``batched_predict=True`` defers to one stacked predict +
-  grouped apply after ``run_forward``.
-* :class:`PipelineGPStrategy` — §3.7: both bodies with the two ``run_*``
-  primitives swapped for the micro-batch pipeline executor.
+  and the batch runs under :func:`~repro.nn.no_grad`; the tap keeps
+  every predictable layer's output, and after ``run_forward`` one
+  stacked predict + one grouped apply update every layer.  The paper's
+  in-flight timing (§3.4) is a hardware overlap; on one device each
+  layer's deferred update lands on the same weights, because every
+  predictable layer runs once per forward (the tap raises otherwise).
+* :class:`PipelineGPStrategy` — §3.7: the Phase-BP body with the two
+  ``run_*`` primitives swapped for the micro-batch pipeline executor,
+  and a Phase-GP body that applies each layer's update in flight, so
+  the predict lands inside the measured stage slot.
 
 The engine selects a strategy per batch from its phase schedule.  Adding
 a scheme is choosing the tap's ``on_output`` and the two ``run_*``
@@ -139,14 +143,25 @@ class PhaseStrategy:
         only if ``on_output`` needs the joined array (so predict + apply
         stay inside the last micro-batch's measured slot); otherwise
         they are joined after the forward, outside any measured slot.
-        Hooks are always cleared.
+        A layer that runs more than ``chunks`` times (one object reused
+        within a forward) raises ``ValueError``: its activations would
+        overwrite each other.  Hooks are always cleared.
         """
         engine = self.engine
         chunks = self.chunks
         store: dict[int, np.ndarray] = {}
         parts: dict[int, list[np.ndarray]] = {}
+        calls: dict[int, int] = {}
 
         def hook(layer: Module, output: np.ndarray) -> None:
+            seen = calls[id(layer)] = calls.get(id(layer), 0) + 1
+            if seen > chunks:
+                raise ValueError(
+                    f"predictable layer {engine.layers.index(layer)} "
+                    f"({type(layer).__name__}) ran {seen} times in one batch, "
+                    f"expected {chunks}: a layer object reused within a "
+                    "forward cannot be tapped"
+                )
             if chunks > 1:
                 got = parts.setdefault(id(layer), [])
                 got.append(output)
@@ -233,26 +248,6 @@ class PhaseStrategy:
                 updates.append((layer.bias, bias_grad))
         optimizer.apply_gradients(updates)
 
-    def _gp_batch(self, inputs, targets, batched_predict: bool = False) -> BatchResult:
-        """The Phase-GP body (§3.4): tap → ``run_forward`` → predicted
-        updates, in flight per layer or (``batched_predict``) all at
-        once after the forward.  No gradient ever touches ``param.grad``."""
-        engine = self.engine
-        engine.model.train()
-        optimizer = engine.gp_optimizer
-
-        def in_flight(layer: Module, output: np.ndarray) -> None:
-            self._apply_predictions([layer], [output], optimizer)
-
-        on_output = None if batched_predict else in_flight
-        with self.tap(on_output, keep=batched_predict) as activations:
-            loss = self.run_forward(inputs, targets)
-        if batched_predict:
-            layers = [layer for layer in engine.layers if id(layer) in activations]
-            outputs = [activations[id(layer)] for layer in layers]
-            self._apply_predictions(layers, outputs, optimizer)
-        return BatchResult(loss=loss, phase=Phase.GP)
-
 
 class BackpropStrategy(PhaseStrategy):
     """Standard backprop batch, optionally also training the predictor
@@ -298,32 +293,20 @@ class BackpropStrategy(PhaseStrategy):
 
 
 class GradPredictStrategy(PhaseStrategy):
-    """Phase GP batch: forward-only with predicted updates, under no-grad.
-
-    ``batched_predict`` selects *when* predictions are applied:
-
-    * ``False`` (default, §3.4-faithful): the tap applies each layer's
-      predicted update the moment its forward completes — the in-flight
-      timing the accelerator implements (the update lands on weights
-      whose forward work for this batch is already done, so on a
-      single-pass feed-forward chain the resulting weights equal the
-      deferred mode's; the timing matters for hardware overlap, for
-      models that reuse a layer object within one forward, and across
-      batches).
-    * ``True``: the forward only *collects* predictable-layer
-      activations; afterwards one stacked predictor call predicts every
-      layer and one grouped ``gp_optimizer.apply_gradients`` applies
-      them — far fewer predictor invocations per batch, updates landing
-      after the forward instead of during it (accuracy/throughput
-      comparison in ``examples/batched_gp_tradeoff.py``).
-    """
-
-    def __init__(self, batched_predict: bool = False) -> None:
-        super().__init__()
-        self.batched_predict = batched_predict
+    """Phase GP batch (§3.4): forward-only under no-grad, then one
+    stacked predictor call predicts every predictable layer from its
+    tapped output and one grouped ``gp_optimizer.apply_gradients``
+    applies them.  No gradient ever touches ``param.grad``."""
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
-        return self._gp_batch(inputs, targets, self.batched_predict)
+        engine = self.engine
+        engine.model.train()
+        with self.tap() as activations:
+            loss = self.run_forward(inputs, targets)
+        layers = [layer for layer in engine.layers if id(layer) in activations]
+        outputs = [activations[id(layer)] for layer in layers]
+        self._apply_predictions(layers, outputs, engine.gp_optimizer)
+        return BatchResult(loss=loss, phase=Phase.GP)
 
 
 class PipelineGPStrategy(BackpropStrategy):
@@ -344,8 +327,8 @@ class PipelineGPStrategy(BackpropStrategy):
     * GP batches stream forward-only micro-batches.  Each predictable
       layer's update fires once per batch, on its *final* micro-batch's
       forward, predicted from the joined full-batch activations — the
-      same update semantics and cost as the single-chip
-      :class:`GradPredictStrategy` — and runs inside that measured
+      same updates the single-chip :class:`GradPredictStrategy` applies
+      after its forward — and runs inside that measured
       forward slot, so the paper's alpha overhead is part of the
       measurement (the hardware overlaps alpha on a dedicated array,
       software pays it per invocation).
@@ -408,6 +391,15 @@ class PipelineGPStrategy(BackpropStrategy):
             return executor.run_gp_batch(inputs, targets, self.engine.loss_fn).loss
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
-        if phase == Phase.GP:
-            return self._gp_batch(inputs, targets)
-        return super().train_batch(inputs, targets, phase)
+        if phase != Phase.GP:
+            return super().train_batch(inputs, targets, phase)
+        engine = self.engine
+        engine.model.train()
+        optimizer = engine.gp_optimizer
+
+        def in_flight(layer: Module, output: np.ndarray) -> None:
+            self._apply_predictions([layer], [output], optimizer)
+
+        with self.tap(in_flight, keep=False):
+            loss = self.run_forward(inputs, targets)
+        return BatchResult(loss=loss, phase=Phase.GP)

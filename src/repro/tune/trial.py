@@ -4,9 +4,9 @@ A :class:`TrialSpec` is a JSON-safe description of one
 :func:`~repro.core.adagp_engine` training run — the schedule under test
 (:class:`~repro.core.AdaptiveSchedule` thresholds/ratios or
 :class:`~repro.core.HeuristicSchedule` ladders, via their
-``to_config`` dicts), the GP options (``batched_gp``), and the workload
-(model, dataset preset, epochs, batch size, learning rate).  Specs are
-what travels through the process pool and the results journal.
+``to_config`` dicts) and the workload (model, dataset preset, epochs,
+batch size, learning rate).  Specs are what travels through the process
+pool and the results journal.
 
 :func:`run_trial` executes a spec deterministically (all randomness
 spawned from ``spec.seed``) and returns a :class:`TrialResult` carrying
@@ -69,7 +69,6 @@ class TrialSpec:
     batch_size: int = 32
     epochs: int = 12
     lr: float = 0.02
-    batched_gp: bool = False
     design: str = "ADA-GP-Efficient"
     seed: int = 0
 
@@ -176,7 +175,7 @@ def spec_from_config(
     ``threshold_scale`` / ``ratios`` for the adaptive controller,
     ``ladder`` / ``final_ratio`` for the heuristic one) become the
     spec's schedule config; any :class:`TrialSpec` field name (``lr``,
-    ``batched_gp``, ``epochs``, ...) overrides the same-named ``base``
+    ``epochs``, ``model``, ...) overrides the same-named ``base``
     keyword.  Unknown keys raise, so typos in a search space fail fast
     instead of silently searching nothing.
     """
@@ -267,7 +266,6 @@ def run_trial(spec: TrialSpec) -> TrialResult:
         lr=spec.lr,
         metric_fn=accuracy,
         schedule=spec.build_schedule(),
-        batched_gp=spec.batched_gp,
     )
     start = time.perf_counter()
     history = engine.fit(

@@ -62,8 +62,7 @@ ENGINES = {
     "bp": lambda model: bp_engine(
         model, CrossEntropyLoss(), lr=0.01, metric_fn=accuracy
     ),
-    "adagp_hooked": _adagp,
-    "adagp_batched": lambda model: _adagp(model, batched_gp=True),
+    "adagp": _adagp,
     "pipeline": lambda model: _adagp(
         model, pipeline_adagp_engine, num_stages=2, micro_batches=4
     ),

@@ -2,13 +2,17 @@
 
 Covers: GP batches run under no-grad (caches verifiably absent, backward
 raises), the loss-value-only entry points match the ``(loss, grad)``
-pair form, batched-GP (one ``predict_many`` + grouped apply) equals the
-deferred per-layer predict/apply sequence, pipeline GP streams are
-no-grad, and evaluation is unchanged by the no-grad rewrite.
+pair form, the GP batch (one ``predict_many`` + grouped apply) equals
+the deferred per-layer predict/apply sequence and, over generated
+chains and the Transformer, §3.4's in-flight per-layer hook; a layer
+reused within a forward is refused; pipeline GP streams are no-grad,
+and evaluation is unchanged by the no-grad rewrite.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.core import (
@@ -20,6 +24,7 @@ from repro.core import (
 )
 from repro.core.engine.strategies import GradPredictStrategy
 from repro.data import synthetic_images
+from repro.models import Seq2SeqTransformer
 from repro.nn.losses import CrossEntropyLoss, accuracy, loss_value
 from repro.nn.module import NO_GRAD
 
@@ -139,30 +144,26 @@ class TestNoGradGPBatch:
         engine = _adagp()
         x, y = _batch()
         result = engine.train_batch(x, y, Phase.GP)
-        # Recompute forward with the *updated* weights: hooks applied
-        # updates mid-forward, so re-running now gives a different loss;
-        # just sanity-check the recorded loss is a genuine CE value.
+        # The batch updated the weights after its forward, so re-running
+        # now gives a different loss; just sanity-check the recorded loss
+        # is a genuine CE value.
         assert 0.0 < result.loss < 20.0
 
 
 class TestBatchedGP:
     def test_batched_equals_deferred_per_layer_sequence(self):
-        """batched_predict == per-layer predict/apply deferred to the end.
-
-        The stacked ``predict_many`` + grouped ``apply_gradients`` must
+        """One stacked ``predict_many`` + grouped ``apply_gradients``
         reproduce (to numerical tolerance) predicting each layer from
         the same collected activations and applying per layer after the
-        forward — the only semantic difference from hooked mode is the
-        deferral, which is exactly what this pins down.
-        """
+        forward."""
         x, y = _batch(seed=3)
         engine_a = _adagp()
         engine_b = _adagp()
         for a_layer, b_layer in zip(engine_a.layers, engine_b.layers):
             assert np.array_equal(a_layer.weight.data, b_layer.weight.data)
 
-        # A: engine path with batched_predict.
-        strategy = GradPredictStrategy(batched_predict=True)
+        # A: the engine's Phase-GP body.
+        strategy = GradPredictStrategy()
         strategy.bind(engine_a)
         strategy.train_batch(x, y, Phase.GP)
 
@@ -192,39 +193,106 @@ class TestBatchedGP:
                     a_layer.bias.data, b_layer.bias.data, atol=1e-5
                 )
 
-    def test_batched_matches_hooked_for_feedforward_chain(self):
-        """Hooked and batched GP coincide on a single-pass feed-forward.
+    def test_factory_refuses_in_flight_updates(self):
+        with pytest.raises(ValueError, match="pipeline_adagp_engine"):
+            _adagp(batched_gp=False)
 
-        A layer's in-flight update lands *after* its forward produced
-        the activation every downstream layer consumes, so within one
-        batch of a feed-forward chain nothing ever re-reads the updated
-        weights — deferring all updates to end-of-forward (batched mode)
-        must therefore land on the same weights.  (The modes can diverge
-        only across batches or with weight reuse inside one forward.)
-        """
-        x, y = _batch(seed=3)
-        engine_hooked = _adagp()
-        engine_batched = _adagp(batched_gp=True)
-        engine_hooked.train_batch(x, y, Phase.GP)
-        engine_batched.train_batch(x, y, Phase.GP)
-        for hooked_layer, batched_layer in zip(
-            engine_hooked.layers, engine_batched.layers
-        ):
-            np.testing.assert_allclose(
-                hooked_layer.weight.data,
-                batched_layer.weight.data,
-                atol=1e-6,
+    def test_layer_reused_within_a_forward_raises(self):
+        """A deferred update would see only the second activation of a
+        layer that runs twice, so the tap refuses it by name."""
+        nn.init.reset_layer_rng(0)
+        shared = nn.Linear(4, 4, rng=np.random.default_rng(0))
+        engine = adagp_engine(
+            nn.Sequential(shared, nn.ReLU(), shared), CrossEntropyLoss(), lr=0.05
+        )
+        x = np.random.default_rng(1).standard_normal((3, 4)).astype(np.float32)
+        with pytest.raises(ValueError, match="predictable layer 0 .Linear. ran 2 times"):
+            engine.train_batch(x, np.array([0, 1, 2]), Phase.GP)
+        assert all(layer.forward_hook is None for layer in engine.layers)
+
+
+def _chain(depth, bias):
+    rng = np.random.default_rng(depth)
+    layers, channels = [], 3
+    for _ in range(depth):
+        layers += [nn.Conv2d(channels, 4, 3, padding=1, bias=bias, rng=rng), nn.ReLU()]
+        channels = 4
+    return nn.Sequential(*layers, nn.GlobalAvgPool2d(), nn.Linear(4, 3, bias=bias, rng=rng))
+
+
+def _gp_case(kind, depth, bias, batch):
+    """Two identical engines and one batch: a conv chain of ``depth``
+    convolutions, or the benchmark's Transformer configuration (Adam on
+    the model, predicted gradients through SGD) with ``depth`` encoder
+    and decoder layers."""
+    rng = np.random.default_rng(batch)
+    if kind == "chain":
+        x, y = _batch(seed=batch, batch=batch)
+    else:
+        x = (rng.integers(3, 12, (batch, 6)), rng.integers(3, 12, (batch, 5)))
+        y = rng.integers(3, 12, (batch, 5))
+    engines = []
+    for _ in range(2):
+        nn.init.reset_layer_rng(0)
+        if kind == "chain":
+            model, kwargs = _chain(depth, bias), {"lr": 0.05}
+        else:
+            model = Seq2SeqTransformer(
+                12, 12, d_model=8, num_heads=2, d_ff=16, num_encoder_layers=depth,
+                num_decoder_layers=depth, rng=np.random.default_rng(0),
             )
+            kwargs = {
+                "optimizer": nn.Adam(model.parameters(), lr=1e-3),
+                "gp_optimizer": nn.SGD(model.parameters(), lr=1e-2, momentum=0.9),
+            }
+        predictor = GradientPredictor.for_model(model, rng=np.random.default_rng(42))
+        engines.append(
+            adagp_engine(model, CrossEntropyLoss(), predictor=predictor, **kwargs)
+        )
+    return engines, x, y
 
-    def test_factory_wires_batched_gp(self):
-        engine = _adagp(batched_gp=True)
-        strategy = engine.strategies[Phase.GP]
-        assert isinstance(strategy, GradPredictStrategy)
-        assert strategy.batched_predict
-        x, y = _batch()
-        result = engine.train_batch(x, y, Phase.GP)
-        assert result.phase == Phase.GP
-        assert np.isfinite(result.loss)
+
+class TestDeferredEqualsInFlight:
+    @settings(max_examples=10, deadline=None)
+    @example(kind="transformer", depth=2, bias=True, batch=3)
+    @given(
+        kind=st.just("chain"),
+        depth=st.integers(1, 4),
+        bias=st.booleans(),
+        batch=st.integers(1, 8),
+    )
+    def test_gp_batch_equals_in_flight_oracle(self, kind, depth, bias, batch):
+        """The engine predicts every layer after the forward; §3.4's
+        hook predicts each layer from its own output and applies it the
+        moment that layer's forward completes.  Every predictable layer
+        runs once per forward, so no later layer reads an updated
+        weight and both land on the same weights."""
+        (engine, oracle), x, y = _gp_case(kind, depth, bias, batch)
+        for each in (engine, oracle):
+            each.train_batch(x, y, Phase.BP)  # the predictor has scales to use
+
+        def in_flight(layer, output):
+            weight_grad, bias_grad = oracle.predictor.predict(layer, output)
+            oracle.gp_optimizer.apply_gradient(layer.weight, weight_grad)
+            if layer.bias is not None and bias_grad is not None:
+                oracle.gp_optimizer.apply_gradient(layer.bias, bias_grad)
+
+        for _ in range(2):
+            result = engine.train_batch(x, y, Phase.GP)
+            for layer in oracle.layers:
+                layer.forward_hook = in_flight
+            oracle.model.train()
+            with nn.no_grad():
+                outputs = oracle.model(x)
+            oracle.clear_hooks()
+            assert result.loss == pytest.approx(
+                loss_value(oracle.loss_fn, outputs, y), abs=1e-6
+            )
+            want = dict(oracle.model.named_parameters())
+            for name, param in engine.model.named_parameters():
+                np.testing.assert_allclose(
+                    param.data, want[name].data, rtol=0, atol=1e-6, err_msg=name
+                )
 
 
 class TestEvaluateNoGrad:

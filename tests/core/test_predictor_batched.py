@@ -189,18 +189,15 @@ class TestTrainStepManyEquivalence:
 
 class TestTrainerPaths:
     """The stacked predictor update works end-to-end through the engine,
-    with either Phase-GP mode (hooked or ``batched_gp``) between its
-    Phase-BP batches."""
+    with Phase-GP batches between its Phase-BP batches."""
 
-    @pytest.mark.parametrize("batched_gp", [True, False])
-    def test_fit_collects_errors_either_way(self, batched_gp):
+    def test_fit_collects_errors(self):
         split = synthetic_images(3, 48, 24, image_size=8, seed=3)
         engine = adagp_engine(
             _model(seed=2),
             CrossEntropyLoss(),
             lr=0.05,
             schedule=HeuristicSchedule(warmup_epochs=1, ladder=((1, (2, 1)),)),
-            batched_gp=batched_gp,
         )
         history = engine.fit(
             lambda: split.train.batches(16, rng=np.random.default_rng(0)),

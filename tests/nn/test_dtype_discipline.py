@@ -35,10 +35,10 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module, Parameter
 
 MODELS = [*MINI_BUILDERS, "Seq2SeqTransformer"]
-PHASES = ("bp", "gp_hooked", "gp_batched", "eval")
+PHASES = ("bp", "gp", "eval")
 
 
-def _engine(name, backend, batched_gp):
+def _engine(name, backend):
     """``(engine, inputs, targets)`` for one model, as small as it runs."""
     rng = np.random.default_rng(0)
     loss_fn = CrossEntropyLoss()
@@ -55,14 +55,12 @@ def _engine(name, backend, batched_gp):
             model, loss_fn,
             optimizer=nn.Adam(model.parameters(), lr=1e-3),
             gp_optimizer=nn.SGD(model.parameters(), lr=1e-3, momentum=0.9),
-            batched_gp=batched_gp, backend=backend,
+            backend=backend,
         )
         return engine, inputs, targets
     model = build_mini(name, 10, rng=rng)
     inputs = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
-    engine = adagp_engine(
-        model, loss_fn, lr=0.01, batched_gp=batched_gp, backend=backend
-    )
+    engine = adagp_engine(model, loss_fn, lr=0.01, backend=backend)
     return engine, inputs, rng.integers(0, 10, 2)
 
 
@@ -133,8 +131,8 @@ def _state_leaks(engine) -> list[str]:
 def test_every_array_on_the_training_path_is_float32(name, phase, backend):
     if backend == "native" and not native_available():
         pytest.skip("native extension unavailable")
-    engine, inputs, targets = _engine(name, backend, phase == "gp_batched")
-    if phase.startswith("gp"):
+    engine, inputs, targets = _engine(name, backend)
+    if phase == "gp":
         engine.train_batch(inputs, targets, Phase.BP)
     with _watch(engine) as leaks:
         if phase == "eval":

@@ -150,13 +150,11 @@ class TestEngineReconciliation:
         assert len(evals) == 3
         assert all(s.phase == "eval" for s in evals)
 
-    @pytest.mark.parametrize("batched_gp", [False, True])
-    def test_predictor_spans_per_batch_and_layer(self, batched_gp):
+    def test_predictor_spans_per_batch_and_layer(self):
         """Predictor alpha is visible: one ``predictor.train`` span per
-        BP or warm-up batch, one ``predictor.predict`` span per
-        predictable layer of a hooked GP batch (per batch when batched)
-        — and the spans leave backend-op attribution to the batch's
-        phase."""
+        BP or warm-up batch, one ``predictor.predict`` span per GP batch
+        (every layer in one stacked call) — and the spans leave
+        backend-op attribution to the batch's phase."""
         tracer = obs.Tracer()
         reg = obs.MetricsRegistry()
         previous = obs.set_tracer(tracer)
@@ -166,7 +164,6 @@ class TestEngineReconciliation:
                 CrossEntropyLoss(),
                 lr=0.05,
                 schedule=_schedule(),
-                batched_gp=batched_gp,
                 backend=obs.ProfilingBackend(FusedBackend(), registry=reg),
                 callbacks=[obs.TracingCallback(tracer)],
             )
@@ -177,8 +174,8 @@ class TestEngineReconciliation:
         predict = [s for s in tracer.spans if s.name == "predictor.predict"]
         assert len(train) == sum(history.bp_batches) > 0
         assert all(s.phase == obs.PREDICTOR_TRAIN for s in train)
-        per_batch = 1 if batched_gp else len(engine.layers)
-        assert len(predict) == per_batch * sum(history.gp_batches) > 0
+        assert len(predict) == sum(history.gp_batches) > 0
+        assert all(s.args["layers"] == len(engine.layers) for s in predict)
         assert all(s.phase == "gp" for s in predict)
         batches = [s for s in tracer.spans if s.name == "engine.batch"]
         for span in train + predict:

@@ -212,6 +212,10 @@ class TestOptionsCensus:
         "adagp_engine.predictor": (
             "test seam: tests inject a seeded predictor to compare engines bitwise"
         ),
+        "adagp_engine.batched_gp": (
+            "only True is accepted; bench/workloads.py still passes it, through "
+            "_image_engine's **adagp_kwargs, which this scan cannot follow"
+        ),
         "ddp_engine.callbacks": "engine-construction plumbing every factory forwards",
         "ddp_engine.min_workers": (
             "lost-rank policy floor; only tests/dist/test_faults.py raises it"

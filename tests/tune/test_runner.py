@@ -293,7 +293,6 @@ def _journal_entries(draw):
             schedule=draw(_schedules),
             epochs=draw(st.integers(1, 64)),
             lr=draw(st.floats(1e-5, 1.0)),
-            batched_gp=draw(st.booleans()),
             seed=draw(st.integers(0, 2**31)),
         )
         if draw(st.booleans()):

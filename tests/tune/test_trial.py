@@ -53,12 +53,11 @@ class TestSpecFromConfig:
     def test_engine_and_run_overrides(self):
         spec = spec_from_config(
             "t",
-            {"kind": "adaptive", "batched_gp": True, "lr": 0.5, "epochs": 7},
+            {"kind": "adaptive", "lr": 0.5, "epochs": 7},
             seed=11,
             lr=0.01,
             model="ResNet50",
         )
-        assert spec.batched_gp is True
         assert spec.lr == 0.5  # config overrides base
         assert spec.epochs == 7
         assert spec.model == "ResNet50"
@@ -67,6 +66,11 @@ class TestSpecFromConfig:
     def test_unknown_key_raises(self):
         with pytest.raises(ValueError, match="unknown search parameter"):
             spec_from_config("t", {"kind": "adaptive", "threshhold_scale": 2.0})
+
+    def test_batched_gp_is_not_a_search_parameter(self):
+        # Phase GP has one body, so a search space cannot select another.
+        with pytest.raises(ValueError, match="unknown search parameter"):
+            spec_from_config("t", {"kind": "adaptive", "batched_gp": True})
 
     def test_mismatched_schedule_keys_raise(self):
         with pytest.raises(ValueError, match="do not apply"):

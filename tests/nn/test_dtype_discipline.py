@@ -8,7 +8,9 @@ the dgemm path — and nothing fails, because ``Parameter.accumulate_grad``
 and the predictor's pooled buffer cast back to float32.  This test is
 the loud form of that invariant.  On every zoo mini and the Transformer,
 for every phase body and every registered backend, it checks that these
-are all float32:
+are all float32 (the pipeline engine's BP and GP batches, which split
+the batch into micro-batches and apply each predicted update in flight,
+run on the minis: it partitions a top-level ``Sequential`` only):
 
 * every module output;
 * every gradient a layer hands to ``Parameter.accumulate_grad``, and
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import Phase, adagp_engine
+from repro.core import Phase, adagp_engine, pipeline_adagp_engine
 from repro.core.engine.checkpoint import optimizer_state
 from repro.core.predictor import GradientPredictor
 from repro.models import MINI_BUILDERS, Seq2SeqTransformer, build_mini
@@ -36,9 +38,13 @@ from repro.nn.module import Module, Parameter
 
 MODELS = [*MINI_BUILDERS, "Seq2SeqTransformer"]
 PHASES = ("bp", "gp", "eval")
+PIPELINE_PHASES = ("pipeline_bp", "pipeline_gp")
+CASES = [(name, phase) for name in MODELS for phase in PHASES] + [
+    (name, phase) for name in MINI_BUILDERS for phase in PIPELINE_PHASES
+]
 
 
-def _engine(name, backend):
+def _engine(name, backend, pipeline=False):
     """``(engine, inputs, targets)`` for one model, as small as it runs."""
     rng = np.random.default_rng(0)
     loss_fn = CrossEntropyLoss()
@@ -60,7 +66,15 @@ def _engine(name, backend):
         return engine, inputs, targets
     model = build_mini(name, 10, rng=rng)
     inputs = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
-    engine = adagp_engine(model, loss_fn, lr=0.01, backend=backend)
+    if pipeline:
+        # Two stages of one sample each: every stage boundary and the
+        # micro-batch join run.
+        engine = pipeline_adagp_engine(
+            model, loss_fn, num_stages=2, micro_batches=2, lr=0.01,
+            backend=backend,
+        )
+    else:
+        engine = adagp_engine(model, loss_fn, lr=0.01, backend=backend)
     return engine, inputs, rng.integers(0, 10, 2)
 
 
@@ -126,12 +140,12 @@ def _state_leaks(engine) -> list[str]:
 
 
 @pytest.mark.parametrize("backend", list_backends())
-@pytest.mark.parametrize("phase", PHASES)
-@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize(("name", "phase"), CASES)
 def test_every_array_on_the_training_path_is_float32(name, phase, backend):
     if backend == "native" and not native_available():
         pytest.skip("native extension unavailable")
-    engine, inputs, targets = _engine(name, backend)
+    pipeline, _, phase = phase.rpartition("_")
+    engine, inputs, targets = _engine(name, backend, bool(pipeline))
     if phase == "gp":
         engine.train_batch(inputs, targets, Phase.BP)
     with _watch(engine) as leaks:

@@ -12,8 +12,6 @@ from .checkpoint import (
     engine_state,
     load_checkpoint,
     load_engine_state,
-    load_optimizer_state,
-    optimizer_state,
     save_checkpoint,
 )
 from .engine import EpochStats, TrainingEngine
@@ -54,8 +52,6 @@ __all__ = [
     "CheckpointCorrupt",
     "engine_state",
     "load_engine_state",
-    "optimizer_state",
-    "load_optimizer_state",
     "save_checkpoint",
     "load_checkpoint",
 ]

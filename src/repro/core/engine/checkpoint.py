@@ -11,10 +11,9 @@ uninterrupted run exactly — the round-trip tests in
 ``tests/core/test_engine.py`` and ``tests/core/test_checkpoint_io.py``
 (BatchNorm models, ``val_loss`` included) assert bit-identical History.
 
-Optimizer state is keyed by ``id(parameter)`` and predictor scale state
-by the layer object in memory; checkpoints remap both to stable indices
-(position in ``optimizer.parameters`` / ``engine.layers``) so state
-survives into a new process.
+Optimizer state (``Optimizer.state_dict``) and predictor scale state
+are keyed by stable indices — position in ``optimizer.parameters`` /
+``engine.layers`` — so state survives into a new process.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ import zlib
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
-
-from ...nn.optim import Optimizer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .engine import TrainingEngine
@@ -76,34 +73,6 @@ def _copy_value(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-def optimizer_state(optimizer: Optimizer) -> dict:
-    """Snapshot an optimizer: lr + every per-parameter slot dict.
-
-    Slots are discovered structurally (any dict attribute keyed by
-    parameter ids), so custom optimizers with the same convention are
-    covered without per-class code.
-    """
-    index_of = {id(p): i for i, p in enumerate(optimizer.parameters)}
-    slots: dict[str, dict] = {}
-    for name, value in vars(optimizer).items():
-        if name == "_param_ids" or not isinstance(value, dict):
-            continue
-        if value and not all(key in index_of for key in value):
-            continue
-        slots[name] = {index_of[k]: _copy_value(v) for k, v in value.items()}
-    return {"lr": optimizer.lr, "slots": slots}
-
-
-def load_optimizer_state(optimizer: Optimizer, state: dict) -> None:
-    """Inverse of :func:`optimizer_state` (same parameter order)."""
-    optimizer.lr = state["lr"]
-    params = optimizer.parameters
-    for name, slot in state["slots"].items():
-        setattr(
-            optimizer, name, {id(params[i]): _copy_value(v) for i, v in slot.items()}
-        )
-
-
 def _scheduler_state(scheduler) -> dict:
     return {
         k: _copy_value(v) for k, v in vars(scheduler).items() if k != "optimizer"
@@ -124,14 +93,14 @@ def trainable_state(engine: "TrainingEngine") -> dict:
     exactly this dict as its sync state)."""
     state: dict[str, Any] = {
         "model": engine.model.state_dict(),
-        "optimizer": optimizer_state(engine.optimizer),
+        "optimizer": engine.optimizer.state_dict(),
     }
     if engine.gp_optimizer is not None and engine.gp_optimizer is not engine.optimizer:
-        state["gp_optimizer"] = optimizer_state(engine.gp_optimizer)
+        state["gp_optimizer"] = engine.gp_optimizer.state_dict()
     if engine.predictor is not None:
         state["predictor"] = {
             "network": engine.predictor.network.state_dict(),
-            "optimizer": optimizer_state(engine.predictor.optimizer),
+            "optimizer": engine.predictor.optimizer.state_dict(),
             "scales": engine.predictor.scales_state(engine.layers),
         }
     return state
@@ -141,18 +110,18 @@ def load_trainable_state(engine: "TrainingEngine", state: dict) -> None:
     """Inverse of :func:`trainable_state` on a structurally identical
     engine; extra keys (a whole checkpoint) are ignored."""
     engine.model.load_state_dict(state["model"])
-    load_optimizer_state(engine.optimizer, state["optimizer"])
+    engine.optimizer.load_state_dict(state["optimizer"])
     if "gp_optimizer" in state:
         if engine.gp_optimizer is None or engine.gp_optimizer is engine.optimizer:
             raise ValueError(
                 "checkpoint has a separate gp_optimizer but the engine does not"
             )
-        load_optimizer_state(engine.gp_optimizer, state["gp_optimizer"])
+        engine.gp_optimizer.load_state_dict(state["gp_optimizer"])
     if "predictor" in state:
         if engine.predictor is None:
             raise ValueError("checkpoint has predictor state but engine has none")
         engine.predictor.network.load_state_dict(state["predictor"]["network"])
-        load_optimizer_state(engine.predictor.optimizer, state["predictor"]["optimizer"])
+        engine.predictor.optimizer.load_state_dict(state["predictor"]["optimizer"])
         engine.predictor.load_scales_state(
             engine.layers, state["predictor"]["scales"]
         )

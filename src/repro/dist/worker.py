@@ -203,5 +203,5 @@ class DistWorker:
         return {
             "rank": self.rank,
             "model": self.engine.model.state_dict(),
-            "optimizer": checkpoint_io.optimizer_state(self.engine.optimizer),
+            "optimizer": self.engine.optimizer.state_dict(),
         }

@@ -155,9 +155,9 @@ class TestAdaGPTrainer:
         gp_moves = []
 
         class SpyOptimizer(nn.SGD):
-            def apply_gradient(self, param, grad):
-                gp_moves.append(param)
-                super().apply_gradient(param, grad)
+            def apply_gradients(self, updates):
+                gp_moves.extend(param for param, _ in updates)
+                super().apply_gradients(updates)
 
         model = _tiny_model()
         engine = adagp_engine(

@@ -29,7 +29,6 @@ import pytest
 
 from repro import nn
 from repro.core import Phase, adagp_engine, pipeline_adagp_engine
-from repro.core.engine.checkpoint import optimizer_state
 from repro.core.predictor import GradientPredictor
 from repro.models import MINI_BUILDERS, Seq2SeqTransformer, build_mini
 from repro.nn.backend import list_backends, native_available
@@ -132,7 +131,7 @@ def _state_leaks(engine) -> list[str]:
         "predictor optimizer": engine.predictor.optimizer,
     }
     for opt_name, optimizer in optimizers.items():
-        for slot, values in optimizer_state(optimizer)["slots"].items():
+        for slot, values in optimizer.state_dict()["slots"].items():
             for index, value in values.items():
                 if isinstance(value, np.ndarray) and value.dtype != np.float32:
                     leaks.append(f"{opt_name}.{slot}[{index}]: {value.dtype}")

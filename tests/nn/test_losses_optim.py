@@ -132,9 +132,10 @@ class TestAdam:
         p2 = Parameter(np.array([0.0], dtype=np.float32))
         opt = Adam([p1, p2], lr=0.1)
         p1.grad = np.array([1.0], dtype=np.float32)
-        opt.step_param(p1)
-        assert opt._t[id(p1)] == 1
-        assert id(p2) not in opt._t
+        opt.step()  # p2 has no gradient
+        steps = opt.state_dict()["slots"]["_t"]
+        assert steps[0] == 1
+        assert 1 not in steps
 
 
 class TestSchedulers:

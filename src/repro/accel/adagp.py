@@ -139,14 +139,11 @@ class AcceleratorModel:
     # ------------------------------------------------------------------
     # Batch costs: folds over the table.
     # ------------------------------------------------------------------
-    def baseline_batch(self, model: ModelSpec, batch: int) -> BatchCost:
-        """One batch of plain backprop training."""
-        return self.phase_bp_batch(model, batch, None)
-
     def phase_bp_batch(
         self, model: ModelSpec, batch: int, design: AdaGPDesign | None
     ) -> BatchCost:
-        """Phase BP (and Warm Up): backprop + predictor training."""
+        """Phase BP (and Warm Up): backprop + predictor training;
+        ``design=None`` is one batch of plain backprop (the baseline)."""
         rows = self.layer_costs(model, batch, design)
         fw = _pass_cycles(design, [r.fw for r in rows], [r.alpha_fw for r in rows])
         back = rows[::-1]  # backward runs last layer -> first

@@ -50,18 +50,6 @@ class AcceleratorConfig:
     def num_pes(self) -> int:
         return self.rows * self.cols
 
-    def with_dataflow(self, dataflow: DataflowKind) -> "AcceleratorConfig":
-        """Copy of this config under a different dataflow."""
-        return AcceleratorConfig(
-            rows=self.rows,
-            cols=self.cols,
-            dataflow=dataflow,
-            bytes_per_element=self.bytes_per_element,
-            dram_bandwidth_bytes_per_cycle=self.dram_bandwidth_bytes_per_cycle,
-            global_buffer_kb=self.global_buffer_kb,
-            frequency_mhz=self.frequency_mhz,
-        )
-
 
 @dataclass(frozen=True)
 class PredictorHardware:

@@ -78,13 +78,15 @@ def _run_ruff(root: Path) -> tuple[str, list[Finding]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Static analysis: invariant linter + shape checker.",
+        description="Static analysis: invariant linter + model-spec shape checker.",
     )
     parser.add_argument(
         "command",
         nargs="?",
         default="all",
         choices=("lint", "shapes", "all"),
+        help="lint: AST invariants (and ruff when installed); shapes: every "
+        "registered ModelSpec; all: both (default)",
     )
     parser.add_argument("--json", action="store_true", dest="as_json")
     parser.add_argument(

@@ -1,44 +1,32 @@
-"""Static shape checker: validate specs and module graphs without a GEMM.
+"""Static shape checker: validate model specs without a GEMM.
 
-Two entry points:
+:func:`check_spec` walks a :class:`~repro.models.specs.ModelSpec`
+layer list and proves (a) each layer's declared output follows from
+its declared input by the conv/pool/linear arithmetic, and (b) each
+layer's declared input is *reachable* from the dataflow so far.  The
+zoo's specs are flat lists with ``set_shape`` splices at branch forks
+and concat merges, so reachability is: sequential (input equals the
+running shape), fork (input equals some earlier activation — a branch
+re-reading the fork point, ResNet downsample shortcuts), or merge
+(input channels are a concat — a subset-sum of earlier activation
+channels at the same spatial size, which must include the running
+shape; YOLO's detection-head routes additionally allow the running
+shape to arrive through a 2x nearest-neighbour upsample).
+:func:`check_all_specs` runs it over every registered spec.
 
-* :func:`check_spec` — walks a :class:`~repro.models.specs.ModelSpec`
-  layer list and proves (a) each layer's declared output follows from
-  its declared input by the conv/pool/linear arithmetic, and (b) each
-  layer's declared input is *reachable* from the dataflow so far.  The
-  zoo's specs are flat lists with ``set_shape`` splices at branch forks
-  and concat merges, so reachability is: sequential (input equals the
-  running shape), fork (input equals some earlier activation — a branch
-  re-reading the fork point, ResNet downsample shortcuts), or merge
-  (input channels are a concat — a subset-sum of earlier activation
-  channels at the same spatial size, which must include the running
-  shape; YOLO's detection-head routes additionally allow the running
-  shape to arrive through a 2x nearest-neighbour upsample).
-* :func:`check_module` — symbolically propagates an ``('N', C, H, W)``
-  shape through a live :class:`~repro.nn.module.Module` tree by type
-  dispatch (Sequential/Residual/ConcatBranches/DenseConcat recurse),
-  so a mis-wired model fails in milliseconds instead of at the first
-  forward pass.
-
-Both report the **first** inconsistent layer (expected vs declared) —
-downstream mismatches are cascades of the first one.
+It reports the **first** inconsistent layer (expected vs declared) —
+downstream mismatches are cascades of the first one.  A live module has
+no static check: its first forward raises on a mis-wired layer.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .findings import Finding
 
-#: Symbolic batch dimension.
-N = "N"
 
-Dim = Union[int, str]
-Shape = tuple[Dim, ...]
-
-
-def _fmt(shape: Sequence[Dim]) -> str:
+def _fmt(shape: Sequence[int]) -> str:
     return "(" + ", ".join(str(d) for d in shape) + ")"
 
 
@@ -217,182 +205,3 @@ def check_all_specs(dataset: Optional[str] = None) -> list[Finding]:
     for extra in ("Transformer", "YOLO-v3"):
         findings.extend(check_spec(spec_registry.spec_for(extra, "ImageNet")))
     return findings
-
-
-# ----------------------------------------------------------------------
-# Module checking.
-# ----------------------------------------------------------------------
-class _ShapeError(Exception):
-    def __init__(self, where: str, message: str) -> None:
-        super().__init__(message)
-        self.where = where
-        self.message = message
-
-
-def _require_rank(shape: Shape, rank: int, where: str, what: str) -> None:
-    if len(shape) != rank:
-        raise _ShapeError(
-            where, f"{what} expects rank-{rank} input, got {_fmt(shape)}"
-        )
-
-
-def _propagate(module, shape: Shape, where: str) -> Shape:
-    """Symbolic output shape of ``module`` on ``shape``.
-
-    Unknown module types propagate the shape unchanged — the checker is
-    conservative: it only reports inconsistencies it can prove.
-    """
-    from repro.nn import layers as L
-
-    if isinstance(module, L.Sequential):
-        for i, child in enumerate(module.layers):
-            shape = _propagate(child, shape, f"{where}.layers[{i}]")
-        return shape
-
-    if isinstance(module, L.Residual):
-        main = _propagate(module.main, shape, f"{where}.main")
-        short = _propagate(module.shortcut, shape, f"{where}.shortcut")
-        if main != short:
-            raise _ShapeError(
-                where,
-                f"residual branches disagree: main {_fmt(main)} vs "
-                f"shortcut {_fmt(short)}",
-            )
-        return main
-
-    if isinstance(module, L.ConcatBranches):
-        outs = [
-            _propagate(branch, shape, f"{where}.branches[{i}]")
-            for i, branch in enumerate(module.branches)
-        ]
-        first = outs[0]
-        for i, out in enumerate(outs[1:], start=1):
-            if len(out) != len(first) or out[0] != first[0] or out[2:] != first[2:]:
-                raise _ShapeError(
-                    where,
-                    f"concat branches disagree outside the channel axis: "
-                    f"branch 0 {_fmt(first)} vs branch {i} {_fmt(out)}",
-                )
-        channels = sum(out[1] for out in outs)
-        return (first[0], channels) + tuple(first[2:])
-
-    if isinstance(module, L.DenseConcat):
-        out = _propagate(module.main, shape, f"{where}.main")
-        if len(out) != len(shape) or out[0] != shape[0] or out[2:] != shape[2:]:
-            raise _ShapeError(
-                where,
-                f"dense concat main branch changes non-channel dims: "
-                f"input {_fmt(shape)} vs main {_fmt(out)}",
-            )
-        return (shape[0], shape[1] + out[1]) + tuple(shape[2:])
-
-    if isinstance(module, L.Conv2d):
-        _require_rank(shape, 4, where, "Conv2d")
-        if shape[1] != module.in_channels:
-            raise _ShapeError(
-                where,
-                f"Conv2d expects {module.in_channels} channels, input has "
-                f"{shape[1]}",
-            )
-        out_h = _conv_out(shape[2], module.kernel_size, module.stride, module.padding)
-        out_w = _conv_out(shape[3], module.kernel_size, module.stride, module.padding)
-        if out_h <= 0 or out_w <= 0:
-            raise _ShapeError(
-                where,
-                f"Conv2d output spatial size {out_h}x{out_w} is empty for "
-                f"input {_fmt(shape)}",
-            )
-        return (shape[0], module.out_channels, out_h, out_w)
-
-    if isinstance(module, (L.MaxPool2d, L.AvgPool2d)):
-        _require_rank(shape, 4, where, type(module).__name__)
-        out_h = _conv_out(shape[2], module.kernel_size, module.stride, module.padding)
-        out_w = _conv_out(shape[3], module.kernel_size, module.stride, module.padding)
-        if out_h <= 0 or out_w <= 0:
-            raise _ShapeError(
-                where,
-                f"{type(module).__name__} output {out_h}x{out_w} is empty "
-                f"for input {_fmt(shape)}",
-            )
-        return (shape[0], shape[1], out_h, out_w)
-
-    if isinstance(module, L.AdaptiveAvgPool2d):
-        _require_rank(shape, 4, where, "AdaptiveAvgPool2d")
-        return (shape[0], shape[1]) + tuple(module.output_size)
-
-    if isinstance(module, L.GlobalAvgPool2d):
-        _require_rank(shape, 4, where, "GlobalAvgPool2d")
-        return (shape[0], shape[1])
-
-    if isinstance(module, L.BatchNorm2d):
-        _require_rank(shape, 4, where, "BatchNorm2d")
-        if shape[1] != module.num_features:
-            raise _ShapeError(
-                where,
-                f"BatchNorm2d expects {module.num_features} channels, "
-                f"input has {shape[1]}",
-            )
-        return shape
-
-    if isinstance(module, L.BatchNorm1d):
-        if len(shape) < 2 or shape[1] != module.num_features:
-            raise _ShapeError(
-                where,
-                f"BatchNorm1d expects feature dim {module.num_features}, "
-                f"input is {_fmt(shape)}",
-            )
-        return shape
-
-    if isinstance(module, L.LayerNorm):
-        if not shape or shape[-1] != module.normalized_shape:
-            raise _ShapeError(
-                where,
-                f"LayerNorm expects last dim {module.normalized_shape}, "
-                f"input is {_fmt(shape)}",
-            )
-        return shape
-
-    if isinstance(module, L.Linear):
-        if not shape or shape[-1] != module.in_features:
-            raise _ShapeError(
-                where,
-                f"Linear expects last dim {module.in_features}, input is "
-                f"{_fmt(shape)}",
-            )
-        return tuple(shape[:-1]) + (module.out_features,)
-
-    if isinstance(module, L.Flatten):
-        if len(shape) < 2:
-            raise _ShapeError(where, f"Flatten expects rank >= 2, got {_fmt(shape)}")
-        tail = shape[1:]
-        if any(isinstance(d, str) for d in tail):
-            raise _ShapeError(
-                where, f"Flatten cannot fold symbolic dims {_fmt(shape)}"
-            )
-        return (shape[0], math.prod(tail))
-
-    # Identity, Dropout, activations, and anything this checker does not
-    # model: shape-preserving by assumption.
-    return shape
-
-
-def check_module(model, input_shape: Sequence[int]) -> list[Finding]:
-    """Symbolically shape-check a live module tree.
-
-    ``input_shape`` excludes the batch dim — pass ``(3, 32, 32)`` for a
-    CIFAR CNN; the batch stays symbolic.
-    """
-    name = type(model).__name__
-    shape: Shape = (N, *input_shape)
-    try:
-        _propagate(model, shape, name)
-    except _ShapeError as exc:
-        return [
-            Finding(
-                file=f"module:{name}",
-                line=0,
-                rule="shape-module",
-                message=f"{exc.where}: {exc.message}",
-            )
-        ]
-    return []

@@ -197,6 +197,8 @@ def load_engine_state(engine: "TrainingEngine", state: dict) -> None:
         callback.load_state_dict(copy.deepcopy(callback_state))
     engine.current_epoch = state["current_epoch"]
     engine.history = copy.deepcopy(state["history"])
+    for strategy in {id(s): s for s in engine.strategies.values()}.values():
+        strategy.on_state_loaded()
 
 
 def save_checkpoint(engine: "TrainingEngine", path: str) -> None:

@@ -142,10 +142,6 @@ class TrainingEngine:
         """Ask the fit loop to stop after the current epoch (callbacks)."""
         self.stop_requested = True
 
-    def add_callback(self, callback: Callback) -> "TrainingEngine":
-        self.callbacks.append(callback)
-        return self
-
     # ------------------------------------------------------------------
     # Train / evaluate.
     # ------------------------------------------------------------------

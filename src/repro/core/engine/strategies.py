@@ -97,6 +97,10 @@ class PhaseStrategy:
     def bind(self, engine: "TrainingEngine") -> None:
         self._engine_ref = weakref.ref(engine)
 
+    def on_state_loaded(self) -> None:
+        """The engine's state was just replaced from a checkpoint; a
+        strategy holding copies of it drops them.  No-op by default."""
+
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
         raise NotImplementedError
 

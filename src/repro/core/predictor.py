@@ -546,10 +546,6 @@ class GradientPredictor:
             return rows.reshape(layer.weight.shape), None
         return rows[:, :-1].reshape(layer.weight.shape), rows[:, -1]
 
-    def predict_rows(self, layer: PredictableMixin, output: np.ndarray) -> np.ndarray:
-        """Raw masked prediction rows for a layer, in gradient units."""
-        return reorganize.flatten_gradients(layer, *self.predict(layer, output))
-
     def predict(
         self, layer: PredictableMixin, output: np.ndarray
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -687,11 +683,6 @@ class GradientPredictor:
         if apply_update:
             self.optimizer.step()
         return list(zip(mse.tolist(), mape.tolist()))
-
-    # ------------------------------------------------------------------
-    def num_parameters(self) -> int:
-        """Trainable parameter count of the predictor network."""
-        return self.network.num_parameters()
 
 
 def mean_absolute_percentage_error(

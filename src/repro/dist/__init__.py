@@ -38,8 +38,8 @@ from .codec import (
     decode_sum,
     resolve_codec,
 )
-from .engine import ddp_engine, dp_strategy, invalidate_replicas, shutdown
-from .faults import ChaosTransport, Fault, FaultEvent, chaos, corrupt_frame
+from .engine import ddp_engine, dp_strategy, shutdown
+from .faults import ChaosTransport, Fault, FaultEvent, corrupt_frame
 from .reliable import DeterministicFault, RankLost, ReliableTransport
 from .strategy import CommStats, DataParallelStrategy, shard_sizes
 from .transport import (
@@ -83,14 +83,12 @@ __all__ = [
     "WorkerDied",
     "WorkerError",
     "WorkerTimeout",
-    "chaos",
     "corrupt_frame",
     "ddp_engine",
     "decode",
     "decode_sum",
     "dp_strategy",
     "frame_payload",
-    "invalidate_replicas",
     "list_transports",
     "load_sync_state",
     "register_transport",

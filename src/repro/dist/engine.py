@@ -28,12 +28,12 @@ callbacks, checkpointing and History all unchanged, all rank-0-only:
 Resume: replicas are not checkpointed — the trajectory is a function
 of rank-0 state alone (replica drift is always re-broadcast away at
 phase boundaries before it can matter), so a checkpoint of the driver
-is a checkpoint of the world.  After ``engine.load_checkpoint(...)``
-call ``invalidate_replicas(engine)`` so the next batch re-broadcasts
-rank-0 state; with the identity codec the resumed trajectory is then
-bitwise identical to the uninterrupted run.  AdaComp residuals are the
-one exception — rank-local, ephemeral across resume (documented
-lossy-codec caveat).
+is a checkpoint of the world.  ``engine.load_checkpoint(...)`` marks
+every replica stale (``DataParallelStrategy.on_state_loaded``), so the
+next batch re-broadcasts rank-0 state; with the identity codec the
+resumed trajectory is then bitwise identical to the uninterrupted run.
+AdaComp residuals are the one exception — rank-local, ephemeral across
+resume (documented lossy-codec caveat).
 """
 
 from __future__ import annotations
@@ -170,12 +170,6 @@ def dp_strategy(engine: TrainingEngine) -> DataParallelStrategy:
         if isinstance(strategy, DataParallelStrategy):
             return strategy
     raise TypeError("engine has no DataParallelStrategy; build it with ddp_engine")
-
-
-def invalidate_replicas(engine: TrainingEngine) -> None:
-    """Mark every replica stale so the next batch re-broadcasts rank-0
-    state — required after ``engine.load_checkpoint``."""
-    dp_strategy(engine).invalidate_replicas()
 
 
 def shutdown(engine: TrainingEngine) -> None:

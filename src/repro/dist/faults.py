@@ -56,7 +56,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -302,23 +302,6 @@ class ChaosTransport(TransportWrapper):
                 self._require_inner().collect(rank, timeout=0.5)
             except TransportError:
                 break
-
-    def fault_counts(self) -> dict[str, int]:
-        """Injections so far, by kind (the ledger summarized)."""
-        counts = {kind: 0 for kind in FAULT_KINDS}
-        for event in self.events:
-            counts[event.kind] += 1
-        return counts
-
-
-def chaos(
-    inner: Union[str, Transport] = "local",
-    faults: Sequence[Fault] = (),
-    rates: Optional[dict[str, float]] = None,
-    seed: int = 0,
-) -> ChaosTransport:
-    """Convenience constructor mirroring :class:`ChaosTransport`."""
-    return ChaosTransport(inner, faults=faults, rates=rates, seed=seed)
 
 
 # A bare "chaos" resolves to a transparent wrapper over the local

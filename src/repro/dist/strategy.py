@@ -238,10 +238,9 @@ class DataParallelStrategy(PhaseStrategy):
             self.transport.sink = self._book_recovery
             self.transport.start(self.worker_factory)
 
-    def invalidate_replicas(self) -> None:
-        """Force a full sync broadcast before the next training batch —
-        call after mutating the driver out-of-band (e.g.
-        ``engine.load_checkpoint``; replicas are not checkpointed)."""
+    def on_state_loaded(self) -> None:
+        """Replicas are not checkpointed: re-broadcast rank 0's restored
+        state before the next training batch."""
         self._need_sync = True
 
     def close(self) -> None:

@@ -9,7 +9,7 @@ loop; it answers the data-parallel strategy's commands:
     Load a full sync-state broadcast (the checkpoint's trainable part:
     model weights, optimizer slots, predictor network/optimizer/scales)
     so the replica is bitwise identical to rank 0 — sent once at
-    startup, after ``invalidate_replicas()``, and at phase boundaries
+    startup, after the driver loads a checkpoint, and at phase boundaries
     (BP→GP and GP→BP).
 ``compute``
     Run forward+backward (+ local predictor training) on this rank's

@@ -25,12 +25,6 @@ class Fig15Result:
     history: History
     num_layers: int
 
-    def layer_mape(self, layer: int) -> list[float]:
-        return self.history.layer_series(layer, "mape")
-
-    def layer_mse(self, layer: int) -> list[float]:
-        return self.history.layer_series(layer, "mse")
-
 
 def run_fig15(
     epochs: int = 24,

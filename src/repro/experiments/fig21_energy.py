@@ -26,10 +26,6 @@ class Fig21Row:
     def efficient_saving(self) -> float:
         return 1.0 - self.efficient_mj / self.baseline_mj
 
-    @property
-    def max_saving(self) -> float:
-        return 1.0 - self.max_mj / self.baseline_mj
-
 
 def run_fig21(
     dataset: str = "ImageNet",

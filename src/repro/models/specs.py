@@ -155,29 +155,11 @@ class ModelSpec:
         return [layer for layer in self.layers if layer.is_compute]
 
     @property
-    def predictable(self) -> list[LayerSpec]:
-        return [layer for layer in self.layers if layer.is_predictable]
-
-    @property
     def total_weight_params(self) -> int:
         return sum(layer.weight_params for layer in self.layers)
 
     def total_macs(self, batch: int = 1) -> int:
         return sum(layer.macs_forward(batch) for layer in self.layers)
-
-    @property
-    def max_gradient_row(self) -> int:
-        """Largest per-output-unit gradient row (paper §3.6 FC sizing)."""
-        best = 0
-        for layer in self.predictable:
-            if layer.kind == LayerKind.DEPTHWISE_CONV:
-                row = layer.kernel_area
-            elif layer.kind == LayerKind.CONV:
-                row = layer.in_channels * layer.kernel_area
-            else:
-                row = layer.in_channels
-            best = max(best, row)
-        return best
 
 
 class SpecBuilder:

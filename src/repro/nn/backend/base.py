@@ -109,9 +109,6 @@ class Backend:
         """Return a buffer obtained from :meth:`acquire_cols`; no-op by
         default."""
 
-    def clear_workspaces(self) -> None:
-        """Drop all pooled scratch buffers; no-op by default."""
-
     def reset_stats(self) -> None:
         """Zero this backend's counters; no-op by default.  Only a
         reader starting a measurement window calls it, never the library."""

@@ -125,9 +125,6 @@ class FusedBackend(NumpyBackend):
     def release(self, array: np.ndarray) -> None:
         self.pool.release(array)
 
-    def clear_workspaces(self) -> None:
-        self.pool.clear()
-
     def reset_stats(self) -> None:
         self.pool.reset_stats()
 

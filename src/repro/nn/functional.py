@@ -125,39 +125,6 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Encode integer labels as a ``(len(labels), num_classes)`` float32
-    one-hot matrix.
-
-    Labels must be a non-empty integer vector; trailing singleton dims
-    (``(N, 1)`` column vectors) are flattened, any other multi-dim shape
-    raises — indexing ``labels.shape[0]`` on e.g. a ``(4, 3)`` array
-    would silently produce 4 garbage rows.
-    """
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("one_hot received an empty label array")
-    if labels.ndim != 1:
-        if all(dim == 1 for dim in labels.shape[1:]):
-            labels = labels.reshape(-1)  # (N, 1)-style column vectors
-        else:
-            raise ValueError(
-                f"one_hot expects a 1-D label vector, got shape {labels.shape}"
-            )
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(
-            f"one_hot expects integer labels, got dtype {labels.dtype}"
-        )
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(
-            f"labels must lie in [0, {num_classes}); "
-            f"got range [{labels.min()}, {labels.max()}]"
-        )
-    encoded = np.zeros((labels.shape[0], num_classes), dtype=np.float32)
-    encoded[np.arange(labels.shape[0]), labels] = 1.0
-    return encoded
-
-
 def adaptive_pool_splits(in_size: int, out_size: int) -> list[tuple[int, int]]:
     """Start/end indices of adaptive pooling windows (PyTorch-compatible)."""
     if out_size <= 0:

@@ -1,15 +1,14 @@
 """Layer catalogue of the NumPy DNN framework."""
 
-from .activations import LeakyReLU, ReLU, ReLU6, Sigmoid, Tanh
+from .activations import ReLU, ReLU6, Sigmoid, Tanh
 from .attention import MultiHeadAttention, causal_mask, padding_mask
 from .blocks import ConcatBranches, DenseConcat, Residual, conv_bn_relu
 from .core import Conv2d, Flatten, Identity, Linear, Sequential
 from .embedding import Embedding, PositionalEncoding
-from .norm import BatchNorm1d, BatchNorm2d, Dropout, LayerNorm
+from .norm import BatchNorm1d, BatchNorm2d, LayerNorm
 from .pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
 
 __all__ = [
-    "LeakyReLU",
     "ReLU",
     "ReLU6",
     "Sigmoid",
@@ -30,7 +29,6 @@ __all__ = [
     "PositionalEncoding",
     "BatchNorm1d",
     "BatchNorm2d",
-    "Dropout",
     "LayerNorm",
     "AdaptiveAvgPool2d",
     "AvgPool2d",

@@ -26,29 +26,6 @@ class ReLU(Module):
         return grad_out * self._saved
 
 
-class LeakyReLU(Module):
-    def __init__(self, slope: float = 0.1) -> None:
-        super().__init__()
-        self.slope = slope
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._saved = (x > 0.0) if is_grad_enabled() else NO_GRAD
-        # x and slope * x cross at zero; which one lies above the other
-        # for x > 0 depends on the side of 1 the slope is on.
-        pick = np.maximum if self.slope <= 1.0 else np.minimum
-        out = x * self.slope
-        return pick(x, out, out=out)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        check_backward_cache(self._saved, self)
-        # The per-element factor is exactly 1 or slope (1 + slope * 0,
-        # 0 + slope * 1); built and applied in one buffer.
-        grad = ~self._saved * grad_out.dtype.type(self.slope)
-        grad += self._saved
-        grad *= grad_out
-        return grad
-
-
 class ReLU6(Module):
     """min(max(x, 0), 6) — the MobileNet activation."""
 

@@ -1,8 +1,6 @@
-"""Normalization and regularization layers."""
+"""Normalization layers."""
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -134,32 +132,3 @@ class LayerNorm(Module):
         g_mean = g.mean(axis=-1, keepdims=True)
         gx_mean = (g * x_hat).mean(axis=-1, keepdims=True)
         return inv_std * (g - g_mean - x_hat * gx_mean)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity when the module is in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = init.layer_rng(rng)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._saved = None if is_grad_enabled() else NO_GRAD
-            return x
-        keep = 1.0 - self.p
-        # Training semantics regardless of grad mode: the mask is drawn
-        # and applied either way (consuming the same rng stream); only
-        # its retention for backward is skipped under no_grad.
-        mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
-        self._saved = mask if is_grad_enabled() else NO_GRAD
-        return x * mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:  # identity forward: no mask was drawn
-            return grad_out
-        check_backward_cache(self._saved, self)
-        return grad_out * self._saved

@@ -256,9 +256,6 @@ class Module:
                     seen.add(id(param))
                     yield f"{mod_name}.{param.name}", param
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------------
     # State management.
     # ------------------------------------------------------------------

@@ -61,7 +61,6 @@ from .trace import (
     EVAL,
     GP,
     NULL_TRACER,
-    PHASES,
     PREDICTOR_TRAIN,
     RECOVERY,
     NullTracer,
@@ -82,7 +81,6 @@ __all__ = [
     "EVAL",
     "GP",
     "NULL_TRACER",
-    "PHASES",
     "PREDICTOR_TRAIN",
     "RECOVERY",
     "Counter",

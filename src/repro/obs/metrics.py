@@ -92,13 +92,6 @@ def _format_labels(key: tuple) -> str:
     return ",".join(f"{k}={v}" for k, v in key)
 
 
-def parse_labels(text: str) -> tuple:
-    """Inverse of :func:`_format_labels`."""
-    if not text:
-        return ()
-    return tuple(tuple(part.split("=", 1)) for part in text.split(","))
-
-
 class Counter(_Instrument):
     """Monotone total: ``inc`` is the only way to move it."""
 

@@ -139,9 +139,6 @@ class ProfilingBackend(Backend):
     def release(self, array) -> None:
         self.inner.release(array)
 
-    def clear_workspaces(self) -> None:
-        self.inner.clear_workspaces()
-
     def reset_stats(self) -> None:
         self.inner.reset_stats()
 

@@ -46,7 +46,6 @@ PREDICTOR_TRAIN = "predictor_train"
 EVAL = "eval"
 COMM = "comm"
 RECOVERY = "recovery"
-PHASES = (BP, GP, PREDICTOR_TRAIN, EVAL, COMM, RECOVERY)
 
 #: Map engine ``Phase`` enum values onto span phase tags (warm-up runs
 #: true backprop, so it is BP time in every paper breakdown).
@@ -280,14 +279,6 @@ class Tracer:
         self.spans.append(span)
 
     # -- lifecycle -------------------------------------------------------
-    def enable(self) -> "Tracer":
-        self.enabled = True
-        return self
-
-    def disable(self) -> "Tracer":
-        self.enabled = False
-        return self
-
     def clear(self) -> None:
         self.spans = []
         self.dropped = 0
@@ -337,12 +328,6 @@ class NullTracer(Tracer):
 
     def __init__(self) -> None:
         super().__init__(enabled=False, max_spans=1)
-
-    def enable(self) -> "Tracer":
-        raise RuntimeError(
-            "the shared NULL_TRACER cannot be enabled; install a real "
-            "Tracer with repro.obs.set_tracer(Tracer())"
-        )
 
 
 NULL_TRACER = NullTracer()

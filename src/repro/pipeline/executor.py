@@ -44,7 +44,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..accel.config import AcceleratorConfig
 from ..nn.layers.core import Sequential
 from ..nn.losses import loss_value
 from ..nn.module import Module
@@ -146,13 +145,9 @@ class PipelineExecutor:
         input_shape: Sequence[int],
         micro_batches: int = 4,
         kind: PipelineKind = PipelineKind.GPIPE,
-        batch: int = 1,
-        accel_config: Optional[AcceleratorConfig] = None,
     ) -> "PipelineExecutor":
         """Partition ``model`` (accel cost model) and build an executor."""
-        stages, plan = partition_sequential(
-            model, num_stages, input_shape, batch=batch, config=accel_config
-        )
+        stages, plan = partition_sequential(model, num_stages, input_shape)
         return cls(stages, micro_batches=micro_batches, kind=kind, plan=plan)
 
     # ------------------------------------------------------------------

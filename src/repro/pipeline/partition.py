@@ -99,35 +99,31 @@ def _spec_for_module(module: Module, output: np.ndarray) -> Optional[LayerSpec]:
     return None  # containers: their leaves are costed individually
 
 
-def probe_layer_costs(
-    model: Sequential,
-    input_shape: Sequence[int],
-    batch: int = 1,
-    config: Optional[AcceleratorConfig] = None,
-) -> list[float]:
-    """Accel-model cost (fw + bw cycles) of each top-level layer.
+def probe_layer_costs(model: Sequential, input_shape: Sequence[int]) -> list[float]:
+    """Accel-model cost (fw + bw cycles) of each top-level layer at
+    batch 1 on the default :class:`~repro.accel.config.AcceleratorConfig`.
 
     Runs one probe forward with hooks on every sub-module — in eval
-    mode, so BatchNorm running stats and Dropout masks are untouched,
-    and under ``no_grad()``, so no conv keeps a pooled workspace for a
-    backward that never comes; each module's observed output shape
-    feeds the cycle model, and costs roll up into the top-level layer
-    that owns the module.
+    mode, so BatchNorm running stats are untouched, and under
+    ``no_grad()``, so no conv keeps a pooled workspace for a backward
+    that never comes; each module's observed output shape feeds the
+    cycle model, and costs roll up into the top-level layer that owns
+    the module.
     """
     if not isinstance(model, Sequential):
         raise TypeError(
             f"pipeline partitioning needs a Sequential model, got "
             f"{type(model).__name__}"
         )
-    config = config or AcceleratorConfig()
+    config = AcceleratorConfig()
     module_cost: dict[int, float] = {}
 
     def hook(module: Module, output: np.ndarray) -> None:
         spec = _spec_for_module(module, output)
         if spec is not None:
             module_cost[id(module)] = float(
-                layer_forward_cycles(spec, batch, config)
-                + layer_backward_cycles(spec, batch, config)
+                layer_forward_cycles(spec, 1, config)
+                + layer_backward_cycles(spec, 1, config)
             )
 
     hooked: list[tuple[Module, Optional[object]]] = []
@@ -138,7 +134,7 @@ def probe_layer_costs(
     model.eval()
     try:
         with no_grad():
-            model(np.zeros((batch, *input_shape), dtype=np.float32))
+            model(np.zeros((1, *input_shape), dtype=np.float32))
     finally:
         for module, previous in hooked:
             module.forward_hook = previous
@@ -196,8 +192,6 @@ def partition_sequential(
     model: Sequential,
     num_stages: int,
     input_shape: Sequence[int],
-    batch: int = 1,
-    config: Optional[AcceleratorConfig] = None,
 ) -> tuple[list[Sequential], StagePlan]:
     """Split ``model`` into ``num_stages`` balanced stage sub-models.
 
@@ -205,7 +199,7 @@ def partition_sequential(
     as ``model``, in order, so running them back-to-back is numerically
     identical to running the original model.
     """
-    costs = probe_layer_costs(model, input_shape, batch=batch, config=config)
+    costs = probe_layer_costs(model, input_shape)
     boundaries = balanced_boundaries(costs, num_stages)
     stages = [Sequential(*model.layers[a:b]) for a, b in boundaries]
     return stages, StagePlan(boundaries=boundaries, layer_costs=tuple(costs))

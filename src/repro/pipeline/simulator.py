@@ -55,39 +55,6 @@ class Timeline:
                         f"device {device} overlap: {prev} vs {cur}"
                     )
 
-    @classmethod
-    def from_spans(cls, spans) -> "Timeline":
-        """Rebuild a timeline from executor trace spans.
-
-        The executor records each ``pipe.fw`` / ``pipe.bw`` slot as a
-        span whose times are the *virtual device clock* (``track`` is
-        the stage), so a timeline reconstructed from a trace renders
-        identically to the one the executor built live — the invariant
-        ``tests/obs`` pins.  Accepts ``repro.obs`` ``Span`` objects or
-        their ``to_dict`` rows; non-``pipe.*`` spans are ignored.
-        """
-        tasks = []
-        for span in spans:
-            row = span if isinstance(span, dict) else span.to_dict()
-            name = row.get("name", "")
-            if not name.startswith("pipe."):
-                continue
-            args = row.get("args", {})
-            stage = row.get("track", 0)
-            tasks.append(
-                Task(
-                    device=stage,
-                    start=row["start"],
-                    end=row["end"],
-                    kind=name.split(".", 1)[1],
-                    micro_batch=args.get("micro", 0),
-                    stage=stage,
-                    batch=args.get("batch", 0),
-                )
-            )
-        tasks.sort(key=lambda task: (task.start, task.device))
-        return cls(tasks)
-
 
 def render_timeline(
     timeline: Timeline,

@@ -6,14 +6,14 @@ simplicity"; this subsystem searches the general controller's knobs
 :class:`~repro.core.HeuristicSchedule` ladders, warm-up lengths, GP
 execution options) by running many :class:`~repro.core.TrainingEngine`
 trials — in parallel, crash-isolated, journaled for resume — and
-reporting the Pareto frontier of accuracy vs. realized GP share and the
-cycle-model speedup it buys.
+reporting the Pareto frontier of accuracy vs. realized GP share (the
+table also shows the cycle-model speedup it buys).
 
-Layering: ``space`` (what to search) → ``search`` (which trials to run)
-→ ``runner`` (how to run them) → ``trial`` (one engine run) →
-``frontier`` (what the results mean).  Nothing below ``repro.core``
-knows this package exists; the engine's only contribution is the
-checkpoint-grade schedule config dicts.
+Layering: ``space`` (what to search) → ``search`` (which trials to run:
+a grid or random draws) → ``runner`` (how to run them) → ``trial`` (one
+engine run) → ``frontier`` (what the results mean).  Nothing below
+``repro.core`` knows this package exists; the engine's only contribution
+is the checkpoint-grade schedule config dicts.
 
 Quickstart::
 
@@ -31,15 +31,12 @@ Quickstart::
 """
 
 from .space import (
-    Choice,
     Domain,
     Fixed,
     Grid,
     LogUniform,
     SearchSpace,
-    Uniform,
     seed_for_trial,
-    spawn_rngs,
 )
 from .trial import (
     BASE_THRESHOLDS,
@@ -51,9 +48,7 @@ from .trial import (
 from .runner import JOURNAL_VERSION, SearchRunner, load_journal, run_trial_guarded
 from .search import (
     GridSearch,
-    HalvingOutcome,
     RandomSearch,
-    SuccessiveHalving,
     draw_trials,
 )
 from .frontier import (
@@ -68,12 +63,9 @@ __all__ = [
     "Domain",
     "Fixed",
     "Grid",
-    "Choice",
-    "Uniform",
     "LogUniform",
     "SearchSpace",
     "seed_for_trial",
-    "spawn_rngs",
     "BASE_THRESHOLDS",
     "TrialSpec",
     "TrialResult",
@@ -85,8 +77,6 @@ __all__ = [
     "JOURNAL_VERSION",
     "GridSearch",
     "RandomSearch",
-    "SuccessiveHalving",
-    "HalvingOutcome",
     "draw_trials",
     "describe_schedule",
     "dominates",

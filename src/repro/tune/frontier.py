@@ -2,28 +2,18 @@
 
 The schedule search optimizes two axes at once — accuracy (best
 validation metric) and the benefit of skipping backward passes (realized
-GP share, or the cycle-model speedup it buys).  No single scalar ranks
-trials; the deliverable is the *frontier*: every trial no other trial
-beats on both axes simultaneously.
+GP share; the table also shows the cycle-model speedup it buys).  No
+single scalar ranks trials; the deliverable is the *frontier*: every
+trial no other trial beats on both axes simultaneously.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..experiments.formats import format_table
 from .trial import TrialResult
-
-Axis = Callable[[TrialResult], float]
-
-
-def _gp_share(result: TrialResult) -> float:
-    return result.gp_share
-
-
-def _best_metric(result: TrialResult) -> float:
-    return result.best_metric
 
 
 def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -32,12 +22,9 @@ def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
 
 
-def pareto_front(
-    results: Sequence[TrialResult],
-    x: Axis = _gp_share,
-    y: Axis = _best_metric,
-) -> list[TrialResult]:
-    """Non-dominated subset of ``results``, sorted by ``x`` ascending.
+def pareto_front(results: Sequence[TrialResult]) -> list[TrialResult]:
+    """Non-dominated subset of ``results`` on (GP share, best metric),
+    sorted by GP share ascending.
 
     Both axes are maximized.  Failed trials are excluded (they have no
     metrics); points with NaN on either axis never make the front.
@@ -45,7 +32,7 @@ def pareto_front(
     is achievable by more than one configuration.
     """
     candidates = [
-        (x(result), y(result), result)
+        (result.gp_share, result.best_metric, result)
         for result in results
         if result.status == "ok"
     ]
@@ -122,25 +109,19 @@ def frontier_table(
 def render_frontier(
     results: Sequence[TrialResult],
     front: Optional[Sequence[TrialResult]] = None,
-    width: int = 56,
-    height: int = 14,
-    x_axis: Axis = _gp_share,
-    y_axis: Axis = _best_metric,
-    x_label: str = "GP share",
-    y_label: str = "best accuracy (%)",
 ) -> str:
-    """ASCII scatter of all trials, Pareto-front members drawn as ``*``.
+    """ASCII scatter of all trials, best accuracy over GP share,
+    Pareto-front members drawn as ``*``.
 
-    Dominated trials draw as ``o``; the axes carry min/max ticks.  Width
-    and height are the plot body in characters.
+    Dominated trials draw as ``o``; the axes carry min/max ticks.
     """
-    front = pareto_front(results, x=x_axis, y=y_axis) if front is None else front
+    front = pareto_front(results) if front is None else front
     on_front = {id(member) for member in front}
     points = [
-        (x_axis(result), y_axis(result), id(result) in on_front)
+        (result.gp_share, result.best_metric, id(result) in on_front)
         for result in results
         if result.status == "ok"
-        and not (math.isnan(x_axis(result)) or math.isnan(y_axis(result)))
+        and not (math.isnan(result.gp_share) or math.isnan(result.best_metric))
     ]
     if not points:
         return "(no completed trials to plot)"
@@ -150,17 +131,18 @@ def render_frontier(
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
+    width, height = 56, 14  # plot body, in characters
     grid = [[" "] * width for _ in range(height)]
     for px, py, is_front in sorted(points, key=lambda p: p[2]):  # front last
         col = min(width - 1, int((px - x_lo) / x_span * (width - 1)))
         row = min(height - 1, int((py - y_lo) / y_span * (height - 1)))
         grid[height - 1 - row][col] = "*" if is_front else "o"
-    lines = [f"{y_label}  (* = Pareto front)"]
+    lines = ["best accuracy (%)  (* = Pareto front)"]
     lines.append(f"{y_hi:8.2f} +{'-' * width}+")
     for row in grid:
         lines.append(" " * 9 + "|" + "".join(row) + "|")
     lines.append(f"{y_lo:8.2f} +{'-' * width}+")
     lines.append(
-        " " * 10 + f"{x_lo:<10.2f}{x_label:^{max(width - 20, 1)}}{x_hi:>10.2f}"
+        " " * 10 + f"{x_lo:<10.2f}{'GP share':^{width - 20}}{x_hi:>10.2f}"
     )
     return "\n".join(lines)

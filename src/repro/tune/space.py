@@ -4,9 +4,9 @@ A :class:`SearchSpace` maps parameter names to :class:`Domain` objects;
 it can enumerate the full cartesian grid (finite domains only) or draw
 deterministic random samples.  Randomness follows the repo's
 ``SeedSequence`` spawning pattern (see :func:`repro.nn.init.layer_rng`):
-one root sequence per search, one spawned child stream per trial, so
-trials never share a random stream no matter how many run, in what
-order, or in which process.
+one root sequence per search, one spawned child stream per trial
+(:func:`repro.tune.search.draw_trials`), so trials never share a random
+stream no matter how many run, in what order, or in which process.
 """
 
 from __future__ import annotations
@@ -62,11 +62,6 @@ class Grid(Domain):
         return self.options
 
 
-class Choice(Grid):
-    """Alias of :class:`Grid` kept for intent: categorical options that a
-    random search picks among (and a grid still enumerates)."""
-
-
 @dataclass(frozen=True, init=False)
 class Fixed(Domain):
     """A constant passed through unchanged — what bare (non-``Domain``)
@@ -87,21 +82,6 @@ class Fixed(Domain):
 
 
 @dataclass(frozen=True)
-class Uniform(Domain):
-    """Continuous uniform on ``[low, high)``."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise ValueError(f"need low < high, got [{self.low}, {self.high})")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-
-@dataclass(frozen=True)
 class LogUniform(Domain):
     """Log-uniform on ``[low, high)`` — for scale-free knobs like MAPE
     thresholds or learning rates."""
@@ -119,20 +99,6 @@ class LogUniform(Domain):
         return float(
             math.exp(rng.uniform(math.log(self.low), math.log(self.high)))
         )
-
-
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """``count`` independent generators spawned from one root sequence.
-
-    The per-trial analogue of :func:`repro.nn.init.layer_rng`: same seed
-    and index always yield the same stream, and distinct indices never
-    collide (SeedSequence spawning guarantees independence, unlike
-    ``seed + i`` arithmetic).
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.default_rng(child) for child in children]
 
 
 def seed_for_trial(seed: int, trial_id: str) -> int:
@@ -157,7 +123,7 @@ def seed_for_trial(seed: int, trial_id: str) -> int:
 class SearchSpace:
     """Named parameter domains; non-``Domain`` values (scalars, tuples,
     ladders) are fixed constants passed through to every configuration —
-    searchable sets must be explicit ``Grid``/``Choice`` domains.
+    searchable sets must be explicit ``Grid`` domains.
 
     Example::
 
@@ -187,15 +153,6 @@ class SearchSpace:
     def sample(self, rng: np.random.Generator) -> dict[str, Any]:
         """One configuration; deterministic for a given generator state."""
         return {name: domain.sample(rng) for name, domain in self.params.items()}
-
-    def sample_many(self, seed: int, count: int) -> list[dict[str, Any]]:
-        """``count`` configurations from per-trial spawned streams.
-
-        Each configuration is drawn from its *own* child stream, so
-        configuration ``i`` is identical whether 5 or 500 trials are
-        requested — prefixes of a larger search are free.
-        """
-        return [self.sample(rng) for rng in spawn_rngs(seed, count)]
 
     def grid_size(self) -> int:
         return math.prod(len(d.values()) for d in self.params.values())

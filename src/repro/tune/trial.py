@@ -149,13 +149,6 @@ class TrialResult:
         data.pop("wall_time_s")
         return data
 
-    def metric_at(self, epochs: int) -> float:
-        """Monitored metric after ``epochs`` completed epochs (rung
-        ranking); NaN when the trial never got that far."""
-        if self.status == "failed" or len(self.val_metric) < epochs:
-            return float("nan")
-        return self.val_metric[epochs - 1]
-
     @classmethod
     def failed(cls, spec: TrialSpec, error: BaseException) -> "TrialResult":
         return cls(

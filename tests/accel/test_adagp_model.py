@@ -28,7 +28,7 @@ class TestBatchCosts:
     def test_bp_phase_slower_than_plain_baseline(self):
         """Phase BP adds predictor work on top of ordinary backprop."""
         spec = spec_for("VGG13", "Cifar10")
-        base = MODEL.baseline_batch(spec, 32)
+        base = MODEL.phase_bp_batch(spec, 32, None)
         for design in (AdaGPDesign.LOW, AdaGPDesign.EFFICIENT):
             bp = MODEL.phase_bp_batch(spec, 32, design)
             assert bp.cycles > base.cycles
@@ -49,7 +49,7 @@ class TestBatchCosts:
     def test_gp_traffic_below_baseline(self):
         """§6.6.2: GP batches skip the entire backward traffic."""
         spec = spec_for("VGG13", "ImageNet")
-        base = MODEL.baseline_batch(spec, 32)
+        base = MODEL.phase_bp_batch(spec, 32, None)
         gp = MODEL.phase_gp_batch(spec, 32, AdaGPDesign.EFFICIENT)
         assert gp.traffic.dram_total < base.traffic.dram_total * 0.6
 

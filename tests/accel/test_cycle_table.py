@@ -42,7 +42,7 @@ def test_every_cost_is_a_fold_over_the_table(
     assert [r.spec for r in rows] == spec.layers
     assert all(r.alpha_fw == r.alpha_bw == 0 for r in base_rows)
 
-    base = accelerator.baseline_batch(spec, batch)
+    base = accelerator.phase_bp_batch(spec, batch, None)
     bp = accelerator.phase_bp_batch(spec, batch, design)
     gp = accelerator.phase_gp_batch(spec, batch, design)
     assert base.cycles == sum(r.fw + r.bw for r in base_rows)

@@ -1,5 +1,7 @@
 """Tests for the systolic-array cycle models."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +48,7 @@ class TestGemmCycles:
 
     def test_dispatch_matches_direct(self):
         assert gemm_cycles(20, 30, 40, CFG) == gemm_cycles_ws(20, 30, 40, 12, 15)
-        os_cfg = CFG.with_dataflow(DataflowKind.OUTPUT_STATIONARY)
+        os_cfg = dataclasses.replace(CFG, dataflow=DataflowKind.OUTPUT_STATIONARY)
         assert gemm_cycles(20, 30, 40, os_cfg) == gemm_cycles_os(20, 30, 40, 12, 15)
 
     def test_invalid_dims_rejected(self):
@@ -88,7 +90,7 @@ class TestLayerCycles:
 
     def test_rs_conv_uses_logical_pe_mapping(self):
         spec = _conv_spec(size=28)
-        rs_cfg = CFG.with_dataflow(DataflowKind.ROW_STATIONARY)
+        rs_cfg = dataclasses.replace(CFG, dataflow=DataflowKind.ROW_STATIONARY)
         cycles = rs_conv_cycles(spec, 1, rs_cfg)
         logical = spec.kernel_size * spec.out_h
         folds = -(-logical // 180)
@@ -105,7 +107,7 @@ class TestLayerCycles:
         """Achieved MACs/cycle over peak: no dataflow beats the array."""
         spec = _conv_spec(in_ch=256, out_ch=256, size=14)
         for flow in DataflowKind:
-            cfg = CFG.with_dataflow(flow)
+            cfg = dataclasses.replace(CFG, dataflow=flow)
             cycles = layer_forward_cycles(spec, 32, cfg)
             u = spec.macs_forward(32) / (cycles * cfg.num_pes)
             assert 0.0 < u <= 1.0
@@ -122,7 +124,7 @@ class TestAcceleratorConfig:
         assert CFG.num_pes == 180
 
     def test_with_dataflow_preserves_other_fields(self):
-        other = CFG.with_dataflow(DataflowKind.ROW_STATIONARY)
+        other = dataclasses.replace(CFG, dataflow=DataflowKind.ROW_STATIONARY)
         assert other.rows == CFG.rows
         assert other.dataflow == DataflowKind.ROW_STATIONARY
 

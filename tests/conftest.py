@@ -7,6 +7,9 @@ fails the tier-1 step when ``total_s`` exceeds 300.
 
 Sessions narrowed by path, ``-k`` or ``-m`` (the named CI re-runs, a
 developer's single file) do not write: their total is not the suite's.
+Neither does ``--collect-only`` or any session that ran no test — a
+record of 0 tests in 4 s would pass the budget check for a suite that
+never ran.
 """
 
 import json
@@ -23,10 +26,22 @@ def pytest_runtest_logreport(report):
     _DURATIONS[report.nodeid] = _DURATIONS.get(report.nodeid, 0.0) + report.duration
 
 
+def records_suite(config, tests_run: int) -> bool:
+    """Whether this session's wall time is the whole suite's: unfiltered
+    (no path, ``-k`` or ``-m``), not ``--collect-only``, and it ran at
+    least one test."""
+    narrowed = config.option.keyword or config.option.markexpr
+    return (
+        not narrowed
+        and not config.option.collectonly
+        and tests_run > 0
+        and config.args == [str(config.invocation_params.dir)]
+    )
+
+
 def pytest_sessionfinish(session, exitstatus):
     config = session.config
-    narrowed = config.option.keyword or config.option.markexpr
-    if narrowed or config.args != [str(config.invocation_params.dir)]:
+    if not records_suite(config, len(_DURATIONS)):
         return
     slowest = sorted(_DURATIONS.items(), key=lambda item: -item[1])[:20]
     record = {

@@ -19,7 +19,7 @@ class TestDNICostArgument:
         spec = spec_for("VGG13", "Cifar10")
         accelerator = AcceleratorModel()
         dni = accelerator.phase_bp_batch(spec, 32, AdaGPDesign.EFFICIENT).cycles
-        assert dni / accelerator.baseline_batch(spec, 32).cycles > 1.0
+        assert dni / accelerator.phase_bp_batch(spec, 32, None).cycles > 1.0
 
     @pytest.mark.parametrize("model", CLASSIFICATION_MODELS)
     def test_every_model_pays_bp_plus_predictor(self, model):
@@ -28,7 +28,7 @@ class TestDNICostArgument:
         spec = spec_for(model, "Cifar10")
         accelerator = AcceleratorModel()
         dni = accelerator.phase_bp_batch(spec, 32, AdaGPDesign.EFFICIENT).cycles
-        assert dni > accelerator.baseline_batch(spec, 32).cycles
+        assert dni > accelerator.phase_bp_batch(spec, 32, None).cycles
 
     def test_adagp_training_beats_dni_training(self):
         """End-to-end: ADA-GP's phase mix is faster than DNI's constant

@@ -371,13 +371,13 @@ class TestDenseOperatorStaleness:
 
     def test_optimizer_step_invalidates(self):
         predictor, layer, output = self._setup()
-        before = predictor.predict_rows(layer, output)
+        before, _ = predictor.predict(layer, output)
         w_grad = np.ones_like(layer.weight.data)
         b_grad = np.ones_like(layer.bias.data)
         for _ in range(3):
             predictor.train_step(layer, output, w_grad, b_grad)
         self._assert_fresh(predictor, layer, output)
-        assert not np.allclose(predictor.predict_rows(layer, output), before)
+        assert not np.allclose(predictor.predict(layer, output)[0], before)
 
     def test_load_state_dict_invalidates(self):
         predictor, layer, output = self._setup()
@@ -388,7 +388,7 @@ class TestDenseOperatorStaleness:
         predictor.network.load_state_dict(donor.network.state_dict())
         self._assert_fresh(predictor, layer, output)
         np.testing.assert_allclose(
-            predictor.predict_rows(layer, output),
+            reorganize.flatten_gradients(layer, *predictor.predict(layer, output)),
             _oracle_rows(donor, layer, output),
             atol=ATOL,
         )

@@ -27,7 +27,6 @@ from repro.data import synthetic_images
 from repro.dist import (
     ddp_engine,
     dp_strategy,
-    invalidate_replicas,
     shard_sizes,
     shutdown,
 )
@@ -280,7 +279,32 @@ class TestCheckpointResume:
         full.fit(_train_fn(split), _val_fn(split), 2)
         resumed = _ddp(workers=2)
         resumed.load_checkpoint(path)
-        invalidate_replicas(resumed)
+        resumed.fit(_train_fn(split), _val_fn(split), 2)
+        try:
+            assert resumed.history == full.history
+            assert pickle.dumps(resumed.state_dict()) == pickle.dumps(
+                full.state_dict()
+            )
+        finally:
+            shutdown(full)
+            shutdown(resumed)
+
+    def test_load_checkpoint_resyncs_replicas_of_a_trained_engine(self, tmp_path):
+        """Loading into an engine whose replicas already trained makes
+        them stale; the next batch must re-broadcast rank 0's state."""
+        split = _split()
+        full = _ddp(workers=2)
+        full.fit(_train_fn(split), _val_fn(split), 2)
+        path = str(tmp_path / "mid.ckpt")
+        full.save_checkpoint(path)
+        full.fit(_train_fn(split), _val_fn(split), 2)
+        resumed = _ddp(workers=2)
+        # A BP then a GP batch leave the replicas on their own weights
+        # with no phase-boundary resync pending.
+        inputs, targets = next(iter(_train_fn(split)()))
+        resumed.train_batch(inputs, targets, Phase.BP)
+        resumed.train_batch(inputs, targets, Phase.GP)
+        resumed.load_checkpoint(path)
         resumed.fit(_train_fn(split), _val_fn(split), 2)
         try:
             assert resumed.history == full.history

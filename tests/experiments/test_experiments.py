@@ -67,7 +67,7 @@ class TestFig15:
             epochs=8, num_train=96, num_val=48
         )
         assert result.num_layers >= 10
-        mape_first = result.layer_mape(0)
+        mape_first = result.history.layer_series(0, "mape")
         assert len(mape_first) == 8
         text = fig15_predictor_error.format_fig15(result, "mape")
         assert "layer 1" in text
@@ -76,7 +76,7 @@ class TestFig15:
         result = fig15_predictor_error.run_fig15(
             epochs=10, num_train=128, num_val=48
         )
-        mse = result.layer_mse(2)
+        mse = result.history.layer_series(2, "mse")
         assert mse[-1] < mse[0]
 
 

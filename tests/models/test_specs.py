@@ -71,13 +71,6 @@ class TestSpecBuilder:
         with pytest.raises(ValueError):
             builder.conv(8, 7)
 
-    def test_max_gradient_row(self):
-        builder = SpecBuilder("t", (3, 8, 8))
-        builder.conv(4, 3, padding=1).conv(8, 3, padding=1).linear(10)
-        spec = builder.build()
-        # rows: 3*9=27, 4*9=36, linear 8*8*8=512
-        assert spec.max_gradient_row == 8 * 64
-
 
 class TestSpecZoo:
     @pytest.mark.parametrize("model", CLASSIFICATION_MODELS)

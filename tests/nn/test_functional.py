@@ -83,16 +83,6 @@ class TestActivationHelpers:
             F.log_softmax(x), np.log(F.softmax(x)), rtol=1e-4, atol=1e-6
         )
 
-    def test_one_hot_round_trip(self):
-        labels = np.array([0, 2, 1])
-        encoded = F.one_hot(labels, 3)
-        assert encoded.shape == (3, 3)
-        np.testing.assert_array_equal(encoded.argmax(axis=1), labels)
-
-    def test_one_hot_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([3]), 3)
-
 
 class TestAdaptivePooling:
     def test_identity_when_sizes_match(self):

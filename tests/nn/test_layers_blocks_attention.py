@@ -85,7 +85,7 @@ class TestDenseConcat:
 
 class TestActivations:
     @pytest.mark.parametrize(
-        "layer", [nn.ReLU(), nn.LeakyReLU(0.1), nn.ReLU6(), nn.Sigmoid(), nn.Tanh()]
+        "layer", [nn.ReLU(), nn.ReLU6(), nn.Sigmoid(), nn.Tanh()]
     )
     def test_gradcheck(self, layer):
         x = RNG.standard_normal((3, 5)).astype(np.float32)
@@ -106,16 +106,6 @@ class TestActivations:
             nn.ReLU,
             lambda x: np.where(x > 0.0, x, 0.0),
             lambda x, g: np.where(x > 0.0, g, 0.0),
-        ),
-        "leaky": (
-            lambda: nn.LeakyReLU(0.1),
-            lambda x: np.where(x > 0.0, x, 0.1 * x),
-            lambda x, g: np.where(x > 0.0, g, 0.1 * g),
-        ),
-        "leaky_steep": (
-            lambda: nn.LeakyReLU(1.5),
-            lambda x: np.where(x > 0.0, x, 1.5 * x),
-            lambda x, g: np.where(x > 0.0, g, 1.5 * g),
         ),
         "relu6": (
             nn.ReLU6,

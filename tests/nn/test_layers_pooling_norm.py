@@ -241,28 +241,3 @@ class TestBatchNorm1dLayerNorm:
         grad_in = ln.backward(probe)
         loss = linear_probe_loss(ln, x, probe)
         assert max_relative_error(grad_in, numerical_gradient(loss, x)) < 2e-2
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        drop = nn.Dropout(0.5)
-        drop.eval()
-        x = RNG.standard_normal((4, 4)).astype(np.float32)
-        np.testing.assert_array_equal(drop(x), x)
-
-    def test_train_mode_preserves_expectation(self):
-        drop = nn.Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((200, 200), dtype=np.float32)
-        out = drop(x)
-        assert abs(out.mean() - 1.0) < 0.05
-
-    def test_backward_uses_same_mask(self):
-        drop = nn.Dropout(0.5, rng=np.random.default_rng(1))
-        x = np.ones((10, 10), dtype=np.float32)
-        out = drop(x)
-        grad = drop.backward(np.ones_like(x))
-        np.testing.assert_array_equal(grad, out)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)

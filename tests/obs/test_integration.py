@@ -41,7 +41,7 @@ from repro.dist import (
 from repro.models import build_mini
 from repro.nn.backend import FusedBackend, native_available
 from repro.nn.losses import CrossEntropyLoss, accuracy
-from repro.pipeline import Timeline, render_timeline
+from repro.pipeline import Task, Timeline, render_timeline
 
 
 def _model(seed=0):
@@ -197,8 +197,8 @@ class TestDistObservability:
             lr=0.05,
             metric_fn=accuracy,
             schedule=_schedule(),
+            callbacks=[obs.MetricsCallback(reg)],
         )
-        engine.add_callback(obs.MetricsCallback(reg))
         _fit(engine, _split())
         comm = dp_strategy(engine).comm
         snap = reg.snapshot()
@@ -246,8 +246,8 @@ class TestDistObservability:
             lr=0.05,
             metric_fn=accuracy,
             schedule=_schedule(),
+            callbacks=[obs.MetricsCallback(reg)],
         )
-        engine.add_callback(obs.MetricsCallback(reg))
         _fit(engine, _split())
         comm = dp_strategy(engine).comm
         totals = comm.totals()
@@ -381,7 +381,7 @@ def _vgg_fit(backend, probe=None, epochs=3):
     for label, count in snap.get("repro_backend_dispatch", {"series": {}})[
         "series"
     ].items():
-        parts = dict(obs.metrics.parse_labels(label))
+        parts = dict(part.split("=", 1) for part in label.split(","))
         key = (parts["op"], parts["path"])
         if count - dispatch_before.get(key, 0):
             reported_dispatches[key] = count - dispatch_before.get(key, 0)
@@ -587,6 +587,26 @@ class TestOneClock:
         assert timelines[0]
 
 
+def _timeline_from_spans(spans):
+    """Rebuild a pipeline Timeline from the executor's ``pipe.fw`` /
+    ``pipe.bw`` spans: their times are the virtual device clock and
+    ``track`` is the stage."""
+    tasks = [
+        Task(
+            device=span.track,
+            start=span.start,
+            end=span.end,
+            kind=span.name.split(".", 1)[1],
+            micro_batch=span.args.get("micro", 0),
+            stage=span.track,
+            batch=span.args.get("batch", 0),
+        )
+        for span in spans
+        if span.name.startswith("pipe.")
+    ]
+    return Timeline(sorted(tasks, key=lambda task: (task.start, task.device)))
+
+
 class TestPipelineObservability:
     def test_timeline_from_spans_matches_live_timeline(self):
         """The executor records spans on the virtual device clock, so a
@@ -617,7 +637,7 @@ class TestPipelineObservability:
         live = engine.strategies[Phase.GP].executor.timeline
         pipe_spans = [s for s in tracer.spans if s.name.startswith("pipe.")]
         assert len(pipe_spans) == len(live.tasks)
-        rebuilt = Timeline.from_spans(pipe_spans)
+        rebuilt = _timeline_from_spans(pipe_spans)
         rebuilt.validate()
 
         def key(task):
@@ -652,7 +672,7 @@ class TestPipelineObservability:
         assert occupancy[0]["occupancy"] == pytest.approx(0.5)
         assert occupancy[0]["bubble"] == pytest.approx(2.0)
         assert occupancy[1]["occupancy"] == pytest.approx(1.0)
-        timeline = Timeline.from_spans(tracer.spans)
+        timeline = _timeline_from_spans(tracer.spans)
         assert timeline.makespan == 4.0
 
 

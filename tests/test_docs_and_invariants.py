@@ -1,6 +1,7 @@
 """Documentation consistency + cross-module property tests."""
 
 import ast
+import functools
 import importlib
 import pathlib
 import re
@@ -70,8 +71,8 @@ class TestCrossModuleInvariants:
         small = AcceleratorModel(AcceleratorConfig(rows=rows, cols=cols))
         big = AcceleratorModel(AcceleratorConfig(rows=rows * 2, cols=cols * 2))
         assert (
-            big.baseline_batch(spec, 8).cycles
-            <= small.baseline_batch(spec, 8).cycles
+            big.phase_bp_batch(spec, 8, None).cycles
+            <= small.phase_bp_batch(spec, 8, None).cycles
         )
 
     @given(warmup=st.integers(0, 30))
@@ -185,10 +186,42 @@ class TestOneCycleTable:
         }
 
 
+#: Top-level ``repro`` subpackages; each census runs once per package so a
+#: failure names it.
+PACKAGES = sorted(
+    path.name for path in (REPO / "src" / "repro").iterdir()
+    if (path / "__init__.py").is_file()
+)
+
+#: The only reasons a census may keep a name nothing outside tests uses.
+EXEMPTION_KINDS = {
+    "reference": "a reference implementation a test compares against",
+    "seam": "a test seam",
+    "bench": "a name bench/ reaches in a way the scan cannot follow",
+    "producer": "its first producer is a ROADMAP item",
+}
+
+#: Where a caller may live: everything under these roots but test files.
+CALLER_ROOTS = ("src", "examples", "benchmarks", "bench")
+
+
+def _caller_files():
+    for root in CALLER_ROOTS:
+        for path in sorted((REPO / root).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                yield root, path
+
+
+def _check_exemptions(exempt):
+    for name, (kind, reason) in sorted(exempt.items()):
+        print(f"exempt {name} ({EXEMPTION_KINDS.get(kind, '?')}): {reason}")
+        assert kind in EXEMPTION_KINDS and reason.strip(), name
+
+
 class TestOptionsCensus:
     """An option earns its keep by being selected: every keyword
-    parameter of the engine factories and the three constructors below
-    is passed by name somewhere other than a test."""
+    parameter of the entry points below is passed, by name or by
+    position, somewhere other than a test."""
 
     #: call name -> (file under src/repro, qualified function name)
     SURFACE = {
@@ -196,10 +229,15 @@ class TestOptionsCensus:
         "adagp_engine": ("core/engine/factories.py", "adagp_engine"),
         "pipeline_adagp_engine": ("core/engine/factories.py", "pipeline_adagp_engine"),
         "ddp_engine": ("dist/engine.py", "ddp_engine"),
-        "SearchRunner": ("tune/runner.py", "SearchRunner.__init__"),
         "DataParallelStrategy": ("dist/strategy.py", "DataParallelStrategy.__init__"),
         "PipelineExecutor": ("pipeline/executor.py", "PipelineExecutor.__init__"),
         "from_model": ("pipeline/executor.py", "PipelineExecutor.from_model"),
+        "SearchRunner": ("tune/runner.py", "SearchRunner.__init__"),
+        "GridSearch": ("tune/search.py", "GridSearch.__init__"),
+        "RandomSearch": ("tune/search.py", "RandomSearch.__init__"),
+        "pareto_front": ("tune/frontier.py", "pareto_front"),
+        "frontier_table": ("tune/frontier.py", "frontier_table"),
+        "render_frontier": ("tune/frontier.py", "render_frontier"),
     }
     #: Factories whose ``**kwargs`` flow to another factory: a keyword
     #: their caller passes that is not their own selects it there.
@@ -207,41 +245,44 @@ class TestOptionsCensus:
         "pipeline_adagp_engine": ("adagp_engine",),
         "ddp_engine": ("adagp_engine", "bp_engine"),
     }
-    #: Unselected but kept — the agenda for the next census.
+    #: Unselected but kept: ``{callee.parameter: (kind, reason)}``, kind
+    #: one of :data:`EXEMPTION_KINDS`.
     EXEMPT = {
         "adagp_engine.predictor": (
-            "test seam: tests inject a seeded predictor to compare engines bitwise"
+            "seam", "tests inject a seeded predictor to compare engines bitwise"
         ),
         "adagp_engine.batched_gp": (
-            "only True is accepted; bench/workloads.py still passes it, through "
-            "_image_engine's **adagp_kwargs, which this scan cannot follow"
+            "bench",
+            "only True is accepted; bench/workloads.py passes it through "
+            "_image_engine's **adagp_kwargs",
         ),
-        "ddp_engine.callbacks": "engine-construction plumbing every factory forwards",
+        "ddp_engine.callbacks": (
+            "seam", "tests attach MetricsCallback / Checkpointing to a ddp engine"
+        ),
         "ddp_engine.min_workers": (
-            "lost-rank policy floor; only tests/dist/test_faults.py raises it"
-        ),
-        "from_model.accel_config": (
-            "cost-model plumbing for partition_sequential; default config everywhere"
-        ),
-        "from_model.batch": (
-            "cost-model batch for partition_sequential; both callers partition at 1"
+            "seam", "tests/dist/test_faults.py raises the lost-rank floor"
         ),
     }
 
-    def test_every_keyword_parameter_is_selected_outside_tests(self):
-        keywords = {}
-        for callee, (relative, qualified) in self.SURFACE.items():
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def _unselected(cls):
+        """``{callee.parameter}`` passed by nothing outside tests."""
+        keywords, positions = {}, {}
+        for callee, (relative, qualified) in cls.SURFACE.items():
             path = REPO / "src" / "repro" / relative
             args = dict(TestOneBatchBody._functions(path))[qualified].args
             positional = args.posonlyargs + args.args
             defaulted = positional[len(positional) - len(args.defaults):]
             keywords[callee] = {arg.arg for arg in defaulted + args.kwonlyargs}
+            names = [arg.arg for arg in positional]
+            positions[callee] = names[1:] if names[:1] in (["self"], ["cls"]) else names
 
-        selected = {callee: set() for callee in self.SURFACE}
+        selected = {callee: set() for callee in cls.SURFACE}
 
         def visit(node, owner):
-            """Record ``name(keyword=...)`` calls; ``cls(...)`` inside a
-            class body is a call of that class."""
+            """Record ``name(...)`` calls; ``cls(...)`` inside a class
+            body is a call of that class."""
             for child in ast.iter_child_nodes(node):
                 visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
             if not isinstance(node, ast.Call):
@@ -250,58 +291,96 @@ class TestOptionsCensus:
             name = owner if name == "cls" else name
             if name in selected:
                 passed = {keyword.arg for keyword in node.keywords if keyword.arg}
+                if not any(isinstance(arg, ast.Starred) for arg in node.args):
+                    passed |= set(positions[name][: len(node.args)])
                 selected[name] |= passed
-                for target in self.FORWARDS.get(name, ()):
+                for target in cls.FORWARDS.get(name, ()):
                     selected[target] |= passed - keywords[name]
 
-        for root in ("src", "examples", "benchmarks", "bench"):
-            for path in (REPO / root).rglob("*.py"):
-                visit(ast.parse(path.read_text()), None)
-
-        unselected = {
+        for _, path in _caller_files():
+            visit(ast.parse(path.read_text()), None)
+        return {
             f"{callee}.{parameter}"
-            for callee in self.SURFACE
+            for callee in cls.SURFACE
             for parameter in keywords[callee] - selected[callee]
         }
-        for name, reason in sorted(self.EXEMPT.items()):
-            print(f"exempt {name}: {reason}")
-        assert all(reason.strip() for reason in self.EXEMPT.values())
-        assert unselected == set(self.EXEMPT), (
-            "selected by nothing outside tests (delete the parameter and "
-            f"its code path): {sorted(unselected - set(self.EXEMPT))}; "
-            f"stale exemptions: {sorted(set(self.EXEMPT) - unselected)}"
+
+    @pytest.mark.parametrize(
+        "package", sorted({relative.split("/")[0] for relative, _ in SURFACE.values()})
+    )
+    def test_every_keyword_parameter_is_selected_outside_tests(self, package):
+        callees = {
+            callee for callee, (relative, _) in self.SURFACE.items()
+            if relative.split("/")[0] == package
+        }
+        unselected = {name for name in self._unselected() if name.split(".")[0] in callees}
+        exempt = {
+            name: value for name, value in self.EXEMPT.items()
+            if name.split(".")[0] in callees
+        }
+        _check_exemptions(exempt)
+        assert unselected == set(exempt), (
+            f"repro.{package}: selected by nothing outside tests (delete the "
+            f"parameter and its code path): {sorted(unselected - set(exempt))}; "
+            f"stale exemptions: {sorted(set(exempt) - unselected)}"
         )
 
 
 class TestExportCensus:
-    """A public name earns its keep by being used: every name in a
-    ``repro.*`` ``__all__`` is loaded, as an identifier or an attribute,
-    somewhere other than a test.  Deliberately name-based (no import
-    resolution): an import line, an ``__all__`` string or the name's own
-    ``def`` / ``class`` is not a load, so none of them counts as a use.
-    Submodules are exempt by rule."""
+    """A public definition earns its keep by being used.  Covered: every
+    public module-level ``def`` / ``class`` under ``src/repro``, every
+    public method of a public class, and every other name in a
+    ``repro.*`` ``__all__``.  Used: loaded, as an identifier or an
+    attribute, somewhere other than a test.
 
-    #: Unused outside tests but kept — the agenda for the next census.
+    Deliberately name-based (no import resolution): an import line, an
+    ``__all__`` string or the name's own ``def`` is not a load.  A load
+    counts only where it can run: module-level code, a file outside
+    ``src/``, or the body of a definition that is itself used (a fixed
+    point, so a helper only a test-only function calls is unused too).
+    An identifier-shaped string constant uses a method of that name
+    (``bench/instrument.py`` wraps methods by name); a method counts
+    only when its class does.  An exempt definition counts as used, so
+    what it calls is kept with it.  Submodules are exempt by rule."""
+
+    #: Unused outside tests but kept: ``{repro.<module>.<qualified name>:
+    #: (kind, reason)}``, kind one of :data:`EXEMPTION_KINDS`.
     EXEMPT = {
-        "mean_squared_error": (
-            "reference implementation of the per-layer MSE the predictor "
-            "computes in place (Fig 15)"
+        "repro.core.metrics.mean_squared_error": (
+            "reference", "the per-layer MSE the predictor computes in place (Fig 15)"
         ),
-        "mean_absolute_percentage_error": (
-            "reference implementation of the per-layer MAPE the predictor "
-            "computes in place (Fig 15)"
+        "repro.core.predictor.mean_absolute_percentage_error": (
+            "reference", "the per-layer MAPE the predictor computes in place (Fig 15)"
         ),
-        "reference_translation": (
-            "reference implementation of the rule synthetic_translation applies"
+        "repro.core.reorganize.flatten_gradients": (
+            "reference",
+            "the row layout unflatten_gradients inverts; test_predictor_dense "
+            "compares predicted rows with the true gradients' rows",
         ),
-        "Dropout": "layer for a user's own model; the zoo's minis train without it",
-        "LeakyReLU": "activation for a user's own model; the zoo uses ReLU and ReLU6",
-        "Choice": "search-space domain a user composes a SearchSpace from",
-        "Uniform": "search-space domain a user composes a SearchSpace from",
-        "SuccessiveHalving": "search strategy a user hands to SearchRunner",
-        "PHASES": "the span-phase vocabulary a user filters a trace by",
-        "chaos": "one-call fault-injecting transport for a user's recovery drills",
-        "set_registry": "isolates one run's counters in a fresh global registry",
+        "repro.data.translation.reference_translation": (
+            "reference", "the rule synthetic_translation applies"
+        ),
+        "repro.models.specs.ModelSpec.total_macs": (
+            "reference", "test_specs compares it with the published MAC counts"
+        ),
+        "repro.models.specs.ModelSpec.total_weight_params": (
+            "reference", "test_specs compares it with the published parameter counts"
+        ),
+        "repro.models.specs.ModelSpec.compute_layers": (
+            "reference", "test_specs checks the zoo's layer counts and depth order"
+        ),
+        "repro.nn.init.reset_layer_rng": (
+            "seam", "tests rebuild a model from the same layer-rng stream"
+        ),
+        "repro.obs.metrics.set_registry": (
+            "seam", "isolates one test's counters in a fresh global registry"
+        ),
+        "repro.obs.metrics.Histogram.observe": (
+            "producer", "ROADMAP 1(a)'s per-layer cosine histograms"
+        ),
+        "repro.tune.trial.TrialResult.deterministic_dict": (
+            "seam", "the determinism tests compare two runs through it"
+        ),
     }
 
     @staticmethod
@@ -328,25 +407,100 @@ class TestExportCensus:
                     exports.setdefault(name, []).append(module.__name__)
         return exports
 
-    def test_every_public_name_is_used_outside_tests(self):
-        loaded = set()
-        for root in ("src", "examples", "benchmarks", "bench"):
-            for path in (REPO / root).rglob("*.py"):
-                if path.name.startswith("test_"):
-                    continue
-                for node in ast.walk(ast.parse(path.read_text())):
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                        loaded.add(node.id)
-                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                        loaded.add(node.attr)
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def _unused(cls):
+        """Qualified names of the public definitions nothing reaches."""
+        # key -> (name, enclosing definition or None, reported)
+        definitions = {}
+        loads = {None: (set(), set())}  # owner -> (names, strings)
+        assigned = {}  # module-level assignment name -> defining module
 
-        exports = self._exports()
-        unused = set(exports) - loaded
-        for name, reason in sorted(self.EXEMPT.items()):
-            print(f"exempt {name}: {reason}")
-        assert all(reason.strip() for reason in self.EXEMPT.values())
-        assert unused == set(self.EXEMPT), (
-            "used by nothing outside tests (delete it, or give it a caller): "
-            f"{sorted(f'{exports[n][0]}.{n}' for n in unused - set(self.EXEMPT))}; "
-            f"stale exemptions: {sorted(set(self.EXEMPT) - unused)}"
+        def note(node, owner):
+            names, strings = loads.setdefault(owner, (set(), set()))
+            for child in ast.walk(node):
+                if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(
+                    child.ctx, ast.Load
+                ):
+                    names.add(getattr(child, "id", getattr(child, "attr", None)))
+                elif (
+                    isinstance(child, ast.Constant)
+                    and isinstance(child.value, str)
+                    and child.value.isidentifier()
+                ):
+                    strings.add(child.value)
+
+        def scan(body, owner, prefix, reported, module):
+            for node in body:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                target_names = [getattr(target, "id", None) for target in targets]
+                if isinstance(node, (ast.Assign, ast.AnnAssign)) and "__all__" in target_names:
+                    continue
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ) and not (node.name.startswith("__") and node.name.endswith("__")):
+                    key = prefix + node.name
+                    public = reported and not node.name.startswith("_")
+                    definitions[key] = (node.name, owner, public)
+                    if isinstance(node, ast.ClassDef):
+                        for part in node.decorator_list + node.bases + node.keywords:
+                            note(part, key)
+                        scan(node.body, key, key + ".", public, module)
+                    else:
+                        note(node, key)
+                    continue
+                if owner is None and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    for name in target_names:
+                        assigned.setdefault(name, module)
+                note(node, owner)
+
+        for root, path in _caller_files():
+            tree = ast.parse(path.read_text())
+            if root != "src":
+                note(tree, None)
+                continue
+            parts = path.relative_to(REPO / "src").with_suffix("").parts
+            module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            scan(tree.body, None, module + ".", True, module)
+
+        defined = {name for name, owner, _ in definitions.values() if owner is None}
+        for name, modules in cls._exports().items():
+            if name not in defined:
+                definitions[f"{assigned.get(name, modules[0])}.{name}"] = (name, None, True)
+
+        names, strings = loads[None]
+        used, live = set(), set()  # live: used or exempt
+
+        def keep(key):
+            live.add(key)
+            names.update(loads.get(key, ((), ()))[0])
+            strings.update(loads.get(key, ((), ()))[1])
+
+        for key in cls.EXEMPT:
+            keep(key)
+        changed = True
+        while changed:
+            changed = False
+            for key, (name, owner, _) in definitions.items():
+                if key in used or (owner is not None and owner not in live):
+                    continue
+                if name in names or (owner is not None and name in strings):
+                    used.add(key)
+                    keep(key)
+                    changed = True
+        return {
+            key for key, (_, owner, public) in definitions.items()
+            if public and key not in used and (owner is None or owner in live)
+        }
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_public_name_is_used_outside_tests(self, package):
+        prefix = f"repro.{package}."
+        unused = {key for key in self._unused() if key.startswith(prefix)}
+        exempt = {name: value for name, value in self.EXEMPT.items() if name.startswith(prefix)}
+        _check_exemptions(exempt)
+        assert unused == set(exempt), (
+            f"repro.{package}: used by nothing outside tests (delete it, or "
+            f"give it a caller): {sorted(unused - set(exempt))}; "
+            f"stale exemptions: {sorted(set(exempt) - unused)}"
         )

@@ -73,7 +73,7 @@ def test_config_types_importable():
 def test_predictor_importable():
     model = build_mini("MobileNet-V2", 10, rng=np.random.default_rng(0))
     predictor = GradientPredictor.for_model(model)
-    assert predictor.num_parameters() > 0
+    assert sum(p.size for p in predictor.network.parameters()) > 0
 
 
 def test_bp_trainer_importable():

@@ -83,16 +83,6 @@ class TestParetoFront:
         ]
         assert [r.trial_id for r in pareto_front(results)] == ["ok"]
 
-    def test_custom_axes(self):
-        results = [
-            _result("fast", 60.0, 0.5, speedup=2.0),
-            _result("slow", 60.0, 0.5, speedup=1.1),
-        ]
-        front = pareto_front(
-            results, x=lambda r: r.cycle_speedup, y=lambda r: r.best_metric
-        )
-        assert [r.trial_id for r in front] == ["fast"]
-
 
 class TestRendering:
     def test_describe_schedule_both_kinds(self):

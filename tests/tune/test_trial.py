@@ -116,13 +116,6 @@ class TestSerialization:
         assert back.val_metric[0] == 1.0 and np.isnan(back.val_metric[1])
         assert np.isnan(back.train_loss[0])
 
-    def test_metric_at(self):
-        result = TrialResult(trial_id="t", status="ok", val_metric=[1.0, 2.0, 3.0])
-        assert result.metric_at(2) == 2.0
-        assert np.isnan(result.metric_at(5))
-        failed = TrialResult(trial_id="t", status="failed", val_metric=[1.0])
-        assert np.isnan(failed.metric_at(1))
-
 
 class TestRunTrial:
     def test_records_both_frontier_axes(self):

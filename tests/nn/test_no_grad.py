@@ -5,7 +5,9 @@ grad-enabled training-mode forwards, verified cache absence, the
 backward-after-no-grad error, workspace-pool cleanliness, and the
 conv+BN(+ReLU) fold — now a pass in ``repro.nn.passes`` consumed by
 every fast backend — with equivalence, invalidation on GP updates and
-on running-stat refreshes, and hook/train-mode bail-outs.
+on running-stat refreshes, and hook/train-mode bail-outs.  Every mini
+zoo model runs the validation path (eval mode under no_grad) on both
+backends against its grad-enabled forward.
 (``tests/nn/test_passes.py`` covers the other folds and the pipeline
 machinery itself.)
 """
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.models import MINI_BUILDERS, build_mini
 from repro.nn.backend import FusedBackend
 from repro.nn.module import NO_GRAD, is_grad_enabled, no_grad
 from repro.nn.passes import default_pipeline
@@ -166,8 +169,6 @@ class TestGradMode:
 class TestModelLevel:
     def _model(self, seed=1):
         nn.init.reset_layer_rng(0)
-        from repro.models import build_mini
-
         return build_mini("ResNet50", 10, rng=np.random.default_rng(seed))
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -200,6 +201,54 @@ class TestModelLevel:
         model = self._model()
         with no_grad():
             out = model(_x((2, 3, 16, 16)))
+        with pytest.raises(RuntimeError, match="no-grad"):
+            model.backward(np.ones_like(out))
+
+
+def _trained_eval_mini(name):
+    """A mini-zoo model in eval mode whose BatchNorm running statistics
+    came from one training-mode forward, so a conv+BN fold is not the
+    identity transform."""
+    model = build_mini(name, 10, rng=np.random.default_rng(3))
+    model(_x((4, 3, 16, 16), seed=8) + 0.5)
+    return model.eval()
+
+
+class TestEveryMiniModel:
+    """The validation path (eval mode, no grad) on every zoo topology."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_fold_caches(self):
+        default_pipeline().clear_caches()
+        yield
+        default_pipeline().clear_caches()
+
+    @pytest.mark.parametrize("name", sorted(MINI_BUILDERS))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_eval_no_grad_forward_matches_grad_forward(self, backend, name):
+        """numpy never folds, so it matches bit for bit; the fused backend
+        folds every conv+BN pair and matches to float32 rounding."""
+        x = _x((3, 3, 16, 16), seed=6)
+        model = _trained_eval_mini(name)
+        reference = model(x)  # grad-enabled: layer by layer, no folding
+        with nn.use_backend(backend):
+            with no_grad():
+                out = model(x)
+        assert out.shape == (3, 10)
+        if backend == "numpy":
+            assert np.array_equal(out, reference)
+            assert not len(_conv_fold_cache())
+        else:
+            assert len(_conv_fold_cache())
+            np.testing.assert_allclose(out, reference, rtol=1e-4, atol=ATOL)
+
+    @pytest.mark.parametrize("name", sorted(MINI_BUILDERS))
+    def test_backward_after_eval_no_grad_forward_raises(self, name):
+        model = _trained_eval_mini(name)
+        with no_grad():
+            out = model(_x((2, 3, 16, 16)))
+        # No module kept a training cache for backward to read.
+        assert all(m._saved is None or m._saved is NO_GRAD for m in model.modules())
         with pytest.raises(RuntimeError, match="no-grad"):
             model.backward(np.ones_like(out))
 

@@ -3,7 +3,9 @@
 (cores, C compiler) and the 20 slowest tests — so a suite that creeps
 (or a cell that hangs on one host shape, as the native × process cell
 did) is a number in the ``BENCH_*.json`` artifact, not an anecdote.  CI
-fails the tier-1 step when ``total_s`` exceeds 300.
+fails the tier-1 step when ``total_s`` exceeds 300.  The hook lives at
+the repo root so it sees every id the tier-1 command runs, the
+benchmark's own ``bench/test_bench.py`` included.
 
 Sessions narrowed by path, ``-k`` or ``-m`` (the named CI re-runs, a
 developer's single file) do not write: their total is not the suite's.

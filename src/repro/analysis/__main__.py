@@ -1,15 +1,13 @@
-"""CLI: ``python -m repro.analysis [--json] [lint|shapes|all]``.
+"""CLI: ``python -m repro.analysis [--json] [--root ROOT]``.
 
-Exit code 1 on any non-baselined finding, 0 otherwise — this is the
-blocking CI gate.  ``--json`` emits machine-readable findings
-(``file``, ``line``, ``rule``, ``message``) for editors/tooling.
-``lint --update-baseline`` regenerates the committed baseline (the
-shipped one is empty: fix findings, don't grandfather them).
+Exit code 1 on any finding, 0 otherwise — this is the blocking CI gate.
+``--json`` emits machine-readable findings (``file``, ``line``,
+``rule``, ``message``) for editors/tooling.
 
-When ``ruff`` is on PATH, ``lint``/``all`` also run it as the generic
-lint floor beneath the repo-specific rules (config in ``ruff.toml``);
-when it is not installed the step is skipped with a notice, never an
-error — the container toolchain is not required to have it.
+When ``ruff`` is on PATH it also runs as the generic lint floor beneath
+the repo-specific rules (config in ``ruff.toml``); when it is not
+installed the step is skipped with a notice, never an error — the
+toolchain is not required to have it.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ import sys
 from pathlib import Path
 
 from .findings import Finding
-from .lint import lint_paths, load_baseline, split_baselined, write_baseline
-from .shapes import check_all_specs
+from .lint import lint_paths
 
 
 def _repo_root() -> Path:
@@ -78,22 +75,9 @@ def _run_ruff(root: Path) -> tuple[str, list[Finding]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Static analysis: invariant linter + model-spec shape checker.",
-    )
-    parser.add_argument(
-        "command",
-        nargs="?",
-        default="all",
-        choices=("lint", "shapes", "all"),
-        help="lint: AST invariants (and ruff when installed); shapes: every "
-        "registered ModelSpec; all: both (default)",
+        description="Static analysis: the invariant linter (and ruff when installed).",
     )
     parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the committed lint baseline from current findings",
-    )
     parser.add_argument(
         "--root",
         type=Path,
@@ -104,48 +88,27 @@ def main(argv: list[str] | None = None) -> int:
 
     root = (args.root or _repo_root()).resolve()
     notices: list[str] = []
-    blocking: list[Finding] = []
-    grandfathered: list[Finding] = []
-
-    if args.command in ("lint", "all"):
-        findings = lint_paths(root)
-        if args.update_baseline:
-            path = write_baseline(findings)
-            print(f"baseline updated: {path} ({len(findings)} findings)")
-            return 0
-        new, old = split_baselined(findings, load_baseline())
-        blocking.extend(new)
-        grandfathered.extend(old)
-        ruff_status, ruff_findings = _run_ruff(root)
-        blocking.extend(ruff_findings)
-        if ruff_status == "skipped":
-            notices.append("ruff not installed; generic lint floor skipped")
-
-    if args.command in ("shapes", "all"):
-        blocking.extend(check_all_specs())
+    ruff_status, ruff_findings = _run_ruff(root)
+    findings = lint_paths(root) + ruff_findings
+    if ruff_status == "skipped":
+        notices.append("ruff not installed; generic lint floor skipped")
 
     if args.as_json:
         print(
             json.dumps(
-                {
-                    "findings": [f.to_dict() for f in blocking],
-                    "grandfathered": len(grandfathered),
-                    "notices": notices,
-                },
+                {"findings": [f.to_dict() for f in findings], "notices": notices},
                 indent=2,
             )
         )
     else:
-        for finding in blocking:
+        for finding in findings:
             print(finding.render())
         for notice in notices:
             print(f"note: {notice}", file=sys.stderr)
-        summary = f"{len(blocking)} finding(s)"
-        if grandfathered:
-            summary += f", {len(grandfathered)} grandfathered"
-        print(("FAIL: " if blocking else "OK: ") + summary, file=sys.stderr)
+        summary = f"{len(findings)} finding(s)"
+        print(("FAIL: " if findings else "OK: ") + summary, file=sys.stderr)
 
-    return 1 if blocking else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

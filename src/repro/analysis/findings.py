@@ -1,10 +1,8 @@
-"""The shared finding record every analysis pass emits.
+"""The finding record the analysis CLI reports.
 
-One schema serves the AST linter, the static shape checker and the CLI:
+One schema serves the AST linter, the ruff floor and the CLI:
 ``(file, line, rule, message)``.  ``file`` is a repo-relative POSIX
-path so findings are stable across machines, which is what lets the
-committed baseline grandfather a finding without pinning it to a line
-number (lines drift on every unrelated edit; file+rule+message do not).
+path so findings are stable across machines.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 @dataclass(frozen=True)
 class Finding:
-    """One analysis finding, machine-readable and baseline-able."""
+    """One analysis finding, machine-readable."""
 
     file: str
     line: int
@@ -23,12 +21,6 @@ class Finding:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used for baseline matching — deliberately excludes
-        the line number so grandfathered findings survive edits
-        elsewhere in the file."""
-        return (self.file, self.rule, self.message)
 
     def render(self) -> str:
         return f"{self.file}:{self.line}: [{self.rule}] {self.message}"

@@ -1,4 +1,4 @@
-"""AST-based invariant linter: rule framework, suppressions, baseline.
+"""AST-based invariant linter: rule framework and suppressions.
 
 The repo's correctness conventions (backend dispatch, the saved slot,
 version bumps, rng discipline, no-grad purity — see DESIGN.md) are
@@ -22,18 +22,13 @@ Mechanics:
   ``# repro: noqa``) to a flagged line; a standalone
   ``# repro: noqa-file[rule-name]`` line suppresses the rule for the
   whole file.  Suppressions are for *justified* exceptions — add a
-  reason next to them.
-* **Baseline**: a committed JSON file of grandfathered findings
-  (matched on file+rule+message, not line, so they survive unrelated
-  edits).  ``python -m repro.analysis lint --update-baseline``
-  regenerates it.  The shipped baseline is empty: fix findings, don't
-  grandfather them.
+  reason next to them.  There is no baseline: a finding is fixed or
+  suppressed where it stands.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -48,14 +43,7 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "iter_source_files",
-    "load_baseline",
-    "write_baseline",
-    "split_baselined",
-    "DEFAULT_BASELINE",
 ]
-
-#: The committed baseline of grandfathered findings.
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*noqa(?P<file>-file)?(?:\[(?P<rules>[^\]]+)\])?"
@@ -211,49 +199,3 @@ def lint_paths(
             lint_source(path.read_text(encoding="utf-8"), rel, rules)
         )
     return findings
-
-
-# ----------------------------------------------------------------------
-# Baseline.
-# ----------------------------------------------------------------------
-def load_baseline(path: Optional[Path] = None) -> set[tuple[str, str, str]]:
-    """Baseline keys from ``path`` (missing file = empty baseline)."""
-    path = Path(path) if path is not None else DEFAULT_BASELINE
-    if not path.exists():
-        return set()
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return {
-        (entry["file"], entry["rule"], entry["message"])
-        for entry in data.get("findings", [])
-    }
-
-
-def write_baseline(findings: Sequence[Finding], path: Optional[Path] = None) -> Path:
-    """Persist ``findings`` as the new baseline (sorted, line-free)."""
-    path = Path(path) if path is not None else DEFAULT_BASELINE
-    entries = sorted(
-        {
-            (f.file, f.rule, f.message)
-            for f in findings
-        }
-    )
-    payload = {
-        "comment": "Grandfathered lint findings; matched on file+rule+message.",
-        "findings": [
-            {"file": file, "rule": rule, "message": message}
-            for file, rule, message in entries
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def split_baselined(
-    findings: Sequence[Finding], baseline: set[tuple[str, str, str]]
-) -> tuple[list[Finding], list[Finding]]:
-    """Partition findings into (new, grandfathered)."""
-    new: list[Finding] = []
-    old: list[Finding] = []
-    for finding in findings:
-        (old if finding.baseline_key() in baseline else new).append(finding)
-    return new, old

@@ -1,6 +1,6 @@
 """Model zoo: trainable minis + full-size specs of the paper's 15 networks."""
 
-from .spec_registry import CLASSIFICATION_MODELS, DATASETS, all_specs, spec_for
+from .spec_registry import CLASSIFICATION_MODELS, DATASETS, spec_for
 from .specs import LayerKind, LayerSpec, ModelSpec, SpecBuilder
 from .transformer import Seq2SeqTransformer
 from .yolo import MiniYolo, YoloLoss, decode_predictions
@@ -9,7 +9,6 @@ from .zoo import MINI_BUILDERS, build_mini
 __all__ = [
     "CLASSIFICATION_MODELS",
     "DATASETS",
-    "all_specs",
     "spec_for",
     "LayerKind",
     "LayerSpec",

@@ -33,19 +33,19 @@ def densenet_spec(
         builder.pool(3, 2, padding=1)
     else:
         builder.conv(stem, 3, stride=1, padding=1, name="stem.conv")
-    channels = stem
     for block_idx, num_layers in enumerate(block_config, start=1):
         for layer_idx in range(num_layers):
             tag = f"dense{block_idx}.{layer_idx}"
-            height, width = builder.height, builder.width
-            builder.set_shape(channels, height, width)
-            builder.conv(4 * growth, 1, name=f"{tag}.conv1")
-            builder.conv(growth, 3, padding=1, name=f"{tag}.conv2")
-            channels += growth
-            builder.set_shape(channels, builder.height, builder.width)
+            builder.concat(
+                tag,
+                None,
+                lambda b: (
+                    b.conv(4 * growth, 1, name=f"{tag}.conv1")
+                    .conv(growth, 3, padding=1, name=f"{tag}.conv2")
+                ),
+            )
         if block_idx != len(block_config):
-            channels //= 2
-            builder.conv(channels, 1, name=f"trans{block_idx}.conv")
+            builder.conv(builder.channels // 2, 1, name=f"trans{block_idx}.conv")
             builder.pool(2, 2)
     builder.global_pool()
     builder.linear(num_classes, name="fc")

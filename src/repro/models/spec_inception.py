@@ -1,35 +1,32 @@
 """Full-size Inception-V3 / Inception-V4 layer specs.
 
 Block structures and channel counts follow the published architectures
-(Szegedy et al. 2016).  Each branch of a mixed block is emitted as a
-sequence of conv specs that all read the block's input shape; the
-builder's tracked shape is then set to the concatenated output.  1x7/7x1
-factorized convolutions use the rectangular-kernel support of
-:class:`~repro.models.specs.LayerSpec`.
+(Szegedy et al. 2016).  Each mixed block is a
+:meth:`~repro.models.specs.SpecBuilder.concat` of its branch paths, as the
+live zoo's ``nn.ConcatBranches``.  1x7/7x1 factorized convolutions use the
+rectangular-kernel support of :class:`~repro.models.specs.LayerSpec`.
 """
 
 from __future__ import annotations
 
-from .specs import ModelSpec, SpecBuilder
+from .specs import ModelSpec, Path, SpecBuilder
 
-# A branch is a list of conv tuples:
-# (out_ch, kh, kw, stride, pad_h, pad_w), with kw=0 meaning square.
-Branch = list[tuple[int, int, int, int, int, int]]
+# A branch is a list of steps run in order from the block input: a conv
+# tuple (out_ch, kh, kw, stride, pad_h, pad_w), with kw=0 meaning square,
+# or _POOL, the 3x3 stride-1 pool that opens a pooling branch.
+_POOL = "pool"
 
 
-def _emit_branches(
-    builder: SpecBuilder, branches: list[Branch], tag: str, pool_first: list[bool]
-) -> None:
-    """Emit all branches from the current shape, then set concat output."""
-    in_shape = (builder.channels, builder.height, builder.width)
-    out_channels = 0
-    out_h = out_w = None
-    for b_idx, branch in enumerate(branches):
-        builder.set_shape(*in_shape)
-        if pool_first[b_idx]:
-            builder.pool(3, 1, padding=1)
-        last_out = in_shape[0]
-        for c_idx, (out_ch, kh, kw, stride, ph, pw) in enumerate(branch):
+def _path(tag: str, steps: list) -> Path:
+    """The path of one branch, its convs named ``{tag}.conv{i}``."""
+
+    def path(builder: SpecBuilder) -> None:
+        convs = 0
+        for step in steps:
+            if step == _POOL:
+                builder.pool(3, 1, padding=1)
+                continue
+            out_ch, kh, kw, stride, ph, pw = step
             builder.conv(
                 out_ch,
                 kh,
@@ -37,15 +34,18 @@ def _emit_branches(
                 padding=ph,
                 kernel_w=kw,
                 padding_w=pw,
-                name=f"{tag}.b{b_idx}.conv{c_idx}",
+                name=f"{tag}.conv{convs}",
             )
-            last_out = out_ch
-        if branch:
-            out_channels += last_out
-        else:
-            out_channels += in_shape[0]  # bare pooling branch
-        out_h, out_w = builder.height, builder.width
-    builder.set_shape(out_channels, out_h, out_w)
+            convs += 1
+
+    return path
+
+
+def _mixed(builder: SpecBuilder, tag: str, branches: list[list]) -> None:
+    """A mixed block: the concat of its branches, named ``{tag}.b{i}``."""
+    builder.concat(
+        tag, *(_path(f"{tag}.b{index}", steps) for index, steps in enumerate(branches))
+    )
 
 
 def _sq(out_ch: int, k: int, stride: int = 1, pad: int = 0) -> tuple:
@@ -60,33 +60,29 @@ def _rect(out_ch: int, kh: int, kw: int, ph: int, pw: int) -> tuple:
 # Inception-V3
 # ----------------------------------------------------------------------
 def _v3_inception_a(builder: SpecBuilder, pool_features: int, tag: str) -> None:
-    branches = [
+    _mixed(builder, tag, [
         [_sq(64, 1)],
         [_sq(48, 1), _sq(64, 5, pad=2)],
         [_sq(64, 1), _sq(96, 3, pad=1), _sq(96, 3, pad=1)],
-        [_sq(pool_features, 1)],
-    ]
-    _emit_branches(builder, branches, tag, pool_first=[False, False, False, True])
+        [_POOL, _sq(pool_features, 1)],
+    ])
 
 
 def _v3_reduction_a(builder: SpecBuilder, tag: str) -> None:
-    in_shape = (builder.channels, builder.height, builder.width)
-    out_channels = in_shape[0]  # pool branch passes channels through
-    builder.conv(384, 3, stride=2, name=f"{tag}.b0.conv0")
-    out_channels += 384
-    out_h, out_w = builder.height, builder.width
-    builder.set_shape(*in_shape)
-    builder.conv(64, 1, name=f"{tag}.b1.conv0")
-    builder.conv(96, 3, padding=1, name=f"{tag}.b1.conv1")
-    builder.conv(96, 3, stride=2, name=f"{tag}.b1.conv2")
-    out_channels += 96
-    builder.set_shape(*in_shape)
-    builder.pool(3, 2)
-    builder.set_shape(out_channels, out_h, out_w)
+    builder.concat(
+        tag,
+        lambda b: b.conv(384, 3, stride=2, name=f"{tag}.b0.conv0"),
+        lambda b: (
+            b.conv(64, 1, name=f"{tag}.b1.conv0")
+            .conv(96, 3, padding=1, name=f"{tag}.b1.conv1")
+            .conv(96, 3, stride=2, name=f"{tag}.b1.conv2")
+        ),
+        lambda b: b.pool(3, 2),
+    )
 
 
 def _v3_inception_b(builder: SpecBuilder, c7: int, tag: str) -> None:
-    branches = [
+    _mixed(builder, tag, [
         [_sq(192, 1)],
         [_sq(c7, 1), _rect(c7, 1, 7, 0, 3), _rect(192, 7, 1, 3, 0)],
         [
@@ -96,44 +92,39 @@ def _v3_inception_b(builder: SpecBuilder, c7: int, tag: str) -> None:
             _rect(c7, 7, 1, 3, 0),
             _rect(192, 1, 7, 0, 3),
         ],
-        [_sq(192, 1)],
-    ]
-    _emit_branches(builder, branches, tag, pool_first=[False, False, False, True])
+        [_POOL, _sq(192, 1)],
+    ])
 
 
 def _v3_reduction_b(builder: SpecBuilder, tag: str) -> None:
-    in_shape = (builder.channels, builder.height, builder.width)
-    out_channels = in_shape[0]
-    builder.conv(192, 1, name=f"{tag}.b0.conv0")
-    builder.conv(320, 3, stride=2, name=f"{tag}.b0.conv1")
-    out_channels += 320
-    out_h, out_w = builder.height, builder.width
-    builder.set_shape(*in_shape)
-    builder.conv(192, 1, name=f"{tag}.b1.conv0")
-    builder.conv(192, 1, kernel_w=7, padding=0, padding_w=3, name=f"{tag}.b1.conv1")
-    builder.conv(192, 7, kernel_w=1, padding=3, padding_w=0, name=f"{tag}.b1.conv2")
-    builder.conv(192, 3, stride=2, name=f"{tag}.b1.conv3")
-    out_channels += 192
-    builder.set_shape(*in_shape)
-    builder.pool(3, 2)
-    builder.set_shape(out_channels, out_h, out_w)
+    builder.concat(
+        tag,
+        lambda b: (
+            b.conv(192, 1, name=f"{tag}.b0.conv0")
+            .conv(320, 3, stride=2, name=f"{tag}.b0.conv1")
+        ),
+        lambda b: (
+            b.conv(192, 1, name=f"{tag}.b1.conv0")
+            .conv(192, 1, kernel_w=7, padding=0, padding_w=3, name=f"{tag}.b1.conv1")
+            .conv(192, 7, kernel_w=1, padding=3, padding_w=0, name=f"{tag}.b1.conv2")
+            .conv(192, 3, stride=2, name=f"{tag}.b1.conv3")
+        ),
+        lambda b: b.pool(3, 2),
+    )
 
 
 def _v3_inception_c(builder: SpecBuilder, tag: str) -> None:
-    branches = [
+    # The two (1x3, 3x1) pairs are the split sub-branches of the official
+    # block; emitting them as separate branches reproduces both channel
+    # counts (320 + 768 + 768 + 192 = 2048) and MACs.
+    _mixed(builder, tag, [
         [_sq(320, 1)],
         [_sq(384, 1), _rect(384, 1, 3, 0, 1)],
         [_sq(384, 1), _rect(384, 3, 1, 1, 0)],
         [_sq(448, 1), _sq(384, 3, pad=1), _rect(384, 1, 3, 0, 1)],
         [_sq(448, 1), _sq(384, 3, pad=1), _rect(384, 3, 1, 1, 0)],
-        [_sq(192, 1)],
-    ]
-    # The two (1x3, 3x1) pairs are the split sub-branches of the official
-    # block; emitting them as separate branches reproduces both channel
-    # counts (320 + 768 + 768 + 192 = 2048) and MACs.
-    _emit_branches(
-        builder, branches, tag, pool_first=[False] * 5 + [True]
-    )
+        [_POOL, _sq(192, 1)],
+    ])
 
 
 def inception_v3_spec(input_size: int = 299, num_classes: int = 1000) -> ModelSpec:
@@ -174,33 +165,29 @@ def inception_v3_spec(input_size: int = 299, num_classes: int = 1000) -> ModelSp
 # Inception-V4
 # ----------------------------------------------------------------------
 def _v4_inception_a(builder: SpecBuilder, tag: str) -> None:
-    branches = [
+    _mixed(builder, tag, [
         [_sq(96, 1)],
         [_sq(64, 1), _sq(96, 3, pad=1)],
         [_sq(64, 1), _sq(96, 3, pad=1), _sq(96, 3, pad=1)],
-        [_sq(96, 1)],
-    ]
-    _emit_branches(builder, branches, tag, pool_first=[False, False, False, True])
+        [_POOL, _sq(96, 1)],
+    ])
 
 
 def _v4_reduction_a(builder: SpecBuilder, tag: str) -> None:
-    in_shape = (builder.channels, builder.height, builder.width)
-    out_channels = in_shape[0]
-    builder.conv(384, 3, stride=2, name=f"{tag}.b0.conv0")
-    out_channels += 384
-    out_h, out_w = builder.height, builder.width
-    builder.set_shape(*in_shape)
-    builder.conv(192, 1, name=f"{tag}.b1.conv0")
-    builder.conv(224, 3, padding=1, name=f"{tag}.b1.conv1")
-    builder.conv(256, 3, stride=2, name=f"{tag}.b1.conv2")
-    out_channels += 256
-    builder.set_shape(*in_shape)
-    builder.pool(3, 2)
-    builder.set_shape(out_channels, out_h, out_w)
+    builder.concat(
+        tag,
+        lambda b: b.conv(384, 3, stride=2, name=f"{tag}.b0.conv0"),
+        lambda b: (
+            b.conv(192, 1, name=f"{tag}.b1.conv0")
+            .conv(224, 3, padding=1, name=f"{tag}.b1.conv1")
+            .conv(256, 3, stride=2, name=f"{tag}.b1.conv2")
+        ),
+        lambda b: b.pool(3, 2),
+    )
 
 
 def _v4_inception_b(builder: SpecBuilder, tag: str) -> None:
-    branches = [
+    _mixed(builder, tag, [
         [_sq(384, 1)],
         [_sq(192, 1), _rect(224, 1, 7, 0, 3), _rect(256, 7, 1, 3, 0)],
         [
@@ -210,39 +197,36 @@ def _v4_inception_b(builder: SpecBuilder, tag: str) -> None:
             _rect(224, 7, 1, 3, 0),
             _rect(256, 1, 7, 0, 3),
         ],
-        [_sq(128, 1)],
-    ]
-    _emit_branches(builder, branches, tag, pool_first=[False, False, False, True])
+        [_POOL, _sq(128, 1)],
+    ])
 
 
 def _v4_reduction_b(builder: SpecBuilder, tag: str) -> None:
-    in_shape = (builder.channels, builder.height, builder.width)
-    out_channels = in_shape[0]
-    builder.conv(192, 1, name=f"{tag}.b0.conv0")
-    builder.conv(192, 3, stride=2, name=f"{tag}.b0.conv1")
-    out_channels += 192
-    out_h, out_w = builder.height, builder.width
-    builder.set_shape(*in_shape)
-    builder.conv(256, 1, name=f"{tag}.b1.conv0")
-    builder.conv(256, 1, kernel_w=7, padding=0, padding_w=3, name=f"{tag}.b1.conv1")
-    builder.conv(320, 7, kernel_w=1, padding=3, padding_w=0, name=f"{tag}.b1.conv2")
-    builder.conv(320, 3, stride=2, name=f"{tag}.b1.conv3")
-    out_channels += 320
-    builder.set_shape(*in_shape)
-    builder.pool(3, 2)
-    builder.set_shape(out_channels, out_h, out_w)
+    builder.concat(
+        tag,
+        lambda b: (
+            b.conv(192, 1, name=f"{tag}.b0.conv0")
+            .conv(192, 3, stride=2, name=f"{tag}.b0.conv1")
+        ),
+        lambda b: (
+            b.conv(256, 1, name=f"{tag}.b1.conv0")
+            .conv(256, 1, kernel_w=7, padding=0, padding_w=3, name=f"{tag}.b1.conv1")
+            .conv(320, 7, kernel_w=1, padding=3, padding_w=0, name=f"{tag}.b1.conv2")
+            .conv(320, 3, stride=2, name=f"{tag}.b1.conv3")
+        ),
+        lambda b: b.pool(3, 2),
+    )
 
 
 def _v4_inception_c(builder: SpecBuilder, tag: str) -> None:
-    branches = [
+    _mixed(builder, tag, [
         [_sq(256, 1)],
         [_sq(384, 1), _rect(256, 1, 3, 0, 1)],
         [_sq(384, 1), _rect(256, 3, 1, 1, 0)],
         [_sq(384, 1), _rect(448, 1, 3, 0, 1), _rect(512, 3, 1, 1, 0), _rect(256, 3, 1, 1, 0)],
         [_sq(384, 1), _rect(448, 1, 3, 0, 1), _rect(512, 3, 1, 1, 0), _rect(256, 1, 3, 0, 1)],
-        [_sq(256, 1)],
-    ]
-    _emit_branches(builder, branches, tag, pool_first=[False] * 5 + [True])
+        [_POOL, _sq(256, 1)],
+    ])
 
 
 def inception_v4_spec(input_size: int = 299, num_classes: int = 1000) -> ModelSpec:
@@ -252,31 +236,32 @@ def inception_v4_spec(input_size: int = 299, num_classes: int = 1000) -> ModelSp
         builder.conv(32, 3, stride=2, name="stem.conv0")
         builder.conv(32, 3, name="stem.conv1")
         builder.conv(64, 3, padding=1, name="stem.conv2")
-        # Mixed 3a: maxpool || conv 96/3x3 s2.
-        in_shape = (builder.channels, builder.height, builder.width)
-        builder.conv(96, 3, stride=2, name="stem.mixed3a.conv")
-        out_h, out_w = builder.height, builder.width
-        builder.set_shape(*in_shape)
-        builder.pool(3, 2)
-        builder.set_shape(96 + in_shape[0], out_h, out_w)
+        # Mixed 3a: conv 96/3x3 s2 || maxpool.
+        builder.concat(
+            "stem.mixed3a",
+            lambda b: b.conv(96, 3, stride=2, name="stem.mixed3a.conv"),
+            lambda b: b.pool(3, 2),
+        )
         # Mixed 4a: two conv branches -> 96 + 96 = 192.
-        in_shape = (builder.channels, builder.height, builder.width)
-        builder.conv(64, 1, name="stem.mixed4a.b0.conv0")
-        builder.conv(96, 3, name="stem.mixed4a.b0.conv1")
-        out_h, out_w = builder.height, builder.width
-        builder.set_shape(*in_shape)
-        builder.conv(64, 1, name="stem.mixed4a.b1.conv0")
-        builder.conv(64, 7, kernel_w=1, padding=3, padding_w=0, name="stem.mixed4a.b1.conv1")
-        builder.conv(64, 1, kernel_w=7, padding=0, padding_w=3, name="stem.mixed4a.b1.conv2")
-        builder.conv(96, 3, name="stem.mixed4a.b1.conv3")
-        builder.set_shape(192, out_h, out_w)
+        builder.concat(
+            "stem.mixed4a",
+            lambda b: (
+                b.conv(64, 1, name="stem.mixed4a.b0.conv0")
+                .conv(96, 3, name="stem.mixed4a.b0.conv1")
+            ),
+            lambda b: (
+                b.conv(64, 1, name="stem.mixed4a.b1.conv0")
+                .conv(64, 7, kernel_w=1, padding=3, padding_w=0, name="stem.mixed4a.b1.conv1")
+                .conv(64, 1, kernel_w=7, padding=0, padding_w=3, name="stem.mixed4a.b1.conv2")
+                .conv(96, 3, name="stem.mixed4a.b1.conv3")
+            ),
+        )
         # Mixed 5a: conv 192/3x3 s2 || maxpool -> 384.
-        in_shape = (builder.channels, builder.height, builder.width)
-        builder.conv(192, 3, stride=2, name="stem.mixed5a.conv")
-        out_h, out_w = builder.height, builder.width
-        builder.set_shape(*in_shape)
-        builder.pool(3, 2)
-        builder.set_shape(192 + in_shape[0], out_h, out_w)
+        builder.concat(
+            "stem.mixed5a",
+            lambda b: b.conv(192, 3, stride=2, name="stem.mixed5a.conv"),
+            lambda b: b.pool(3, 2),
+        )
     else:
         builder.conv(32, 3, padding=1, name="stem.conv0")
         builder.conv(32, 3, padding=1, name="stem.conv1")

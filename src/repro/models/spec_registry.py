@@ -84,8 +84,3 @@ def spec_for(model: str, dataset: str = "ImageNet") -> ModelSpec:
     if model not in builders:
         raise KeyError(f"unknown model {model!r}; choose from {sorted(builders)}")
     return builders[model]()
-
-
-def all_specs(dataset: str) -> dict[str, ModelSpec]:
-    """Specs for all 13 classification models on one dataset."""
-    return {name: spec_for(name, dataset) for name in CLASSIFICATION_MODELS}

@@ -19,18 +19,18 @@ def _bottleneck(
     builder: SpecBuilder, mid: int, stride: int, downsample: bool, tag: str
 ) -> None:
     """One bottleneck: 1x1 reduce -> 3x3 -> 1x1 expand (+1x1 shortcut)."""
-    in_channels = builder.channels
-    in_h, in_w = builder.height, builder.width
-    builder.conv(mid, 1, name=f"{tag}.conv1")
-    builder.conv(mid, 3, stride=stride, padding=1, name=f"{tag}.conv2")
-    builder.conv(mid * _EXPANSION, 1, name=f"{tag}.conv3")
-    if downsample:
-        # Shortcut projection runs on the block input; emit it with the
-        # correct input shape, then restore the main-path output shape.
-        out_c, out_h, out_w = builder.channels, builder.height, builder.width
-        builder.set_shape(in_channels, in_h, in_w)
-        builder.conv(mid * _EXPANSION, 1, stride=stride, name=f"{tag}.downsample")
-        builder.set_shape(out_c, out_h, out_w)
+    out = mid * _EXPANSION
+    builder.residual(
+        tag,
+        lambda b: (
+            b.conv(mid, 1, name=f"{tag}.conv1")
+            .conv(mid, 3, stride=stride, padding=1, name=f"{tag}.conv2")
+            .conv(out, 1, name=f"{tag}.conv3")
+        ),
+        (lambda b: b.conv(out, 1, stride=stride, name=f"{tag}.downsample"))
+        if downsample
+        else None,
+    )
 
 
 def resnet_spec(name: str, input_size: int = 224, num_classes: int = 1000) -> ModelSpec:

@@ -19,8 +19,13 @@ _DARKNET_STAGES: list[tuple[int, int]] = [
 
 
 def _darknet_residual(builder: SpecBuilder, channels: int, tag: str) -> None:
-    builder.conv(channels // 2, 1, name=f"{tag}.conv1")
-    builder.conv(channels, 3, padding=1, name=f"{tag}.conv2")
+    builder.residual(
+        tag,
+        lambda b: (
+            b.conv(channels // 2, 1, name=f"{tag}.conv1")
+            .conv(channels, 3, padding=1, name=f"{tag}.conv2")
+        ),
+    )
 
 
 def _head_block(builder: SpecBuilder, mid: int, tag: str) -> None:
@@ -39,35 +44,26 @@ def yolov3_spec(
     det_channels = anchors_per_scale * (5 + num_classes)
     builder = SpecBuilder("YOLO-v3", (3, input_size, input_size))
     builder.conv(32, 3, padding=1, name="stem.conv")
-    route_shapes: dict[int, tuple[int, int, int]] = {}
+    stage_outputs: list[tuple[int, int, int]] = []
     for stage_idx, (repeats, channels) in enumerate(_DARKNET_STAGES):
         builder.conv(channels, 3, stride=2, padding=1, name=f"down{stage_idx}.conv")
         for rep in range(repeats):
             _darknet_residual(builder, channels, tag=f"stage{stage_idx}.res{rep}")
-        route_shapes[stage_idx] = (builder.channels, builder.height, builder.width)
+        stage_outputs.append(builder.shape)
 
-    # Scale 1 head (13x13 for 416 input).
-    _head_block(builder, 512, "head1.neck")
-    neck1_shape = (builder.channels, builder.height, builder.width)
-    builder.conv(1024, 3, padding=1, name="head1.conv")
-    builder.conv(det_channels, 1, name="head1.detect")
-
-    # Scale 2: route from neck1 -> 1x1 256 -> upsample -> concat stage3 (512).
-    builder.set_shape(*neck1_shape)
-    builder.conv(256, 1, name="head2.route.conv")
-    stage3 = route_shapes[3]
-    builder.set_shape(256 + stage3[0], stage3[1], stage3[2])
-    _head_block(builder, 256, "head2.neck")
-    neck2_shape = (builder.channels, builder.height, builder.width)
-    builder.conv(512, 3, padding=1, name="head2.conv")
-    builder.conv(det_channels, 1, name="head2.detect")
-
-    # Scale 3: route from neck2 -> 1x1 128 -> upsample -> concat stage2 (256).
-    builder.set_shape(*neck2_shape)
-    builder.conv(128, 1, name="head3.route.conv")
-    stage2 = route_shapes[2]
-    builder.set_shape(128 + stage2[0], stage2[1], stage2[2])
-    _head_block(builder, 128, "head3.neck")
-    builder.conv(256, 3, padding=1, name="head3.conv")
-    builder.conv(det_channels, 1, name="head3.detect")
+    # Scale 1 (13x13 for 416 input) runs on the backbone output; scales 2
+    # and 3 route the previous neck through a 1x1 conv, upsample it 2x and
+    # concatenate darknet stage 3 (512 ch) and stage 2 (256 ch).
+    for scale, (mid, stage) in enumerate(((512, None), (256, 3), (128, 2)), start=1):
+        tag = f"head{scale}"
+        if stage is not None:
+            builder.conv(mid, 1, name=f"{tag}.route.conv")
+            builder.route(tag, stage_outputs[stage])
+        _head_block(builder, mid, f"{tag}.neck")
+        builder.side(
+            lambda b: (
+                b.conv(mid * 2, 3, padding=1, name=f"{tag}.conv")
+                .conv(det_channels, 1, name=f"{tag}.detect")
+            )
+        )
     return builder.build()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 
 class LayerKind(str, Enum):
@@ -60,10 +60,6 @@ class LayerSpec:
     @property
     def kernel_w_eff(self) -> int:
         return self.kernel_w if self.kernel_w else self.kernel_size
-
-    @property
-    def padding_w_eff(self) -> int:
-        return self.padding_w if self.padding_w >= 0 else self.padding
 
     @property
     def kernel_area(self) -> int:
@@ -162,13 +158,31 @@ class ModelSpec:
         return sum(layer.macs_forward(batch) for layer in self.layers)
 
 
+# A path emits layers on the builder from a fork's input shape; ``None``
+# is the empty path (the identity).
+Path = Optional[Callable[["SpecBuilder"], object]]
+
+
 class SpecBuilder:
-    """Incremental builder that tracks the running activation shape."""
+    """Incremental builder that derives every layer's input shape.
+
+    Forks are written the way the live zoo writes them
+    (``nn.ConcatBranches`` / ``nn.Residual``): :meth:`concat`,
+    :meth:`residual`, :meth:`side` and :meth:`route` run their paths
+    from the running shape and raise ``ValueError`` naming the block when
+    the shapes they merge disagree, so a built spec is consistent by
+    construction.
+    """
 
     def __init__(self, name: str, input_shape: tuple[int, int, int]) -> None:
         self.spec = ModelSpec(name=name, input_shape=input_shape)
         self.channels, self.height, self.width = input_shape
         self._counter = 0
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """The running activation shape ``(channels, height, width)``."""
+        return self.channels, self.height, self.width
 
     # ------------------------------------------------------------------
     def _next_name(self, prefix: str) -> str:
@@ -178,6 +192,24 @@ class SpecBuilder:
     @staticmethod
     def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
         return (size + 2 * padding - kernel) // stride + 1
+
+    def _push(self, layer: LayerSpec) -> "SpecBuilder":
+        """Append ``layer`` and make its output the running shape."""
+        out = (layer.out_channels, layer.out_h, layer.out_w)
+        if min(out) <= 0:
+            raise ValueError(
+                f"{layer.name}: output shape {out} from input {self.shape} is not positive"
+            )
+        self.spec.layers.append(layer)
+        self.channels, self.height, self.width = out
+        return self
+
+    def _run(self, path: Path, start: tuple[int, int, int]) -> tuple[int, int, int]:
+        """Run ``path`` from ``start``; the shape it ends on."""
+        self.channels, self.height, self.width = start
+        if path is not None:
+            path(self)
+        return self.shape
 
     # ------------------------------------------------------------------
     def conv(
@@ -191,20 +223,17 @@ class SpecBuilder:
         kernel_w: int = 0,
         padding_w: int | None = None,
     ) -> "SpecBuilder":
+        name = name or self._next_name("conv")
+        if depthwise and out_channels != self.channels:
+            raise ValueError(
+                f"{name}: depthwise conv maps {self.channels} channels to {out_channels}"
+            )
         kw = kernel_w if kernel_w else kernel_size
         pw = padding_w if padding_w is not None else padding
-        out_h = self._out_size(self.height, kernel_size, stride, padding)
-        out_w = self._out_size(self.width, kw, stride, pw)
-        if out_h <= 0 or out_w <= 0:
-            raise ValueError(
-                f"conv reduces spatial size below 1 "
-                f"({self.height}x{self.width}, k={kernel_size}, s={stride})"
-            )
-        kind = LayerKind.DEPTHWISE_CONV if depthwise else LayerKind.CONV
-        self.spec.layers.append(
+        return self._push(
             LayerSpec(
-                name=name or self._next_name("conv"),
-                kind=kind,
+                name=name,
+                kind=LayerKind.DEPTHWISE_CONV if depthwise else LayerKind.CONV,
                 in_channels=self.channels,
                 out_channels=out_channels,
                 kernel_size=kernel_size,
@@ -212,22 +241,18 @@ class SpecBuilder:
                 padding=padding,
                 in_h=self.height,
                 in_w=self.width,
-                out_h=out_h,
-                out_w=out_w,
+                out_h=self._out_size(self.height, kernel_size, stride, padding),
+                out_w=self._out_size(self.width, kw, stride, pw),
                 kernel_w=kernel_w,
                 padding_w=-1 if padding_w is None else padding_w,
             )
         )
-        self.channels, self.height, self.width = out_channels, out_h, out_w
-        return self
 
     def pool(
         self, kernel_size: int, stride: int | None = None, padding: int = 0
     ) -> "SpecBuilder":
         stride = stride if stride is not None else kernel_size
-        out_h = self._out_size(self.height, kernel_size, stride, padding)
-        out_w = self._out_size(self.width, kernel_size, stride, padding)
-        self.spec.layers.append(
+        return self._push(
             LayerSpec(
                 name=self._next_name("pool"),
                 kind=LayerKind.POOL,
@@ -238,15 +263,13 @@ class SpecBuilder:
                 padding=padding,
                 in_h=self.height,
                 in_w=self.width,
-                out_h=out_h,
-                out_w=out_w,
+                out_h=self._out_size(self.height, kernel_size, stride, padding),
+                out_w=self._out_size(self.width, kernel_size, stride, padding),
             )
         )
-        self.height, self.width = out_h, out_w
-        return self
 
     def global_pool(self) -> "SpecBuilder":
-        self.spec.layers.append(
+        return self._push(
             LayerSpec(
                 name=self._next_name("gap"),
                 kind=LayerKind.POOL,
@@ -256,49 +279,62 @@ class SpecBuilder:
                 stride=self.height,
                 in_h=self.height,
                 in_w=self.width,
-                out_h=1,
-                out_w=1,
             )
         )
-        self.height = self.width = 1
-        return self
 
     def linear(self, out_features: int, name: str | None = None) -> "SpecBuilder":
-        in_features = self.channels * self.height * self.width
-        self.spec.layers.append(
+        return self._push(
             LayerSpec(
                 name=name or self._next_name("fc"),
                 kind=LayerKind.LINEAR,
-                in_channels=in_features,
+                in_channels=self.channels * self.height * self.width,
                 out_channels=out_features,
-                in_h=1,
-                in_w=1,
-                out_h=1,
-                out_w=1,
             )
         )
-        self.channels, self.height, self.width = out_features, 1, 1
-        return self
 
-    def matmul(
-        self, m: int, k: int, positions: int, name: str | None = None
-    ) -> "SpecBuilder":
-        """A weight-less GEMM (attention); does not change tracked shape."""
-        self.spec.layers.append(
-            LayerSpec(
-                name=name or self._next_name("matmul"),
-                kind=LayerKind.MATMUL,
-                in_channels=k,
-                out_channels=m,
-                out_h=positions,
-                out_w=1,
+    # ------------------------------------------------------------------
+    def concat(self, tag: str, *paths: Path) -> "SpecBuilder":
+        """Run every path from the current shape; concatenate on channels."""
+        start = self.shape
+        ends = [self._run(path, start) for path in paths]
+        spatial = {end[1:] for end in ends}
+        if len(spatial) != 1:
+            raise ValueError(
+                f"{tag}: concat needs one spatial size, branches end on {ends}"
             )
-        )
+        self.channels = sum(end[0] for end in ends)
+        self.height, self.width = spatial.pop()
         return self
 
-    def set_shape(self, channels: int, height: int, width: int) -> "SpecBuilder":
-        """Override the tracked shape (used after concat-style merges)."""
-        self.channels, self.height, self.width = channels, height, width
+    def residual(self, tag: str, main: Path, shortcut: Path = None) -> "SpecBuilder":
+        """``main(x) + shortcut(x)``; the shortcut (default: identity) must
+        end on the main path's shape."""
+        start = self.shape
+        out = self._run(main, start)
+        short = self._run(shortcut, start)
+        if short != out:
+            raise ValueError(
+                f"{tag}: residual shortcut ends on {short}, main path on {out}"
+            )
+        return self
+
+    def side(self, path: Path) -> "SpecBuilder":
+        """A terminal head: run ``path``, then restore the running shape."""
+        start = self.shape
+        self._run(path, start)
+        self.channels, self.height, self.width = start
+        return self
+
+    def route(self, tag: str, saved: tuple[int, int, int]) -> "SpecBuilder":
+        """Upsample the running activation 2x and concatenate it with the
+        ``saved`` earlier one (a :attr:`shape`) on channels."""
+        channels, height, width = saved
+        if (2 * self.height, 2 * self.width) != (height, width):
+            raise ValueError(
+                f"{tag}: 2x upsample of {self.height}x{self.width} does not "
+                f"meet the routed {height}x{width} activation"
+            )
+        self.channels, self.height, self.width = self.channels + channels, height, width
         return self
 
     def build(self) -> ModelSpec:

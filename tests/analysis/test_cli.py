@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[2]
 
 
@@ -21,17 +23,17 @@ def run_cli(*args):
     )
 
 
-def test_all_exits_zero_on_repo():
-    proc = run_cli("all")
+def test_exits_zero_on_repo():
+    proc = run_cli()
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "OK" in proc.stderr
 
 
 def test_json_output_schema():
-    proc = run_cli("--json", "all")
+    proc = run_cli("--json")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)
-    assert set(payload) == {"findings", "grandfathered", "notices"}
+    assert set(payload) == {"findings", "notices"}
     assert payload["findings"] == []
 
 
@@ -43,7 +45,7 @@ def test_lint_fails_on_violating_tree(tmp_path):
     (bad / "evil.py").write_text(
         "import numpy as np\n\ndef f(x, w):\n    return np.matmul(x, w)\n"
     )
-    proc = run_cli("--json", "--root", str(tmp_path), "lint")
+    proc = run_cli("--json", "--root", str(tmp_path))
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert len(payload["findings"]) == 1
@@ -54,6 +56,10 @@ def test_lint_fails_on_violating_tree(tmp_path):
     assert finding["line"] == 4
 
 
-def test_shapes_command_exits_zero():
-    proc = run_cli("shapes")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+@pytest.mark.parametrize("argv", [("lint",), ("--update-baseline",)])
+def test_removed_subcommand_and_baseline_flag_are_rejected(argv):
+    # One pass and no grandfathering: the old positional and the
+    # baseline writer are usage errors, not silently ignored.
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr

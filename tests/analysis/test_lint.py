@@ -1,8 +1,6 @@
 """Fixture tests for the invariant linter: each rule must flag its
-known-bad snippet and stay quiet on the known-good one, and the
-suppression + baseline machinery must round-trip."""
-
-import json
+known-bad snippet and stay quiet on the known-good one, and suppression
+comments must silence exactly what they name."""
 
 import pytest
 
@@ -11,9 +9,6 @@ from repro.analysis.lint import (
     iter_source_files,
     lint_paths,
     lint_source,
-    load_baseline,
-    split_baselined,
-    write_baseline,
 )
 
 LAYER_PATH = "src/repro/nn/layers/custom.py"
@@ -318,17 +313,6 @@ class TestObsDiscipline:
             source, "src/repro/obs/trace.py", rules=["obs-discipline"]
         )
 
-    def test_grandfathered_sites_stay_baselined(self):
-        # The rule has no exceptions outside obs/trace.py (the tracer IS
-        # the clock): the executor and the throughput timer read
-        # tracer().clock and native_build's CLI writes to an explicit
-        # stream, so the shipped baseline grandfathers nothing.
-        from repro.analysis.lint import DEFAULT_BASELINE, load_baseline
-
-        baseline = load_baseline(DEFAULT_BASELINE)
-        files = {entry[0] for entry in baseline if entry[1] == "obs-discipline"}
-        assert files == set()
-
     def test_recovery_layer_is_in_scope(self):
         findings = lint_source(
             BAD_TIMING, "src/repro/dist/reliable.py", rules=["obs-discipline"]
@@ -400,14 +384,14 @@ class TestEpochOrder:
         for name in ("src/repro", "examples", "benchmarks"):
             (tmp_path / name).mkdir(parents=True)
             (tmp_path / name / "ok.py").write_text(GOOD_EPOCHS)
-        assert main(["--root", str(tmp_path), "lint"]) == 0
+        assert main(["--root", str(tmp_path)]) == 0
         (tmp_path / tree / "old.py").write_text(FROZEN_RNG_CLOSURE)
-        assert main(["--root", str(tmp_path), "lint"]) == 1
+        assert main(["--root", str(tmp_path)]) == 1
         assert f"{tree}/old.py:6: [epoch-order]" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
-# framework: suppression, baseline, scope, registry
+# framework: suppression, scope, registry
 # ----------------------------------------------------------------------
 class TestFramework:
     def test_all_six_rules_registered(self):
@@ -450,20 +434,6 @@ class TestFramework:
         findings = lint_source("def f(:\n", LAYER_PATH)
         assert [f.rule for f in findings] == ["syntax-error"]
 
-    def test_baseline_round_trip(self, tmp_path):
-        findings = lint_source(BAD_BUMP, "src/repro/nn/optim/x.py", rules=["version-bump"])
-        assert findings
-        path = write_baseline(findings, tmp_path / "baseline.json")
-        baseline = load_baseline(path)
-        new, old = split_baselined(findings, baseline)
-        assert not new and old == findings
-        # Baseline entries are line-free so they survive unrelated edits.
-        data = json.loads(path.read_text())
-        assert all("line" not in entry for entry in data["findings"])
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == set()
-
     def test_scope_covers_fault_tolerance_modules(self):
         """The recovery layer (chaos injector, transport, strategy) sits
         inside the linter's enforcement surface — fault-handling code is
@@ -479,10 +449,9 @@ class TestFramework:
         assert "src/repro/dist/strategy.py" in files
 
     def test_repo_is_clean(self):
-        """The enforced contract: src/ has no non-baselined findings."""
+        """The enforced contract: the linted tree has no findings."""
         import repro
 
         root = __import__("pathlib").Path(repro.__file__).resolve().parents[2]
         findings = lint_paths(root)
-        new, _ = split_baselined(findings, load_baseline())
-        assert not new, "\n".join(f.render() for f in new)
+        assert findings == [], "\n".join(f.render() for f in findings)

@@ -1,13 +1,83 @@
 """Tests for LayerSpec / ModelSpec / SpecBuilder and the spec zoo."""
 
-import numpy as np
+import dataclasses
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import spec_for
-from repro.models.spec_registry import CLASSIFICATION_MODELS, all_specs
+from repro.models.spec_registry import CLASSIFICATION_MODELS
 from repro.models.specs import LayerKind, LayerSpec, SpecBuilder
+
+# sha256 (first 16 hex digits) of every registered spec's name, input
+# shape and full LayerSpec field tuples.  Every cycle, traffic and energy
+# number is a function of these rows: a refactor of the builder or of a
+# spec file must leave every digest as it is, and a fix that moves one
+# updates exactly the digests of the specs it means to change.
+PINNED_DIGESTS = {
+    ("ResNet50", "Cifar10"): "53fbce86491f8689",
+    ("ResNet50", "Cifar100"): "9c5016a4fe32e6df",
+    ("ResNet50", "ImageNet"): "5a9b66b9488f5eeb",
+    ("ResNet101", "Cifar10"): "9f7fe4d96b36c117",
+    ("ResNet101", "Cifar100"): "f88d235f2b49bdac",
+    ("ResNet101", "ImageNet"): "d75c21564d12b3dd",
+    ("ResNet152", "Cifar10"): "bf5265ca0efaeef6",
+    ("ResNet152", "Cifar100"): "b9da394b05a42cc5",
+    ("ResNet152", "ImageNet"): "73c2cc9953d298e3",
+    ("Inception-V4", "Cifar10"): "0e4b33ead2e18eda",
+    ("Inception-V4", "Cifar100"): "50fe1d7e7e3f1219",
+    ("Inception-V4", "ImageNet"): "bb0e2417c7c52aec",
+    ("Inception-V3", "Cifar10"): "61a9a6e32c3af5dd",
+    ("Inception-V3", "Cifar100"): "48ae0f6cf7ab1ce8",
+    ("Inception-V3", "ImageNet"): "b2312297d2d07331",
+    ("VGG13", "Cifar10"): "4206d16a4b3c6b78",
+    ("VGG13", "Cifar100"): "88cfbd359f00d25e",
+    ("VGG13", "ImageNet"): "3fbbef75de35c20b",
+    ("VGG16", "Cifar10"): "ae6a5521c0adc824",
+    ("VGG16", "Cifar100"): "c89fa86829159727",
+    ("VGG16", "ImageNet"): "a6be6ce305354b28",
+    ("VGG19", "Cifar10"): "bbcbd78752212a70",
+    ("VGG19", "Cifar100"): "ab3215c4f4aa2792",
+    ("VGG19", "ImageNet"): "d96f46994d53daf7",
+    ("DenseNet121", "Cifar10"): "ad44fda508a11f43",
+    ("DenseNet121", "Cifar100"): "66874ba1ffe84330",
+    ("DenseNet121", "ImageNet"): "7344e3102d9e99ce",
+    ("DenseNet161", "Cifar10"): "97b6b5bddbae1116",
+    ("DenseNet161", "Cifar100"): "4829cba6a0f54dab",
+    ("DenseNet161", "ImageNet"): "cb2ab4ff9f3c1575",
+    ("DenseNet169", "Cifar10"): "8f9f75cd88d35e69",
+    ("DenseNet169", "Cifar100"): "fd729c2db41f2829",
+    ("DenseNet169", "ImageNet"): "da315e451160f2fb",
+    ("DenseNet201", "Cifar10"): "4fda870ab56c168e",
+    ("DenseNet201", "Cifar100"): "249c491f80973b53",
+    ("DenseNet201", "ImageNet"): "cd6af8732e2f46cd",
+    ("MobileNet-V2", "Cifar10"): "399b4e2c6f7d10e2",
+    ("MobileNet-V2", "Cifar100"): "784367bee84a05bc",
+    ("MobileNet-V2", "ImageNet"): "6bf54bfdd5561655",
+    ("Transformer", "ImageNet"): "eb736286b317a15a",
+    ("YOLO-v3", "ImageNet"): "8edb8a85afb06ae3",
+}
+
+
+def spec_digest(spec) -> str:
+    rows = [spec.name, list(spec.input_shape), [dataclasses.astuple(l) for l in spec.layers]]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "model, dataset", list(PINNED_DIGESTS), ids=[f"{m}-{d}" for m, d in PINNED_DIGESTS]
+)
+def test_spec_rows_match_pinned_digest(model, dataset):
+    assert spec_digest(spec_for(model, dataset)) == PINNED_DIGESTS[model, dataset]
+
+
+def test_every_registered_spec_is_pinned():
+    registered = [(m, d) for m in CLASSIFICATION_MODELS for d in ("Cifar10", "Cifar100", "ImageNet")]
+    registered += [("Transformer", "ImageNet"), ("YOLO-v3", "ImageNet")]
+    assert sorted(PINNED_DIGESTS) == sorted(registered)
 
 
 class TestLayerSpec:
@@ -71,6 +141,71 @@ class TestSpecBuilder:
         with pytest.raises(ValueError):
             builder.conv(8, 7)
 
+    def test_concat_nests_paths_and_none_is_identity(self):
+        builder = SpecBuilder("t", (8, 16, 16))
+        builder.concat(
+            "blk",
+            None,
+            lambda b: b.conv(4, 1, name="c0").concat(
+                "blk.split",
+                lambda b: b.conv(2, 1, name="c1"),
+                lambda b: b.conv(3, 3, padding=1, name="c2"),
+            ),
+        )
+        assert builder.shape == (8 + 2 + 3, 16, 16)
+        ins = {l.name: l.in_channels for l in builder.build().layers}
+        assert ins == {"c0": 8, "c1": 4, "c2": 4}
+
+    def test_residual_projection_reads_the_block_input(self):
+        builder = SpecBuilder("t", (8, 16, 16))
+        builder.residual(
+            "blk",
+            lambda b: b.conv(16, 3, stride=2, padding=1, name="main"),
+            lambda b: b.conv(16, 1, stride=2, name="proj"),
+        )
+        assert builder.shape == (16, 8, 8)
+        proj = builder.build().layers[-1]
+        assert (proj.name, proj.in_channels, proj.in_h) == ("proj", 8, 16)
+
+    def test_side_head_restores_the_running_shape(self):
+        builder = SpecBuilder("t", (8, 16, 16))
+        builder.side(lambda b: b.conv(75, 1, name="detect"))
+        assert builder.shape == (8, 16, 16)
+        assert builder.build().layers[-1].out_channels == 75
+
+    def test_route_upsamples_and_concatenates(self):
+        builder = SpecBuilder("t", (8, 16, 16))
+        saved = builder.shape
+        builder.conv(4, 3, stride=2, padding=1).route("head2", saved)
+        assert builder.shape == (4 + 8, 16, 16)
+
+    # One test per merge the builder refuses; each error names the block.
+    def test_concat_branch_spatial_mismatch_raises(self):
+        builder = SpecBuilder("t", (8, 16, 16))
+        with pytest.raises(ValueError, match="mixed9: concat"):
+            builder.concat("mixed9", lambda b: b.conv(4, 1), lambda b: b.conv(4, 3))
+
+    def test_residual_shortcut_mismatch_raises(self):
+        builder = SpecBuilder("t", (8, 16, 16))
+        with pytest.raises(ValueError, match="layer1.0: residual"):
+            builder.residual("layer1.0", lambda b: b.conv(16, 1))
+
+    def test_depthwise_channel_change_raises(self):
+        builder = SpecBuilder("t", (8, 16, 16))
+        with pytest.raises(ValueError, match="block1.dw: depthwise"):
+            builder.conv(16, 3, padding=1, depthwise=True, name="block1.dw")
+
+    def test_route_upsample_mismatch_raises(self):
+        builder = SpecBuilder("t", (8, 16, 16))
+        saved = builder.shape
+        with pytest.raises(ValueError, match="head3: 2x upsample"):
+            builder.conv(4, 3, padding=1).route("head3", saved)
+
+    def test_non_positive_channel_count_raises(self):
+        builder = SpecBuilder("t", (8, 16, 16))
+        with pytest.raises(ValueError, match="trans1.conv: output shape"):
+            builder.conv(8 // 16, 1, name="trans1.conv")
+
 
 class TestSpecZoo:
     @pytest.mark.parametrize("model", CLASSIFICATION_MODELS)
@@ -132,10 +267,6 @@ class TestSpecZoo:
             spec_for("AlexNet")
         with pytest.raises(KeyError):
             spec_for("VGG13", "MNIST")
-
-    def test_all_specs_returns_thirteen(self):
-        specs = all_specs("Cifar10")
-        assert len(specs) == 13
 
     def test_imagenet_models_are_bigger_than_cifar(self):
         for name in ("VGG13", "ResNet50", "DenseNet121"):

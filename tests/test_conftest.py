@@ -8,7 +8,7 @@ import pytest
 
 # By path: tests/dist has a conftest module of the same name.
 _SPEC = importlib.util.spec_from_file_location(
-    "tier1_conftest", pathlib.Path(__file__).with_name("conftest.py")
+    "tier1_conftest", pathlib.Path(__file__).parents[1] / "conftest.py"
 )
 _CONFTEST = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(_CONFTEST)

@@ -12,19 +12,24 @@ from __future__ import annotations
 from .specs import ModelSpec, Path, SpecBuilder
 
 # A branch is a list of steps run in order from the block input: a conv
-# tuple (out_ch, kh, kw, stride, pad_h, pad_w), with kw=0 meaning square,
-# or _POOL, the 3x3 stride-1 pool that opens a pooling branch.
+# tuple (out_ch, kh, kw, stride, pad_h, pad_w), with kw=0 meaning square;
+# _POOL, the 3x3 stride-1 pool that opens a pooling branch; or a list of
+# sub-branches, a split that shares everything before it (nested concat).
 _POOL = "pool"
 
 
 def _path(tag: str, steps: list) -> Path:
-    """The path of one branch, its convs named ``{tag}.conv{i}``."""
+    """The path of one branch: convs named ``{tag}.conv{i}``, the
+    sub-branches of a split ``{tag}.b{j}``."""
 
     def path(builder: SpecBuilder) -> None:
         convs = 0
         for step in steps:
             if step == _POOL:
                 builder.pool(3, 1, padding=1)
+                continue
+            if isinstance(step, list):
+                _mixed(builder, tag, step)
                 continue
             out_ch, kh, kw, stride, ph, pw = step
             builder.conv(
@@ -114,15 +119,12 @@ def _v3_reduction_b(builder: SpecBuilder, tag: str) -> None:
 
 
 def _v3_inception_c(builder: SpecBuilder, tag: str) -> None:
-    # The two (1x3, 3x1) pairs are the split sub-branches of the official
-    # block; emitting them as separate branches reproduces both channel
-    # counts (320 + 768 + 768 + 192 = 2048) and MACs.
+    # Both 3x3 branches end in a 1x3 || 3x1 split of one shared prefix.
+    split = [[_rect(384, 1, 3, 0, 1)], [_rect(384, 3, 1, 1, 0)]]
     _mixed(builder, tag, [
         [_sq(320, 1)],
-        [_sq(384, 1), _rect(384, 1, 3, 0, 1)],
-        [_sq(384, 1), _rect(384, 3, 1, 1, 0)],
-        [_sq(448, 1), _sq(384, 3, pad=1), _rect(384, 1, 3, 0, 1)],
-        [_sq(448, 1), _sq(384, 3, pad=1), _rect(384, 3, 1, 1, 0)],
+        [_sq(384, 1), split],
+        [_sq(448, 1), _sq(384, 3, pad=1), split],
         [_POOL, _sq(192, 1)],
     ])
 
@@ -219,12 +221,12 @@ def _v4_reduction_b(builder: SpecBuilder, tag: str) -> None:
 
 
 def _v4_inception_c(builder: SpecBuilder, tag: str) -> None:
+    # Both 3x3 branches end in a 1x3 || 3x1 split of one shared prefix.
+    split = [[_rect(256, 1, 3, 0, 1)], [_rect(256, 3, 1, 1, 0)]]
     _mixed(builder, tag, [
         [_sq(256, 1)],
-        [_sq(384, 1), _rect(256, 1, 3, 0, 1)],
-        [_sq(384, 1), _rect(256, 3, 1, 1, 0)],
-        [_sq(384, 1), _rect(448, 1, 3, 0, 1), _rect(512, 3, 1, 1, 0), _rect(256, 3, 1, 1, 0)],
-        [_sq(384, 1), _rect(448, 1, 3, 0, 1), _rect(512, 3, 1, 1, 0), _rect(256, 1, 3, 0, 1)],
+        [_sq(384, 1), split],
+        [_sq(384, 1), _rect(448, 1, 3, 0, 1), _rect(512, 3, 1, 1, 0), split],
         [_POOL, _sq(256, 1)],
     ])
 

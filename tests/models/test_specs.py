@@ -27,12 +27,12 @@ PINNED_DIGESTS = {
     ("ResNet152", "Cifar10"): "bf5265ca0efaeef6",
     ("ResNet152", "Cifar100"): "b9da394b05a42cc5",
     ("ResNet152", "ImageNet"): "73c2cc9953d298e3",
-    ("Inception-V4", "Cifar10"): "0e4b33ead2e18eda",
-    ("Inception-V4", "Cifar100"): "50fe1d7e7e3f1219",
-    ("Inception-V4", "ImageNet"): "bb0e2417c7c52aec",
-    ("Inception-V3", "Cifar10"): "61a9a6e32c3af5dd",
-    ("Inception-V3", "Cifar100"): "48ae0f6cf7ab1ce8",
-    ("Inception-V3", "ImageNet"): "b2312297d2d07331",
+    ("Inception-V4", "Cifar10"): "f9369b08f07bea6d",
+    ("Inception-V4", "Cifar100"): "decee6e8f7767551",
+    ("Inception-V4", "ImageNet"): "2812f01922114a7d",
+    ("Inception-V3", "Cifar10"): "4ea97be0887bd5fb",
+    ("Inception-V3", "Cifar100"): "6aa2c72306aa27d5",
+    ("Inception-V3", "ImageNet"): "ac76d0267b5d76d8",
     ("VGG13", "Cifar10"): "4206d16a4b3c6b78",
     ("VGG13", "Cifar100"): "88cfbd359f00d25e",
     ("VGG13", "ImageNet"): "3fbbef75de35c20b",
@@ -222,6 +222,8 @@ class TestSpecZoo:
             "VGG16": 138.3e6,
             "DenseNet121": 8.0e6,
             "MobileNet-V2": 3.5e6,
+            "Inception-V3": 23.8e6,
+            "Inception-V4": 42.7e6,
         }
         for name, expected in published.items():
             actual = spec_for(name, "ImageNet").total_weight_params
@@ -232,6 +234,8 @@ class TestSpecZoo:
             "ResNet50": 4.1e9,
             "VGG16": 15.5e9,
             "MobileNet-V2": 0.30e9,
+            "Inception-V3": 5.7e9,
+            "Inception-V4": 12.3e9,
         }
         for name, expected in published.items():
             actual = spec_for(name, "ImageNet").total_macs()

@@ -87,11 +87,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     root = (args.root or _repo_root()).resolve()
-    notices: list[str] = []
+    findings = lint_paths(root)
     ruff_status, ruff_findings = _run_ruff(root)
-    findings = lint_paths(root) + ruff_findings
-    if ruff_status == "skipped":
-        notices.append("ruff not installed; generic lint floor skipped")
+    findings += ruff_findings
+    notices = (
+        ["ruff not installed; generic lint floor skipped"] if ruff_status == "skipped" else []
+    )
 
     if args.as_json:
         print(

@@ -54,7 +54,7 @@ def _resnet_entries(seed=0):
     """(layer, activation, weight_grad, bias_grad) from one real backprop
     batch of the ResNet50 mini — the predictor's actual training input."""
     model = build_mini("ResNet50", 10, rng=np.random.default_rng(seed + 1))
-    layers = nn.predictable_layers(model)
+    layers = nn.graph.trace(model).predictable
     activations = {}
 
     def hook(layer, output):

@@ -71,15 +71,6 @@ class PredictorHardware:
     def conv_weight_params(self) -> int:
         return self.conv_channels * self.conv_kernel * self.conv_kernel
 
-    def fc_weight_params(self, max_row: int) -> int:
-        return self.fc_in * max_row
-
-    def weight_bytes(self, max_row: int, bytes_per_element: int = 2) -> int:
-        """Total predictor weight footprint (the Predictor Memory size)."""
-        return (self.conv_weight_params + self.fc_weight_params(max_row)) * (
-            bytes_per_element
-        )
-
     def layer_weight_bytes(self, row: int, bytes_per_element: int = 2) -> int:
         """Weights a masked prediction for one layer actually touches."""
         return (self.conv_weight_params + self.fc_in * row) * bytes_per_element

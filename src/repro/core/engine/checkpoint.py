@@ -142,15 +142,8 @@ def engine_state(engine: "TrainingEngine") -> dict:
     if engine.schedule is not None:
         # AdaptiveSchedule stores its smoothed MAPE; HeuristicSchedule
         # (stateless) stores {}.  The dict shape matches the old direct
-        # ``_recent_mape`` poke, so pre-existing checkpoints still load,
-        # and duck-typed custom schedules that track ``_recent_mape``
-        # without the state_dict protocol keep their pre-PR coverage.
-        if hasattr(engine.schedule, "state_dict"):
-            schedule_state = engine.schedule.state_dict()
-        elif hasattr(engine.schedule, "_recent_mape"):
-            schedule_state = {"_recent_mape": engine.schedule._recent_mape}
-        else:
-            schedule_state = {}
+        # ``_recent_mape`` poke, so pre-existing checkpoints still load.
+        schedule_state = engine.schedule.state_dict()
         if schedule_state:
             state["schedule"] = copy.deepcopy(schedule_state)
     # Positional: restoring requires the same callbacks attached in the
@@ -181,10 +174,7 @@ def load_engine_state(engine: "TrainingEngine", state: dict) -> None:
             )
         _load_scheduler_state(engine.predictor_scheduler, state["predictor_scheduler"])
     if "schedule" in state and engine.schedule is not None:
-        if hasattr(engine.schedule, "load_state_dict"):
-            engine.schedule.load_state_dict(state["schedule"])
-        else:
-            engine.schedule._recent_mape = state["schedule"]["_recent_mape"]
+        engine.schedule.load_state_dict(state["schedule"])
     callback_states = state.get("callbacks", [])
     callbacks = list(engine.callbacks)
     if len(callback_states) != len(callbacks):

@@ -23,6 +23,7 @@ import numpy as np
 
 from ... import nn
 from ...nn.backend import BackendSpec, backend_scope, resolve_backend
+from ...nn.graph import trace
 from ...obs.trace import EVAL, phase_scope, tracer as _obs_tracer
 from ...nn.module import Module, PredictableMixin
 from ...nn.optim import Optimizer
@@ -56,6 +57,10 @@ class EpochStats:
 class TrainingEngine:
     """Phase-scheduled training loop with callbacks and checkpointing.
 
+    A model's structure is fixed once an engine wraps it: its module
+    table (:func:`~repro.nn.graph.trace`, taken in ``__init__``),
+    :attr:`layers`, optimizer parameter list and predictor sizing.
+
     Parameters
     ----------
     strategies:
@@ -63,13 +68,13 @@ class TrainingEngine:
         mapping ``{Phase: strategy}`` covering each phase the schedule
         can emit.
     schedule:
-        ``HeuristicSchedule``/``AdaptiveSchedule`` (anything with
-        ``phase_for(epoch, batch_index)``), or ``None`` to run every
+        ``HeuristicSchedule``/``AdaptiveSchedule`` (``phase_for``,
+        ``state_dict``, ``load_state_dict``), or ``None`` to run every
         batch as :attr:`Phase.BP` — the plain-backprop configuration.
     predictor / gp_optimizer / predictor_scheduler:
         The ADA-GP machinery; all optional.  When ``predictor`` is set
-        the engine resolves the model's predictable layers and records
-        per-layer predictor errors in History.
+        :attr:`layers` is the table's predictable layers and the engine
+        records per-layer predictor errors in History.
     backend:
         Compute backend (name or :class:`~repro.nn.backend.Backend`)
         every batch and evaluation runs under; ``None`` inherits the
@@ -106,8 +111,9 @@ class TrainingEngine:
         self.history = history if history is not None else History()
         self.current_epoch = 0
         self.stop_requested = False
+        self.table = trace(model)
         self.layers: list[PredictableMixin] = (
-            nn.predictable_layers(model) if predictor is not None else []
+            self.table.predictable if predictor is not None else []
         )
         if isinstance(strategies, PhaseStrategy):
             strategies = {phase: strategies for phase in Phase}

@@ -80,10 +80,6 @@ class CallbackList(Callback):
     def __init__(self, callbacks: Iterable[Callback] = ()) -> None:
         self.callbacks: list[Callback] = list(callbacks)
 
-    def append(self, callback: Callback) -> "CallbackList":
-        self.callbacks.append(callback)
-        return self
-
     def __iter__(self):
         return iter(self.callbacks)
 

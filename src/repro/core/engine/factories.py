@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 
 from ... import nn
 from ...nn.backend import BackendSpec
+from ...nn.graph import trace
 from ...nn.module import Module
 from ...nn.optim import MultiStepLR, Optimizer, ReduceLROnPlateau
 from ..predictor import GradientPredictor
@@ -87,7 +88,7 @@ def adagp_engine(
             "adagp_engine applies every Phase-GP update after the forward; "
             "per-layer in-flight updates run on pipeline_adagp_engine"
         )
-    if not nn.predictable_layers(model):
+    if not trace(model).predictable:
         raise ValueError("model has no predictable layers for ADA-GP")
     optimizer = optimizer or nn.SGD(model.parameters(), lr=lr, momentum=0.9)
     predictor = predictor or GradientPredictor.for_model(model, lr=predictor_lr)

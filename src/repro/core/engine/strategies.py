@@ -160,8 +160,9 @@ class PhaseStrategy:
         def hook(layer: Module, output: np.ndarray) -> None:
             seen = calls[id(layer)] = calls.get(id(layer), 0) + 1
             if seen > chunks:
+                name = next(row.name for row in engine.table.rows if row.module is layer)
                 raise ValueError(
-                    f"predictable layer {engine.layers.index(layer)} "
+                    f"predictable layer {name!r} "
                     f"({type(layer).__name__}) ran {seen} times in one batch, "
                     f"expected {chunks}: a layer object reused within a "
                     "forward cannot be tapped"

@@ -29,6 +29,7 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..nn.backend import current_backend
+from ..nn.graph import trace
 from ..nn.module import Module, PredictableMixin
 from . import reorganize
 
@@ -400,7 +401,7 @@ class GradientPredictor:
     @classmethod
     def for_model(cls, model: Module, **kwargs) -> "GradientPredictor":
         """Size the FC layer for the largest layer of ``model`` (§3.6)."""
-        layers = nn.predictable_layers(model)
+        layers = trace(model).predictable
         if not layers:
             raise ValueError("model has no ADA-GP-predictable layers")
         max_row = max(layer.gradient_size() for layer in layers)

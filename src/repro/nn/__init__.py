@@ -7,7 +7,7 @@ per-parameter stepping so ADA-GP can update a layer the moment its
 forward pass finishes.
 """
 
-from . import backend, functional, init, losses, optim
+from . import backend, functional, graph, init, losses, optim
 from .backend import (
     Backend,
     FusedBackend,
@@ -33,13 +33,13 @@ from .module import (
     PredictableMixin,
     is_grad_enabled,
     no_grad,
-    predictable_layers,
 )
 from .optim import SGD, Adam, MultiStepLR, ReduceLROnPlateau
 
 __all__ = [
     "backend",
     "functional",
+    "graph",
     "init",
     "losses",
     "optim",
@@ -65,7 +65,6 @@ __all__ = [
     "PredictableMixin",
     "is_grad_enabled",
     "no_grad",
-    "predictable_layers",
     "SGD",
     "Adam",
     "MultiStepLR",

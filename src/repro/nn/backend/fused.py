@@ -105,9 +105,6 @@ class WorkspacePool:
         self.hits = 0
         self.misses = 0
 
-    def clear(self) -> None:
-        self._free.clear()
-
 
 class FusedBackend(NumpyBackend):
     """BLAS-matmul ops, cached contraction paths, pooled im2col buffers."""

@@ -187,10 +187,6 @@ class Sequential(Module):
         super().__init__()
         self.layers: list[Module] = list(modules)
 
-    def append(self, module: Module) -> "Sequential":
-        self.layers.append(module)
-        return self
-
     def __len__(self) -> int:
         return len(self.layers)
 

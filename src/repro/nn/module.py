@@ -215,46 +215,24 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{key}.{i}", item
 
-    def children(self) -> Iterator["Module"]:
-        for _name, child in self._direct_children():
-            yield child
-
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        """Yield ``(dotted_name, module)`` for this module and descendants."""
-        yield prefix or "root", self
-        for name, child in self._direct_children():
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            yield from child.named_modules(child_prefix)
+    def named_modules(self) -> Iterator[tuple[str, "Module"]]:
+        """``(qualified name, module)`` for this module (``"root"``) and
+        its descendants, in :func:`walk` order."""
+        return ((name, module) for name, module, _parent in walk(self))
 
     def modules(self) -> Iterator["Module"]:
-        """This module and its descendants, in :meth:`named_modules`
-        order.  A fresh walk every call (``Sequential.append`` mutates
-        ``layers`` in place), but an iterative one — no generator frame
-        per tree level, no dotted names — because ``clear_caches`` and
-        ``train`` run it on every batch."""
-        stack = [self]
-        while stack:
-            module = stack.pop()
-            yield module
-            stack.extend(
-                [child for _name, child in module._direct_children()][::-1]
-            )
+        """This module and its descendants, in :func:`walk` order,
+        formatting no names: ``clear_caches`` and ``train`` run it on
+        every batch."""
+        return (module for _name, module, _parent in walk(self, named=False))
 
     def parameters(self) -> Iterator[Parameter]:
-        seen: set[int] = set()
-        for module in self.modules():
-            for param in module._direct_parameters():
-                if id(param) not in seen:
-                    seen.add(id(param))
-                    yield param
+        return (param for _name, param in self.named_parameters())
 
     def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
-        seen: set[int] = set()
-        for mod_name, module in self.named_modules():
-            for param in module._direct_parameters():
-                if id(param) not in seen:
-                    seen.add(id(param))
-                    yield f"{mod_name}.{param.name}", param
+        """The trained subset of :meth:`state_dict`'s arrays, by name."""
+        slots = self._state_slots().items()
+        return ((name, owner) for name, (owner, attr) in slots if attr == "data")
 
     # ------------------------------------------------------------------
     # State management.
@@ -295,12 +273,16 @@ class Module:
         return self
 
     def _state_slots(self) -> dict[str, tuple[object, str]]:
-        """``name -> (owner, attribute)`` of every persistent array."""
-        slots = {name: (p, "data") for name, p in self.named_parameters()}
+        """``name -> (owner, attribute)`` of every persistent array, in
+        one walk: parameters first (each once; a shared one keeps its
+        first name), then declared statistics."""
+        params: dict[int, tuple[str, Parameter]] = {}
+        statistics: dict[str, tuple[object, str]] = {}
         for mod_name, module in self.named_modules():
-            for attr in module.statistics:
-                slots[f"{mod_name}.{attr}"] = (module, attr)
-        return slots
+            for param in module._direct_parameters():
+                params.setdefault(id(param), (f"{mod_name}.{param.name}", param))
+            statistics.update({f"{mod_name}.{a}": (module, a) for a in module.statistics})
+        return {**{name: (p, "data") for name, p in params.values()}, **statistics}
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copies of every parameter and declared statistic, by name."""
@@ -336,6 +318,27 @@ class Module:
         return f"{type(self).__name__}()"
 
 
+def walk(root: Module, named: bool = True) -> Iterator[tuple[Optional[str], Module, int]]:
+    """The one tree traversal, pre-order in definition order: yields
+    ``(name, module, parent)`` — the qualified name (``"root"`` for
+    ``root``; ``None`` unless ``named``), the module, and its parent's
+    walk position (``-1`` for ``root``).  A module reachable twice is
+    yielded twice."""
+    stack = [("root" if named else None, root, -1)]
+    position = 0
+    while stack:
+        name, module, parent = stack.pop()
+        yield name, module, parent
+        prefix = f"{name}." if named and parent >= 0 else ""
+        children = [
+            (prefix + key if named else None, child, position)
+            for key, child in module._direct_children()
+        ]
+        children.reverse()
+        stack.extend(children)
+        position += 1
+
+
 class PredictableMixin:
     """Marker for layers whose weight gradients ADA-GP can predict.
 
@@ -354,12 +357,3 @@ class PredictableMixin:
     def output_units(self) -> int:
         """Number of output units (filters / neurons) of the layer."""
         raise NotImplementedError
-
-
-def predictable_layers(model: Module) -> list[Module]:
-    """Return every ADA-GP-predictable layer of ``model`` in forward order.
-
-    Forward order here is definition order, which all models in
-    :mod:`repro.models` keep aligned with execution order.
-    """
-    return [m for m in model.modules() if isinstance(m, PredictableMixin)]

@@ -219,12 +219,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, description, buckets=buckets)
 
-    def get(self, name: str) -> Optional[_Instrument]:
-        return self._instruments.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._instruments)
-
     def clear(self) -> None:
         self._instruments = {}
         self._owners.clear()

@@ -6,7 +6,7 @@ with a training *phase* (``bp`` / ``gp`` / ``predictor_train`` / ``eval``
 sites open spans three ways:
 
 * ``with tracer.span("dist.sync", phase=COMM, nbytes=n):`` — context
-  manager (also usable as a decorator via :meth:`Tracer.trace`);
+  manager;
 * ``handle = tracer.begin(...)`` / ``tracer.end(handle)`` — split
   open/close for callback pairs (``on_batch_begin``/``on_batch_end``);
 * ``tracer.record(name, phase, start, end, ...)`` — pre-measured
@@ -217,20 +217,6 @@ class Tracer:
             self, _SpanHandle(name, phase, self.clock(), track, args)
         )
 
-    def trace(self, name: str, phase: str = ""):
-        """Decorator form of :meth:`span`."""
-
-        def deco(fn):
-            def wrapped(*a, **kw):
-                with self.span(name, phase=phase):
-                    return fn(*a, **kw)
-
-            wrapped.__name__ = getattr(fn, "__name__", name)
-            wrapped.__doc__ = fn.__doc__
-            return wrapped
-
-        return deco
-
     def begin(
         self, name: str, phase: str = "", track: int = 0, **args
     ) -> Optional[_SpanHandle]:
@@ -277,11 +263,6 @@ class Tracer:
             self.dropped += 1
             return
         self.spans.append(span)
-
-    # -- lifecycle -------------------------------------------------------
-    def clear(self) -> None:
-        self.spans = []
-        self.dropped = 0
 
     # -- aggregation -----------------------------------------------------
     def phase_seconds(self) -> dict[str, float]:

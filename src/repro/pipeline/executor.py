@@ -127,6 +127,9 @@ class PipelineExecutor:
                 "bidirectional mapping needs two model replicas per device"
             )
         self.stages = list(stages)
+        # Each stage's modules, walked once: a backward micro-batch
+        # snapshots their ``_saved`` slots after every forward.
+        self.stage_modules = [list(stage.modules()) for stage in self.stages]
         self.config = PipelineConfig(
             num_stages=len(self.stages), micro_batches=micro_batches
         )
@@ -165,8 +168,8 @@ class PipelineExecutor:
     # slot, so interleaved micro-batches each keep their own pointers.
     # ------------------------------------------------------------------
     @staticmethod
-    def _snapshot(stage: Sequential) -> list[tuple[Module, object]]:
-        return [(module, module._saved) for module in stage.modules()]
+    def _snapshot(modules: list[Module]) -> list[tuple[Module, object]]:
+        return [(module, module._saved) for module in modules]
 
     @staticmethod
     def _restore(snap: list[tuple[Module, object]]) -> None:
@@ -231,7 +234,7 @@ class PipelineExecutor:
                     losses[m] = loss_value(loss_fn, out, micro_targets[m])
             acts[(s, m)] = out
             if backward:
-                snaps[(s, m)] = self._snapshot(stage)
+                snaps[(s, m)] = self._snapshot(self.stage_modules[s])
             return duration
 
         tasks = place_op_lists(

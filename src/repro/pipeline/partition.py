@@ -9,11 +9,11 @@ cycle model (the same :func:`~repro.accel.dataflow.layer_forward_cycles`
 analytical Fig 20), and a dynamic program picks the contiguous split
 that minimizes the most expensive stage.
 
-Costing real layers reuses the accel model by *probing*: one forward
-pass with hooks records every module's output shape, from which each
-``Conv2d``/``Linear`` is mapped to the :class:`~repro.models.specs.LayerSpec`
-the cycle model understands; parameter-free layers are costed on the
-SIMD post-processing path exactly like the analytical side does.
+Costing real layers reuses the accel model: the module table of one
+probe forward (:func:`~repro.nn.graph.trace`) gives every module's output
+shape, from which each ``Conv2d``/``Linear`` maps to the
+:class:`~repro.models.specs.LayerSpec` the cycle model understands and
+parameter-free leaves are costed on the SIMD path like the analytical side.
 
 Stage sub-models share layer objects with the original model, so an
 optimizer built over the original model's parameters keeps working.
@@ -30,7 +30,8 @@ from ..accel.config import AcceleratorConfig
 from ..accel.dataflow import layer_backward_cycles, layer_forward_cycles
 from ..models.specs import LayerKind, LayerSpec
 from ..nn.layers.core import Conv2d, Linear, Sequential
-from ..nn.module import Module, no_grad
+from ..nn.graph import trace
+from ..nn.module import Module
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,10 @@ class StagePlan:
         return float(np.mean(costs) / peak)
 
 
-def _spec_for_module(module: Module, output: np.ndarray) -> Optional[LayerSpec]:
-    """Map an executed module + its observed output to a costable spec."""
-    if isinstance(module, Conv2d) and output.ndim == 4:
+def _spec_for_module(module: Module, shape: tuple, leaf: bool) -> Optional[LayerSpec]:
+    """Map an executed module + its output shape to a costable spec (here,
+    not in ``nn``: :mod:`repro.models` imports ``nn``)."""
+    if isinstance(module, Conv2d) and len(shape) == 4:
         return LayerSpec(
             name=type(module).__name__,
             kind=LayerKind.CONV,
@@ -71,8 +73,8 @@ def _spec_for_module(module: Module, output: np.ndarray) -> Optional[LayerSpec]:
             kernel_size=module.kernel_size,
             stride=module.stride,
             padding=module.padding,
-            out_h=output.shape[2],
-            out_w=output.shape[3],
+            out_h=shape[2],
+            out_w=shape[3],
         )
     if isinstance(module, Linear):
         return LayerSpec(
@@ -81,14 +83,12 @@ def _spec_for_module(module: Module, output: np.ndarray) -> Optional[LayerSpec]:
             in_channels=module.in_features,
             out_channels=module.out_features,
         )
-    if next(module.children(), None) is None:
+    if leaf:
         # Parameter-free leaf (pool / norm / activation / flatten): SIMD
         # path, one cycle per output element per PE — matches how the
         # analytical model keeps these negligible against GEMM layers.
-        if output.ndim == 4:
-            channels, out_h, out_w = output.shape[1], output.shape[2], output.shape[3]
-        else:
-            channels, out_h, out_w = int(np.prod(output.shape[1:])), 1, 1
+        flat = (int(np.prod(shape[1:])), 1, 1)
+        channels, out_h, out_w = shape[1:] if len(shape) == 4 else flat
         return LayerSpec(
             name=type(module).__name__,
             kind=LayerKind.ACT,
@@ -103,12 +103,8 @@ def probe_layer_costs(model: Sequential, input_shape: Sequence[int]) -> list[flo
     """Accel-model cost (fw + bw cycles) of each top-level layer at
     batch 1 on the default :class:`~repro.accel.config.AcceleratorConfig`.
 
-    Runs one probe forward with hooks on every sub-module — in eval
-    mode, so BatchNorm running stats are untouched, and under
-    ``no_grad()``, so no conv keeps a pooled workspace for a backward
-    that never comes; each module's observed output shape feeds the
-    cycle model, and costs roll up into the top-level layer that owns
-    the module.
+    Each module is priced from its probed output shape and summed into
+    its top-level ancestor; a module the forward never ran costs nothing.
     """
     if not isinstance(model, Sequential):
         raise TypeError(
@@ -116,36 +112,19 @@ def probe_layer_costs(model: Sequential, input_shape: Sequence[int]) -> list[flo
             f"{type(model).__name__}"
         )
     config = AcceleratorConfig()
-    module_cost: dict[int, float] = {}
-
-    def hook(module: Module, output: np.ndarray) -> None:
-        spec = _spec_for_module(module, output)
+    root, *rows = trace(model, np.zeros((1, *input_shape), dtype=np.float32)).rows
+    parents = {id(row.parent) for row in rows}
+    costs: list[float] = []
+    for row in rows:  # pre-order: a row belongs to the last top-level row
+        if row.parent is root:
+            costs.append(0.0)
+        if row.output_shape is None:
+            continue
+        spec = _spec_for_module(row.module, row.output_shape, id(row) not in parents)
         if spec is not None:
-            module_cost[id(module)] = float(
-                layer_forward_cycles(spec, 1, config)
-                + layer_backward_cycles(spec, 1, config)
+            costs[-1] += float(
+                layer_forward_cycles(spec, 1, config) + layer_backward_cycles(spec, 1, config)
             )
-
-    hooked: list[tuple[Module, Optional[object]]] = []
-    for module in model.modules():
-        hooked.append((module, module.forward_hook))
-        module.forward_hook = hook
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            model(np.zeros((1, *input_shape), dtype=np.float32))
-    finally:
-        for module, previous in hooked:
-            module.forward_hook = previous
-        if was_training:
-            model.train()
-    costs = []
-    for layer in model.layers:
-        total = sum(
-            module_cost.get(id(module), 0.0) for module in layer.modules()
-        )
-        costs.append(total)
     return costs
 
 

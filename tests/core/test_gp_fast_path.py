@@ -206,7 +206,7 @@ class TestBatchedGP:
             nn.Sequential(shared, nn.ReLU(), shared), CrossEntropyLoss(), lr=0.05
         )
         x = np.random.default_rng(1).standard_normal((3, 4)).astype(np.float32)
-        with pytest.raises(ValueError, match="predictable layer 0 .Linear. ran 2 times"):
+        with pytest.raises(ValueError, match="predictable layer 'layers.0' .Linear. ran 2 times"):
             engine.train_batch(x, np.array([0, 1, 2]), Phase.GP)
         assert all(layer.forward_hook is None for layer in engine.layers)
 

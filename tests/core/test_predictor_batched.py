@@ -34,7 +34,7 @@ def _model(seed=0):
 
 def _collect_entries(model, seed=0):
     """(layer, output, weight_grad, bias_grad) for one backprop batch."""
-    layers = nn.predictable_layers(model)
+    layers = nn.graph.trace(model).predictable
     activations = {}
 
     def hook(layer, output):

@@ -205,34 +205,6 @@ class TestScheduleCheckpointResume:
             epochs=epochs,
         )
 
-    def test_duck_typed_schedule_state_still_checkpointed(self, tmp_path):
-        """A custom schedule tracking ``_recent_mape`` without the
-        state_dict protocol keeps its pre-protocol checkpoint coverage."""
-        from repro.core.schedule import RatioSchedule
-
-        class LegacySchedule(RatioSchedule):  # inherits the no-op observe_mape
-            warmup_epochs = 0
-            _recent_mape = float("inf")
-
-            def phase_for(self, epoch, batch_index):
-                return Phase.BP
-
-            def ratio_for_epoch(self, epoch):
-                return (1, 1)
-
-        split = synthetic_images(3, 48, 24, image_size=8, seed=0)
-        engine = self._engine()
-        engine.schedule = LegacySchedule()
-        self._fit(engine, split, 1)
-        engine.schedule._recent_mape = 7.25
-        path = str(tmp_path / "legacy.pkl")
-        engine.save_checkpoint(path)
-
-        fresh = self._engine()
-        fresh.schedule = LegacySchedule()
-        fresh.load_checkpoint(path)
-        assert fresh.schedule._recent_mape == 7.25
-
     def test_recent_mape_survives_checkpoint_resume(self, tmp_path):
         split = synthetic_images(3, 48, 24, image_size=8, seed=0)
         path = str(tmp_path / "ckpt.pkl")

@@ -31,7 +31,7 @@ class TestMiniZoo:
     @pytest.mark.parametrize("name", sorted(MINI_BUILDERS))
     def test_has_predictable_layers(self, name):
         model = build_mini(name, 10, rng=np.random.default_rng(0))
-        layers = nn.predictable_layers(model)
+        layers = nn.graph.trace(model).predictable
         assert len(layers) >= 5
 
     def test_vgg13_mini_keeps_ten_convs(self):

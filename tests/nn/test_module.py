@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.models.zoo import MINI_BUILDERS, build_mini
-from repro.nn.module import Parameter, predictable_layers
+from repro.nn.graph import trace
+from repro.nn.module import Parameter
 
 
 class TestParameter:
@@ -47,27 +47,6 @@ class TestModuleIntrospection:
         names = [name for name, _ in model.named_parameters()]
         assert len(names) == len(set(names))
         assert len(names) == 6  # conv w+b, bn w+b, linear w+b
-
-    @pytest.mark.parametrize("name", sorted(MINI_BUILDERS))
-    def test_modules_walks_in_named_modules_order(self, name):
-        model = build_mini(name, 10, rng=np.random.default_rng(0))
-        walked = list(model.modules())
-        named = [module for _, module in model.named_modules()]
-        assert len(walked) == len(named)
-        assert all(a is b for a, b in zip(walked, named))
-
-    def test_modules_sees_layers_appended_after_a_walk(self):
-        """No cached module list: ``Sequential.append`` mutates
-        ``layers`` in place, and the next ``clear_caches`` must reach
-        the new layer."""
-        model = self._model()
-        model.clear_caches()
-        late = nn.ReLU()
-        model.append(nn.Sequential(late))
-        late(np.ones((2, 5), dtype=np.float32))
-        assert late._saved is not None
-        model.clear_caches()
-        assert late._saved is None
 
     def test_train_eval_propagates(self):
         model = self._model()
@@ -124,7 +103,7 @@ class TestModuleIntrospection:
 
     def test_predictable_layers_in_forward_order(self):
         model = self._model()
-        layers = predictable_layers(model)
+        layers = trace(model).predictable
         assert [type(m).__name__ for m in layers] == ["Conv2d", "Linear"]
 
 

@@ -75,17 +75,6 @@ class TestSpans:
         assert span.args == {"batch": 2, "loss": 0.5}
         assert span.duration == pytest.approx(0.25)
 
-    def test_decorator(self):
-        tracer = obs.Tracer(clock=_counting_clock())
-
-        @tracer.trace("work", phase=obs.EVAL)
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert tracer.spans[0].name == "work"
-        assert tracer.spans[0].phase == "eval"
-
     def test_bounded_buffer_drops_new_spans(self):
         tracer = obs.Tracer(clock=_counting_clock(), max_spans=2)
         for index in range(5):

@@ -21,6 +21,7 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.pipeline import (
     PipelineExecutor,
     PipelineKind,
+    StagePlan,
     balanced_boundaries,
     partition_sequential,
     probe_layer_costs,
@@ -103,6 +104,30 @@ class TestPartition:
             model.backward(np.ones_like(model(x)))
             model.clear_caches()
         assert backend.pool.outstanding == 0
+
+    # Boundaries and layer costs of the zoo minis, computed before the
+    # probe moved onto the module table; the table must not move them.
+    VGG13_COSTS = (
+        2873.0, 36.0, 36.0, 8171.0, 36.0, 36.0, 10.0, 5174.0, 12.0, 12.0,
+        6616.0, 12.0, 12.0, 4.0, 3056.0, 6.0, 6.0, 4510.0, 6.0, 6.0, 2.0,
+        4818.0, 2.0, 2.0, 6387.0, 2.0, 2.0, 2.0, 5991.0, 2.0, 2.0, 5991.0,
+        2.0, 2.0, 2.0, 297.0,
+    )
+    RESNET50_COSTS = (2873.0, 24.0, 24.0, 13735.0, 7507.0, 6602.0, 6312.0, 2.0, 389.0)
+
+    @pytest.mark.parametrize(
+        "name, stages, boundaries, costs",
+        [
+            ("VGG13", 2, ((0, 17), (17, 36)), VGG13_COSTS),
+            ("VGG13", 4, ((0, 7), (7, 17), (17, 25), (25, 36)), VGG13_COSTS),
+            ("ResNet50", 2, ((0, 4), (4, 9)), RESNET50_COSTS),
+            ("ResNet50", 4, ((0, 3), (3, 4), (4, 5), (5, 9)), RESNET50_COSTS),
+        ],
+    )
+    def test_zoo_plans_are_pinned(self, name, stages, boundaries, costs):
+        model = build_mini(name, 10, rng=np.random.default_rng(0))
+        _, plan = partition_sequential(model, stages, (3, 16, 16))
+        assert plan == StagePlan(boundaries=boundaries, layer_costs=costs)
 
     def test_rejects_non_sequential(self):
         with pytest.raises(TypeError):
@@ -197,8 +222,7 @@ class TestExecutor:
         stage.zero_grad()
 
         stage(old)
-        snap = PipelineExecutor._snapshot(stage)
-        assert [module for module, _ in snap] == list(stage.modules())
+        snap = PipelineExecutor._snapshot(list(stage.modules()))
         stage(new)
         assert all(
             module._saved is not saved for module, saved in snap if saved is not None
@@ -344,5 +368,5 @@ class TestPipelineGPStrategy:
         ]
         assert changed  # predicted updates landed without any backward
         # No gradient ever touched param.grad during the GP batch.
-        layers = nn.predictable_layers(model)
+        layers = nn.graph.trace(model).predictable
         assert all(layer.weight.grad is None for layer in layers)

@@ -100,8 +100,9 @@ class TestCrossModuleInvariants:
 
 
 class TestOneBatchBody:
-    """The seam every open direction lands on stays one site: who may
-    install a forward hook, and who may call the predictor."""
+    """The seams every open direction lands on stay one site each: who
+    may install a forward hook, who may call the predictor, and who may
+    walk a module tree."""
 
     @staticmethod
     def _functions(path):
@@ -136,8 +137,21 @@ class TestOneBatchBody:
             ("nn/module.py", "Module.__init__"),
             ("core/engine/engine.py", "TrainingEngine.clear_hooks"),
             ("core/engine/strategies.py", "PhaseStrategy.tap"),
-            ("pipeline/partition.py", "probe_layer_costs"),
+            ("nn/graph.py", "trace"),
         }
+
+    def test_one_tree_walk(self):
+        """Which modules a model has, and in what order, is decided by
+        one traversal: every other walker is a view of it."""
+        src = REPO / "src" / "repro"
+        readers = {
+            (path.relative_to(src).as_posix(), name)
+            for path in src.rglob("*.py")
+            for name, function in self._functions(path)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr == "_direct_children"
+        }
+        assert readers == {("nn/module.py", "walk")}
 
     def test_predictor_is_called_from_at_most_three_functions(self):
         path = REPO / "src" / "repro" / "core" / "engine" / "strategies.py"

@@ -4,15 +4,17 @@ One ResNet50-mini BP+GP fit (fused backend), four instrumentation
 levels measured in the same process with interleaved rounds so machine
 drift hits every level equally:
 
-* ``baseline`` — no obs attached: the null global tracer, no callbacks
-  (the engine still pushes its unconditional phase scope — that cost is
-  part of every run and therefore part of the baseline);
+* ``baseline`` — no obs attached: the null global tracer, no registry
+  (the engine still pushes its unconditional phase scope and asks the
+  null tracer for its spans — that cost is part of every run and
+  therefore part of the baseline);
 * ``disabled`` — the full obs stack attached but the tracer switched
-  off: ``TracingCallback`` + ``MetricsCallback`` on the callback list,
-  a disabled ``Tracer`` installed globally (every seam branches on
+  off: the engine attached to a metrics registry, a disabled
+  ``Tracer`` installed globally (every seam branches on
   ``tracer.enabled`` and takes the shared-null-context path);
 * ``enabled`` — the same stack with tracing on: spans buffered per
-  fit/epoch/batch/eval, count owners attached to the registry;
+  fit/epoch/batch/eval/predictor call, the engine's count owners read
+  at a snapshot;
 * ``profiled`` — ``enabled`` plus a ``ProfilingBackend`` timing the
   hot ops at its documented low-overhead decimation
   (``sample_every=4`` — counts are scaled back, so totals stay
@@ -53,12 +55,10 @@ def _fit_once(level):
     split = synthetic_images(10, 48, 32, image_size=16, seed=0)
     schedule = HeuristicSchedule(warmup_epochs=1, ladder=((4, (2, 1)),))
     backend = FusedBackend()
-    callbacks = []
-    tracer = None
+    tracer = registry = None
     if level != "baseline":
         tracer = obs.Tracer(enabled=(level != "disabled"))
         registry = obs.MetricsRegistry()
-        callbacks = [obs.TracingCallback(tracer), obs.MetricsCallback(registry)]
         if level == "profiled":
             backend = obs.ProfilingBackend(
                 backend, registry=registry, sample_every=PROFILER_SAMPLE_EVERY
@@ -70,8 +70,9 @@ def _fit_once(level):
         metric_fn=accuracy,
         schedule=schedule,
         backend=backend,
-        callbacks=callbacks,
     )
+    if registry is not None:
+        registry.attach(engine)
 
     def fit():
         return engine.fit(

@@ -2,16 +2,18 @@
 
 The end-to-end tour of ``repro.obs`` (DESIGN.md §14):
 
-1. train a ResNet50-mini with ADA-GP, with both observability
-   callbacks attached — ``TracingCallback`` records phase-tagged
-   fit/epoch/batch spans, ``MetricsCallback`` attaches the count
-   owners (``ThroughputTimer``, workspace pool, fold caches) to the
-   metrics registry, which reads them whenever a snapshot is taken,
+1. train a ResNet50-mini with ADA-GP under an installed tracer — the
+   library records phase-tagged fit / epoch / batch / evaluate and
+   predictor train / predict spans into it — with the engine attached
+   to the metrics registry, which reads every count owner it reaches
+   (``ThroughputTimer``, workspace pool, fold caches) whenever a
+   snapshot is taken,
 2. wrap the compute backend in a ``ProfilingBackend`` so every hot op
    (conv, linear, unfold, …) is timed and attributed to the phase it
    ran under — the software twin of the paper's Fig 15/16 cycle
    characterization,
-3. print the per-phase time totals and the phase×op breakdown, and
+3. print the per-phase self time (the rows add up to the fit) and the
+   phase×op breakdown, and
 4. write the trace as Chrome ``trace_event`` JSON — open it at
    https://ui.perfetto.dev (or chrome://tracing) to scrub through
    every batch on a timeline — plus a JSONL trace and a metrics
@@ -48,10 +50,7 @@ def main() -> None:
 
     tracer = obs.Tracer()
     registry = obs.MetricsRegistry()
-    backend = obs.ProfilingBackend(
-        FusedBackend(), registry=registry, tracer=tracer
-    )
-    timer = ThroughputTimer()
+    backend = obs.ProfilingBackend(FusedBackend(), registry=registry)
 
     split = preset_split("Cifar10", num_train=256, num_val=128, seed=0)
     model = build_mini("ResNet50", 10, rng=np.random.default_rng(1))
@@ -65,17 +64,18 @@ def main() -> None:
         metric_fn=accuracy,
         schedule=schedule,
         backend=backend,
-        callbacks=[
-            timer,
-            obs.TracingCallback(tracer),
-            obs.MetricsCallback(registry),
-        ],
+        callbacks=[ThroughputTimer()],
     )
-    history = engine.fit(
-        split.train.epochs(32, 2),
-        split.val.epochs(64),
-        epochs=args.epochs,
-    )
+    registry.attach(engine)
+    previous = obs.set_tracer(tracer)
+    try:
+        history = engine.fit(
+            split.train.epochs(32, 2),
+            split.val.epochs(64),
+            epochs=args.epochs,
+        )
+    finally:
+        obs.set_tracer(previous)
     print(
         f"best accuracy {history.best_metric:.1f}%, "
         f"{sum(history.gp_batches)} backward passes skipped "

@@ -24,7 +24,7 @@ import numpy as np
 from ... import nn
 from ...nn.backend import BackendSpec, backend_scope, resolve_backend
 from ...nn.graph import trace
-from ...obs.trace import EVAL, phase_scope, tracer as _obs_tracer
+from ...obs.trace import EVAL, phase_scope, phase_tag, tracer as _obs_tracer
 from ...nn.module import Module, PredictableMixin
 from ...nn.optim import Optimizer
 from ..history import History
@@ -111,6 +111,9 @@ class TrainingEngine:
         self.history = history if history is not None else History()
         self.current_epoch = 0
         self.stop_requested = False
+        # The ``engine.batch`` span's place in its epoch: set by
+        # train_epoch, empty for a train_batch call outside one.
+        self._batch_position: dict = {}
         self.table = trace(model)
         self.layers: list[PredictableMixin] = (
             self.table.predictable if predictor is not None else []
@@ -159,11 +162,16 @@ class TrainingEngine:
         so the step's largest allocations don't stay pinned between
         batches."""
         strategy = self.strategy_for(phase)
+        tracer = _obs_tracer()
+        span = tracer.begin(
+            "engine.batch", phase=phase_tag(phase), **self._batch_position
+        )
         # phase_scope (one list push/pop) lets obs attribute backend op
         # time to the scheduled phase even when tracing is off.
         with phase_scope(phase), backend_scope(self.backend):
             result = strategy.train_batch(inputs, targets, phase)
         self.model.clear_caches()
+        tracer.end(span, loss=float(result.loss))
         return result
 
     def train_epoch(
@@ -178,7 +186,9 @@ class TrainingEngine:
         for batch_index, (inputs, targets) in enumerate(batches):
             phase = self.phase_for(epoch, batch_index)
             self.callbacks.on_batch_begin(self, epoch, batch_index, phase)
+            self._batch_position = {"epoch": epoch, "batch": batch_index}
             result = self.train_batch(inputs, targets, phase)
+            self._batch_position = {}
             counts[result.phase] += 1
             losses.append(result.loss)
             if result.predictor_mse:
@@ -253,9 +263,12 @@ class TrainingEngine:
         # tracked objects, against fits >= 0.5 s.
         gc.collect()
         self.stop_requested = False
+        tracer = _obs_tracer()
+        fit_span = tracer.begin("engine.fit", epochs=epochs)
         self.callbacks.on_fit_begin(self, epochs)
         for _ in range(epochs):
             epoch = self.current_epoch
+            epoch_span = tracer.begin("engine.epoch", epoch=epoch)
             self.callbacks.on_epoch_begin(self, epoch)
             stats = self.train_epoch(train_batches(), epoch)
             val_loss, val_metric = self.evaluate(val_batches())
@@ -285,10 +298,36 @@ class TrainingEngine:
                 "counts": counts,
             }
             self.callbacks.on_epoch_end(self, epoch, logs)
+            tracer.end(epoch_span)
             if self.stop_requested:
                 break
         self.callbacks.on_fit_end(self)
+        tracer.end(fit_span)
         return self.history
+
+    def metrics(self):
+        """Every count owner the engine reaches, read now, each once by
+        identity: the callbacks, the strategies and their ``comm``
+        ledgers, the backend (unwrapped from a ``ProfilingBackend``),
+        its workspace pool and fold caches (labelled ``pass_name``) and
+        the schedule.  ``MetricsRegistry.attach(engine)`` reads these
+        rows at every snapshot."""
+        backend = getattr(self.backend, "inner", self.backend)
+        strategies = list(self.strategies.values())
+        owners = [*self.callbacks, *strategies]
+        owners += [getattr(strategy, "comm", None) for strategy in strategies]
+        owners += [backend, getattr(backend, "pool", None), self.schedule]
+        labelled = [(owner, {}) for owner in owners]
+        pipeline = backend.fold_pipeline() if backend is not None else None
+        for fold in getattr(pipeline, "passes", ()):
+            labelled.append((fold.cache, {"pass_name": fold.name}))
+        seen = set()
+        for owner, labels in labelled:
+            if id(owner) in seen or not callable(getattr(owner, "metrics", None)):
+                continue
+            seen.add(id(owner))
+            for name, kind, value, row_labels in owner.metrics():
+                yield name, kind, value, {**row_labels, **labels}
 
     # ------------------------------------------------------------------
     # Checkpointing.

@@ -16,12 +16,13 @@ self-measuring along exactly those axes:
   ``WorkspacePool``, fold caches, native dispatch counts, schedule
   MAPE) expose ``metrics()`` and are *read when a snapshot is taken*
   (:meth:`MetricsRegistry.attach`); the registry holds no copy.
-* :mod:`~repro.obs.callbacks` — :class:`TracingCallback` /
-  :class:`MetricsCallback` attach at the engine callback seam.
+  ``registry().attach(engine)`` reads every owner a training engine
+  reaches, through ``TrainingEngine.metrics()``.
 * :mod:`~repro.obs.profiler` — opt-in sampling :class:`ProfilingBackend`
   wrapping any backend for the Fig-15 phase×op breakdown.
-* ``python -m repro.obs report`` — phase totals, stage occupancy /
-  bubble time, phase×op table from a trace + metrics snapshot.
+* ``python -m repro.obs report`` — per-phase self time on the host
+  track (rows add up to ``engine.fit``), per-device occupancy / bubble
+  time, phase×op table from a JSONL trace + metrics snapshot.
 
 The tracer's clock (:attr:`Tracer.clock`) is the one clock: the
 throughput timer, the pipeline executor and the reliable transport all
@@ -30,10 +31,15 @@ deterministic.
 
 The default tracer is a no-op (:data:`NULL_TRACER`); instrumented hot
 paths pay one attribute check until :func:`set_tracer` installs a real
-one.
+one — the only way to turn tracing on.  Every span goes to that one
+tracer: the engine's ``engine.fit`` / ``engine.epoch`` /
+``engine.batch`` / ``engine.evaluate``, the strategies'
+``predictor.train`` / ``predictor.predict``, the ``dist.*`` comm and
+recovery spans on track 0 (the host clock), and the pipeline
+executor's ``pipe.*`` spans on track ``stage + 1`` (its virtual device
+clock).
 """
 
-from .callbacks import MetricsCallback, TracingCallback
 from .metrics import (
     Counter,
     Gauge,
@@ -71,7 +77,6 @@ from .trace import (
     phase_scope,
     phase_tag,
     set_tracer,
-    spans_from_chrome,
     tracer,
 )
 
@@ -86,13 +91,11 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricsCallback",
     "MetricsRegistry",
     "NullTracer",
     "ProfilingBackend",
     "Span",
     "Tracer",
-    "TracingCallback",
     "current_phase",
     "dump_snapshot",
     "load_jsonl",
@@ -109,7 +112,6 @@ __all__ = [
     "report_text",
     "set_registry",
     "set_tracer",
-    "spans_from_chrome",
     "stage_occupancy",
     "tracer",
 ]

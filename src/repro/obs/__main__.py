@@ -1,7 +1,7 @@
 """CLI: ``python -m repro.obs report trace.jsonl [--metrics snap.json] [--json]``.
 
-Renders the phase breakdown (and, with multi-track spans, stage
-occupancy) from a JSONL or Chrome trace, plus the Fig-15-style
+Renders the phase breakdown (and, with pipeline device tracks, stage
+occupancy) from a ``Tracer.to_jsonl`` trace, plus the Fig-15-style
 phase×op table when a metrics snapshot from a profiled run is given.
 """
 
@@ -13,13 +13,7 @@ import sys
 
 from .metrics import load_snapshot
 from .report import phase_op_table, phase_totals, report_text, stage_occupancy
-from .trace import iter_spans, load_jsonl, spans_from_chrome
-
-
-def _load_spans(path: str):
-    if path.endswith(".jsonl"):
-        return load_jsonl(path)
-    return spans_from_chrome(path)
+from .trace import iter_spans, load_jsonl
 
 
 def main(argv=None) -> int:
@@ -29,7 +23,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser("report", help="phase / op breakdown of a run")
     report.add_argument(
-        "trace", nargs="?", help="trace file (.jsonl or Chrome trace .json)"
+        "trace", nargs="?", help="JSONL trace file (Tracer.to_jsonl)"
     )
     report.add_argument(
         "--metrics", help="metrics snapshot JSON (for the phase×op table)"
@@ -39,7 +33,7 @@ def main(argv=None) -> int:
     )
     opts = parser.parse_args(argv)
 
-    spans = _load_spans(opts.trace) if opts.trace else None
+    spans = load_jsonl(opts.trace) if opts.trace else None
     snapshot = load_snapshot(opts.metrics) if opts.metrics else None
     if spans is None and snapshot is None:
         parser.error("give a trace file and/or --metrics")

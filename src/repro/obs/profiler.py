@@ -12,8 +12,8 @@ rendered by ``python -m repro.obs report``.
 Sampling: ``sample_every=N`` times only every Nth call of each op (the
 untimed calls still run the op, and still count toward picking the next
 sample), scaling the recorded seconds by N so totals stay unbiased
-estimates.  ``spans=True`` additionally records a tracer span per timed
-op call — heavy, but gives op-level rows inside the Chrome trace.
+estimates.  Op time is read on the installed tracer's clock, so a
+counting fake installed with ``set_tracer`` makes it deterministic.
 
 This is the one ``repro.obs`` module that imports from ``repro``: it
 subclasses :class:`repro.nn.backend.base.Backend` because
@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..nn.backend.base import Backend
 from .metrics import MetricsRegistry, registry as _default_registry
-from .trace import Tracer, current_phase, tracer as _default_tracer
+from .trace import current_phase, tracer as _default_tracer
 
 #: Protocol ops that get timed; everything else delegates untouched.
 PROFILED_OPS = (
@@ -62,16 +62,10 @@ def _make_op(op_name: str):
             result = inner_op(*args, **kwargs)
         else:
             phase = current_phase("untagged")
-            clock = self._clock
-            if self.spans:
-                with self._tracer.span(f"op.{op_name}", phase=phase):
-                    start = clock()
-                    result = inner_op(*args, **kwargs)
-                    elapsed = clock() - start
-            else:
-                start = clock()
-                result = inner_op(*args, **kwargs)
-                elapsed = clock() - start
+            clock = _default_tracer().clock
+            start = clock()
+            result = inner_op(*args, **kwargs)
+            elapsed = clock() - start
             self._op_calls.inc(self.sample_every, phase=phase, op=op_name)
             self._op_seconds.inc(
                 elapsed * self.sample_every, phase=phase, op=op_name
@@ -98,31 +92,20 @@ class ProfilingBackend(Backend):
     registry:
         Metrics registry for the (phase, op) counters; defaults to the
         process-global one.
-    tracer:
-        Tracer for optional op spans and — always — the profiling
-        clock, so an injected deterministic clock makes profiled runs
-        reproducible.  Defaults to the process-global tracer.
     sample_every:
         Time 1 in N calls per op (recorded values scaled by N).
-    spans:
-        Also record a tracer span per timed call.
     """
 
     def __init__(
         self,
         inner: Backend,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         sample_every: int = 1,
-        spans: bool = False,
     ) -> None:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         self.inner = inner
         self.sample_every = int(sample_every)
-        self.spans = bool(spans)
-        self._tracer = tracer if tracer is not None else _default_tracer()
-        self._clock = self._tracer.clock
         reg = registry if registry is not None else _default_registry()
         self._op_calls = reg.counter(
             "repro_backend_op_calls", "backend op invocations by (phase, op)"

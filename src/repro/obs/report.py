@@ -12,10 +12,23 @@ from .trace import iter_spans
 
 
 def phase_totals(spans) -> dict[str, float]:
-    """Total span seconds per phase tag."""
+    """Exclusive (self) seconds per phase tag on the host track (0).
+
+    A span's self time is its duration less that of the spans directly
+    inside it, so the rows add up to the outermost spans' total — on a
+    traced fit, the ``engine.fit`` span.  Device tracks run on another
+    clock and are :func:`stage_occupancy`'s."""
+    host = [span for span in iter_spans(spans) if span.track == 0]
+    host.sort(key=lambda span: (span.start, -span.end))
     totals: dict[str, float] = {}
-    for span in iter_spans(spans):
+    enclosing: list = []
+    for span in host:
+        while enclosing and enclosing[-1].end <= span.start:
+            enclosing.pop()
+        if enclosing:
+            totals[enclosing[-1].phase] -= span.duration
         totals[span.phase] = totals.get(span.phase, 0.0) + span.duration
+        enclosing.append(span)
     return totals
 
 
@@ -63,7 +76,7 @@ def render_phase_op_table(table: dict) -> str:
 
 def render_phase_totals(totals: dict[str, float]) -> str:
     grand = sum(totals.values())
-    lines = [f"span time by phase — {grand:.4f}s total"]
+    lines = [f"self time by phase — {grand:.4f}s total"]
     for phase, seconds in sorted(totals.items(), key=lambda item: -item[1]):
         share = seconds / grand * 100 if grand > 0 else 0.0
         lines.append(f"  {phase or 'untagged':<18s} {seconds:>10.4f}s {share:>5.1f}%")
@@ -71,41 +84,46 @@ def render_phase_totals(totals: dict[str, float]) -> str:
 
 
 def stage_occupancy(spans) -> dict[int, dict[str, float]]:
-    """Per-track (pipeline stage / device) busy time and bubble share.
+    """Per-device busy time and bubble share, from the device tracks
+    (track ``d + 1`` is pipeline device ``d``; the host track is not a
+    device).
 
-    For each track: ``busy`` is summed span time, ``span`` is the
-    track's first-start-to-last-end window, ``occupancy`` their ratio
-    and ``bubble`` the idle remainder — the quantity the Fig-20
-    pipeline argument is about (GP streams exist to fill bubbles).
+    For each device: ``busy`` is summed span time, ``window`` is its
+    first-start-to-last-end window, ``occupancy`` their ratio and
+    ``bubble`` the idle remainder — the quantity the Fig-20 pipeline
+    argument is about (GP streams exist to fill bubbles).
     """
     windows: dict[int, list[float]] = {}
     busy: dict[int, float] = {}
     for span in iter_spans(spans):
-        window = windows.get(span.track)
+        if span.track == 0:
+            continue
+        device = span.track - 1
+        window = windows.get(device)
         if window is None:
-            windows[span.track] = [span.start, span.end]
+            windows[device] = [span.start, span.end]
         else:
             window[0] = min(window[0], span.start)
             window[1] = max(window[1], span.end)
-        busy[span.track] = busy.get(span.track, 0.0) + span.duration
+        busy[device] = busy.get(device, 0.0) + span.duration
     out = {}
-    for track, (start, end) in sorted(windows.items()):
+    for device, (start, end) in sorted(windows.items()):
         window_s = end - start
-        occupancy = busy[track] / window_s if window_s > 0 else 1.0
-        out[track] = {
-            "busy": busy[track],
+        occupancy = busy[device] / window_s if window_s > 0 else 1.0
+        out[device] = {
+            "busy": busy[device],
             "window": window_s,
             "occupancy": occupancy,
-            "bubble": max(0.0, window_s - busy[track]),
+            "bubble": max(0.0, window_s - busy[device]),
         }
     return out
 
 
 def render_stage_occupancy(occupancy: dict[int, dict[str, float]]) -> str:
     lines = ["stage occupancy (busy / window, bubble = idle)"]
-    for track, row in occupancy.items():
+    for device, row in occupancy.items():
         lines.append(
-            f"  device {track}: {row['occupancy'] * 100:5.1f}% busy "
+            f"  device {device}: {row['occupancy'] * 100:5.1f}% busy "
             f"({row['busy']:.4f}s of {row['window']:.4f}s, "
             f"bubble {row['bubble']:.4f}s)"
         )
@@ -120,8 +138,9 @@ def report_text(spans=None, snapshot: dict = None) -> str:
         spans = list(iter_spans(spans))
         if spans:
             sections.append(render_phase_totals(phase_totals(spans)))
-            if len({span.track for span in spans}) > 1:
-                sections.append(render_stage_occupancy(stage_occupancy(spans)))
+            occupancy = stage_occupancy(spans)
+            if occupancy:
+                sections.append(render_stage_occupancy(occupancy))
     if snapshot is not None:
         table = phase_op_table(snapshot)
         if table:

@@ -8,7 +8,8 @@ sites open spans three ways:
 * ``with tracer.span("dist.sync", phase=COMM, nbytes=n):`` — context
   manager;
 * ``handle = tracer.begin(...)`` / ``tracer.end(handle)`` — split
-  open/close for callback pairs (``on_batch_begin``/``on_batch_end``);
+  open/close that pushes no phase tag (the engine's fit / epoch /
+  batch spans, the predictor's spans);
 * ``tracer.record(name, phase, start, end, ...)`` — pre-measured
   intervals on a caller-supplied clock (the pipeline executor's virtual
   device clocks).
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -66,7 +68,9 @@ class Span:
     phase: str
     start: float
     end: float
-    track: int = 0  # render lane (pipeline stage, rank, ...)
+    #: 0 is the host clock; ``d + 1`` is pipeline device ``d``'s
+    #: virtual clock (the two time bases never share a track).
+    track: int = 0
     args: dict = field(default_factory=dict)
 
     @property
@@ -187,9 +191,10 @@ class Tracer:
         determinism tests); the default is the process monotonic clock.
     max_spans:
         Buffer bound.  Past it new spans are *dropped* (counted in
-        :attr:`dropped`) rather than evicting old ones — the head of a
-        trace is what reconciles against History, and an unbounded
-        buffer would let a long run eat the heap.
+        :attr:`dropped`) rather than evicting old ones — an unbounded
+        buffer would let a long run eat the heap.  Spans are stored
+        when they close, so the outermost ones (``engine.fit``, late
+        epochs) go first; the exporters warn when anything was dropped.
     enabled:
         Initial state; :meth:`enable` / :meth:`disable` flip it.
     """
@@ -264,19 +269,22 @@ class Tracer:
             return
         self.spans.append(span)
 
-    # -- aggregation -----------------------------------------------------
-    def phase_seconds(self) -> dict[str, float]:
-        """Total span seconds per phase tag (untagged spans under "")."""
-        totals: dict[str, float] = {}
-        for span in self.spans:
-            totals[span.phase] = totals.get(span.phase, 0.0) + span.duration
-        return totals
-
     # -- exporters -------------------------------------------------------
+    def _warn_dropped(self) -> None:
+        if self.dropped:
+            warnings.warn(
+                f"tracer dropped {self.dropped} spans past max_spans="
+                f"{self.max_spans}; the outermost spans close last, so the "
+                "trace is missing its roots",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
     def to_jsonl(self, path) -> None:
         """One JSON object per line, in recording order — the diffable /
         deterministic format (sorted keys, no timestamps beyond the
         spans' own clock)."""
+        self._warn_dropped()
         with open(path, "w", encoding="utf-8") as fh:
             for span in self.spans:
                 fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
@@ -285,6 +293,7 @@ class Tracer:
         """Chrome ``trace_event`` JSON — open in ``about:tracing`` or
         https://ui.perfetto.dev.  Spans become complete ("X") events;
         the phase tag is the category, the track the tid."""
+        self._warn_dropped()
         events = [
             {
                 "name": span.name,
@@ -338,28 +347,6 @@ def load_jsonl(path) -> list[Span]:
             line = line.strip()
             if line:
                 spans.append(Span.from_dict(json.loads(line)))
-    return spans
-
-
-def spans_from_chrome(path) -> list[Span]:
-    """Read spans back from a :meth:`Tracer.to_chrome` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    spans = []
-    for event in data.get("traceEvents", []):
-        if event.get("ph") != "X":
-            continue
-        start = event["ts"] / 1e6
-        spans.append(
-            Span(
-                name=event["name"],
-                phase=event.get("cat", ""),
-                start=start,
-                end=start + event.get("dur", 0.0) / 1e6,
-                track=event.get("tid", 0),
-                args=event.get("args", {}),
-            )
-        )
     return spans
 
 

@@ -247,8 +247,10 @@ class PipelineExecutor:
         if tracer.enabled:
             # Spans carry the *virtual device clock* times (the
             # Timeline's numbers), so trace and ASCII timeline agree
-            # exactly; the phase tag follows the engine's scope (bp for
-            # backward batches, gp for forward-only streams without one).
+            # exactly; they go on track ``stage + 1``, leaving track 0 to
+            # the host clock.  The phase tag follows the engine's scope
+            # (bp for backward batches, gp for forward-only streams
+            # without one).
             span_phase = current_phase(BP if backward else GP)
             for task in tasks:
                 tracer.record(
@@ -256,7 +258,7 @@ class PipelineExecutor:
                     span_phase,
                     task.start,
                     task.end,
-                    track=task.stage,
+                    track=task.stage + 1,
                     micro=task.micro_batch,
                     batch=task.batch,
                 )

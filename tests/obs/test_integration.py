@@ -1,18 +1,20 @@
 """End-to-end observability: the ISSUE 10 acceptance criteria, on one
 ledger.
 
-One adagp run with ``TracingCallback`` + ``MetricsCallback`` attached
-must produce (a) a trace whose per-phase span totals reconcile with
-``ThroughputTimer`` within 1%, (b) a metrics snapshot whose comm
-counters equal ``CommStats`` exactly under W=2 DDP, and (c) chaos runs
-whose fault/retry/rebuild increments match the ledger.  Plus: pipeline
-spans rebuild a Timeline identical to the executor's, the profiler
-emits the Fig-15 phase×op table, and — the owner rule of DESIGN.md §14
-— every count is read from its one monotone owner when the snapshot is
-taken, so a name-resolved backend reports what an ad-hoc instance does
-and no snapshot is stale.
+One adagp run under an installed tracer, with its engine attached to a
+metrics registry, must produce (a) a trace whose per-phase batch span
+totals reconcile with ``ThroughputTimer`` (exactly, on a counting
+clock) and whose report rows add up to the fit, (b) a metrics snapshot whose comm counters
+equal ``CommStats`` exactly under W=2 DDP, and (c) chaos runs whose
+fault/retry/rebuild increments match the ledger.  Plus: pipeline spans
+rebuild a Timeline identical to the executor's, the profiler emits the
+Fig-15 phase×op table, and — the owner rule of DESIGN.md §14 — every
+count is read from its one monotone owner when the snapshot is taken,
+so a name-resolved backend reports what an ad-hoc instance does and no
+snapshot is stale.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -73,53 +75,89 @@ def _fit(engine, split, epochs=3):
     )
 
 
+@contextlib.contextmanager
+def _installed(tracer):
+    previous = obs.set_tracer(tracer)
+    try:
+        yield tracer
+    finally:
+        obs.set_tracer(previous)
+
+
 class TestEngineReconciliation:
-    def test_batch_span_totals_match_throughput_timer_within_1pct(self):
-        """Acceptance (a): the trace and the timer measure the same
-        batches through the same callback events, so their per-phase
-        totals agree to within callback-dispatch skew (≪1%)."""
-        tracer = obs.Tracer()
+    def test_library_spans_nest_and_report_rows_add_up_to_the_fit(self):
+        """Every span of a traced fit goes to the installed tracer, and
+        the report's self-time rows sum to the ``engine.fit`` span
+        exactly (an integer clock keeps the sum free of rounding)."""
+        ticks = itertools.count()
+        split = synthetic_images(10, 32, 16, image_size=16, seed=0)
+        with _installed(obs.Tracer(clock=lambda: float(next(ticks)))) as tracer:
+            engine = adagp_engine(
+                build_mini("VGG13", 10, rng=np.random.default_rng(0)),
+                CrossEntropyLoss(),
+                lr=0.05,
+                metric_fn=accuracy,
+                schedule=_schedule(),
+            )
+            _fit(engine, split)
+        assert {s.name for s in tracer.spans} == {
+            "engine.fit",
+            "engine.epoch",
+            "engine.batch",
+            "engine.evaluate",
+            "predictor.train",
+            "predictor.predict",
+        }
+        (fit,) = [s for s in tracer.spans if s.name == "engine.fit"]
+        totals = obs.phase_totals(tracer.spans)
+        assert sum(totals.values()) == fit.duration
+        assert {"bp", "gp", "eval", "predictor_train"} <= set(totals)
+        assert all(seconds > 0 for seconds in totals.values())
+
+    def test_batch_span_totals_reconcile_with_throughput_timer(self):
+        """Acceptance (a): the timer's ``on_batch_begin`` / ``on_batch_end``
+        clock reads bracket the engine's batch span with no other clock
+        read between, so on a counting clock each phase's timer total is
+        its span total plus two ticks per batch — exactly."""
+        ticks = itertools.count()
         timer = ThroughputTimer()
-        engine = adagp_engine(
-            _model(),
-            CrossEntropyLoss(),
-            lr=0.05,
-            metric_fn=accuracy,
-            schedule=_schedule(),
-            callbacks=[timer, obs.TracingCallback(tracer)],
-        )
-        _fit(engine, _split())
+        with _installed(obs.Tracer(clock=lambda: float(next(ticks)))) as tracer:
+            engine = adagp_engine(
+                _model(),
+                CrossEntropyLoss(),
+                lr=0.05,
+                metric_fn=accuracy,
+                schedule=_schedule(),
+                callbacks=[timer],
+            )
+            _fit(engine, _split())
         span_totals: dict[str, float] = {}
         for span in tracer.spans:
             if span.name == "engine.batch":
                 span_totals[span.phase] = (
-                    span_totals.get(span.phase, 0.0) + span.duration
+                    span_totals.get(span.phase, 0.0) + span.duration + 2.0
                 )
         timer_totals: dict[str, float] = {}
         for phase, seconds in timer.seconds.items():
-            tag = obs.phase_tag(phase)
-            timer_totals[tag] = timer_totals.get(tag, 0.0) + seconds
-        assert set(span_totals) == {k for k, v in timer_totals.items() if v > 0}
-        for tag, seconds in timer_totals.items():
             if seconds > 0:
-                assert span_totals[tag] == pytest.approx(seconds, rel=0.01)
+                tag = obs.phase_tag(phase)
+                timer_totals[tag] = timer_totals.get(tag, 0.0) + seconds
+        assert set(span_totals) == {"bp", "gp"}
+        assert span_totals == timer_totals
 
     def test_batch_counts_match_history_exactly(self):
-        tracer = obs.Tracer()
         reg = obs.MetricsRegistry()
-        engine = adagp_engine(
-            _model(),
-            CrossEntropyLoss(),
-            lr=0.05,
-            metric_fn=accuracy,
-            schedule=_schedule(),
-            callbacks=[
-                ThroughputTimer(),
-                obs.TracingCallback(tracer),
-                obs.MetricsCallback(reg),
-            ],
-        )
-        history = _fit(engine, _split())
+        with _installed(obs.Tracer()) as tracer:
+            engine = adagp_engine(
+                _model(),
+                CrossEntropyLoss(),
+                lr=0.05,
+                metric_fn=accuracy,
+                schedule=_schedule(),
+                callbacks=[ThroughputTimer()],
+            )
+            reg.attach(engine)
+            history = _fit(engine, _split())
         batch_spans = [s for s in tracer.spans if s.name == "engine.batch"]
         gp_spans = sum(1 for s in batch_spans if s.phase == "gp")
         bp_spans = sum(1 for s in batch_spans if s.phase == "bp")
@@ -129,8 +167,8 @@ class TestEngineReconciliation:
         assert counted["phase=gp"] == gp_spans
         # Warm-up batches run backprop: the tracer tags them bp.
         assert counted["phase=bp"] + counted["phase=warmup"] == bp_spans
-        # Every batch span closed carrying its loss.
-        assert all("loss" in s.args for s in batch_spans)
+        # Every batch span names its place and closed carrying its loss.
+        assert all({"epoch", "batch", "loss"} <= set(s.args) for s in batch_spans)
 
     def test_eval_spans_recorded_per_epoch(self):
         tracer = obs.Tracer()
@@ -165,7 +203,6 @@ class TestEngineReconciliation:
                 lr=0.05,
                 schedule=_schedule(),
                 backend=obs.ProfilingBackend(FusedBackend(), registry=reg),
-                callbacks=[obs.TracingCallback(tracer)],
             )
             history = _fit(engine, _split())
         finally:
@@ -197,8 +234,8 @@ class TestDistObservability:
             lr=0.05,
             metric_fn=accuracy,
             schedule=_schedule(),
-            callbacks=[obs.MetricsCallback(reg)],
         )
+        reg.attach(engine)
         _fit(engine, _split())
         comm = dp_strategy(engine).comm
         snap = reg.snapshot()
@@ -246,8 +283,8 @@ class TestDistObservability:
             lr=0.05,
             metric_fn=accuracy,
             schedule=_schedule(),
-            callbacks=[obs.MetricsCallback(reg)],
         )
+        reg.attach(engine)
         _fit(engine, _split())
         comm = dp_strategy(engine).comm
         totals = comm.totals()
@@ -321,7 +358,7 @@ def _vgg_fit(backend, probe=None, epochs=3):
     window)``."""
     split = synthetic_images(10, 32, 24, image_size=16, seed=0)
     reg = obs.MetricsRegistry()
-    callbacks = [ThroughputTimer(), obs.MetricsCallback(reg)]
+    callbacks = [ThroughputTimer()]
     if probe is not None:
         callbacks.append(probe(reg))
     engine = adagp_engine(
@@ -333,6 +370,7 @@ def _vgg_fit(backend, probe=None, epochs=3):
         backend=backend,
         callbacks=callbacks,
     )
+    reg.attach(engine)
     backend = engine.backend
     pool = backend.pool
     # Plain attribute reads: a name-resolved singleton carries whatever
@@ -396,7 +434,7 @@ class TestOneLedger:
     def test_name_resolved_backend_counts_like_an_instance(self, name):
         """The regression: ``clear_caches`` used to zero the counters of
         registry-singleton backends after every batch, so a >= 2-epoch
-        fit with ``MetricsCallback`` on ``backend="fused"`` / ``"native"``
+        fit with the engine attached on ``backend="fused"`` / ``"native"``
         died with "cannot move backwards" while an ad-hoc instance
         reported everything."""
         if name == "native" and not native_available():
@@ -434,16 +472,15 @@ class TestOneLedger:
         """No MAPE observed yet: the schedule reports no gauge instead
         of the ``inf`` sentinel, so the snapshot is strict JSON."""
         reg = obs.MetricsRegistry()
-        callback = obs.MetricsCallback(reg)
         engine = adagp_engine(
             _model(),
             CrossEntropyLoss(),
             lr=0.05,
             schedule=AdaptiveSchedule(warmup_epochs=1),
             backend="fused",
-            callbacks=[ThroughputTimer(), callback],
+            callbacks=[ThroughputTimer()],
         )
-        callback.attach(engine)
+        reg.attach(engine)
         snap = reg.snapshot()
         assert "repro_schedule_recent_mape" not in snap
         assert "repro_engine_batches" in snap
@@ -459,23 +496,23 @@ class TestOneLedger:
 
     def test_attaching_does_not_keep_the_engine_alive(self):
         reg = obs.MetricsRegistry()
-        callback = obs.MetricsCallback(reg)
         engine = adagp_engine(
             _model(),
             CrossEntropyLoss(),
             lr=0.05,
             schedule=_schedule(),
             backend=FusedBackend(),
-            callbacks=[ThroughputTimer(), callback],
+            callbacks=[ThroughputTimer()],
         )
-        callback.attach(engine)
-        assert {"repro_backend_pool_hits", "repro_engine_batches"} <= set(
-            reg.snapshot()
-        )
+        reg.attach(engine)
+        assert {
+            "repro_backend_pool_hits",
+            "repro_engine_batches",
+            "repro_passes_fold_hits",
+        } <= set(reg.snapshot())
         del engine
-        # What the engine owned is gone with it; the fold caches belong
-        # to the process-wide default pipeline and stay.
-        assert {name.split("_")[1] for name in reg.snapshot()} == {"passes"}
+        # Every row was read through the engine, so all go with it.
+        assert reg.snapshot() == {}
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -492,7 +529,6 @@ class TestOneLedger:
         if backend == "native" and not native_available():
             backend = "fused"
         reg = obs.MetricsRegistry()
-        callback = obs.MetricsCallback(reg)
         engine = adagp_engine(
             _model(),
             CrossEntropyLoss(),
@@ -500,9 +536,8 @@ class TestOneLedger:
             metric_fn=accuracy,
             schedule=_schedule(),
             backend=backend,
-            callbacks=[callback],
         )
-        callback.attach(engine)
+        reg.attach(engine)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
         y = rng.integers(0, 3, 4)
@@ -590,15 +625,15 @@ class TestOneClock:
 def _timeline_from_spans(spans):
     """Rebuild a pipeline Timeline from the executor's ``pipe.fw`` /
     ``pipe.bw`` spans: their times are the virtual device clock and
-    ``track`` is the stage."""
+    ``track`` is the stage plus one."""
     tasks = [
         Task(
-            device=span.track,
+            device=span.track - 1,
             start=span.start,
             end=span.end,
             kind=span.name.split(".", 1)[1],
             micro_batch=span.args.get("micro", 0),
-            stage=span.track,
+            stage=span.track - 1,
             batch=span.args.get("batch", 0),
         )
         for span in spans
@@ -662,18 +697,50 @@ class TestPipelineObservability:
         tracer = obs.Tracer()
         spans = [
             # device 0: busy 2 of [0, 4] -> 50%; device 1: busy 3 of [1, 4].
-            ("pipe.fw", 0.0, 1.0, 0),
-            ("pipe.bw", 3.0, 4.0, 0),
-            ("pipe.fw", 1.0, 4.0, 1),
+            ("pipe.fw", 0.0, 1.0, 1),
+            ("pipe.bw", 3.0, 4.0, 1),
+            ("pipe.fw", 1.0, 4.0, 2),
+            # The host track is no device.
+            ("engine.fit", 100.0, 200.0, 0),
         ]
         for name, start, end, track in spans:
             tracer.record(name, obs.BP, start, end, track=track)
         occupancy = obs.stage_occupancy(tracer.spans)
+        assert set(occupancy) == {0, 1}
         assert occupancy[0]["occupancy"] == pytest.approx(0.5)
         assert occupancy[0]["bubble"] == pytest.approx(2.0)
         assert occupancy[1]["occupancy"] == pytest.approx(1.0)
-        timeline = _timeline_from_spans(tracer.spans)
+        timeline = _timeline_from_spans(
+            [s for s in tracer.spans if s.name.startswith("pipe.")]
+        )
         assert timeline.makespan == 4.0
+
+    def test_traced_pipeline_fit_occupancy_is_the_timeline_s(self):
+        """The host clock's fit, predictor and eval spans do not share a
+        track with a device's virtual clock, so each device's busy time
+        and window are its live Timeline's and its occupancy a share."""
+        split = synthetic_images(10, 32, 16, image_size=16, seed=0)
+        with _installed(obs.Tracer()) as tracer:
+            engine = pipeline_adagp_engine(
+                build_mini("VGG13", 10, rng=np.random.default_rng(0)),
+                CrossEntropyLoss(),
+                num_stages=2,
+                micro_batches=4,
+                schedule=_schedule(),
+                plateau_scheduler=False,
+            )
+            _fit(engine, split, epochs=2)
+        occupancy = obs.stage_occupancy(tracer.spans)
+        assert set(occupancy) == {0, 1}
+        live = engine.strategies[Phase.GP].executor.timeline
+        for device, row in occupancy.items():
+            tasks = live.device_tasks(device)
+            busy = sum(task.end - task.start for task in tasks)
+            window = max(t.end for t in tasks) - min(t.start for t in tasks)
+            assert row["busy"] == pytest.approx(busy)
+            assert row["window"] == pytest.approx(window)
+            assert 0.0 < row["occupancy"] <= 1.0
+        assert "device 1:" in obs.report_text(tracer.spans)
 
 
 class TestProfiler:
@@ -721,11 +788,7 @@ class TestProfiler:
 
     def test_sampling_scales_counts(self):
         reg = obs.MetricsRegistry()
-        clock = itertools.count(0)
-        tracer = obs.Tracer(clock=lambda: next(clock) * 0.001)
-        profiled = obs.ProfilingBackend(
-            FusedBackend(), registry=reg, tracer=tracer, sample_every=4
-        )
+        profiled = obs.ProfilingBackend(FusedBackend(), registry=reg, sample_every=4)
         x = np.random.default_rng(0).standard_normal((2, 8)).astype(np.float32)
         w = np.random.default_rng(1).standard_normal((3, 8)).astype(np.float32)
         with obs.phase_scope("bp"):

@@ -271,7 +271,7 @@ class TestOptionsCensus:
             "_image_engine's **adagp_kwargs",
         ),
         "ddp_engine.callbacks": (
-            "seam", "tests attach MetricsCallback / Checkpointing to a ddp engine"
+            "seam", "tests attach ThroughputTimer / Checkpointing to a ddp engine"
         ),
         "ddp_engine.min_workers": (
             "seam", "tests/dist/test_faults.py raises the lost-rank floor"

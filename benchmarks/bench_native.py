@@ -4,21 +4,25 @@ The gate is a per-layer sweep, one thread on both sides: the ten conv
 layers of VGG13-mini at the repo benchmark's shapes (batch 32, planes
 16/16/8/8/4/4/2/2/1/1 wide) plus 32->32 channels at widths 7, 14, 28 and
 32 — plane widths on both sides of a vector tile and not multiples of
-one.  Forward and forward+backward are timed interleaved round-by-round
-with the fused im2col + BLAS backend (load drift hits both sides
-equally, medians keep the ratio stable on shared runners), and every
-shape's GMAC/s lands in ``BENCH_native.json``.
+one — and VGG13-mini's four ``MaxPool2d(2)`` layers (no-grad forward,
+and forward with the index plus backward; bitwise equal to fused).
+Forward and forward+backward are timed interleaved round-by-round with
+the fused backend (load drift hits both sides equally, medians keep the
+ratio stable on shared runners), and every shape's timings (GMAC/s for
+the convs) land in ``BENCH_native.json``.
 
-Gate (blocking in CI on every host with a C compiler): no shape slower
-than ``MIN_SHAPE_RATIO``x fused, forward or forward+backward, and the
-ten-layer forward+backward total at least ``MIN_TEN_LAYER_SPEEDUP``x
-fused.  The sweep runs in a child process with ``OPENBLAS_NUM_THREADS``
-/ ``OMP_NUM_THREADS`` pinned to 1: the claim is kernel against kernel,
-and BLAS reads its thread count when it loads, which under pytest is
-long before this module runs.  Every measurement is preceded by an
-equivalence sanity check at bench shapes (rtol/atol 1e-3 — float32
-summation-order noise at these sizes; the strict 1e-5 equivalence lives
-in tests/nn/test_backend.py and tests/nn/test_native_shapes.py).
+Gate (blocking in CI on every host with a C compiler): no shape, conv
+or pool, slower than ``MIN_SHAPE_RATIO``x fused, forward or
+forward+backward, and the ten-layer conv forward+backward total at
+least ``MIN_TEN_LAYER_SPEEDUP``x fused.  The sweep runs in a child
+process with ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` pinned to 1:
+the claim is kernel against kernel, and BLAS reads its thread count
+when it loads, which under pytest is long before this module runs.
+Every conv measurement is preceded by an equivalence sanity check at
+bench shapes (rtol/atol 1e-3 — float32 summation-order noise at these
+sizes; the strict 1e-5 equivalence lives in tests/nn/test_backend.py
+and tests/nn/test_native_shapes.py), every pool measurement by a
+bitwise one.
 
 A whole ResNet50-mini BP step and the inherited linear row are recorded
 next to it, without a gate.
@@ -55,6 +59,8 @@ VGG13_LAYERS = [
     (24, 24, 4), (24, 32, 2), (32, 32, 2), (32, 32, 1), (32, 32, 1),
 ]
 EXTRA_WIDTHS = [(32, 32, 7), (32, 32, 14), (32, 32, 28), (32, 32, 32)]
+# (channels, plane width) into VGG13-mini's four MaxPool2d(2) layers.
+VGG13_POOLS = [(12, 16), (16, 8), (24, 4), (32, 2)]
 
 pytestmark = pytest.mark.skipif(
     not native_available(),
@@ -108,6 +114,49 @@ def _sweep_shape(in_c, out_c, width, seed):
     return row
 
 
+def _sweep_pool(channels, width, seed):
+    """Interleaved fused-vs-native medians for one MaxPool2d(2) shape:
+    ``fwd`` is the no-grad forward (Phase-GP and evaluation batches),
+    ``fwd_bwd`` the indexed forward plus backward (BP batches)."""
+    rng = np.random.default_rng(seed)
+    x = np.maximum(rng.standard_normal((BATCH, channels, width, width)), 0.0)
+    x = x.astype(np.float32)  # ReLU zeros: ties in most windows
+    g = rng.standard_normal((BATCH, channels, width // 2, width // 2))
+    g = g.astype(np.float32)
+    backends = {name: nn.get_backend(name) for name in ("fused", "native")}
+
+    def forward(backend):
+        return backend.max_pool2d(x, 2, 2, 0, False)
+
+    def forward_backward(backend):
+        out, index = backend.max_pool2d(x, 2, 2, 0, True)
+        return out, index, backend.max_pool2d_backward(g, index, x.shape, 2, 2, 0)
+
+    # The op pair shares one index format: native must match fused bit
+    # for bit before anything is timed.
+    for op in (forward, forward_backward):
+        for want, got in zip(op(backends["fused"]), op(backends["native"])):
+            np.testing.assert_array_equal(got, want)
+
+    medians = interleaved_medians(
+        {
+            (name, op): timed(fn, backend)
+            for name, backend in backends.items()
+            for op, fn in (("fwd", forward), ("fwd_bwd", forward_backward))
+        },
+        rounds=40,
+    )
+    row = {"shape": f"maxpool2@{channels}x{width}x{width}"}
+    for op in ("fwd", "fwd_bwd"):
+        fused_s, native_s = medians["fused", op], medians["native", op]
+        row[op] = {
+            "fused_ms": fused_s * 1e3,
+            "native_ms": native_s * 1e3,
+            "speedup": fused_s / native_s,
+        }
+    return row
+
+
 def sweep():
     """Every shape's row plus the ten-layer totals (run pinned: see
     ``test_bench_native_conv_gate``)."""
@@ -123,11 +172,20 @@ def sweep():
             "native_ms": native_ms,
             "speedup": fused_ms / native_ms,
         }
-    return {"batch": BATCH, "shapes": rows, "vgg13_ten_layers": totals}
+    pools = [
+        _sweep_pool(*shape, seed=30 + i) for i, shape in enumerate(VGG13_POOLS)
+    ]
+    return {
+        "batch": BATCH,
+        "shapes": rows,
+        "vgg13_ten_layers": totals,
+        "pool_shapes": pools,
+    }
 
 
 def test_bench_native_conv_gate(benchmark):
-    """Per-layer conv3x3 sweep, native vs fused, one thread each."""
+    """Per-layer conv3x3 and max-pool sweep, native vs fused, one thread
+    each."""
     src = Path(nn.__file__).resolve().parents[2]
     env = {
         **os.environ,
@@ -175,9 +233,17 @@ def test_bench_native_conv_gate(benchmark):
             f"  ten VGG13 layers {op}: fused {total['fused_ms']:.2f} ms, "
             f"native {total['native_ms']:.2f} ms ({total['speedup']:.2f}x)"
         )
+    for row in result["pool_shapes"]:
+        fwd, both = row["fwd"], row["fwd_bwd"]
+        print(
+            f"  {row['shape']:>20}  no-grad fwd {fwd['fused_ms']:6.3f} / "
+            f"{fwd['native_ms']:6.3f} ({fwd['speedup']:5.2f}x)  fwd+bwd "
+            f"{both['fused_ms']:6.3f} / {both['native_ms']:6.3f} "
+            f"({both['speedup']:5.2f}x)"
+        )
     slow = [
         (row["shape"], op, row[op]["speedup"])
-        for row in result["shapes"]
+        for row in result["shapes"] + result["pool_shapes"]
         for op in ("fwd", "fwd_bwd")
         if row[op]["speedup"] < MIN_SHAPE_RATIO
     ]

@@ -39,10 +39,14 @@
  * and inputs are always copied (also for pad == 0): the caller's
  * arrays are never read past their end.
  *
- * The pooling unfold/fold round out the set (there is no GEMM here:
- * linear layers stay on BLAS).  Everything is exported with C linkage
- * and called through ctypes (see native_build.py for the build recipe,
- * native.py for dispatch).
+ * Max pooling is a pair of its own: forward finds each window's maximum
+ * and its uint8 position in one pass over the input (no columns), and
+ * backward scatter-adds in the order col2im sums, so out, the index and
+ * the input gradient are bitwise equal to the NumPy reference.  The
+ * pooling unfold/fold (average pooling) round out the set (there is no
+ * GEMM here: linear layers stay on BLAS).  Everything is exported with
+ * C linkage and called through ctypes (see native_build.py for the
+ * build recipe, native.py for dispatch).
  *
  * Numerical contract: float32 storage everywhere, float32 arithmetic in
  * the fma loops, float64 outer accumulators for the long reductions
@@ -54,10 +58,12 @@
  *
  * Threading: every entry point parallelizes its outermost independent
  * loop with OpenMP when compiled with -fopenmp.  Each output position
- * (conv_flat: a chunk of consecutive q) and each (o, c) weight-gradient
- * cell (wgrad_flat: a WB x WB block) is owned by exactly one thread and
- * is summed in an order that does not depend on the partition, so there
- * are no atomics and results are bitwise equal for any thread count.
+ * (conv_flat: a chunk of consecutive q; max_pool2d: a chunk of cells),
+ * each input-gradient plane (max_pool2d_backward) and each (o, c)
+ * weight-gradient cell (wgrad_flat: a WB x WB block) is owned by exactly
+ * one thread and is summed in an order that does not depend on the
+ * partition, so there are no atomics and results are bitwise equal for
+ * any thread count.
  *
  * Strided forward/weight-gradient, pad > K-1 input gradients,
  * allocation failure and compilers without GNU vector extensions fall
@@ -65,6 +71,7 @@
  * the exported entry points are total over all valid inputs.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -603,6 +610,161 @@ EXPORT void fold(const float *cols, float *gx, i64 N, i64 C, i64 H, i64 W,
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Max pooling.  idx[n,c,oh,ow] is the window position kh*K + kw of   */
+/* the winner under np.argmax's rule — the first maximum, or the first */
+/* NaN — with padded slots reading -inf; out holds the winner's value. */
+/* idx == NULL (no-grad) stores out only.  K <= 16, so a position fits */
+/* a uint8.                                                            */
+/*                                                                     */
+/* A window is a handful of taps and VGG-style planes are a few cells  */
+/* wide, so the vector lanes run across PT consecutive output cells —  */
+/* across row and plane boundaries, like conv_flat's tiles — with one  */
+/* gathered load per lane and tap.  The update is a masked select:     */
+/* whichever tap wins is a coin toss on ReLU outputs, and the scalar   */
+/* select GCC turns into a branch measured 3-4x slower.  Only tiles    */
+/* that touch the padding ring pay for bounds checks.                  */
+/* ------------------------------------------------------------------ */
+#if defined(HAVE_VEC)
+#define PT TILE /* output cells per pooling tile */
+typedef int32_t vi __attribute__((vector_size(TILE * sizeof(int32_t))));
+#define PCHUNK (16 * PT)
+
+EXPORT void max_pool2d(const float *x, float *out, uint8_t *idx, i64 N, i64 C,
+                       i64 H, i64 W, i64 K, i64 stride, i64 pad, i64 OH,
+                       i64 OW) {
+    const i64 cells = N * C * OH * OW;
+    i64 chunk;
+#if defined(_OPENMP)
+#pragma omp parallel for schedule(static)
+#endif
+    for (chunk = 0; chunk < (cells + PCHUNK - 1) / PCHUNK; chunk++) {
+        i64 q = chunk * PCHUNK;
+        const i64 qend = min_i64(q + PCHUNK, cells);
+        i64 ow = q % OW, oh = q / OW % OH, pl = q / (OW * OH);
+        for (; q < qend; q += PT) {
+            /* Lanes past the last cell repeat it and are not stored. */
+            const i64 n = min_i64(PT, qend - q);
+            i64 base[PT], ih0[PT], iw0[PT];
+            int border = 0;
+            for (i64 l = 0; l < PT; l++) {
+                ih0[l] = oh * stride - pad;
+                iw0[l] = ow * stride - pad;
+                base[l] = (pl * H + ih0[l]) * W + iw0[l];
+                /* Unpadded windows always fit (OH, OW count only those). */
+                if (pad)
+                    border |= (ih0[l] < 0) | (iw0[l] < 0) | (ih0[l] + K > H) |
+                              (iw0[l] + K > W);
+                if (l < n - 1 && ++ow == OW) {
+                    ow = 0;
+                    if (++oh == OH) {
+                        oh = 0;
+                        pl++;
+                    }
+                }
+            }
+            if (++ow == OW) { /* step past the tile's last cell */
+                ow = 0;
+                if (++oh == OH) {
+                    oh = 0;
+                    pl++;
+                }
+            }
+            /* A first tap of -inf keeps at = 0; a first NaN takes it. */
+            vf best = vf_set1(-INFINITY);
+            vi at = {0};
+            for (i64 kh = 0; kh < K; kh++) {
+                for (i64 kw = 0; kw < K; kw++) {
+                    const i64 off = kh * W + kw;
+                    vf v;
+                    if (!border) {
+                        for (i64 l = 0; l < PT; l++)
+                            v[l] = x[base[l] + off];
+                    } else {
+                        for (i64 l = 0; l < PT; l++) {
+                            const i64 ih = ih0[l] + kh, iw = iw0[l] + kw;
+                            v[l] = (ih >= 0 && ih < H && iw >= 0 && iw < W)
+                                       ? x[base[l] + off]
+                                       : -INFINITY;
+                        }
+                    }
+                    /* v != v is the NaN test (no -ffast-math here). */
+                    const vi take = (v > best) | ((v != v) & (best == best));
+                    best = (vf)(((vi)v & take) | ((vi)best & ~take));
+                    const vi pos = (vi){0} + (int32_t)(kh * K + kw);
+                    at = (pos & take) | (at & ~take);
+                }
+            }
+            memcpy(out + q, &best, (size_t)n * sizeof(float));
+            for (i64 l = 0; idx && l < n; l++)
+                idx[q + l] = (uint8_t)at[l];
+        }
+    }
+}
+#else
+/* Without vector extensions: the same rule, one cell at a time. */
+EXPORT void max_pool2d(const float *x, float *out, uint8_t *idx, i64 N, i64 C,
+                       i64 H, i64 W, i64 K, i64 stride, i64 pad, i64 OH,
+                       i64 OW) {
+    for (i64 cell = 0; cell < N * C * OH * OW; cell++) {
+        const i64 ow = cell % OW, oh = cell / OW % OH, pl = cell / (OW * OH);
+        float best = -INFINITY;
+        int at = 0;
+        for (i64 kh = 0; kh < K; kh++) {
+            for (i64 kw = 0; kw < K; kw++) {
+                const i64 ih = oh * stride - pad + kh;
+                const i64 iw = ow * stride - pad + kw;
+                const float v = (ih >= 0 && ih < H && iw >= 0 && iw < W)
+                                    ? x[(pl * H + ih) * W + iw]
+                                    : -INFINITY;
+                if (v > best || (v != v && best == best)) {
+                    best = v;
+                    at = (int)(kh * K + kw);
+                }
+            }
+        }
+        out[cell] = best;
+        if (idx)
+            idx[cell] = (uint8_t)at;
+    }
+}
+#endif
+
+/* Max-pooling input gradient, one plane per work item; gx is          */
+/* overwritten and index entries naming a padded slot route nowhere.   */
+/* The cells go in reverse order: a later cell reaches a shared pixel  */
+/* from an earlier window position, so every pixel's terms arrive in   */
+/* ascending position — the order col2im sums them in — and the bits   */
+/* equal the reference's also where windows overlap.                   */
+EXPORT void max_pool2d_backward(const float *g, const uint8_t *idx, float *gx,
+                                i64 N, i64 C, i64 H, i64 W, i64 K, i64 stride,
+                                i64 pad, i64 OH, i64 OW) {
+    /* Window row/column of every uint8 position: no division per cell. */
+    i64 dh[256], dw[256], pl;
+    for (i64 p = 0; p < 256; p++) {
+        dh[p] = p / K;
+        dw[p] = p % K;
+    }
+#if defined(_OPENMP)
+#pragma omp parallel for schedule(static)
+#endif
+    for (pl = 0; pl < N * C; pl++) {
+        float *gxp = gx + pl * H * W;
+        const float *gp = g + pl * OH * OW;
+        const uint8_t *ip = idx + pl * OH * OW;
+        memset(gxp, 0, (size_t)(H * W) * sizeof(float));
+        for (i64 oh = OH - 1; oh >= 0; oh--) {
+            for (i64 ow = OW - 1; ow >= 0; ow--) {
+                const uint8_t p = ip[oh * OW + ow];
+                const i64 ih = oh * stride - pad + dh[p];
+                const i64 iw = ow * stride - pad + dw[p];
+                if (ih >= 0 && ih < H && iw >= 0 && iw < W)
+                    gxp[ih * W + iw] += gp[oh * OW + ow];
             }
         }
     }

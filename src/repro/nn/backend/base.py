@@ -1,11 +1,11 @@
 """Backend protocol, registry and selection context for tensor ops.
 
 Every heavy tensor primitive of the layer framework — im2col+GEMM
-convolution, linear GEMMs, pooling unfold/fold, the attention einsums,
-batch normalisation and the layer-norm moment reductions — dispatches
-through the active :class:`Backend`.  Layers never call ``np.einsum``
-/ ``np.matmul`` on the hot path directly; they ask
-:func:`current_backend` (or the context that produced their forward
+convolution, linear GEMMs, max pooling, pooling unfold/fold, the
+attention einsums, batch normalisation and the layer-norm moment
+reductions — dispatches through the active :class:`Backend`.  Layers
+never call ``np.einsum`` / ``np.matmul`` on the hot path directly; they
+ask :func:`current_backend` (or the context that produced their forward
 cache) so an alternative substrate is a one-argument change.
 
 Selection works at two levels, innermost wins:
@@ -232,6 +232,72 @@ class Backend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(mean, biased variance) reduced over ``axes``."""
         raise NotImplementedError
+
+    # -- max pooling ------------------------------------------------------
+    # The reference every backend inherits.  The index format is shared:
+    # a uint8 window position ``kh * kernel + kw`` per output cell,
+    # ``(N, C, OH, OW)``, picked by ``np.argmax`` — the first maximum
+    # wins, a NaN beats every number and the first NaN wins — over the
+    # window in row-major order, padded slots reading ``-inf``.  An
+    # all-``-inf`` window next to the border can therefore pick a padded
+    # slot, whose gradient backward drops, as ``col2im`` drops the ring.
+    def max_pool2d(
+        self,
+        x: np.ndarray,
+        kernel: int,
+        stride: int,
+        padding: int,
+        with_index: bool,
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(out, index)``; ``index`` is ``None`` unless ``with_index``
+        (no-grad forwards keep nothing for backward)."""
+        batch, channels = x.shape[0], x.shape[1]
+        # Pad with -inf, not zero: a zero pad would beat real negative
+        # activations.
+        fill = -np.inf if padding > 0 else 0.0
+        cols, out_h, out_w = self.unfold(x, kernel, stride, padding, fill)
+        windows = cols.reshape(batch, channels, kernel * kernel, out_h * out_w)
+        if with_index:
+            argmax = windows.argmax(axis=2)
+            out = np.take_along_axis(windows, argmax[:, :, None, :], axis=2)
+            index = argmax.astype(np.uint8).reshape(batch, channels, out_h, out_w)
+        else:
+            # max() reads the value argmax would select (of a +-0 tie it
+            # may return either zero).
+            out = windows.max(axis=2)
+            index = None
+        self.release(cols)
+        return np.ascontiguousarray(out.reshape(batch, channels, out_h, out_w)), index
+
+    def max_pool2d_backward(
+        self,
+        grad_out: np.ndarray,
+        index: np.ndarray,
+        input_shape: tuple[int, int, int, int],
+        kernel: int,
+        stride: int,
+        padding: int,
+    ) -> np.ndarray:
+        """Route each output cell's gradient to its window position
+        ``index`` and fold the columns back (overlaps sum in window
+        order)."""
+        batch, channels = input_shape[0], input_shape[1]
+        k2, cells = kernel * kernel, index.shape[2] * index.shape[3]
+        cols_shape = (batch, channels * k2, cells)
+        buf = self.acquire_cols(cols_shape, grad_out.dtype)
+        if buf is None:
+            buf = np.zeros(cols_shape, dtype=grad_out.dtype)
+        else:
+            buf.fill(0.0)
+        np.put_along_axis(
+            buf.reshape(batch, channels, k2, cells),
+            index.reshape(batch, channels, 1, cells),
+            grad_out.reshape(batch, channels, 1, cells),
+            axis=2,
+        )
+        grad_x = self.fold(buf, input_shape, kernel, stride, padding)
+        self.release(buf)
+        return grad_x
 
     # -- adaptive pooling -------------------------------------------------
     def adaptive_avg_pool2d(

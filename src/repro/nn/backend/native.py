@@ -1,9 +1,9 @@
 """NativeBackend: compiled C kernels for the convolution-shaped ops.
 
-The hot ops — conv2d forward/backward and the pooling unfold/fold —
-dispatch to the shared library built from ``_native/kernels.c`` (see
-:mod:`.native_build`).  No im2col column matrix is ever materialized:
-the input is copied once into zero-padded planes, the forward touches
+The hot ops — conv2d forward/backward, the max-pooling op pair and the
+pooling unfold/fold — dispatch to the shared library built from
+``_native/kernels.c`` (see :mod:`.native_build`).  No im2col column
+matrix is ever materialized: the input is copied once into zero-padded planes, the forward touches
 ``x`` once instead of copying it K*K times, and the backward context
 pins the *input* instead of a pooled workspace.
 
@@ -28,9 +28,16 @@ dilated-padded output gradient with flipped weights) and weight gradient
 formulation.  The slack a tile reads past the last plane lives *inside*
 the scratch copy, zeroed; the caller's arrays are never over-read.
 
+Max pooling builds no columns either: one pass over the input finds
+each window's maximum and its ``uint8`` position (the index format
+every backend shares, :meth:`~.base.Backend.max_pool2d`), and backward
+scatter-adds each pixel's terms in the reference's fold order, so
+``out``, index and ``grad_x`` are bitwise equal to the reference
+(DESIGN.md §7 has the measured before/after).
+
 Everything else (linear GEMMs, attention contractions, the batch-norm
 op pair, moments, the 1x1 pointwise fast path, the workspace pool for
-pooling layers) is inherited from :class:`~.fused.FusedBackend`, as is
+average pooling) is inherited from :class:`~.fused.FusedBackend`, as is
 the fold pipeline, so a folded no-grad graph runs identically on both.
 
 What stays off the C kernels, and why.  Narrow planes are *not* routed
@@ -56,7 +63,8 @@ also what allocation failure and non-GNU compilers fall back to.
 
 Dispatch is eligibility-checked per call: float32 C-contiguous operands
 take the C kernels, anything else (float64 gradchecks, sliced views)
-falls back to the inherited pure-Python implementation — the backend is
+falls back to the inherited pure-Python implementation and counts as
+``fallback`` in ``dispatch_counts`` — the backend is
 always *correct*, the kernels are an acceleration of the common case.
 
 Construction raises :class:`NativeUnavailableError` when the extension
@@ -229,6 +237,46 @@ class NativeBackend(FusedBackend):
             _ptr(cols), _ptr(grad_x),
             batch, channels, height, width, kernel,
             stride, padding, out_h, out_w,
+        )
+        return grad_x
+
+    # -- max pooling -----------------------------------------------------
+    # No columns, no pooled workspace and no 1x1-plane exception: the
+    # kernels pay per output cell, not per tap plane.  The index may come
+    # from any backend's forward; it is the shared format.
+    def max_pool2d(self, x, kernel, stride, padding, with_index):
+        if not self._dispatch("max_pool2d", _f32c(x)):
+            return super().max_pool2d(x, kernel, stride, padding, with_index)
+        batch, channels, height, width = x.shape
+        out_h = F.conv_output_size(height, kernel, stride, padding)
+        out_w = F.conv_output_size(width, kernel, stride, padding)
+        out = np.empty((batch, channels, out_h, out_w), dtype=np.float32)
+        index = np.empty(out.shape, dtype=np.uint8) if with_index else None
+        self._lib.max_pool2d(
+            _ptr(x), _ptr(out), _ptr(index),
+            batch, channels, height, width, kernel,
+            stride, padding, out_h, out_w,
+        )
+        return out, index
+
+    def max_pool2d_backward(
+        self, grad_out, index, input_shape, kernel, stride, padding
+    ):
+        native = (
+            _f32c(grad_out)
+            and index.dtype == np.uint8
+            and index.flags.c_contiguous
+        )
+        if not self._dispatch("max_pool2d_backward", native):
+            return super().max_pool2d_backward(
+                grad_out, index, input_shape, kernel, stride, padding
+            )
+        batch, channels, height, width = input_shape
+        grad_x = np.empty(input_shape, dtype=np.float32)
+        self._lib.max_pool2d_backward(
+            _ptr(grad_out), _ptr(index), _ptr(grad_x),
+            batch, channels, height, width, kernel,
+            stride, padding, index.shape[2], index.shape[3],
         )
         return grad_x
 

@@ -183,6 +183,8 @@ _SIGNATURES = {
     "conv2d_backward_weight": (4, 10, 0),
     "unfold": (2, 9, 1),
     "fold": (2, 9, 0),
+    "max_pool2d": (3, 9, 0),
+    "max_pool2d_backward": (3, 9, 0),
 }
 
 

@@ -11,13 +11,27 @@ from ..module import NO_GRAD, Module, check_backward_cache, is_grad_enabled
 
 
 class MaxPool2d(Module):
-    """Max pooling with square windows."""
+    """Max pooling with square windows.
+
+    The arithmetic is the backend's ``max_pool2d`` op pair; what the
+    layer keeps for backward is the op's ``uint8`` window index and the
+    input shape.
+    """
+
+    #: Largest window a ``uint8`` index can address (16 * 16 = 256 positions).
+    MAX_KERNEL = 16
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
         super().__init__()
+        if kernel_size > self.MAX_KERNEL:
+            raise ValueError(
+                f"kernel_size ({kernel_size}) must be at most "
+                f"{self.MAX_KERNEL} for MaxPool2d: its uint8 window index "
+                f"addresses {self.MAX_KERNEL}x{self.MAX_KERNEL} positions"
+            )
         if padding * 2 > kernel_size:
             # Guarantees every window sees at least one real element, so
-            # the -inf padding below can never be a window's argmax.
+            # the -inf padding can only win a window of -inf values.
             raise ValueError(
                 f"padding ({padding}) must be at most half the kernel size "
                 f"({kernel_size}) for MaxPool2d"
@@ -27,56 +41,19 @@ class MaxPool2d(Module):
         self.padding = padding
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, _, _ = x.shape
-        backend = current_backend()
-        # Pad with -inf, not zero: a padded slot must never win the max
-        # (a zero pad would beat real negative activations and, worse,
-        # rewrite real zero activations — ubiquitous after ReLU — when
-        # masked by value), and backward must never route gradient into
-        # the padding ring where col2im drops it.
-        fill = -np.inf if self.padding > 0 else 0.0
-        cols, out_h, out_w = backend.unfold(
-            x, self.kernel_size, self.stride, self.padding, fill_value=fill
+        grad = is_grad_enabled()
+        out, index = current_backend().max_pool2d(
+            x, self.kernel_size, self.stride, self.padding, grad
         )
-        k2 = self.kernel_size * self.kernel_size
-        windows = cols.reshape(batch, channels, k2, out_h * out_w)
-        if not is_grad_enabled():
-            # max() reads the same winning element argmax would select;
-            # no index tensor is materialized or retained.
-            out = windows.max(axis=2)
-            backend.release(cols)
-            self._saved = NO_GRAD
-            return np.ascontiguousarray(
-                out.reshape(batch, channels, out_h, out_w)
-            )
-        argmax = windows.argmax(axis=2)
-        out = np.take_along_axis(windows, argmax[:, :, None, :], axis=2)[:, :, 0, :]
-        # Only argmax survives into backward; the columns go back to the
-        # workspace pool immediately.
-        backend.release(cols)
-        self._saved = (x.shape, argmax, out_h, out_w)
-        return np.ascontiguousarray(out.reshape(batch, channels, out_h, out_w))
+        self._saved = (index, x.shape) if grad else NO_GRAD
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         check_backward_cache(self._saved, self)
-        x_shape, argmax, out_h, out_w = self._saved
-        batch, channels = x_shape[0], x_shape[1]
-        backend = current_backend()
-        k2 = self.kernel_size * self.kernel_size
-        cols_shape = (batch, channels * k2, out_h * out_w)
-        buf = backend.acquire_cols(cols_shape, grad_out.dtype)
-        if buf is None:
-            buf = np.zeros(cols_shape, dtype=grad_out.dtype)
-        else:
-            buf.fill(0.0)
-        grad_cols = buf.reshape(batch, channels, k2, out_h * out_w)
-        g_flat = grad_out.reshape(batch, channels, out_h * out_w)
-        np.put_along_axis(grad_cols, argmax[:, :, None, :], g_flat[:, :, None, :], axis=2)
-        grad_x = backend.fold(
-            buf, x_shape, self.kernel_size, self.stride, self.padding
+        index, x_shape = self._saved
+        return current_backend().max_pool2d_backward(
+            grad_out, index, x_shape, self.kernel_size, self.stride, self.padding
         )
-        backend.release(buf)
-        return grad_x
 
 
 class AvgPool2d(Module):
@@ -153,4 +130,4 @@ class GlobalAvgPool2d(Module):
         check_backward_cache(self._saved, self)
         batch, channels, height, width = self._saved
         grad = grad_out.reshape(batch, channels, 1, 1) / (height * width)
-        return np.broadcast_to(grad, self._saved).astype(grad_out.dtype).copy()
+        return np.broadcast_to(grad, self._saved).astype(grad_out.dtype)

@@ -43,6 +43,8 @@ PROFILED_OPS = (
     "batchnorm_forward",
     "batchnorm_backward",
     "moments",
+    "max_pool2d",
+    "max_pool2d_backward",
     "adaptive_avg_pool2d",
     "adaptive_avg_pool2d_backward",
 )

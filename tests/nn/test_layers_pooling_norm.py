@@ -91,6 +91,12 @@ class TestMaxPool:
         with pytest.raises(ValueError):
             nn.MaxPool2d(2, padding=2)
 
+    def test_kernel_beyond_uint8_index_rejected(self):
+        """The window index is a uint8: 16x16 positions is the limit."""
+        nn.MaxPool2d(16)
+        with pytest.raises(ValueError, match="at most 16"):
+            nn.MaxPool2d(17)
+
 
 class TestAvgPool:
     def test_forward_is_mean(self):

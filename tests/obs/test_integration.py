@@ -41,7 +41,7 @@ from repro.dist import (
     shutdown,
 )
 from repro.models import build_mini
-from repro.nn.backend import FusedBackend, native_available
+from repro.nn.backend import Backend, FusedBackend, NativeBackend, native_available
 from repro.nn.losses import CrossEntropyLoss, accuracy
 from repro.pipeline import Task, Timeline, render_timeline
 
@@ -765,6 +765,38 @@ class TestProfiler:
         assert "conv2d_forward" in table["gp"]
         rendered = obs.render_phase_op_table(table)
         assert "phase bp" in rendered and "conv2d_forward" in rendered
+
+    def test_every_backend_method_is_wrapped(self):
+        """A method the wrapper does not define itself would resolve to
+        ``Backend``'s reference and run it on the wrapper — through
+        unfold/fold — instead of on the inner backend."""
+        public = {
+            name
+            for name, member in vars(Backend).items()
+            if callable(member) and not name.startswith("_")
+        }
+        assert public <= set(vars(obs.ProfilingBackend))
+
+    def test_native_max_pool_is_its_own_op_row(self):
+        """MaxPool2d reaches the profiler as the ``max_pool2d`` op pair;
+        on native nothing of the model goes through unfold/fold."""
+        if not native_available():
+            pytest.skip("native extension unavailable")
+        reg = obs.MetricsRegistry()
+        profiled = obs.ProfilingBackend(NativeBackend(), registry=reg)
+        engine = adagp_engine(
+            _model(),
+            CrossEntropyLoss(),
+            lr=0.05,
+            metric_fn=accuracy,
+            schedule=_schedule(),
+            backend=profiled,
+        )
+        _fit(engine, _split())
+        table = obs.phase_op_table(reg.snapshot())
+        assert "max_pool2d_backward" in table["bp"]
+        assert all("max_pool2d" in table[phase] for phase in ("bp", "gp", "eval"))
+        assert not {"unfold", "fold"} & {op for ops in table.values() for op in ops}
 
     def test_profiled_run_matches_unprofiled_losses(self):
         histories = []

@@ -25,8 +25,9 @@
  *
  * The same reformulation serves all three kernels:
  *   - forward: `conv_flat` over the padded input;
- *   - input gradient: `conv_flat` again, over the dilated-padded output
- *     gradient with the channel-transposed, spatially-flipped weights;
+ *   - input gradient: `conv_flat` again, over the output gradient
+ *     padded by K-1-pad, with the channel-transposed, spatially-flipped
+ *     weights;
  *   - weight gradient: the output gradient is laid out at the *same*
  *     pitch with zeros in the garbage slots, and gw[o,c,kh,kw] is one
  *     long dot product of two flat rows (`wgrad_flat`).
@@ -65,10 +66,13 @@
  * partition, so there are no atomics and results are bitwise equal for
  * any thread count.
  *
- * Strided forward/weight-gradient, pad > K-1 input gradients,
- * allocation failure and compilers without GNU vector extensions fall
- * back to the naive bounds-checked loops at the bottom of this file, so
- * the exported entry points are total over all valid inputs.
+ * Domain.  The conv entry points take stride 1 with pad <= K-1 and
+ * nothing else: the caller (native.py) sends every other convolution to
+ * the im2col + BLAS path, which is also faster there.  They return 1 on
+ * success and 0, with nothing written, when their scratch cannot be
+ * allocated; the caller raises.  The file needs the GNU vector
+ * extensions (GCC, Clang); any other compiler stops at #error, and the
+ * native backend then reports itself unavailable.
  */
 
 #include <math.h>
@@ -76,11 +80,11 @@
 #include <stdlib.h>
 #include <string.h>
 
-#if defined(_MSC_VER)
-#define EXPORT __declspec(dllexport)
-#else
-#define EXPORT __attribute__((visibility("default")))
+#if !defined(__GNUC__)
+#error "kernels.c needs the GNU vector extensions (GCC or Clang)"
 #endif
+
+#define EXPORT __attribute__((visibility("default")))
 
 typedef int64_t i64;
 
@@ -97,8 +101,6 @@ typedef int64_t i64;
  * the hot loop, whereas equivalent float[4][TILE] locals verifiably
  * round-trip through the stack on every iteration, which makes the
  * kernels load/store bound instead of fma bound. */
-#if defined(__GNUC__) && !defined(_MSC_VER)
-#define HAVE_VEC 1
 #if defined(__AVX512F__)
 #define TILE 16 /* floats per vector */
 #define QV 3
@@ -143,20 +145,6 @@ static inline float vf_sum(vf v) {
             part[i] += part[i + half];
     return (part[0][0] + part[0][1]) + (part[0][2] + part[0][3]);
 }
-#endif
-
-static void conv2d_forward_naive(const float *x, const float *w,
-                                 const float *bias, float *out, i64 N, i64 C,
-                                 i64 H, i64 W, i64 O, i64 K, i64 stride,
-                                 i64 pad, i64 OH, i64 OW);
-static void conv2d_backward_input_naive(const float *g, const float *w,
-                                        float *gx, i64 N, i64 C, i64 H, i64 W,
-                                        i64 O, i64 K, i64 stride, i64 pad,
-                                        i64 OH, i64 OW);
-static void conv2d_backward_weight_naive(const float *x, const float *g,
-                                         float *gw, float *gb, i64 N, i64 C,
-                                         i64 H, i64 W, i64 O, i64 K,
-                                         i64 stride, i64 pad, i64 OH, i64 OW);
 
 /* Valid output range [*lo, *hi) along one spatial axis such that the
  * input index iw = ow*stride - pad + k stays inside [0, W). */
@@ -180,8 +168,6 @@ static void ow_range(i64 W, i64 OW, i64 stride, i64 pad, i64 k, i64 *lo,
     *hi = hi_;
 }
 
-#if defined(HAVE_VEC)
-
 static inline i64 min_i64(i64 a, i64 b) { return a < b ? a : b; }
 static inline i64 round_up(i64 a, i64 m) { return (a + m - 1) / m * m; }
 
@@ -195,12 +181,11 @@ static i64 flat_pitch(i64 L, i64 K, i64 Wp) {
 /* Copy src:(N, C, H, W) into the channel-major flattened layout
  * dst:(rows, pitch): row c holds the N planes of channel c, each
  * (Hp, Wp), back to back; source element (h, w) lands at
- * (border + h*dil, border + w*dil).  Everything else — padding,
- * dilation holes, the slack after the last plane, rows [C, rows) — is
- * zero. */
+ * (border + h, border + w).  Everything else — padding, the slack
+ * after the last plane, rows [C, rows) — is zero. */
 static void flatten_planes(const float *restrict src, float *restrict dst,
                            i64 N, i64 C, i64 rows, i64 H, i64 W, i64 Hp,
-                           i64 Wp, i64 border, i64 dil, i64 pitch) {
+                           i64 Wp, i64 border, i64 pitch) {
     memset(dst, 0, (size_t)(rows * pitch) * sizeof(float));
     i64 pl;
 #if defined(_OPENMP)
@@ -210,11 +195,8 @@ static void flatten_planes(const float *restrict src, float *restrict dst,
         const i64 n = pl / C, c = pl % C;
         const float *sp = src + pl * H * W;
         float *dp = dst + c * pitch + (n * Hp + border) * Wp + border;
-        for (i64 h = 0; h < H; h++) {
-            float *row = dp + h * dil * Wp;
-            for (i64 i = 0; i < W; i++)
-                row[i * dil] = sp[h * W + i];
-        }
+        for (i64 h = 0; h < H; h++)
+            memcpy(dp + h * Wp, sp + h * W, (size_t)W * sizeof(float));
     }
 }
 
@@ -277,7 +259,7 @@ static inline void conv_block(const float *restrict xq,
 /* Stride-1 valid convolution over flattened padded planes.            */
 /*                                                                     */
 /* src:(N, C, Hs, Ws) is flattened into (Hp, Wp) planes (element       */
-/* (h, w) at (border + h*dil, border + w*dil), see flatten_planes) and */
+/* (h, w) at (border + h, border + w), see flatten_planes) and         */
 /* convolved with w as addressed by (so, sc, flip) (see pack_weights)  */
 /* into out:(N, O, Hp-K+1, Wp-K+1), dense.  Every tile of QT           */
 /* consecutive positions is computed in full; only the runs that are   */
@@ -287,7 +269,7 @@ static inline void conv_block(const float *restrict xq,
 static int conv_flat(const float *restrict src, const float *restrict w,
                      const float *restrict bias, float *restrict out, i64 N,
                      i64 C, i64 Hs, i64 Ws, i64 Hp, i64 Wp, i64 border,
-                     i64 dil, i64 O, i64 K, i64 so, i64 sc, int flip) {
+                     i64 O, i64 K, i64 so, i64 sc, int flip) {
     const i64 OH = Hp - K + 1, OW = Wp - K + 1;
     const i64 L = N * Hp * Wp, CKK = C * K * K;
     const i64 pitch = flat_pitch(L, K, Wp);
@@ -303,7 +285,7 @@ static int conv_flat(const float *restrict src, const float *restrict w,
         return 0;
     }
     float *wp = (float *)(toff + CKK);
-    flatten_planes(src, xp, N, C, C, Hs, Ws, Hp, Wp, border, dil, pitch);
+    flatten_planes(src, xp, N, C, C, Hs, Ws, Hp, Wp, border, pitch);
     pack_weights(w, bias, wp, O, C, K * K, so, sc, flip);
     for (i64 c = 0; c < C; c++)
         for (i64 kh = 0; kh < K; kh++)
@@ -419,9 +401,9 @@ static int wgrad_flat(const float *restrict x, const float *restrict g,
         free(acc);
         return 0;
     }
-    flatten_planes(x, xp, N, C, cblocks * WB, H, W, Hp, Wp, pad, 1, pitch);
+    flatten_planes(x, xp, N, C, cblocks * WB, H, W, Hp, Wp, pad, pitch);
     flatten_planes(g, gp, N, O, oblocks * WB, Hp - K + 1, Wp - K + 1, Hp, Wp,
-                   0, 1, pitch);
+                   0, pitch);
     i64 blk, o;
 #if defined(_OPENMP)
 #pragma omp parallel for schedule(static)
@@ -467,63 +449,36 @@ static int wgrad_flat(const float *restrict x, const float *restrict g,
     return 1;
 }
 
-#endif /* HAVE_VEC */
-
 /* ------------------------------------------------------------------ */
-/* Convolution forward.                                                */
+/* The three conv entry points share one argument list: stride 1,      */
+/* 0 <= pad <= K-1, OH = H + 2*pad - K + 1 and OW likewise (the domain */
+/* in the header).  Each returns 1, or 0 with nothing written when its */
+/* scratch cannot be allocated.                                        */
 /* ------------------------------------------------------------------ */
-EXPORT void conv2d_forward(const float *x, const float *w, const float *bias,
-                           float *out, i64 N, i64 C, i64 H, i64 W, i64 O,
-                           i64 K, i64 stride, i64 pad, i64 OH, i64 OW) {
-#if defined(HAVE_VEC)
-    if (stride == 1 &&
-        conv_flat(x, w, bias, out, N, C, H, W, H + 2 * pad, W + 2 * pad, pad,
-                  1, O, K, C * K * K, K * K, 0))
-        return;
-#endif
-    conv2d_forward_naive(x, w, bias, out, N, C, H, W, O, K, stride, pad, OH,
-                         OW);
+EXPORT int conv2d_forward(const float *x, const float *w, const float *bias,
+                          float *out, i64 N, i64 C, i64 H, i64 W, i64 O, i64 K,
+                          i64 pad, i64 OH, i64 OW) {
+    return conv_flat(x, w, bias, out, N, C, H, W, H + 2 * pad, W + 2 * pad,
+                     pad, O, K, C * K * K, K * K, 0);
 }
 
-/* ------------------------------------------------------------------ */
-/* Convolution input gradient, as a convolution: gx is the stride-1    */
-/* valid conv of the dilated-padded output gradient with the           */
-/* channel-transposed, spatially-flipped weights                       */
-/* wt[c][o][k] = w[o][c][K*K-1-k].                                     */
-/* ------------------------------------------------------------------ */
-EXPORT void conv2d_backward_input(const float *g, const float *w, float *gx,
-                                  i64 N, i64 C, i64 H, i64 W, i64 O, i64 K,
-                                  i64 stride, i64 pad, i64 OH, i64 OW) {
-#if defined(HAVE_VEC)
-    /* g is dilated by the stride and padded by q = K-1-pad; when
-     * (H + 2p - K) is not divisible by the stride the last input
-     * rows/cols are only reached by the smaller taps, and the extra
-     * bottom/right padding that accounts for them makes the padded
-     * plane exactly (H + K - 1, W + K - 1), i.e. the valid conv output
-     * (H, W). */
-    const i64 q = K - 1 - pad;
-    if (q >= 0 && conv_flat(g, w, NULL, gx, N, O, OH, OW, H + K - 1,
-                            W + K - 1, q, stride, C, K, K * K, C * K * K, 1))
-        return;
-#endif
-    conv2d_backward_input_naive(g, w, gx, N, C, H, W, O, K, stride, pad, OH,
-                                OW);
+/* Input gradient, as a convolution: gx is the valid conv of the output
+ * gradient padded by K-1-pad — the plane is then exactly
+ * (H + K - 1, W + K - 1) — with the channel-transposed, spatially-flipped
+ * weights wt[c][o][k] = w[o][c][K*K-1-k]. */
+EXPORT int conv2d_backward_input(const float *g, const float *w, float *gx,
+                                 i64 N, i64 C, i64 H, i64 W, i64 O, i64 K,
+                                 i64 pad, i64 OH, i64 OW) {
+    return conv_flat(g, w, NULL, gx, N, O, OH, OW, H + K - 1, W + K - 1,
+                     K - 1 - pad, C, K, K * K, C * K * K, 1);
 }
 
-/* ------------------------------------------------------------------ */
-/* Convolution weight/bias gradient.                                   */
-/* gw[o,c,kh,kw] = sum_{n,oh,ow} g[n,o,oh,ow] * xpad[n,c,oh*s+kh,..]   */
-/* ------------------------------------------------------------------ */
-EXPORT void conv2d_backward_weight(const float *x, const float *g, float *gw,
-                                   float *gb, i64 N, i64 C, i64 H, i64 W,
-                                   i64 O, i64 K, i64 stride, i64 pad, i64 OH,
-                                   i64 OW) {
-#if defined(HAVE_VEC)
-    if (stride == 1 && wgrad_flat(x, g, gw, gb, N, C, H, W, O, K, pad))
-        return;
-#endif
-    conv2d_backward_weight_naive(x, g, gw, gb, N, C, H, W, O, K, stride, pad,
-                                 OH, OW);
+/* Weight/bias gradient:
+ * gw[o,c,kh,kw] = sum_{n,oh,ow} g[n,o,oh,ow] * xpad[n,c,oh+kh,ow+kw]. */
+EXPORT int conv2d_backward_weight(const float *x, const float *g, float *gw,
+                                  float *gb, i64 N, i64 C, i64 H, i64 W, i64 O,
+                                  i64 K, i64 pad, i64 OH, i64 OW) {
+    return wgrad_flat(x, g, gw, gb, N, C, H, W, O, K, pad);
 }
 
 /* ------------------------------------------------------------------ */
@@ -630,7 +585,6 @@ EXPORT void fold(const float *cols, float *gx, i64 N, i64 C, i64 H, i64 W,
 /* select GCC turns into a branch measured 3-4x slower.  Only tiles    */
 /* that touch the padding ring pay for bounds checks.                  */
 /* ------------------------------------------------------------------ */
-#if defined(HAVE_VEC)
 #define PT TILE /* output cells per pooling tile */
 typedef int32_t vi __attribute__((vector_size(TILE * sizeof(int32_t))));
 #define PCHUNK (16 * PT)
@@ -706,34 +660,6 @@ EXPORT void max_pool2d(const float *x, float *out, uint8_t *idx, i64 N, i64 C,
         }
     }
 }
-#else
-/* Without vector extensions: the same rule, one cell at a time. */
-EXPORT void max_pool2d(const float *x, float *out, uint8_t *idx, i64 N, i64 C,
-                       i64 H, i64 W, i64 K, i64 stride, i64 pad, i64 OH,
-                       i64 OW) {
-    for (i64 cell = 0; cell < N * C * OH * OW; cell++) {
-        const i64 ow = cell % OW, oh = cell / OW % OH, pl = cell / (OW * OH);
-        float best = -INFINITY;
-        int at = 0;
-        for (i64 kh = 0; kh < K; kh++) {
-            for (i64 kw = 0; kw < K; kw++) {
-                const i64 ih = oh * stride - pad + kh;
-                const i64 iw = ow * stride - pad + kw;
-                const float v = (ih >= 0 && ih < H && iw >= 0 && iw < W)
-                                    ? x[(pl * H + ih) * W + iw]
-                                    : -INFINITY;
-                if (v > best || (v != v && best == best)) {
-                    best = v;
-                    at = (int)(kh * K + kw);
-                }
-            }
-        }
-        out[cell] = best;
-        if (idx)
-            idx[cell] = (uint8_t)at;
-    }
-}
-#endif
 
 /* Max-pooling input gradient, one plane per work item; gx is          */
 /* overwritten and index entries naming a padded slot route nowhere.   */
@@ -765,142 +691,6 @@ EXPORT void max_pool2d_backward(const float *g, const uint8_t *idx, float *gx,
                 const i64 iw = ow * stride - pad + dw[p];
                 if (ih >= 0 && ih < H && iw >= 0 && iw < W)
                     gxp[ih * W + iw] += gp[oh * OW + ow];
-            }
-        }
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* Naive bounds-checked fallbacks (allocation failure, exotic pad).    */
-/* ------------------------------------------------------------------ */
-static void conv2d_forward_naive(const float *x, const float *w,
-                                 const float *bias, float *out, i64 N, i64 C,
-                                 i64 H, i64 W, i64 O, i64 K, i64 stride,
-                                 i64 pad, i64 OH, i64 OW) {
-    i64 n, o;
-#if defined(_OPENMP)
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (n = 0; n < N; n++) {
-        for (o = 0; o < O; o++) {
-            float *op = out + ((n * O + o) * OH) * OW;
-            const float b = bias ? bias[o] : 0.0f;
-            for (i64 i = 0; i < OH * OW; i++)
-                op[i] = b;
-            for (i64 c = 0; c < C; c++) {
-                const float *xpl = x + ((n * C + c) * H) * W;
-                const float *wp = w + ((o * C + c) * K) * K;
-                for (i64 kh = 0; kh < K; kh++) {
-                    for (i64 kw = 0; kw < K; kw++) {
-                        const float wv = wp[kh * K + kw];
-                        i64 lo, hi;
-                        ow_range(W, OW, stride, pad, kw, &lo, &hi);
-                        if (hi <= lo)
-                            continue;
-                        const i64 len = hi - lo;
-                        const i64 base = lo * stride - pad + kw;
-                        for (i64 oh = 0; oh < OH; oh++) {
-                            const i64 ih = oh * stride - pad + kh;
-                            if (ih < 0 || ih >= H)
-                                continue;
-                            const float *xr = xpl + ih * W + base;
-                            float *orow = op + oh * OW + lo;
-                            for (i64 i = 0; i < len; i++)
-                                orow[i] += wv * xr[i * stride];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-static void conv2d_backward_input_naive(const float *g, const float *w,
-                                        float *gx, i64 N, i64 C, i64 H, i64 W,
-                                        i64 O, i64 K, i64 stride, i64 pad,
-                                        i64 OH, i64 OW) {
-    i64 n, c;
-#if defined(_OPENMP)
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (n = 0; n < N; n++) {
-        for (c = 0; c < C; c++) {
-            float *gxp = gx + ((n * C + c) * H) * W;
-            memset(gxp, 0, (size_t)(H * W) * sizeof(float));
-            for (i64 o = 0; o < O; o++) {
-                const float *gp = g + ((n * O + o) * OH) * OW;
-                const float *wp = w + ((o * C + c) * K) * K;
-                for (i64 kh = 0; kh < K; kh++) {
-                    for (i64 kw = 0; kw < K; kw++) {
-                        const float wv = wp[kh * K + kw];
-                        i64 lo, hi;
-                        ow_range(W, OW, stride, pad, kw, &lo, &hi);
-                        if (hi <= lo)
-                            continue;
-                        const i64 len = hi - lo;
-                        const i64 base = lo * stride - pad + kw;
-                        for (i64 oh = 0; oh < OH; oh++) {
-                            const i64 ih = oh * stride - pad + kh;
-                            if (ih < 0 || ih >= H)
-                                continue;
-                            float *gxr = gxp + ih * W + base;
-                            const float *gr = gp + oh * OW + lo;
-                            for (i64 i = 0; i < len; i++)
-                                gxr[i * stride] += wv * gr[i];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-static void conv2d_backward_weight_naive(const float *x, const float *g,
-                                         float *gw, float *gb, i64 N, i64 C,
-                                         i64 H, i64 W, i64 O, i64 K,
-                                         i64 stride, i64 pad, i64 OH,
-                                         i64 OW) {
-    i64 o;
-#if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-    for (o = 0; o < O; o++) {
-        if (gb) {
-            double bacc = 0.0;
-            for (i64 n = 0; n < N; n++) {
-                const float *gp = g + ((n * O + o) * OH) * OW;
-                for (i64 i = 0; i < OH * OW; i++)
-                    bacc += (double)gp[i];
-            }
-            gb[o] = (float)bacc;
-        }
-        for (i64 c = 0; c < C; c++) {
-            for (i64 kh = 0; kh < K; kh++) {
-                for (i64 kw = 0; kw < K; kw++) {
-                    i64 lo, hi;
-                    ow_range(W, OW, stride, pad, kw, &lo, &hi);
-                    const i64 len = hi - lo;
-                    const i64 base = lo * stride - pad + kw;
-                    double acc = 0.0;
-                    if (len > 0) {
-                        for (i64 n = 0; n < N; n++) {
-                            const float *gp = g + ((n * O + o) * OH) * OW;
-                            const float *xpl = x + ((n * C + c) * H) * W;
-                            for (i64 oh = 0; oh < OH; oh++) {
-                                const i64 ih = oh * stride - pad + kh;
-                                if (ih < 0 || ih >= H)
-                                    continue;
-                                const float *gr = gp + oh * OW + lo;
-                                const float *xr = xpl + ih * W + base;
-                                float dot = 0.0f;
-                                for (i64 i = 0; i < len; i++)
-                                    dot += gr[i] * xr[i * stride];
-                                acc += (double)dot;
-                            }
-                        }
-                    }
-                    gw[((o * C + c) * K + kh) * K + kw] = (float)acc;
-                }
             }
         }
     }

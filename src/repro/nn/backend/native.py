@@ -21,8 +21,8 @@ every plane width (79 % at 16x16, 64 % at 8x8, 44 % at 4x4, 25 % at 2x2
 for K=3), where a per-row tiling is scalar below one vector of columns:
 the first eight conv layers of VGG13-mini on 16x16 inputs, whose planes
 are 16, 16, 8, 8, 4, 4, 2 and 2 wide, run the same register-blocked
-loops.  Forward, input gradient (the same microkernel over the
-dilated-padded output gradient with flipped weights) and weight gradient
+loops.  Forward, input gradient (the same microkernel over the padded
+output gradient with flipped weights) and weight gradient
 (the output gradient at the same pitch with zeros in the garbage slots:
 ``gw[o,c,k]`` is one long dot product of two flat rows) share the
 formulation.  The slack a tile reads past the last plane lives *inside*
@@ -40,43 +40,48 @@ op pair, moments, the 1x1 pointwise fast path, the workspace pool for
 average pooling) is inherited from :class:`~.fused.FusedBackend`, as is
 the fold pipeline, so a folded no-grad graph runs identically on both.
 
-What stays off the C kernels, and why.  Narrow planes are *not* routed
-to the inherited im2col path: measured on the VGG13 benchmark workload
-that reaches the same speed but pins a column buffer per layer (+51 %
-peak RSS), whereas the direct kernel pins only the input.  The one
-exception is a 1x1 output plane (VGG13-mini's last two layers): 11 %
-occupancy, eight of the nine taps of a padded 3x3 read padding, and the
-kernel measured 0.76-0.90x fused forward and 0.65-0.76x forward+backward
-at 32->32 channels, batch 32, one thread, while the column buffer there
-is 9*C floats per sample.  Those convs, and the pooling unfold/fold
-with a 1x1 output, take the inherited path.  There is no C GEMM: a
-hand-rolled one measured 0.042x the inherited BLAS path on the
-model-step shape (8.51 ms against 0.36 ms) — conv wins natively because
-skipping im2col changes the memory traffic, not because the C compiler
-out-multiplies BLAS.  Strided convolutions fall back to the im2col path
-for the same reason: the flattened formulation is stride-1, and the
-bounds-checked strided loop the C entry points degrade to runs 2-5x
-behind BLAS at ResNet-style shapes.  ``REPRO_NATIVE_STRIDED=1``
-dispatches them to the C kernels anyway — the test hook through which
-the equivalence tests and the sanitizer job reach that loop, which is
-also what allocation failure and non-GNU compilers fall back to.
+What stays off the C kernels, and why.  The conv kernels compute
+stride 1 with ``padding <= kernel - 1`` and nothing else: that is the
+flattened formulation's domain.  Every other conv, strided ones first
+of all, takes the inherited im2col + BLAS path, which is also the
+faster one there (a bounds-checked strided C loop measured 2-5x behind
+BLAS at ResNet-style shapes); the C pooling unfold/fold are half of
+that path.  Inside the domain two speed rules send more shapes
+to BLAS: 1x1 convs, whose input already is the column matrix, and a
+1x1 output plane (VGG13-mini's last two layers): 11 % occupancy, eight
+of the nine taps of a padded 3x3 read padding, and the kernel measured
+0.76-0.90x fused forward and 0.65-0.76x forward+backward at 32->32
+channels, batch 32, one thread, while the column buffer there is 9*C
+floats per sample.  Those convs, and the pooling unfold/fold with a 1x1
+output, take the inherited path.  Narrow planes do not: on the VGG13
+benchmark workload the im2col path reaches the same speed there but
+pins a column buffer per layer (+51 % peak RSS), whereas the direct
+kernel pins only the input.  There is no C GEMM: a hand-rolled one
+measured 0.042x the inherited BLAS path on the model-step shape
+(8.51 ms against 0.36 ms) — conv wins natively because skipping im2col
+changes the memory traffic, not because the C compiler out-multiplies
+BLAS.
 
 Dispatch is eligibility-checked per call: float32 C-contiguous operands
 take the C kernels, anything else (float64 gradchecks, sliced views)
 falls back to the inherited pure-Python implementation and counts as
 ``fallback`` in ``dispatch_counts`` — the backend is
 always *correct*, the kernels are an acceleration of the common case.
+(A float32 gradient that is merely a strided view is copied instead:
+conv and max-pool backward both read ``grad_out`` once.)  A conv
+kernel that cannot allocate its scratch raises :class:`MemoryError`
+naming the op; nothing degrades silently.
 
 Construction raises :class:`NativeUnavailableError` when the extension
-cannot be built (no compiler, ``REPRO_NATIVE=0``); callers that want to
-degrade gracefully check :func:`native_available` first, as the bench
-gate and test matrix do.
+cannot be built (no compiler, a compiler without the GNU vector
+extensions, ``REPRO_NATIVE=0``); callers that want to degrade
+gracefully check :func:`native_available` first, as the bench gate and
+test matrix do.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Optional
 
 import numpy as np
@@ -104,6 +109,11 @@ def _ptr(a: Optional[np.ndarray]):
     return None if a is None else ctypes.c_void_p(a.ctypes.data)
 
 
+def _in_domain(kernel: int, stride: int, padding: int) -> bool:
+    """The convs the C kernels compute (module docstring)."""
+    return stride == 1 and padding < kernel
+
+
 class NativeBackend(FusedBackend):
     """Direct compiled conv/pooling kernels over float32."""
 
@@ -117,9 +127,6 @@ class NativeBackend(FusedBackend):
             raise NativeUnavailableError(
                 f"native backend unavailable: {exc}"
             ) from exc
-        # Opt-in only — BLAS beats the generic strided conv loop (see
-        # the module docstring).
-        self._c_strided = os.environ.get("REPRO_NATIVE_STRIDED") == "1"
         # Per-op native-vs-fallback decision counts.
         self.dispatch_counts: dict[str, dict[str, int]] = {}
 
@@ -141,15 +148,17 @@ class NativeBackend(FusedBackend):
         self.dispatch_counts = {}
 
     # -- convolution -----------------------------------------------------
+    def _conv_kernel(self, name: str, *args) -> None:
+        """Call C conv entry point ``name``; it returns 0 when its
+        scratch allocation failed."""
+        if not getattr(self._lib, name)(*args):
+            raise MemoryError(f"native {name}: scratch allocation failed")
+
     def _on_blas(self, kernel, stride, padding, out_h, out_w) -> bool:
-        """Shapes the inherited path runs faster (module docstring):
-        1x1 stride-1 convs (one GEMM upstream: the input *is* the column
-        matrix), strided convs, and convs with a 1x1 output plane."""
-        return (
-            self._is_pointwise(kernel, stride, padding)
-            or (stride != 1 and not self._c_strided)
-            or out_h * out_w == 1
-        )
+        """In-domain shapes the inherited path runs faster (module
+        docstring): 1x1 convs (one GEMM upstream: the input *is* the
+        column matrix) and convs with a 1x1 output plane."""
+        return self._is_pointwise(kernel, stride, padding) or out_h * out_w == 1
 
     def conv2d_forward(self, x, weight, bias, stride, padding):
         batch, in_c, height, width = x.shape
@@ -157,7 +166,8 @@ class NativeBackend(FusedBackend):
         out_h = F.conv_output_size(height, kernel, stride, padding)
         out_w = F.conv_output_size(width, kernel, stride, padding)
         if (
-            self._on_blas(kernel, stride, padding, out_h, out_w)
+            not _in_domain(kernel, stride, padding)
+            or self._on_blas(kernel, stride, padding, out_h, out_w)
             or not _f32c(x)
             or not _f32c(weight)
             or (bias is not None and not _f32c(bias))
@@ -168,10 +178,9 @@ class NativeBackend(FusedBackend):
             return super().conv2d_forward(x, weight, bias, stride, padding)
         self._dispatch("conv2d_forward", True)
         out = np.empty((batch, out_c, out_h, out_w), dtype=np.float32)
-        self._lib.conv2d_forward(
-            _ptr(x), _ptr(weight), _ptr(bias), _ptr(out),
-            batch, in_c, height, width, out_c, kernel,
-            stride, padding, out_h, out_w,
+        self._conv_kernel(
+            "conv2d_forward", _ptr(x), _ptr(weight), _ptr(bias), _ptr(out),
+            batch, in_c, height, width, out_c, kernel, padding, out_h, out_w,
         )
         # The context pins the raw input (not a pooled column buffer):
         # backward re-reads x directly, release() is a no-op, and
@@ -194,12 +203,13 @@ class NativeBackend(FusedBackend):
         grad_x = np.empty_like(x)
         grad_w = np.empty_like(weight)
         grad_b = np.empty(out_c, dtype=np.float32) if with_bias else None
-        dims = (
-            batch, in_c, height, width, out_c, kernel,
-            ctx.stride, ctx.padding, out_h, out_w,
+        dims = (batch, in_c, height, width, out_c, kernel, ctx.padding, out_h, out_w)
+        self._conv_kernel(
+            "conv2d_backward_input", _ptr(g), _ptr(weight), _ptr(grad_x), *dims
         )
-        self._lib.conv2d_backward_input(_ptr(g), _ptr(weight), _ptr(grad_x), *dims)
-        self._lib.conv2d_backward_weight(_ptr(x), _ptr(g), _ptr(grad_w), _ptr(grad_b), *dims)
+        self._conv_kernel(
+            "conv2d_backward_weight", _ptr(x), _ptr(g), _ptr(grad_w), _ptr(grad_b), *dims
+        )
         return grad_x, grad_w, grad_b
 
     # -- unfold / fold (pooling columns) ---------------------------------
@@ -263,7 +273,7 @@ class NativeBackend(FusedBackend):
         self, grad_out, index, input_shape, kernel, stride, padding
     ):
         native = (
-            _f32c(grad_out)
+            grad_out.dtype == np.float32
             and index.dtype == np.uint8
             and index.flags.c_contiguous
         )
@@ -271,10 +281,14 @@ class NativeBackend(FusedBackend):
             return super().max_pool2d_backward(
                 grad_out, index, input_shape, kernel, stride, padding
             )
+        # A strided view (VGG13-mini's last pool gets one, the col2im
+        # slice of the 1x1-plane conv after it) is copied, as in
+        # conv2d_backward: the kernel reads it once.
+        g = np.ascontiguousarray(grad_out)
         batch, channels, height, width = input_shape
         grad_x = np.empty(input_shape, dtype=np.float32)
         self._lib.max_pool2d_backward(
-            _ptr(grad_out), _ptr(index), _ptr(grad_x),
+            _ptr(g), _ptr(index), _ptr(grad_x),
             batch, channels, height, width, kernel,
             stride, padding, index.shape[2], index.shape[3],
         )

@@ -175,24 +175,26 @@ def build(force: bool = False, sanitize: Optional[bool] = None) -> Path:
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 _F32 = ctypes.c_float
+_INT = ctypes.c_int
 
 _SIGNATURES = {
-    # name -> (n_pointer_args, n_i64_dims, trailing_float_args)
-    "conv2d_forward": (4, 10, 0),
-    "conv2d_backward_input": (3, 10, 0),
-    "conv2d_backward_weight": (4, 10, 0),
-    "unfold": (2, 9, 1),
-    "fold": (2, 9, 0),
-    "max_pool2d": (3, 9, 0),
-    "max_pool2d_backward": (3, 9, 0),
+    # name -> (n_pointer_args, n_i64_dims, trailing_float_args, result);
+    # the conv entry points return 0 when their scratch allocation fails.
+    "conv2d_forward": (4, 9, 0, _INT),
+    "conv2d_backward_input": (3, 9, 0, _INT),
+    "conv2d_backward_weight": (4, 9, 0, _INT),
+    "unfold": (2, 9, 1, None),
+    "fold": (2, 9, 0, None),
+    "max_pool2d": (3, 9, 0, None),
+    "max_pool2d_backward": (3, 9, 0, None),
 }
 
 
 def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
-    for name, (n_ptr, n_dim, n_f32) in _SIGNATURES.items():
+    for name, (n_ptr, n_dim, n_f32, result) in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes = [_PTR] * n_ptr + [_I64] * n_dim + [_F32] * n_f32
-        fn.restype = None
+        fn.restype = result
     return lib
 
 

@@ -182,29 +182,6 @@ def test_backend_matches_numpy(backend, name, factory, shape):
 @pytest.mark.skipif(
     not native_available(), reason="native extension unavailable"
 )
-@pytest.mark.parametrize(
-    "name,factory,shape",
-    [case for case in _layer_cases() if case[0] == "conv_strided"],
-)
-def test_native_opt_in_kernels_match_numpy(name, factory, shape):
-    """The opt-in C path (``REPRO_NATIVE_STRIDED=1`` strided convs)
-    stays correct even though default dispatch keeps it on BLAS."""
-    backend = NativeBackend()
-    backend._c_strided = True
-    x = _x(shape, seed=11)
-    out_n, gin_n, grads_n = _run_layer("numpy", factory, x)
-    out_b, gin_b, grads_b = _run_layer(backend, factory, x)
-    np.testing.assert_allclose(out_b, out_n, atol=ATOL, rtol=1e-5)
-    np.testing.assert_allclose(gin_b, gin_n, atol=ATOL, rtol=1e-5)
-    for key in grads_n:
-        np.testing.assert_allclose(
-            grads_b[key], grads_n[key], atol=ATOL, rtol=1e-4, err_msg=key
-        )
-
-
-@pytest.mark.skipif(
-    not native_available(), reason="native extension unavailable"
-)
 def test_native_sends_a_1x1_output_plane_to_the_fused_path():
     """A padded 3x3 conv on a 1x1 plane (VGG13-mini's last two layers)
     runs the inherited im2col + BLAS path and is counted as a fallback,

@@ -21,7 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro import nn
+from repro import bp_engine, nn
+from repro.models import build_mini
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.backend import NativeBackend, get_backend, native_available
 
 needs_native = pytest.mark.skipif(
@@ -142,14 +144,16 @@ def test_first_nan_wins():
 
 @needs_native
 @pytest.mark.parametrize(
-    "make",
+    "make,backward",
     [
-        lambda x: x.astype(np.float64),
-        lambda x: np.concatenate([x, x], axis=3)[..., ::2],
+        (lambda x: x.astype(np.float64), "fallback"),
+        (lambda x: np.concatenate([x, x], axis=3)[..., ::2], "native"),
     ],
     ids=["float64", "non_contiguous"],
 )
-def test_ineligible_operands_fall_back_and_are_counted(make):
+def test_ineligible_operands_fall_back_and_are_counted(make, backward):
+    """Float64 falls back both ways.  A float32 view falls back in the
+    forward and is copied for the backward, which reads it once."""
     rng = np.random.default_rng(0)
     x = make(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
     g = make(rng.standard_normal((2, 3, 3, 3)).astype(np.float32))
@@ -165,9 +169,24 @@ def test_ineligible_operands_fall_back_and_are_counted(make):
         _bits(ref.max_pool2d_backward(g, want_index, x.shape, 2, 2, 0)),
     )
     assert native.dispatch_counts["max_pool2d"] == {"native": 0, "fallback": 1}
+    assert native.dispatch_counts["max_pool2d_backward"][backward] == 1
+
+
+@needs_native
+def test_vgg13_mini_bp_step_runs_every_pool_backward_native():
+    """The last pool's gradient is a strided view (the col2im slice of
+    the 1x1-plane conv after it); it is copied, not sent to the
+    reference."""
+    model = build_mini("VGG13", 10, rng=np.random.default_rng(0))
+    pools = sum(isinstance(m, nn.MaxPool2d) for _, m in model.named_modules())
+    native = NativeBackend()
+    engine = bp_engine(model, CrossEntropyLoss(), backend=native)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+    engine.train_batch(x, rng.integers(0, 10, 8))
     assert native.dispatch_counts["max_pool2d_backward"] == {
-        "native": 0,
-        "fallback": 1,
+        "native": pools,
+        "fallback": 0,
     }
 
 

@@ -18,6 +18,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,10 @@ ATOL = 1e-5
 
 
 def _c_kernel_backend() -> NativeBackend:
-    """A native backend that sends *every* float32 conv to kernels.c:
-    1x1, strided and 1x1-output-plane ones, which default dispatch keeps
-    on BLAS."""
+    """A native backend without the speed rules: every float32 conv in
+    the kernels' domain (stride 1, padding <= kernel - 1) goes to
+    kernels.c, 1x1 convs and 1x1 output planes included, which default
+    dispatch keeps on BLAS.  The domain check still applies."""
     backend = NativeBackend()
     backend._on_blas = lambda *shape: False
     return backend
@@ -91,7 +93,10 @@ def test_kernels_match_numpy_on_generated_shapes(
     native = _c_kernel_backend()
     got = _conv(native, x, w, b, g, stride, pad)
     want = _conv(get_backend("numpy"), x, w, b, g, stride, pad)
-    assert native.dispatch_counts["conv2d_forward"]["fallback"] == 0
+    # Stride 2 is outside the kernels' domain: im2col + BLAS, counted.
+    path = "native" if stride == 1 else "fallback"
+    counts = native.dispatch_counts
+    assert counts["conv2d_forward"][path] == counts["conv2d_backward"][path] == 1
     for name, rtol, a, e in zip(
         ("out", "grad_x", "grad_w", "grad_b"), (1e-5, 1e-5, 1e-4, 1e-4), got, want
     ):
@@ -109,7 +114,7 @@ from test_native_shapes import _c_kernel_backend, _conv, _operands
 digest = hashlib.sha256()
 for shape in ((4, 5, 6, 13, 13, 3, 1, 1), (3, 9, 7, 17, 5, 3, 1, 1),
               (5, 6, 9, 2, 2, 3, 1, 1), (2, 3, 5, 11, 20, 5, 1, 2),
-              (2, 4, 6, 9, 9, 3, 2, 1)):
+              (2, 4, 6, 9, 9, 3, 1, 1)):
     x, w, b, g = _operands(*shape, seed=3)
     for array in _conv(_c_kernel_backend(), x, w, b, g, shape[6], shape[7]):
         digest.update(array.tobytes())
@@ -134,3 +139,35 @@ def test_bits_do_not_depend_on_the_thread_count():
         digests.append(proc.stdout.strip().splitlines()[-1])
     assert len(digests[0]) == hashlib.sha256().digest_size * 2
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("kernel,pad", [(1, 1), (3, 3), (3, 4)])
+def test_padding_past_the_kernel_takes_the_blas_path(kernel, pad):
+    """``padding >= kernel`` is outside the kernels' domain (the input
+    gradient's border ``K-1-pad`` would be negative): forward and
+    backward fall back, also with the speed rules off, and match
+    numpy."""
+    x, w, b, g = _operands(2, 3, 4, 5, 6, kernel, 1, pad, seed=7)
+    want = _conv(get_backend("numpy"), x, w, b, g, 1, pad)
+    for native in (NativeBackend(), _c_kernel_backend()):
+        got = _conv(native, x, w, b, g, 1, pad)
+        for op in ("conv2d_forward", "conv2d_backward"):
+            assert native.dispatch_counts[op] == {"native": 0, "fallback": 1}
+        for name, a, e in zip(("out", "grad_x", "grad_w", "grad_b"), got, want):
+            np.testing.assert_allclose(a, e, atol=ATOL, rtol=1e-4, err_msg=name)
+
+
+CONV_ENTRIES = ("conv2d_forward", "conv2d_backward_input", "conv2d_backward_weight")
+
+
+@pytest.mark.parametrize("entry", CONV_ENTRIES)
+def test_failed_scratch_allocation_raises(entry):
+    """A C conv entry point that returns 0 (its scratch malloc failed)
+    is a ``MemoryError`` naming it, not a silent slower path."""
+    x, w, b, g = _operands(2, 3, 4, 6, 6, 3, 1, 1, seed=0)
+    native = NativeBackend()
+    stubs = {name: getattr(native._lib, name) for name in CONV_ENTRIES}
+    stubs[entry] = lambda *args: 0
+    native._lib = types.SimpleNamespace(**stubs)
+    with pytest.raises(MemoryError, match=entry):
+        _conv(native, x, w, b, g, 1, 1)

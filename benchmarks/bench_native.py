@@ -5,7 +5,9 @@ layers of VGG13-mini at the repo benchmark's shapes (batch 32, planes
 16/16/8/8/4/4/2/2/1/1 wide) plus 32->32 channels at widths 7, 14, 28 and
 32 — plane widths on both sides of a vector tile and not multiples of
 one — and VGG13-mini's four ``MaxPool2d(2)`` layers (no-grad forward,
-and forward with the index plus backward; bitwise equal to fused).
+and forward with the index plus backward; bitwise equal to fused).  The
+same sweep records, without a gate, VGG13-mini's ten ``BatchNorm2d``
+layers: grad-mode forward, no-grad forward and backward.
 Forward and forward+backward are timed interleaved round-by-round with
 the fused backend (load drift hits both sides equally, medians keep the
 ratio stable on shared runners), and every shape's timings (GMAC/s for
@@ -61,6 +63,12 @@ VGG13_LAYERS = [
 EXTRA_WIDTHS = [(32, 32, 7), (32, 32, 14), (32, 32, 28), (32, 32, 32)]
 # (channels, plane width) into VGG13-mini's four MaxPool2d(2) layers.
 VGG13_POOLS = [(12, 16), (16, 8), (24, 4), (32, 2)]
+# (channels, plane width) of VGG13-mini's ten BatchNorm2d layers.
+VGG13_NORMS = [
+    (12, 16), (12, 16), (16, 8), (16, 8), (24, 4),
+    (24, 4), (32, 2), (32, 2), (32, 1), (32, 1),
+]
+NORM_OPS = ("fwd", "no_grad", "bwd")
 
 pytestmark = pytest.mark.skipif(
     not native_available(),
@@ -157,6 +165,56 @@ def _sweep_pool(channels, width, seed):
     return row
 
 
+def _sweep_batchnorm(channels, width, seed):
+    """Interleaved fused-vs-native medians for one BatchNorm2d shape
+    under batch statistics: ``fwd`` the grad-mode forward (BP batches),
+    ``no_grad`` the forward-only one (Phase-GP batches), ``bwd`` the
+    backward."""
+    rng = np.random.default_rng(seed)
+    shape = (BATCH, channels, width, width)
+    x = (rng.standard_normal(shape) * 2.0 + 1.0).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, channels).astype(np.float32)
+    beta = rng.standard_normal(channels).astype(np.float32)
+    backends = {name: nn.get_backend(name) for name in ("fused", "native")}
+    ctxs = {
+        name: backend.batchnorm_forward(x, gamma, beta, 1e-5)[3]
+        for name, backend in backends.items()
+    }
+    ops = {
+        "fwd": lambda name: backends[name].batchnorm_forward(x, gamma, beta, 1e-5),
+        "no_grad": lambda name: backends[name].batchnorm_forward(
+            x, gamma, beta, 1e-5, need_ctx=False
+        ),
+        "bwd": lambda name: backends[name].batchnorm_backward(
+            g, gamma, ctxs[name], True
+        ),
+    }
+    for op in ("fwd", "bwd"):
+        for want, got in zip(ops[op]("fused"), ops[op]("native")):
+            if isinstance(want, np.ndarray):
+                np.testing.assert_allclose(
+                    got, want, rtol=BENCH_RTOL, atol=BENCH_ATOL
+                )
+    medians = interleaved_medians(
+        {
+            (name, op): timed(fn, name)
+            for name in backends
+            for op, fn in ops.items()
+        },
+        rounds=40,
+    )
+    row = {"shape": f"batchnorm@{channels}x{width}x{width}"}
+    for op in NORM_OPS:
+        fused_s, native_s = medians["fused", op], medians["native", op]
+        row[op] = {
+            "fused_ms": fused_s * 1e3,
+            "native_ms": native_s * 1e3,
+            "speedup": fused_s / native_s,
+        }
+    return row
+
+
 def sweep():
     """Every shape's row plus the ten-layer totals (run pinned: see
     ``test_bench_native_conv_gate``)."""
@@ -175,11 +233,23 @@ def sweep():
     pools = [
         _sweep_pool(*shape, seed=30 + i) for i, shape in enumerate(VGG13_POOLS)
     ]
+    norms = [
+        _sweep_batchnorm(*shape, seed=50 + i) for i, shape in enumerate(VGG13_NORMS)
+    ]
     return {
         "batch": BATCH,
         "shapes": rows,
         "vgg13_ten_layers": totals,
         "pool_shapes": pools,
+        # Recorded, not gated.
+        "batchnorm_shapes": norms,
+        "vgg13_ten_batchnorms": {
+            op: {
+                side: sum(row[op][side] for row in norms)
+                for side in ("fused_ms", "native_ms")
+            }
+            for op in NORM_OPS
+        },
     }
 
 
@@ -240,6 +310,20 @@ def test_bench_native_conv_gate(benchmark):
             f"{fwd['native_ms']:6.3f} ({fwd['speedup']:5.2f}x)  fwd+bwd "
             f"{both['fused_ms']:6.3f} / {both['native_ms']:6.3f} "
             f"({both['speedup']:5.2f}x)"
+        )
+    for row in result["batchnorm_shapes"]:
+        print(
+            f"  {row['shape']:>20}  "
+            + "  ".join(
+                f"{op} {row[op]['fused_ms']:6.3f} / {row[op]['native_ms']:6.3f} "
+                f"({row[op]['speedup']:5.2f}x)"
+                for op in NORM_OPS
+            )
+        )
+    for op, total in result["vgg13_ten_batchnorms"].items():
+        print(
+            f"  ten VGG13 batch norms {op}: fused {total['fused_ms']:.2f} ms, "
+            f"native {total['native_ms']:.2f} ms"
         )
     slow = [
         (row["shape"], op, row[op]["speedup"])

@@ -208,7 +208,9 @@ class AdaCompCodec(Codec):
        *and* the threshold is positive (an all-zero bin sends nothing —
        without the guard the ``>=`` would select the entire bin),
     4. ``residual[k] = H`` with every sent entry replaced by its wire
-       rounding error (zero under ``float32``).
+       rounding error (zero under ``float32``), so decoded values plus
+       the new residual are ``H`` bit for bit; a clipped entry whose
+       clip error float32 cannot hold exactly is not sent.
 
     Selection, offsets and values are pure deterministic ``numpy`` on
     the local gradient — same input, same residual, same payload — so
@@ -258,10 +260,20 @@ class AdaCompCodec(Codec):
             values = np.clip(exact, -self._F16_MAX, self._F16_MAX).astype(
                 np.float16
             )
+            sent = values.astype(np.float32)
+            # A clipped value's error H - 65504 is not always a float32
+            # (|H| in [2^29, 2^30) loses an ulp): such an entry stays
+            # unsent, whole, in the residual.
+            keep = ~(
+                (np.abs(exact) > self._F16_MAX) & (sent + (exact - sent) != exact)
+            )
+            if not keep.all():
+                sel, exact, values = sel[keep], exact[keep], values[keep]
         else:
             values = exact.copy()
         # Error feedback: what the wire cannot represent stays local and
-        # retries next round — exact zero for a float32 wire.
+        # retries next round — exact zero for a float32 wire — so the
+        # decoded values plus the new residual are H, bit for bit.
         h[sel] = exact - values.astype(np.float32)
         self._residuals[key] = h
         offsets = (sel % self.bin_size).astype(np.uint16)

@@ -43,7 +43,8 @@
  * Max pooling is a pair of its own: forward finds each window's maximum
  * and its uint8 position in one pass over the input (no columns), and
  * backward scatter-adds in the order col2im sums, so out, the index and
- * the input gradient are bitwise equal to the NumPy reference.  The
+ * the input gradient are bitwise equal to the NumPy reference.  Batch
+ * normalisation is the third pair (its own header below), and the
  * pooling unfold/fold (average pooling) round out the set (there is no
  * GEMM here: linear layers stay on BLAS).  Everything is exported with
  * C linkage and called through ctypes (see native_build.py for the
@@ -57,8 +58,8 @@
  * deliberately NOT used: linking crtfastmath.o from a shared library
  * would flip the process-wide FTZ/DAZ flags under NumPy's feet).
  *
- * Threading: every entry point parallelizes its outermost independent
- * loop with OpenMP when compiled with -fopenmp.  Each output position
+ * Threading: every entry point but the batch-norm pair parallelizes its
+ * outermost independent loop with OpenMP when compiled with -fopenmp.  Each output position
  * (conv_flat: a chunk of consecutive q; max_pool2d: a chunk of cells),
  * each input-gradient plane (max_pool2d_backward) and each (o, c)
  * weight-gradient cell (wgrad_flat: a WB x WB block) is owned by exactly
@@ -694,4 +695,295 @@ EXPORT void max_pool2d_backward(const float *g, const uint8_t *idx, float *gx,
             }
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Batch normalisation over axis 1 of an (N, C, S) tensor: S is the    */
+/* product of the trailing axes (H*W for NCHW, 1 for 2-D input), so    */
+/* channel c is N runs of S contiguous floats.  Forward takes three    */
+/* passes: the mean, the variance of the *centred* values — never      */
+/* E[x^2] - E[x]^2, which cancels every digit on a channel offset by a */
+/* few hundred standard deviations — and one pass writing out (and     */
+/* xc = x - mean, backward's context, when xc != NULL).  Backward      */
+/* takes two: sum(g) and sum(g * xc), then grad_x.                     */
+/*                                                                     */
+/* The mean is x.mean's own float32 reduction, bit for bit (NumPy's    */
+/* pairwise sum per run, runs added in sample order), so xc is the     */
+/* reference's: on a channel offset by 100 standard deviations a       */
+/* float32 mean is off by ~1e-5 of one, and a more exact one would     */
+/* leave the reference by that much.  Every other reduction ends in a  */
+/* double per channel.  Planes of at least BN_RUN floats go channel by */
+/* channel, run by run, in float lanes widened to double every BCHUNK  */
+/* floats.  Below that a run is too short to pay for a vector loop's   */
+/* set-up, so the passes go sample by sample over the whole C*S row    */
+/* instead: the reductions into one double per position (summed down   */
+/* the batch, then over the S positions of each channel), the          */
+/* elementwise passes against rows of per-position coefficients.       */
+/*                                                                     */
+/* No OpenMP: an op is a few hundred microseconds at most, and the     */
+/* bits are thread-count-invariant by construction.  Both entry points */
+/* return 0, with nothing written, when their scratch cannot be        */
+/* allocated.                                                          */
+/* ------------------------------------------------------------------ */
+#define BN_RUN 32
+#define BCHUNK (16 * TILE)
+
+/* Adds sum(p[i] - m) and sum((p[i] - m) * q[i]) over one run to *sum  */
+/* and *dot; q == NULL squares the centred value instead.              */
+static inline void bn_run_sums(const float *restrict p,
+                               const float *restrict q, i64 n, float m,
+                               double *sum, double *dot) {
+    const vf mv = vf_set1(m);
+    for (i64 lo = 0; lo < n; lo += BCHUNK) {
+        const i64 hi = min_i64(lo + BCHUNK, n);
+        vf s = vf_set1(0.0f), d = vf_set1(0.0f);
+        i64 i = lo;
+        for (; i + TILE <= hi; i += TILE) {
+            const vf v = vf_load(p + i) - mv;
+            s += v;
+            d += v * (q ? vf_load(q + i) : v);
+        }
+        float st = 0.0f, dt = 0.0f;
+        for (; i < hi; i++) {
+            const float v = p[i] - m;
+            st += v;
+            dt += v * (q ? q[i] : v);
+        }
+        *sum += (double)vf_sum(s) + st;
+        *dot += (double)vf_sum(d) + dt;
+    }
+}
+
+/* Per-channel coefficients -> per-position rows of a small plane.     */
+static void bn_rows(const float *coef, i64 C, i64 S, float *row) {
+    for (i64 c = 0; c < C; c++)
+        for (i64 i = 0; i < S; i++)
+            row[c * S + i] = coef[c];
+}
+
+/* NumPy's float32 pairwise sum, the reduction np.mean runs on a run:  */
+/* eight accumulators over blocks of at most 128 floats, halves above. */
+static float np_pairwise_sum(const float *a, i64 n) {
+    if (n < 8) {
+        float res = -0.0f;
+        for (i64 i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        float r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        i64 i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        float res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                    ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return np_pairwise_sum(a, n2) + np_pairwise_sum(a + n2, n - n2);
+}
+
+/* The per-channel mean exactly as x.mean(axis) computes it: run sums  */
+/* added in float32 in sample order, divided in double.  One channel   */
+/* is one contiguous run, as NumPy coalesces it.                       */
+static void bn_mean(const float *x, i64 N, i64 C, i64 S, float *mean) {
+    if (C == 1) {
+        S *= N;
+        N = 1;
+    }
+    for (i64 c = 0; c < C; c++) {
+        float acc = 0.0f;
+        for (i64 n = 0; n < N; n++)
+            acc += np_pairwise_sum(x + (n * C + c) * S, S);
+        mean[c] = (float)((double)acc / (double)(N * S));
+    }
+}
+
+/* Per-channel sum[c] of v = p - m[c] and dot[c] of v * q (v * v when  */
+/* q == NULL); m == NULL centres at zero.  The two uses are the        */
+/* variance (dot, m given) and backward's sums (m == NULL, q given);   */
+/* small planes compute only what those read, with acc (2*C*S doubles) */
+/* and mrow (C*S floats).                                              */
+static void bn_sums(const float *p, const float *q, const float *m, i64 N,
+                    i64 C, i64 S, double *sum, double *dot, double *acc,
+                    float *mrow) {
+    if (S >= BN_RUN) {
+        for (i64 c = 0; c < C; c++) {
+            sum[c] = dot[c] = 0.0;
+            for (i64 n = 0; n < N; n++) {
+                const i64 off = (n * C + c) * S;
+                bn_run_sums(p + off, q ? q + off : NULL, S, m ? m[c] : 0.0f,
+                            sum + c, dot + c);
+            }
+        }
+        return;
+    }
+    const i64 L = C * S;
+    double *restrict as = acc, *restrict ad = acc + L;
+    for (i64 j = 0; j < L; j++)
+        as[j] = ad[j] = 0.0;
+    if (!q)
+        bn_rows(m, C, S, mrow);
+    for (i64 n = 0; n < N; n++) {
+        const float *restrict pr = p + n * L;
+        if (q) {
+            const float *restrict qr = q + n * L;
+            for (i64 j = 0; j < L; j++) {
+                as[j] += pr[j];
+                ad[j] += pr[j] * qr[j];
+            }
+        } else {
+            for (i64 j = 0; j < L; j++) {
+                const float v = pr[j] - mrow[j];
+                ad[j] += v * v;
+            }
+        }
+    }
+    for (i64 c = 0; c < C; c++) {
+        sum[c] = dot[c] = 0.0;
+        for (i64 i = 0; i < S; i++) {
+            sum[c] += as[c * S + i];
+            dot[c] += ad[c * S + i];
+        }
+    }
+}
+
+/* Scratch of one op: per channel two double sums and three float     */
+/* coefficients, and for small planes as many again per position of a */
+/* C*S row (acc and row of bn_sums and the elementwise passes).        */
+struct bn_scratch {
+    double *sum, *dot, *acc;
+    float *coef, *row;
+};
+
+static int bn_scratch(struct bn_scratch *sc, i64 C, i64 S) {
+    const i64 L = S < BN_RUN ? C * S : 0;
+    sc->sum = malloc((size_t)(2 * C + 2 * L) * sizeof(double) +
+                     (size_t)(3 * C + 3 * L) * sizeof(float));
+    if (!sc->sum)
+        return 0;
+    sc->dot = sc->sum + C;
+    sc->acc = sc->dot + C;
+    sc->coef = (float *)(sc->acc + 2 * L);
+    sc->row = sc->coef + 3 * C;
+    return 1;
+}
+
+/* out = (p - a) * k + b over n floats, clamped at zero when relu (a   */
+/* NaN passes, as np.maximum's does), and xc = p - a when xc != NULL.  */
+/* The coefficients advance with i at step 1 (rows of a small-plane    */
+/* sample) and stay put at step 0 (one channel's run).                 */
+static inline void bn_affine(const float *restrict p, const float *restrict a,
+                             const float *restrict k, const float *restrict b,
+                             i64 step, float *restrict out,
+                             float *restrict xc, i64 n, i64 relu) {
+    for (i64 i = 0; i < n; i++) {
+        const float d = p[i] - a[i * step];
+        const float v = d * k[i * step] + b[i * step];
+        out[i] = relu && v < 0.0f ? 0.0f : v;
+        if (xc)
+            xc[i] = d;
+    }
+}
+
+/* gx = (g - xc * k - gm) * scale over n floats, coefficients as in    */
+/* bn_affine.                                                          */
+static inline void bn_grad(const float *restrict g, const float *restrict xc,
+                           const float *restrict k, const float *restrict gm,
+                           const float *restrict scale, i64 step,
+                           float *restrict gx, i64 n) {
+    for (i64 i = 0; i < n; i++)
+        gx[i] = (g[i] - xc[i] * k[i * step] - gm[i * step]) * scale[i * step];
+}
+
+/* mean/var are the batch statistics, written, when batch_stats; the   */
+/* given (running) ones, only read, otherwise.  inv_std receives       */
+/* 1/sqrt(var + eps); relu clamps out at zero.                         */
+EXPORT int batchnorm_forward(const float *x, const float *gamma,
+                             const float *beta, float *mean, float *var,
+                             float *inv_std, float *out, float *xc, i64 N,
+                             i64 C, i64 S, i64 batch_stats, i64 relu,
+                             float eps) {
+    struct bn_scratch sc;
+    if (!bn_scratch(&sc, C, S))
+        return 0;
+    const i64 L = C * S;
+    const double count = (double)(N * S);
+    if (batch_stats) {
+        bn_mean(x, N, C, S, mean);
+        bn_sums(x, NULL, mean, N, C, S, sc.sum, sc.dot, sc.acc, sc.row);
+        for (i64 c = 0; c < C; c++)
+            var[c] = (float)(sc.dot[c] / count);
+    }
+    float *scale = sc.coef, *shift = sc.coef + C;
+    for (i64 c = 0; c < C; c++) {
+        inv_std[c] = 1.0f / sqrtf(var[c] + eps);
+        scale[c] = gamma[c] * inv_std[c];
+        shift[c] = beta[c];
+    }
+    if (S >= BN_RUN) {
+        for (i64 n = 0; n < N; n++)
+            for (i64 c = 0; c < C; c++) {
+                const i64 off = (n * C + c) * S;
+                bn_affine(x + off, mean + c, scale + c, shift + c, 0,
+                          out + off, xc ? xc + off : NULL, S, relu);
+            }
+    } else {
+        float *mrow = sc.row, *srow = mrow + L, *brow = srow + L;
+        bn_rows(mean, C, S, mrow);
+        bn_rows(scale, C, S, srow);
+        bn_rows(shift, C, S, brow);
+        for (i64 n = 0; n < N; n++)
+            bn_affine(x + n * L, mrow, srow, brow, 1, out + n * L,
+                      xc ? xc + n * L : NULL, L, relu);
+    }
+    free(sc.sum);
+    return 1;
+}
+
+/* (grad_x, grad_gamma, grad_beta) from xc and inv_std; training says  */
+/* the forward used batch statistics, which then carry gradient:       */
+/* gx = gamma*inv_std * (g - xc*inv_std^2*sum(g*xc)/count - sum(g)/count) */
+EXPORT int batchnorm_backward(const float *g, const float *xc,
+                              const float *gamma, const float *inv_std,
+                              float *gx, float *grad_gamma, float *grad_beta,
+                              i64 N, i64 C, i64 S, i64 training) {
+    struct bn_scratch sc;
+    if (!bn_scratch(&sc, C, S))
+        return 0;
+    const i64 L = C * S;
+    const double count = (double)(N * S);
+    bn_sums(g, xc, NULL, N, C, S, sc.sum, sc.dot, sc.acc, sc.row);
+    float *k = sc.coef, *gm = k + C, *scale = gm + C;
+    for (i64 c = 0; c < C; c++) {
+        const double is = inv_std[c], sg = sc.sum[c], sgx = sc.dot[c];
+        grad_gamma[c] = (float)(sgx * is);
+        grad_beta[c] = (float)sg;
+        k[c] = training ? (float)(sgx * is * is / count) : 0.0f;
+        gm[c] = training ? (float)(sg / count) : 0.0f;
+        scale[c] = gamma[c] * inv_std[c];
+    }
+    if (S >= BN_RUN) {
+        for (i64 n = 0; n < N; n++)
+            for (i64 c = 0; c < C; c++) {
+                const i64 off = (n * C + c) * S;
+                bn_grad(g + off, xc + off, k + c, gm + c, scale + c, 0,
+                        gx + off, S);
+            }
+    } else {
+        float *krow = sc.row, *grow = krow + L, *srow = grow + L;
+        bn_rows(k, C, S, krow);
+        bn_rows(gm, C, S, grow);
+        bn_rows(scale, C, S, srow);
+        for (i64 n = 0; n < N; n++)
+            bn_grad(g + n * L, xc + n * L, krow, grow, srow, 1, gx + n * L, L);
+    }
+    free(sc.sum);
+    return 1;
 }

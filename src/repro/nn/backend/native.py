@@ -1,11 +1,12 @@
 """NativeBackend: compiled C kernels for the convolution-shaped ops.
 
-The hot ops — conv2d forward/backward, the max-pooling op pair and the
-pooling unfold/fold — dispatch to the shared library built from
-``_native/kernels.c`` (see :mod:`.native_build`).  No im2col column
-matrix is ever materialized: the input is copied once into zero-padded planes, the forward touches
-``x`` once instead of copying it K*K times, and the backward context
-pins the *input* instead of a pooled workspace.
+The hot ops — conv2d forward/backward, the max-pooling and batch-norm
+op pairs and the pooling unfold/fold — dispatch to the shared library
+built from ``_native/kernels.c`` (see :mod:`.native_build`).  No im2col
+column matrix is ever materialized: the input is copied once into
+zero-padded planes, the forward touches ``x`` once instead of copying
+it K*K times, and the backward context pins the *input* instead of a
+pooled workspace.
 
 The kernels are width-agnostic.  A stride-1 convolution over a
 zero-padded plane stored at row pitch ``Wp`` is a 1-D correlation of the
@@ -35,10 +36,25 @@ scatter-adds each pixel's terms in the reference's fold order, so
 ``out``, index and ``grad_x`` are bitwise equal to the reference
 (DESIGN.md §7 has the measured before/after).
 
-Everything else (linear GEMMs, attention contractions, the batch-norm
-op pair, moments, the 1x1 pointwise fast path, the workspace pool for
-average pooling) is inherited from :class:`~.fused.FusedBackend`, as is
-the fold pipeline, so a folded no-grad graph runs identically on both.
+Batch normalisation works over ``(N, C, S)``, S the trailing axes, so
+2-D and 4-D input share the pair.  The forward
+makes three passes — the mean, the variance of the centred values in
+double, and one pass writing ``out`` (``relu`` clamped in) and, when a
+backward will need it, ``xc = x - mean`` — and the backward two: the
+per-channel sums of ``g`` and ``g * xc`` in double, then ``grad_x``.
+The mean is NumPy's own float32 reduction, reproduced bit for bit, so
+``xc`` equals the fused backend's; the context is the fused one,
+``NormCtx(self, xc, inv_std)``.  The C path takes contiguous float32
+operands with batch or running statistics; anything else falls back,
+counted.  Per op on VGG13-mini's ten batch norms (batch 32, one thread)
+it is 1.8x fused forward, 2.5x no-grad forward and 2.2x backward
+(DESIGN.md §7 has the table); a NumPy rewrite cannot get there, because
+what costs is NumPy's broadcast passes over small NCHW planes.
+
+Everything else (linear GEMMs, attention contractions, moments, the 1x1
+pointwise fast path, the workspace pool for average pooling) is
+inherited from :class:`~.fused.FusedBackend`, as is the fold pipeline,
+so a folded no-grad graph runs identically on both.
 
 What stays off the C kernels, and why.  The conv kernels compute
 stride 1 with ``padding <= kernel - 1`` and nothing else: that is the
@@ -52,15 +68,44 @@ to BLAS: 1x1 convs, whose input already is the column matrix, and a
 of the nine taps of a padded 3x3 read padding, and the kernel measured
 0.76-0.90x fused forward and 0.65-0.76x forward+backward at 32->32
 channels, batch 32, one thread, while the column buffer there is 9*C
-floats per sample.  Those convs, and the pooling unfold/fold with a 1x1
-output, take the inherited path.  Narrow planes do not: on the VGG13
-benchmark workload the im2col path reaches the same speed there but
-pins a column buffer per layer (+51 % peak RSS), whereas the direct
-kernel pins only the input.  There is no C GEMM: a hand-rolled one
-measured 0.042x the inherited BLAS path on the model-step shape
-(8.51 ms against 0.36 ms) — conv wins natively because skipping im2col
-changes the memory traffic, not because the C compiler out-multiplies
-BLAS.
+floats per sample.  Those convs take the inherited path.  Narrow planes
+do not: on the VGG13 benchmark workload the im2col path reaches the
+same speed there but pins a column buffer per layer (+51 % peak RSS),
+whereas the direct kernel pins only the input.  There is no C GEMM: a
+hand-rolled one measured 0.042x the inherited BLAS path on the
+model-step shape (8.51 ms against 0.36 ms) — conv wins natively because
+skipping im2col changes the memory traffic, not because the C compiler
+out-multiplies BLAS.
+
+The C ``unfold`` (the column half of every strided conv and of average
+pooling) pays per (sample, channel, tap, output row), so output rows of
+one or two cells go to NumPy's strided copy (``_unfold_on_numpy``); the
+C ``fold`` keeps only the 1x1 output plane there.  C against the
+inherited im2col on every strided unfold the zoo minis run (16x16
+inputs, batch 32, one thread; median speed-up of three runs of 1 000
+interleaved calls, of five runs of 3 000 for the rows marked *):
+
+    input (C,H,W)  K s p  output  minis                C speed-up
+    ( 8,16,16)     3 2 1  8x8     Inception-V3/V4      1.38x
+    (32,16,16)     3 2 1  8x8     Inception-V3/V4      1.32x
+    (12,16,16)     3 2 1  8x8     ResNet50/101/152     1.30x
+    (16, 8, 8)     3 2 1  4x4     ResNet50/101/152     1.15x
+    (16,16,16)     1 2 0  8x8     ResNet50/101/152     1.24x
+    (24, 8, 8)     1 2 0  4x4     ResNet50/101/152     1.01x *
+    (24, 4, 4)     3 2 1  2x2     ResNet50/101/152     0.94x *  NumPy
+    (32, 4, 4)     1 2 0  2x2     ResNet50/101/152     0.95x *  NumPy
+    (16,16,16)     3 2 1  8x8     MobileNet-V2         1.35x
+    (24, 8, 8)     3 2 1  4x4     MobileNet-V2         1.18x
+    (12,16,16)     2 2 0  8x8     DenseNet121/169      1.15x
+    (15,16,16)     2 2 0  8x8     DenseNet201          1.07x
+    (16,16,16)     2 2 0  8x8     DenseNet161          1.09x
+    (12, 8, 8)     2 2 0  4x4     DenseNet121          1.00x *
+    (15, 8, 8)     2 2 0  4x4     DenseNet169          0.98x *
+    (16, 8, 8)     2 2 0  4x4     DenseNet201          0.97x *
+    (20, 8, 8)     2 2 0  4x4     DenseNet161          0.96x *
+
+Both 2x2 outputs read below 1x in all ten of their runs; the 4x4 pooling
+rows straddle parity run to run (0.90-1.11x) and stay in C.
 
 Dispatch is eligibility-checked per call: float32 C-contiguous operands
 take the C kernels, anything else (float64 gradchecks, sliced views)
@@ -88,7 +133,7 @@ import numpy as np
 
 from .. import functional as F
 from . import native_build
-from .base import ConvCtx, register_backend
+from .base import ConvCtx, NormCtx, register_backend
 from .fused import FusedBackend
 
 
@@ -105,8 +150,9 @@ def _f32c(a: np.ndarray) -> bool:
     return a.dtype == np.float32 and a.flags.c_contiguous
 
 
-def _ptr(a: Optional[np.ndarray]):
-    return None if a is None else ctypes.c_void_p(a.ctypes.data)
+def _ptr(a: Optional[np.ndarray]) -> Optional[int]:
+    # The bare address: ctypes converts it through the c_void_p argtype.
+    return None if a is None else a.ctypes.data
 
 
 def _in_domain(kernel: int, stride: int, padding: int) -> bool:
@@ -147,18 +193,25 @@ class NativeBackend(FusedBackend):
         super().reset_stats()
         self.dispatch_counts = {}
 
-    # -- convolution -----------------------------------------------------
-    def _conv_kernel(self, name: str, *args) -> None:
-        """Call C conv entry point ``name``; it returns 0 when its
-        scratch allocation failed."""
+    def _kernel(self, name: str, *args) -> None:
+        """Call C entry point ``name`` (a conv or batch-norm one); it
+        returns 0 when its scratch allocation failed."""
         if not getattr(self._lib, name)(*args):
             raise MemoryError(f"native {name}: scratch allocation failed")
 
+    # -- convolution -----------------------------------------------------
     def _on_blas(self, kernel, stride, padding, out_h, out_w) -> bool:
         """In-domain shapes the inherited path runs faster (module
         docstring): 1x1 convs (one GEMM upstream: the input *is* the
         column matrix) and convs with a 1x1 output plane."""
         return self._is_pointwise(kernel, stride, padding) or out_h * out_w == 1
+
+    @staticmethod
+    def _unfold_on_numpy(out_w: int) -> bool:
+        """Output rows the inherited strided copy fills faster (module
+        docstring): the C unfold pays per (sample, channel, tap, output
+        row), and a row of one or two cells does not amortise that."""
+        return out_w <= 2
 
     def conv2d_forward(self, x, weight, bias, stride, padding):
         batch, in_c, height, width = x.shape
@@ -178,7 +231,7 @@ class NativeBackend(FusedBackend):
             return super().conv2d_forward(x, weight, bias, stride, padding)
         self._dispatch("conv2d_forward", True)
         out = np.empty((batch, out_c, out_h, out_w), dtype=np.float32)
-        self._conv_kernel(
+        self._kernel(
             "conv2d_forward", _ptr(x), _ptr(weight), _ptr(bias), _ptr(out),
             batch, in_c, height, width, out_c, kernel, padding, out_h, out_w,
         )
@@ -204,22 +257,23 @@ class NativeBackend(FusedBackend):
         grad_w = np.empty_like(weight)
         grad_b = np.empty(out_c, dtype=np.float32) if with_bias else None
         dims = (batch, in_c, height, width, out_c, kernel, ctx.padding, out_h, out_w)
-        self._conv_kernel(
+        self._kernel(
             "conv2d_backward_input", _ptr(g), _ptr(weight), _ptr(grad_x), *dims
         )
-        self._conv_kernel(
+        self._kernel(
             "conv2d_backward_weight", _ptr(x), _ptr(g), _ptr(grad_w), _ptr(grad_b), *dims
         )
         return grad_x, grad_w, grad_b
 
-    # -- unfold / fold (pooling columns) ---------------------------------
-    # A 1x1 output plane stays on NumPy's strided copy here too: the C
-    # loops pay per (sample, channel, tap) and measured 2-4x slower.
+    # -- unfold / fold (pooling and strided-conv columns) -----------------
+    # Narrow output rows stay on NumPy's strided copy (_unfold_on_numpy);
+    # fold keeps only the 1x1 output plane there: its C loop measured
+    # 2-4x slower on it and faster on every wider plane.
     def unfold(self, x, kernel, stride, padding, fill_value=0.0):
         batch, channels, height, width = x.shape
         out_h = F.conv_output_size(height, kernel, stride, padding)
         out_w = F.conv_output_size(width, kernel, stride, padding)
-        if not _f32c(x) or out_h * out_w == 1:
+        if not _f32c(x) or self._unfold_on_numpy(out_w):
             self._dispatch("unfold", False)
             return super().unfold(x, kernel, stride, padding, fill_value)
         self._dispatch("unfold", True)
@@ -293,6 +347,61 @@ class NativeBackend(FusedBackend):
             stride, padding, index.shape[2], index.shape[3],
         )
         return grad_x
+
+    # -- batch normalisation ----------------------------------------------
+    # The context is the fused one, ``NormCtx(self, x - mean, inv_std)``,
+    # so a context from the inherited forward (a strided input) is the
+    # C backward's input as well.
+    def batchnorm_forward(
+        self, x, gamma, beta, eps, stats=None, relu=False, need_ctx=True
+    ):
+        operands = (x, gamma, beta) + (() if stats is None else tuple(stats))
+        if not self._dispatch(
+            "batchnorm_forward", x.size > 0 and all(map(_f32c, operands))
+        ):
+            return super().batchnorm_forward(
+                x, gamma, beta, eps, stats, relu, need_ctx
+            )
+        batch, channels = x.shape[:2]
+        if stats is None:
+            mean = np.empty(channels, dtype=np.float32)
+            var = np.empty(channels, dtype=np.float32)
+        else:
+            mean, var = stats  # read, never written
+        inv_std = np.empty(channels, dtype=np.float32)
+        out = np.empty_like(x)
+        xc = np.empty_like(x) if need_ctx else None
+        self._kernel(
+            "batchnorm_forward",
+            _ptr(x), _ptr(gamma), _ptr(beta), _ptr(mean), _ptr(var),
+            _ptr(inv_std), _ptr(out), _ptr(xc),
+            batch, channels, x.size // (batch * channels), stats is None, relu,
+            ctypes.c_float(eps),
+        )
+        ctx = NormCtx(self, xc, inv_std) if need_ctx else None
+        return out, mean, var, ctx
+
+    def batchnorm_backward(self, grad_out, gamma, ctx, training):
+        xc, inv_std = ctx.saved, ctx.inv_std
+        native = (
+            grad_out.dtype == np.float32
+            and xc.size > 0
+            and all(map(_f32c, (xc, gamma, inv_std)))
+        )
+        if not self._dispatch("batchnorm_backward", native):
+            return super().batchnorm_backward(grad_out, gamma, ctx, training)
+        g = np.ascontiguousarray(grad_out)  # a strided view is read once
+        batch, channels = xc.shape[:2]
+        grad_x = np.empty_like(xc)
+        grad_gamma = np.empty(channels, dtype=np.float32)
+        grad_beta = np.empty(channels, dtype=np.float32)
+        self._kernel(
+            "batchnorm_backward",
+            _ptr(g), _ptr(xc), _ptr(gamma), _ptr(inv_std),
+            _ptr(grad_x), _ptr(grad_gamma), _ptr(grad_beta),
+            batch, channels, xc.size // (batch * channels), training,
+        )
+        return grad_x, grad_gamma, grad_beta
 
 
 register_backend("native", NativeBackend)

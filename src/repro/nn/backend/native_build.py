@@ -179,7 +179,8 @@ _INT = ctypes.c_int
 
 _SIGNATURES = {
     # name -> (n_pointer_args, n_i64_dims, trailing_float_args, result);
-    # the conv entry points return 0 when their scratch allocation fails.
+    # the conv and batch-norm entry points return 0 when their scratch
+    # allocation fails.
     "conv2d_forward": (4, 9, 0, _INT),
     "conv2d_backward_input": (3, 9, 0, _INT),
     "conv2d_backward_weight": (4, 9, 0, _INT),
@@ -187,6 +188,8 @@ _SIGNATURES = {
     "fold": (2, 9, 0, None),
     "max_pool2d": (3, 9, 0, None),
     "max_pool2d_backward": (3, 9, 0, None),
+    "batchnorm_forward": (8, 5, 1, _INT),
+    "batchnorm_backward": (7, 4, 0, _INT),
 }
 
 

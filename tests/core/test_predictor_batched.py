@@ -207,3 +207,36 @@ class TestTrainerPaths:
         assert len(history.predictor_mape) == 2
         assert len(history.predictor_mape[0]) == 3
         assert history.gp_batches[1] > 0
+
+
+def test_exploding_targets_give_finite_metrics_and_scale():
+    """Gradients around 1e20 square to ~1e40, past float32's 3.4e38:
+    the metric sums and the running target scale run in float64, so two
+    steps report finite ``(mse, mape)`` of the right size and leave a
+    finite scale."""
+    model = _model()
+    entries = _collect_entries(model)
+    predictor = _predictor(model)
+    assert predictor.normalize_targets
+    layers = [layer for layer, *_ in entries]
+    outputs = [output for _, output, *_ in entries]
+    rng = np.random.default_rng(3)
+
+    def exploding(grad):
+        if grad is None:
+            return None
+        return (1e20 * (1.0 + rng.random(grad.shape))).astype(np.float32)
+
+    for _ in range(2):
+        metrics = predictor.train_step_many(
+            layers,
+            outputs,
+            [exploding(w) for *_, w, _ in entries],
+            [exploding(b) for *_, b in entries],
+        )
+        for mse, mape in metrics:
+            assert np.isfinite(mse) and mse > 1e40
+            assert np.isfinite(mape)
+        for layer in layers:
+            scale = predictor._scale_for(layer)
+            assert np.isfinite(scale) and 1e20 < scale < 2e20

@@ -3,6 +3,7 @@ residual carry-over determinism, and wire-byte accounting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dist import (
     AdaCompCodec,
@@ -161,6 +162,43 @@ class TestAdaCompResiduals:
         np.testing.assert_allclose(
             total_sent + codec.residual(0), total_fed, rtol=1e-4, atol=1e-6
         )
+
+
+@given(
+    size=st.integers(1, 300),
+    bin_size=st.integers(1, 64),
+    wire=st.sampled_from(["float16", "float32"]),
+    exponents=st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_step_conserves_the_gradient_bitwise(
+    size, bin_size, wire, exponents, seed
+):
+    """One step's error feedback loses nothing: decoded values plus the
+    new residual are ``G + residual_old`` (the float32 sum ``H``) bit
+    for bit, on both wires, over streams whose per-step scale runs from
+    float16-subnormal to far past the float16 clip (2^-40 .. 2^40)."""
+    rng = np.random.default_rng(seed)
+    codec = AdaCompCodec(bin_size=bin_size, wire_dtype=wire)
+    old = np.zeros(size, dtype=np.float32)
+    for exponent in exponents:
+        grad = (rng.standard_normal(size) * 2.0**exponent).astype(np.float32)
+        want = grad + old
+        got = decode(codec.encode(0, grad)) + codec.residual(0)
+        assert got.tobytes() == want.tobytes()
+        old = codec.residual(0).copy()
+
+
+def test_clip_error_that_float32_cannot_hold_stays_unsent():
+    """|H| in [2^29, 2^30): ``H - 65504`` rounds, so sending the clipped
+    value would drop an ulp; the entry waits, whole, in the residual."""
+    grad = np.array([2.0**29 + 64 * 1031, 2.0**29 + 64 * 1032], dtype=np.float32)
+    codec = AdaCompCodec(bin_size=1)
+    enc = codec.encode(0, grad)
+    assert enc.indices.tolist() == [1]
+    assert codec.residual(0)[0] == grad[0]
+    assert (decode(enc) + codec.residual(0)).tobytes() == grad.tobytes()
 
 
 class TestWireAccounting:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro import nn
 from repro.nn.backend import (
     FusedBackend,
+    NativeBackend,
     NormCtx,
     backend_scope,
     get_backend,
@@ -230,18 +231,52 @@ def test_backward_runs_on_the_backend_that_made_the_context():
     np.testing.assert_allclose(got, want, atol=ATOL, rtol=1e-5)
 
 
-def test_no_grad_training_forward_allocates_one_full_size_array():
-    """Forward-only streams write the normalisation into the centred
-    buffer: the output *is* the op's only full-size allocation."""
+@pytest.mark.parametrize("backend", _backends())
+def test_no_grad_training_forward_allocates_one_full_size_array(backend):
+    """Forward-only streams keep no centred copy: the output *is* the
+    op's only full-size allocation (fused normalises its centred buffer
+    in place, native writes ``out`` straight from ``x``)."""
     import tracemalloc
 
     x, _, _ = _case(8, 8, 32, 32, False, 1.0, False, seed=6)
-    fused = get_backend("fused")
+    op = get_backend(backend)
     gamma, beta = np.ones(8, np.float32), np.zeros(8, np.float32)
-    fused.batchnorm_forward(x, gamma, beta, 1e-5, need_ctx=False)  # warm caches
+    op.batchnorm_forward(x, gamma, beta, 1e-5, need_ctx=False)  # warm caches
     tracemalloc.start()
-    out = fused.batchnorm_forward(x, gamma, beta, 1e-5, relu=True, need_ctx=False)[0]
+    out = op.batchnorm_forward(x, gamma, beta, 1e-5, relu=True, need_ctx=False)[0]
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert out.base is None and out.nbytes == x.nbytes
     assert peak < 1.5 * x.nbytes
+
+
+@pytest.mark.skipif(not native_available(), reason="native extension unavailable")
+@pytest.mark.parametrize(
+    "make,forward,backward",
+    [
+        (lambda x: x, "native", "native"),
+        (lambda x: np.ascontiguousarray(x[:, :, 0, 0]), "native", "native"),
+        (lambda x: x.astype(np.float64), "fallback", "fallback"),
+        # The inherited forward's context (x - mean) is a fresh float32
+        # array, so the backward still runs the kernel.
+        (lambda x: np.concatenate([x, x], axis=3)[..., ::2], "fallback", "native"),
+    ],
+    ids=["float32", "two_d", "float64", "non_contiguous"],
+)
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_native_dispatch_routes_by_operand(make, forward, backward, training):
+    """Contiguous float32 input, 2-D or 4-D, batch or running
+    statistics, takes the C pair; float64 and strided input take the
+    inherited one, counted, and every path matches numpy."""
+    x, grad_out, state = _case(3, 4, 5, 5, False, 10.0, False, seed=8)
+    x, grad_out = make(x), make(grad_out)
+    native = NativeBackend()
+    got = _run(native, x, grad_out, state, training, True, relu=False)
+    want = _run("numpy", x, grad_out, state, training, True, relu=False)
+    counts = native.dispatch_counts
+    assert counts["batchnorm_forward"][forward] == 1
+    assert counts["batchnorm_backward"][backward] == 1
+    for name in want.keys() - {"stats_version"}:
+        np.testing.assert_allclose(
+            got[name], want[name], atol=ATOL, rtol=1e-5, err_msg=name
+        )

@@ -103,13 +103,32 @@ def test_kernels_match_numpy_on_generated_shapes(
         np.testing.assert_allclose(a, e, atol=ATOL, rtol=rtol, err_msg=name)
 
 
+def _batchnorm(backend, shape, seed):
+    """Every array of one batch-norm op pair on ``backend`` (batch
+    statistics, forward + backward), then a running-statistics no-grad
+    forward with ``relu``."""
+    rng = np.random.default_rng(seed)
+    channels = shape[1]
+    x = (rng.standard_normal(shape) * 3.0 + 20.0).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, channels).astype(np.float32)
+    beta = rng.standard_normal(channels).astype(np.float32)
+    out, mean, var, ctx = backend.batchnorm_forward(x, gamma, beta, 1e-5)
+    grads = backend.batchnorm_backward(g, gamma, ctx, True)
+    running = backend.batchnorm_forward(
+        x, gamma, beta, 1e-5, (mean, var), relu=True, need_ctx=False
+    )[0]
+    return (out, mean, var, ctx.saved, ctx.inv_std, *grads, running)
+
+
 # Shapes whose flattened length spans several parallel chunks, several
-# weight-gradient blocks and a partial last block.
+# weight-gradient blocks and a partial last block; batch-norm planes
+# below one vector, across several and past one widening chunk, and 2-D.
 DIGEST_SCRIPT = """
 import hashlib
 import sys
 sys.path.insert(0, {tests_dir!r})
-from test_native_shapes import _c_kernel_backend, _conv, _operands
+from test_native_shapes import _batchnorm, _c_kernel_backend, _conv, _operands
 
 digest = hashlib.sha256()
 for shape in ((4, 5, 6, 13, 13, 3, 1, 1), (3, 9, 7, 17, 5, 3, 1, 1),
@@ -118,14 +137,22 @@ for shape in ((4, 5, 6, 13, 13, 3, 1, 1), (3, 9, 7, 17, 5, 3, 1, 1),
     x, w, b, g = _operands(*shape, seed=3)
     for array in _conv(_c_kernel_backend(), x, w, b, g, shape[6], shape[7]):
         digest.update(array.tobytes())
+native = _c_kernel_backend()
+for shape in ((5, 3, 2, 3), (4, 6, 13, 13), (2, 3, 24, 24), (33, 7)):
+    for array in _batchnorm(native, shape, seed=4):
+        digest.update(array.tobytes())
+paths = native.dispatch_counts
+assert paths["batchnorm_forward"]["fallback"] == 0
+assert paths["batchnorm_backward"]["fallback"] == 0
 print(digest.hexdigest())
 """
 
 
 def test_bits_do_not_depend_on_the_thread_count():
     """Every output element and every (o, c) weight-gradient cell has
-    one owner and a partition-independent summation order, so one and
-    two OpenMP threads must produce the same bytes."""
+    one owner and a partition-independent summation order, and the
+    batch-norm pair runs on one thread, so one and two OpenMP threads
+    must produce the same bytes."""
     src = str(Path(repro.__file__).resolve().parents[1])
     script = DIGEST_SCRIPT.format(tests_dir=str(Path(__file__).resolve().parent))
     digests = []
@@ -171,3 +198,37 @@ def test_failed_scratch_allocation_raises(entry):
     native._lib = types.SimpleNamespace(**stubs)
     with pytest.raises(MemoryError, match=entry):
         _conv(native, x, w, b, g, 1, 1)
+
+
+@pytest.mark.parametrize("entry", ("batchnorm_forward", "batchnorm_backward"))
+def test_failed_batchnorm_scratch_allocation_raises(entry):
+    """The batch-norm entry points report a failed scratch ``malloc``
+    the same way."""
+    native = NativeBackend()
+    stubs = {
+        name: getattr(native._lib, name)
+        for name in ("batchnorm_forward", "batchnorm_backward")
+    }
+    stubs[entry] = lambda *args: 0
+    native._lib = types.SimpleNamespace(**stubs)
+    with pytest.raises(MemoryError, match=entry):
+        _batchnorm(native, (4, 3, 5, 5), seed=0)
+
+
+@pytest.mark.parametrize(
+    "channels,width,kernel,path",
+    [(24, 4, 3, "fallback"), (32, 4, 1, "fallback"), (24, 8, 3, "native")],
+)
+def test_unfold_sends_rows_of_two_cells_to_numpy(channels, width, kernel, path):
+    """ResNet50-mini's stride-2 unfolds onto a 2x2 output take NumPy's
+    strided copy, which fills such short rows faster; MobileNet-V2-mini's
+    onto 4x4 runs the C loop.  Both give the reference's bytes."""
+    x = np.random.default_rng(9).standard_normal((3, channels, width, width))
+    x = x.astype(np.float32)
+    padding = kernel // 2
+    native = NativeBackend()
+    got = native.unfold(x, kernel, 2, padding)
+    want = get_backend("numpy").unfold(x, kernel, 2, padding)
+    assert native.dispatch_counts["unfold"][path] == 1
+    assert got[1:] == want[1:]
+    np.testing.assert_array_equal(got[0], want[0])

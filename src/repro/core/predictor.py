@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,7 +59,13 @@ class PredictorNetwork(Module):
     written as a dense matrix and ``W2`` the FC with the final pool
     absorbed — see :meth:`dense_operator`.  A plane with no more cells
     than the grid skips the front pool: it is folded into ``D`` as well
-    (:meth:`front_operator`).
+    (:meth:`front_operator`).  The hidden layer runs at its tied width:
+    conv positions that see the same neighbourhood for every input of
+    a call's layout (a one-row plane replicated over the grid rows)
+    compute equal columns, so each group is computed once
+    (:meth:`tie_layout`, :meth:`tied_operator`) — 96 of 256 columns on
+    the transformer's ``1x6``/``1x7`` planes, 36 on a ``1x1`` plane,
+    all 256 on a stack pooled to the grid.
     """
 
     def __init__(
@@ -99,6 +105,8 @@ class PredictorNetwork(Module):
         self._dense_versions: Optional[tuple[int, ...]] = None
         self._dense: Optional[tuple[np.ndarray, ...]] = None
         self._fronts: dict[tuple, np.ndarray] = {}
+        self._tied: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self._ties: dict[tuple, _Ties] = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net(x)
@@ -117,10 +125,11 @@ class PredictorNetwork(Module):
 
         Memoised on ``Parameter.version`` like the fold passes' caches,
         so an optimizer step, ``load_state_dict`` or a checkpoint resume
-        invalidates it — and with it every :meth:`front_operator`.  Both
-        matrices are stored transposed (the ``linear_forward`` weight
-        layout), which also makes ``W2.T[:row]`` a contiguous slice for
-        layers narrower than ``max_row``.
+        invalidates it — and with it every :meth:`front_operator` and
+        :meth:`tied_operator`.  Both matrices are stored transposed (the
+        ``linear_forward`` weight layout), which also makes
+        ``W2.T[:row]`` a contiguous slice for layers narrower than
+        ``max_row``.
         """
         conv, fc = self.net.layers[1], self.net.layers[5]
         versions = (
@@ -149,6 +158,7 @@ class PredictorNetwork(Module):
                 fc.bias.data,
             )
             self._fronts = {}
+            self._tied = {}
             self._dense_versions = versions
         return self._dense
 
@@ -186,6 +196,92 @@ class PredictorNetwork(Module):
         """``Q``, the final pool as a ``(pooled cells, conv cells)`` matrix."""
         return _pool_matrix(self._conv_hw, self.net.layers[3].output_size)
 
+    def tie_layout(self, extents: tuple[Optional[tuple[int, int]], ...]) -> "_Ties":
+        """Which conv positions compute equal hidden columns for inputs
+        laid out as ``extents`` say.
+
+        Grid cells whose rows are equal in every segment's pool matrix
+        (the identity for a pooled segment) hold the same value for
+        every input; two positions whose nine taps read such cells in
+        the same order (padding included) see the same neighbourhood,
+        so their conv outputs are equal for every input and every
+        weight.  Each group of tied positions keeps its first as the
+        representative.  Weight-independent, so cached per ``extents``
+        for the network's lifetime.
+        """
+        ties = self._ties.get(extents)
+        if ties is not None:
+            return ties
+        grid = self.input_grid
+        cells = grid[0] * grid[1]
+        keys = np.hstack(
+            [
+                np.eye(cells, dtype=np.float32)
+                if extent is None
+                else _pool_matrix(extent, grid)
+                for extent in extents
+            ]
+        )
+        cell_class = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+        positions = self._conv_hw[0] * self._conv_hw[1]
+        taps = self._taps.reshape(positions, cells, -1)
+        # Each position's taps as cell classes; -1 is padding.
+        tap_class = np.where(
+            taps.any(axis=1), cell_class[taps.argmax(axis=1)], -1
+        )
+        _, first, group = np.unique(
+            tap_class, axis=0, return_index=True, return_inverse=True
+        )
+        final = self._final_pool()
+        if len(first) == positions:
+            ties = _Ties(None, self._taps, final)
+        else:
+            # The final pool with each group's columns summed: W2.T with
+            # tied columns summed is W_fc @ this, and g_W_fc takes the
+            # tied-width g_W2.T through its transpose.
+            pool_t = np.zeros((len(first), final.shape[0]), dtype=final.dtype)
+            np.add.at(pool_t, group.reshape(-1), final.T)
+            channels = self.net.layers[1].out_channels
+            ties = _Ties(
+                (np.arange(channels)[:, None] * positions + first).ravel(),
+                np.ascontiguousarray(taps[first]).reshape(-1, taps.shape[2]),
+                np.ascontiguousarray(pool_t.T),
+            )
+        self._ties[extents] = ties
+        return ties
+
+    def tied_operator(
+        self, extents: tuple[Optional[tuple[int, int]], ...]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, "_Ties"]:
+        """``(front, b1, W2.T, ties)`` at the tied width of ``extents``.
+
+        A hidden column stands for its whole group (:meth:`tie_layout`):
+        ``front`` and ``b1`` keep the representative rows, ``W2.T``
+        sums each group's columns.  Untied ``extents`` return
+        :meth:`front_operator` and :meth:`dense_operator`'s own arrays.
+        Memoised next to :meth:`front_operator`, on the same version key.
+        """
+        _, bias1, head_t, _ = self.dense_operator()
+        front = self.front_operator(extents)
+        ties = self.tie_layout(extents)
+        if ties.columns is None:
+            return front, bias1, head_t, ties
+        tied = self._tied.get(extents)
+        if tied is None:
+            fc = self.net.layers[5]
+            pool = ties.pool
+            tied = (
+                front[ties.columns],
+                bias1[ties.columns],
+                current_backend()
+                .linear_forward(
+                    fc.weight.data.reshape(-1, pool.shape[0]), pool.T, None
+                )
+                .reshape(self.max_row, -1),
+            )
+            self._tied[extents] = tied
+        return (*tied, ties)
+
     def dense_forward(
         self,
         inputs: np.ndarray,
@@ -194,12 +290,14 @@ class PredictorNetwork(Module):
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """``(hidden, rows)`` for stacked samples laid out as
         :meth:`front_operator`'s ``extents`` say: the post-ReLU conv
-        activations that :meth:`dense_backward` needs, and per
-        ``(begin, stop, width)`` bucket the first ``width`` FC columns
-        of samples ``begin:stop``."""
-        _, bias1, head_t, bias2 = self.dense_operator()
+        activations that :meth:`dense_backward` needs, one column per
+        tie group (:meth:`tied_operator`), and per ``(begin, stop,
+        width)`` bucket the first ``width`` FC columns of samples
+        ``begin:stop``."""
+        bias2 = self.dense_operator()[3]
+        front, bias1, head_t, _ = self.tied_operator(extents)
         backend = current_backend()
-        hidden = backend.linear_forward(inputs, self.front_operator(extents), bias1)
+        hidden = backend.linear_forward(inputs, front, bias1)
         np.maximum(hidden, 0.0, out=hidden)
         rows = [
             backend.linear_forward(hidden[begin:stop], head_t[:width], bias2[:width])
@@ -220,9 +318,14 @@ class PredictorNetwork(Module):
         ``grad_rows`` is the loss gradient on each bucket's computed
         columns.  No input gradient is formed: nothing upstream of the
         predictor learns from it.  A folded segment's weight gradient
-        goes back onto ``D`` through its pool matrix.
+        goes back onto ``D`` through its pool matrix.  Everything runs
+        at the tied width: tied columns have one derivative with respect
+        to the conv weights, and a group's summed ``W2.T`` column
+        carries the sum of their gradients, so ``g_D`` lives on the
+        representative positions only and ``g_W_fc`` is the tied
+        ``g_W2.T`` through the summed final pool.
         """
-        _, _, head_t, _ = self.dense_operator()
+        _, _, head_t, ties = self.tied_operator(extents)
         backend = current_backend()
         conv, fc = self.net.layers[1], self.net.layers[5]
         computed = max(width for _, _, width in buckets)
@@ -257,13 +360,13 @@ class PredictorNetwork(Module):
         channels = conv.out_channels
         conv.weight.accumulate_grad(
             backend.linear_forward(
-                grad_dense_t.reshape(channels, -1), self._taps.T, None
+                grad_dense_t.reshape(channels, -1), ties.taps.T, None
             ).reshape(conv.weight.shape)
         )
         conv.bias.accumulate_grad(grad_bias1.reshape(channels, -1).sum(axis=1))
         # Columns past the widest bucket were never computed: their
         # gradient stays 0.
-        final = self._final_pool()
+        final = ties.pool
         grad_fc_weight = np.zeros_like(fc.weight.data)
         grad_fc_weight[:computed] = backend.linear_forward(
             grad_head_t.reshape(-1, final.shape[1]), final, None
@@ -343,6 +446,18 @@ class _Bucket:
         samples, as a column."""
         units = [units for _, _, units, _ in self.members]
         return np.repeat(per_layer[self.indices], units)[:, None]
+
+
+class _Ties(NamedTuple):
+    """A :meth:`PredictorNetwork.tie_layout`: ``columns``, the hidden
+    column each tie group keeps (``None`` when nothing ties), and at
+    that width ``taps``, the conv's basis im2col rows ``(position,
+    cell)``, and ``pool``, the final pool ``(pooled cells, positions)``
+    with each group's columns summed."""
+
+    columns: Optional[np.ndarray]
+    taps: np.ndarray
+    pool: np.ndarray
 
 
 class _Stack:

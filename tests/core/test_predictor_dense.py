@@ -6,10 +6,12 @@ entry points go through ``dense_forward`` / ``dense_backward`` (DESIGN.md
 reference these tests compare against — outputs and all four parameter
 gradients at atol <= 1e-5 on every backend, on hypothesis-generated
 mixes of conv / linear / sequence-linear layers, with the head bucketed
-by the merge rule and with every row width split off — plus the
-Fig-15 metrics against their reference implementations, independence
-from the caller's layer order, and the staleness contract of the
-version-keyed dense operator.
+by the merge rule and with every row width split off, and on mixes of
+one-row / one-column / 1x1 planes whose hidden layer runs at its tied
+width — plus the tied widths themselves, the Fig-15 metrics against
+their reference implementations, independence from the caller's layer
+order, and the staleness contract of the version-keyed dense and tied
+operators.
 """
 
 import contextlib
@@ -24,12 +26,14 @@ from repro.core import predictor as predictor_module
 from repro.core import (
     GradientPredictor,
     HeuristicSchedule,
+    Phase,
     adagp_engine,
     pipeline_adagp_engine,
     reorganize,
 )
 from repro.core.metrics import mean_absolute_percentage_error, mean_squared_error
 from repro.data import synthetic_images
+from repro.models import Seq2SeqTransformer
 from repro.nn.backend import list_backends, native_available, use_backend
 from repro.nn.losses import CrossEntropyLoss
 
@@ -84,6 +88,22 @@ _PINNED = [
 _mixes = st.lists(
     st.one_of(_conv, _linear2d, _linear3d), min_size=1, max_size=4
 ) | st.permutations(_PINNED)
+
+
+# Planes one cell high or wide (and 1x1, 2-D linears): the front pool
+# replicates them along the other axis, so their conv positions tie.
+_line = st.integers(1, 13)
+_tied_conv = st.tuples(
+    st.just("conv"),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.one_of(st.tuples(st.just(1), _line), st.tuples(_line, st.just(1))),
+    st.booleans(),
+    _odd,
+)
+_tied_mixes = st.lists(
+    st.one_of(_tied_conv, _linear2d, _linear3d), min_size=1, max_size=4
+)
 
 
 def _build(specs, seed):
@@ -197,6 +217,7 @@ def _check_against_layered(backend, specs, seed):
         )
     for actual, total in zip(_param_grads(network), expected):
         np.testing.assert_allclose(actual, total, atol=ATOL, rtol=1e-4)
+    return stack
 
 
 class TestDenseMatchesLayered:
@@ -237,6 +258,88 @@ class TestDenseMatchesLayered:
                 else:
                     np.testing.assert_allclose(b_many, b_one, atol=ATOL)
                     np.testing.assert_allclose(b_one, b_ref, atol=ATOL)
+
+
+class TestTiedHiddenLayer:
+    """Conv positions whose neighbourhoods read the same values tie: the
+    hidden layer runs one column per group (``tie_layout``)."""
+
+    def _network(self):
+        return predictor_module.PredictorNetwork(
+            65, rng=np.random.default_rng(0)
+        )
+
+    @pytest.mark.parametrize(
+        "extents,width",
+        [
+            # The transformer's planes: 3 distinct grid rows x 8 columns.
+            (((1, 6), (1, 7)), 96),
+            # A 2-D Linear's 1x1 plane: the nine padding patterns.
+            (((1, 1),), 36),
+            (((1, 1), (1, 6)), 96),
+            (((5, 1),), 96),
+        ],
+    )
+    def test_tied_width(self, extents, width):
+        network = self._network()
+        ties = network.tie_layout(extents)
+        assert len(ties.columns) == width
+        front, bias1, head_t, _ = network.tied_operator(extents)
+        assert front.shape == (width, sum(h * w for h, w in extents))
+        assert bias1.shape == (width,)
+        assert head_t.shape == (network.max_row, width)
+        assert network.tie_layout(extents) is ties
+
+    @pytest.mark.parametrize(
+        "extents",
+        [(None,), ((8, 8),), ((1, 7), (5, 1)), ((3, 5),)],
+        ids=["pooled", "grid-sized", "row-and-column", "no-replicated-axis"],
+    )
+    def test_untied_extents_run_the_dense_operator_arrays(self, extents):
+        """A pooled stack or a plane as large as the grid ties nothing
+        and runs exactly today's arrays."""
+        network = self._network()
+        assert network.tie_layout(extents).columns is None
+        front, bias1, head_t, _ = network.tied_operator(extents)
+        _, dense_bias1, dense_head_t, _ = network.dense_operator()
+        assert front is network.front_operator(extents)
+        assert bias1 is dense_bias1
+        assert head_t is dense_head_t
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(specs=_tied_mixes, seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_tied_stacks_match_layered(self, backend, specs, seed):
+        stack = _check_against_layered(backend, specs, seed)
+        columns = self._network().tie_layout(stack.extents).columns
+        width = 256 if columns is None else len(columns)
+        assert stack.hidden.shape[1] == width
+
+    def test_transformer_bp_batch_runs_the_tied_width(self):
+        rng = np.random.default_rng(0)
+        model = Seq2SeqTransformer(
+            15, 15, d_model=32, num_heads=2, d_ff=64, rng=rng
+        )
+        engine = adagp_engine(
+            model,
+            CrossEntropyLoss(),
+            optimizer=nn.Adam(model.parameters(), lr=1e-3),
+            backend="fused",
+        )
+        inputs = (rng.integers(3, 15, (4, 7)), rng.integers(3, 15, (4, 6)))
+        targets = rng.integers(3, 15, (4, 6))
+        seen = []
+        backward = predictor_module.PredictorNetwork.dense_backward
+
+        def spy(network, inputs, extents, hidden, *rest):
+            seen.append((extents, hidden.shape[1]))
+            return backward(network, inputs, extents, hidden, *rest)
+
+        with mock.patch.object(
+            predictor_module.PredictorNetwork, "dense_backward", spy
+        ):
+            engine.train_batch(inputs, targets, Phase.BP)
+        assert seen == [(((1, 7), (1, 6)), 96)]
 
 
 def test_float64_activations_are_predicted_in_float32():
@@ -340,15 +443,18 @@ class TestLayerOrder:
             np.testing.assert_allclose(actual, expected, atol=ATOL)
 
 
-class TestDenseOperatorStaleness:
+class _StalenessChecks:
     """The dense operator is memoised on ``Parameter.version``: every
     way of changing a predictor parameter must invalidate it, and an
     unchanged network must not rebuild it."""
 
+    #: The layer's output shape: its plane decides whether positions tie.
+    activation = (3, 4, 7, 5)
+
     def _setup(self):
         rng = np.random.default_rng(3)
         layer = nn.Conv2d(2, 4, 3, padding=1, rng=rng)
-        output = rng.standard_normal((3, 4, 7, 5)).astype(np.float32)
+        output = rng.standard_normal(self.activation).astype(np.float32)
         predictor = GradientPredictor(
             layer.gradient_size(), lr=1e-2, normalize_targets=False, rng=rng
         )
@@ -365,9 +471,15 @@ class TestDenseOperatorStaleness:
     def test_unchanged_versions_do_not_rebuild(self):
         predictor, layer, output = self._setup()
         predictor.predict(layer, output)
+        extents = (self.activation[2:],)
         built = predictor.network.dense_operator()
+        tied = predictor.network.tied_operator(extents)
         predictor.predict(layer, output)
         assert predictor.network.dense_operator() is built
+        assert all(
+            now is before
+            for now, before in zip(predictor.network.tied_operator(extents), tied)
+        )
 
     def test_optimizer_step_invalidates(self):
         predictor, layer, output = self._setup()
@@ -401,6 +513,8 @@ class TestDenseOperatorStaleness:
             param.bump_version()
             self._assert_fresh(predictor, layer, output)
 
+
+class TestDenseOperatorStaleness(_StalenessChecks):
     def test_engine_checkpoint_resume_invalidates(self, tmp_path):
         split = synthetic_images(3, 32, 16, image_size=8, seed=0)
 
@@ -440,6 +554,17 @@ class TestDenseOperatorStaleness:
             resumed.predictor.predict(layer, output)[0],
             trained.predictor.predict(trained.layers[0], output)[0],
         )
+
+
+class TestTiedOperatorStaleness(_StalenessChecks):
+    """The same routes on a ``1x7`` plane, whose hidden layer runs at
+    its tied width: the tied operators rebuild with the dense one."""
+
+    activation = (3, 4, 1, 7)
+
+    def test_plane_ties(self):
+        predictor, _, _ = self._setup()
+        assert len(predictor.network.tie_layout(((1, 7),)).columns) == 96
 
 
 class TestScaleStore:

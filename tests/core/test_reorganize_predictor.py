@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import nn
 from repro.core import GradientPredictor
@@ -33,6 +34,44 @@ class TestReorganize:
         output = RNG.standard_normal((8, 10, 6)).astype(np.float32)
         reorganized = reorganize.reorganize_activations(fc, output)
         assert reorganized.shape == (6, 1, 1, 10)
+
+    @given(
+        kind=st.sampled_from(["conv", "linear", "sequence"]),
+        batch=st.integers(1, 40),
+        units=st.integers(1, 9),
+        extent=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        magnitude=st.integers(-20, 20),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_average_is_bitwise_ndarray_mean(
+        self, kind, batch, units, extent, dtype, magnitude, seed
+    ):
+        """The reorganized plane holds ``output.mean(axis=0)`` bit for
+        bit, at any batch size, scale and float dtype."""
+        rng = np.random.default_rng(seed)
+        if kind == "conv":
+            layer = nn.Conv2d(1, units, 1, rng=rng)
+            shape = (batch, units, *extent)
+        else:
+            layer = nn.Linear(1, units, rng=rng)
+            shape = (batch, units) if kind == "linear" else (batch, extent[1], units)
+        output = (rng.standard_normal(shape) * 2.0**magnitude).astype(dtype)
+        mean = output.mean(axis=0)
+        if kind == "conv":
+            expected = mean[:, None]
+        elif kind == "linear":
+            expected = mean[:, None, None, None]
+        else:
+            expected = mean.T[:, None, None, :]
+        reorganized = reorganize.reorganize_activations(layer, output)
+        assert reorganized.dtype == expected.dtype == dtype
+        assert reorganized.shape == expected.shape
+        assert (
+            np.ascontiguousarray(reorganized).tobytes()
+            == np.ascontiguousarray(expected).tobytes()
+        )
 
     def test_unsupported_layer_rejected(self):
         with pytest.raises(TypeError):

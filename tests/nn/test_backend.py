@@ -28,6 +28,7 @@ from repro.nn.backend import (
     resolve_backend,
     use_backend,
 )
+from repro.nn.backend.native import _ptr
 
 from tests.helpers import linear_probe_loss, max_relative_error, numerical_gradient
 
@@ -202,6 +203,30 @@ def test_native_sends_a_1x1_output_plane_to_the_fused_path():
             assert native.dispatch_counts[op][path] == 1, (width, op)
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, atol=ATOL, rtol=1e-5)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        pytest.param(np.zeros((4, 3, 5), np.float32), id="writable"),
+        pytest.param(np.zeros((4, 3, 5), np.float32)[1:3], id="writable-view"),
+        pytest.param(_read_only(np.zeros((4, 3), np.float32)), id="read-only"),
+        pytest.param(np.zeros((0, 3), np.float32), id="zero-size"),
+        pytest.param(np.zeros((4, 6), np.float32)[:, ::2], id="non-contiguous"),
+        pytest.param(np.zeros((4, 6), np.float32).T, id="fortran"),
+    ],
+)
+def test_native_pointer_is_the_array_data_address(array):
+    """The native entry points' pointer read takes a fast route for
+    writable C-contiguous non-empty arrays; every array gets its data
+    address (the view's own start, not its base's)."""
+    assert _ptr(array) == array.ctypes.data
+    assert _ptr(None) is None
 
 
 # ----------------------------------------------------------------------

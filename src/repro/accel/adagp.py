@@ -93,19 +93,14 @@ class AcceleratorModel:
     means no predictor: the plain-BP baseline.
     """
 
-    def __init__(
-        self,
-        config: AcceleratorConfig | None = None,
-        predictor_hw: PredictorHardware | None = None,
-    ) -> None:
+    def __init__(self, config: AcceleratorConfig | None = None) -> None:
         self.config = config or AcceleratorConfig()
-        self.predictor_hw = predictor_hw or PredictorHardware()
 
     def layer_costs(
         self, model: ModelSpec, batch: int, design: AdaGPDesign | None
     ) -> list[LayerCost]:
         """The cycle table: one :class:`LayerCost` per layer, in order."""
-        config, hw = self.config, self.predictor_hw
+        config, hw = self.config, PredictorHardware()
         rows = []
         for spec in model.layers:
             fw_traffic = layer_forward_traffic(spec, batch, config)

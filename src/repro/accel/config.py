@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from ..core.predictor import CONV_CHANNELS, CONV_KERNEL, FINAL_POOL, POOL_SIZE
+
 
 class DataflowKind(str, Enum):
     """Systolic dataflows evaluated in the paper (§4.1, Figs 17-19)."""
@@ -51,9 +53,11 @@ class AcceleratorConfig:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
 class PredictorHardware:
-    """Shape of the on-accelerator predictor (mirrors PredictorNetwork).
+    """Shape of the on-accelerator predictor: the module constants that
+    fix :class:`~repro.core.predictor.PredictorNetwork`'s one shape, so
+    the cycle model and the trained network cannot drift apart.  No
+    settable fields.
 
     ``alpha`` in the paper's timeline analysis (§3.7) is the latency this
     unit adds per layer; it is computed from these dimensions plus the
@@ -61,11 +65,12 @@ class PredictorHardware:
     §3.6).
     """
 
-    pool_size: int = 8
-    conv_channels: int = 4
-    conv_kernel: int = 3
-    final_pool: int = 4
-    fc_in: int = 4 * 4 * 4  # conv_channels * final_pool^2
+    __slots__ = ()
+
+    pool_size = POOL_SIZE
+    conv_channels = CONV_CHANNELS
+    conv_kernel = CONV_KERNEL
+    fc_in = CONV_CHANNELS * FINAL_POOL * FINAL_POOL
 
     @property
     def conv_weight_params(self) -> int:

@@ -7,8 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .predictor import mean_absolute_percentage_error  # re-export
-
 __all__ = [
     "mean_absolute_percentage_error",
     "mean_squared_error",
@@ -23,6 +21,19 @@ def mean_squared_error(actual: np.ndarray, predicted: np.ndarray) -> float:
     if actual.shape != predicted.shape:
         raise ValueError(f"shape mismatch: {actual.shape} vs {predicted.shape}")
     return float(np.mean((actual - predicted) ** 2))
+
+
+def mean_absolute_percentage_error(
+    actual: np.ndarray, predicted: np.ndarray, eps: float = 1e-8
+) -> float:
+    """MAPE as defined in paper Eq. 1, with an epsilon guard.
+
+    Expressed as a percentage of the mean absolute actual value to avoid
+    division blow-ups on near-zero gradients (the paper plots values in
+    the 0-2% range).
+    """
+    denom = float(np.mean(np.abs(actual))) + eps
+    return float(np.mean(np.abs(actual - predicted)) / denom * 100.0)
 
 
 # ----------------------------------------------------------------------

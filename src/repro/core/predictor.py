@@ -4,7 +4,9 @@ A single small network shared by *all* layers of the DNN (paper
 contribution 2).  Following §3.6, it is a stack of pooling layers and a
 small Conv2d, followed by one fully connected layer sized for the
 largest layer of the DNN model; smaller layers mask / truncate the FC
-output to their own gradient-row size.
+output to their own gradient-row size.  Its shape is fixed: the module
+constants below are the one architecture, which the accelerator model
+(:class:`repro.accel.config.PredictorHardware`) reads as well.
 
 Input  : reorganized activations ``(out_ch, 1, H, W)``
 Output : gradient rows ``(out_ch, max_row)`` masked to ``(out_ch, row)``
@@ -12,10 +14,9 @@ Output : gradient rows ``(out_ch, max_row)`` masked to ``(out_ch, row)``
 The paper trains the predictor with Adam (lr 1e-4) on the true
 backpropagated gradients during Warm-Up and Phase BP.  Because raw
 gradient magnitudes vary by orders of magnitude across layers and over
-training, the predictor can optionally learn *normalized* targets
-(per-layer running RMS scale, re-applied at prediction time); the paper
-does not specify this detail and it defaults to on for robustness
-(DESIGN.md §2).
+training, the predictor learns *normalized* targets (per-layer running
+RMS scale, re-applied at prediction time); the paper does not specify
+this detail (DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -33,6 +34,24 @@ from ..nn.graph import trace
 from ..nn.module import Module, PredictableMixin
 from . import reorganize
 
+#: The front pool's output grid side: every input plane is pooled (or
+#: folded, DESIGN.md §4) onto ``POOL_SIZE x POOL_SIZE`` cells.
+POOL_SIZE = 8
+#: Output channels of the predictor's one convolution.
+CONV_CHANNELS = 4
+#: Side of its square kernel (padding keeps the grid size).
+CONV_KERNEL = 3
+#: The final pool's output side: the FC reads
+#: ``CONV_CHANNELS * FINAL_POOL**2`` values per sample.
+FINAL_POOL = 4
+#: Momentum of each layer's running target RMS scale.
+SCALE_MOMENTUM = 0.9
+#: Predicted rows are clipped to +-CLIP_SIGMA * (per-layer running RMS):
+#: the accelerator's update datapath saturates rather than overflowing,
+#: and the clip breaks the "noisy prediction -> larger gradients ->
+#: larger scale" feedback loop in long fp32 runs.
+CLIP_SIGMA = 3.0
+
 
 @functools.lru_cache(maxsize=256)
 def _pool_matrix(in_hw: tuple[int, int], out_hw: tuple[int, int]) -> np.ndarray:
@@ -49,52 +68,46 @@ def _pool_matrix(in_hw: tuple[int, int], out_hw: tuple[int, int]) -> np.ndarray:
 
 
 class PredictorNetwork(Module):
-    """Pool -> Conv -> ReLU -> Pool -> Flatten -> FC (paper Fig 6).
+    """Pool -> Conv -> ReLU -> Pool -> Flatten -> FC (paper Fig 6), in
+    the one shape the module constants give.
 
     The layered :meth:`forward` / :meth:`backward` are the parameter
     container and the test oracle.  :class:`GradientPredictor` executes
     the same function as two GEMMs (DESIGN.md §4): the network has one
     non-linearity, so on the fixed ``input_grid`` it is
-    ``relu(pooled @ D + b1) @ W2 + b2`` with ``D`` the convolution
-    written as a dense matrix and ``W2`` the FC with the final pool
-    absorbed — see :meth:`dense_operator`.  A plane with no more cells
-    than the grid skips the front pool: it is folded into ``D`` as well
-    (:meth:`front_operator`).  The hidden layer runs at its tied width:
-    conv positions that see the same neighbourhood for every input of
-    a call's layout (a one-row plane replicated over the grid rows)
-    compute equal columns, so each group is computed once
-    (:meth:`tie_layout`, :meth:`tied_operator`) — 96 of 256 columns on
-    the transformer's ``1x6``/``1x7`` planes, 36 on a ``1x1`` plane,
-    all 256 on a stack pooled to the grid.
+    ``relu(inputs @ front + b1) @ W2 + b2`` with ``front`` the
+    convolution written as a dense matrix (a plane with no more cells
+    than the grid folds the front pool into it as well) and ``W2`` the
+    FC with the final pool absorbed — see :meth:`operator`.  The hidden
+    layer runs at its tied width (:meth:`layout`): conv positions that
+    see the same neighbourhood for every input compute equal columns, so
+    each group is computed once — 96 of 256 columns on the
+    transformer's ``1x6``/``1x7`` planes, 36 on a ``1x1`` plane, all 256
+    on a stack pooled to the grid.
     """
 
     def __init__(
-        self,
-        max_row: int,
-        pool_size: int = 8,
-        conv_channels: int = 4,
-        final_pool: int = 4,
-        rng: Optional[np.random.Generator] = None,
+        self, max_row: int, rng: Optional[np.random.Generator] = None
     ) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         self.max_row = max_row
-        self.input_grid = (pool_size, pool_size)
+        self.input_grid = (POOL_SIZE, POOL_SIZE)
         self.net = nn.Sequential(
-            nn.AdaptiveAvgPool2d(pool_size),
-            nn.Conv2d(1, conv_channels, 3, padding=1, rng=rng),
+            nn.AdaptiveAvgPool2d(POOL_SIZE),
+            nn.Conv2d(1, CONV_CHANNELS, CONV_KERNEL, padding=CONV_KERNEL // 2, rng=rng),
             nn.ReLU(),
-            nn.AdaptiveAvgPool2d(final_pool),
+            nn.AdaptiveAvgPool2d(FINAL_POOL),
             nn.Flatten(),
-            nn.Linear(conv_channels * final_pool * final_pool, max_row, rng=rng),
+            nn.Linear(CONV_CHANNELS * FINAL_POOL * FINAL_POOL, max_row, rng=rng),
         )
         # The conv's im2col over the one-hot images of the input grid:
         # row (position l, grid cell p), column tap k.  Constant, so the
         # dense conv matrix is one small GEMM with the flat conv weight
         # and its backward another — no im2col/col2im per call.
         conv = self.net.layers[1]
-        cells = pool_size * pool_size
-        basis = np.eye(cells, dtype=np.float32).reshape(cells, 1, pool_size, pool_size)
+        cells = POOL_SIZE * POOL_SIZE
+        basis = np.eye(cells, dtype=np.float32).reshape(cells, 1, POOL_SIZE, POOL_SIZE)
         cols, out_h, out_w = F.im2col(
             basis, conv.kernel_size, conv.stride, conv.padding
         )
@@ -102,11 +115,9 @@ class PredictorNetwork(Module):
         self._taps = np.ascontiguousarray(cols.transpose(2, 0, 1)).reshape(
             out_h * out_w * cells, -1
         )
-        self._dense_versions: Optional[tuple[int, ...]] = None
-        self._dense: Optional[tuple[np.ndarray, ...]] = None
-        self._fronts: dict[tuple, np.ndarray] = {}
-        self._tied: dict[tuple, tuple[np.ndarray, ...]] = {}
-        self._ties: dict[tuple, _Ties] = {}
+        self._layouts: dict[tuple, _Layout] = {}
+        self._versions: Optional[tuple[int, ...]] = None
+        self._operators: dict[tuple, tuple] = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net(x)
@@ -116,87 +127,12 @@ class PredictorNetwork(Module):
 
     # ------------------------------------------------------------------
     # The two-GEMM form.  Samples are independent, so the inputs of
-    # *different* DNN layers stack along the sample axis: pooled onto
-    # ``input_grid``, or as raw planes in per-extent column segments
-    # (:meth:`front_operator`).
+    # *different* DNN layers stack along the sample axis, their columns
+    # one segment per entry of ``extents``: ``None`` is a plane pooled
+    # onto ``input_grid`` first, ``(h, w)`` a plane with no more cells
+    # than the grid, folded in raw.
     # ------------------------------------------------------------------
-    def dense_operator(self) -> tuple[np.ndarray, ...]:
-        """``(D.T, b1, W2.T, b2)``, rebuilt when a parameter version moved.
-
-        Memoised on ``Parameter.version`` like the fold passes' caches,
-        so an optimizer step, ``load_state_dict`` or a checkpoint resume
-        invalidates it — and with it every :meth:`front_operator` and
-        :meth:`tied_operator`.  Both matrices are stored transposed (the
-        ``linear_forward`` weight layout), which also makes
-        ``W2.T[:row]`` a contiguous slice for layers narrower than
-        ``max_row``.
-        """
-        conv, fc = self.net.layers[1], self.net.layers[5]
-        versions = (
-            conv.weight.version,
-            conv.bias.version,
-            fc.weight.version,
-            fc.bias.version,
-        )
-        if versions != self._dense_versions:
-            backend = current_backend()
-            channels = conv.out_channels
-            positions = self._conv_hw[0] * self._conv_hw[1]
-            dense_t = backend.linear_forward(
-                conv.weight.data.reshape(channels, -1), self._taps, None
-            ).reshape(channels * positions, -1)
-            # W2.T = W_fc @ Q.T: the final pool's transpose spreads each
-            # FC weight uniformly over its window — the pool backward.
-            final = self._final_pool()
-            head_t = backend.linear_forward(
-                fc.weight.data.reshape(-1, final.shape[0]), final.T, None
-            ).reshape(self.max_row, -1)
-            self._dense = (
-                dense_t,
-                np.repeat(conv.bias.data, positions),
-                head_t,
-                fc.bias.data,
-            )
-            self._fronts = {}
-            self._tied = {}
-            self._dense_versions = versions
-        return self._dense
-
-    def front_operator(
-        self, extents: tuple[Optional[tuple[int, int]], ...]
-    ) -> np.ndarray:
-        """The first GEMM's weight for inputs laid out as one column
-        segment per entry of ``extents``.
-
-        ``None`` is a plane pooled to the grid first: its segment is
-        ``D.T`` over the grid cells.  ``(h, w)`` is a plane with no more
-        cells than the grid, folded into the operator: the front pool is
-        linear, so its segment is ``D.T @ P`` over the raw ``h*w``
-        cells, with ``P`` the ``(grid cells, h*w)`` pool matrix — never
-        wider than ``D.T``.  Memoised per ``extents`` next to
-        :meth:`dense_operator`, on the same version key.
-        """
-        dense_t = self.dense_operator()[0]
-        front = self._fronts.get(extents)
-        if front is None:
-            backend = current_backend()
-            segments = [
-                dense_t
-                if extent is None
-                else backend.linear_forward(
-                    dense_t, _pool_matrix(extent, self.input_grid).T, None
-                )
-                for extent in extents
-            ]
-            front = segments[0] if len(segments) == 1 else np.hstack(segments)
-            self._fronts[extents] = front
-        return front
-
-    def _final_pool(self) -> np.ndarray:
-        """``Q``, the final pool as a ``(pooled cells, conv cells)`` matrix."""
-        return _pool_matrix(self._conv_hw, self.net.layers[3].output_size)
-
-    def tie_layout(self, extents: tuple[Optional[tuple[int, int]], ...]) -> "_Ties":
+    def layout(self, extents: tuple[Optional[tuple[int, int]], ...]) -> "_Layout":
         """Which conv positions compute equal hidden columns for inputs
         laid out as ``extents`` say.
 
@@ -205,13 +141,14 @@ class PredictorNetwork(Module):
         every input; two positions whose nine taps read such cells in
         the same order (padding included) see the same neighbourhood,
         so their conv outputs are equal for every input and every
-        weight.  Each group of tied positions keeps its first as the
-        representative.  Weight-independent, so cached per ``extents``
-        for the network's lifetime.
+        weight.  Each group keeps its first position as representative,
+        and groups are numbered by that position: where nothing ties,
+        the layout is the identity.  Weight-independent, so cached per
+        ``extents`` for the network's lifetime.
         """
-        ties = self._ties.get(extents)
-        if ties is not None:
-            return ties
+        layout = self._layouts.get(extents)
+        if layout is not None:
+            return layout
         grid = self.input_grid
         cells = grid[0] * grid[1]
         keys = np.hstack(
@@ -232,55 +169,85 @@ class PredictorNetwork(Module):
         _, first, group = np.unique(
             tap_class, axis=0, return_index=True, return_inverse=True
         )
-        final = self._final_pool()
-        if len(first) == positions:
-            ties = _Ties(None, self._taps, final)
-        else:
-            # The final pool with each group's columns summed: W2.T with
-            # tied columns summed is W_fc @ this, and g_W_fc takes the
-            # tied-width g_W2.T through its transpose.
-            pool_t = np.zeros((len(first), final.shape[0]), dtype=final.dtype)
-            np.add.at(pool_t, group.reshape(-1), final.T)
-            channels = self.net.layers[1].out_channels
-            ties = _Ties(
-                (np.arange(channels)[:, None] * positions + first).ravel(),
-                np.ascontiguousarray(taps[first]).reshape(-1, taps.shape[2]),
-                np.ascontiguousarray(pool_t.T),
-            )
-        self._ties[extents] = ties
-        return ties
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first, group = first[order], rank[group.reshape(-1)]
+        # The final pool with each group's columns summed: W2.T with
+        # tied columns summed is W_fc @ this, and g_W_fc takes the
+        # tied-width g_W2.T through its transpose.
+        final = _pool_matrix(self._conv_hw, self.net.layers[3].output_size)
+        pool_t = np.zeros((len(first), final.shape[0]), dtype=final.dtype)
+        np.add.at(pool_t, group, final.T)
+        channels = self.net.layers[1].out_channels
+        layout = _Layout(
+            (np.arange(channels)[:, None] * positions + first).ravel(),
+            np.ascontiguousarray(taps[first]).reshape(-1, taps.shape[2]),
+            np.ascontiguousarray(pool_t.T),
+        )
+        self._layouts[extents] = layout
+        return layout
 
-    def tied_operator(
+    def operator(
         self, extents: tuple[Optional[tuple[int, int]], ...]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, "_Ties"]:
-        """``(front, b1, W2.T, ties)`` at the tied width of ``extents``.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, "_Layout"]:
+        """``(front, b1, W2.T, b2, layout)`` for inputs laid out as
+        ``extents`` say, at the tied width of their :meth:`layout`.
 
-        A hidden column stands for its whole group (:meth:`tie_layout`):
-        ``front`` and ``b1`` keep the representative rows, ``W2.T``
-        sums each group's columns.  Untied ``extents`` return
-        :meth:`front_operator` and :meth:`dense_operator`'s own arrays.
-        Memoised next to :meth:`front_operator`, on the same version key.
+        ``front`` holds one segment per extent: ``D.T`` (the conv as a
+        dense ``(hidden, grid cells)`` matrix) for a pooled plane, and
+        ``D.T @ P`` over the raw ``h*w`` cells for a folded one — the
+        front pool is linear, ``P`` its ``(grid cells, h*w)`` matrix.
+        ``front`` and ``b1`` keep the layout's representative rows;
+        ``W2.T`` is ``W_fc`` through the layout's summed final pool.
+        Both matrices are stored transposed (the ``linear_forward``
+        weight layout), which also makes ``W2.T[:row]`` a contiguous
+        slice for layers narrower than ``max_row``.
+
+        Memoised per ``extents`` on ``Parameter.version`` like the fold
+        passes' caches: an optimizer step, ``load_state_dict`` or a
+        checkpoint resume invalidates every ``extents`` at once.
         """
-        _, bias1, head_t, _ = self.dense_operator()
-        front = self.front_operator(extents)
-        ties = self.tie_layout(extents)
-        if ties.columns is None:
-            return front, bias1, head_t, ties
-        tied = self._tied.get(extents)
-        if tied is None:
-            fc = self.net.layers[5]
-            pool = ties.pool
-            tied = (
-                front[ties.columns],
-                bias1[ties.columns],
-                current_backend()
-                .linear_forward(
-                    fc.weight.data.reshape(-1, pool.shape[0]), pool.T, None
+        conv, fc = self.net.layers[1], self.net.layers[5]
+        versions = (
+            conv.weight.version,
+            conv.bias.version,
+            fc.weight.version,
+            fc.bias.version,
+        )
+        if versions != self._versions:
+            self._operators = {}
+            self._versions = versions
+        operator = self._operators.get(extents)
+        if operator is None:
+            layout = self.layout(extents)
+            backend = current_backend()
+            channels = conv.out_channels
+            positions = self._conv_hw[0] * self._conv_hw[1]
+            dense_t = backend.linear_forward(
+                conv.weight.data.reshape(channels, -1), self._taps, None
+            ).reshape(channels * positions, -1)
+            segments = [
+                dense_t
+                if extent is None
+                else backend.linear_forward(
+                    dense_t, _pool_matrix(extent, self.input_grid).T, None
                 )
-                .reshape(self.max_row, -1),
+                for extent in extents
+            ]
+            front = segments[0] if len(segments) == 1 else np.hstack(segments)
+            pool = layout.pool
+            operator = (
+                front[layout.columns],
+                np.repeat(conv.bias.data, positions)[layout.columns],
+                backend.linear_forward(
+                    fc.weight.data.reshape(-1, pool.shape[0]), pool.T, None
+                ).reshape(self.max_row, -1),
+                fc.bias.data,
+                layout,
             )
-            self._tied[extents] = tied
-        return (*tied, ties)
+            self._operators[extents] = operator
+        return operator
 
     def dense_forward(
         self,
@@ -289,13 +256,11 @@ class PredictorNetwork(Module):
         buckets: list[tuple[int, int, int]],
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """``(hidden, rows)`` for stacked samples laid out as
-        :meth:`front_operator`'s ``extents`` say: the post-ReLU conv
-        activations that :meth:`dense_backward` needs, one column per
-        tie group (:meth:`tied_operator`), and per ``(begin, stop,
-        width)`` bucket the first ``width`` FC columns of samples
-        ``begin:stop``."""
-        bias2 = self.dense_operator()[3]
-        front, bias1, head_t, _ = self.tied_operator(extents)
+        ``extents`` say: the post-ReLU conv activations that
+        :meth:`dense_backward` needs, one column per tie group, and per
+        ``(begin, stop, width)`` bucket the first ``width`` FC columns of
+        samples ``begin:stop``."""
+        front, bias1, head_t, bias2, _ = self.operator(extents)
         backend = current_backend()
         hidden = backend.linear_forward(inputs, front, bias1)
         np.maximum(hidden, 0.0, out=hidden)
@@ -325,7 +290,7 @@ class PredictorNetwork(Module):
         representative positions only and ``g_W_fc`` is the tied
         ``g_W2.T`` through the summed final pool.
         """
-        _, _, head_t, ties = self.tied_operator(extents)
+        _, _, head_t, _, layout = self.operator(extents)
         backend = current_backend()
         conv, fc = self.net.layers[1], self.net.layers[5]
         computed = max(width for _, _, width in buckets)
@@ -360,13 +325,13 @@ class PredictorNetwork(Module):
         channels = conv.out_channels
         conv.weight.accumulate_grad(
             backend.linear_forward(
-                grad_dense_t.reshape(channels, -1), ties.taps.T, None
+                grad_dense_t.reshape(channels, -1), layout.taps.T, None
             ).reshape(conv.weight.shape)
         )
         conv.bias.accumulate_grad(grad_bias1.reshape(channels, -1).sum(axis=1))
         # Columns past the widest bucket were never computed: their
         # gradient stays 0.
-        final = ties.pool
+        final = layout.pool
         grad_fc_weight = np.zeros_like(fc.weight.data)
         grad_fc_weight[:computed] = backend.linear_forward(
             grad_head_t.reshape(-1, final.shape[1]), final, None
@@ -448,14 +413,14 @@ class _Bucket:
         return np.repeat(per_layer[self.indices], units)[:, None]
 
 
-class _Ties(NamedTuple):
-    """A :meth:`PredictorNetwork.tie_layout`: ``columns``, the hidden
-    column each tie group keeps (``None`` when nothing ties), and at
-    that width ``taps``, the conv's basis im2col rows ``(position,
-    cell)``, and ``pool``, the final pool ``(pooled cells, positions)``
-    with each group's columns summed."""
+class _Layout(NamedTuple):
+    """A :meth:`PredictorNetwork.layout`: ``columns``, the hidden column
+    each tie group keeps, in position order (all of them when nothing
+    ties), and at that width ``taps``, the conv's basis im2col rows
+    ``(position, cell)``, and ``pool``, the final pool ``(pooled cells,
+    positions)`` with each group's columns summed."""
 
-    columns: Optional[np.ndarray]
+    columns: np.ndarray
     taps: np.ndarray
     pool: np.ndarray
 
@@ -463,7 +428,7 @@ class _Ties(NamedTuple):
 class _Stack:
     """One predictor call laid out for the GEMMs: ``inputs`` stacks the
     samples bucket by bucket, its columns one segment per entry of
-    ``extents`` (see :meth:`PredictorNetwork.front_operator`)."""
+    ``extents`` (see :meth:`PredictorNetwork.operator`)."""
 
     __slots__ = ("extents", "buckets", "inputs", "hidden")
 
@@ -484,29 +449,23 @@ class GradientPredictor:
     :meth:`train_step`, :meth:`train_step_many` — run the network's
     two-GEMM form (:meth:`PredictorNetwork.dense_forward` /
     ``dense_backward``); they differ only in how many layers share one
-    call and, for training, one Adam step.
+    call and, for training, one Adam step.  Targets are always learned
+    in normalized units: each layer's running RMS scale
+    (:data:`SCALE_MOMENTUM`) divides them in training and multiplies
+    the predictions back, clipped to :data:`CLIP_SIGMA` scales.  Only
+    ``max_row``, the Adam ``lr`` and the init ``rng`` are settable.
     """
 
     def __init__(
         self,
         max_row: int,
         lr: float = 1e-4,
-        normalize_targets: bool = True,
-        scale_momentum: float = 0.9,
-        clip_sigma: float = 3.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if max_row <= 0:
             raise ValueError(f"max_row must be positive, got {max_row}")
         self.network = PredictorNetwork(max_row, rng=rng)
         self.optimizer = nn.Adam(self.network.parameters(), lr=lr)
-        self.normalize_targets = normalize_targets
-        self.scale_momentum = scale_momentum
-        # Predicted rows are clipped to +-clip_sigma * (per-layer running
-        # RMS): the accelerator's update datapath saturates rather than
-        # overflowing, and the clip breaks the "noisy prediction -> larger
-        # gradients -> larger scale" feedback loop in long fp32 runs.
-        self.clip_sigma = clip_sigma
         # Weak-keyed on the layer itself: an id() key could be reused by
         # a new layer after a discarded model is collected and hand it a
         # stranger's scale.
@@ -534,7 +493,7 @@ class GradientPredictor:
             self._scales[layer] = rms
         else:
             self._scales[layer] = (
-                self.scale_momentum * previous + (1 - self.scale_momentum) * rms
+                SCALE_MOMENTUM * previous + (1 - SCALE_MOMENTUM) * rms
             )
 
     def scales_state(self, layers: list[PredictableMixin]) -> dict[int, float]:
@@ -652,10 +611,8 @@ class GradientPredictor:
         """A layer's ``(units, row)`` network rows as ``(weight_grad,
         bias_grad)`` in gradient units: denormalised into one fresh array
         and clipped in place, the two gradients being views of it."""
-        if not self.normalize_targets:
-            return reorganize.unflatten_gradients(layer, rows)
         scale = float(self._scale_for(layer))
-        bound = self.clip_sigma * scale
+        bound = CLIP_SIGMA * scale
         rows = np.multiply(rows, scale)
         rows.clip(-bound, bound, out=rows)
         if layer.bias is None:
@@ -763,15 +720,14 @@ class GradientPredictor:
                 np.square(target).sum(axis=1), bucket.starts
             )
             targets.append(target)
-        scales = np.ones(len(layers))
-        if self.normalize_targets:
-            for layer, rms in zip(layers, np.sqrt(sums[0] / sizes)):
-                self._update_scale(layer, float(rms))
-            scales = np.array([self._scale_for(layer) for layer in layers])
+        for layer, rms in zip(layers, np.sqrt(sums[0] / sizes)):
+            self._update_scale(layer, float(rms))
+        scales = np.array([self._scale_for(layer) for layer in layers])
         for bucket, target in zip(stack.buckets, targets):
             scale = bucket.spread(scales)
             # (mse, mape) of the prediction before the update, in raw
-            # gradient units; mape as :func:`mean_absolute_percentage_error`.
+            # gradient units; mape as
+            # :func:`~repro.core.metrics.mean_absolute_percentage_error`.
             error = bucket.rows * scale
             error -= target
             absolute = np.abs(error, out=error).sum(axis=1)
@@ -800,15 +756,3 @@ class GradientPredictor:
             self.optimizer.step()
         return list(zip(mse.tolist(), mape.tolist()))
 
-
-def mean_absolute_percentage_error(
-    actual: np.ndarray, predicted: np.ndarray, eps: float = 1e-8
-) -> float:
-    """MAPE as defined in paper Eq. 1, with an epsilon guard.
-
-    Expressed as a percentage of the mean absolute actual value to avoid
-    division blow-ups on near-zero gradients (the paper plots values in
-    the 0-2% range).
-    """
-    denom = float(np.mean(np.abs(actual))) + eps
-    return float(np.mean(np.abs(actual - predicted)) / denom * 100.0)

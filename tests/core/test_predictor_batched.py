@@ -71,11 +71,10 @@ def _predictor(model, seed=5, **kwargs):
 
 
 class TestPredictManyEquivalence:
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_matches_per_layer_predict(self, normalize):
+    def test_matches_per_layer_predict(self):
         model = _model()
         entries = _collect_entries(model)
-        predictor = _predictor(model, normalize_targets=normalize)
+        predictor = _predictor(model)
         # Give the per-layer scales realistic values first.
         for layer, output, w_grad, b_grad in entries:
             predictor.train_step(layer, output, w_grad, b_grad)
@@ -121,14 +120,13 @@ class TestTrainStepManyEquivalence:
             for p in predictor.network.parameters()
         ]
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_gradient_equals_sum_of_per_layer_gradients(self, normalize):
+    def test_gradient_equals_sum_of_per_layer_gradients(self):
         """At frozen weights, one batched backward == the summed
         per-layer backwards of the sequential loop."""
         model = _model()
         entries = _collect_entries(model)
-        p_seq = _predictor(model, normalize_targets=normalize)
-        p_bat = _predictor(model, normalize_targets=normalize)
+        p_seq = _predictor(model)
+        p_bat = _predictor(model)
 
         summed = None
         seq_metrics = []
@@ -217,7 +215,6 @@ def test_exploding_targets_give_finite_metrics_and_scale():
     model = _model()
     entries = _collect_entries(model)
     predictor = _predictor(model)
-    assert predictor.normalize_targets
     layers = [layer for layer, *_ in entries]
     outputs = [output for _, output, *_ in entries]
     rng = np.random.default_rng(3)

@@ -8,10 +8,10 @@ gradients at atol <= 1e-5 on every backend, on hypothesis-generated
 mixes of conv / linear / sequence-linear layers, with the head bucketed
 by the merge rule and with every row width split off, and on mixes of
 one-row / one-column / 1x1 planes whose hidden layer runs at its tied
-width — plus the tied widths themselves, the Fig-15 metrics against
-their reference implementations, independence from the caller's layer
-order, and the staleness contract of the version-keyed dense and tied
-operators.
+width — plus the layouts themselves (tied widths, and the identity
+where nothing ties), the Fig-15 metrics against their reference
+implementations, independence from the caller's layer order, and the
+staleness contract of the version-keyed operator.
 """
 
 import contextlib
@@ -241,8 +241,12 @@ class TestDenseMatchesLayered:
     @given(specs=_mixes, seed=st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)
     def test_predict_many_matches_per_layer_predict(self, backend, specs, seed):
+        """Predictions are the oracle's rows in gradient units: an
+        untrained layer's scale is 1, so they are clipped at
+        ``CLIP_SIGMA``."""
         entries = _build(specs, seed)
-        predictor = _predictor(entries, normalize_targets=False)
+        predictor = _predictor(entries)
+        bound = predictor_module.CLIP_SIGMA
         with use_backend(backend):
             batched = predictor.predict_many(
                 [layer for layer, _ in entries], [output for _, output in entries]
@@ -250,7 +254,7 @@ class TestDenseMatchesLayered:
             for (layer, output), (w_many, b_many) in zip(entries, batched):
                 w_one, b_one = predictor.predict(layer, output)
                 np.testing.assert_allclose(w_many, w_one, atol=ATOL)
-                rows = _oracle_rows(predictor, layer, output)
+                rows = np.clip(_oracle_rows(predictor, layer, output), -bound, bound)
                 w_ref, b_ref = reorganize.unflatten_gradients(layer, rows)
                 np.testing.assert_allclose(w_one, w_ref, atol=ATOL)
                 if layer.bias is None:
@@ -262,7 +266,8 @@ class TestDenseMatchesLayered:
 
 class TestTiedHiddenLayer:
     """Conv positions whose neighbourhoods read the same values tie: the
-    hidden layer runs one column per group (``tie_layout``)."""
+    hidden layer runs one column per group (``layout``), and
+    ``operator`` builds its arrays at that width."""
 
     def _network(self):
         return predictor_module.PredictorNetwork(
@@ -282,38 +287,47 @@ class TestTiedHiddenLayer:
     )
     def test_tied_width(self, extents, width):
         network = self._network()
-        ties = network.tie_layout(extents)
-        assert len(ties.columns) == width
-        front, bias1, head_t, _ = network.tied_operator(extents)
+        layout = network.layout(extents)
+        assert len(layout.columns) == width
+        # Groups are numbered by their representative's position.
+        assert (np.diff(layout.columns) > 0).all()
+        front, bias1, head_t, bias2, operator_layout = network.operator(extents)
+        assert operator_layout is layout
         assert front.shape == (width, sum(h * w for h, w in extents))
         assert bias1.shape == (width,)
         assert head_t.shape == (network.max_row, width)
-        assert network.tie_layout(extents) is ties
+        assert bias2.shape == (network.max_row,)
+        assert network.layout(extents) is layout
 
     @pytest.mark.parametrize(
         "extents",
         [(None,), ((8, 8),), ((1, 7), (5, 1)), ((3, 5),)],
         ids=["pooled", "grid-sized", "row-and-column", "no-replicated-axis"],
     )
-    def test_untied_extents_run_the_dense_operator_arrays(self, extents):
-        """A pooled stack or a plane as large as the grid ties nothing
-        and runs exactly today's arrays."""
+    def test_untied_layout_is_the_identity(self, extents):
+        """A pooled stack or a plane as large as the grid ties nothing:
+        the layout keeps all 256 columns in order, every tap row and the
+        final pool itself, so the operator is the untied one."""
         network = self._network()
-        assert network.tie_layout(extents).columns is None
-        front, bias1, head_t, _ = network.tied_operator(extents)
-        _, dense_bias1, dense_head_t, _ = network.dense_operator()
-        assert front is network.front_operator(extents)
-        assert bias1 is dense_bias1
-        assert head_t is dense_head_t
+        layout = network.layout(extents)
+        np.testing.assert_array_equal(layout.columns, np.arange(256))
+        np.testing.assert_array_equal(layout.taps, network._taps)
+        final = predictor_module._pool_matrix(
+            network._conv_hw, network.net.layers[3].output_size
+        )
+        np.testing.assert_array_equal(layout.pool, final)
+        _, bias1, _, bias2, _ = network.operator(extents)
+        conv, fc = network.net.layers[1], network.net.layers[5]
+        np.testing.assert_array_equal(bias1, np.repeat(conv.bias.data, 64))
+        assert bias2 is fc.bias.data
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(specs=_tied_mixes, seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
     def test_tied_stacks_match_layered(self, backend, specs, seed):
         stack = _check_against_layered(backend, specs, seed)
-        columns = self._network().tie_layout(stack.extents).columns
-        width = 256 if columns is None else len(columns)
-        assert stack.hidden.shape[1] == width
+        columns = self._network().layout(stack.extents).columns
+        assert stack.hidden.shape[1] == len(columns)
 
     def test_transformer_bp_batch_runs_the_tied_width(self):
         rng = np.random.default_rng(0)
@@ -355,23 +369,19 @@ def test_float64_activations_are_predicted_in_float32():
 
 
 class TestFig15Metrics:
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("split", [False, True])
     @given(specs=_mixes, seed=st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
-    def test_metrics_equal_reference_implementations(
-        self, split, normalize, specs, seed
-    ):
+    def test_metrics_equal_reference_implementations(self, split, specs, seed):
         """Each layer's ``(mse, mape)`` is the reference functions'
         value on the prediction the call measured.  ``apply_update=False``
         keeps the weights it measured; the running scale is refreshed
         before measuring, so ``predict()`` afterwards sees the same one,
-        and the metrics read unclipped rows (``clip_sigma=inf``)."""
+        and the metrics read unclipped rows (``CLIP_SIGMA`` patched to
+        infinity)."""
         entries = _build(specs, seed)
         weight_grads, bias_grads = _targets(entries, seed)
-        predictor = _predictor(
-            entries, normalize_targets=normalize, clip_sigma=np.inf
-        )
+        predictor = _predictor(entries)
         layers = [layer for layer, _ in entries]
         outputs = [output for _, output in entries]
         with _split_buckets() if split else contextlib.nullcontext():
@@ -381,9 +391,10 @@ class TestFig15Metrics:
         for (layer, output), w_grad, b_grad, (mse, mape) in zip(
             entries, weight_grads, bias_grads, metrics
         ):
-            predicted = reorganize.flatten_gradients(
-                layer, *predictor.predict(layer, output)
-            ).astype(np.float64)
+            with mock.patch.object(predictor_module, "CLIP_SIGMA", np.inf):
+                predicted = reorganize.flatten_gradients(
+                    layer, *predictor.predict(layer, output)
+                ).astype(np.float64)
             actual = reorganize.flatten_gradients(layer, w_grad, b_grad)
             actual = actual.astype(np.float64)
             assert mse == pytest.approx(
@@ -443,24 +454,25 @@ class TestLayerOrder:
             np.testing.assert_allclose(actual, expected, atol=ATOL)
 
 
-class _StalenessChecks:
-    """The dense operator is memoised on ``Parameter.version``: every
-    way of changing a predictor parameter must invalidate it, and an
-    unchanged network must not rebuild it."""
+class TestOperatorStaleness:
+    """The operator is memoised per extents on ``Parameter.version``:
+    every way of changing a predictor parameter must invalidate every
+    extents' operator, and an unchanged network must not rebuild one.
+    Each route runs on a ``7x5`` plane, whose layout is the identity, and
+    on a ``1x7`` plane, whose hidden layer runs at its tied width."""
 
-    #: The layer's output shape: its plane decides whether positions tie.
-    activation = (3, 4, 7, 5)
-
-    def _setup(self):
+    @pytest.fixture(params=[(3, 4, 7, 5), (3, 4, 1, 7)], ids=["untied", "tied"])
+    def case(self, request):
+        """``(predictor, layer, output)``; the output's plane decides
+        whether positions tie."""
         rng = np.random.default_rng(3)
         layer = nn.Conv2d(2, 4, 3, padding=1, rng=rng)
-        output = rng.standard_normal(self.activation).astype(np.float32)
-        predictor = GradientPredictor(
-            layer.gradient_size(), lr=1e-2, normalize_targets=False, rng=rng
-        )
+        output = rng.standard_normal(request.param).astype(np.float32)
+        predictor = GradientPredictor(layer.gradient_size(), lr=1e-2, rng=rng)
         return predictor, layer, output
 
-    def _assert_fresh(self, predictor, layer, output):
+    @staticmethod
+    def _assert_fresh(predictor, layer, output):
         # Raw network rows: the engine's predictor also rescales them.
         np.testing.assert_allclose(
             _raw_rows(predictor, layer, output),
@@ -468,21 +480,21 @@ class _StalenessChecks:
             atol=ATOL,
         )
 
-    def test_unchanged_versions_do_not_rebuild(self):
-        predictor, layer, output = self._setup()
-        predictor.predict(layer, output)
-        extents = (self.activation[2:],)
-        built = predictor.network.dense_operator()
-        tied = predictor.network.tied_operator(extents)
-        predictor.predict(layer, output)
-        assert predictor.network.dense_operator() is built
-        assert all(
-            now is before
-            for now, before in zip(predictor.network.tied_operator(extents), tied)
-        )
+    def test_layout_widths(self, case):
+        predictor, _, output = case
+        columns = predictor.network.layout((output.shape[2:],)).columns
+        assert len(columns) == (96 if output.shape[2] == 1 else 256)
 
-    def test_optimizer_step_invalidates(self):
-        predictor, layer, output = self._setup()
+    def test_unchanged_versions_do_not_rebuild(self, case):
+        predictor, layer, output = case
+        predictor.predict(layer, output)
+        extents = (output.shape[2:],)
+        built = predictor.network.operator(extents)
+        predictor.predict(layer, output)
+        assert predictor.network.operator(extents) is built
+
+    def test_optimizer_step_invalidates(self, case):
+        predictor, layer, output = case
         before, _ = predictor.predict(layer, output)
         w_grad = np.ones_like(layer.weight.data)
         b_grad = np.ones_like(layer.bias.data)
@@ -491,30 +503,52 @@ class _StalenessChecks:
         self._assert_fresh(predictor, layer, output)
         assert not np.allclose(predictor.predict(layer, output)[0], before)
 
-    def test_load_state_dict_invalidates(self):
-        predictor, layer, output = self._setup()
+    def test_one_step_invalidates_two_extents(self):
+        """One optimizer step, taken on one layer's plane, rebuilds the
+        operator of another extents cached before it as well."""
+        rng = np.random.default_rng(4)
+        layer = nn.Conv2d(2, 4, 3, padding=1, rng=rng)
+        outputs = [
+            rng.standard_normal(shape).astype(np.float32)
+            for shape in ((3, 4, 7, 5), (3, 4, 1, 7))
+        ]
+        predictor = GradientPredictor(layer.gradient_size(), lr=1e-2, rng=rng)
+        built = [
+            predictor.network.operator((output.shape[2:],)) for output in outputs
+        ]
+        predictor.train_step(
+            layer, outputs[0], np.ones_like(layer.weight.data),
+            np.ones_like(layer.bias.data),
+        )
+        for output, before in zip(outputs, built):
+            assert predictor.network.operator((output.shape[2:],)) is not before
+            self._assert_fresh(predictor, layer, output)
+
+    def test_load_state_dict_invalidates(self, case):
+        predictor, layer, output = case
         predictor.predict(layer, output)
         donor = GradientPredictor(
             layer.gradient_size(), rng=np.random.default_rng(99)
         )
         predictor.network.load_state_dict(donor.network.state_dict())
         self._assert_fresh(predictor, layer, output)
+        # An untrained layer's scale is 1: predictions are the donor's
+        # rows clipped at CLIP_SIGMA.
+        bound = predictor_module.CLIP_SIGMA
         np.testing.assert_allclose(
             reorganize.flatten_gradients(layer, *predictor.predict(layer, output)),
-            _oracle_rows(donor, layer, output),
+            np.clip(_oracle_rows(donor, layer, output), -bound, bound),
             atol=ATOL,
         )
 
-    def test_direct_write_with_bump_invalidates(self):
-        predictor, layer, output = self._setup()
+    def test_direct_write_with_bump_invalidates(self, case):
+        predictor, layer, output = case
         predictor.predict(layer, output)
         for param in predictor.network.parameters():
             param.data *= np.float32(1.5)
             param.bump_version()
             self._assert_fresh(predictor, layer, output)
 
-
-class TestDenseOperatorStaleness(_StalenessChecks):
     def test_engine_checkpoint_resume_invalidates(self, tmp_path):
         split = synthetic_images(3, 32, 16, image_size=8, seed=0)
 
@@ -554,17 +588,6 @@ class TestDenseOperatorStaleness(_StalenessChecks):
             resumed.predictor.predict(layer, output)[0],
             trained.predictor.predict(trained.layers[0], output)[0],
         )
-
-
-class TestTiedOperatorStaleness(_StalenessChecks):
-    """The same routes on a ``1x7`` plane, whose hidden layer runs at
-    its tied width: the tied operators rebuild with the dense one."""
-
-    activation = (3, 4, 1, 7)
-
-    def test_plane_ties(self):
-        predictor, _, _ = self._setup()
-        assert len(predictor.network.tie_layout(((1, 7),)).columns) == 96
 
 
 class TestScaleStore:

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import nn
 from repro.core import GradientPredictor
-from repro.core.predictor import PredictorNetwork, mean_absolute_percentage_error
+from repro.core.metrics import mean_absolute_percentage_error
+from repro.core.predictor import PredictorNetwork
 from repro.core import reorganize
 
 RNG = np.random.default_rng(29)
@@ -175,14 +176,6 @@ class TestGradientPredictor:
         assert predictor._scale_for(conv) == 1.0
         predictor.train_step(conv, out, conv.weight.grad, conv.bias.grad)
         assert predictor._scale_for(conv) != 1.0
-
-    def test_without_normalization_predictions_are_raw(self):
-        conv, out = self._conv_setup()
-        predictor = GradientPredictor(
-            max_row=conv.gradient_size(), normalize_targets=False
-        )
-        predictor.train_step(conv, out, conv.weight.grad, conv.bias.grad)
-        assert predictor._scales == {}
 
     def test_invalid_max_row(self):
         with pytest.raises(ValueError):

@@ -252,12 +252,17 @@ class TestOptionsCensus:
         "pareto_front": ("tune/frontier.py", "pareto_front"),
         "frontier_table": ("tune/frontier.py", "frontier_table"),
         "render_frontier": ("tune/frontier.py", "render_frontier"),
+        "GradientPredictor": ("core/predictor.py", "GradientPredictor.__init__"),
+        "for_model": ("core/predictor.py", "GradientPredictor.for_model"),
+        "PredictorNetwork": ("core/predictor.py", "PredictorNetwork.__init__"),
+        "AcceleratorModel": ("accel/adagp.py", "AcceleratorModel.__init__"),
     }
     #: Factories whose ``**kwargs`` flow to another factory: a keyword
     #: their caller passes that is not their own selects it there.
     FORWARDS = {
         "pipeline_adagp_engine": ("adagp_engine",),
         "ddp_engine": ("adagp_engine", "bp_engine"),
+        "for_model": ("GradientPredictor",),
     }
     #: Unselected but kept: ``{callee.parameter: (kind, reason)}``, kind
     #: one of :data:`EXEMPTION_KINDS`.
@@ -363,13 +368,18 @@ class TestExportCensus:
         "repro.core.metrics.mean_squared_error": (
             "reference", "the per-layer MSE the predictor computes in place (Fig 15)"
         ),
-        "repro.core.predictor.mean_absolute_percentage_error": (
+        "repro.core.metrics.mean_absolute_percentage_error": (
             "reference", "the per-layer MAPE the predictor computes in place (Fig 15)"
         ),
         "repro.core.reorganize.flatten_gradients": (
             "reference",
-            "the row layout unflatten_gradients inverts; test_predictor_dense "
-            "compares predicted rows with the true gradients' rows",
+            "the row layout the predictor's targets take; test_predictor_dense "
+            "packs predicted and true gradients through it for the Fig 15 metrics",
+        ),
+        "repro.core.reorganize.unflatten_gradients": (
+            "reference",
+            "the inverse of that layout; test_predictor_dense compares "
+            "predictions with the layered network's rows unpacked through it",
         ),
         "repro.data.translation.reference_translation": (
             "reference", "the rule synthetic_translation applies"

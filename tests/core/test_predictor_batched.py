@@ -7,11 +7,14 @@ predictions, and the batched backward accumulates exactly the sum of the
 per-layer gradients at frozen weights (atol <= 1e-5).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core import GradientPredictor, HeuristicSchedule, adagp_engine
+from repro.core import predictor as predictor_module
 from repro.data import synthetic_images
 from repro.nn.losses import CrossEntropyLoss
 
@@ -71,7 +74,10 @@ def _predictor(model, seed=5, **kwargs):
 
 
 class TestPredictManyEquivalence:
-    def test_matches_per_layer_predict(self):
+    @pytest.mark.parametrize("clipped", [True, False])
+    def test_matches_per_layer_predict(self, clipped):
+        """Unclipped (``CLIP_SIGMA`` patched to infinity), every entry
+        is compared, so the clip cannot hide a mismatch beyond it."""
         model = _model()
         entries = _collect_entries(model)
         predictor = _predictor(model)
@@ -80,9 +86,11 @@ class TestPredictManyEquivalence:
             predictor.train_step(layer, output, w_grad, b_grad)
         layers = [e[0] for e in entries]
         outputs = [e[1] for e in entries]
-        batched = predictor.predict_many(layers, outputs)
-        for (layer, output, *_), (w_many, b_many) in zip(entries, batched):
-            w_one, b_one = predictor.predict(layer, output)
+        sigma = predictor_module.CLIP_SIGMA if clipped else np.inf
+        with mock.patch.object(predictor_module, "CLIP_SIGMA", sigma):
+            batched = predictor.predict_many(layers, outputs)
+            singles = [predictor.predict(e[0], e[1]) for e in entries]
+        for (w_one, b_one), (w_many, b_many) in zip(singles, batched):
             np.testing.assert_allclose(w_many, w_one, atol=ATOL, rtol=1e-5)
             if b_one is None:
                 assert b_many is None

@@ -1,11 +1,14 @@
 """Tests for tensor reorganization (§3.6) and the gradient predictor."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
 from repro.core import GradientPredictor
+from repro.core import predictor as predictor_module
 from repro.core.metrics import mean_absolute_percentage_error
 from repro.core.predictor import PredictorNetwork
 from repro.core import reorganize
@@ -176,6 +179,31 @@ class TestGradientPredictor:
         assert predictor._scale_for(conv) == 1.0
         predictor.train_step(conv, out, conv.weight.grad, conv.bias.grad)
         assert predictor._scale_for(conv) != 1.0
+
+    def test_predictions_are_rescaled_and_clipped(self):
+        """Normalisation is always on: predictions are the network's
+        rows times the layer's running scale, clipped at ``CLIP_SIGMA``
+        scales."""
+        conv, out = self._conv_setup()
+        predictor = GradientPredictor(max_row=conv.gradient_size())
+        predictor.train_step(conv, out, conv.weight.grad, conv.bias.grad)
+        scale = predictor._scale_for(conv)
+        with mock.patch.object(predictor_module, "CLIP_SIGMA", np.inf):
+            w_free, b_free = predictor.predict(conv, out)
+        raw = predictor.network.forward(reorganize.reorganize_activations(conv, out))
+        np.testing.assert_allclose(
+            w_free.reshape(4, -1), raw[:, :-1] * scale, rtol=1e-5
+        )
+        np.testing.assert_allclose(b_free, raw[:, -1] * scale, rtol=1e-5)
+        # A clip at the median |row| bites on half the entries.
+        sigma = float(np.median(np.abs(raw)))
+        with mock.patch.object(predictor_module, "CLIP_SIGMA", sigma):
+            w_grad, b_grad = predictor.predict(conv, out)
+        bound = sigma * scale
+        assert np.abs(w_grad).max() <= bound * (1 + 1e-6)
+        np.testing.assert_array_equal(w_grad, np.clip(w_free, -bound, bound))
+        np.testing.assert_array_equal(b_grad, np.clip(b_free, -bound, bound))
+        assert not np.array_equal(w_grad, w_free)
 
     def test_invalid_max_row(self):
         with pytest.raises(ValueError):

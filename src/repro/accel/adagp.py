@@ -22,7 +22,7 @@ from typing import Mapping
 
 from ..core.schedule import HeuristicSchedule, Phase, phase_counts
 from ..models.specs import LayerSpec, ModelSpec
-from .config import AcceleratorConfig, AdaGPDesign, PredictorHardware
+from .config import AcceleratorConfig, AdaGPDesign
 from .dataflow import layer_backward_cycles, layer_forward_cycles
 from .memory import (
     Traffic,
@@ -100,7 +100,7 @@ class AcceleratorModel:
         self, model: ModelSpec, batch: int, design: AdaGPDesign | None
     ) -> list[LayerCost]:
         """The cycle table: one :class:`LayerCost` per layer, in order."""
-        config, hw = self.config, PredictorHardware()
+        config = self.config
         rows = []
         for spec in model.layers:
             fw_traffic = layer_forward_traffic(spec, batch, config)
@@ -115,9 +115,9 @@ class AcceleratorModel:
                 # Efficient/MAX keep predictor weights on chip; LOW streams
                 # them from DRAM before every predictor use.
                 on_chip = design != AdaGPDesign.LOW
-                pcost = predictor_layer_cost(spec, config, hw, on_chip)
+                pcost = predictor_layer_cost(spec, config, on_chip)
                 load = 0 if on_chip else predictor_load_cycles(
-                    gradient_row_of(spec), config, hw
+                    gradient_row_of(spec), config
                 )
                 row = replace(
                     row,

@@ -56,8 +56,9 @@ class AcceleratorConfig:
 class PredictorHardware:
     """Shape of the on-accelerator predictor: the module constants that
     fix :class:`~repro.core.predictor.PredictorNetwork`'s one shape, so
-    the cycle model and the trained network cannot drift apart.  No
-    settable fields.
+    the cycle model and the trained network cannot drift apart.  Read
+    through the class (:mod:`~repro.accel.predictor_cost` never builds
+    one): there is nothing to set.
 
     ``alpha`` in the paper's timeline analysis (§3.7) is the latency this
     unit adds per layer; it is computed from these dimensions plus the
@@ -71,11 +72,9 @@ class PredictorHardware:
     conv_channels = CONV_CHANNELS
     conv_kernel = CONV_KERNEL
     fc_in = CONV_CHANNELS * FINAL_POOL * FINAL_POOL
+    conv_weight_params = CONV_CHANNELS * CONV_KERNEL * CONV_KERNEL
 
-    @property
-    def conv_weight_params(self) -> int:
-        return self.conv_channels * self.conv_kernel * self.conv_kernel
-
-    def layer_weight_bytes(self, row: int, bytes_per_element: int = 2) -> int:
+    @classmethod
+    def layer_weight_bytes(cls, row: int, bytes_per_element: int = 2) -> int:
         """Weights a masked prediction for one layer actually touches."""
-        return (self.conv_weight_params + self.fc_in * row) * bytes_per_element
+        return (cls.conv_weight_params + cls.fc_in * row) * bytes_per_element

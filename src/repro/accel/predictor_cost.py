@@ -48,7 +48,6 @@ def gradient_row_of(spec: LayerSpec) -> int:
 def predictor_layer_cost(
     spec: LayerSpec,
     config: AcceleratorConfig,
-    hardware: PredictorHardware,
     on_chip_weights: bool,
 ) -> PredictorLayerCost:
     """Cost of predicting (and of training on) one layer's gradients.
@@ -60,6 +59,7 @@ def predictor_layer_cost(
     units = spec.out_channels
     row = gradient_row_of(spec)
     elem = config.bytes_per_element
+    hardware = PredictorHardware
     conv_n = hardware.pool_size * hardware.pool_size * units
     conv_cycles = gemm_cycles(
         hardware.conv_channels,
@@ -94,9 +94,7 @@ def predictor_layer_cost(
     )
 
 
-def predictor_load_cycles(
-    row: int, config: AcceleratorConfig, hardware: PredictorHardware
-) -> int:
+def predictor_load_cycles(row: int, config: AcceleratorConfig) -> int:
     """DRAM cycles to stream predictor weights for one layer (LOW design).
 
     The LOW design has no dedicated predictor memory, so before each
@@ -105,5 +103,7 @@ def predictor_load_cycles(
     and it must first stage out the model context it displaces —
     costed as a second pass over the same bytes.
     """
-    weight_bytes = hardware.layer_weight_bytes(row, config.bytes_per_element)
+    weight_bytes = PredictorHardware.layer_weight_bytes(
+        row, config.bytes_per_element
+    )
     return -(-2 * weight_bytes // config.dram_bandwidth_bytes_per_cycle)

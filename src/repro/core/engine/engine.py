@@ -147,6 +147,17 @@ class TrainingEngine:
         for layer in self.layers:
             layer.forward_hook = None
 
+    def set_training(self, training: bool) -> None:
+        """``model.train()`` / ``model.eval()`` over :attr:`table`: the
+        structure is fixed, so no batch re-walks the module tree."""
+        for row in self.table.rows:
+            row.module.training = training
+
+    def clear_caches(self) -> None:
+        """``model.clear_caches()`` over :attr:`table`."""
+        for row in self.table.rows:
+            row.module._clear_cache()
+
     def request_stop(self) -> None:
         """Ask the fit loop to stop after the current epoch (callbacks)."""
         self.stop_requested = True
@@ -170,7 +181,7 @@ class TrainingEngine:
         # time to the scheduled phase even when tracing is off.
         with phase_scope(phase), backend_scope(self.backend):
             result = strategy.train_batch(inputs, targets, phase)
-        self.model.clear_caches()
+        self.clear_caches()
         tracer.end(span, loss=float(result.loss))
         return result
 
@@ -217,7 +228,7 @@ class TrainingEngine:
         run as one op.  The model is back in train mode on return, even
         when a forward raises; no batches at all is a ``ValueError``.
         """
-        self.model.eval()
+        self.set_training(False)
         self.clear_hooks()
         losses: list[float] = []
         metrics: list[float] = []
@@ -231,7 +242,7 @@ class TrainingEngine:
                     if self.metric_fn is not None:
                         metrics.append(self.metric_fn(outputs, targets))
         finally:
-            self.model.train()
+            self.set_training(True)
         if not losses:
             raise ValueError("evaluate received no batches")
         mean_metric = float(np.mean(metrics)) if metrics else float("nan")

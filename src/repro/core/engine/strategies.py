@@ -287,7 +287,7 @@ class BackpropStrategy(PhaseStrategy):
         is bitwise equivalent.
         """
         engine = self.engine
-        engine.model.train()
+        engine.set_training(True)
         if not self.train_predictor or engine.predictor is None:
             loss = self.run_forward_backward(inputs, targets, grad_scale)
             return BatchResult(loss=loss, phase=phase)
@@ -305,7 +305,7 @@ class GradPredictStrategy(PhaseStrategy):
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
         engine = self.engine
-        engine.model.train()
+        engine.set_training(True)
         with self.tap() as activations:
             loss = self.run_forward(inputs, targets)
         layers = [layer for layer in engine.layers if id(layer) in activations]
@@ -399,7 +399,7 @@ class PipelineGPStrategy(BackpropStrategy):
         if phase != Phase.GP:
             return super().train_batch(inputs, targets, phase)
         engine = self.engine
-        engine.model.train()
+        engine.set_training(True)
         optimizer = engine.gp_optimizer
 
         def in_flight(layer: Module, output: np.ndarray) -> None:

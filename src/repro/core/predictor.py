@@ -383,34 +383,38 @@ def _head_widths(layout: list[tuple[int, int]]) -> dict[int, int]:
 
 class _Bucket:
     """The layers of one predictor call that compute the same head
-    width: ``begin:stop`` on the stacked sample axis, ``rows`` their FC
-    output, and ``members`` — ``(position in the caller's list, start
-    in rows, units, row)`` per layer."""
+    width: ``begin:stop`` on the stacked sample axis, and ``members`` —
+    ``(position in the caller's list, start in the bucket's rows, units,
+    row)`` per layer.  The arrays are the bucket's side of the per-layer
+    bookkeeping: ``indices`` / ``starts`` its members' list positions
+    and first rows (``np.add.reduceat`` over its rows gives per-layer
+    sums), ``spread`` a list position per row, ``factor`` the MSE
+    gradient's ``2 / (units * row)`` per row, and ``pads`` the
+    ``(start, stop, row)`` of every member narrower than the bucket,
+    whose columns past ``row`` are zeroed before the loss."""
 
-    __slots__ = ("width", "begin", "stop", "members", "samples", "rows")
+    __slots__ = (
+        "width", "begin", "stop", "members", "indices", "starts", "spread",
+        "factor", "pads",
+    )
 
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.members: list[tuple[int, int, int, int]] = []
-        self.samples = 0
-
-    def add(self, index: int, units: int, row: int) -> None:
-        self.members.append((index, self.samples, units, row))
-        self.samples += units
-
-    @property
-    def indices(self) -> list[int]:
-        return [index for index, _, _, _ in self.members]
-
-    @property
-    def starts(self) -> list[int]:
-        return [start for _, start, _, _ in self.members]
-
-    def spread(self, per_layer: np.ndarray) -> np.ndarray:
-        """A per-layer value (caller's order) repeated over the bucket's
-        samples, as a column."""
-        units = [units for _, _, units, _ in self.members]
-        return np.repeat(per_layer[self.indices], units)[:, None]
+    def __init__(
+        self, width: int, begin: int, members: list[tuple[int, int, int, int]]
+    ) -> None:
+        units = [units for _, _, units, _ in members]
+        self.width, self.begin, self.stop = width, begin, begin + sum(units)
+        self.members = members
+        self.indices = np.array([index for index, _, _, _ in members])
+        self.starts = np.array([start for _, start, _, _ in members])
+        self.spread = np.repeat(self.indices, units)
+        self.factor = np.repeat(
+            [2.0 / (count * row) for _, _, count, row in members], units
+        )[:, None].astype(np.float32)
+        self.pads = [
+            (start, start + count, row)
+            for _, start, count, row in members
+            if row < width
+        ]
 
 
 class _Layout(NamedTuple):
@@ -425,15 +429,123 @@ class _Layout(NamedTuple):
     pool: np.ndarray
 
 
-class _Stack:
-    """One predictor call laid out for the GEMMs: ``inputs`` stacks the
-    samples bucket by bucket, its columns one segment per entry of
-    ``extents`` (see :meth:`PredictorNetwork.operator`)."""
+class _Plan:
+    """Everything about a predictor call that its layers and activation
+    shapes fix (DESIGN.md §4), built once per layer list and reused
+    while the shapes repeat — a fit calls with one signature.
 
-    __slots__ = ("extents", "buckets", "inputs", "hidden")
+    ``buckets`` (:func:`_head_widths`) and their ``spans``; ``extents``,
+    one per distinct plane extent when the planes fold into the grid,
+    else ``(None,)``; the stacked input's ``shape`` and whether it must
+    start ``zeroed``; and per layer, in the caller's order, ``places``,
+    its ``(rows, columns)`` slices of the stack, ``parts`` — ``(bucket
+    position, start, stop, weight columns, has bias, weight shape)`` on
+    its bucket's rows — and ``sizes``, its gradient cells.  ``divisor``
+    is the batch count a folded stack is divided by: one int, or a
+    column when the layers' batches differ.  Layers are held weakly
+    (``refs``), like the scales, and no per-call buffer is kept.
+    """
 
-    def spans(self) -> list[tuple[int, int, int]]:
-        return [(bucket.begin, bucket.stop, bucket.width) for bucket in self.buckets]
+    __slots__ = (
+        "refs", "shapes", "buckets", "spans", "extents", "folded", "shape",
+        "zeroed", "places", "parts", "sizes", "divisor",
+    )
+
+    def __init__(
+        self,
+        layers: list[PredictableMixin],
+        outputs: list[np.ndarray],
+        rows: list[int],
+        grid: tuple[int, int],
+    ) -> None:
+        if len({id(layer) for layer in layers}) != len(layers):
+            raise ValueError("a layer appears twice in one predictor call")
+        self.refs = [weakref.ref(layer) for layer in layers]
+        self.shapes = [output.shape for output in outputs]
+        units = [layer.output_units() for layer in layers]
+        head_width = _head_widths(list(zip(units, rows)))
+        grouped: dict[int, list[int]] = {}
+        for index, row in enumerate(rows):
+            grouped.setdefault(head_width[row], []).append(index)
+        self.buckets, top = [], 0
+        for width, indices in grouped.items():
+            starts = np.cumsum([0] + [units[index] for index in indices])
+            members = [
+                (index, int(start), units[index], rows[index])
+                for index, start in zip(indices, starts)
+            ]
+            self.buckets.append(_Bucket(width, top, members))
+            top = self.buckets[-1].stop
+        self.spans = [(b.begin, b.stop, b.width) for b in self.buckets]
+        planes = [
+            reorganize.reorganize_activations(layer, output).shape
+            for layer, output in zip(layers, outputs)
+        ]
+        extents = [(height, width) for _, _, height, width in planes]
+        # Each distinct extent's first column if the planes are folded.
+        columns: dict[tuple[int, int], int] = {}
+        total = 0
+        for height, width in extents:
+            if (height, width) not in columns:
+                columns[height, width] = total
+                total += height * width
+        cells = grid[0] * grid[1]
+        self.folded = total <= cells
+        self.extents = tuple(columns) if self.folded else (None,)
+        self.shape = (top, total if self.folded else cells)
+        self.zeroed = self.folded and len(columns) > 1
+        self.places = [None] * len(layers)
+        self.parts = [None] * len(layers)
+        for position, bucket in enumerate(self.buckets):
+            for index, start, count, row in bucket.members:
+                begin = bucket.begin + start
+                if self.folded:
+                    height, width = extents[index]
+                    first = columns[height, width]
+                    cut = slice(first, first + height * width)
+                else:
+                    cut = slice(0, cells)
+                self.places[index] = (slice(begin, begin + count), cut)
+                layer = layers[index]
+                has_bias = layer.bias is not None
+                self.parts[index] = (
+                    position, start, start + count, row - has_bias, has_bias,
+                    layer.weight.shape,
+                )
+        self.sizes = np.array(
+            [count * row for count, row in zip(units, rows)], dtype=np.float64
+        )
+        counts = [
+            output.size // int(np.prod(plane)) for output, plane in zip(outputs, planes)
+        ]
+        if len(set(counts)) == 1:
+            self.divisor = counts[0]
+        else:
+            self.divisor = np.empty((top, 1), dtype=np.float32)
+            for (rows_at, _), count in zip(self.places, counts):
+                self.divisor[rows_at] = count
+
+    def matches(
+        self, layers: list[PredictableMixin], outputs: list[np.ndarray]
+    ) -> bool:
+        """Whether this plan was built for exactly these layers (alive,
+        by identity) and activation shapes."""
+        return all(
+            ref() is layer for ref, layer in zip(self.refs, layers)
+        ) and self.shapes == [output.shape for output in outputs]
+
+
+class _Stack(NamedTuple):
+    """One predictor call laid out for the GEMMs by its ``plan``:
+    ``inputs`` stacks the samples bucket by bucket, its columns one
+    segment per entry of ``plan.extents`` (see
+    :meth:`PredictorNetwork.operator`); ``rows`` is each bucket's FC
+    output."""
+
+    plan: _Plan
+    inputs: np.ndarray
+    hidden: np.ndarray
+    rows: list[np.ndarray]
 
 
 class GradientPredictor:
@@ -470,6 +582,8 @@ class GradientPredictor:
         # a new layer after a discarded model is collected and hand it a
         # stranger's scale.
         self._scales: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # First layer -> {layer ids: _Plan}, weak for the same reason.
+        self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -485,16 +599,22 @@ class GradientPredictor:
     def _scale_for(self, layer: PredictableMixin) -> float:
         return self._scales.get(layer, 1.0)
 
-    def _update_scale(self, layer: PredictableMixin, rms: float) -> None:
-        """Fold this batch's target RMS into the layer's running scale."""
-        rms = rms or 1e-12
-        previous = self._scales.get(layer)
-        if previous is None:
-            self._scales[layer] = rms
-        else:
-            self._scales[layer] = (
-                SCALE_MOMENTUM * previous + (1 - SCALE_MOMENTUM) * rms
-            )
+    def _update_scales(
+        self, layers: list[PredictableMixin], rms: np.ndarray
+    ) -> np.ndarray:
+        """Fold this batch's target RMS into each layer's running scale
+        (the first batch's RMS starts it); returns the new scales."""
+        rms = np.where(rms == 0.0, 1e-12, rms)
+        get = self._scales.get
+        previous = [get(layer) for layer in layers]
+        known = np.array([value is not None for value in previous])
+        running = np.array([0.0 if value is None else value for value in previous])
+        scales = np.where(
+            known, SCALE_MOMENTUM * running + (1 - SCALE_MOMENTUM) * rms, rms
+        )
+        for layer, scale in zip(layers, scales.tolist()):
+            self._scales[layer] = scale
+        return scales
 
     def scales_state(self, layers: list[PredictableMixin]) -> dict[int, float]:
         """Per-layer RMS scales keyed by position in ``layers`` — the
@@ -523,6 +643,29 @@ class GradientPredictor:
             )
         return row
 
+    def _plan(
+        self, layers: list[PredictableMixin], outputs: list[np.ndarray]
+    ) -> _Plan:
+        """The call's :class:`_Plan`: the one kept for this layer list,
+        rebuilt when the activation shapes (or a layer behind a reused
+        ``id``) differ.  Kept weak-keyed on the first layer, so a
+        discarded model's plans go with it."""
+        if len(layers) != len(outputs):
+            raise ValueError(
+                f"got {len(layers)} layers but {len(outputs)} activations"
+            )
+        if not layers:
+            raise ValueError("batched predictor call received no layers")
+        plans = self._plans.get(layers[0])
+        if plans is None:
+            plans = self._plans[layers[0]] = {}
+        key = tuple(map(id, layers))
+        plan = plans.get(key)
+        if plan is None or not plan.matches(layers, outputs):
+            rows = [self._check_capacity(layer) for layer in layers]
+            plan = plans[key] = _Plan(layers, outputs, rows, self.network.input_grid)
+        return plan
+
     def _forward(
         self, layers: list[PredictableMixin], outputs: list[np.ndarray]
     ) -> _Stack:
@@ -533,91 +676,37 @@ class GradientPredictor:
         runs once over the whole stack.  When the distinct plane
         extents together have no more cells than the grid, every plane
         is folded: it fills its extent's column segment with raw cells
-        (zeros elsewhere) and skips the front pool.  Otherwise every
-        plane is pooled to the grid, which keeps the first GEMM at grid
-        width for every sample.
+        (zeros elsewhere) and skips the front pool — C-contiguous
+        float32 batches are summed straight into their slices and the
+        whole buffer is divided once, which is ``ndarray.mean`` bit for
+        bit (another layout could make NumPy sum the batch axis
+        pairwise, so such a call takes the per-layer means).  Otherwise
+        every plane is pooled to the grid, which keeps the first GEMM at
+        grid width for every sample.
         """
-        if len(layers) != len(outputs):
-            raise ValueError(
-                f"got {len(layers)} layers but {len(outputs)} activations"
-            )
-        if not layers:
-            raise ValueError("batched predictor call received no layers")
-        grid = self.network.input_grid
-        cells = grid[0] * grid[1]
-        planes = [
-            reorganize.reorganize_activations(layer, output)
-            for layer, output in zip(layers, outputs)
-        ]
-        layout = [
-            (layer.output_units(), self._check_capacity(layer)) for layer in layers
-        ]
-        head_width = _head_widths(layout)
-        buckets: dict[int, _Bucket] = {}
-        for index, (units, row) in enumerate(layout):
-            width = head_width[row]
-            if width not in buckets:
-                buckets[width] = _Bucket(width)
-            buckets[width].add(index, units, row)
-        stack = _Stack()
-        stack.buckets = list(buckets.values())
-        samples = 0
-        for bucket in stack.buckets:
-            bucket.begin, samples = samples, samples + bucket.samples
-            bucket.stop = samples
-        # Each distinct extent's first column if the planes are folded.
-        columns: dict[tuple[int, int], int] = {}
-        width = 0
-        for plane in planes:
-            extent = plane.shape[2:]
-            if extent not in columns:
-                columns[extent] = width
-                width += extent[0] * extent[1]
-        folded = width <= cells
-        stack.extents = tuple(columns) if folded else (None,)
+        plan = self._plan(layers, outputs)
         # One float32 buffer for every layer's inputs.  Training
         # activations are float32 (tests/nn/test_dtype_discipline.py);
         # the buffer guards against float64 callers such as gradchecks,
         # whose operand would drag both GEMMs off the sgemm path.
-        shape = (samples, width if folded else cells)
-        if folded and len(columns) > 1:
-            stack.inputs = np.zeros(shape, dtype=np.float32)
+        inputs = (np.zeros if plan.zeroed else np.empty)(plan.shape, dtype=np.float32)
+        if plan.folded and all(
+            output.dtype == np.float32 and output.flags.c_contiguous
+            for output in outputs
+        ):
+            for layer, output, place in zip(layers, outputs, plan.places):
+                reorganize.add_batch_sum(layer, output, inputs[place])
+            np.true_divide(inputs, plan.divisor, out=inputs)
         else:
-            stack.inputs = np.empty(shape, dtype=np.float32)
-        backend = current_backend()
-        for bucket in stack.buckets:
-            for index, start, units, _ in bucket.members:
-                plane, top = planes[index], bucket.begin + start
-                if folded:
-                    first = columns[plane.shape[2:]]
-                    stop = first + plane.shape[2] * plane.shape[3]
-                    stack.inputs[top : top + units, first:stop] = plane.reshape(
-                        units, -1
-                    )
-                else:
-                    stack.inputs[top : top + units] = backend.adaptive_avg_pool2d(
-                        plane, grid
-                    ).reshape(units, -1)
-        stack.hidden, rows = self.network.dense_forward(
-            stack.inputs, stack.extents, stack.spans()
-        )
-        for bucket, bucket_rows in zip(stack.buckets, rows):
-            bucket.rows = bucket_rows
-        return stack
-
-    def _unpack(
-        self, layer: PredictableMixin, rows: np.ndarray
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """A layer's ``(units, row)`` network rows as ``(weight_grad,
-        bias_grad)`` in gradient units: denormalised into one fresh array
-        and clipped in place, the two gradients being views of it."""
-        scale = float(self._scale_for(layer))
-        bound = CLIP_SIGMA * scale
-        rows = np.multiply(rows, scale)
-        rows.clip(-bound, bound, out=rows)
-        if layer.bias is None:
-            return rows.reshape(layer.weight.shape), None
-        return rows[:, :-1].reshape(layer.weight.shape), rows[:, -1]
+            backend = current_backend()
+            grid = self.network.input_grid
+            for layer, output, (rows, columns) in zip(layers, outputs, plan.places):
+                plane = reorganize.reorganize_activations(layer, output)
+                if not plan.folded:
+                    plane = backend.adaptive_avg_pool2d(plane, grid)
+                inputs[rows, columns] = plane.reshape(rows.stop - rows.start, -1)
+        hidden, rows = self.network.dense_forward(inputs, plan.extents, plan.spans)
+        return _Stack(plan, inputs, hidden, rows)
 
     def predict(
         self, layer: PredictableMixin, output: np.ndarray
@@ -632,14 +721,34 @@ class GradientPredictor:
 
         Numerically equivalent to calling :meth:`predict` per layer
         (samples are independent): one first GEMM and one head GEMM per
-        bucket instead of a pair per layer.
+        bucket instead of a pair per layer.  Each bucket's rows are put
+        in gradient units in place — times the layer's scale, clipped
+        to :data:`CLIP_SIGMA` scales, both as float32 factors — and
+        every layer's ``(weight_grad, bias_grad)`` are views of them.
         """
-        results: list = [None] * len(layers)
-        for bucket in self._forward(layers, outputs).buckets:
-            for index, start, units, row in bucket.members:
-                results[index] = self._unpack(
-                    layers[index], bucket.rows[start : start + units, :row]
+        stack = self._forward(layers, outputs)
+        plan = stack.plan
+        scales = np.array([self._scale_for(layer) for layer in layers])
+        factors = scales.astype(np.float32)
+        bounds = (CLIP_SIGMA * scales).astype(np.float32)
+        for bucket, rows in zip(plan.buckets, stack.rows):
+            rows *= factors[bucket.spread][:, None]
+            # The clip as a maximum and a minimum: 2.5x faster than
+            # np.clip with array bounds, and the same values unless a
+            # bound rounds to zero (a scale below 1e-45), where the sign
+            # of a zero can differ.
+            bound = bounds[bucket.spread][:, None]
+            np.maximum(rows, -bound, out=rows)
+            np.minimum(rows, bound, out=rows)
+        results = []
+        for position, start, stop, columns, has_bias, shape in plan.parts:
+            rows = stack.rows[position]
+            results.append(
+                (
+                    rows[start:stop, :columns].reshape(shape),
+                    rows[start:stop, columns] if has_bias else None,
                 )
+            )
         return results
 
     # ------------------------------------------------------------------
@@ -692,43 +801,44 @@ class GradientPredictor:
         apply_update: bool,
     ) -> list[tuple[float, float]]:
         stack = self._forward(layers, outputs)
+        plan = stack.plan
         # Per layer, in the caller's order: the float64 sums of target
         # squares, |error|, squared error and |target|.  Every sum runs
         # in float64: fp32 would overflow on transiently exploding
         # gradients.
         sums = np.zeros((4, len(layers)))
-        sizes = np.empty(len(layers))
         targets = []
-        for bucket in stack.buckets:
+        for bucket, rows in zip(plan.buckets, stack.rows):
             # Each bucket's target rows laid out like its FC output, in
             # float64.  Columns past a narrower layer's row are zeroed in
             # both, so they add exact zeros to every sum and to the loss
             # gradient.
-            target = np.empty(bucket.rows.shape)
-            for index, start, units, row in bucket.members:
-                layer, stop = layers[index], start + units
-                columns = row - (layer.bias is not None)
-                target[start:stop, :columns] = weight_grads[index].reshape(units, -1)
-                if layer.bias is not None:
+            target = np.empty(rows.shape)
+            for index, _, _, _ in bucket.members:
+                _, start, stop, columns, has_bias, _ = plan.parts[index]
+                target[start:stop, :columns] = weight_grads[index].reshape(
+                    stop - start, -1
+                )
+                if has_bias:
                     if bias_grads[index] is None:
                         raise ValueError("layer has a bias but no bias gradient given")
-                    target[start:stop, columns] = bias_grads[index].reshape(units)
+                    target[start:stop, columns] = bias_grads[index].reshape(
+                        stop - start
+                    )
+            for start, stop, row in bucket.pads:
                 target[start:stop, row:] = 0.0
-                bucket.rows[start:stop, row:] = 0.0
-                sizes[index] = units * row
+                rows[start:stop, row:] = 0.0
             sums[0, bucket.indices] = np.add.reduceat(
                 np.square(target).sum(axis=1), bucket.starts
             )
             targets.append(target)
-        for layer, rms in zip(layers, np.sqrt(sums[0] / sizes)):
-            self._update_scale(layer, float(rms))
-        scales = np.array([self._scale_for(layer) for layer in layers])
-        for bucket, target in zip(stack.buckets, targets):
-            scale = bucket.spread(scales)
+        scales = self._update_scales(layers, np.sqrt(sums[0] / plan.sizes))
+        for bucket, rows, target in zip(plan.buckets, stack.rows, targets):
+            scale = scales[bucket.spread][:, None]
             # (mse, mape) of the prediction before the update, in raw
             # gradient units; mape as
             # :func:`~repro.core.metrics.mean_absolute_percentage_error`.
-            error = bucket.rows * scale
+            error = rows * scale
             error -= target
             absolute = np.abs(error, out=error).sum(axis=1)
             squared = np.square(error, out=error).sum(axis=1)
@@ -737,22 +847,19 @@ class GradientPredictor:
             )
             # ``rows`` turns into the MSE gradient on the normalized
             # targets in place; ``target`` is read last, as |target|.
-            bucket.rows -= np.divide(target, scale, out=error)
-            bucket.rows *= bucket.spread(2.0 / sizes).astype(np.float32)
+            rows -= np.divide(target, scale, out=error)
+            rows *= bucket.factor
             sums[3, bucket.indices] = np.add.reduceat(
                 np.abs(target, out=target).sum(axis=1), bucket.starts
             )
-        mse = sums[2] / sizes
-        mape = sums[1] / sizes / (sums[3] / sizes + 1e-8) * 100.0
-        self.network.zero_grad()
+        mse = sums[2] / plan.sizes
+        mape = sums[1] / plan.sizes / (sums[3] / plan.sizes + 1e-8) * 100.0
+        # The optimizer's parameter list: ``network.zero_grad()`` would
+        # walk the network's module tree for the same four parameters.
+        self.optimizer.zero_grad()
         self.network.dense_backward(
-            stack.inputs,
-            stack.extents,
-            stack.hidden,
-            stack.spans(),
-            [bucket.rows for bucket in stack.buckets],
+            stack.inputs, plan.extents, stack.hidden, plan.spans, stack.rows
         )
         if apply_update:
             self.optimizer.step()
         return list(zip(mse.tolist(), mape.tolist()))
-

@@ -48,6 +48,26 @@ def reorganize_activations(layer: Module, output: np.ndarray) -> np.ndarray:
     raise TypeError(f"layer {type(layer).__name__} is not ADA-GP predictable")
 
 
+def add_batch_sum(layer: Module, output: np.ndarray, out: np.ndarray) -> None:
+    """Write the batch *sum* behind :func:`reorganize_activations`'
+    plane into ``out``, ``(units, h*w)`` (any strides): the plane is
+    this divided by the batch count, bit for bit when ``output`` is
+    C-contiguous (NumPy then sums the batch axis in order, as the mean
+    does).  Each sum reads ``output`` in its own order, so a sequence
+    plane lands through ``out.T``.  The predictor sums a whole stack
+    this way and divides it once."""
+    if isinstance(layer, Conv2d):
+        np.add.reduce(output, axis=0, out=out.reshape(output.shape[1:]))
+    elif isinstance(layer, Linear):
+        if output.ndim == 3:
+            np.add.reduce(output, axis=0, out=out.T)
+        else:
+            flat = output.reshape(-1, output.shape[-1])
+            np.add.reduce(flat, axis=0, out=out.reshape(-1))
+    else:
+        raise TypeError(f"layer {type(layer).__name__} is not ADA-GP predictable")
+
+
 def _batch_mean(output: np.ndarray) -> np.ndarray:
     """``output.mean(axis=0)``, bit for bit: the same reduction and one
     in-place division, without ``ndarray.mean``'s per-call bookkeeping

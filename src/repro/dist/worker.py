@@ -149,7 +149,7 @@ class DistWorker:
         backend); forward caches are dropped afterwards."""
         with phase_scope(phase), backend_scope(self.engine.backend):
             yield self.strategies[phase]
-        self.engine.model.clear_caches()
+        self.engine.clear_caches()
 
     def _compute(self, cmd: dict) -> dict:
         """Shard forward+backward; reply with encoded local gradients."""

@@ -24,6 +24,9 @@ idiom (per-op equivalence is pinned at ``atol <= 1e-5`` by
   by the variance (a contraction, no squared temporary), the output and
   the backward (two reductions, four elementwise passes); forward-only
   streams normalise in place, one allocation per call.
+* LayerNorm's ``moments`` are the reference's two passes as direct
+  ufunc calls with the mean computed once: ``x.mean`` / ``x.var`` bit
+  for bit, without their per-call bookkeeping.
 * Forward-only (``nn.no_grad``) streams run through the shared fold
   pipeline (:mod:`repro.nn.passes`): conv+BN(+ReLU) collapses into one
   GEMM with per-channel-rescaled weights, BN+ReLU into one
@@ -254,9 +257,7 @@ class FusedBackend(NumpyBackend):
     # atol<=1e-5 equivalence pin long before that.  For the same reason
     # the mean is NumPy's pairwise ``x.mean`` — the reference's own, so
     # xc is bit-identical to the reference's — and not a faster
-    # sequential sum.  ``moments`` (LayerNorm)
-    # inherits the reference two-pass mean/var unchanged: reducing over
-    # the last axis NumPy's pairwise reductions are already optimal.
+    # sequential sum.
     @staticmethod
     def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``sum(a * b)`` over every axis but 1, without the product."""
@@ -305,6 +306,33 @@ class FusedBackend(NumpyBackend):
         grad_x -= (sum_g / count).reshape(shape)
         grad_x *= scale
         return grad_x, grad_gamma, sum_g
+
+    # -- normalization moments -------------------------------------------
+    # LayerNorm's mean and variance are the reference's two passes,
+    # ``ndarray.var``'s own operations in its order (sum, divide by the
+    # count as an ``intp``, subtract, square, sum, divide), called as
+    # ufuncs: the reference pays ``_methods._mean`` / ``_var``'s
+    # per-call bookkeeping twice and computes the mean twice, which on a
+    # transformer-sized ``(32, 7, 32)`` row costs more than the passes.
+    # Bit for bit the reference (``tests/nn/test_moments.py``).
+    def moments(self, x, axes, keepdims=False):
+        axes = axes if isinstance(axes, tuple) else (axes,)
+        count = 1
+        for axis in axes:
+            count *= x.shape[axis]
+        count = np.intp(count)
+        mean = np.add.reduce(x, axis=axes, keepdims=True)
+        np.true_divide(mean, count, out=mean, casting="unsafe")
+        centred = np.subtract(x, mean)
+        np.square(centred, out=centred)
+        var = np.add.reduce(centred, axis=axes, keepdims=keepdims)
+        if isinstance(var, np.ndarray):
+            np.true_divide(var, count, out=var, casting="unsafe")
+        else:  # every axis reduced away: a scalar, as the reference's
+            var = var.dtype.type(var / count)
+        if not keepdims:
+            mean = mean.reshape(var.shape)[()]
+        return mean, var
 
 
 register_backend("fused", FusedBackend)

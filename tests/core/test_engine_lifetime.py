@@ -23,8 +23,9 @@ from repro.core import (
     pipeline_adagp_engine,
 )
 from repro.data import synthetic_images
-from repro.models import build_mini
+from repro.models import Seq2SeqTransformer, build_mini
 from repro.nn.losses import CrossEntropyLoss, accuracy
+from repro.nn.module import NO_GRAD
 
 SPLIT = synthetic_images(3, 32, 16, image_size=16, seed=0)
 
@@ -159,3 +160,37 @@ def test_wrapped_engines_do_not_accumulate(no_automatic_gc):
     # Without the collect every round parks ~2 MB (12 MB over rounds
     # 3-8); with it the RSS is flat up to allocator steps of 1-4 MB.
     assert rss[-1] - rss[1] < 6.0, rss
+
+
+def _transformer_case():
+    rng = np.random.default_rng(0)
+    model = Seq2SeqTransformer(15, 15, d_model=16, num_heads=2, d_ff=24, rng=rng)
+    batch = (rng.integers(3, 15, (4, 7)), rng.integers(3, 15, (4, 6)))
+    return model, batch, rng.integers(3, 15, (4, 6))
+
+
+def _resnet_case():
+    model = build_mini("ResNet50", 3, rng=np.random.default_rng(0))
+    inputs, targets = next(iter(SPLIT.train.batches(8, shuffle=False)))
+    return model, inputs, targets
+
+
+@pytest.mark.parametrize(
+    "case", [_transformer_case, _resnet_case], ids=["transformer", "resnet50"]
+)
+def test_the_table_walk_clears_and_restores_every_module(case):
+    """The engine sets modes and drops caches over ``engine.table``, not
+    through ``model.train()`` / ``model.clear_caches()``: after a BP
+    batch and a GP batch every module the tree walk reaches has no
+    cache and trains, an evaluation leaves every module in train mode
+    holding no backward cache, and the table covers exactly the walk's
+    modules."""
+    model, inputs, targets = case()
+    engine = _adagp(model)
+    modules = list(model.modules())
+    for phase in (Phase.BP, Phase.GP):
+        engine.train_batch(inputs, targets, phase)
+        assert all(m._saved is None and m.training for m in modules), phase
+    engine.evaluate([(inputs, targets)])
+    assert all(m.training and m._saved in (None, NO_GRAD) for m in modules)
+    assert {id(row.module) for row in engine.table.rows} == set(map(id, modules))

@@ -141,7 +141,7 @@ def _locate(stack):
     the layers were handed to ``GradientPredictor._forward``."""
     found = {
         index: (position, start, units, row)
-        for position, bucket in enumerate(stack.buckets)
+        for position, bucket in enumerate(stack.plan.buckets)
         for index, start, units, row in bucket.members
     }
     return [found[index] for index in range(len(found))]
@@ -170,8 +170,8 @@ def _targets(entries, seed):
 
 def _raw_rows(predictor, layer, output):
     """The network rows ``_forward`` computes for one layer."""
-    (bucket,) = predictor._forward([layer], [output]).buckets
-    return bucket.rows
+    (rows,) = predictor._forward([layer], [output]).rows
+    return rows
 
 
 def _oracle_rows(predictor, layer, output):
@@ -191,7 +191,7 @@ def _check_against_layered(backend, specs, seed):
     rng = np.random.default_rng(seed + 1)
     with use_backend(backend):
         stack = predictor._forward(layers, outputs)
-        grad_rows = [np.zeros_like(bucket.rows) for bucket in stack.buckets]
+        grad_rows = [np.zeros_like(rows) for rows in stack.rows]
         expected = [np.zeros_like(p.data) for p in network.parameters()]
         for (layer, output), (bucket, start, units, row) in zip(
             entries, _locate(stack)
@@ -199,7 +199,7 @@ def _check_against_layered(backend, specs, seed):
             x = reorganize.reorganize_activations(layer, output)
             full = network(x)
             np.testing.assert_allclose(
-                stack.buckets[bucket].rows[start : start + units, :row],
+                stack.rows[bucket][start : start + units, :row],
                 full[:, :row],
                 atol=ATOL,
             )
@@ -213,7 +213,7 @@ def _check_against_layered(backend, specs, seed):
                 total += part
         network.zero_grad()
         network.dense_backward(
-            stack.inputs, stack.extents, stack.hidden, stack.spans(), grad_rows
+            stack.inputs, stack.plan.extents, stack.hidden, stack.plan.spans, grad_rows
         )
     for actual, total in zip(_param_grads(network), expected):
         np.testing.assert_allclose(actual, total, atol=ATOL, rtol=1e-4)
@@ -326,7 +326,7 @@ class TestTiedHiddenLayer:
     @settings(max_examples=25, deadline=None)
     def test_tied_stacks_match_layered(self, backend, specs, seed):
         stack = _check_against_layered(backend, specs, seed)
-        columns = self._network().layout(stack.extents).columns
+        columns = self._network().layout(stack.plan.extents).columns
         assert stack.hidden.shape[1] == len(columns)
 
     def test_transformer_bp_batch_runs_the_tied_width(self):
@@ -363,8 +363,8 @@ def test_float64_activations_are_predicted_in_float32():
     output = np.random.default_rng(0).standard_normal((4, 9, 3))  # float64
     predictor = GradientPredictor(layer.gradient_size())
     stack = predictor._forward([layer], [output])
-    (bucket,) = stack.buckets
-    assert bucket.rows.dtype == stack.inputs.dtype == stack.hidden.dtype == np.float32
+    (rows,) = stack.rows
+    assert rows.dtype == stack.inputs.dtype == stack.hidden.dtype == np.float32
     assert predictor.predict(layer, output)[0].dtype == np.float32
 
 

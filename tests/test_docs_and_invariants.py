@@ -198,6 +198,8 @@ class TestOneCycleTable:
         assert self._callers("predictor_layer_cost", "predictor_load_cycles") == {
             ("accel/adagp.py", "AcceleratorModel.layer_costs"),
         }
+        # The predictor's shape is read off the class; nothing builds one.
+        assert self._callers("PredictorHardware") == set()
 
 
 #: Top-level ``repro`` subpackages; each census runs once per package so a

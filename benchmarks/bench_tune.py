@@ -1,6 +1,6 @@
 """Bench: the tune subsystem's parallel trial runner.
 
-Runs the same tiny 6-trial random search twice — serially and on a
+Runs the same tiny 6-trial grid search twice — serially and on a
 4-worker process pool — and records both wall times, trial rates and
 the parallel speedup into ``BENCH_tune.json``.  The trials themselves
 are deterministic, so the two runs do identical work and the ratio is a
@@ -22,7 +22,7 @@ import time
 import pytest
 
 from _bench_io import record
-from repro.tune import Grid, LogUniform, RandomSearch, SearchRunner, SearchSpace
+from repro.tune import Grid, GridSearch, SearchRunner, SearchSpace
 
 MIN_PARALLEL_SPEEDUP = 1.5
 NUM_TRIALS = 6
@@ -40,11 +40,11 @@ def _search():
     space = SearchSpace(
         {
             "kind": "adaptive",
-            "threshold_scale": LogUniform(1.0, 30.0),
+            "threshold_scale": Grid(1.0, 4.0, 16.0),
             "warmup_epochs": Grid(1, 2),
         }
     )
-    return RandomSearch(space, num_trials=NUM_TRIALS, seed=0, **TRIAL_PARAMS)
+    return GridSearch(space, **TRIAL_PARAMS)
 
 
 def test_bench_parallel_runner_gate(benchmark):

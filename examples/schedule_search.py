@@ -59,6 +59,23 @@ def baseline_specs(base: dict, epochs: int) -> list[TrialSpec]:
     ]
 
 
+def search_specs(model: str, epochs: int) -> list[TrialSpec]:
+    """All 14 trials: the two fixed ladders, then the adaptive grid."""
+    base = dict(
+        model=model, dataset="Cifar10", num_train=256, num_val=128,
+        batch_size=32, lr=0.02,
+    )
+    space = SearchSpace({
+        "kind": "adaptive",
+        "threshold_scale": Grid(1.0, 4.0, 16.0),
+        "ratios": Grid(PAPER_RATIOS, AGGRESSIVE_RATIOS),
+        "warmup_epochs": Grid(4, 6),
+    })
+    return baseline_specs(base, epochs) + GridSearch(
+        space, prefix="adaptive-", epochs=epochs, **base
+    ).specs()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--model", default="VGG13")
@@ -68,19 +85,7 @@ def main() -> None:
                         help="JSONL journal path (enables interrupt/resume)")
     args = parser.parse_args()
 
-    base = dict(
-        model=args.model, dataset="Cifar10", num_train=256, num_val=128,
-        batch_size=32, lr=0.02,
-    )
-    space = SearchSpace({
-        "kind": "adaptive",
-        "threshold_scale": Grid(1.0, 4.0, 16.0),
-        "ratios": Grid(PAPER_RATIOS, AGGRESSIVE_RATIOS),
-        "warmup_epochs": Grid(4, 6),
-    })
-    specs = baseline_specs(base, args.epochs) + GridSearch(
-        space, prefix="adaptive-", epochs=args.epochs, **base
-    ).specs()
+    specs = search_specs(args.model, args.epochs)
     print(f"{len(specs)} trials ({args.model}-mini / CIFAR10-mini, "
           f"{args.epochs} epochs each, {args.workers} worker(s))")
 

@@ -23,10 +23,10 @@ Package map
                       ADA-GP overlays.
 ``repro.experiments`` One module per paper table/figure; see
                       ``python -m repro.experiments.runner``.
-``repro.tune``        Parallel schedule search over the engine: search
-                      spaces, trial runner (process pool + resume
-                      journal), successive halving, Pareto frontier of
-                      accuracy vs. GP share / cycle-model speedup.
+``repro.tune``        Parallel schedule search over the engine: grid
+                      search spaces, trial runner (process pool + resume
+                      journal), Pareto frontier of accuracy vs. GP
+                      share / cycle-model speedup.
 ``repro.dist``        Data-parallel training: swappable transports
                       (in-process / multiprocessing), gradient codecs
                       (identity, AdaComp adaptive residual

@@ -54,14 +54,6 @@ class RatioSchedule:
         position = batch_index % (k + m)
         return Phase.GP if position < k else Phase.BP
 
-    def gp_fraction(self, epoch: int) -> float:
-        """Fraction of batches run in Phase GP during ``epoch``."""
-        ratio = self.ratio_for_epoch(epoch)
-        if ratio is None:
-            return 0.0
-        k, m = ratio
-        return k / (k + m)
-
     def observe_mape(self, mape: float) -> None:
         """Fed each layer's predictor MAPE after every true-gradient
         batch; a fixed schedule ignores it."""

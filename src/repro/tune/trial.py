@@ -25,25 +25,18 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from ..core import Phase, adagp_engine, schedule_from_config
-from ..core.schedule import AdaptiveSchedule, HeuristicSchedule
+from ..core.schedule import SCHEDULE_KINDS, RatioSchedule
 from ..data import preset_split
 from ..data.synthetic import DATASET_PRESETS, PAPER_TO_PRESET
 from ..models import build_mini, spec_for
 from ..nn.losses import CrossEntropyLoss, accuracy
 
-#: Default AdaptiveSchedule MAPE cut-offs that ``threshold_scale`` scales.
-BASE_THRESHOLDS: tuple[float, ...] = (2.0, 5.0, 10.0)
-
-#: Config keys that describe the schedule rather than the run.
-_SCHEDULE_KEYS = {
-    "kind",
-    "warmup_epochs",
-    "thresholds",
-    "threshold_scale",
-    "ratios",
-    "ladder",
-    "final_ratio",
-}
+#: Config keys that describe the schedule rather than the run: every
+#: schedule kind's config keys, plus the multiplier on the adaptive
+#: controller's MAPE thresholds.
+_SCHEDULE_KEYS = {"threshold_scale"}.union(
+    *(cls().to_config() for cls in SCHEDULE_KINDS.values())
+)
 
 
 def _listify(value: Any) -> Any:
@@ -82,7 +75,7 @@ class TrialSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "TrialSpec":
         return cls(**dict(data))
 
-    def build_schedule(self) -> AdaptiveSchedule | HeuristicSchedule:
+    def build_schedule(self) -> RatioSchedule:
         return schedule_from_config(self.schedule)
 
 
@@ -162,15 +155,17 @@ class TrialResult:
 def spec_from_config(
     trial_id: str, config: Mapping[str, Any], seed: int = 0, **base: Any
 ) -> TrialSpec:
-    """Map one sampled search-space configuration onto a :class:`TrialSpec`.
+    """Map one search-space configuration onto a :class:`TrialSpec`.
 
-    Schedule keys (``kind``, ``warmup_epochs``, ``thresholds`` /
-    ``threshold_scale`` / ``ratios`` for the adaptive controller,
-    ``ladder`` / ``final_ratio`` for the heuristic one) become the
-    spec's schedule config; any :class:`TrialSpec` field name (``lr``,
-    ``epochs``, ``model``, ...) overrides the same-named ``base``
-    keyword.  Unknown keys raise, so typos in a search space fail fast
-    instead of silently searching nothing.
+    Schedule keys overlay the ``kind``'s default config (``adaptive``
+    unless given; warm-up 6 epochs): ``warmup_epochs``, ``thresholds``
+    / ``threshold_scale`` / ``ratios`` for the adaptive controller,
+    ``ladder`` / ``final_ratio`` for the heuristic one.  The result is
+    validated by :func:`~repro.core.schedule_from_config`.  Any
+    :class:`TrialSpec` field name (``lr``, ``epochs``, ``model``, ...)
+    overrides the same-named ``base`` keyword.  Unknown keys, and
+    schedule keys the kind does not take, raise, so typos in a search
+    space fail fast instead of silently searching nothing.
     """
     spec_fields = set(TrialSpec.__dataclass_fields__) - {"trial_id", "schedule", "seed"}
     schedule_cfg: dict[str, Any] = {}
@@ -186,39 +181,26 @@ def spec_from_config(
                 f"{sorted(_SCHEDULE_KEYS)}, spec fields {sorted(spec_fields)}"
             )
     kind = schedule_cfg.pop("kind", "adaptive")
-    if kind == "adaptive":
-        scale = float(schedule_cfg.pop("threshold_scale", 1.0))
-        thresholds = schedule_cfg.pop("thresholds", BASE_THRESHOLDS)
-        schedule = AdaptiveSchedule(
-            warmup_epochs=int(schedule_cfg.pop("warmup_epochs", 6)),
-            thresholds=tuple(float(t) * scale for t in thresholds),
-            ratios=tuple(
-                (int(k), int(m)) for k, m in schedule_cfg.pop(
-                    "ratios", AdaptiveSchedule.__dataclass_fields__["ratios"].default
-                )
-            ),
-        )
-    elif kind == "heuristic":
-        defaults = HeuristicSchedule(
-            warmup_epochs=int(schedule_cfg.pop("warmup_epochs", 6))
-        )
-        ladder = schedule_cfg.pop("ladder", defaults.ladder)
-        final = schedule_cfg.pop("final_ratio", defaults.final_ratio)
-        schedule = HeuristicSchedule(
-            warmup_epochs=defaults.warmup_epochs,
-            ladder=tuple((int(w), (int(k), int(m))) for w, (k, m) in ladder),
-            final_ratio=(int(final[0]), int(final[1])),
-        )
-    else:
+    if kind not in SCHEDULE_KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    if schedule_cfg:
+    schedule = SCHEDULE_KINDS[kind](warmup_epochs=6).to_config()
+    scalable = {"threshold_scale"} if "thresholds" in schedule else set()
+    inapplicable = set(schedule_cfg) - set(schedule) - scalable
+    if inapplicable:
         raise ValueError(
-            f"schedule keys {sorted(schedule_cfg)} do not apply to kind {kind!r}"
+            f"schedule keys {sorted(inapplicable)} do not apply to kind {kind!r}"
         )
+    scale = float(schedule_cfg.pop("threshold_scale", 1.0))
+    schedule.update(schedule_cfg)
+    if scalable:
+        schedule["thresholds"] = [float(t) * scale for t in schedule["thresholds"]]
     params = dict(base)
     params.update(overrides)
     return TrialSpec(
-        trial_id=trial_id, schedule=schedule.to_config(), seed=seed, **params
+        trial_id=trial_id,
+        schedule=schedule_from_config(schedule).to_config(),
+        seed=seed,
+        **params,
     )
 
 

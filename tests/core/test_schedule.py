@@ -45,11 +45,6 @@ class TestHeuristicSchedule:
         phases = [schedule.phase_for(0, b) for b in range(5)]
         assert phases == [Phase.GP] * 4 + [Phase.BP]
 
-    def test_gp_fraction(self):
-        schedule = HeuristicSchedule(warmup_epochs=1)
-        assert schedule.gp_fraction(0) == 0.0
-        assert schedule.gp_fraction(1) == pytest.approx(0.8)
-
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
             HeuristicSchedule().ratio_for_epoch(-1)
@@ -116,9 +111,9 @@ class TestAdaptiveSchedule:
         with pytest.raises(ValueError):
             AdaptiveSchedule(thresholds=(1.0,), ratios=((4, 1),))
 
-    def test_gp_fraction_before_observation_uses_worst_ratio(self):
-        schedule = AdaptiveSchedule(warmup_epochs=0)
-        assert schedule.gp_fraction(0) == pytest.approx(0.5)
+    def test_no_observation_yet_takes_the_last_ratio(self):
+        """Before any MAPE arrives the controller has earned nothing."""
+        assert AdaptiveSchedule(warmup_epochs=0).ratio_for_epoch(0) == (1, 1)
 
 
 def test_paper_ladder_constant_matches_paper():

@@ -250,7 +250,6 @@ class TestOptionsCensus:
         "from_model": ("pipeline/executor.py", "PipelineExecutor.from_model"),
         "SearchRunner": ("tune/runner.py", "SearchRunner.__init__"),
         "GridSearch": ("tune/search.py", "GridSearch.__init__"),
-        "RandomSearch": ("tune/search.py", "RandomSearch.__init__"),
         "pareto_front": ("tune/frontier.py", "pareto_front"),
         "frontier_table": ("tune/frontier.py", "frontier_table"),
         "render_frontier": ("tune/frontier.py", "render_frontier"),

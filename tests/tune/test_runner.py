@@ -1,5 +1,6 @@
 """Tests for the parallel runner: journal resume and crash isolation."""
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -9,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.tune import (
     JOURNAL_VERSION,
+    Grid,
+    GridSearch,
     SearchRunner,
+    SearchSpace,
     TrialResult,
     TrialSpec,
     load_journal,
@@ -167,21 +171,21 @@ class TestParallelRunner:
         ]
 
     def test_resume_under_different_worker_count_is_identical(self, tmp_path):
-        """Trial seeds are id-keyed (seed_for_trial), never derived from
-        the executing pool — so a search interrupted and resumed with a
-        different ``workers=`` count must reproduce the uninterrupted
-        search's results bit for bit."""
-        from repro.tune import RandomSearch, SearchSpace
-        from repro.tune.space import LogUniform
-
+        """A trial is a pure function of its spec, never of the executing
+        pool — so a search interrupted and resumed with a different
+        ``workers=`` count must reproduce the uninterrupted search's
+        results bit for bit."""
         space = SearchSpace(
             {
                 "kind": "adaptive",
-                "threshold_scale": LogUniform(1.0, 8.0),
+                "threshold_scale": Grid(1.0, 2.0, 4.0, 8.0),
                 "warmup_epochs": 1,
             }
         )
-        specs = RandomSearch(space, num_trials=4, seed=9, **TINY).specs()
+        specs = [
+            dataclasses.replace(spec, seed=seed)
+            for seed, spec in enumerate(GridSearch(space, **TINY).specs(), start=9)
+        ]
 
         reference = SearchRunner(workers=1).run(specs)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import AdaptiveSchedule, HeuristicSchedule
+from repro.core.schedule import SCHEDULE_KINDS
 from repro.tune import TrialResult, TrialSpec, run_trial, spec_from_config
 
 TINY = dict(
@@ -34,6 +35,33 @@ class TestSpecFromConfig:
     def test_threshold_scale_multiplies_base(self):
         spec = spec_from_config("t", {"kind": "adaptive", "threshold_scale": 4.0})
         assert spec.build_schedule().thresholds == (8.0, 20.0, 40.0)
+
+    def test_threshold_scale_multiplies_given_thresholds(self):
+        config = {"thresholds": (1.0, 3.0, 5.0), "threshold_scale": 2.0}
+        spec = spec_from_config("t", config)
+        assert spec.build_schedule().thresholds == (2.0, 6.0, 10.0)
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
+    def test_defaults_are_the_schedule_class_defaults(self, kind):
+        """Keys a configuration leaves out take the schedule class's own
+        defaults, except a 6-epoch warm-up."""
+        spec = spec_from_config("t", {"kind": kind})
+        assert spec.schedule == SCHEDULE_KINDS[kind](warmup_epochs=6).to_config()
+
+    def test_kind_defaults_to_adaptive(self):
+        spec = spec_from_config("t", {"warmup_epochs": 2})
+        assert spec.schedule == AdaptiveSchedule(warmup_epochs=2).to_config()
+
+    def test_json_lists_and_tuples_give_the_same_spec(self):
+        """A configuration read back from JSON (lists) names the same
+        trial as the tuple-valued one a search space yields."""
+        config = {"kind": "heuristic", "ladder": ((2, (4, 1)),), "final_ratio": (3, 1)}
+        from_json = json.loads(json.dumps(config))
+        assert spec_from_config("t", from_json) == spec_from_config("t", config)
+
+    def test_invalid_schedule_is_rejected_by_its_class(self):
+        with pytest.raises(ValueError, match="one more ratio"):
+            spec_from_config("t", {"kind": "adaptive", "ratios": ((4, 1), (1, 1))})
 
     def test_heuristic_ladder(self):
         spec = spec_from_config(
@@ -72,9 +100,25 @@ class TestSpecFromConfig:
         with pytest.raises(ValueError, match="unknown search parameter"):
             spec_from_config("t", {"kind": "adaptive", "batched_gp": True})
 
-    def test_mismatched_schedule_keys_raise(self):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "heuristic", "thresholds": (1.0,)},
+            {"kind": "heuristic", "ratios": ((1, 1),)},
+            {"kind": "heuristic", "threshold_scale": 2.0},
+            {"kind": "adaptive", "ladder": ((3, (4, 1)),)},
+            {"kind": "adaptive", "final_ratio": (2, 1)},
+        ],
+        ids=[
+            "heuristic-thresholds", "heuristic-ratios", "heuristic-threshold_scale",
+            "adaptive-ladder", "adaptive-final_ratio",
+        ],
+    )
+    def test_mismatched_schedule_keys_raise(self, config):
+        # The schedule classes' from_config ignores extra keys, so this
+        # rejection is the parser's own.
         with pytest.raises(ValueError, match="do not apply"):
-            spec_from_config("t", {"kind": "heuristic", "thresholds": (1.0,)})
+            spec_from_config("t", config)
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):

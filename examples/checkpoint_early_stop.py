@@ -7,7 +7,7 @@ Fits a VGG13-mini with ADA-GP and three callbacks handed to the factory:
   History — after every epoch, one file per epoch;
 * ``EarlyStopping`` ends the fit once validation loss has not improved
   for ``PATIENCE`` epochs;
-* ``LambdaCallback`` prints one line per epoch.
+* ``Report``, a ``Callback`` subclass, prints one line per epoch.
 
 The engine trains straight through (two ``fit`` calls, ``SPLIT`` epochs
 and then the rest, are one run).  A fresh engine, built the same way in
@@ -26,10 +26,10 @@ from dataclasses import asdict
 import numpy as np
 
 from repro.core import (
+    Callback,
     Checkpointing,
     EarlyStopping,
     HeuristicSchedule,
-    LambdaCallback,
     adagp_engine,
 )
 from repro.data import synthetic_images
@@ -40,15 +40,21 @@ EPOCHS, SPLIT, PATIENCE = 12, 6, 2
 SPLIT_DATA = synthetic_images(10, 128, 64, image_size=16, seed=0)
 
 
-def build(checkpoint_pattern: pathlib.Path, label: str):
-    """The engine and its callbacks; every run builds the same one."""
+class Report(Callback):
+    """Print each epoch's validation loss and accuracy."""
 
-    def report(engine, epoch, logs):
+    def __init__(self, label: str) -> None:
+        self.label = label
+
+    def on_epoch_end(self, engine, epoch, logs):
         print(
-            f"  [{label}] epoch {epoch}: val_loss {logs['val_loss']:.4f} "
+            f"  [{self.label}] epoch {epoch}: val_loss {logs['val_loss']:.4f} "
             f"val_acc {logs['val_metric']:5.1f} %"
         )
 
+
+def build(checkpoint_pattern: pathlib.Path, label: str):
+    """The engine and its callbacks; every run builds the same one."""
     stopper = EarlyStopping(monitor="val_loss", patience=PATIENCE)
     engine = adagp_engine(
         build_mini("VGG13", 10, rng=np.random.default_rng(1)),
@@ -62,7 +68,7 @@ def build(checkpoint_pattern: pathlib.Path, label: str):
         callbacks=[
             Checkpointing(str(checkpoint_pattern)),
             stopper,
-            LambdaCallback(on_epoch_end=report),
+            Report(label),
         ],
     )
     return engine, stopper

@@ -68,7 +68,7 @@ def train_once(split, codec, label, args, inner="bp"):
         f"grad bytes {totals['grad_wire_bytes'] / 1e6:8.2f} MB   "
         f"ratio {ratio:6.1f}x"
     )
-    return epochs
+    return history, epochs
 
 
 def main() -> None:
@@ -95,13 +95,14 @@ def main() -> None:
     train_once(split, AdaCompCodec(bin_size=1024), "adacomp T=1024", args)
 
     print("\nphase-aware comm (ADA-GP, 3:1 GP:BP after warm-up; identity codec):")
-    epochs = train_once(split, "identity", "adagp identity", args, inner="adagp")
+    history, epochs = train_once(split, "identity", "adagp identity", args, inner="adagp")
     print("  epoch  bp-batches  gp-batches  grad-MB    sync-MB")
-    for epoch in sorted(epochs):
-        row = epochs[epoch]
+    for epoch in range(history.num_epochs):
+        # A comm-free epoch leaves no ledger row.
+        row = epochs.get(epoch, {})
         print(
-            f"  {epoch:5d}  {row['bp_batches']:10d}  {row['gp_batches']:10d}"
-            f"  {row['grad_wire_bytes'] / 1e6:8.3f}   {row['sync_bytes'] / 1e6:7.2f}"
+            f"  {epoch:5d}  {history.bp_batches[epoch]:10d}  {history.gp_batches[epoch]:10d}"
+            f"  {row.get('grad_wire_bytes', 0) / 1e6:8.3f}   {row.get('sync_bytes', 0) / 1e6:7.2f}"
         )
     print(
         "\nGP batches apply locally predicted gradients — no backprop"

@@ -22,7 +22,6 @@ from .engine import (
     EarlyStopping,
     EpochStats,
     GradPredictStrategy,
-    LambdaCallback,
     PhaseStrategy,
     PipelineGPStrategy,
     ThroughputTimer,
@@ -54,7 +53,6 @@ __all__ = [
     "BatchResult",
     "Callback",
     "CallbackList",
-    "LambdaCallback",
     "EarlyStopping",
     "Checkpointing",
     "CheckpointCorrupt",

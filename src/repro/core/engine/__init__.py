@@ -20,7 +20,6 @@ from .events import (
     CallbackList,
     Checkpointing,
     EarlyStopping,
-    LambdaCallback,
     ThroughputTimer,
 )
 from .factories import adagp_engine, bp_engine, pipeline_adagp_engine
@@ -42,7 +41,6 @@ __all__ = [
     "BatchResult",
     "Callback",
     "CallbackList",
-    "LambdaCallback",
     "EarlyStopping",
     "Checkpointing",
     "ThroughputTimer",

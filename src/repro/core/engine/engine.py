@@ -94,7 +94,6 @@ class TrainingEngine:
         gp_optimizer: Optional[Optimizer] = None,
         predictor_scheduler=None,
         callbacks: Iterable[Callback] = (),
-        history: Optional[History] = None,
         backend: Optional[BackendSpec] = None,
     ) -> None:
         self.model = model
@@ -108,7 +107,7 @@ class TrainingEngine:
         self.gp_optimizer = gp_optimizer if gp_optimizer is not None else optimizer
         self.predictor_scheduler = predictor_scheduler
         self.callbacks = CallbackList(callbacks)
-        self.history = history if history is not None else History()
+        self.history = History()
         self.current_epoch = 0
         self.stop_requested = False
         # The ``engine.batch`` span's place in its epoch: set by

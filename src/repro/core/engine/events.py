@@ -10,8 +10,8 @@ The engine fires a fixed set of events while it runs the fit loop:
 ``on_fit_end``      once, after the last epoch (or an early stop)
 
 Callbacks see each event in list order, except that every
-:class:`Checkpointing` sees ``on_epoch_end`` and ``on_fit_end`` after
-all the others, so a checkpoint carries the state they leave behind.
+:class:`Checkpointing` sees ``on_epoch_end`` after all the others, so a
+checkpoint carries the state they leave behind.
 
 Cross-cutting loop concerns — checkpointing, early stopping, throughput
 measurement — are composable callbacks instead of copy-pasted loop code,
@@ -20,7 +20,7 @@ so every trainer (BP, ADA-GP, pipelined ADA-GP) gets them for free.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ...obs.trace import tracer as _obs_tracer
 from ..schedule import Phase
@@ -102,91 +102,31 @@ class CallbackList(Callback):
         for callback in self.callbacks:
             callback.on_batch_end(engine, epoch, batch_index, result)
 
-    def _checkpoints_last(self) -> list[Callback]:
-        return sorted(self.callbacks, key=lambda cb: isinstance(cb, Checkpointing))
-
     def on_epoch_end(self, engine, epoch, logs):
-        for callback in self._checkpoints_last():
+        ordered = sorted(self.callbacks, key=lambda cb: isinstance(cb, Checkpointing))
+        for callback in ordered:
             callback.on_epoch_end(engine, epoch, logs)
 
     def on_fit_end(self, engine):
-        for callback in self._checkpoints_last():
+        for callback in self.callbacks:
             callback.on_fit_end(engine)
 
 
-class LambdaCallback(Callback):
-    """Inline callback built from keyword functions, for quick wiring.
-
-    Example::
-
-        LambdaCallback(on_epoch_end=lambda engine, epoch, logs: print(logs))
-    """
-
-    def __init__(
-        self,
-        on_fit_begin: Optional[Callable] = None,
-        on_epoch_begin: Optional[Callable] = None,
-        on_batch_begin: Optional[Callable] = None,
-        on_batch_end: Optional[Callable] = None,
-        on_epoch_end: Optional[Callable] = None,
-        on_fit_end: Optional[Callable] = None,
-    ) -> None:
-        self._hooks = {
-            "on_fit_begin": on_fit_begin,
-            "on_epoch_begin": on_epoch_begin,
-            "on_batch_begin": on_batch_begin,
-            "on_batch_end": on_batch_end,
-            "on_epoch_end": on_epoch_end,
-            "on_fit_end": on_fit_end,
-        }
-
-    def _fire(self, name: str, *args) -> None:
-        hook = self._hooks.get(name)
-        if hook is not None:
-            hook(*args)
-
-    def on_fit_begin(self, engine, epochs):
-        self._fire("on_fit_begin", engine, epochs)
-
-    def on_epoch_begin(self, engine, epoch):
-        self._fire("on_epoch_begin", engine, epoch)
-
-    def on_batch_begin(self, engine, epoch, batch_index, phase):
-        self._fire("on_batch_begin", engine, epoch, batch_index, phase)
-
-    def on_batch_end(self, engine, epoch, batch_index, result):
-        self._fire("on_batch_end", engine, epoch, batch_index, result)
-
-    def on_epoch_end(self, engine, epoch, logs):
-        self._fire("on_epoch_end", engine, epoch, logs)
-
-    def on_fit_end(self, engine):
-        self._fire("on_fit_end", engine)
-
-
 class EarlyStopping(Callback):
-    """Stop the fit loop when a monitored value stops improving.
+    """Stop the fit loop when a monitored loss stops going down.
 
-    ``monitor`` is a key of the epoch logs (``"val_loss"``,
-    ``"val_metric"`` or ``"train_loss"``); ``mode`` is ``"min"`` for
-    losses and ``"max"`` for metrics.
+    ``monitor`` names a loss in the epoch logs (``"val_loss"`` or
+    ``"train_loss"``); an epoch improves when its value is strictly
+    below the best so far.
     """
 
-    def __init__(
-        self,
-        monitor: str = "val_loss",
-        mode: str = "min",
-        patience: int = 5,
-        min_delta: float = 0.0,
-    ) -> None:
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    def __init__(self, monitor: str = "val_loss", patience: int = 5) -> None:
+        if not monitor.endswith("_loss"):
+            raise ValueError(f"monitor must name a loss, got {monitor!r}")
         if patience < 0:
             raise ValueError(f"patience must be non-negative, got {patience}")
         self.monitor = monitor
-        self.mode = mode
         self.patience = patience
-        self.min_delta = min_delta
         self.best: Optional[float] = None
         self.num_bad_epochs = 0
         self.stopped_epoch: Optional[int] = None
@@ -199,11 +139,7 @@ class EarlyStopping(Callback):
         }
 
     def _is_better(self, value: float) -> bool:
-        if self.best is None:
-            return True
-        if self.mode == "min":
-            return value < self.best - self.min_delta
-        return value > self.best + self.min_delta
+        return self.best is None or value < self.best
 
     def on_fit_begin(self, engine, epochs):
         # Fresh runs reset the counters; a checkpoint-resumed fit
@@ -229,7 +165,7 @@ class EarlyStopping(Callback):
 
 
 class Checkpointing(Callback):
-    """Save the full engine state every ``every`` epochs (and at fit end).
+    """Save the full engine state after every epoch.
 
     ``path`` may contain ``{epoch}``, which formats to the 0-based epoch
     just finished; without it the same file is overwritten, giving a
@@ -240,31 +176,11 @@ class Checkpointing(Callback):
     in the list (see ``tests/core/test_engine.py``).
     """
 
-    def __init__(self, path: str, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.every = every
-        self.saved_paths: list[str] = []
-        self._last_saved_epoch: Optional[int] = None
-
-    def _save(self, engine: "TrainingEngine", epoch: int) -> None:
-        target = self.path.format(epoch=epoch)
-        engine.save_checkpoint(target)
-        self._last_saved_epoch = epoch
-        if target not in self.saved_paths:
-            self.saved_paths.append(target)
 
     def on_epoch_end(self, engine, epoch, logs):
-        if (epoch + 1) % self.every == 0:
-            self._save(engine, epoch)
-
-    def on_fit_end(self, engine):
-        # Cover the `every > 1` stragglers without re-serializing the
-        # checkpoint on_epoch_end just wrote for the same epoch.
-        last_epoch = engine.current_epoch - 1
-        if last_epoch >= 0 and last_epoch != self._last_saved_epoch:
-            self._save(engine, last_epoch)
+        engine.save_checkpoint(self.path.format(epoch=epoch))
 
 
 class ThroughputTimer(Callback):

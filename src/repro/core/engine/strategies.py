@@ -349,9 +349,8 @@ class PipelineGPStrategy(BackpropStrategy):
         num_stages: int = 2,
         micro_batches: int = 4,
         kind: str = "GPipe",
-        train_predictor: bool = True,
     ) -> None:
-        super().__init__(train_predictor=train_predictor)
+        super().__init__(train_predictor=True)
         self.num_stages = num_stages
         self.micro_batches = micro_batches
         self.kind = kind

@@ -24,17 +24,18 @@ class History:
     ``predictor_mape``/``predictor_mse`` hold one dict per epoch mapping
     predictable-layer index (forward order) to the epoch-mean prediction
     error — exactly the series paper Fig 15 plots for VGG13.  They stay
-    empty when no predictor is attached (plain BP).
+    empty when no predictor is attached (plain BP).  A History starts
+    empty; the engine appends one entry per epoch.
     """
 
-    train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    val_metric: list[float] = field(default_factory=list)
-    gp_batches: list[int] = field(default_factory=list)
-    bp_batches: list[int] = field(default_factory=list)
-    gp_fraction: list[float] = field(default_factory=list)
-    predictor_mape: list[dict[int, float]] = field(default_factory=list)
-    predictor_mse: list[dict[int, float]] = field(default_factory=list)
+    train_loss: list[float] = field(default_factory=list, init=False)
+    val_loss: list[float] = field(default_factory=list, init=False)
+    val_metric: list[float] = field(default_factory=list, init=False)
+    gp_batches: list[int] = field(default_factory=list, init=False)
+    bp_batches: list[int] = field(default_factory=list, init=False)
+    gp_fraction: list[float] = field(default_factory=list, init=False)
+    predictor_mape: list[dict[int, float]] = field(default_factory=list, init=False)
+    predictor_mse: list[dict[int, float]] = field(default_factory=list, init=False)
 
     def __setstate__(self, state: dict) -> None:
         # Checkpoints pickled before a field existed (e.g. pre-tune

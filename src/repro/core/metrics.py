@@ -16,6 +16,11 @@ __all__ = [
     "detection_class_accuracy",
 ]
 
+#: MAPE's guard on the mean absolute actual value.
+MAPE_EPS = 1e-8
+#: BLEU's highest n-gram order.
+BLEU_MAX_N = 4
+
 
 def mean_squared_error(actual: np.ndarray, predicted: np.ndarray) -> float:
     if actual.shape != predicted.shape:
@@ -23,16 +28,14 @@ def mean_squared_error(actual: np.ndarray, predicted: np.ndarray) -> float:
     return float(np.mean((actual - predicted) ** 2))
 
 
-def mean_absolute_percentage_error(
-    actual: np.ndarray, predicted: np.ndarray, eps: float = 1e-8
-) -> float:
-    """MAPE as defined in paper Eq. 1, with an epsilon guard.
+def mean_absolute_percentage_error(actual: np.ndarray, predicted: np.ndarray) -> float:
+    """MAPE as defined in paper Eq. 1, with the :data:`MAPE_EPS` guard.
 
     Expressed as a percentage of the mean absolute actual value to avoid
     division blow-ups on near-zero gradients (the paper plots values in
     the 0-2% range).
     """
-    denom = float(np.mean(np.abs(actual))) + eps
+    denom = float(np.mean(np.abs(actual))) + MAPE_EPS
     return float(np.mean(np.abs(actual - predicted)) / denom * 100.0)
 
 
@@ -46,18 +49,17 @@ def _ngram_counts(tokens: Sequence[int], n: int) -> Counter:
 def bleu_score(
     candidates: Sequence[Sequence[int]],
     references: Sequence[Sequence[int]],
-    max_n: int = 4,
-    smooth: bool = True,
 ) -> float:
-    """Corpus BLEU in [0, 100] with add-1 smoothing for empty orders."""
+    """Corpus BLEU in [0, 100] up to :data:`BLEU_MAX_N`-grams, an order
+    with no match smoothed to half a match."""
     if len(candidates) != len(references):
         raise ValueError(
             f"{len(candidates)} candidates vs {len(references)} references"
         )
     if not candidates:
         raise ValueError("bleu_score needs at least one sentence pair")
-    matched = np.zeros(max_n)
-    total = np.zeros(max_n)
+    matched = np.zeros(BLEU_MAX_N)
+    total = np.zeros(BLEU_MAX_N)
     cand_len = 0
     ref_len = 0
     for cand, ref in zip(candidates, references):
@@ -65,7 +67,7 @@ def bleu_score(
         ref = list(ref)
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_MAX_N + 1):
             cand_counts = _ngram_counts(cand, n)
             ref_counts = _ngram_counts(ref, n)
             total[n - 1] += max(len(cand) - n + 1, 0)
@@ -73,11 +75,11 @@ def bleu_score(
                 min(count, ref_counts[gram]) for gram, count in cand_counts.items()
             )
     precisions = []
-    for n in range(max_n):
+    for n in range(BLEU_MAX_N):
         if total[n] == 0:
             precisions.append(0.0)
             continue
-        if matched[n] == 0 and smooth:
+        if matched[n] == 0:
             precisions.append(1.0 / (2.0 * total[n]))
         else:
             precisions.append(matched[n] / total[n])

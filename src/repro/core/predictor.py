@@ -33,6 +33,7 @@ from ..nn.backend import current_backend
 from ..nn.graph import trace
 from ..nn.module import Module, PredictableMixin
 from . import reorganize
+from .metrics import MAPE_EPS
 
 #: The front pool's output grid side: every input plane is pooled (or
 #: folded, DESIGN.md §4) onto ``POOL_SIZE x POOL_SIZE`` cells.
@@ -853,7 +854,7 @@ class GradientPredictor:
                 np.abs(target, out=target).sum(axis=1), bucket.starts
             )
         mse = sums[2] / plan.sizes
-        mape = sums[1] / plan.sizes / (sums[3] / plan.sizes + 1e-8) * 100.0
+        mape = sums[1] / plan.sizes / (sums[3] / plan.sizes + MAPE_EPS) * 100.0
         # The optimizer's parameter list: ``network.zero_grad()`` would
         # walk the network's module tree for the same four parameters.
         self.optimizer.zero_grad()

@@ -138,7 +138,7 @@ class AdaptiveSchedule(RatioSchedule):
     warmup_epochs: int = 10
     thresholds: tuple[float, ...] = (2.0, 5.0, 10.0)  # MAPE % cut-offs
     ratios: tuple[tuple[int, int], ...] = ((4, 1), (3, 1), (2, 1), (1, 1))
-    _recent_mape: float = field(default=float("inf"), repr=False)
+    _recent_mape: float = field(default=float("inf"), init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.ratios) != len(self.thresholds) + 1:

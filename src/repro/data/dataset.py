@@ -27,7 +27,6 @@ class BatchedDataset:
         batch_size: int,
         shuffle: bool = True,
         rng: Optional[np.random.Generator] = None,
-        drop_last: bool = False,
     ) -> Batches:
         """Yield one pass of mini-batches, shuffled by ``rng``.  A closure
         handing this a *fresh* generator per call replays one permutation
@@ -40,12 +39,10 @@ class BatchedDataset:
             rng.shuffle(order)
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
-            if drop_last and len(idx) < batch_size:
-                return
             yield tuple(column[idx] for column in self.columns)
 
     def epochs(
-        self, batch_size: int, seed: Optional[int] = None, drop_last: bool = False
+        self, batch_size: int, seed: Optional[int] = None
     ) -> Callable[[], Batches]:
         """The zero-argument callable ``TrainingEngine.fit`` takes: call
         ``e`` yields epoch ``e``'s batches in an order that is a pure
@@ -57,12 +54,12 @@ class BatchedDataset:
         def next_epoch() -> Batches:
             epoch = next(calls)
             rng = None if seed is None else np.random.default_rng([epoch, seed])
-            return self.batches(batch_size, seed is not None, rng, drop_last)
+            return self.batches(batch_size, seed is not None, rng)
 
         return next_epoch
 
-    def num_batches(self, batch_size: int, drop_last: bool = False) -> int:
-        return len(self) // batch_size if drop_last else -(-len(self) // batch_size)
+    def num_batches(self, batch_size: int) -> int:
+        return -(-len(self) // batch_size)
 
 
 @dataclass

@@ -16,6 +16,17 @@ import numpy as np
 from .dataset import BatchedDataset
 
 CLASS_NAMES = ["square", "cross", "disc"]
+#: Scene geometry: image side, YOLO grid side, objects tried per image,
+#: background noise scale and the range of object half-sizes — 3 to
+#: ``IMAGE_SIZE // 6`` pixels, PascalVOC-like proportions where an
+#: IoU-0.5 match tolerates pixel-level center error (tiny objects make
+#: mAP@0.5 degenerate at 32x32 resolution).
+IMAGE_SIZE = 32
+GRID_SIZE = 4
+MAX_OBJECTS = 2
+NOISE = 0.15
+MIN_HALF = 3
+MAX_HALF = IMAGE_SIZE // 6
 
 
 @dataclass
@@ -51,50 +62,31 @@ def _draw_object(
         image[2][mask] += 1.0
 
 
-def synthetic_detection(
-    num_images: int = 128,
-    image_size: int = 32,
-    grid_size: int = 4,
-    num_classes: int = 3,
-    max_objects: int = 2,
-    noise: float = 0.15,
-    min_half: int = 3,
-    max_half: int | None = None,
-    seed: int = 0,
-) -> DetectionDataset:
-    """Generate detection scenes with grid targets and GT boxes.
-
-    Object half-sizes default to 3..image_size//6 pixels: PascalVOC-like
-    proportions where an IoU-0.5 match tolerates pixel-level center
-    error (tiny objects make mAP@0.5 degenerate at 32x32 resolution).
-    """
-    if num_classes > len(CLASS_NAMES):
-        raise ValueError(f"at most {len(CLASS_NAMES)} classes supported")
+def synthetic_detection(num_images: int = 128, seed: int = 0) -> DetectionDataset:
+    """Generate detection scenes with grid targets and GT boxes."""
+    num_classes = len(CLASS_NAMES)
     rng = np.random.default_rng(seed)
-    cell = image_size // grid_size
-    images = np.zeros((num_images, 3, image_size, image_size), dtype=np.float32)
+    cell = IMAGE_SIZE // GRID_SIZE
+    images = np.zeros((num_images, 3, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
     targets = np.zeros(
-        (num_images, 5 + num_classes, grid_size, grid_size), dtype=np.float32
+        (num_images, 5 + num_classes, GRID_SIZE, GRID_SIZE), dtype=np.float32
     )
     all_boxes: list[list[tuple]] = []
     for i in range(num_images):
-        count = int(rng.integers(1, max_objects + 1))
+        count = int(rng.integers(1, MAX_OBJECTS + 1))
         boxes: list[tuple] = []
         used_cells: set[tuple[int, int]] = set()
-        effective_max_half = (
-            max_half if max_half is not None else max(min_half, image_size // 6)
-        )
         for _ in range(count):
             class_id = int(rng.integers(0, num_classes))
-            half = int(rng.integers(min_half, effective_max_half + 1))
-            cx = int(rng.integers(half, image_size - half))
-            cy = int(rng.integers(half, image_size - half))
+            half = int(rng.integers(MIN_HALF, MAX_HALF + 1))
+            cx = int(rng.integers(half, IMAGE_SIZE - half))
+            cy = int(rng.integers(half, IMAGE_SIZE - half))
             gx, gy = cx // cell, cy // cell
             if (gx, gy) in used_cells:
                 continue  # one object per cell (single-anchor detector)
             used_cells.add((gx, gy))
             _draw_object(images[i], class_id, cx, cy, half)
-            w = h = (2 * half + 1) / image_size
+            w = h = (2 * half + 1) / IMAGE_SIZE
             x_in_cell = (cx / cell) - gx
             y_in_cell = (cy / cell) - gy
             targets[i, 0, gy, gx] = 1.0
@@ -103,7 +95,7 @@ def synthetic_detection(
             targets[i, 3, gy, gx] = w
             targets[i, 4, gy, gx] = h
             targets[i, 5 + class_id, gy, gx] = 1.0
-            norm_cx, norm_cy = cx / image_size, cy / image_size
+            norm_cx, norm_cy = cx / IMAGE_SIZE, cy / IMAGE_SIZE
             boxes.append(
                 (
                     class_id,
@@ -113,12 +105,12 @@ def synthetic_detection(
                     norm_cy + h / 2,
                 )
             )
-        images[i] += noise * rng.standard_normal(images[i].shape).astype(np.float32)
+        images[i] += NOISE * rng.standard_normal(images[i].shape).astype(np.float32)
         all_boxes.append(boxes)
     return DetectionDataset(
         images=images,
         grid_targets=targets,
         boxes=all_boxes,
-        grid_size=grid_size,
+        grid_size=GRID_SIZE,
         num_classes=num_classes,
     )

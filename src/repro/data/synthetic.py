@@ -17,6 +17,11 @@ import numpy as np
 
 from .dataset import ArrayDataset, Split
 
+#: Colour channels per image, and the largest circular shift (pixels,
+#: each axis) applied to a sample's class template.
+IMAGE_CHANNELS = 3
+MAX_SHIFT = 2
+
 
 def _class_templates(
     num_classes: int, image_size: int, channels: int, rng: np.random.Generator
@@ -47,24 +52,21 @@ def synthetic_images(
     num_train: int,
     num_val: int,
     image_size: int = 16,
-    channels: int = 3,
     noise: float = 0.4,
-    max_shift: int = 2,
     seed: int = 0,
 ) -> Split:
     """Generate a train/val split of class-conditional images."""
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     rng = np.random.default_rng(seed)
-    templates = _class_templates(num_classes, image_size, channels, rng)
+    templates = _class_templates(num_classes, image_size, IMAGE_CHANNELS, rng)
 
     def make(count: int) -> ArrayDataset:
         labels = rng.integers(0, num_classes, size=count)
         images = templates[labels].copy()
-        if max_shift > 0:
-            shifts = rng.integers(-max_shift, max_shift + 1, size=(count, 2))
-            for i, (dy, dx) in enumerate(shifts):
-                images[i] = np.roll(images[i], (int(dy), int(dx)), axis=(1, 2))
+        shifts = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=(count, 2))
+        for i, (dy, dx) in enumerate(shifts):
+            images[i] = np.roll(images[i], (int(dy), int(dx)), axis=(1, 2))
         images += noise * rng.standard_normal(images.shape).astype(np.float32)
         return ArrayDataset(images.astype(np.float32), labels.astype(np.int64))
 

@@ -21,6 +21,10 @@ PAD_ID = 0
 BOS_ID = 1
 EOS_ID = 2
 NUM_SPECIAL = 3
+#: Shortest sentence, and the offset the language rule adds to every
+#: content token.
+MIN_LEN = 3
+SHIFT = 7
 
 
 @dataclass
@@ -37,15 +41,14 @@ class TranslationDataset(BatchedDataset):
         return self.src, self.tgt
 
     def batches(
-        self, batch_size, shuffle=True, rng=None, drop_last=False,
-        seed: Optional[int] = None,
+        self, batch_size, shuffle=True, rng=None, seed: Optional[int] = None
     ) -> Batches:
         # ``seed=`` cannot say "reshuffle next epoch"; it survives only for
         # bench/workloads.py, frozen until the [benchmark] PR that re-records
         # the loss bands under ``epochs()`` and deletes this override.
         if seed is not None:
             rng = np.random.default_rng(seed)
-        return super().batches(batch_size, shuffle, rng, drop_last)
+        return super().batches(batch_size, shuffle, rng)
 
 
 def teacher_forcing(epochs: Callable[[], Batches]) -> Callable[[], Iterator[tuple]]:
@@ -65,23 +68,22 @@ def _translate(sentence: np.ndarray, shift: int, content_vocab: int) -> np.ndarr
 def synthetic_translation(
     num_sentences: int = 256,
     content_vocab: int = 20,
-    min_len: int = 3,
     max_len: int = 8,
-    shift: int = 7,
     seed: int = 0,
 ) -> TranslationDataset:
-    """Generate a parallel corpus under the reverse+shift rule."""
-    if max_len < min_len:
-        raise ValueError("max_len must be >= min_len")
+    """Generate a parallel corpus under the reverse+shift rule, with
+    sentences of :data:`MIN_LEN` to ``max_len`` tokens."""
+    if max_len < MIN_LEN:
+        raise ValueError(f"max_len must be >= {MIN_LEN}")
     rng = np.random.default_rng(seed)
     src_len = max_len
     tgt_len = max_len + 2  # BOS + tokens + EOS
     src = np.zeros((num_sentences, src_len), dtype=np.int64)
     tgt = np.zeros((num_sentences, tgt_len), dtype=np.int64)
     for i in range(num_sentences):
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(MIN_LEN, max_len + 1))
         tokens = rng.integers(NUM_SPECIAL, NUM_SPECIAL + content_vocab, size=length)
-        translated = _translate(tokens, shift, content_vocab)
+        translated = _translate(tokens, SHIFT, content_vocab)
         src[i, :length] = tokens
         tgt[i, 0] = BOS_ID
         tgt[i, 1 : 1 + length] = translated

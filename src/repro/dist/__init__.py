@@ -8,7 +8,8 @@ This package layers that story over the existing engine seams:
 
 * :mod:`repro.dist.transport` — the comm substrate
   (:class:`LocalTransport` in-process, :class:`ProcessTransport` over
-  ``multiprocessing``), swappable like ``repro.nn.backend``;
+  ``multiprocessing``), named by ``"local"`` / ``"process"`` or passed
+  as an instance;
 * :mod:`repro.dist.codec` — gradient wire formats
   (:class:`IdentityCodec`, :class:`AdaCompCodec`) with measured
   ``wire_bytes``/``dense_bytes`` accounting;
@@ -53,8 +54,6 @@ from .transport import (
     WorkerError,
     WorkerTimeout,
     frame_payload,
-    list_transports,
-    register_transport,
     resolve_transport,
     unframe_payload,
 )
@@ -89,9 +88,7 @@ __all__ = [
     "decode_sum",
     "dp_strategy",
     "frame_payload",
-    "list_transports",
     "load_sync_state",
-    "register_transport",
     "resolve_codec",
     "resolve_transport",
     "shard_sizes",

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the data-parallel transport layer.
 
 :class:`ChaosTransport` wraps any registered transport and injects
-faults from a *seeded, reproducible schedule*, so every distributed
+faults from a *reproducible schedule*, so every distributed
 failure mode is a test fixture, not a flake.  The five injected kinds
 mirror the fault taxonomy in :mod:`repro.dist.transport`:
 
@@ -28,15 +28,13 @@ mirror the fault taxonomy in :mod:`repro.dist.transport`:
     in front of the rank's future replies — the at-least-once-delivery
     fixture the sequence-number dedup must absorb.
 
-Determinism: injections are decided per *collect event* either by an
-explicit :class:`Fault` rule list (``rank``/``op``/``nth`` targeted —
-the fault-matrix tests) or by per-kind rates drawn from a seeded
-``numpy`` Generator whose consumption order is the collect order.  No
+Determinism: injections are decided per *collect event* by an explicit
+:class:`Fault` rule list (``rank``/``op``/``nth`` targeted).  No
 injection consults the clock, so a chaos run's fault sequence is a pure
-function of (schedule, traffic) — which is what lets the acceptance
-tests assert *bitwise* equality between faulted and unfaulted runs.
+function of (rules, traffic) — which is what lets the acceptance tests
+assert *bitwise* equality between faulted and unfaulted runs.
 
-``ChaosTransport`` composes through the transport registry::
+``ChaosTransport`` is passed as a transport instance::
 
     from repro.dist import ChaosTransport, Fault, ddp_engine
 
@@ -58,8 +56,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-import numpy as np
-
 from .transport import (
     PayloadCorrupt,
     Transport,
@@ -68,22 +64,17 @@ from .transport import (
     WorkerDied,
     WorkerTimeout,
     frame_payload,
-    register_transport,
-    resolve_transport,
     unframe_payload,
 )
 
-#: Injection kinds, in the (fixed, documented) order the seeded sampler
-#: consults them — part of the schedule's determinism contract.
+#: Injection kinds.
 FAULT_KINDS = ("kill", "delay", "drop", "corrupt", "duplicate")
 
 
-def corrupt_frame(frame: bytes, position: Optional[int] = None) -> bytes:
-    """Flip one byte of a CRC32 frame (default: middle of the body), so
+def corrupt_frame(frame: bytes) -> bytes:
+    """Flip one byte in the middle of a CRC32 frame's body, so
     :func:`~repro.dist.transport.unframe_payload` must detect it."""
-    if position is None:
-        position = max(len(frame) - 1, 0) // 2 + 8  # inside the body
-        position = min(position, len(frame) - 1)
+    position = min(max(len(frame) - 1, 0) // 2 + 8, len(frame) - 1)
     corrupted = bytearray(frame)
     corrupted[position] ^= 0xFF
     return bytes(corrupted)
@@ -121,45 +112,27 @@ class FaultEvent:
 
 
 class ChaosTransport(TransportWrapper):
-    """Fault-injecting wrapper over any registered transport.
+    """Fault-injecting wrapper over any transport.
 
     Parameters
     ----------
     inner:
-        Transport spec the chaos wraps — a registered name or an
-        instance.  Name specs are resolved when the world size is known
-        (:meth:`bind_world`, called by ``resolve_transport``).
+        Transport spec the chaos wraps — ``"local"``, ``"process"`` or
+        an instance.  Name specs are resolved when the world size is
+        known (:meth:`bind_world`, called by ``resolve_transport``).
     faults:
         Explicit :class:`Fault` rules (deterministic targeting).
-    rates:
-        ``{kind: probability}`` for seeded random injection, evaluated
-        per collect event in :data:`FAULT_KINDS` order (first hit
-        wins).  Combines with ``faults`` — rules are checked first.
-    seed:
-        Seed of the rate sampler; same seed + same traffic = same
-        fault sequence, reproducibly.
     """
 
     def __init__(
         self,
         inner: Union[str, Transport] = "local",
         faults: Iterable[Fault] = (),
-        rates: Optional[dict[str, float]] = None,
-        seed: int = 0,
-        world_size: Optional[int] = None,
     ) -> None:
         # Own copies: matching consumes ``nth``, and the same rule list
         # must be reusable across runs (the determinism tests build two
         # identical chaos schedules from one spec).
         self.faults: list[Fault] = [copy.copy(rule) for rule in faults]
-        self.rates = dict(rates or {})
-        for kind in self.rates:
-            if kind not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
-                )
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
         self._fired: set[int] = set()  # indices into self.faults
         self._collect_index = 0
         #: Injections that actually happened, in order — test probe.
@@ -171,7 +144,7 @@ class ChaosTransport(TransportWrapper):
         # Per-rank: a reply was dropped and nothing new submitted yet —
         # retry collects must time out instantly, not re-burn deadlines.
         self._lost: dict[int, bool] = {}
-        super().__init__(inner, world_size)
+        super().__init__(inner)
 
     # ------------------------------------------------------------------
     # Lifecycle: delegate, keeping the per-rank injection state in step.
@@ -200,19 +173,9 @@ class ChaosTransport(TransportWrapper):
     # Injection decision.
     # ------------------------------------------------------------------
     def _decide(self, rank: int, op: str) -> Optional[str]:
-        """The fault kind to inject on this collect event, if any.
-
-        Consumes rng draws for the rate sampler regardless of rule
-        matches, so rule edits never shift the random schedule."""
+        """The fault kind to inject on this collect event, if any."""
         index = self._collect_index
         self._collect_index += 1
-        sampled: Optional[str] = None
-        if self.rates:
-            draws = self._rng.random(len(FAULT_KINDS))
-            for kind, draw in zip(FAULT_KINDS, draws):
-                rate = self.rates.get(kind, 0.0)
-                if sampled is None and draw < rate:
-                    sampled = kind
         for rule_index, rule in enumerate(self.faults):
             if rule_index in self._fired:
                 continue
@@ -226,9 +189,7 @@ class ChaosTransport(TransportWrapper):
             self._fired.add(rule_index)
             self.events.append(FaultEvent(rule.kind, rank, op, index))
             return rule.kind
-        if sampled is not None:
-            self.events.append(FaultEvent(sampled, rank, op, index))
-        return sampled
+        return None
 
     # ------------------------------------------------------------------
     # The wrapped protocol.
@@ -302,8 +263,3 @@ class ChaosTransport(TransportWrapper):
                 self._require_inner().collect(rank, timeout=0.5)
             except TransportError:
                 break
-
-
-# A bare "chaos" resolves to a transparent wrapper over the local
-# transport — useful to smoke-test the wrapping itself by name.
-register_transport("chaos", lambda world_size: ChaosTransport("local", world_size=world_size))

@@ -16,7 +16,7 @@ replica echoes, and every collect climbs:
 1. **Dedup** — a reply whose sequence number is not the outstanding
    command's is a stale duplicate (at-least-once delivery), discarded.
 2. **Retry** — :class:`~repro.dist.transport.WorkerTimeout` is
-   re-collected up to ``max_retries`` times with linear backoff (a
+   re-collected up to :data:`MAX_RETRIES` times with linear backoff (a
    delayed reply is simply collected late).
 3. **Rebuild** — a dead rank, a corrupt payload or a timeout past the
    retry budget (the wedged rank is killed first) rebuilds the rank
@@ -74,6 +74,9 @@ RECOVERY_BUDGET_DEADLINES = 5
 #: answered submit→reply latency, never under the floor.
 DEADLINE_FACTOR = 20.0
 DEADLINE_FLOOR_S = 5.0
+#: Timeout re-collects per faulted collect before the timeout escalates
+#: to a rank rebuild.
+MAX_RETRIES = 2
 
 
 class RankLost(TransportError):
@@ -114,11 +117,8 @@ class ReliableTransport(TransportWrapper):
     Parameters
     ----------
     inner:
-        Transport spec being made reliable — a registered name or an
+        Transport spec being made reliable — ``"local"``, ``"process"`` or an
         instance (e.g. a :class:`~repro.dist.faults.ChaosTransport`).
-    max_retries:
-        Timeout re-collect budget per faulted collect before the timeout
-        escalates to a rank rebuild.
     retry_backoff:
         Linear backoff unit between timeout retries, seconds.
     max_rebuilds:
@@ -129,13 +129,11 @@ class ReliableTransport(TransportWrapper):
     def __init__(
         self,
         inner: Union[str, Transport] = "local",
-        max_retries: int = 2,
         retry_backoff: float = 0.05,
         max_rebuilds: int = 3,
     ) -> None:
-        if max_retries < 0 or max_rebuilds < 0:
-            raise ValueError("max_retries and max_rebuilds must be >= 0")
-        self.max_retries = int(max_retries)
+        if max_rebuilds < 0:
+            raise ValueError("max_rebuilds must be >= 0")
         self.retry_backoff = float(retry_backoff)
         self.max_rebuilds = int(max_rebuilds)
         #: ``sink(entry, **counts)``: one call per ledger event — a fault
@@ -233,7 +231,7 @@ class ReliableTransport(TransportWrapper):
                         f"({RECOVERY_BUDGET_DEADLINES} x {self.timeout:g}s) exhausted",
                         rank, entry["op"], ledger,
                     ) from err
-                if isinstance(err, WorkerTimeout) and retries < self.max_retries:
+                if isinstance(err, WorkerTimeout) and retries < MAX_RETRIES:
                     retries += 1
                     self.sink(None, retries=1)
                     if self.retry_backoff > 0:

@@ -106,7 +106,7 @@ class CommStats:
     """
 
     _KEYS = (
-        "grad_wire_bytes", "grad_dense_bytes", "sync_bytes", "bp_batches", "gp_batches",
+        "grad_wire_bytes", "grad_dense_bytes", "sync_bytes",
         "faults", "retries", "rebuilds", "recovery_s", "recovery_bytes",
     )
 
@@ -114,7 +114,7 @@ class CommStats:
         self.epochs: dict[int, dict[str, float]] = {}
 
     def add(self, epoch: int, **counts: float) -> None:
-        """Add ``counts`` (any of the ten keys) to ``epoch``'s row."""
+        """Add ``counts`` (any of the eight keys) to ``epoch``'s row."""
         row = self.epochs.setdefault(epoch, self._empty())
         for key, value in counts.items():
             row[key] += value
@@ -127,10 +127,10 @@ class CommStats:
                 totals[key] += value
         return totals
 
-    def compression_ratio(self, epoch: Optional[int] = None) -> float:
-        """Measured dense/wire ratio for one epoch (or the whole run);
-        NaN before any gradient traffic."""
-        row = self.epochs.get(epoch, self._empty()) if epoch is not None else self.totals()
+    def compression_ratio(self) -> float:
+        """Measured dense/wire ratio over the whole run; NaN before any
+        gradient traffic."""
+        row = self.totals()
         if row["grad_wire_bytes"] <= 0:
             return float("nan")
         return row["grad_dense_bytes"] / row["grad_wire_bytes"]
@@ -168,7 +168,7 @@ class DataParallelStrategy(PhaseStrategy):
         Gradient codec spec (name or instance) — *rank 0's* instance;
         replicas spawn their own so residual state stays rank-local.
     transport:
-        ``"local"`` / ``"process"`` / ``"chaos"`` / a started-or-not
+        ``"local"`` / ``"process"`` / a started-or-not
         :class:`~repro.dist.transport.Transport`; :meth:`bind` wraps it
         in a default :class:`~repro.dist.reliable.ReliableTransport`
         unless it already is one (pass a configured one to tune recovery).
@@ -423,7 +423,6 @@ class DataParallelStrategy(PhaseStrategy):
             engine.current_epoch,
             grad_wire_bytes=sum(wire[1:]) + fan_out * sum(wire),
             grad_dense_bytes=sum(dense[1:]) + fan_out * sum(dense),
-            bp_batches=1,
         )
         if engine.predictor is not None:
             self._predictor_stale = True
@@ -474,6 +473,5 @@ class DataParallelStrategy(PhaseStrategy):
             # what arrived instead of double-applying rank 0's update.
             self._forfeit(lost)
         self._drifted = True
-        self.comm.add(self.engine.current_epoch, gp_batches=1)
         n = sum(reply["n"] for reply in replies.values())
         return self._merge_results(replies, phase, n)

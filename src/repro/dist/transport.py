@@ -46,11 +46,11 @@ Fault model (PR 9).  The fabric is no longer assumed perfect:
   :meth:`start`, so a rebuilt replica's construction path is identical
   to the original's.
 
-Transports resolve through a **registry** (:func:`register_transport`)
-and decorate each other through :class:`TransportWrapper` — the
-fault-injection layer (:mod:`repro.dist.faults`) and the recovery layer
-(:mod:`repro.dist.reliable`) are both wrappers, so new fabrics compose
-by name exactly like ``repro.nn.backend`` substrates.
+A transport spec is ``"local"``, ``"process"`` or an instance
+(:func:`resolve_transport`); transports decorate each other through
+:class:`TransportWrapper` — the fault-injection layer
+(:mod:`repro.dist.faults`) and the recovery layer
+(:mod:`repro.dist.reliable`) are both wrappers.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ from typing import Callable, Optional, Union
 from ..core.engine.checkpoint import pack_frame, unpack_frame
 
 WorkerFactory = Callable[[int], object]
+
+#: Liveness-poll interval of :meth:`ProcessTransport.collect`, seconds.
+HEARTBEAT_S = 0.05
 
 
 # ----------------------------------------------------------------------
@@ -333,24 +336,22 @@ class ProcessTransport(Transport):
         with a dead or hung rank, *every* blocking path must surface a
         :class:`WorkerTimeout`/:class:`WorkerDied` rather than block the
         fit loop forever.
-    heartbeat:
-        Liveness-poll interval inside :meth:`collect`: between pipe
-        polls the worker process is checked with ``is_alive()``, so a
-        crashed rank raises :class:`WorkerDied` within one heartbeat
-        instead of burning the whole deadline.
+
+    Between pipe polls inside :meth:`collect` (every
+    :data:`HEARTBEAT_S`) the worker process is checked with
+    ``is_alive()``, so a crashed rank raises :class:`WorkerDied` within
+    one heartbeat instead of burning the whole deadline.
     """
 
     def __init__(
         self,
         world_size: int,
         timeout: float = Transport.timeout,
-        heartbeat: float = 0.05,
     ) -> None:
         super().__init__(world_size)
         if timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.timeout = float(timeout)
-        self.heartbeat = float(heartbeat)
         self._procs: dict[int, mp.Process] = {}
         self._conns: dict[int, object] = {}
         self._factory: Optional[WorkerFactory] = None
@@ -391,7 +392,7 @@ class ProcessTransport(Transport):
         deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
         while True:
             remaining = deadline - time.monotonic()
-            interval = max(0.0, min(self.heartbeat, remaining))
+            interval = max(0.0, min(HEARTBEAT_S, remaining))
             try:
                 if conn.poll(interval):
                     return unframe_payload(conn.recv_bytes(), rank=rank)
@@ -466,24 +467,20 @@ class ProcessTransport(Transport):
 class TransportWrapper(Transport):
     """A transport that decorates another one (chaos, reliable).
 
-    ``inner`` is a registered name or an instance.  Name specs resolve
+    ``inner`` is a transport name or an instance.  Name specs resolve
     when the world size is known — :meth:`bind_world`, called by
     :func:`resolve_transport` — so one wrapper spec drops into any
     ``workers=`` count.  Lifecycle calls delegate; subclasses supply
     ``submit``/``collect`` and override what else they decorate.
     """
 
-    def __init__(
-        self, inner: Union[str, Transport] = "local", world_size: Optional[int] = None
-    ) -> None:
+    def __init__(self, inner: Union[str, Transport] = "local") -> None:
         # No super().__init__: the world size may be bound later.
         self._inner_spec = inner
         self.inner: Optional[Transport] = None
         self.started = False
-        if world_size is None and isinstance(inner, Transport):
-            world_size = inner.world_size
-        if world_size is not None:
-            self.bind_world(world_size)
+        if isinstance(inner, Transport) and inner.world_size is not None:
+            self.bind_world(inner.world_size)
 
     @property
     def world_size(self) -> Optional[int]:  # type: ignore[override]
@@ -507,7 +504,7 @@ class TransportWrapper(Transport):
         if self.inner is None:
             raise TransportError(
                 f"{type(self).__name__} is not bound to a world size yet; resolve "
-                "it through resolve_transport or pass world_size="
+                "it through resolve_transport or call bind_world"
             )
         return self.inner
 
@@ -533,31 +530,10 @@ class TransportWrapper(Transport):
 # ----------------------------------------------------------------------
 # Registry.
 # ----------------------------------------------------------------------
-#: name -> factory(world_size) -> Transport.  New fabrics (e.g. the
-#: chaos wrapper in ``repro.dist.faults``) register here and become
-#: usable anywhere a transport spec is accepted, like nn backends.
-_TRANSPORTS: dict[str, Callable[[int], Transport]] = {}
-
-
-def register_transport(name: str, factory: Callable[[int], Transport]) -> None:
-    """Register a transport under ``name`` for :func:`resolve_transport`."""
-    _TRANSPORTS[name] = factory
-
-
-def list_transports() -> list[str]:
-    """Sorted names of every registered transport."""
-    return sorted(_TRANSPORTS)
-
-
-register_transport("local", LocalTransport)
-register_transport("process", ProcessTransport)
-
-
 def resolve_transport(spec, world_size: int) -> Transport:
-    """Resolve a transport spec: a registered name (``"local"``,
-    ``"process"``, ...), a :class:`Transport` instance (world size must
-    match; wrappers built world-size-late are bound here), or ``None``
-    (local)."""
+    """Resolve a transport spec: ``"local"`` or ``"process"``, a
+    :class:`Transport` instance (world size must match; wrappers built
+    world-size-late are bound here), or ``None`` (local)."""
     if spec is None:
         return LocalTransport(world_size)
     if isinstance(spec, Transport):
@@ -569,11 +545,11 @@ def resolve_transport(spec, world_size: int) -> Transport:
             )
         return spec
     if isinstance(spec, str):
-        factory = _TRANSPORTS.get(spec)
+        factory = {"local": LocalTransport, "process": ProcessTransport}.get(spec)
         if factory is None:
             raise ValueError(
-                f"unknown transport {spec!r}; expected one of "
-                f"{list_transports()} or a Transport instance"
+                f"unknown transport {spec!r}; expected 'local', 'process' "
+                "or a Transport instance"
             )
         return factory(world_size)
     raise TypeError(f"cannot resolve transport from {type(spec).__name__}")

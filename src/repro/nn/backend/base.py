@@ -24,7 +24,7 @@ overriding whichever ops the new substrate accelerates (see DESIGN.md
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -52,7 +52,7 @@ class ConvCtx:
     stride: int
     padding: int
     pooled: bool = False
-    released: bool = False
+    released: bool = field(default=False, init=False)
 
     def release(self) -> None:
         """Return the cols workspace to the backend pool (idempotent)."""

@@ -45,6 +45,9 @@ from .. import functional as F
 from .base import ConvCtx, NormCtx, channel_axes, register_backend
 from .numpy_backend import NumpyBackend
 
+#: How many same-shaped buffers a :class:`WorkspacePool` parks at once.
+MAX_PARKED_PER_SHAPE = 8
+
 
 class WorkspacePool:
     """Free-list of reusable scratch buffers keyed by (shape, dtype).
@@ -52,13 +55,12 @@ class WorkspacePool:
     ``acquire`` pops a parked buffer or allocates a fresh one; callers
     that are done with a buffer ``release`` it back.  Never-released
     buffers are simply garbage-collected when their owner drops them, so
-    forward-only streams cannot leak; ``max_per_key`` bounds how many
-    same-shaped buffers park at once (micro-batched pipelines check out
-    several before any is returned).
+    forward-only streams cannot leak; :data:`MAX_PARKED_PER_SHAPE`
+    bounds how many same-shaped buffers park at once (micro-batched
+    pipelines check out several before any is returned).
     """
 
-    def __init__(self, max_per_key: int = 8) -> None:
-        self.max_per_key = max_per_key
+    def __init__(self) -> None:
         self._free: dict[tuple, list[np.ndarray]] = {}
         self.hits = 0
         self.misses = 0
@@ -85,7 +87,7 @@ class WorkspacePool:
         self.outstanding -= 1
         key = (array.shape, array.dtype.str)
         parked = self._free.setdefault(key, [])
-        if len(parked) < self.max_per_key and not any(
+        if len(parked) < MAX_PARKED_PER_SHAPE and not any(
             buf is array for buf in parked
         ):
             parked.append(array)
@@ -114,8 +116,8 @@ class FusedBackend(NumpyBackend):
 
     name = "fused"
 
-    def __init__(self, max_buffers_per_shape: int = 8) -> None:
-        self.pool = WorkspacePool(max_per_key=max_buffers_per_shape)
+    def __init__(self) -> None:
+        self.pool = WorkspacePool()
         self._paths: dict[tuple, list] = {}
 
     # -- workspace management --------------------------------------------

@@ -175,8 +175,8 @@ class NativeBackend(FusedBackend):
 
     name = "native"
 
-    def __init__(self, max_buffers_per_shape: int = 8) -> None:
-        super().__init__(max_buffers_per_shape)
+    def __init__(self) -> None:
+        super().__init__()
         try:
             self._lib = native_build.load()
         except (native_build.NativeBuildError, OSError) as exc:

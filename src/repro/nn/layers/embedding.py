@@ -60,7 +60,7 @@ class Embedding(Module):
 class PositionalEncoding(Module):
     """Add fixed sinusoidal position encodings (Vaswani et al. 2017)."""
 
-    def __init__(self, d_model: int, max_len: int = 512) -> None:
+    def __init__(self, d_model: int, max_len: int) -> None:
         super().__init__()
         self.d_model = d_model
         position = np.arange(max_len, dtype=np.float32)[:, None]

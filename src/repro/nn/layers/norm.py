@@ -14,6 +14,12 @@ from ..module import (
 )
 from .. import init
 
+#: Variance guard of every normalisation layer, and the weight a
+#: training batch's statistics get in BatchNorm's running ones
+#: (PyTorch's defaults).
+NORM_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
 
 class _BatchNorm(Module):
     """Batch normalisation over axis 1 of an ``_ndim``-D tensor.
@@ -26,11 +32,9 @@ class _BatchNorm(Module):
     _ndim: int
     statistics = ("running_mean", "running_var")
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
         self.weight = Parameter(init.ones((num_features,)), name="weight")
         self.bias = Parameter(init.zeros((num_features,)), name="bias")
         self.running_mean = np.zeros(num_features, dtype=np.float32)
@@ -53,7 +57,7 @@ class _BatchNorm(Module):
             x,
             self.weight.data,
             self.bias.data,
-            self.eps,
+            NORM_EPS,
             stats=None if self.training else (self.running_mean, self.running_var),
             relu=relu,
             need_ctx=grad,
@@ -65,10 +69,10 @@ class _BatchNorm(Module):
             count = x.size // self.num_features
             unbiased_var = var * (count / (count - 1)) if count > 1 else var
             self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
+                (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             ).astype(np.float32)
             self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * unbiased_var
+                (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased_var
             ).astype(np.float32)
             self.stats_version += 1
         self._saved = ctx if grad else NO_GRAD
@@ -104,10 +108,9 @@ class BatchNorm1d(_BatchNorm):
 class LayerNorm(Module):
     """Layer normalization over the last dimension (Transformer-style)."""
 
-    def __init__(self, normalized_shape: int, eps: float = 1e-5):
+    def __init__(self, normalized_shape: int):
         super().__init__()
         self.normalized_shape = normalized_shape
-        self.eps = eps
         self.weight = Parameter(init.ones((normalized_shape,)), name="weight")
         self.bias = Parameter(init.zeros((normalized_shape,)), name="bias")
 
@@ -117,7 +120,7 @@ class LayerNorm(Module):
                 f"LayerNorm expected last dim {self.normalized_shape}, got {x.shape}"
             )
         mean, var = current_backend().moments(x, -1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + NORM_EPS)
         x_hat = (x - mean) * inv_std
         self._saved = (x_hat, inv_std) if is_grad_enabled() else NO_GRAD
         return self.weight.data * x_hat + self.bias.data

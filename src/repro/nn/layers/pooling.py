@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..backend import current_backend
@@ -11,7 +9,8 @@ from ..module import NO_GRAD, Module, check_backward_cache, is_grad_enabled
 
 
 class MaxPool2d(Module):
-    """Max pooling with square windows.
+    """Max pooling with square, non-overlapping windows (stride equal to
+    the kernel, no padding).
 
     The arithmetic is the backend's ``max_pool2d`` op pair; what the
     layer keeps for backward is the op's ``uint8`` window index and the
@@ -21,7 +20,7 @@ class MaxPool2d(Module):
     #: Largest window a ``uint8`` index can address (16 * 16 = 256 positions).
     MAX_KERNEL = 16
 
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
+    def __init__(self, kernel_size: int):
         super().__init__()
         if kernel_size > self.MAX_KERNEL:
             raise ValueError(
@@ -29,21 +28,12 @@ class MaxPool2d(Module):
                 f"{self.MAX_KERNEL} for MaxPool2d: its uint8 window index "
                 f"addresses {self.MAX_KERNEL}x{self.MAX_KERNEL} positions"
             )
-        if padding * 2 > kernel_size:
-            # Guarantees every window sees at least one real element, so
-            # the -inf padding can only win a window of -inf values.
-            raise ValueError(
-                f"padding ({padding}) must be at most half the kernel size "
-                f"({kernel_size}) for MaxPool2d"
-            )
         self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self.padding = padding
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         grad = is_grad_enabled()
         out, index = current_backend().max_pool2d(
-            x, self.kernel_size, self.stride, self.padding, grad
+            x, self.kernel_size, self.kernel_size, 0, grad
         )
         self._saved = (index, x.shape) if grad else NO_GRAD
         return out
@@ -52,25 +42,21 @@ class MaxPool2d(Module):
         check_backward_cache(self._saved, self)
         index, x_shape = self._saved
         return current_backend().max_pool2d_backward(
-            grad_out, index, x_shape, self.kernel_size, self.stride, self.padding
+            grad_out, index, x_shape, self.kernel_size, self.kernel_size, 0
         )
 
 
 class AvgPool2d(Module):
-    """Average pooling with square windows."""
+    """Average pooling with square, non-overlapping windows."""
 
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
+    def __init__(self, kernel_size: int):
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self.padding = padding
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, channels, _, _ = x.shape
         backend = current_backend()
-        cols, out_h, out_w = backend.unfold(
-            x, self.kernel_size, self.stride, self.padding
-        )
+        cols, out_h, out_w = backend.unfold(x, self.kernel_size, self.kernel_size, 0)
         k2 = self.kernel_size * self.kernel_size
         out = cols.reshape(batch, channels, k2, out_h * out_w).mean(axis=2)
         backend.release(cols)
@@ -92,9 +78,7 @@ class AvgPool2d(Module):
         else:
             np.copyto(buf.reshape(spread.shape), spread)
             grad_cols = buf
-        grad_x = backend.fold(
-            grad_cols, self._saved, self.kernel_size, self.stride, self.padding
-        )
+        grad_x = backend.fold(grad_cols, self._saved, self.kernel_size, self.kernel_size, 0)
         backend.release(grad_cols)
         return grad_x
 

@@ -23,6 +23,11 @@ import numpy as np
 
 from ..module import Parameter
 
+#: Adam's moment decay rates and denominator guard (the paper's
+#: predictor optimizer uses the standard values).
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 class _Plan:
     """Where one set of stepped parameters lies in the flat layout.
@@ -63,16 +68,13 @@ class Optimizer:
 
     slots: tuple[str, ...] = ()
 
-    def __init__(
-        self, parameters: Iterable[Parameter], lr: float, weight_decay: float = 0.0
-    ) -> None:
+    def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self.weight_decay = weight_decay
         self._index = {id(p): i for i, p in enumerate(self.parameters)}
         if len(self._index) != len(self.parameters):
             raise ValueError("optimizer received the same parameter twice")
@@ -81,7 +83,6 @@ class Optimizer:
             self._offsets.append(self._offsets[-1] + param.size)
         total = self._offsets[-1]
         self._grad = np.empty(total, dtype=np.float32)
-        self._tmp = np.empty(total, dtype=np.float32)
         self._plans: dict[tuple[int, ...], _Plan] = {}
 
     def zero_grad(self) -> None:
@@ -147,14 +148,6 @@ class Optimizer:
         the gathered gradients, with the amount to subtract from them."""
         raise NotImplementedError
 
-    def _decay(self, plan: _Plan, grad: np.ndarray) -> None:
-        """``grad += weight_decay * data`` over the stepped parameters."""
-        if self.weight_decay:
-            data = self._tmp[: plan.size]
-            np.concatenate([p.data.reshape(-1) for p, _ in plan.deltas], out=data)
-            data *= self.weight_decay
-            grad += data
-
     @staticmethod
     def _gather(plan: _Plan, flat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """The stepped parameters' part of a state buffer: the buffer
@@ -202,7 +195,7 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """SGD with momentum and weight decay (paper: model optimizer)."""
+    """SGD with momentum (paper: model optimizer)."""
 
     slots = ("_velocity",)
 
@@ -211,9 +204,8 @@ class SGD(Optimizer):
         parameters: Iterable[Parameter],
         lr: float = 1e-3,
         momentum: float = 0.9,
-        weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, lr, weight_decay)
+        super().__init__(parameters, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
@@ -222,7 +214,6 @@ class SGD(Optimizer):
         self._has_velocity = [False] * len(self.parameters)
 
     def _delta(self, plan: _Plan, grad: np.ndarray) -> None:
-        self._decay(plan, grad)
         if self.momentum:
             velocity = self._gather(plan, self._velocity, self._velocity_scratch)
             velocity *= self.momentum
@@ -244,7 +235,8 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (paper: predictor optimizer, lr=1e-4).
+    """Adam (paper: predictor optimizer, lr=1e-4) with
+    :data:`ADAM_BETAS` and :data:`ADAM_EPS`.
 
     Each parameter keeps its own step count, so parameters updated by a
     different number of calls get their own bias correction."""
@@ -255,16 +247,9 @@ class Adam(Optimizer):
         self,
         parameters: Iterable[Parameter],
         lr: float = 1e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, lr, weight_decay)
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
-        self.betas = betas
-        self.eps = eps
+        super().__init__(parameters, lr)
+        self._tmp = np.empty_like(self._grad)
         self._m = np.zeros(self._grad.size, dtype=np.float32)
         self._v = np.zeros(self._grad.size, dtype=np.float32)
         self._m_scratch = np.empty_like(self._grad)
@@ -272,8 +257,7 @@ class Adam(Optimizer):
         self._t = [0] * len(self.parameters)
 
     def _delta(self, plan: _Plan, grad: np.ndarray) -> None:
-        self._decay(plan, grad)
-        beta1, beta2 = self.betas
+        beta1, beta2 = ADAM_BETAS
         tmp = self._tmp[: plan.size]
         m = self._gather(plan, self._m, self._m_scratch)
         v = self._gather(plan, self._v, self._v_scratch)
@@ -292,14 +276,14 @@ class Adam(Optimizer):
         np.divide(m, bias1, out=tmp)
         np.divide(v, bias2, out=grad)
         np.sqrt(grad, out=grad)
-        grad += self.eps
+        grad += ADAM_EPS
         tmp *= self.lr
         np.divide(tmp, grad, out=grad)
 
     def _bias_corrections(self, plan: _Plan):
         """``1 - beta**t`` for both moments: a scalar when every stepped
         parameter shares t, else a float32 value per element."""
-        beta1, beta2 = self.betas
+        beta1, beta2 = ADAM_BETAS
         steps = [self._t[i] for i in plan.indices]
         if steps.count(steps[0]) == len(steps):
             return 1 - beta1 ** steps[0], 1 - beta2 ** steps[0]

@@ -11,6 +11,15 @@ from typing import Sequence
 
 from .optimizers import Optimizer
 
+#: ``MultiStepLR``'s decay per milestone.
+MULTISTEP_GAMMA = 0.1
+#: ``ReduceLROnPlateau``'s PyTorch defaults (mode ``"min"``): the decay
+#: factor, the epochs without a relative improvement of
+#: ``PLATEAU_THRESHOLD`` it waits, and that threshold.
+PLATEAU_FACTOR = 0.1
+PLATEAU_PATIENCE = 10
+PLATEAU_THRESHOLD = 1e-4
+
 
 class LRScheduler:
     """Base class; subclasses mutate ``optimizer.lr`` on ``step``."""
@@ -22,71 +31,37 @@ class LRScheduler:
 
 
 class MultiStepLR(LRScheduler):
-    """Decay the learning rate by ``gamma`` at each milestone epoch."""
+    """Decay the learning rate by :data:`MULTISTEP_GAMMA` at each
+    milestone epoch."""
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        milestones: Sequence[int],
-        gamma: float = 0.1,
-    ) -> None:
+    def __init__(self, optimizer: Optimizer, milestones: Sequence[int]) -> None:
         super().__init__(optimizer)
         if sorted(milestones) != list(milestones):
             raise ValueError(f"milestones must be increasing, got {milestones}")
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
         self.milestones = list(milestones)
-        self.gamma = gamma
 
     def step(self) -> None:
         self.last_epoch += 1
         decays = sum(1 for m in self.milestones if m <= self.last_epoch)
-        self.optimizer.lr = self.base_lr * (self.gamma**decays)
+        self.optimizer.lr = self.base_lr * (MULTISTEP_GAMMA**decays)
 
 
 class ReduceLROnPlateau(LRScheduler):
-    """Reduce LR when a monitored metric stops improving.
+    """Reduce LR when a monitored loss stops improving, with the
+    ``PLATEAU_*`` constants."""
 
-    Defaults match PyTorch: mode='min', factor=0.1, patience=10.
-    """
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        mode: str = "min",
-        factor: float = 0.1,
-        patience: int = 10,
-        threshold: float = 1e-4,
-        min_lr: float = 0.0,
-    ) -> None:
+    def __init__(self, optimizer: Optimizer) -> None:
         super().__init__(optimizer)
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {factor}")
-        self.mode = mode
-        self.factor = factor
-        self.patience = patience
-        self.threshold = threshold
-        self.min_lr = min_lr
         self.best: float | None = None
         self.num_bad_epochs = 0
 
-    def _is_better(self, metric: float) -> bool:
-        if self.best is None:
-            return True
-        if self.mode == "min":
-            return metric < self.best * (1.0 - self.threshold)
-        return metric > self.best * (1.0 + self.threshold)
-
     def step(self, metric: float) -> None:
         self.last_epoch += 1
-        if self._is_better(metric):
+        if self.best is None or metric < self.best * (1.0 - PLATEAU_THRESHOLD):
             self.best = metric
             self.num_bad_epochs = 0
         else:
             self.num_bad_epochs += 1
-        if self.num_bad_epochs > self.patience:
-            new_lr = max(self.optimizer.lr * self.factor, self.min_lr)
-            self.optimizer.lr = new_lr
+        if self.num_bad_epochs > PLATEAU_PATIENCE:
+            self.optimizer.lr *= PLATEAU_FACTOR
             self.num_bad_epochs = 0

@@ -27,7 +27,7 @@ import numpy as np
 from ..backend import current_backend
 from ..layers.activations import ReLU, Sigmoid, Tanh
 from ..layers.core import Conv2d, Linear
-from ..layers.norm import BatchNorm1d, BatchNorm2d
+from ..layers.norm import NORM_EPS, BatchNorm1d, BatchNorm2d
 from ..module import Module
 from .. import functional as F
 from .base import FoldCache, FoldedOp, Pass
@@ -67,7 +67,7 @@ class ConvBNReLUPass(Pass):
         versions = self._versions(conv, bn)
         params = self.cache.lookup((conv, bn), versions)
         if params is None:
-            scale = bn.weight.data / np.sqrt(bn.running_var + bn.eps)
+            scale = bn.weight.data / np.sqrt(bn.running_var + NORM_EPS)
             weight = (
                 conv.weight.data * scale[:, None, None, None]
             ).astype(np.float32)

@@ -9,12 +9,13 @@ self-measuring along exactly those axes:
   (bp / gp / predictor_train / eval / comm / recovery), injectable
   clock for deterministic tests, bounded buffers, JSONL and Chrome
   ``trace_event`` exporters (open in Perfetto / ``about:tracing``).
-* :mod:`~repro.obs.metrics` — ``Counter``/``Gauge``/``Histogram``
-  registry (names ``repro_<subsystem>_<name>``) with snapshot / delta /
-  cross-rank merge semantics.  Every count has one owner: subsystems
-  that keep their own integers (``ThroughputTimer``, ``CommStats``,
-  ``WorkspacePool``, fold caches, native dispatch counts, schedule
-  MAPE) expose ``metrics()`` and are *read when a snapshot is taken*
+* :mod:`~repro.obs.metrics` — ``Counter``/``Histogram`` registry
+  (names ``repro_<subsystem>_<name>``) with snapshot / delta /
+  cross-rank merge semantics; gauges are pulled rows.  Every count has
+  one owner: subsystems that keep their own integers
+  (``ThroughputTimer``, ``CommStats``, ``WorkspacePool``, fold caches,
+  native dispatch counts, schedule MAPE) expose ``metrics()`` and are
+  *read when a snapshot is taken*
   (:meth:`MetricsRegistry.attach`); the registry holds no copy.
   ``registry().attach(engine)`` reads every owner a training engine
   reaches, through ``TrainingEngine.metrics()``.
@@ -42,7 +43,6 @@ clock).
 
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     dump_snapshot,
@@ -89,7 +89,6 @@ __all__ = [
     "PREDICTOR_TRAIN",
     "RECOVERY",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullTracer",

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms with label sets.
+"""Metrics registry: counters, histograms and pulled gauges with label sets.
 
 Naming follows ``repro_<subsystem>_<name>`` (enforced by a regex, for
 pushed and pulled series alike) so a snapshot is self-describing:
@@ -14,15 +14,15 @@ exposes ``metrics() -> [(name, kind, value, labels), ...]``,
 holds no copy, so "snapshot comm counters equal ``CommStats`` exactly"
 is true by construction and a mid-epoch snapshot is current.  Counts
 with no other home (``ProfilingBackend``'s op counters) are *pushed*
-into :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments
-the registry does own.
+into :class:`Counter` / :class:`Histogram` instruments the registry
+does own.
 
 Semantics:
 
-* :class:`Counter` — monotone totals; ``merge`` sums across ranks.
-* :class:`Gauge` — last-write-wins point-in-time values; ``merge``
-  keeps ``self``'s value (rank-local level, e.g. outstanding buffers).
-* :class:`Histogram` — fixed-bucket counts + sum/count; ``merge`` sums.
+* counter — monotone totals; ``merge`` sums across ranks.
+* gauge (pulled rows only) — a point-in-time level; ``merge`` keeps the
+  first rank's value (rank-local level, e.g. outstanding buffers).
+* histogram — fixed-bucket counts + sum/count; ``merge`` sums.
 
 ``snapshot()`` returns a plain nested dict (JSON-ready), ``delta()``
 subtracts an earlier snapshot (gauges pass through), and
@@ -69,9 +69,8 @@ class _Instrument:
 
     kind = "abstract"
 
-    def __init__(self, name: str, description: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = _check_name(name)
-        self.description = description
         self._series: dict[tuple, object] = {}
 
     def _snap_value(self, value):
@@ -113,33 +112,13 @@ class Counter(_Instrument):
         return value
 
 
-class Gauge(_Instrument):
-    """Point-in-time level; last write wins."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels) -> None:
-        self._series[_label_key(labels)] = value
-
-    def value(self, **labels) -> float:
-        return self._series.get(_label_key(labels), 0)
-
-    def _snap_value(self, value):
-        return value
-
-
 class Histogram(_Instrument):
     """Fixed-bucket histogram with sum and count per label set."""
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        description: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, description)
+    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
+        super().__init__(name)
         self.buckets = tuple(sorted(buckets))
         if not self.buckets:
             raise ValueError("histogram needs at least one bucket bound")
@@ -183,7 +162,7 @@ class Histogram(_Instrument):
 class MetricsRegistry:
     """Named instrument store with snapshot/delta/merge semantics.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: repeated
+    ``counter``/``histogram`` are get-or-create: repeated
     calls with the same name return the same instrument, so callers can
     look instruments up without threading references.
     """
@@ -193,10 +172,10 @@ class MetricsRegistry:
         # (id(owner), extra label key) -> owner, weakly; see attach().
         self._owners = weakref.WeakValueDictionary()
 
-    def _get_or_create(self, cls, name: str, description: str, **kwargs):
+    def _get_or_create(self, cls, name: str, **kwargs):
         inst = self._instruments.get(name)
         if inst is None:
-            inst = cls(name, description, **kwargs)
+            inst = cls(name, **kwargs)
             self._instruments[name] = inst
         elif type(inst) is not cls:
             raise TypeError(
@@ -205,19 +184,11 @@ class MetricsRegistry:
             )
         return inst
 
-    def counter(self, name: str, description: str = "") -> Counter:
-        return self._get_or_create(Counter, name, description)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(Counter, name)
 
-    def gauge(self, name: str, description: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, description)
-
-    def histogram(
-        self,
-        name: str,
-        description: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, description, buckets=buckets)
+    def histogram(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
+        return self._get_or_create(Histogram, name, buckets=buckets)
 
     def clear(self) -> None:
         self._instruments = {}

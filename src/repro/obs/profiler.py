@@ -109,12 +109,9 @@ class ProfilingBackend(Backend):
         self.inner = inner
         self.sample_every = int(sample_every)
         reg = registry if registry is not None else _default_registry()
-        self._op_calls = reg.counter(
-            "repro_backend_op_calls", "backend op invocations by (phase, op)"
-        )
-        self._op_seconds = reg.counter(
-            "repro_backend_op_seconds", "backend op seconds by (phase, op)"
-        )
+        # Backend op invocations and seconds, by (phase, op).
+        self._op_calls = reg.counter("repro_backend_op_calls")
+        self._op_seconds = reg.counter("repro_backend_op_seconds")
         self._counts: dict[str, int] = {}
 
     # -- non-op protocol surface: plain delegation -----------------------

@@ -104,13 +104,12 @@ class Span:
 class _SpanHandle:
     """Open span state returned by :meth:`Tracer.begin`."""
 
-    __slots__ = ("name", "phase", "start", "track", "args")
+    __slots__ = ("name", "phase", "start", "args")
 
-    def __init__(self, name: str, phase: str, start: float, track: int, args: dict):
+    def __init__(self, name: str, phase: str, start: float, args: dict):
         self.name = name
         self.phase = phase
         self.start = start
-        self.track = track
         self.args = args
 
 
@@ -214,21 +213,19 @@ class Tracer:
         self.dropped = 0
 
     # -- recording -------------------------------------------------------
-    def span(self, name: str, phase: str = "", track: int = 0, **args):
-        """Context manager timing one span; no-op when disabled."""
+    def span(self, name: str, phase: str = "", **args):
+        """Context manager timing one span on the host track; no-op
+        when disabled."""
         if not self.enabled:
             return _NULL_CONTEXT
-        return _TracerSpan(
-            self, _SpanHandle(name, phase, self.clock(), track, args)
-        )
+        return _TracerSpan(self, _SpanHandle(name, phase, self.clock(), args))
 
-    def begin(
-        self, name: str, phase: str = "", track: int = 0, **args
-    ) -> Optional[_SpanHandle]:
-        """Open a span; pair with :meth:`end`.  ``None`` when disabled."""
+    def begin(self, name: str, phase: str = "", **args) -> Optional[_SpanHandle]:
+        """Open a span on the host track; pair with :meth:`end`.
+        ``None`` when disabled."""
         if not self.enabled:
             return None
-        return _SpanHandle(name, phase, self.clock(), track, args)
+        return _SpanHandle(name, phase, self.clock(), args)
 
     def end(self, handle: Optional[_SpanHandle], **extra_args) -> None:
         """Close a span opened by :meth:`begin` (``None`` is a no-op, so
@@ -243,7 +240,6 @@ class Tracer:
                 phase=handle.phase,
                 start=handle.start,
                 end=self.clock(),
-                track=handle.track,
                 args=handle.args,
             )
         )

@@ -8,10 +8,10 @@ from repro import nn
 from repro.core import (
     AdaptiveSchedule,
     BackpropStrategy,
+    Callback,
     Checkpointing,
     EarlyStopping,
     HeuristicSchedule,
-    LambdaCallback,
     Phase,
     ThroughputTimer,
     TrainingEngine,
@@ -51,6 +51,14 @@ def _train_fn(split, batch=16, seed=1):
 
 def _val_fn(split):
     return lambda: split.val.batches(24, shuffle=False)
+
+
+class _NeverImproves(EarlyStopping):
+    """Counts every epoch after the first as a bad one, so a fit stops
+    after ``patience + 2`` epochs whatever the losses do."""
+
+    def _is_better(self, value):
+        return self.best is None
 
 
 def _adagp(seed=0, schedule=None, **kwargs):
@@ -168,22 +176,28 @@ class TestCallbacks:
     def test_event_order_and_payloads(self):
         split = _tiny_split()
         events = []
-        callback = LambdaCallback(
-            on_fit_begin=lambda e, epochs: events.append(("fit_begin", epochs)),
-            on_epoch_begin=lambda e, epoch: events.append(("epoch_begin", epoch)),
-            on_batch_begin=lambda e, epoch, i, phase: events.append(
-                ("batch_begin", epoch, i, phase)
-            ),
-            on_batch_end=lambda e, epoch, i, result: events.append(
-                ("batch_end", epoch, i, result.phase)
-            ),
-            on_epoch_end=lambda e, epoch, logs: events.append(
-                ("epoch_end", epoch, sorted(logs))
-            ),
-            on_fit_end=lambda e: events.append(("fit_end",)),
-        )
+
+        class Recorder(Callback):
+            def on_fit_begin(self, engine, epochs):
+                events.append(("fit_begin", epochs))
+
+            def on_epoch_begin(self, engine, epoch):
+                events.append(("epoch_begin", epoch))
+
+            def on_batch_begin(self, engine, epoch, batch_index, phase):
+                events.append(("batch_begin", epoch, batch_index, phase))
+
+            def on_batch_end(self, engine, epoch, batch_index, result):
+                events.append(("batch_end", epoch, batch_index, result.phase))
+
+            def on_epoch_end(self, engine, epoch, logs):
+                events.append(("epoch_end", epoch, sorted(logs)))
+
+            def on_fit_end(self, engine):
+                events.append(("fit_end",))
+
         engine = bp_engine(
-            _tiny_model(), CrossEntropyLoss(), lr=0.05, callbacks=(callback,)
+            _tiny_model(), CrossEntropyLoss(), lr=0.05, callbacks=(Recorder(),)
         )
         engine.fit(_train_fn(split), _val_fn(split), epochs=1)
         kinds = [e[0] for e in events]
@@ -203,21 +217,32 @@ class TestCallbacks:
 
     def test_early_stopping_halts_fit(self):
         split = _tiny_split()
-        stopper = EarlyStopping(monitor="val_loss", patience=0, min_delta=1e9)
+        stopper = _NeverImproves(monitor="val_loss", patience=0)
         engine = bp_engine(
             _tiny_model(), CrossEntropyLoss(), lr=0.05, callbacks=(stopper,)
         )
         history = engine.fit(_train_fn(split), _val_fn(split), epochs=10)
-        # min_delta is huge, so epoch 2 can never improve on epoch 1.
+        # Epoch 2 can never improve on epoch 1.
         assert history.num_epochs == 2
         assert stopper.stopped_epoch == 1
+
+    def test_early_stopping_improves_only_on_a_strictly_lower_loss(self):
+        stopper = EarlyStopping(monitor="train_loss")
+        assert stopper._is_better(1.0)
+        stopper.best = 1.0
+        assert stopper._is_better(0.5)
+        assert not stopper._is_better(1.0)
+
+    def test_early_stopping_monitor_must_be_a_loss(self):
+        with pytest.raises(ValueError, match="must name a loss"):
+            EarlyStopping(monitor="val_metric")
 
     def test_early_stopping_unknown_monitor_rejected(self):
         split = _tiny_split()
         engine = bp_engine(
             _tiny_model(),
             CrossEntropyLoss(),
-            callbacks=(EarlyStopping(monitor="nope"),),
+            callbacks=(EarlyStopping(monitor="nope_loss"),),
         )
         with pytest.raises(KeyError):
             engine.fit(_train_fn(split), _val_fn(split), epochs=1)
@@ -272,7 +297,7 @@ class TestCallbacks:
             _tiny_model(),
             CrossEntropyLoss(),
             lr=0.05,
-            callbacks=(Checkpointing(target, every=1),),
+            callbacks=(Checkpointing(target),),
         )
         engine.fit(_train_fn(split), _val_fn(split), epochs=2)
         assert (tmp_path / "ckpt-0.pkl").exists()
@@ -349,7 +374,7 @@ class TestCheckpointResume:
         split = _tiny_split()
 
         def build():
-            stopper = EarlyStopping(monitor="val_loss", patience=1, min_delta=1e9)
+            stopper = _NeverImproves(monitor="val_loss", patience=1)
             engine = bp_engine(
                 _tiny_model(),
                 CrossEntropyLoss(),
@@ -387,7 +412,7 @@ class TestCheckpointResume:
         pattern = str(tmp_path / "ckpt-{epoch}.pkl")
 
         def build():
-            stopper = EarlyStopping(monitor="val_loss", patience=1, min_delta=1e9)
+            stopper = _NeverImproves(monitor="val_loss", patience=1)
             callbacks = (Checkpointing(pattern), stopper)
             if order == "checkpoint_last":
                 callbacks = callbacks[::-1]
@@ -507,7 +532,9 @@ class TestHistoryGPShare:
         series silently."""
         from repro.core import History
 
-        history = History(predictor_mape=[{0: 5.0}], predictor_mse=[{0: 0.1}])
+        history = History()
+        history.predictor_mape.append({0: 5.0})
+        history.predictor_mse.append({0: 0.1})
         assert history.layer_series(0, "mape") == [5.0]
         assert history.layer_series(0, "mse") == [0.1]
         with pytest.raises(ValueError, match="'mape' or 'mse'"):
@@ -518,7 +545,10 @@ class TestHistoryGPShare:
         with the field defaulted, not AttributeError on first append."""
         from repro.core import History
 
-        history = History(train_loss=[0.5], bp_batches=[3], gp_batches=[1])
+        history = History()
+        history.train_loss.append(0.5)
+        history.bp_batches.append(3)
+        history.gp_batches.append(1)
         state = history.__dict__.copy()
         del state["gp_fraction"]  # simulate the pre-field pickle payload
         restored = History()

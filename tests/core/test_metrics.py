@@ -19,8 +19,12 @@ class TestBleu:
         sentences = [[1, 2, 3, 4, 5], [6, 7, 8, 9]]
         assert bleu_score(sentences, sentences) == pytest.approx(100.0)
 
-    def test_no_overlap_is_zero_without_smoothing(self):
-        assert bleu_score([[1, 2, 3, 4]], [[5, 6, 7, 8]], smooth=False) == 0.0
+    def test_no_overlap_is_smoothed_below_a_partial_match(self):
+        none = bleu_score([[1, 2, 3, 4]], [[5, 6, 7, 8]])
+        assert 0 < none < bleu_score([[1, 2, 3, 9, 9]], [[1, 2, 3, 4, 5]])
+
+    def test_candidate_shorter_than_the_highest_order_scores_zero(self):
+        assert bleu_score([[1, 2, 3]], [[1, 2, 3, 4]]) == 0.0
 
     def test_partial_overlap_between_zero_and_hundred(self):
         score = bleu_score([[1, 2, 3, 9, 9]], [[1, 2, 3, 4, 5]])

@@ -15,7 +15,9 @@ from repro.data import (
 from repro.data.translation import (
     BOS_ID,
     EOS_ID,
+    MIN_LEN,
     PAD_ID,
+    SHIFT,
     reference_translation,
 )
 
@@ -34,11 +36,6 @@ class TestArrayDataset:
         b = [x.tolist() for x, _ in data.batches(4, rng=np.random.default_rng(1))]
         assert a == b
 
-    def test_drop_last(self):
-        data = ArrayDataset(np.arange(10), np.arange(10))
-        batches = list(data.batches(4, shuffle=False, drop_last=True))
-        assert len(batches) == 2
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ArrayDataset(np.arange(3), np.arange(4))
@@ -46,7 +43,6 @@ class TestArrayDataset:
     def test_num_batches(self):
         data = ArrayDataset(np.arange(10), np.arange(10))
         assert data.num_batches(4) == 3
-        assert data.num_batches(4, drop_last=True) == 2
 
 
 class TestSyntheticImages:
@@ -68,7 +64,7 @@ class TestSyntheticImages:
 
     def test_classes_are_separable_from_templates(self):
         """Noise-free samples of different classes must differ."""
-        split = synthetic_images(3, 30, 10, noise=0.0, max_shift=0, seed=2)
+        split = synthetic_images(3, 30, 10, noise=0.0, seed=2)
         xs, ys = split.train.inputs, split.train.targets
         for c in range(3):
             if (ys == c).sum() == 0:
@@ -100,31 +96,29 @@ class TestSyntheticTranslation:
         assert ((data.tgt == EOS_ID).sum(axis=1) == 1).all()
 
     def test_rule_is_reverse_and_shift(self):
-        data = synthetic_translation(
-            num_sentences=10, content_vocab=10, shift=3, seed=1
-        )
+        data = synthetic_translation(num_sentences=10, content_vocab=10, seed=1)
         for i in range(10):
             src_row = data.src[i]
-            expected = reference_translation(src_row, shift=3, content_vocab=10)
+            expected = reference_translation(src_row, shift=SHIFT, content_vocab=10)
             tgt_content = [
                 int(t) for t in data.tgt[i] if t not in (BOS_ID, EOS_ID, PAD_ID)
             ]
             assert tgt_content == expected
 
     def test_lengths_bounded(self):
-        data = synthetic_translation(num_sentences=50, min_len=2, max_len=5, seed=2)
+        data = synthetic_translation(num_sentences=50, max_len=5, seed=2)
         lengths = (data.src != PAD_ID).sum(axis=1)
-        assert lengths.min() >= 2
+        assert lengths.min() >= MIN_LEN
         assert lengths.max() <= 5
 
     def test_invalid_lengths_rejected(self):
         with pytest.raises(ValueError):
-            synthetic_translation(min_len=5, max_len=3)
+            synthetic_translation(max_len=MIN_LEN - 1)
 
 
 class TestSyntheticDetection:
     def test_shapes(self):
-        data = synthetic_detection(num_images=8, image_size=32, grid_size=4)
+        data = synthetic_detection(num_images=8)
         assert data.images.shape == (8, 3, 32, 32)
         assert data.grid_targets.shape == (8, 8, 4, 4)
         assert len(data.boxes) == 8

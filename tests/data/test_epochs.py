@@ -106,10 +106,6 @@ class TestEpochOrder:
             resumed()  # lazy: nothing is shuffled or sliced
         assert [_order(resumed()) for _ in range(2)] == orders[2:]
 
-    def test_drop_last(self):
-        batches = list(_array(10).epochs(4, seed=0, drop_last=True)())
-        assert [len(x) for x, _ in batches] == [4, 4]
-
     def test_bad_batch_size_is_named(self):
         with pytest.raises(ValueError, match="batch_size must be positive"):
             next(_array(4).epochs(0)())

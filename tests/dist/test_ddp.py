@@ -166,19 +166,19 @@ class TestPhaseAwareComm:
             metric_fn=accuracy,
             schedule=HeuristicSchedule(warmup_epochs=1, ladder=((10, (1, 0)),)),
         )
-        ddp.fit(_train_fn(split), _val_fn(split), 4)
+        history = ddp.fit(_train_fn(split), _val_fn(split), 4)
         try:
-            rows = dp_strategy(ddp).comm.epochs
-            assert rows[0]["bp_batches"] > 0  # warm-up really communicated
-            assert rows[0]["grad_wire_bytes"] > 0
+            assert history.bp_batches == [3, 0, 0, 0]
+            # A comm-free epoch leaves no ledger row.
+            rows = {epoch: {} for epoch in range(4)} | dp_strategy(ddp).comm.epochs
+            assert rows[0]["grad_wire_bytes"] > 0  # warm-up really communicated
             for epoch in (1, 2, 3):
-                assert rows[epoch]["bp_batches"] == 0
-                assert rows[epoch]["grad_wire_bytes"] == 0
+                assert rows[epoch].get("grad_wire_bytes", 0) == 0
             # Epoch 1's first GP batch pays the one BP→GP boundary sync;
             # consecutive GP epochs are strictly comm-free.
             assert rows[1]["sync_bytes"] > 0
-            assert rows[2]["sync_bytes"] == 0
-            assert rows[3]["sync_bytes"] == 0
+            assert rows[2].get("sync_bytes", 0) == 0
+            assert rows[3].get("sync_bytes", 0) == 0
         finally:
             shutdown(ddp)
 
@@ -320,11 +320,11 @@ class TestCheckpointResume:
         # callback fires once per world — one file, loadable as usual.
         split = _split()
         path = str(tmp_path / "ddp.ckpt")
-        ddp = _ddp(workers=2, callbacks=[Checkpointing(path, every=1)])
+        ddp = _ddp(workers=2, callbacks=[Checkpointing(path)])
         ddp.fit(_train_fn(split), _val_fn(split), 2)
         try:
             assert os.path.exists(path)
-            fresh = _ddp(workers=2, callbacks=[Checkpointing(path, every=1)])
+            fresh = _ddp(workers=2, callbacks=[Checkpointing(path)])
             fresh.load_checkpoint(path)
             assert fresh.current_epoch == 2
         finally:

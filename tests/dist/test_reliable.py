@@ -11,6 +11,7 @@ from repro import nn, obs
 from repro.core import HeuristicSchedule
 from repro.data import synthetic_images
 from repro.dist import (
+    ChaosTransport,
     DeterministicFault,
     PayloadCorrupt,
     RankLost,
@@ -246,8 +247,8 @@ class TestLadder:
         with pytest.raises(TransportError, match="uncollected"):
             transport.submit(1, {"op": "compute"})
 
-    def test_chaos_composes_under_reliable_by_name(self):
-        transport = ReliableTransport("chaos")
+    def test_chaos_composes_under_reliable(self):
+        transport = ReliableTransport(ChaosTransport("local"))
         transport.bind_world(3)
         assert transport.world_size == 3
         assert transport.timeout == Transport.timeout

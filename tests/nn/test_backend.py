@@ -28,6 +28,7 @@ from repro.nn.backend import (
     resolve_backend,
     use_backend,
 )
+from repro.nn.backend.fused import MAX_PARKED_PER_SHAPE
 from repro.nn.backend.native import _ptr
 
 from tests.helpers import linear_probe_loss, max_relative_error, numerical_gradient
@@ -139,7 +140,7 @@ def _layer_cases():
         ("conv_strided", lambda: nn.Conv2d(3, 4, 3, stride=2, padding=1, rng=np.random.default_rng(3)), (2, 3, 11, 11)),
         ("linear", lambda: nn.Linear(6, 4, rng=np.random.default_rng(4)), (8, 6)),
         ("linear_seq", lambda: nn.Linear(5, 3, rng=np.random.default_rng(5)), (2, 7, 5)),
-        ("maxpool_padded", lambda: nn.MaxPool2d(3, stride=2, padding=1), (3, 4, 9, 9)),
+        ("maxpool3x3", lambda: nn.MaxPool2d(3), (3, 4, 9, 9)),
         ("avgpool", lambda: nn.AvgPool2d(2), (3, 4, 8, 8)),
         ("adaptive_pool", lambda: nn.AdaptiveAvgPool2d(3), (2, 4, 7, 7)),
         ("batchnorm2d", lambda: nn.BatchNorm2d(5), (6, 5, 4, 4)),
@@ -350,11 +351,11 @@ class TestWorkspacePool:
         assert conv._saved.cols.base is x  # reshape view, no copy
 
     def test_pool_bounds_parked_buffers(self):
-        pool = FusedBackend(max_buffers_per_shape=2).pool
-        buffers = [pool.acquire((3, 3), np.float32) for _ in range(5)]
+        pool = FusedBackend().pool
+        buffers = [pool.acquire((3, 3), np.float32) for _ in range(MAX_PARKED_PER_SHAPE + 3)]
         for buf in buffers:
             pool.release(buf)
-        assert sum(len(v) for v in pool._free.values()) == 2
+        assert sum(len(v) for v in pool._free.values()) == MAX_PARKED_PER_SHAPE
 
     def test_clear_caches_returns_workspace_to_pool(self):
         """Forward-only (Phase-GP style) batches hand their conv

@@ -77,13 +77,6 @@ class TestSGD:
         # v1 = 1 -> p=-1; v2 = 0.5+1=1.5 -> p=-2.5
         np.testing.assert_allclose(p.data, [-2.5])
 
-    def test_weight_decay(self):
-        p = Parameter(np.array([10.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1, momentum=0.0, weight_decay=0.1)
-        p.grad = np.array([0.0], dtype=np.float32)
-        opt.step()
-        np.testing.assert_allclose(p.data, [10.0 - 0.1 * 1.0])
-
     def test_apply_gradient_preserves_existing_grad(self):
         p = Parameter(np.array([0.0], dtype=np.float32))
         opt = SGD([p], lr=0.1, momentum=0.0)
@@ -142,7 +135,7 @@ class TestSchedulers:
     def test_multistep_decays_at_milestones(self):
         p = Parameter(np.zeros(1, dtype=np.float32))
         opt = Adam([p], lr=1.0)
-        sched = MultiStepLR(opt, milestones=[2, 4], gamma=0.1)
+        sched = MultiStepLR(opt, milestones=[2, 4])
         lrs = []
         for _ in range(5):
             sched.step()
@@ -152,36 +145,31 @@ class TestSchedulers:
     def test_plateau_reduces_after_patience(self):
         p = Parameter(np.zeros(1, dtype=np.float32))
         opt = SGD([p], lr=1.0)
-        sched = ReduceLROnPlateau(opt, patience=2, factor=0.5)
+        sched = ReduceLROnPlateau(opt)
         sched.step(1.0)
-        for _ in range(4):
-            sched.step(1.0)  # no improvement
-        assert opt.lr == 0.5
+        for _ in range(10):
+            sched.step(1.0)  # no improvement, within the patience
+        assert opt.lr == 1.0
+        sched.step(1.0)
+        assert opt.lr == pytest.approx(0.1)
 
     def test_plateau_resets_on_improvement(self):
         p = Parameter(np.zeros(1, dtype=np.float32))
         opt = SGD([p], lr=1.0)
-        sched = ReduceLROnPlateau(opt, patience=2)
+        sched = ReduceLROnPlateau(opt)
         sched.step(1.0)
-        sched.step(0.5)
-        sched.step(0.25)
+        for _ in range(10):
+            sched.step(1.0)
+        sched.step(0.5)  # improves: the count starts again
+        for _ in range(10):
+            sched.step(0.5)
         assert opt.lr == 1.0
-
-    def test_plateau_max_mode(self):
-        p = Parameter(np.zeros(1, dtype=np.float32))
-        opt = SGD([p], lr=1.0)
-        sched = ReduceLROnPlateau(opt, mode="max", patience=0, factor=0.1)
-        sched.step(10.0)
-        sched.step(5.0)  # worse in max mode
-        assert opt.lr == pytest.approx(0.1)
 
     def test_validation(self):
         p = Parameter(np.zeros(1, dtype=np.float32))
         opt = SGD([p], lr=1.0)
         with pytest.raises(ValueError):
             MultiStepLR(opt, milestones=[4, 2])
-        with pytest.raises(ValueError):
-            ReduceLROnPlateau(opt, mode="sideways")
 
 
 @given(lr=st.floats(1e-4, 1e-1), steps=st.integers(1, 20))

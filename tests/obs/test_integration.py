@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro import nn, obs
 from repro.core import (
     AdaptiveSchedule,
+    Callback,
     HeuristicSchedule,
-    LambdaCallback,
     Phase,
     adagp_engine,
     pipeline_adagp_engine,
@@ -457,13 +457,14 @@ class TestOneLedger:
         batches = itertools.count(1)
 
         def probe(reg):
-            def on_batch_end(engine, epoch, batch_index, result):
-                done = next(batches)
-                if epoch == 2:
-                    series = reg.snapshot()["repro_engine_batches"]["series"]
-                    seen.append((done, sum(series.values())))
+            class Probe(Callback):
+                def on_batch_end(self, engine, epoch, batch_index, result):
+                    done = next(batches)
+                    if epoch == 2:
+                        series = reg.snapshot()["repro_engine_batches"]["series"]
+                        seen.append((done, sum(series.values())))
 
-            return LambdaCallback(on_batch_end=on_batch_end)
+            return Probe()
 
         _vgg_fit(FusedBackend(), probe=probe)
         assert seen and all(batches == counted for batches, counted in seen)

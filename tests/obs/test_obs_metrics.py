@@ -14,7 +14,6 @@ class TestNaming:
     def test_valid_names_accepted(self):
         reg = obs.MetricsRegistry()
         reg.counter("repro_dist_grad_wire_bytes")
-        reg.gauge("repro_backend_pool_outstanding")
         reg.histogram("repro_engine_batch_seconds")
 
     @pytest.mark.parametrize(
@@ -29,7 +28,7 @@ class TestNaming:
         reg = obs.MetricsRegistry()
         reg.counter("repro_dist_sync_bytes")
         with pytest.raises(TypeError, match="already registered"):
-            reg.gauge("repro_dist_sync_bytes")
+            reg.histogram("repro_dist_sync_bytes")
 
 
 class TestCounter:
@@ -61,13 +60,7 @@ class TestCounter:
         assert isinstance(counter.value(), int)
 
 
-class TestGaugeHistogram:
-    def test_gauge_last_write_wins(self):
-        gauge = obs.MetricsRegistry().gauge("repro_backend_pool_outstanding")
-        gauge.set(5)
-        gauge.set(2)
-        assert gauge.value() == 2
-
+class TestHistogram:
     def test_histogram_buckets(self):
         hist = obs.MetricsRegistry().histogram(
             "repro_engine_batch_seconds", buckets=(0.1, 1.0)
@@ -84,14 +77,14 @@ class TestSnapshotDelta:
     def test_delta_subtracts_counters_passes_gauges(self):
         reg = obs.MetricsRegistry()
         counter = reg.counter("repro_dist_sync_bytes")
-        gauge = reg.gauge("repro_backend_pool_outstanding")
+        gauge = _Owner([("repro_backend_pool_outstanding", "gauge", 4, {})])
+        reg.attach(gauge)
         hist = reg.histogram("repro_engine_batch_seconds", buckets=(1.0,))
         counter.inc(10)
-        gauge.set(4)
         hist.observe(0.5)
         first = reg.snapshot()
         counter.inc(7)
-        gauge.set(9)
+        gauge.rows = [("repro_backend_pool_outstanding", "gauge", 9, {})]
         hist.observe(2.0)
         delta = obs.MetricsRegistry.delta(reg.snapshot(), first)
         assert delta["repro_dist_sync_bytes"]["series"][""] == 7
@@ -206,8 +199,12 @@ class TestMerge:
 
     def test_gauges_keep_first_rank(self):
         ranks = [obs.MetricsRegistry() for _ in range(2)]
-        ranks[0].gauge("repro_backend_pool_outstanding").set(1)
-        ranks[1].gauge("repro_backend_pool_outstanding").set(7)
+        owners = [
+            _Owner([("repro_backend_pool_outstanding", "gauge", level, {})])
+            for level in (1, 7)
+        ]
+        for rank, owner in zip(ranks, owners):
+            rank.attach(owner)
         merged = obs.merge_snapshots([r.snapshot() for r in ranks])
         assert merged["repro_backend_pool_outstanding"]["series"][""] == 1
 
@@ -215,7 +212,8 @@ class TestMerge:
         a = obs.MetricsRegistry()
         b = obs.MetricsRegistry()
         a.counter("repro_dist_sync_bytes").inc()
-        b.gauge("repro_dist_sync_bytes").set(1)
+        owner = _Owner([("repro_dist_sync_bytes", "gauge", 1, {})])
+        b.attach(owner)
         with pytest.raises(TypeError, match="conflicting kinds"):
             obs.merge_snapshots([a.snapshot(), b.snapshot()])
 

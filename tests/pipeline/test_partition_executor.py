@@ -43,12 +43,12 @@ def small_cnn(seed: int = 42, norm: bool = False) -> nn.Sequential:
         nn.Conv2d(3, 8, 3, padding=1, rng=rng),
         *bn(),
         nn.ReLU(),
-        nn.MaxPool2d(2, padding=1),
+        nn.MaxPool2d(2),
         nn.Conv2d(8, 8, 3, padding=1, rng=rng),
         *bn(),
         nn.ReLU(),
         nn.Flatten(),
-        nn.Linear(8 * 9 * 9, 10, rng=rng),
+        nn.Linear(8 * 8 * 8, 10, rng=rng),
     )
 
 

@@ -221,11 +221,20 @@ EXEMPTION_KINDS = {
 CALLER_ROOTS = ("src", "examples", "benchmarks", "bench")
 
 
-def _caller_files():
+def _caller_sources():
+    """``(root, path relative to the repo, text)`` of every caller file."""
     for root in CALLER_ROOTS:
         for path in sorted((REPO / root).rglob("*.py")):
             if not path.name.startswith("test_"):
-                yield root, path
+                yield root, path.relative_to(REPO).as_posix(), path.read_text()
+
+
+def _module(relative):
+    """``src/repro/nn/init.py`` -> ``repro.nn.init``; ``bench/run.py`` ->
+    ``bench.run``."""
+    parts = pathlib.PurePosixPath(relative).with_suffix("").parts
+    parts = parts[1:] if parts[0] == "src" else parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def _check_exemptions(exempt):
@@ -234,116 +243,393 @@ def _check_exemptions(exempt):
         assert kind in EXEMPTION_KINDS and reason.strip(), name
 
 
-class TestOptionsCensus:
-    """An option earns its keep by being selected: every keyword
-    parameter of the entry points below is passed, by name or by
-    position, somewhere other than a test."""
+def _signature(arguments, skip_first):
+    """``(positional names, defaulted names, all names)``; ``skip_first``
+    drops ``self`` / ``cls``."""
+    positional = [arg.arg for arg in arguments.posonlyargs + arguments.args]
+    defaulted = positional[len(positional) - len(arguments.defaults):] + [
+        arg.arg
+        for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is not None
+    ]
+    names = set(positional) | {arg.arg for arg in arguments.kwonlyargs}
+    return positional[int(skip_first):], set(defaulted), names
 
-    #: call name -> (file under src/repro, qualified function name)
-    SURFACE = {
-        "bp_engine": ("core/engine/factories.py", "bp_engine"),
-        "adagp_engine": ("core/engine/factories.py", "adagp_engine"),
-        "pipeline_adagp_engine": ("core/engine/factories.py", "pipeline_adagp_engine"),
-        "ddp_engine": ("dist/engine.py", "ddp_engine"),
-        "DataParallelStrategy": ("dist/strategy.py", "DataParallelStrategy.__init__"),
-        "PipelineExecutor": ("pipeline/executor.py", "PipelineExecutor.__init__"),
-        "from_model": ("pipeline/executor.py", "PipelineExecutor.from_model"),
-        "SearchRunner": ("tune/runner.py", "SearchRunner.__init__"),
-        "GridSearch": ("tune/search.py", "GridSearch.__init__"),
-        "pareto_front": ("tune/frontier.py", "pareto_front"),
-        "frontier_table": ("tune/frontier.py", "frontier_table"),
-        "render_frontier": ("tune/frontier.py", "render_frontier"),
-        "GradientPredictor": ("core/predictor.py", "GradientPredictor.__init__"),
-        "for_model": ("core/predictor.py", "GradientPredictor.for_model"),
-        "PredictorNetwork": ("core/predictor.py", "PredictorNetwork.__init__"),
-        "AcceleratorModel": ("accel/adagp.py", "AcceleratorModel.__init__"),
+
+def _dataclass_signature(node):
+    """The constructor ``@dataclass`` generates for ``node``, or None."""
+    if not any("dataclass" in ast.unparse(item) for item in node.decorator_list):
+        return None
+    fields = [
+        item.target.id
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and "ClassVar" not in ast.unparse(item.annotation)
+        and "init=False" not in ast.unparse(item.value or ast.Constant(None))
+    ]
+    defaulted = {
+        item.target.id for item in node.body
+        if isinstance(item, ast.AnnAssign) and item.value is not None
     }
-    #: Factories whose ``**kwargs`` flow to another factory: a keyword
-    #: their caller passes that is not their own selects it there.
-    FORWARDS = {
-        "pipeline_adagp_engine": ("adagp_engine",),
-        "ddp_engine": ("adagp_engine", "bp_engine"),
-        "for_model": ("GradientPredictor",),
+    return fields, defaulted & set(fields), set(fields)
+
+
+def _unselected_options(sources, surface):
+    """``{definition.parameter}`` for each defaulted parameter of a
+    surface that no call passes, by name or by position.
+
+    Definitions are keyed ``<module>.<qualified name>``, a constructor
+    (``__init__`` or a dataclass's fields) under its class's key;
+    ``surface(key)`` picks the reported ones among the public functions,
+    the public methods and the constructors of the public classes of
+    ``src`` and of the private classes they inherit from.  Calls are
+    matched by name: a function or method by its own, a constructor by
+    its class's, a classmethod's ``cls`` and ``super().__init__`` inside
+    it, and any subclass that does not define ``__init__``.
+
+    Inside ``src`` an argument that is the enclosing function's own
+    defaulted parameter (``super().__init__(lr, weight_decay)``) passes
+    on only if that parameter is selected, and a ``**kwargs`` handed on
+    whole carries the keywords its function was given and does not name.
+    Outside ``src`` every argument counts: what a benchmark or an
+    example passes is selected."""
+    definitions = {}  # key -> (call name, signature, in src, owner class key, public)
+    classes = {}  # class name -> [(key, base names, defines a constructor, public)]
+    calls = []  # (call name, [(position, condition)], [(keyword, condition)])
+    forwards = []  # (function key, call name its **kwargs go to)
+
+    def condition(value, scope):
+        """``(key, parameter)`` when ``value`` is an enclosing function's
+        own defaulted parameter in ``src``; None when it is a value."""
+        for key, arguments in reversed(scope if isinstance(value, ast.Name) else ()):
+            if value.id in _signature(arguments, False)[2]:
+                _, signature, tracked, _, _ = definitions.get(key, (0, ((), ()), 0, 0, 0))
+                return (key, value.id) if tracked and value.id in signature[1] else None
+        return None
+
+    def visit(tree, cls, scope):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, skip = node.func, 0
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name == "cls" and scope and scope[-1][1].args[:1]:
+                # A classmethod's ``cls``, not a parameter that holds a class.
+                name = cls if scope[-1][1].args[0].arg == "cls" else None
+            elif name == "__init__" and isinstance(func, ast.Attribute):
+                if getattr(getattr(func.value, "func", None), "id", None) == "super":
+                    name = ("super", cls)
+                else:
+                    name, skip = getattr(func.value, "id", None), 1
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            calls.append((
+                name,
+                [] if starred else [
+                    (index, condition(arg, scope))
+                    for index, arg in enumerate(node.args[skip:])
+                ],
+                [(kw.arg, condition(kw.value, scope)) for kw in node.keywords if kw.arg],
+            ))
+            if scope and scope[-1][1].kwarg and any(
+                kw.arg is None and getattr(kw.value, "id", None) == scope[-1][1].kwarg.arg
+                for kw in node.keywords
+            ):
+                forwards.append((scope[-1][0], name))
+
+    def walk(body, prefix, cls, owner, public, scope, tracked):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                key = prefix + node.name
+                signature = _dataclass_signature(node)
+                init = any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                    for item in node.body
+                )
+                bases = [getattr(base, "id", getattr(base, "attr", None)) for base in node.bases]
+                exposed = tracked and public and not node.name.startswith("_")
+                classes.setdefault(node.name, []).append(
+                    (key, bases, init or signature is not None, exposed)
+                )
+                if signature is not None and not init:
+                    definitions[key] = (node.name, signature, tracked, key, True)
+                for part in node.decorator_list + node.bases:
+                    visit(part, cls, scope)
+                walk(node.body, key + ".", node.name, key, public, scope, tracked)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators = [ast.unparse(item) for item in node.decorator_list]
+                constructor = owner is not None and node.name == "__init__"
+                key = owner if constructor else prefix + node.name
+                bound = owner is not None and "staticmethod" not in decorators
+                if "property" not in decorators and (constructor or node.name[:2] != "__"):
+                    definitions[key] = (
+                        cls if constructor else node.name,
+                        _signature(node.args, bound),
+                        tracked,
+                        owner,
+                        public and (constructor or not node.name.startswith("_")),
+                    )
+                defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
+                for part in node.decorator_list + defaults:
+                    visit(part, cls, scope)
+                walk(node.body, key + ".", cls, None, False, scope + [(key, node.args)], tracked)
+            else:
+                visit(node, cls, scope)
+
+    for root, relative, text in sources:
+        module = _module(relative)
+        walk(ast.parse(text).body, module + ".", None, None, True, [], root == "src")
+
+    by_name = {}
+    for key, (name, *_) in definitions.items():
+        by_name.setdefault(name, []).append(key)
+
+    def constructors(name, seen=()):
+        """Keys of the constructors a call of class ``name`` runs."""
+        found = []
+        for key, bases, defines, _ in classes.get(name, ()):
+            if defines:
+                found.append(key)
+            else:
+                for base in set(bases) - set(seen):
+                    found += constructors(base, seen + (name,))
+        return found
+
+    def callees(name):
+        if isinstance(name, tuple):
+            return [
+                key for _, bases, _, _ in classes.get(name[1], ())
+                for base in bases for key in constructors(base)
+            ]
+        return list(dict.fromkeys(constructors(name) + by_name.get(name, [])))
+
+    exposed = set()
+
+    def expose(name):
+        for key, bases, _, _ in classes.get(name, ()):
+            if key not in exposed:
+                exposed.add(key)
+                for base in bases:
+                    expose(base)
+
+    for name, entries in list(classes.items()):
+        if any(public for *_, public in entries):
+            expose(name)
+
+    resolved = [(callees(name), positions, keywords) for name, positions, keywords in calls]
+    forwards = [(key, callees(name)) for key, name in forwards]
+    selected = {key: set() for key in definitions}
+    changed = True
+
+    def select(key, parameter):
+        nonlocal changed
+        if parameter not in selected[key]:
+            selected[key].add(parameter)
+            changed = True
+
+    while changed:
+        changed = False
+        for keys, positions, keywords in resolved:
+            for key in keys:
+                order = definitions[key][1][0]
+                passed = [(order[index], cond) for index, cond in positions if index < len(order)]
+                for parameter, cond in passed + keywords:
+                    if cond is None or cond[1] in selected[cond[0]]:
+                        select(key, parameter)
+        for source, keys in forwards:
+            for parameter in selected[source] - definitions[source][1][2]:
+                for key in keys:
+                    select(key, parameter)
+    return {
+        f"{key}.{parameter}"
+        for key, (_, signature, tracked, owner, public) in definitions.items()
+        if tracked and public and (owner is None or owner in exposed) and surface(key)
+        for parameter in signature[1] - selected[key]
     }
-    #: Unselected but kept: ``{callee.parameter: (kind, reason)}``, kind
-    #: one of :data:`EXEMPTION_KINDS`.
+
+
+class TestOptionsCensus:
+    """An option earns its keep by being selected: every defaulted
+    parameter of every public function, method and constructor in the
+    discovered packages (and of the entry points listed for the others)
+    is passed, by name or by position, from ``src``, ``examples``,
+    ``benchmarks`` or ``bench`` (see :func:`_unselected_options`)."""
+
+    #: Packages whose every public callable is a surface.
+    DISCOVERED = ("core", "data", "dist", "nn", "obs")
+    #: Entry points of the packages not discovered yet.
+    LISTED = {
+        "repro.pipeline.executor.PipelineExecutor",
+        "repro.pipeline.executor.PipelineExecutor.from_model",
+        "repro.tune.runner.SearchRunner",
+        "repro.tune.search.GridSearch",
+        "repro.tune.frontier.pareto_front",
+        "repro.tune.frontier.frontier_table",
+        "repro.tune.frontier.render_frontier",
+        "repro.accel.adagp.AcceleratorModel",
+    }
+    #: Unselected but kept: ``{definition.parameter: (kind, reason)}``,
+    #: kind one of :data:`EXEMPTION_KINDS`.
     EXEMPT = {
-        "adagp_engine.predictor": (
+        "repro.core.engine.engine.TrainingEngine.predictor": (
+            "seam", "adagp_engine passes its own predictor seam on"
+        ),
+        "repro.core.engine.factories.adagp_engine.predictor": (
             "seam", "tests inject a seeded predictor to compare engines bitwise"
         ),
-        "adagp_engine.batched_gp": (
-            "bench",
-            "only True is accepted; bench/workloads.py passes it through "
-            "_image_engine's **adagp_kwargs",
+        "repro.core.predictor.GradientPredictor.train_step.apply_update": (
+            "seam", "test_predictor_batched measures a step without taking it"
         ),
-        "ddp_engine.callbacks": (
+        "repro.core.predictor.GradientPredictor.train_step_many.apply_update": (
+            "seam", "test_predictor_batched measures a step without taking it"
+        ),
+        "repro.data.synthetic.synthetic_images.noise": (
+            "producer", "ROADMAP 14's noise dial (Table 1 at 0.4 and 0.1)"
+        ),
+        "repro.dist.engine.ddp_engine.callbacks": (
             "seam", "tests attach ThroughputTimer / Checkpointing to a ddp engine"
         ),
-        "ddp_engine.min_workers": (
+        "repro.dist.engine.ddp_engine.min_workers": (
             "seam", "tests/dist/test_faults.py raises the lost-rank floor"
+        ),
+        "repro.dist.strategy.DataParallelStrategy.min_workers": (
+            "seam", "ddp_engine passes its own min_workers seam on"
+        ),
+        "repro.dist.reliable.ReliableTransport.max_rebuilds": (
+            "seam", "the fault tests retire a rank at once with a zero budget"
+        ),
+        "repro.dist.transport.ProcessTransport.timeout": (
+            "seam", "the lifecycle tests shorten the collect deadline to 0.2 s"
+        ),
+        "repro.nn.init.reset_layer_rng.seed": (
+            "seam", "tests restart the layer-rng stream at chosen seeds"
+        ),
+        "repro.nn.layers.core.Linear.bias": (
+            "seam",
+            "tests check the predictor's bias-free row layout (the zoo's "
+            "bias-free convs) on small Linear chains",
+        ),
+        "repro.obs.metrics.Histogram.buckets": (
+            "producer", "ROADMAP 1(a)'s per-layer cosine histograms"
+        ),
+        "repro.obs.metrics.MetricsRegistry.histogram.buckets": (
+            "producer", "ROADMAP 1(a)'s per-layer cosine histograms"
+        ),
+        "repro.obs.trace.Tracer.clock": (
+            "seam", "a counting clock makes traced seconds deterministic"
         ),
     }
 
     @classmethod
+    def _surface(cls, key):
+        return key.split(".")[1] in cls.DISCOVERED or key in cls.LISTED
+
+    @classmethod
     @functools.lru_cache(maxsize=None)
     def _unselected(cls):
-        """``{callee.parameter}`` passed by nothing outside tests."""
-        keywords, positions = {}, {}
-        for callee, (relative, qualified) in cls.SURFACE.items():
-            path = REPO / "src" / "repro" / relative
-            args = dict(TestOneBatchBody._functions(path))[qualified].args
-            positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults):]
-            keywords[callee] = {arg.arg for arg in defaulted + args.kwonlyargs}
-            names = [arg.arg for arg in positional]
-            positions[callee] = names[1:] if names[:1] in (["self"], ["cls"]) else names
-
-        selected = {callee: set() for callee in cls.SURFACE}
-
-        def visit(node, owner):
-            """Record ``name(...)`` calls; ``cls(...)`` inside a class
-            body is a call of that class."""
-            for child in ast.iter_child_nodes(node):
-                visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
-            if not isinstance(node, ast.Call):
-                return
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            name = owner if name == "cls" else name
-            if name in selected:
-                passed = {keyword.arg for keyword in node.keywords if keyword.arg}
-                if not any(isinstance(arg, ast.Starred) for arg in node.args):
-                    passed |= set(positions[name][: len(node.args)])
-                selected[name] |= passed
-                for target in cls.FORWARDS.get(name, ()):
-                    selected[target] |= passed - keywords[name]
-
-        for _, path in _caller_files():
-            visit(ast.parse(path.read_text()), None)
-        return {
-            f"{callee}.{parameter}"
-            for callee in cls.SURFACE
-            for parameter in keywords[callee] - selected[callee]
-        }
+        return _unselected_options(list(_caller_sources()), cls._surface)
 
     @pytest.mark.parametrize(
-        "package", sorted({relative.split("/")[0] for relative, _ in SURFACE.values()})
+        "package", sorted(set(DISCOVERED) | {key.split(".")[1] for key in LISTED})
     )
     def test_every_keyword_parameter_is_selected_outside_tests(self, package):
-        callees = {
-            callee for callee, (relative, _) in self.SURFACE.items()
-            if relative.split("/")[0] == package
-        }
-        unselected = {name for name in self._unselected() if name.split(".")[0] in callees}
-        exempt = {
-            name: value for name, value in self.EXEMPT.items()
-            if name.split(".")[0] in callees
-        }
+        prefix = f"repro.{package}."
+        unselected = {name for name in self._unselected() if name.startswith(prefix)}
+        exempt = {name: value for name, value in self.EXEMPT.items() if name.startswith(prefix)}
         _check_exemptions(exempt)
         assert unselected == set(exempt), (
             f"repro.{package}: selected by nothing outside tests (delete the "
             f"parameter and its code path): {sorted(unselected - set(exempt))}; "
             f"stale exemptions: {sorted(set(exempt) - unselected)}"
         )
+
+
+def _unused_definitions(sources, exports, exempt):
+    """Keys of the public definitions nothing reaches (see
+    :class:`TestExportCensus`); ``exports`` maps ``__all__`` names to
+    the modules exporting them, ``exempt`` keys count as used."""
+    # key -> (name, enclosing definition or None, reported)
+    definitions = {}
+    loads = {None: (set(), set())}  # owner -> (names, strings)
+    assigned = {}  # module-level assignment name -> defining module
+
+    def note(node, owner):
+        names, strings = loads.setdefault(owner, (set(), set()))
+        for child in ast.walk(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(
+                child.ctx, ast.Load
+            ):
+                names.add(getattr(child, "id", getattr(child, "attr", None)))
+            elif isinstance(child, ast.Call):
+                strings.update(
+                    arg.value
+                    for arg in child.args + [kw.value for kw in child.keywords]
+                    if isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)
+                    and arg.value.isidentifier()
+                )
+
+    def scan(body, owner, prefix, reported, module):
+        for node in body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            target_names = [getattr(target, "id", None) for target in targets]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and "__all__" in target_names:
+                continue
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not (node.name.startswith("__") and node.name.endswith("__")):
+                key = prefix + node.name
+                public = reported and not node.name.startswith("_")
+                definitions[key] = (node.name, owner, public)
+                if isinstance(node, ast.ClassDef):
+                    for part in node.decorator_list + node.bases + node.keywords:
+                        note(part, key)
+                    scan(node.body, key, key + ".", public, module)
+                else:
+                    note(node, key)
+                continue
+            if owner is None and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for name in target_names:
+                    assigned.setdefault(name, module)
+            note(node, owner)
+
+    for root, relative, text in sources:
+        tree = ast.parse(text)
+        if root != "src":
+            note(tree, None)
+            continue
+        module = _module(relative)
+        scan(tree.body, None, module + ".", True, module)
+
+    defined = {name for name, owner, _ in definitions.values() if owner is None}
+    for name, modules in exports.items():
+        if name not in defined:
+            definitions[f"{assigned.get(name, modules[0])}.{name}"] = (name, None, True)
+
+    names, strings = loads[None]
+    used, live = set(), set()  # live: used or exempt
+
+    def keep(key):
+        live.add(key)
+        names.update(loads.get(key, ((), ()))[0])
+        strings.update(loads.get(key, ((), ()))[1])
+
+    for key in exempt:
+        keep(key)
+    changed = True
+    while changed:
+        changed = False
+        for key, (name, owner, _) in definitions.items():
+            if key in used or (owner is not None and owner not in live):
+                continue
+            if name in names or (owner is not None and name in strings):
+                used.add(key)
+                keep(key)
+                changed = True
+    return {
+        key for key, (_, owner, public) in definitions.items()
+        if public and key not in used and (owner is None or owner in live)
+    }
 
 
 class TestExportCensus:
@@ -358,8 +644,10 @@ class TestExportCensus:
     counts only where it can run: module-level code, a file outside
     ``src/``, or the body of a definition that is itself used (a fixed
     point, so a helper only a test-only function calls is unused too).
-    An identifier-shaped string constant uses a method of that name
-    (``bench/instrument.py`` wraps methods by name); a method counts
+    An identifier-shaped string passed as an argument of a call uses a
+    method of that name (``bench/instrument.py`` wraps methods by name,
+    ``getattr(owner, "metrics")`` reads one); a string anywhere else
+    (a row's ``"gauge"`` kind, a comparison) does not.  A method counts
     only when its class does.  An exempt definition counts as used, so
     what it calls is kept with it.  Submodules are exempt by rule."""
 
@@ -400,6 +688,9 @@ class TestExportCensus:
         "repro.obs.metrics.set_registry": (
             "seam", "isolates one test's counters in a fresh global registry"
         ),
+        "repro.obs.metrics.MetricsRegistry.histogram": (
+            "producer", "ROADMAP 1(a)'s per-layer cosine histograms"
+        ),
         "repro.obs.metrics.Histogram.observe": (
             "producer", "ROADMAP 1(a)'s per-layer cosine histograms"
         ),
@@ -435,88 +726,7 @@ class TestExportCensus:
     @classmethod
     @functools.lru_cache(maxsize=None)
     def _unused(cls):
-        """Qualified names of the public definitions nothing reaches."""
-        # key -> (name, enclosing definition or None, reported)
-        definitions = {}
-        loads = {None: (set(), set())}  # owner -> (names, strings)
-        assigned = {}  # module-level assignment name -> defining module
-
-        def note(node, owner):
-            names, strings = loads.setdefault(owner, (set(), set()))
-            for child in ast.walk(node):
-                if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(
-                    child.ctx, ast.Load
-                ):
-                    names.add(getattr(child, "id", getattr(child, "attr", None)))
-                elif (
-                    isinstance(child, ast.Constant)
-                    and isinstance(child.value, str)
-                    and child.value.isidentifier()
-                ):
-                    strings.add(child.value)
-
-        def scan(body, owner, prefix, reported, module):
-            for node in body:
-                targets = getattr(node, "targets", [getattr(node, "target", None)])
-                target_names = [getattr(target, "id", None) for target in targets]
-                if isinstance(node, (ast.Assign, ast.AnnAssign)) and "__all__" in target_names:
-                    continue
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ) and not (node.name.startswith("__") and node.name.endswith("__")):
-                    key = prefix + node.name
-                    public = reported and not node.name.startswith("_")
-                    definitions[key] = (node.name, owner, public)
-                    if isinstance(node, ast.ClassDef):
-                        for part in node.decorator_list + node.bases + node.keywords:
-                            note(part, key)
-                        scan(node.body, key, key + ".", public, module)
-                    else:
-                        note(node, key)
-                    continue
-                if owner is None and isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    for name in target_names:
-                        assigned.setdefault(name, module)
-                note(node, owner)
-
-        for root, path in _caller_files():
-            tree = ast.parse(path.read_text())
-            if root != "src":
-                note(tree, None)
-                continue
-            parts = path.relative_to(REPO / "src").with_suffix("").parts
-            module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-            scan(tree.body, None, module + ".", True, module)
-
-        defined = {name for name, owner, _ in definitions.values() if owner is None}
-        for name, modules in cls._exports().items():
-            if name not in defined:
-                definitions[f"{assigned.get(name, modules[0])}.{name}"] = (name, None, True)
-
-        names, strings = loads[None]
-        used, live = set(), set()  # live: used or exempt
-
-        def keep(key):
-            live.add(key)
-            names.update(loads.get(key, ((), ()))[0])
-            strings.update(loads.get(key, ((), ()))[1])
-
-        for key in cls.EXEMPT:
-            keep(key)
-        changed = True
-        while changed:
-            changed = False
-            for key, (name, owner, _) in definitions.items():
-                if key in used or (owner is not None and owner not in live):
-                    continue
-                if name in names or (owner is not None and name in strings):
-                    used.add(key)
-                    keep(key)
-                    changed = True
-        return {
-            key for key, (_, owner, public) in definitions.items()
-            if public and key not in used and (owner is None or owner in live)
-        }
+        return _unused_definitions(list(_caller_sources()), cls._exports(), cls.EXEMPT)
 
     @pytest.mark.parametrize("package", PACKAGES)
     def test_every_public_name_is_used_outside_tests(self, package):
@@ -529,3 +739,57 @@ class TestExportCensus:
             f"give it a caller): {sorted(unused - set(exempt))}; "
             f"stale exemptions: {sorted(set(exempt) - unused)}"
         )
+
+
+class TestCensusRules:
+    """Both censuses on a small in-memory tree, so each rule is pinned
+    by what it decides rather than by the state of the repo."""
+
+    LIBRARY = (
+        "src",
+        "src/repro/core/optim.py",
+        '''
+class Optimizer:
+    def __init__(self, lr, decay=0.0, nesterov=False):
+        self.lr, self.decay, self.nesterov = lr, decay, nesterov
+
+
+class SGD(Optimizer):
+    def __init__(self, lr, decay=0.0, nesterov=False):
+        super().__init__(lr, decay, nesterov=nesterov)
+
+
+class Registry:
+    def gauge(self, name):
+        return name
+
+    def rows(self):
+        return [("x", "gauge", 1, {})]
+''',
+    )
+    BENCH = (
+        "bench",
+        "bench/run.py",
+        '''
+from repro.core.optim import SGD, Registry
+
+SGD(0.1, nesterov=True)
+Registry().rows()
+''',
+    )
+    WRAP = ("bench", "bench/instrument.py", '_wrap_method(registry, "gauge", None)\n')
+
+    def test_a_parameter_only_passed_through_is_unselected(self):
+        unselected = _unselected_options([self.LIBRARY, self.BENCH], lambda key: True)
+        assert "repro.core.optim.SGD.decay" in unselected
+        assert "repro.core.optim.Optimizer.decay" in unselected
+
+    def test_a_call_from_bench_selects(self):
+        unselected = _unselected_options([self.LIBRARY, self.BENCH], lambda key: True)
+        assert "repro.core.optim.SGD.nesterov" not in unselected
+        assert "repro.core.optim.Optimizer.nesterov" not in unselected
+
+    def test_only_a_call_argument_string_keeps_a_method(self):
+        key = "repro.core.optim.Registry.gauge"
+        assert key in _unused_definitions([self.LIBRARY, self.BENCH], {}, {})
+        assert key not in _unused_definitions([self.LIBRARY, self.BENCH, self.WRAP], {}, {})

@@ -44,6 +44,13 @@ class TestArrayDataset:
         data = ArrayDataset(np.arange(10), np.arange(10))
         assert data.num_batches(4) == 3
 
+    def test_last_partial_batch_is_kept(self):
+        data = ArrayDataset(np.arange(10), -np.arange(10))
+        batches = list(data.batches(4, shuffle=False))
+        assert [x.tolist() for x, _ in batches] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert batches[-1][1].tolist() == [-8, -9]
+        assert len(batches) == data.num_batches(4)
+
 
 class TestSyntheticImages:
     def test_shapes_and_types(self):

@@ -36,6 +36,42 @@ class TestMaxPool:
         loss = linear_probe_loss(pool, x, probe)
         assert max_relative_error(grad_in, numerical_gradient(loss, x)) < 1e-2
 
+    def test_all_negative_windows_return_their_max(self):
+        x = -np.arange(1, 17, dtype=np.float32).reshape(1, 1, 4, 4)
+        pool = nn.MaxPool2d(2)
+        out = pool(x)
+        np.testing.assert_array_equal(out[0, 0], [[-1.0, -3.0], [-9.0, -11.0]])
+        grad = pool.backward(np.ones_like(out))
+        expected = np.zeros((4, 4), dtype=np.float32)
+        expected[0, 0] = expected[0, 2] = expected[2, 0] = expected[2, 2] = 1.0
+        np.testing.assert_array_equal(grad[0, 0], expected)
+
+    def test_all_zero_windows_route_each_unit_to_one_input(self):
+        """Dead (post-ReLU) windows tie everywhere: each window still
+        hands its whole gradient to exactly one input."""
+        pool = nn.MaxPool2d(2)
+        x = np.zeros((2, 2, 4, 4), dtype=np.float32)
+        out = pool(x)
+        np.testing.assert_array_equal(out, np.zeros_like(out))
+        grad_out = np.arange(1, out.size + 1, dtype=np.float32).reshape(out.shape)
+        grad_in = pool.backward(grad_out)
+        windows = grad_in.reshape(2, 2, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        windows = windows.reshape(2, 2, 2, 2, 4)
+        assert ((windows != 0).sum(axis=-1) == 1).all()
+        np.testing.assert_array_equal(windows.sum(axis=-1), grad_out)
+
+    def test_rows_past_the_last_window_get_no_gradient(self):
+        """A 5x5 input under a 2x2 window pools its leading 4x4 block;
+        the trailing row and column reach no window."""
+        x = np.random.default_rng(5).standard_normal((1, 1, 5, 5)).astype(np.float32)
+        pool = nn.MaxPool2d(2)
+        out = pool(x)
+        np.testing.assert_array_equal(out, nn.MaxPool2d(2)(x[:, :, :4, :4]))
+        grad = pool.backward(np.ones_like(out))
+        assert grad.shape == x.shape
+        assert not grad[0, 0, 4, :].any() and not grad[0, 0, :, 4].any()
+        assert grad.sum() == out.size
+
     def test_kernel_beyond_uint8_index_rejected(self):
         """The window index is a uint8: 16x16 positions is the limit."""
         nn.MaxPool2d(16)

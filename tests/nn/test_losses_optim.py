@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro import nn
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam, SGD, MultiStepLR, ReduceLROnPlateau
+from repro.nn.optim.schedulers import PLATEAU_THRESHOLD
 from tests.helpers import numerical_gradient
 
 RNG = np.random.default_rng(13)
@@ -76,6 +77,14 @@ class TestSGD:
             opt.step()
         # v1 = 1 -> p=-1; v2 = 0.5+1=1.5 -> p=-2.5
         np.testing.assert_allclose(p.data, [-2.5])
+
+    def test_zero_gradient_leaves_the_parameter_unchanged(self):
+        p = Parameter(np.array([10.0], dtype=np.float32))
+        opt = SGD([p], lr=0.1, momentum=0.9)
+        for _ in range(3):
+            p.grad = np.array([0.0], dtype=np.float32)
+            opt.step()
+        np.testing.assert_array_equal(p.data, [10.0])
 
     def test_apply_gradient_preserves_existing_grad(self):
         p = Parameter(np.array([0.0], dtype=np.float32))
@@ -164,6 +173,15 @@ class TestSchedulers:
         for _ in range(10):
             sched.step(0.5)
         assert opt.lr == 1.0
+
+    def test_plateau_counts_a_drop_below_the_threshold_as_no_improvement(self):
+        p = Parameter(np.zeros(1, dtype=np.float32))
+        opt = SGD([p], lr=1.0)
+        sched = ReduceLROnPlateau(opt)
+        sched.step(1.0)
+        for _ in range(11):
+            sched.step(1.0 - PLATEAU_THRESHOLD / 2)  # relative drop too small
+        assert opt.lr == pytest.approx(0.1)
 
     def test_validation(self):
         p = Parameter(np.zeros(1, dtype=np.float32))

@@ -147,6 +147,25 @@ class TestAttach:
             reg.attach(owner)  # re-attaching replaces, never double counts
         assert reg.snapshot()["repro_engine_batches"]["series"]["phase=bp"] == 7
 
+    def test_pulled_gauge_reads_the_owners_latest_row(self):
+        reg = obs.MetricsRegistry()
+        owner = _Owner([("repro_backend_pool_outstanding", "gauge", 5, {})])
+        reg.attach(owner)
+        owner.rows = [("repro_backend_pool_outstanding", "gauge", 2, {})]
+        assert reg.snapshot()["repro_backend_pool_outstanding"] == {
+            "kind": "gauge", "series": {"": 2}
+        }
+
+    def test_same_gauge_series_from_two_owners_keeps_the_first(self):
+        reg = obs.MetricsRegistry()
+        owners = [
+            _Owner([("repro_backend_pool_outstanding", "gauge", level, {})])
+            for level in (3, 8)
+        ]
+        for owner in owners:
+            reg.attach(owner)
+        assert reg.snapshot()["repro_backend_pool_outstanding"]["series"][""] == 3
+
     def test_kind_conflict_and_bad_rows_rejected(self):
         reg = obs.MetricsRegistry()
         reg.counter("repro_dist_sync_bytes").inc()

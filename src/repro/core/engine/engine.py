@@ -25,7 +25,7 @@ from ... import nn
 from ...nn.backend import BackendSpec, backend_scope, resolve_backend
 from ...nn.graph import trace
 from ...obs.trace import EVAL, phase_scope, phase_tag, tracer as _obs_tracer
-from ...nn.module import Module, PredictableMixin
+from ...nn.module import Module, Parameter, PredictableMixin
 from ...nn.optim import Optimizer
 from ..history import History
 from ..predictor import GradientPredictor
@@ -44,7 +44,7 @@ BatchesFn = Callable[[], Iterable[Batch]]
 class EpochStats:
     """Aggregate outcome of one training epoch.
 
-    ``predictor_mse``/``predictor_mape`` map predictable-layer index to
+    ``predictor_mse``/``predictor_mape`` map served-layer index to
     the epoch-mean prediction error (empty when no predictor trained).
     """
 
@@ -73,8 +73,11 @@ class TrainingEngine:
         batch as :attr:`Phase.BP` — the plain-backprop configuration.
     predictor / gp_optimizer / predictor_scheduler:
         The ADA-GP machinery; all optional.  When ``predictor`` is set
-        :attr:`layers` is the table's predictable layers and the engine
-        records per-layer predictor errors in History.
+        :attr:`layers` is the table's
+        :attr:`~repro.nn.graph.ModuleTable.served` layers — every
+        predictable one with ``all_layers`` — and the engine records
+        per-layer predictor errors in History.  The predictable layers
+        left out take a zero gradient in Phase GP (:attr:`coast`).
     backend:
         Compute backend (name or :class:`~repro.nn.backend.Backend`)
         every batch and evaluation runs under; ``None`` inherits the
@@ -95,6 +98,7 @@ class TrainingEngine:
         predictor_scheduler=None,
         callbacks: Iterable[Callback] = (),
         backend: Optional[BackendSpec] = None,
+        all_layers: bool = False,
     ) -> None:
         self.model = model
         self.backend = resolve_backend(backend)
@@ -114,9 +118,22 @@ class TrainingEngine:
         # train_epoch, empty for a train_batch call outside one.
         self._batch_position: dict = {}
         self.table = trace(model)
-        self.layers: list[PredictableMixin] = (
-            self.table.predictable if predictor is not None else []
-        )
+        self.layers: list[PredictableMixin] = []
+        #: Phase GP's zero gradients for the weight and bias of every
+        #: predictable layer the predictor does not serve, allocated
+        #: once: applied with the predictions, they step those
+        #: parameters on the GP optimizer's momentum alone.
+        self.coast: list[tuple[Parameter, np.ndarray]] = []
+        if predictor is not None:
+            self.layers = self.table.predictable if all_layers else self.table.served
+            served = set(map(id, self.layers))
+            self.coast = [
+                (param, np.zeros_like(param.data))
+                for layer in self.table.predictable
+                if id(layer) not in served
+                for param in (layer.weight, layer.bias)
+                if param is not None
+            ]
         if isinstance(strategies, PhaseStrategy):
             strategies = {phase: strategies for phase in Phase}
         self.strategies: dict[Phase, PhaseStrategy] = dict(strategies)

@@ -61,8 +61,22 @@ def adagp_engine(
     batched_gp: bool = True,
     callbacks: Iterable[Callback] = (),
     backend: Optional[BackendSpec] = None,
+    all_layers: bool = False,
 ) -> TrainingEngine:
     """ADA-GP: warm-up / Phase BP / Phase GP under a phase schedule.
+
+    The predictor serves the module table's
+    :attr:`~repro.nn.graph.ModuleTable.served` layers: the predictable
+    layers no BatchNorm follows.  A BN-fed layer's weight gradient is
+    within-batch covariance that batch means cannot predict, so in
+    Phase GP its weight and bias *coast*: they take a zero gradient
+    through ``gp_optimizer``, which with momentum SGD is the momentum
+    step alone.  The predictor is sized, trained and tapped for the
+    served layers only; every other parameter (BatchNorm γ/β,
+    embeddings, LayerNorm) gets no Phase-GP update.  A model with no
+    BatchNorm serves every predictable layer.  ``all_layers=True`` is
+    the paper's arm (§3.6): one predictor serves every predictable
+    layer and nothing coasts.
 
     ``gp_optimizer`` is the optimizer used to *apply* predicted
     gradients in Phase GP.  The accelerator applies in-flight updates
@@ -71,10 +85,10 @@ def adagp_engine(
     — Adam's per-element normalization would otherwise blow small
     predicted gradients up into full-size steps.
 
-    A Phase-GP batch taps every predictable layer's output during the
-    no-grad forward, then predicts all layers in one stacked
-    ``predict_many`` call and applies them in one grouped
-    ``gp_optimizer`` apply.  §3.4's per-layer in-flight updates are a
+    A Phase-GP batch taps every served layer's output during the
+    no-grad forward, then predicts them in one stacked
+    ``predict_many`` call and applies them, with the coast, in one
+    grouped ``gp_optimizer`` apply.  §3.4's per-layer in-flight updates are a
     hardware overlap: on one device each layer's update lands on the
     same weights after the forward.  ``batched_gp`` accepts only
     ``True`` (``bench/workloads.py`` still passes it); in-flight updates
@@ -88,10 +102,13 @@ def adagp_engine(
             "adagp_engine applies every Phase-GP update after the forward; "
             "per-layer in-flight updates run on pipeline_adagp_engine"
         )
-    if not trace(model).predictable:
-        raise ValueError("model has no predictable layers for ADA-GP")
+    table = trace(model)
+    if not (table.predictable if all_layers else table.served):
+        raise ValueError("model has no predictable layers for ADA-GP to serve")
     optimizer = optimizer or nn.SGD(model.parameters(), lr=lr, momentum=0.9)
-    predictor = predictor or GradientPredictor.for_model(model, lr=predictor_lr)
+    predictor = predictor or GradientPredictor.for_model(
+        model, all_layers=all_layers, lr=predictor_lr
+    )
     bp_strategy = BackpropStrategy(train_predictor=True)
     return TrainingEngine(
         model,
@@ -110,6 +127,7 @@ def adagp_engine(
         predictor_scheduler=MultiStepLR(predictor.optimizer, milestones=[20, 40]),
         callbacks=callbacks,
         backend=backend,
+        all_layers=all_layers,
     )
 
 

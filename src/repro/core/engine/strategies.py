@@ -3,12 +3,14 @@
 The paper defines a training batch as three steps, and this module
 writes each of them once, on :class:`PhaseStrategy`:
 
-1. *observe* every predictable layer's output — :meth:`PhaseStrategy.tap`,
+1. *observe* every served layer's output — :meth:`PhaseStrategy.tap`,
    the only code that installs a forward hook on ``engine.layers``;
 2. *train* the predictor on the layers' true gradients (§3.3, Warm-Up /
    Phase BP) — :meth:`PhaseStrategy._train_predictor`; or
 3. *predict* the gradients and apply them (§3.4, Phase GP) —
-   :meth:`PhaseStrategy._apply_predictions`.
+   :meth:`PhaseStrategy._apply_predictions`, together with a zero
+   gradient for every predictable layer the predictor does not serve
+   (``engine.coast``: the BN-fed ones, which coast on momentum).
 
 Steps 2 and 3 are the only code that touches ``engine.predictor``.  The
 schemes differ in which steps run and in *how forward/backward run*:
@@ -18,15 +20,17 @@ schemes differ in which steps run and in *how forward/backward run*:
   then the optimizer step.
 * :class:`GradPredictStrategy` — ADA-GP's Phase GP: backprop is skipped
   and the batch runs under :func:`~repro.nn.no_grad`; the tap keeps
-  every predictable layer's output, and after ``run_forward`` one
-  stacked predict + one grouped apply update every layer.  The paper's
-  in-flight timing (§3.4) is a hardware overlap; on one device each
-  layer's deferred update lands on the same weights, because every
-  predictable layer runs once per forward (the tap raises otherwise).
+  every served layer's output, and after ``run_forward`` one stacked
+  predict + one grouped apply (predictions and coast) update every
+  predictable layer.  The paper's in-flight timing (§3.4) is a hardware
+  overlap; on one device each layer's deferred update lands on the same
+  weights, because every served layer runs once per forward (the tap
+  raises otherwise).
 * :class:`PipelineGPStrategy` — §3.7: the Phase-BP body with the two
   ``run_*`` primitives swapped for the micro-batch pipeline executor,
-  and a Phase-GP body that applies each layer's update in flight, so
-  the predict lands inside the measured stage slot.
+  and a Phase-GP body that applies each served layer's update in
+  flight, so the predict lands inside the measured stage slot, and the
+  coast once after the forward.
 
 The engine selects a strategy per batch from its phase schedule.  Adding
 a scheme is choosing the tap's ``on_output`` and the two ``run_*``
@@ -38,7 +42,7 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +62,7 @@ OnOutput = Callable[[Module, np.ndarray], None]
 class BatchResult:
     """Outcome of one training batch.
 
-    ``predictor_mse``/``predictor_mape`` map predictable-layer index to
+    ``predictor_mse``/``predictor_mape`` map served-layer index to
     that layer's prediction error for this batch (``None`` when the
     strategy did not train the predictor).
     """
@@ -78,7 +82,7 @@ class BatchResult:
 class PhaseStrategy:
     """One way of running a training batch; bound to an engine at setup."""
 
-    #: How many times each predictable layer's forward runs per batch
+    #: How many times each served layer's forward runs per batch
     #: (a pipeline's micro-batch count); the tap joins that many chunks.
     chunks = 1
 
@@ -132,11 +136,11 @@ class PhaseStrategy:
     def tap(
         self, on_output: Optional[OnOutput] = None, keep: bool = True
     ) -> Iterator[dict[int, np.ndarray]]:
-        """Observe every predictable layer's output for one batch.
+        """Observe every served layer's output for one batch.
 
         Yields an ``id(layer) -> full-batch activation`` store that is
         *local to the batch* — kept as a strategy attribute it pinned
-        every predictable layer's output (1–3 MB on the mini models)
+        every served layer's output (1–3 MB on the mini models)
         until the next BP batch, while the model drops its caches after
         every batch.  ``keep=False`` leaves it empty, for callers that
         consume each activation in ``on_output``.
@@ -232,12 +236,17 @@ class PhaseStrategy:
         return mse_by_layer, mape_by_layer
 
     def _apply_predictions(
-        self, layers: list[Module], outputs: list[np.ndarray], optimizer: Optimizer
+        self,
+        layers: list[Module],
+        outputs: list[np.ndarray],
+        optimizer: Optimizer,
+        coast: Sequence[tuple] = (),
     ) -> None:
         """Predict the layers' gradients from their activations in one
         stacked predictor call and apply them through ``optimizer`` in
-        one grouped apply — the plain-MAC hardware update path.
-        In-flight callers pass one-layer lists."""
+        one grouped apply — the plain-MAC hardware update path — with
+        the ``coast`` updates (``engine.coast``) riding in the same
+        call.  In-flight callers pass one-layer lists and no coast."""
         if not layers:
             return
         tracer = _obs_tracer()
@@ -251,6 +260,7 @@ class PhaseStrategy:
             updates.append((layer.weight, weight_grad))
             if layer.bias is not None and bias_grad is not None:
                 updates.append((layer.bias, bias_grad))
+        updates.extend(coast)
         optimizer.apply_gradients(updates)
 
 
@@ -299,9 +309,9 @@ class BackpropStrategy(PhaseStrategy):
 
 class GradPredictStrategy(PhaseStrategy):
     """Phase GP batch (§3.4): forward-only under no-grad, then one
-    stacked predictor call predicts every predictable layer from its
-    tapped output and one grouped ``gp_optimizer.apply_gradients``
-    applies them.  No gradient ever touches ``param.grad``."""
+    stacked predictor call predicts every served layer from its tapped
+    output and one grouped ``gp_optimizer.apply_gradients`` applies them
+    and the coast.  No gradient ever touches ``param.grad``."""
 
     def train_batch(self, inputs, targets, phase: Phase) -> BatchResult:
         engine = self.engine
@@ -310,7 +320,7 @@ class GradPredictStrategy(PhaseStrategy):
             loss = self.run_forward(inputs, targets)
         layers = [layer for layer in engine.layers if id(layer) in activations]
         outputs = [activations[id(layer)] for layer in layers]
-        self._apply_predictions(layers, outputs, engine.gp_optimizer)
+        self._apply_predictions(layers, outputs, engine.gp_optimizer, engine.coast)
         return BatchResult(loss=loss, phase=Phase.GP)
 
 
@@ -329,14 +339,15 @@ class PipelineGPStrategy(BackpropStrategy):
       schedule (gradients identical to full-batch backprop for
       mean-reduction losses); the predictor trains on each layer's
       micro-batch outputs joined back into the full batch;
-    * GP batches stream forward-only micro-batches.  Each predictable
+    * GP batches stream forward-only micro-batches.  Each served
       layer's update fires once per batch, on its *final* micro-batch's
       forward, predicted from the joined full-batch activations — the
       same updates the single-chip :class:`GradPredictStrategy` applies
       after its forward — and runs inside that measured
       forward slot, so the paper's alpha overhead is part of the
       measurement (the hardware overlaps alpha on a dedicated array,
-      software pays it per invocation).
+      software pays it per invocation).  The coast is applied once,
+      after the forward.
 
     Device clocks persist across batches, making the executor's
     ``timeline`` a *measured* Fig 20: its makespan is the multi-device
@@ -406,4 +417,5 @@ class PipelineGPStrategy(BackpropStrategy):
 
         with self.tap(in_flight, keep=False):
             loss = self.run_forward(inputs, targets)
+        optimizer.apply_gradients(engine.coast)
         return BatchResult(loss=loss, phase=Phase.GP)

@@ -22,8 +22,9 @@ class History:
     the schedule-search subsystem optimizes against).
 
     ``predictor_mape``/``predictor_mse`` hold one dict per epoch mapping
-    predictable-layer index (forward order) to the epoch-mean prediction
-    error — exactly the series paper Fig 15 plots for VGG13.  They stay
+    served-layer index (``engine.layers`` order) to the epoch-mean prediction
+    error — with every layer served (``all_layers=True``), exactly the
+    series paper Fig 15 plots for VGG13.  They stay
     empty when no predictor is attached (plain BP).  A History starts
     empty; the engine appends one entry per epoch.
     """

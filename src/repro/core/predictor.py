@@ -552,7 +552,7 @@ class _Stack(NamedTuple):
 class GradientPredictor:
     """Predicts per-layer weight gradients from output activations.
 
-    One instance serves every predictable layer of the model.  The
+    One instance serves every layer it is sized for (``for_model``).  The
     latency of its forward pass is the ``alpha`` of the paper's timeline
     analysis (§3.7); the accelerator model derives alpha from this same
     architecture via
@@ -588,11 +588,17 @@ class GradientPredictor:
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_model(cls, model: Module, **kwargs) -> "GradientPredictor":
-        """Size the FC layer for the largest layer of ``model`` (§3.6)."""
-        layers = trace(model).predictable
+    def for_model(
+        cls, model: Module, all_layers: bool = False, **kwargs
+    ) -> "GradientPredictor":
+        """Size the FC layer for the largest layer the predictor serves
+        (§3.6): the module table's :attr:`~repro.nn.graph.ModuleTable.served`
+        layers, or every predictable one with ``all_layers`` (the
+        paper's arm)."""
+        table = trace(model)
+        layers = table.predictable if all_layers else table.served
         if not layers:
-            raise ValueError("model has no ADA-GP-predictable layers")
+            raise ValueError("model has no ADA-GP-predictable layers to serve")
         max_row = max(layer.gradient_size() for layer in layers)
         return cls(max_row=max_row, **kwargs)
 

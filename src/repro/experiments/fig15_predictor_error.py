@@ -49,6 +49,7 @@ def run_fig15(
             warmup_epochs=6, ladder=((3, (4, 1)), (3, (3, 1)), (3, (2, 1)))
         ),
         callbacks=callbacks,
+        all_layers=True,  # layers 1-10 are BN-fed convs: the paper's arm
     )
     history = engine.fit(
         split.train.epochs(batch_size, seed + 2),

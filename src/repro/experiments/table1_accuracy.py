@@ -73,6 +73,7 @@ def _train_once(
             lr=lr,
             schedule=HeuristicSchedule(**MINI_SCHEDULE),
             callbacks=callbacks,
+            all_layers=True,  # the paper's ADA-GP: every layer predicted
         )
     else:
         engine = bp_engine(

@@ -223,14 +223,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pin_forked_child)
 
 
-def load(force: bool = False) -> ctypes.CDLL:
+def load() -> ctypes.CDLL:
     """Build if needed and load the shared library (per-variant
     singleton; ``REPRO_NATIVE_SANITIZE=1`` picks the instrumented one)."""
     sanitize = sanitize_enabled()
-    if force or sanitize not in _LIBS:
-        _LIBS[sanitize] = _configure(
-            ctypes.CDLL(str(build(force=force, sanitize=sanitize)))
-        )
+    if sanitize not in _LIBS:
+        _LIBS[sanitize] = _configure(ctypes.CDLL(str(build(sanitize=sanitize))))
     return _LIBS[sanitize]
 
 

@@ -10,6 +10,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .layers.norm import _BatchNorm
 from .module import Module, PredictableMixin, no_grad, walk
 
 
@@ -29,6 +30,24 @@ class ModuleTable(NamedTuple):
         """The predictable layers in row order, which every model in
         :mod:`repro.models` keeps aligned with its forward's order."""
         return [row.module for row in self.rows if row.predictable]
+
+    @property
+    def served(self) -> list[Module]:
+        """The predictable layers no BatchNorm follows, in row order: the
+        ones the predictor serves.  A layer is BN-fed when its next
+        sibling under the same parent is a BatchNorm; that layer's
+        weight gradient is within-batch covariance, which no predictor
+        reading batch means can know, so its parameters coast on the
+        optimizer's momentum instead.  Structural: no probe forward."""
+        served: list[Module] = []
+        after: dict[int, Module] = {}  # id(parent row) -> the next sibling seen
+        for row in reversed(self.rows):
+            key = id(row.parent)
+            if row.predictable and not isinstance(after.get(key), _BatchNorm):
+                served.append(row.module)
+            after[key] = row.module
+        served.reverse()
+        return served
 
 
 def trace(model: Module, example: Optional[np.ndarray] = None) -> ModuleTable:

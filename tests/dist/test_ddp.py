@@ -120,6 +120,30 @@ class TestParityLadder:
             shutdown(local)
             shutdown(proc)
 
+    def test_local_equals_process_bitwise_with_coasted_layers(self):
+        """VGG13-mini serves only its classifier: in Phase GP every rank
+        coasts the ten BN-fed convs on its own optimizer's momentum."""
+        split = synthetic_images(10, 32, 16, image_size=16, seed=0)
+        engines, histories = [], []
+        try:
+            for transport in ("local", "process"):
+                ddp = ddp_engine(
+                    build_mini("VGG13", 10, rng=np.random.default_rng(0)),
+                    CrossEntropyLoss(), workers=2, transport=transport, lr=0.05,
+                    metric_fn=accuracy, schedule=_schedule(),
+                )
+                engines.append(ddp)
+                assert len(ddp.coast) == 20
+                histories.append(ddp.fit(_train_fn(split), _val_fn(split), 3))
+            assert sum(histories[0].gp_batches) > 0
+            assert histories[0] == histories[1]
+            assert pickle.dumps(engines[0].state_dict()) == pickle.dumps(
+                engines[1].state_dict()
+            )
+        finally:
+            for ddp in engines:
+                shutdown(ddp)
+
     def test_workers_2_close_to_serial(self):
         split = _split()
         serial = _serial()

@@ -341,81 +341,33 @@ class PredictorNetwork(Module):
         fc.bias.accumulate_grad(grad_bias2)
 
 
-#: What one more head bucket costs, in head cells (samples x computed
-#: columns): its fixed share of GEMM calls, of the weight-gradient GEMM
-#: output and of the float64 bookkeeping passes, against the per-cell
-#: work a narrower head saves.
-_BUCKET_CELLS = 4096
-
-
-def _head_widths(layout: list[tuple[int, int]]) -> dict[int, int]:
-    """Row width -> the head width its layers compute, for a stack of
-    ``(units, row)`` layers.
-
-    The distinct widths, sorted, are split into contiguous buckets that
-    each compute their widest row.  The split minimises the head cells
-    computed plus :data:`_BUCKET_CELLS` per bucket, so a bucket is split
-    off only when the columns it stops padding outweigh what one more
-    bucket costs.
-    """
-    units_at: dict[int, int] = {}
-    for units, row in layout:
-        units_at[row] = units_at.get(row, 0) + units
-    widths = sorted(units_at)
-    # best[end]: cheapest split of widths[:end]; cut[end]: where its
-    # last bucket starts.
-    best = [0.0] + [float("inf")] * len(widths)
-    cut = [0] * (len(widths) + 1)
-    for end in range(1, len(widths) + 1):
-        samples = 0
-        for begin in range(end - 1, -1, -1):
-            samples += units_at[widths[begin]]
-            cost = best[begin] + samples * widths[end - 1] + _BUCKET_CELLS
-            if cost < best[end]:
-                best[end], cut[end] = cost, begin
-    head_width = {}
-    end = len(widths)
-    while end:
-        for width in widths[cut[end] : end]:
-            head_width[width] = widths[end - 1]
-        end = cut[end]
-    return head_width
-
-
 class _Bucket:
-    """The layers of one predictor call that compute the same head
-    width: ``begin:stop`` on the stacked sample axis, and ``members`` —
-    ``(position in the caller's list, start in the bucket's rows, units,
-    row)`` per layer.  The arrays are the bucket's side of the per-layer
-    bookkeeping: ``indices`` / ``starts`` its members' list positions
-    and first rows (``np.add.reduceat`` over its rows gives per-layer
-    sums), ``spread`` a list position per row, ``factor`` the MSE
-    gradient's ``2 / (units * row)`` per row, and ``pads`` the
-    ``(start, stop, row)`` of every member narrower than the bucket,
-    whose columns past ``row`` are zeroed before the loss."""
+    """The layers of one predictor call that share a row width:
+    ``begin:stop`` on the stacked sample axis, and ``members`` —
+    ``(position in the caller's list, start in the bucket's rows,
+    units)`` per layer.  The arrays are the bucket's side of the
+    per-layer bookkeeping: ``indices`` / ``starts`` its members' list
+    positions and first rows (``np.add.reduceat`` over its rows gives
+    per-layer sums), ``spread`` a list position per row, and ``factor``
+    the MSE gradient's ``2 / (units * width)`` per row."""
 
     __slots__ = (
         "width", "begin", "stop", "members", "indices", "starts", "spread",
-        "factor", "pads",
+        "factor",
     )
 
     def __init__(
-        self, width: int, begin: int, members: list[tuple[int, int, int, int]]
+        self, width: int, begin: int, members: list[tuple[int, int, int]]
     ) -> None:
-        units = [units for _, _, units, _ in members]
+        units = [units for _, _, units in members]
         self.width, self.begin, self.stop = width, begin, begin + sum(units)
         self.members = members
-        self.indices = np.array([index for index, _, _, _ in members])
-        self.starts = np.array([start for _, start, _, _ in members])
+        self.indices = np.array([index for index, _, _ in members])
+        self.starts = np.array([start for _, start, _ in members])
         self.spread = np.repeat(self.indices, units)
         self.factor = np.repeat(
-            [2.0 / (count * row) for _, _, count, row in members], units
+            [2.0 / (count * width) for count in units], units
         )[:, None].astype(np.float32)
-        self.pads = [
-            (start, start + count, row)
-            for _, start, count, row in members
-            if row < width
-        ]
 
 
 class _Layout(NamedTuple):
@@ -435,16 +387,17 @@ class _Plan:
     shapes fix (DESIGN.md §4), built once per layer list and reused
     while the shapes repeat — a fit calls with one signature.
 
-    ``buckets`` (:func:`_head_widths`) and their ``spans``; ``extents``,
-    one per distinct plane extent when the planes fold into the grid,
-    else ``(None,)``; the stacked input's ``shape`` and whether it must
-    start ``zeroed``; and per layer, in the caller's order, ``places``,
-    its ``(rows, columns)`` slices of the stack, ``parts`` — ``(bucket
-    position, start, stop, weight columns, has bias, weight shape)`` on
-    its bucket's rows — and ``sizes``, its gradient cells.  ``divisor``
-    is the batch count a folded stack is divided by: one int, or a
-    column when the layers' batches differ.  Layers are held weakly
-    (``refs``), like the scales, and no per-call buffer is kept.
+    ``buckets``, one per distinct row width in first-seen order, and
+    their ``spans``; ``extents``, one per distinct plane extent when the
+    planes fold into the grid, else ``(None,)``; the stacked input's
+    ``shape`` and whether it must start ``zeroed``; and per layer, in
+    the caller's order, ``places``, its ``(rows, columns)`` slices of
+    the stack, ``parts`` — ``(bucket position, start, stop, weight
+    columns, has bias, weight shape)`` on its bucket's rows — and
+    ``sizes``, its gradient cells.  ``divisor`` is the layers' one
+    batch count, which a folded stack is divided by, or ``None`` when
+    their batches differ.  Layers are held weakly (``refs``), like the
+    scales, and no per-call buffer is kept.
     """
 
     __slots__ = (
@@ -464,15 +417,14 @@ class _Plan:
         self.refs = [weakref.ref(layer) for layer in layers]
         self.shapes = [output.shape for output in outputs]
         units = [layer.output_units() for layer in layers]
-        head_width = _head_widths(list(zip(units, rows)))
         grouped: dict[int, list[int]] = {}
         for index, row in enumerate(rows):
-            grouped.setdefault(head_width[row], []).append(index)
+            grouped.setdefault(row, []).append(index)
         self.buckets, top = [], 0
         for width, indices in grouped.items():
             starts = np.cumsum([0] + [units[index] for index in indices])
             members = [
-                (index, int(start), units[index], rows[index])
+                (index, int(start), units[index])
                 for index, start in zip(indices, starts)
             ]
             self.buckets.append(_Bucket(width, top, members))
@@ -498,7 +450,7 @@ class _Plan:
         self.places = [None] * len(layers)
         self.parts = [None] * len(layers)
         for position, bucket in enumerate(self.buckets):
-            for index, start, count, row in bucket.members:
+            for index, start, count in bucket.members:
                 begin = bucket.begin + start
                 if self.folded:
                     height, width = extents[index]
@@ -510,7 +462,7 @@ class _Plan:
                 layer = layers[index]
                 has_bias = layer.bias is not None
                 self.parts[index] = (
-                    position, start, start + count, row - has_bias, has_bias,
+                    position, start, start + count, rows[index] - has_bias, has_bias,
                     layer.weight.shape,
                 )
         self.sizes = np.array(
@@ -519,12 +471,7 @@ class _Plan:
         counts = [
             output.size // int(np.prod(plane)) for output, plane in zip(outputs, planes)
         ]
-        if len(set(counts)) == 1:
-            self.divisor = counts[0]
-        else:
-            self.divisor = np.empty((top, 1), dtype=np.float32)
-            for (rows_at, _), count in zip(self.places, counts):
-                self.divisor[rows_at] = count
+        self.divisor = counts[0] if len(set(counts)) == 1 else None
 
     def matches(
         self, layers: list[PredictableMixin], outputs: list[np.ndarray]
@@ -646,7 +593,9 @@ class GradientPredictor:
         if row > self.network.max_row:
             raise ValueError(
                 f"layer gradient row {row} exceeds predictor capacity "
-                f"{self.network.max_row}; size the predictor with for_model()"
+                f"{self.network.max_row}; for_model(model) sizes for the served "
+                "layers only, a predictor for every predictable layer needs "
+                "for_model(model, all_layers=True)"
             )
         return row
 
@@ -678,18 +627,19 @@ class GradientPredictor:
     ) -> _Stack:
         """The two-GEMM forward over all ``layers``' activations.
 
-        Samples stack bucket by bucket (:func:`_head_widths`), so each
-        bucket's head GEMM runs over a contiguous range; the first GEMM
-        runs once over the whole stack.  When the distinct plane
+        Samples stack bucket by bucket, one bucket per row width, so
+        each bucket's head GEMM runs over a contiguous range; the first
+        GEMM runs once over the whole stack.  When the distinct plane
         extents together have no more cells than the grid, every plane
         is folded: it fills its extent's column segment with raw cells
-        (zeros elsewhere) and skips the front pool — C-contiguous
-        float32 batches are summed straight into their slices and the
-        whole buffer is divided once, which is ``ndarray.mean`` bit for
-        bit (another layout could make NumPy sum the batch axis
-        pairwise, so such a call takes the per-layer means).  Otherwise
-        every plane is pooled to the grid, which keeps the first GEMM at
-        grid width for every sample.
+        (zeros elsewhere) and skips the front pool.  If the layers share
+        one batch count, C-contiguous float32 batches are summed
+        straight into their slices and the whole buffer is divided once,
+        which is ``ndarray.mean`` bit for bit; mixed batch counts, or
+        another layout (which could make NumPy sum the batch axis
+        pairwise), take the per-layer means.  Otherwise every plane is
+        pooled to the grid, which keeps the first GEMM at grid width for
+        every sample.
         """
         plan = self._plan(layers, outputs)
         # One float32 buffer for every layer's inputs.  Training
@@ -697,7 +647,7 @@ class GradientPredictor:
         # the buffer guards against float64 callers such as gradchecks,
         # whose operand would drag both GEMMs off the sgemm path.
         inputs = (np.zeros if plan.zeroed else np.empty)(plan.shape, dtype=np.float32)
-        if plan.folded and all(
+        if plan.folded and plan.divisor is not None and all(
             output.dtype == np.float32 and output.flags.c_contiguous
             for output in outputs
         ):
@@ -817,11 +767,10 @@ class GradientPredictor:
         targets = []
         for bucket, rows in zip(plan.buckets, stack.rows):
             # Each bucket's target rows laid out like its FC output, in
-            # float64.  Columns past a narrower layer's row are zeroed in
-            # both, so they add exact zeros to every sum and to the loss
-            # gradient.
+            # float64; every member's row is the bucket's width, so each
+            # column is written.
             target = np.empty(rows.shape)
-            for index, _, _, _ in bucket.members:
+            for index, _, _ in bucket.members:
                 _, start, stop, columns, has_bias, _ = plan.parts[index]
                 target[start:stop, :columns] = weight_grads[index].reshape(
                     stop - start, -1
@@ -832,9 +781,6 @@ class GradientPredictor:
                     target[start:stop, columns] = bias_grads[index].reshape(
                         stop - start
                     )
-            for start, stop, row in bucket.pads:
-                target[start:stop, row:] = 0.0
-                rows[start:stop, row:] = 0.0
             sums[0, bucket.indices] = np.add.reduceat(
                 np.square(target).sum(axis=1), bucket.starts
             )

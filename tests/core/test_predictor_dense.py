@@ -5,16 +5,15 @@ entry points go through ``dense_forward`` / ``dense_backward`` (DESIGN.md
 §4).  The layered network stays as the parameter container and as the
 reference these tests compare against — outputs and all four parameter
 gradients at atol <= 1e-5 on every backend, on hypothesis-generated
-mixes of conv / linear / sequence-linear layers, with the head bucketed
-by the merge rule and with every row width split off, and on mixes of
-one-row / one-column / 1x1 planes whose hidden layer runs at its tied
-width — plus the layouts themselves (tied widths, and the identity
-where nothing ties), the Fig-15 metrics against their reference
-implementations, independence from the caller's layer order, and the
-staleness contract of the version-keyed operator.
+mixes of conv / linear / sequence-linear layers, with one head bucket
+per row width, and on mixes of one-row / one-column / 1x1 planes whose
+hidden layer runs at its tied width — plus the layouts themselves (tied
+widths, and the identity where nothing ties), the Fig-15 metrics
+against their reference implementations, independence from the
+caller's layer order, and the staleness contract of the version-keyed
+operator.
 """
 
-import contextlib
 from unittest import mock
 
 import numpy as np
@@ -137,19 +136,14 @@ def _param_grads(network):
 
 
 def _locate(stack):
-    """``(bucket position, start, units, row)`` per layer, in the order
-    the layers were handed to ``GradientPredictor._forward``."""
+    """``(bucket position, start, units, bucket width)`` per layer, in
+    the order the layers were handed to ``GradientPredictor._forward``."""
     found = {
-        index: (position, start, units, row)
+        index: (position, start, units, bucket.width)
         for position, bucket in enumerate(stack.plan.buckets)
-        for index, start, units, row in bucket.members
+        for index, start, units in bucket.members
     }
     return [found[index] for index in range(len(found))]
-
-
-def _split_buckets():
-    """A bucket costs nothing: every distinct row width gets its own."""
-    return mock.patch.object(predictor_module, "_BUCKET_CELLS", 0)
 
 
 def _targets(entries, seed):
@@ -182,7 +176,9 @@ def _oracle_rows(predictor, layer, output):
 
 def _check_against_layered(backend, specs, seed):
     """One stacked dense forward/backward == the layered network run
-    layer by layer with its gradients summed."""
+    layer by layer with its gradients summed.  Every layer sits in the
+    bucket of its own row width, so each bucket computes exactly its
+    members' rows and no column is padded."""
     entries = _build(specs, seed)
     predictor = _predictor(entries)
     network = predictor.network
@@ -196,6 +192,7 @@ def _check_against_layered(backend, specs, seed):
         for (layer, output), (bucket, start, units, row) in zip(
             entries, _locate(stack)
         ):
+            assert row == layer.gradient_size()
             x = reorganize.reorganize_activations(layer, output)
             full = network(x)
             np.testing.assert_allclose(
@@ -226,16 +223,6 @@ class TestDenseMatchesLayered:
     @settings(max_examples=25, deadline=None)
     def test_forward_and_parameter_gradients(self, backend, specs, seed):
         _check_against_layered(backend, specs, seed)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @given(specs=_mixes, seed=st.integers(0, 2**16))
-    @settings(max_examples=15, deadline=None)
-    def test_every_row_width_its_own_bucket(self, backend, specs, seed):
-        """The test mixes are too small for a split head to pay, so the
-        merge rule keeps one bucket; a free split runs one head GEMM per
-        distinct row width."""
-        with _split_buckets():
-            _check_against_layered(backend, specs, seed)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(specs=_mixes, seed=st.integers(0, 2**16))
@@ -369,10 +356,9 @@ def test_float64_activations_are_predicted_in_float32():
 
 
 class TestFig15Metrics:
-    @pytest.mark.parametrize("split", [False, True])
     @given(specs=_mixes, seed=st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
-    def test_metrics_equal_reference_implementations(self, split, specs, seed):
+    def test_metrics_equal_reference_implementations(self, specs, seed):
         """Each layer's ``(mse, mape)`` is the reference functions'
         value on the prediction the call measured.  ``apply_update=False``
         keeps the weights it measured; the running scale is refreshed
@@ -384,10 +370,9 @@ class TestFig15Metrics:
         predictor = _predictor(entries)
         layers = [layer for layer, _ in entries]
         outputs = [output for _, output in entries]
-        with _split_buckets() if split else contextlib.nullcontext():
-            metrics = predictor.train_step_many(
-                layers, outputs, weight_grads, bias_grads, apply_update=False
-            )
+        metrics = predictor.train_step_many(
+            layers, outputs, weight_grads, bias_grads, apply_update=False
+        )
         for (layer, output), w_grad, b_grad, (mse, mape) in zip(
             entries, weight_grads, bias_grads, metrics
         ):
@@ -406,7 +391,6 @@ class TestFig15Metrics:
 
 
 class TestLayerOrder:
-    @pytest.mark.parametrize("split", [False, True])
     @given(
         specs=_mixes,
         seed=st.integers(0, 2**16),
@@ -414,7 +398,7 @@ class TestLayerOrder:
     )
     @settings(max_examples=15, deadline=None)
     def test_shuffled_stack_gives_the_same_per_layer_results(
-        self, split, specs, seed, order_seed
+        self, specs, seed, order_seed
     ):
         """Bucketing reorders samples internally; every result comes
         back in the caller's order, whatever that order is."""
@@ -426,15 +410,14 @@ class TestLayerOrder:
             predictor = _predictor(entries)
             layers = [entries[k][0] for k in positions]
             outputs = [entries[k][1] for k in positions]
-            with _split_buckets() if split else contextlib.nullcontext():
-                predictions = predictor.predict_many(layers, outputs)
-                metrics = predictor.train_step_many(
-                    layers,
-                    outputs,
-                    [weight_grads[k] for k in positions],
-                    [bias_grads[k] for k in positions],
-                    apply_update=False,
-                )
+            predictions = predictor.predict_many(layers, outputs)
+            metrics = predictor.train_step_many(
+                layers,
+                outputs,
+                [weight_grads[k] for k in positions],
+                [bias_grads[k] for k in positions],
+                apply_update=False,
+            )
             by_layer = {
                 k: (predictions[i], metrics[i]) for i, k in enumerate(positions)
             }

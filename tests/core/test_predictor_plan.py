@@ -6,7 +6,9 @@ rebuilds it when the activation shapes change.  These tests pin that a
 kept plan changes nothing: every result of a predictor that alternates
 between layer lists and sequence lengths is bitwise the result of a
 fresh predictor in the same state; the folded stack is the reference
-batch means byte for byte; and a plan keeps no discarded model alive.
+batch means byte for byte; a plan keeps no discarded model alive; and
+the stacks the benchmark workloads send are laid out one head bucket
+per row width.
 """
 
 import gc
@@ -18,8 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
-from repro.core import GradientPredictor, reorganize
-from repro.models import Seq2SeqTransformer
+from repro.core import GradientPredictor, Phase, adagp_engine, reorganize
+from repro.models import Seq2SeqTransformer, build_mini
+from repro.nn.losses import CrossEntropyLoss
 
 
 def _transformer_layers():
@@ -203,9 +206,10 @@ def _layer_and_output(spec, rng, magnitude):
 def test_folded_stack_is_the_reference_batch_means(
     specs, shared_batch, magnitude, seed
 ):
-    """Whatever the batch sizes (one divisor or a column of them) and
-    the activation's memory layout, each layer's slice of the stacked
-    input holds ``reorganize_activations``' plane bit for bit."""
+    """Whatever the batch sizes (one shared count, or mixed counts,
+    which take the per-layer means) and the activation's memory layout,
+    each layer's slice of the stacked input holds
+    ``reorganize_activations``' plane bit for bit."""
     rng = np.random.default_rng(seed)
     if shared_batch:
         specs = [(*spec[:3], specs[0][3], spec[4]) for spec in specs]
@@ -220,12 +224,69 @@ def test_folded_stack_is_the_reference_batch_means(
     assert stack.plan is plan
     if not plan.folded:
         return
-    # Only a call with a non-C-contiguous activation (a reversed layout
-    # with more than one axis past 1) takes the per-layer means.
+    # A call with a non-C-contiguous activation (a reversed layout with
+    # more than one axis past 1) or with mixed batch counts takes the
+    # per-layer means; one sharing a batch count is divided by it once.
     strided = not all(output.flags.c_contiguous for output in outputs)
-    assert means.call_count == (len(layers) if strided else 0)
+    mixed = len({spec[3] for spec in specs}) > 1
+    assert (plan.divisor is None) == mixed
+    assert means.call_count == (len(layers) if strided or mixed else 0)
     expected = np.zeros(plan.shape, dtype=np.float32)
     for layer, output, (rows, columns) in zip(layers, outputs, plan.places):
         plane = reorganize.reorganize_activations(layer, output)
         expected[rows, columns] = plane.reshape(rows.stop - rows.start, -1)
     assert stack.inputs.tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The stacks the benchmark workloads send: the served layers of one BP
+# batch at the benchmark's model and batch shapes (batch 32; 16x16
+# images; source length 6, teacher-forced target length 7).
+# ----------------------------------------------------------------------
+def _bp_batch_plan(engine, inputs, targets):
+    engine.train_batch(inputs, targets, Phase.BP)
+    (plan,) = [
+        plan for plans in engine.predictor._plans.values() for plan in plans.values()
+    ]
+    layers = [ref() for ref in plan.refs]
+    for bucket in plan.buckets:
+        assert {layers[index].gradient_size() for index, _, _ in bucket.members} == {
+            bucket.width
+        }
+    return plan
+
+
+def test_the_transformer_stack_has_one_bucket_per_row_width():
+    rng = np.random.default_rng(0)
+    model = Seq2SeqTransformer(15, 15, d_model=32, num_heads=2, d_ff=64, rng=rng)
+    engine = adagp_engine(
+        model,
+        CrossEntropyLoss(),
+        optimizer=nn.Adam(model.parameters(), lr=2e-3),
+        backend="fused",
+    )
+    plan = _bp_batch_plan(
+        engine,
+        (rng.integers(3, 15, (32, 6)), rng.integers(3, 15, (32, 7))),
+        rng.integers(3, 15, (32, 7)),
+    )
+    assert len(plan.refs) == 49
+    assert plan.spans == [(0, 1551, 33), (1551, 1743, 65)]
+    assert plan.extents == ((1, 6), (1, 7))
+    assert type(plan.divisor) is int and plan.divisor == 32
+
+
+@pytest.mark.parametrize("name,width", [("VGG13", 33), ("ResNet50", 49)])
+def test_an_image_mini_sends_its_classifier_alone(name, width):
+    rng = np.random.default_rng(0)
+    engine = adagp_engine(
+        build_mini(name, 10, rng=rng), CrossEntropyLoss(), lr=0.02, backend="fused"
+    )
+    plan = _bp_batch_plan(
+        engine,
+        rng.standard_normal((32, 3, 16, 16)).astype(np.float32),
+        rng.integers(0, 10, 32),
+    )
+    assert plan.spans == [(0, 10, width)]
+    assert plan.extents == ((1, 1),)
+    assert type(plan.divisor) is int and plan.divisor == 32

@@ -137,6 +137,15 @@ class TestOneGPBatchOnVGG13:
         model = build_mini("ResNet50", 10, rng=np.random.default_rng(0))
         assert sum(p.size for p in GradientPredictor.for_model(model).network.parameters()) == 3225
 
+    def test_a_fed_conv_on_a_served_sized_predictor_names_the_all_layer_sizing(self):
+        """``for_model(model)`` built the too-small predictor, so the
+        error names the call that sizes one for every layer."""
+        engine = _vgg_engine()
+        conv = max(_fed(engine), key=lambda layer: layer.gradient_size())
+        output = np.ones((2, conv.output_units(), 4, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"for_model\(model, all_layers=True\)"):
+            engine.predictor.predict(conv, output)
+
     def test_scales_are_keyed_by_served_layer_index(self):
         x, y = _batch()
         served, every = _vgg_engine(), _vgg_engine(all_layers=True)

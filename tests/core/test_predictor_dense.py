@@ -227,6 +227,35 @@ class TestDenseMatchesLayered:
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(specs=_mixes, seed=st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)
+    def test_every_row_width_its_own_bucket(self, backend, specs, seed):
+        """The head runs one GEMM per distinct row width, in first-seen
+        order: each bucket's rows are exactly its width wide, and its
+        members tile them back to back on the stacked sample axis."""
+        entries = _build(specs, seed)
+        predictor = _predictor(entries)
+        layers = [layer for layer, _ in entries]
+        with use_backend(backend):
+            stack = predictor._forward(layers, [output for _, output in entries])
+        widths = list(dict.fromkeys(layer.gradient_size() for layer in layers))
+        assert [bucket.width for bucket in stack.plan.buckets] == widths
+        begin = 0
+        for bucket, rows in zip(stack.plan.buckets, stack.rows):
+            assert bucket.begin == begin
+            start = 0
+            for index, member_start, units in bucket.members:
+                assert layers[index].gradient_size() == bucket.width
+                assert member_start == start
+                start += units
+            assert rows.shape == (start, bucket.width)
+            assert bucket.stop == begin + start
+            begin = bucket.stop
+        assert sorted(
+            index for bucket in stack.plan.buckets for index, _, _ in bucket.members
+        ) == list(range(len(layers)))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(specs=_mixes, seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
     def test_predict_many_matches_per_layer_predict(self, backend, specs, seed):
         """Predictions are the oracle's rows in gradient units: an
         untrained layer's scale is 1, so they are clipped at

@@ -1,34 +1,26 @@
 """Gradient codecs for data-parallel training (wire format + AdaComp).
 
-A :class:`Codec` turns one parameter's gradient into an
-:class:`EncodedGrad` — the unit that crosses the transport — and back.
-Two implementations ship:
+A :class:`Codec` turns a gradient into an :class:`EncodedGrad` — the
+unit that crosses the transport — and back.  A data-parallel rank
+encodes all of its parameters' gradients as one flat bucket
+(:func:`bucket_layout`) whose slots start at multiples of the codec's
+``bin_size``, so no AdaComp bin crosses two parameters and the bucket
+encodes, slot by slot, bitwise as each tensor would on its own.
 
-* :class:`IdentityCodec` — dense float32 pass-through.  Decode returns
-  the exact bytes that went in, which is what makes the
-  ``LocalTransport`` ≡ ``ProcessTransport`` bitwise-parity gate of
-  ``repro.dist`` enforceable end to end.
-* :class:`AdaCompCodec` — the adaptive residual-sparsification scheme of
-  AdaComp (Chen et al., arXiv 1712.02679).  Per encode call, the carried
-  residual is folded into the gradient (``H = G + R``), ``H`` is cut
-  into fixed-size bins, and an element is *sent* when
-  ``|H_i| + |G_i| >= max_bin |H|`` — self-tuning per bin, so layers and
-  training phases with different gradient scales need no global
-  threshold knob.  Sent entries ship in a deterministic compact format
-  — ``float16`` values (the rounding error is fed back into the
-  residual, so nothing is lost) addressed by ``uint16`` bin-local
-  offsets — and are replaced in the residual by their float16 rounding
-  error; unsent entries accumulate locally and retry next round.
-  Typical steady-state compression on conv/FC gradients is ~40–200×
-  (``T/k`` for ``k`` sends per bin of ``T`` at 4 wire bytes per sent
-  element).
+* :class:`IdentityCodec` — dense float32 pass-through: decode returns
+  the exact bytes that went in, which makes the ``LocalTransport`` ≡
+  ``ProcessTransport`` bitwise-parity gate enforceable end to end.
+* :class:`AdaCompCodec` — AdaComp's adaptive residual sparsification
+  (Chen et al., arXiv 1712.02679): self-tuning per-bin thresholds,
+  ``float16`` values at ``uint16`` bin-local offsets (~4 wire bytes per
+  sent element), rounding error fed back into the residual.
 
 Every encoded payload knows its own ``wire_bytes`` and ``dense_bytes``,
 so compression ratios reported by ``CommStats`` are accounting of the
 actual payloads, not estimates.
 
 Decoding is stateless and codec-independent (module-level
-:func:`decode`); only *encoding* carries per-parameter residual state.
+:func:`decode`); only *encoding* carries residual state, per key.
 :func:`decode_sum` is the shared reduction kernel: every rank — driver
 and workers alike — sums decoded contributions in rank order through the
 same accumulation loop, which is what makes the data-parallel all-reduce
@@ -37,19 +29,39 @@ bitwise-deterministic across transports.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 #: Fixed per-payload framing cost charged to ``wire_bytes``: shape/kind
-#: metadata and the value/index counts a real wire format would carry.
+#: metadata, the live-slot mask and the value/index counts a real wire
+#: format would carry.
 HEADER_BYTES = 16
+
+#: ``(start, stop)`` element ranges of a bucket's slots.
+Spans = tuple[tuple[int, int], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def bucket_layout(shapes: tuple[tuple[int, ...], ...], align: int) -> tuple[Spans, int]:
+    """Each parameter's ``(start, stop)`` slot in one flat bucket, and
+    the bucket's length: every slot starts at a multiple of ``align`` (a
+    codec's ``bin_size``) and zero padding fills the gap.  Cached per
+    (shapes, alignment), so ranks rebuilt per batch share one layout."""
+    spans, start = [], 0
+    for shape in shapes:
+        count = math.prod(shape)
+        spans.append((start, start + count))
+        start += -(-count // align) * align
+    return tuple(spans), start
 
 
 @dataclass
 class EncodedGrad:
-    """One parameter gradient in wire form.
+    """One gradient (a tensor, or a rank's whole bucket) in wire form.
 
     ``kind="dense"`` carries the flattened float32 values outright;
     ``kind="sparse"`` carries the AdaComp compact format — selected
@@ -57,7 +69,9 @@ class EncodedGrad:
     sender's residual) addressed by ``uint16`` *bin-local* offsets plus
     a ``uint16`` per-bin send count, ~4 bytes per sent element instead
     of the 8 a float32-value + uint32-global-index layout would cost.
-    ``shape`` restores the original tensor layout on decode.
+    ``shape`` restores the original tensor layout on decode.  ``live``
+    names the bucket slots that carry a gradient (``None``: the whole
+    array is one live tensor); what lies outside them is meaningless.
     """
 
     shape: tuple[int, ...]
@@ -66,6 +80,7 @@ class EncodedGrad:
     offsets: Optional[np.ndarray] = None  # uint16, bin-local positions
     bin_counts: Optional[np.ndarray] = None  # uint16, sends per bin
     bin_size: int = 0
+    live: Optional[Spans] = None
 
     @property
     def wire_bytes(self) -> int:
@@ -79,11 +94,11 @@ class EncodedGrad:
 
     @property
     def dense_bytes(self) -> int:
-        """Bytes the uncompressed dense gradient would occupy."""
-        count = 1
-        for dim in self.shape:
-            count *= int(dim)
-        return count * np.dtype(np.float32).itemsize
+        """Bytes the uncompressed live gradients would occupy (slot
+        padding excluded)."""
+        if self.live is None:
+            return math.prod(self.shape) * 4
+        return sum(stop - start for start, stop in self.live) * 4
 
     @property
     def indices(self) -> Optional[np.ndarray]:
@@ -108,58 +123,62 @@ def decode(enc: EncodedGrad) -> np.ndarray:
     """
     if enc.kind == "dense":
         return enc.values.reshape(enc.shape).copy()
-    count = 1
-    for dim in enc.shape:
-        count *= int(dim)
-    out = np.zeros(count, dtype=np.float32)
+    out = np.zeros(math.prod(enc.shape), dtype=np.float32)
     indices = enc.indices
     if indices is not None and indices.size:
         out[indices] = enc.values.astype(np.float32)
     return out.reshape(enc.shape)
 
 
-def _ordered_sum(arrays: Iterable[Optional[np.ndarray]]) -> Optional[np.ndarray]:
-    """Sum arrays in iteration order, skipping ``None``; ``None`` if all
-    are.  The single accumulation loop shared by driver and workers —
-    float32 addition is order-sensitive, so bitwise cross-rank agreement
+def _ordered_sum(arrays: Iterable[np.ndarray]) -> Optional[np.ndarray]:
+    """Sum arrays in iteration order; ``None`` if there are none.  The
+    single accumulation loop shared by driver and workers — float32
+    addition is order-sensitive, so bitwise cross-rank agreement
     requires everyone to add in the same (rank) order."""
     total: Optional[np.ndarray] = None
     for array in arrays:
-        if array is None:
-            continue
         total = array.copy() if total is None else total + array
     return total
 
 
 def decode_sum(encoded: Sequence[Optional[EncodedGrad]]) -> Optional[np.ndarray]:
-    """Decode + rank-ordered sum of one parameter's contributions.
+    """Decode + rank-ordered sum of one gradient's contributions.
 
-    ``None`` entries (inactive ranks, grad-free parameters) are skipped;
-    returns ``None`` when no rank contributed, mirroring the
-    ``param.grad is None`` convention the optimizers already honor.
+    ``None`` entries (inactive ranks) are skipped; returns ``None`` when
+    no rank contributed, mirroring the ``param.grad is None`` convention
+    the optimizers already honor.  A bucket slot live on only some
+    ranks sums only theirs, so every slot is bitwise the sum of that
+    parameter's own contributions.
     """
-    return _ordered_sum(decode(enc) if enc is not None else None for enc in encoded)
+    present = [enc for enc in encoded if enc is not None]
+    decoded = [decode(enc) for enc in present]
+    total = _ordered_sum(decoded)
+    if any(enc.live != present[0].live for enc in present[1:]):
+        for start, stop in sorted(set().union(*(enc.live for enc in present))):
+            total.reshape(-1)[start:stop] = _ordered_sum(
+                array.reshape(-1)[start:stop]
+                for array, enc in zip(decoded, present)
+                if (start, stop) in enc.live
+            )
+    return total
 
 
 class Codec:
-    """Gradient encoder: ``encode`` per parameter key, stateful residuals.
+    """Gradient encoder: ``encode`` per key, stateful residuals.
 
-    ``key`` identifies the parameter across calls (the data-parallel
-    strategy uses the parameter's index in ``optimizer.parameters``), so
-    codecs with carry-over state — AdaComp's residuals — accumulate per
-    parameter.  :meth:`spawn` returns a fresh same-configuration
-    instance with empty state; every rank gets its own spawn so
-    residual state is strictly rank-local, exactly as AdaComp specifies.
+    ``key`` identifies the gradient across calls (a rank's bucket is key
+    0), so AdaComp's residuals accumulate per key.  ``live`` lists the
+    bucket slots holding a gradient this call (``None``: all of
+    ``grad``); the rest is neither sent nor folded into the residual.
+    ``bin_size`` is the alignment a bucket's slots need.  :meth:`spawn`
+    returns a fresh instance with empty state; every rank gets its own,
+    so residual state is strictly rank-local, as AdaComp specifies.
     """
 
-    name = "codec"
+    bin_size = 1
 
-    def encode(self, key: int, grad: np.ndarray) -> EncodedGrad:
+    def encode(self, key: int, grad: np.ndarray, live: Optional[Spans] = None) -> EncodedGrad:
         raise NotImplementedError
-
-    def decode(self, enc: EncodedGrad) -> np.ndarray:
-        """Instance-level alias of the stateless :func:`decode`."""
-        return decode(enc)
 
     def spawn(self) -> "Codec":
         """A fresh codec with this one's configuration and no state."""
@@ -172,11 +191,9 @@ class Codec:
 class IdentityCodec(Codec):
     """Dense pass-through: decode(encode(g)) is bitwise ``g``."""
 
-    name = "identity"
-
-    def encode(self, key: int, grad: np.ndarray) -> EncodedGrad:
+    def encode(self, key: int, grad: np.ndarray, live: Optional[Spans] = None) -> EncodedGrad:
         flat = np.ascontiguousarray(grad, dtype=np.float32).reshape(-1).copy()
-        return EncodedGrad(shape=tuple(grad.shape), kind="dense", values=flat)
+        return EncodedGrad(shape=tuple(grad.shape), kind="dense", values=flat, live=live)
 
     def spawn(self) -> "IdentityCodec":
         return IdentityCodec()
@@ -201,9 +218,10 @@ class AdaCompCodec(Codec):
 
     Encoding a gradient ``G`` for key ``k``:
 
-    1. ``H = G + residual[k]`` (residual starts at zero),
+    1. ``H = G + residual[k]`` (residual starts at zero; outside the
+       ``live`` slots ``H`` is the residual itself),
     2. split ``|H|`` into bins of ``bin_size``; each bin's threshold is
-       its own ``max |H|``,
+       its own ``max |H|`` (zero for a bin of no live slot),
     3. send index ``i`` iff ``|H_i| + |G_i| >= threshold(bin of i)``
        *and* the threshold is positive (an all-zero bin sends nothing —
        without the guard the ``>=`` would select the entire bin),
@@ -217,8 +235,6 @@ class AdaCompCodec(Codec):
     two ranks (or two transports) fed identical shards stay bitwise
     aligned.
     """
-
-    name = "adacomp"
 
     #: float16 saturates at 65504; sent values are clipped into range and
     #: the clip error rides the residual like any other rounding error.
@@ -238,23 +254,29 @@ class AdaCompCodec(Codec):
         self.wire_dtype = wire_dtype
         self._residuals: dict[int, np.ndarray] = {}
 
-    def encode(self, key: int, grad: np.ndarray) -> EncodedGrad:
+    def encode(self, key: int, grad: np.ndarray, live: Optional[Spans] = None) -> EncodedGrad:
         flat = np.ascontiguousarray(grad, dtype=np.float32).reshape(-1)
         residual = self._residuals.get(key)
         h = flat + residual if residual is not None else flat.copy()
-        size = h.size
-        bins = -(-size // self.bin_size)
-        padded = bins * self.bin_size
-        h_abs = np.abs(h)
-        g_abs = np.abs(flat)
-        if padded != size:
-            pad = np.zeros(padded - size, dtype=np.float32)
-            h_abs = np.concatenate([h_abs, pad])
-            g_abs = np.concatenate([g_abs, pad])
-        bin_max = h_abs.reshape(bins, self.bin_size).max(axis=1)
-        threshold = np.repeat(bin_max, self.bin_size)
-        selected = (h_abs + g_abs >= threshold) & (threshold > 0)
-        sel = np.flatnonzero(selected[:size])
+        size, step = h.size, self.bin_size
+        bins = -(-size // step)
+        dead = np.full(bins, live is not None)
+        for start, stop in live or ():
+            dead[start // step : -(-stop // step)] = False
+        if dead.any():
+            # A slot without a gradient keeps its residual bit for bit
+            # (-0.0, the additive identity, where there is none yet).
+            gone = np.repeat(dead, step)[:size]
+            h[gone] = residual[gone] if residual is not None else np.float32(-0.0)
+        # |H| then |H| + |G| per bin; a partial last bin's pad is zero.
+        score = np.zeros(bins * step, dtype=np.float32)
+        np.abs(h, out=score[:size])
+        bin_max = score.reshape(bins, step).max(axis=1)
+        bin_max[dead] = 0.0
+        score[:size] += np.abs(flat)
+        selected = score.reshape(bins, step) >= bin_max[:, None]
+        selected[~(bin_max > 0)] = False
+        sel = np.flatnonzero(selected)
         exact = h[sel]
         if self.wire_dtype == "float16":
             values = np.clip(exact, -self._F16_MAX, self._F16_MAX).astype(
@@ -264,22 +286,19 @@ class AdaCompCodec(Codec):
             # A clipped value's error H - 65504 is not always a float32
             # (|H| in [2^29, 2^30) loses an ulp): such an entry stays
             # unsent, whole, in the residual.
-            keep = ~(
-                (np.abs(exact) > self._F16_MAX) & (sent + (exact - sent) != exact)
-            )
-            if not keep.all():
-                sel, exact, values = sel[keep], exact[keep], values[keep]
+            clipped = np.abs(exact) > self._F16_MAX
+            if clipped.any():
+                keep = ~(clipped & (sent + (exact - sent) != exact))
+                sel, exact, values, sent = sel[keep], exact[keep], values[keep], sent[keep]
         else:
-            values = exact.copy()
+            values = sent = exact.copy()
         # Error feedback: what the wire cannot represent stays local and
         # retries next round — exact zero for a float32 wire — so the
         # decoded values plus the new residual are H, bit for bit.
-        h[sel] = exact - values.astype(np.float32)
+        h[sel] = exact - sent
         self._residuals[key] = h
-        offsets = (sel % self.bin_size).astype(np.uint16)
-        bin_counts = np.bincount(sel // self.bin_size, minlength=bins).astype(
-            np.uint16
-        )
+        offsets = (sel % step).astype(np.uint16)
+        bin_counts = np.bincount(sel // step, minlength=bins).astype(np.uint16)
         return EncodedGrad(
             shape=tuple(grad.shape),
             kind="sparse",
@@ -287,6 +306,7 @@ class AdaCompCodec(Codec):
             offsets=offsets,
             bin_counts=bin_counts,
             bin_size=self.bin_size,
+            live=live,
         )
 
     def residual(self, key: int) -> Optional[np.ndarray]:

@@ -14,11 +14,13 @@ Per **BP/WARMUP** batch: the batch is cut into contiguous rank-ordered
 shards (their concatenation is the original batch), every active rank
 runs ``forward_backward`` with its shard's loss-gradient scaled by
 ``n_r / n`` (so the rank-sum equals full-batch mean-reduction
-semantics), encodes its local gradients with its rank-local codec, and
-the driver gathers all payloads.  *Every* rank then decodes and sums the
-full payload set in rank order (:func:`~repro.dist.codec.decode_sum`),
-installs the identical reduced gradient and steps its own optimizer —
-bitwise lockstep without shipping dense sums.
+semantics), encodes its gradients as one bucket — one payload per rank
+— and the driver gathers them and submits the ``apply`` fan-out
+*before* rank 0 applies, so the replicas' decode and step overlap rank
+0's.  *Every* rank decodes and sums the payloads in rank order
+(:func:`~repro.dist.codec.decode_sum`), installs the identical reduced
+gradient and steps its own optimizer — bitwise lockstep without
+shipping dense sums.
 
 Per **GP** batch: each rank runs the inner GP strategy on its shard —
 predicted updates come from the rank-local predictor, so *zero gradient
@@ -92,11 +94,11 @@ class CommStats:
 
     ``grad_wire_bytes`` counts actual gradient payload traffic (worker
     uplinks plus the apply broadcast fan-out), ``grad_dense_bytes`` the
-    bytes the same traffic would cost uncompressed — their ratio is the
-    *measured* compression ratio, not an estimate.  ``sync_bytes``
-    counts state resync broadcasts separately (identity-codec runs pay
-    sync, not gradient compression).  Input-shard shipping is data-loader
-    traffic, deliberately excluded from gradient accounting.
+    bytes the same traffic would cost uncompressed, bucket padding
+    excluded — their ratio is the *measured* compression ratio, not an
+    estimate.  ``sync_bytes`` counts state resync broadcasts separately
+    (identity-codec runs pay sync, not gradient compression).
+    Input-shard shipping is data-loader traffic, excluded here.
 
     Fault columns: ``faults`` (transport faults observed), ``retries``
     (timeout re-collects), ``rebuilds`` (rank rebuilds), ``recovery_s``
@@ -400,13 +402,14 @@ class DataParallelStrategy(PhaseStrategy):
             self._forfeit(lost)
             return None
         replies.update(gathered)
-        # Every rank, 0 first, decodes and sums the same payloads in
-        # rank order (``DistWorker._apply``) and steps its optimizer.
-        encs_by_rank = [replies[rank]["enc"] if rank in replies else None for rank in ranks]
-        apply = {"op": "apply", "encs": encs_by_rank, "lrs": lrs}
-        rank0.handle(apply)
+        # Every rank decodes and sums the same payloads in rank order
+        # (``DistWorker._apply``) and steps its optimizer; the fan-out
+        # goes first, so the replicas apply while rank 0 does.
+        encs = [replies[rank]["enc"] if rank in replies else None for rank in ranks]
+        apply = {"op": "apply", "encs": encs, "lrs": lrs}
         for rank in ranks[1:]:
             self.transport.submit(rank, apply)
+        rank0.handle(apply)
         with _obs_tracer().span("dist.apply", phase=COMM, ranks=len(ranks) - 1):
             _, lost = self._collect(ranks[1:])
         if lost:
@@ -415,9 +418,8 @@ class DataParallelStrategy(PhaseStrategy):
             self._forfeit(lost)
         # Wire accounting: worker uplinks (rank 0 has none) + the apply
         # fan-out carrying every rank's payload to every surviving worker.
-        sent = [[e for e in encs or () if e is not None] for encs in encs_by_rank]
-        wire = [sum(e.wire_bytes for e in encs) for encs in sent]
-        dense = [sum(e.dense_bytes for e in encs) for encs in sent]
+        wire = [e.wire_bytes if e is not None else 0 for e in encs]
+        dense = [e.dense_bytes if e is not None else 0 for e in encs]
         fan_out = len(self._active) - 1
         self.comm.add(
             engine.current_epoch,

@@ -14,13 +14,15 @@ loop; it answers the data-parallel strategy's commands:
 ``compute``
     Run forward+backward (+ local predictor training) on this rank's
     shard with the driver's loss-gradient scale, then reply with the
-    shard loss and this rank's codec-encoded gradients.
+    shard loss and one payload: this rank's gradients as one encoded
+    bucket (:func:`~repro.dist.codec.bucket_layout`).
 ``apply``
-    Decode *all* ranks' encoded gradients, sum them in rank order
-    (:func:`~repro.dist.codec.decode_sum`), install them as
-    ``param.grad`` and step the local optimizer.  Every rank, the driver
-    included, applies the identical reduced gradient through this one
-    method, so ranks stay in lockstep without shipping dense sums.
+    Decode *all* ranks' buckets, sum them in rank order
+    (:func:`~repro.dist.codec.decode_sum`), install each live slot as
+    its ``param.grad`` (a view of the sum) and step the local
+    optimizer.  Every rank, the driver included, applies the identical
+    reduced gradient through this one method, so ranks stay in lockstep
+    without shipping dense sums.
 ``gp``
     Run a Phase-GP batch on this rank's shard — locally-predicted
     updates only, zero gradient communication (the ADA-GP phase
@@ -44,7 +46,7 @@ from ..core.engine.strategies import PhaseStrategy
 from ..core.schedule import Phase
 from ..nn.backend import backend_scope
 from ..obs.trace import phase_scope
-from .codec import Codec, decode_sum
+from .codec import Codec, Spans, bucket_layout, decode_sum
 
 
 #: What a replica must copy to match rank 0 bitwise is the trainable part
@@ -151,40 +153,45 @@ class DistWorker:
             yield self.strategies[phase]
         self.engine.clear_caches()
 
+    def _layout(self) -> tuple[Spans, int]:
+        params = self.engine.optimizer.parameters
+        return bucket_layout(tuple(p.shape for p in params), self.codec.bin_size)
+
     def _compute(self, cmd: dict) -> dict:
-        """Shard forward+backward; reply with encoded local gradients."""
+        """Shard forward+backward; reply with the encoded local bucket."""
         self._set_lrs(cmd.get("lrs"))
         phase: Phase = cmd["phase"]
         with self._batch(phase) as strategy:
             result = strategy.forward_backward(
                 cmd["inputs"], cmd["targets"], phase, grad_scale=cmd["scale"]
             )
-        encoded = [
-            self.codec.encode(index, param.grad) if param.grad is not None else None
-            for index, param in enumerate(self.engine.optimizer.parameters)
-        ]
+        spans, size = self._layout()
+        bucket = np.zeros(size, dtype=np.float32)
+        live = []
+        for (start, stop), param in zip(spans, self.engine.optimizer.parameters):
+            if param.grad is not None:
+                bucket[start:stop] = param.grad.reshape(-1)
+                live.append((start, stop))
         return {
             "rank": self.rank,
             "loss": result.loss,
             "n": int(len(cmd["inputs"])),
-            "enc": encoded,
+            "enc": self.codec.encode(0, bucket, tuple(live)),
             "mse": result.predictor_mse,
             "mape": result.predictor_mape,
         }
 
     def _apply(self, cmd: dict) -> dict:
-        """Decode+sum all ranks' gradients in rank order — every rank
-        runs this same kernel on the same payloads, so all install
+        """Decode+sum all ranks' buckets in rank order — every rank runs
+        this same kernel on the same payloads, so all install
         bitwise-equal gradients — and step the local optimizer."""
         self._set_lrs(cmd.get("lrs"))
-        engine = self.engine
-        encs_by_rank = cmd["encs"]
-        for index, param in enumerate(engine.optimizer.parameters):
-            rows = [
-                encs[index] if encs is not None else None for encs in encs_by_rank
-            ]
-            param.grad = decode_sum(rows)
-        engine.optimizer.step()
+        payloads = cmd["encs"]
+        total = decode_sum(payloads)
+        live = set().union(*(enc.live for enc in payloads if enc is not None))
+        for span, param in zip(self._layout()[0], self.engine.optimizer.parameters):
+            param.grad = total[span[0] : span[1]].reshape(param.shape) if span in live else None
+        self.engine.optimizer.step()
         return {"ok": True, "rank": self.rank}
 
     def _gp(self, cmd: dict) -> dict:

@@ -13,7 +13,7 @@ from repro.dist import (
     decode_sum,
     resolve_codec,
 )
-from repro.dist.codec import HEADER_BYTES
+from repro.dist.codec import HEADER_BYTES, bucket_layout
 
 RNG = np.random.default_rng(7)
 
@@ -190,6 +190,82 @@ def test_every_step_conserves_the_gradient_bitwise(
         old = codec.residual(0).copy()
 
 
+def _slot_sizes(kinds, bin_size):
+    sizes = {"1": 1, "bin-1": max(bin_size - 1, 1), "bin": bin_size, "bin+1": bin_size + 1}
+    return [sizes[kind] for kind, _ in kinds]
+
+
+@given(
+    kinds=st.lists(
+        st.tuples(st.sampled_from(["1", "bin-1", "bin", "bin+1"]), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+    bin_size=st.sampled_from([1, 2, 7, 16, 64]),
+    wire=st.sampled_from(["float16", "float32"]),
+    exponents=st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_an_aligned_bucket_encodes_and_sums_as_its_tensors(
+    kinds, bin_size, wire, exponents, seed
+):
+    """Two ranks each encode an aligned bucket once per step and, next
+    to it, every tensor under its own key.  Slot by slot the bucket's
+    values, offsets, bin counts and residual bytes are the tensor's,
+    and the two-rank ``decode_sum`` of the buckets is the per-tensor
+    sum.  Tensors are sized around the bin (1, bin-1, bin, bin+1), some
+    are all zero, each may have no gradient on a rank for a step, and
+    each step's scale runs from 2^-40 to 2^40."""
+    rng = np.random.default_rng(seed)
+    sizes = _slot_sizes(kinds, bin_size)
+    spans, length = bucket_layout(tuple((n,) for n in sizes), bin_size)
+    assert all(start % bin_size == 0 for start, _ in spans)
+    ranks = [
+        (AdaCompCodec(bin_size, wire), AdaCompCodec(bin_size, wire)) for _ in range(2)
+    ]
+    for exponent in exponents:
+        buckets, tensors = [], []
+        for bucket_codec, tensor_codec in ranks:
+            bucket = np.zeros(length, dtype=np.float32)
+            encs, live = [], []
+            for key, ((_, zero), span, n) in enumerate(zip(kinds, spans, sizes)):
+                if rng.random() < 0.2:  # no gradient on this rank this step
+                    encs.append(None)
+                    continue
+                grad = np.zeros(n, np.float32) if zero else (
+                    rng.standard_normal(n) * 2.0**exponent
+                ).astype(np.float32)
+                bucket[span[0] : span[1]] = grad
+                live.append(span)
+                encs.append(tensor_codec.encode(key, grad))
+            enc = bucket_codec.encode(0, bucket, tuple(live))
+            residual = bucket_codec.residual(0)
+            sent_before = np.cumsum(np.concatenate([[0], enc.bin_counts]))
+            for key, (start, stop) in enumerate(spans):
+                first, last = start // bin_size, -(-stop // bin_size)
+                counts = enc.bin_counts[first:last]
+                values = enc.values[sent_before[first] : sent_before[last]]
+                offsets = enc.offsets[sent_before[first] : sent_before[last]]
+                if encs[key] is None:
+                    assert not counts.any()
+                else:
+                    assert counts.tobytes() == encs[key].bin_counts.tobytes()
+                    assert values.tobytes() == encs[key].values.tobytes()
+                    assert offsets.tobytes() == encs[key].offsets.tobytes()
+                want = tensor_codec.residual(key)
+                if want is None:  # never had a gradient: the additive identity
+                    want = np.full(stop - start, -0.0, dtype=np.float32)
+                assert residual[start:stop].tobytes() == want.tobytes()
+            buckets.append(enc)
+            tensors.append(encs)
+        total = decode_sum(buckets)
+        for key, (start, stop) in enumerate(spans):
+            want = decode_sum([encs[key] for encs in tensors])
+            if want is not None:
+                assert total[start:stop].tobytes() == want.tobytes()
+
+
 def test_clip_error_that_float32_cannot_hold_stays_unsent():
     """|H| in [2^29, 2^30): ``H - 65504`` rounds, so sending the clipped
     value would drop an ulp; the entry waits, whole, in the residual."""
@@ -213,6 +289,19 @@ class TestWireAccounting:
             + enc.bin_counts.nbytes
         )
         assert enc.dense_bytes == grad.nbytes
+
+    def test_bucket_dense_bytes_count_live_elements_only(self):
+        spans, length = bucket_layout(((3, 5), (7,), (2,)), 16)
+        assert spans == ((0, 15), (16, 23), (32, 34)) and length == 48
+        bucket = np.zeros(length, dtype=np.float32)
+        for start, stop in spans:
+            bucket[start:stop] = RNG.standard_normal(stop - start)
+        enc = AdaCompCodec(bin_size=16).encode(0, bucket, (spans[0], spans[2]))
+        assert enc.dense_bytes == 4 * (15 + 2)  # no padding, no dead slot
+        assert enc.wire_bytes == (
+            HEADER_BYTES + enc.values.nbytes + enc.offsets.nbytes + enc.bin_counts.nbytes
+        )
+        assert enc.bin_counts[1] == 0  # the dead slot sends nothing
 
     def test_wire_is_four_bytes_per_sent_element(self):
         codec = AdaCompCodec(bin_size=256)

@@ -30,6 +30,7 @@ from repro.dist import (
     shard_sizes,
     shutdown,
 )
+from repro.dist.codec import HEADER_BYTES
 from repro.models import build_mini
 from repro.nn.backend import native_available
 from repro.nn.losses import CrossEntropyLoss, accuracy
@@ -48,6 +49,27 @@ def _model(seed=0):
         nn.GlobalAvgPool2d(),
         nn.Linear(8, 3, rng=rng),
     )
+
+
+class _Idle(nn.Module):
+    """Passes activations through; its parameter never gets a gradient."""
+
+    def __init__(self):
+        super().__init__()
+        self.unused = nn.Parameter(np.ones(5, dtype=np.float32))
+
+    def forward(self, x):
+        return x
+
+    def backward(self, grad_out):
+        return grad_out
+
+
+def _model_with_idle_parameter(seed=0):
+    """``_model`` with a grad-free parameter between two live ones."""
+    model = _model(seed)
+    model.layers.insert(2, _Idle())
+    return model
 
 
 def _split():
@@ -136,6 +158,41 @@ class TestParityLadder:
                 assert len(ddp.coast) == 20
                 histories.append(ddp.fit(_train_fn(split), _val_fn(split), 3))
             assert sum(histories[0].gp_batches) > 0
+            assert histories[0] == histories[1]
+            assert pickle.dumps(engines[0].state_dict()) == pickle.dumps(
+                engines[1].state_dict()
+            )
+        finally:
+            for ddp in engines:
+                shutdown(ddp)
+
+    def test_parameter_without_gradient_stays_none_on_every_rank(self):
+        """A bucket slot no rank fills installs no ``grad`` and leaves no
+        momentum slot, on rank 0 and the replica alike; Local ≡ Process
+        stays bitwise around it."""
+        split = _split()
+        engines, histories = [], []
+        try:
+            for transport in ("local", "process"):
+                ddp = ddp_engine(
+                    _model_with_idle_parameter(), CrossEntropyLoss(), workers=2,
+                    transport=transport, lr=0.05, metric_fn=accuracy,
+                    schedule=_schedule(),
+                )
+                engines.append(ddp)
+                histories.append(ddp.fit(_train_fn(split), _val_fn(split), 3))
+                params = ddp.optimizer.parameters
+                idle = params.index(ddp.model.layers[2].unused)
+                inputs, targets = next(iter(_train_fn(split)()))
+                ddp.train_batch(inputs, targets, Phase.BP)
+                assert params[idle].grad is None
+                assert all(p.grad is not None for i, p in enumerate(params) if i != idle)
+                transport_ = dp_strategy(ddp).transport
+                transport_.submit(1, {"op": "state"})
+                replica = transport_.collect(1)["optimizer"]
+                for state in (ddp.optimizer.state_dict(), replica):
+                    stepped = state["slots"]["_velocity"]
+                    assert idle not in stepped and len(stepped) == len(params) - 1
             assert histories[0] == histories[1]
             assert pickle.dumps(engines[0].state_dict()) == pickle.dumps(
                 engines[1].state_dict()
@@ -251,9 +308,13 @@ class TestPhaseAwareComm:
             totals = comm.totals()
             assert totals["grad_wire_bytes"] > 0
             assert totals["sync_bytes"] > 0
-            # Identity codec: wire is dense + per-payload headers, so the
-            # measured "compression" ratio sits just under 1.
-            assert 0.8 < comm.compression_ratio() < 1.0
+            # Identity codec: every BP batch counts three bucket payloads
+            # (rank 1's uplink, then both ranks' to rank 1), each the
+            # model's real parameter bytes (no padding) plus one header.
+            payloads = 3 * sum(ddp.history.bp_batches)
+            model_bytes = sum(p.data.nbytes for p in ddp.optimizer.parameters)
+            assert totals["grad_dense_bytes"] == payloads * model_bytes
+            assert totals["grad_wire_bytes"] == payloads * (model_bytes + HEADER_BYTES)
         finally:
             shutdown(ddp)
 
